@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/guard"
 )
@@ -28,7 +27,9 @@ func checkPlacement(name string, c *Cache) error {
 //
 //   - every valid tag in L1I/L1D/L2 sits in the set it maps to;
 //   - demand misses never exceed the configured MSHR count;
-//   - the prefetch-buffer occupancy count matches the pending map;
+//   - the miss-register file is strictly ascending by line and its cached
+//     earliest fill is the minimum over its entries;
+//   - the prefetch-buffer occupancy count matches the file's prefetches;
 //   - no line is simultaneously pending (in a miss register) and
 //     resident in the data cache.
 //
@@ -45,20 +46,23 @@ func (h *Hierarchy) CheckInvariants() error {
 			return fail(err)
 		}
 	}
+	if err := h.pending.check(); err != nil {
+		return fail(err)
+	}
 	prefetches := 0
-	for line, pf := range h.pending {
+	for _, pf := range h.pending.e {
 		if pf.prefetch {
 			prefetches++
 		}
-		if h.L1D.Present(line << uint32(h.L1D.lineShift)) {
-			return fail(fmt.Errorf("line %#x both pending and resident in L1D", line))
+		if h.L1D.Present(pf.line << uint32(h.L1D.lineShift)) {
+			return fail(fmt.Errorf("line %#x both pending and resident in L1D", pf.line))
 		}
 	}
 	if prefetches != h.prefetchOutstanding {
 		return fail(fmt.Errorf("prefetch occupancy count %d, but %d prefetches pending",
 			h.prefetchOutstanding, prefetches))
 	}
-	if demand := len(h.pending) - prefetches; demand > h.P.MSHRs {
+	if demand := len(h.pending.e) - prefetches; demand > h.P.MSHRs {
 		return fail(fmt.Errorf("%d demand misses outstanding with %d MSHRs", demand, h.P.MSHRs))
 	}
 	if h.prefetchOutstanding > prefetchBufEntries {
@@ -71,17 +75,12 @@ func (h *Hierarchy) CheckInvariants() error {
 // OutstandingMisses reports the occupied miss registers, in ascending
 // line order, for watchdog diagnostics.
 func (h *Hierarchy) OutstandingMisses() []guard.MissState {
-	lines := make([]uint32, 0, len(h.pending))
-	for line := range h.pending {
-		lines = append(lines, line)
-	}
-	slices.Sort(lines)
-	out := make([]guard.MissState, 0, len(lines))
-	for _, line := range lines {
+	out := make([]guard.MissState, 0, len(h.pending.e))
+	for _, pf := range h.pending.e {
 		out = append(out, guard.MissState{
-			Line:   line,
-			Addr:   line << uint32(h.L1D.lineShift),
-			FillAt: h.pending[line].fill,
+			Line:   pf.line,
+			Addr:   pf.line << uint32(h.L1D.lineShift),
+			FillAt: pf.fill,
 		})
 	}
 	return out

@@ -2,9 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/memsys"
@@ -34,8 +32,9 @@ type Hierarchy struct {
 	L2  *Cache
 	TLB *TLB
 
-	// Lockup-free machinery: outstanding L1D misses by line address.
-	pending map[uint32]pendingFill
+	// Lockup-free machinery: the outstanding L1D misses and prefetches
+	// (mshr.go).
+	pending mshrFile
 
 	// Hardware prefetcher (PrefetchOff by default).
 	prefetch            *prefetcher
@@ -91,7 +90,7 @@ func NewHierarchy(p Params) (*Hierarchy, error) {
 		L1D:      NewCache(p.L1DSize, p.LineSize),
 		L2:       NewCache(p.L2Size, p.LineSize),
 		TLB:      NewTLB(p.TLBEntries),
-		pending:  make(map[uint32]pendingFill),
+		pending:  newMSHRFile(p.MSHRs + prefetchBufEntries),
 		tlbHold:  make(map[uint32]int64),
 		bankFree: make([]int64, p.NumBanks),
 		prefetch: newPrefetcher(p.Prefetch),
@@ -125,36 +124,44 @@ func (h *Hierarchy) DrainFills(now int64) {
 }
 
 // installReady installs every pending fill that is ready at now (shifted
-// by grace), in ascending line order. Installs evict conflicting victims,
-// so the order must not follow Go's randomized map iteration: a fixed
-// order keeps whole-simulation results bit-reproducible run to run.
+// by grace), in ascending line order — the file's own order. When nothing
+// is due, which is the case on nearly every access, it is one compare
+// against the cached earliest fill. Otherwise one pass installs the due
+// entries and compacts the rest in place; an install touches the caches
+// and port frontiers but never the file, so removing as it goes is safe.
 func (h *Hierarchy) installReady(now, grace int64) {
-	var ready []uint32
-	for line, pf := range h.pending {
-		if pf.fill+grace <= now {
-			ready = append(ready, line)
-		}
+	f := &h.pending
+	if f.earliest > now-grace {
+		return
 	}
-	slices.Sort(ready)
-	for _, line := range ready {
-		pf := h.pending[line]
-		h.removePending(line, pf)
-		h.installL1D(line)
-		if h.obsSink != nil {
-			h.obsSink.Emit(metrics.Event{
-				Cycle: now, Kind: metrics.KindMissFill, Ctx: -1,
-				Addr: line << uint32(h.L1D.lineShift), Arg: pf.fill,
-			})
+	keep := f.e[:0]
+	earliest := int64(noFill)
+	for _, pf := range f.e {
+		if pf.fill+grace > now {
+			keep = append(keep, pf)
+			if pf.fill < earliest {
+				earliest = pf.fill
+			}
+			continue
 		}
+		h.retire(pf, now)
 	}
+	f.e, f.earliest = keep, earliest
 }
 
-// removePending deletes a pending entry, maintaining the prefetch-buffer
-// occupancy count.
-func (h *Hierarchy) removePending(line uint32, pf pendingFill) {
-	delete(h.pending, line)
+// retire completes a fill whose entry has left (or is leaving) the file:
+// it releases a prefetch's buffer slot, installs the line in the primary
+// data cache and reports the fill.
+func (h *Hierarchy) retire(pf pendingFill, now int64) {
 	if pf.prefetch {
 		h.prefetchOutstanding--
+	}
+	h.installL1D(pf.line)
+	if h.obsSink != nil {
+		h.obsSink.Emit(metrics.Event{
+			Cycle: now, Kind: metrics.KindMissFill, Ctx: -1,
+			Addr: pf.line << uint32(h.L1D.lineShift), Arg: pf.fill,
+		})
 	}
 }
 
@@ -170,8 +177,13 @@ func (h *Hierarchy) expireFills(now int64) {
 // bound bulk clock advances; fills themselves still install lazily on the
 // next access, as always.
 func (h *Hierarchy) NextCompletion(now int64) int64 {
-	next := int64(math.MaxInt64)
-	for _, pf := range h.pending {
+	if h.pending.earliest > now {
+		return h.pending.earliest // noFill == math.MaxInt64 when empty
+	}
+	// The earliest fill has landed and is held for its replay: look
+	// past it.
+	next := int64(noFill)
+	for _, pf := range h.pending.e {
 		if pf.fill > now && pf.fill < next {
 			next = pf.fill
 		}
@@ -271,18 +283,16 @@ func (h *Hierarchy) AccessData(addr uint32, write bool, pc uint32, now int64) me
 	}
 
 	line := h.L1D.Line(addr)
-	if pf, ok := h.pending[line]; ok && pf.fill <= now {
+	slot, outstanding := h.pending.find(line)
+	if outstanding && h.pending.e[slot].fill <= now {
 		// The replayed (or a merging) access arrives after the fill:
-		// serve it from the miss register and install the line.
-		h.removePending(line, pf)
-		h.installL1D(line)
+		// serve it from the miss register and install the line, which
+		// makes the access below a primary hit.
+		pf := h.pending.e[slot]
+		h.pending.removeAt(slot)
+		outstanding = false
+		h.retire(pf, now)
 		h.notePrefetchUse(line)
-		if h.obsSink != nil {
-			h.obsSink.Emit(metrics.Event{
-				Cycle: now, Kind: metrics.KindMissFill, Ctx: -1,
-				Addr: line << uint32(h.L1D.lineShift), Arg: pf.fill,
-			})
-		}
 	}
 
 	if h.L1D.Present(addr) {
@@ -304,30 +314,25 @@ func (h *Hierarchy) AccessData(addr uint32, write bool, pc uint32, now int64) me
 		}
 	}
 
-	if pf, ok := h.pending[line]; ok {
+	if outstanding {
 		// Merge into the outstanding miss for this line; a merge with an
 		// in-flight prefetch means the prefetch was useful (it started
 		// the fetch early).
 		h.notePrefetchUse(line)
-		return memsys.DataResult{FillAt: pf.fill, Class: memsys.MSHRFull}
+		return memsys.DataResult{FillAt: h.pending.e[slot].fill, Class: memsys.MSHRFull}
 	}
-	if len(h.pending)-h.prefetchOutstanding >= h.P.MSHRs {
-		// All demand miss registers busy: retry when the earliest frees.
-		earliest := int64(1<<62 - 1)
-		for _, pf := range h.pending {
-			if pf.fill < earliest {
-				earliest = pf.fill
-			}
-		}
+	if len(h.pending.e)-h.prefetchOutstanding >= h.P.MSHRs {
+		// All demand miss registers busy: retry when the earliest fill
+		// (demand or prefetch) frees its entry.
 		h.Stats.DataByClass[memsys.MSHRFull]++
-		return memsys.DataResult{FillAt: earliest, Class: memsys.MSHRFull}
+		return memsys.DataResult{FillAt: h.pending.earliest, Class: memsys.MSHRFull}
 	}
 
 	// Write-allocate: stores take the same miss path; the replayed store
 	// marks the filled line dirty.
 	fillAt, class := h.l2Access(addr, now)
 	fillAt += int64(h.P.L1DFillOcc)
-	h.pending[line] = pendingFill{fill: fillAt}
+	h.pending.insertAt(slot, pendingFill{line: line, fill: fillAt})
 	h.Stats.DataByClass[class]++
 	h.maybePrefetch(line, pc, now)
 	if h.obsSink != nil {

@@ -42,12 +42,6 @@ func (m PrefetchMode) String() string {
 // buffer beside the demand MSHRs).
 const prefetchBufEntries = 8
 
-// pendingFill is one outstanding line fetch.
-type pendingFill struct {
-	fill     int64
-	prefetch bool
-}
-
 // strideEntry is one reference-prediction-table row.
 type strideEntry struct {
 	lastLine   uint32
@@ -114,14 +108,15 @@ func (h *Hierarchy) maybePrefetch(missLine, pc uint32, now int64) {
 	if h.L1D.Present(addr) {
 		return
 	}
-	if _, pending := h.pending[target]; pending {
+	slot, outstanding := h.pending.find(target)
+	if outstanding {
 		return
 	}
 	if h.prefetchOutstanding >= prefetchBufEntries {
 		return
 	}
 	fillAt, _ := h.l2Access(addr, now)
-	h.pending[target] = pendingFill{fill: fillAt + int64(h.P.L1DFillOcc), prefetch: true}
+	h.pending.insertAt(slot, pendingFill{line: target, fill: fillAt + int64(h.P.L1DFillOcc), prefetch: true})
 	h.prefetchOutstanding++
 	pf.issued[target] = true
 	h.Stats.PrefetchesIssued++

@@ -125,15 +125,9 @@ func (h *Hierarchy) SaveState(w *snapshot.Writer) {
 	h.TLB.saveState(w)
 	h.prefetch.saveState(w)
 
-	lines := make([]uint32, 0, len(h.pending))
-	for line := range h.pending {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.U32(uint32(len(lines)))
-	for _, line := range lines {
-		pf := h.pending[line]
-		w.U32(line)
+	w.U32(uint32(len(h.pending.e)))
+	for _, pf := range h.pending.e {
+		w.U32(pf.line)
 		w.I64(pf.fill)
 		w.Bool(pf.prefetch)
 	}
@@ -182,11 +176,17 @@ func (h *Hierarchy) RestoreState(r *snapshot.Reader) {
 	h.TLB.restoreState(r)
 	h.prefetch.restoreState(r)
 
-	h.pending = make(map[uint32]pendingFill)
+	// Entries were written in ascending line order; inserting each at its
+	// sorted position rebuilds the file (and its cached earliest fill)
+	// without trusting that.
+	h.pending.e = h.pending.e[:0]
+	h.pending.earliest = noFill
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		line := r.U32()
-		h.pending[line] = pendingFill{fill: r.I64(), prefetch: r.Bool()}
+		pf := pendingFill{line: r.U32(), fill: r.I64(), prefetch: r.Bool()}
+		if slot, dup := h.pending.find(pf.line); !dup {
+			h.pending.insertAt(slot, pf)
+		}
 	}
 	h.prefetchOutstanding = r.Int()
 

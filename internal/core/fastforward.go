@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/isa"
 )
 
@@ -25,8 +23,8 @@ import (
 //   - A skippable ("boring") cycle's issueSlot reduces to a single
 //     count(now, cls, ctx) whose (cls, ctx) is constant across the whole
 //     region: the stall frontiers carry their own cause/context, and
-//     idleCause depends only on availableAt/availCause fields that no
-//     boring cycle mutates.
+//     the idle charge depends only on availableAt/availCause fields that
+//     no boring cycle mutates.
 //   - Any cycle in which a context is selectable is NOT boring — even if
 //     the instruction would immediately stall on a dependency or a busy
 //     functional unit — because issueSlot then calls FetchInst (which
@@ -76,13 +74,14 @@ func (p *Processor) NextEvent() (cls SlotClass, ctx int, until int64) {
 	// functional-unit stalls are therefore skippable regions — on the MP's
 	// dependency-bound kernels these are the majority of all slots.
 	scheme := p.Cfg.Scheme
+	ready := p.readyAt(now)
 	if p.idealIF && (scheme == Single || ((scheme == Blocked || scheme == BlockedFast) && p.cur >= 0)) {
-		c := p.ctxs[0]
+		mono := 0
 		if scheme != Single {
-			c = p.ctxs[p.cur]
+			mono = p.cur
 		}
-		if c.runnable() && c.availableAt <= now {
-			return p.interlockRegion(c, now)
+		if ready>>uint(mono)&1 != 0 {
+			return p.interlockRegion(&p.ctxs[mono], now)
 		}
 		if scheme != Single {
 			// The monopoly just broke (current context became unavailable
@@ -94,22 +93,14 @@ func (p *Processor) NextEvent() (cls SlotClass, ctx int, until int64) {
 		// cycle re-fetches (and re-counts), so nothing is skippable.
 		return SlotIdle, -1, now
 	}
-	shadowSelects := scheme == Interleaved || scheme == FineGrained
-	wake := int64(math.MaxInt64)
-	for _, c := range p.ctxs {
-		if !c.runnable() {
-			continue
-		}
-		if c.availableAt <= now || (shadowSelects && c.shadowUntil > now) {
-			return SlotIdle, -1, now
-		}
-		if c.availableAt < wake {
-			wake = c.availableAt
-		}
+	if ready != 0 {
+		// Someone can take the slot.
+		return SlotIdle, -1, now
 	}
-	// No context selectable before wake: idle region. idleCause reads only
-	// availableAt/availCause, which nothing mutates until then.
-	cls, ctx = p.idleCause()
+	// No context selectable before wake: idle region, charged to the wait
+	// cause of the context that wakes first, which only a write (never a
+	// boring cycle) can change before then.
+	cls, ctx, wake := p.idleCharge()
 	return cls, ctx, p.boundEvent(wake)
 }
 

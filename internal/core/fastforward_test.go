@@ -338,6 +338,42 @@ func BenchmarkStepFastForward(b *testing.B) {
 	}
 }
 
+// BenchmarkIssueBusy times the busy issue path alone: an endless
+// independent-add loop per context over an always-hit memory, so every
+// slot selects a context and executes an instruction, nothing is
+// skippable and no cache code runs. One op is one simulated cycle (one
+// retired instruction, near enough); the go-test number beside the
+// repository benchmark's core.busy_ns_per_inst probes.
+func BenchmarkIssueBusy(b *testing.B) {
+	for _, nctx := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("%dctx", nctx), func(b *testing.B) {
+			pb := prog.NewBuilder("busy", 0x1000, 0x10_0000, 1<<20)
+			pb.Label("loop")
+			for r := isa.R1; r <= isa.R8; r++ {
+				pb.Addi(r, r, 1)
+			}
+			pb.J("loop")
+			pr, err := pb.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := MustNewProcessor(DefaultConfig(Interleaved, nctx), perfectMem{}, mem.New())
+			for c := 0; c < nctx; c++ {
+				p.BindThread(c, NewThread(fmt.Sprintf("t%d", c), pr))
+			}
+			p.Run(10_000) // BTB and scoreboard settled
+			retired := p.Stats.Retired
+			b.ReportAllocs()
+			b.ResetTimer()
+			p.Run(int64(b.N))
+			b.StopTimer()
+			if got := p.Stats.Retired - retired; got < int64(b.N)*9/10 {
+				b.Fatalf("only %d instructions retired in %d cycles: the loop is not busy", got, b.N)
+			}
+		})
+	}
+}
+
 // TestFastForwardTraceDisablesSkips: a Trace hook must see every cycle,
 // so the engine must refuse to skip while one is installed.
 func TestFastForwardTraceDisablesSkips(t *testing.T) {

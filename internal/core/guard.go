@@ -51,9 +51,9 @@ func (p *Processor) MachineHash() uint64 {
 		layers = append(layers, hs.Hash())
 	}
 	h := guard.MachineHash(layers...)
-	for _, c := range p.ctxs {
-		if c.thread != nil {
-			h = c.thread.HashArchState(h)
+	for i := range p.ctxs {
+		if th := p.ctxs[i].thread; th != nil {
+			h = th.HashArchState(h)
 		}
 	}
 	return h
@@ -77,7 +77,8 @@ func (p *Processor) Snapshot() guard.ProcState {
 			ps.Slots[SlotClass(cls).String()] = n
 		}
 	}
-	for _, c := range p.ctxs {
+	for i := range p.ctxs {
+		c := &p.ctxs[i]
 		cs := guard.CtxState{Ctx: c.idx}
 		if th := c.thread; th != nil {
 			cs.Thread = th.Name
@@ -107,7 +108,9 @@ func (p *Processor) Snapshot() guard.ProcState {
 //     fetch target are in range;
 //   - every bound thread's PC addresses a real instruction;
 //   - the zero register never acquires a scoreboard dependency;
-//   - a halted thread is never the blocked scheme's current context.
+//   - a halted thread is never the blocked scheme's current context;
+//   - the cached context-selection summary (ready mask, wake cycle, idle
+//     charge) matches a recomputation from the contexts.
 //
 // Violations come back as *guard.SimError with a full snapshot attached.
 func (p *Processor) CheckInvariants() error {
@@ -140,7 +143,8 @@ func (p *Processor) CheckInvariants() error {
 	if p.forceNext < -1 || p.forceNext >= n {
 		return fail(-1, -1, "forced fetch context %d out of range [-1,%d)", p.forceNext, n)
 	}
-	for _, c := range p.ctxs {
+	for i := range p.ctxs {
+		c := &p.ctxs[i]
 		th := c.thread
 		if th == nil {
 			continue
@@ -155,6 +159,21 @@ func (p *Processor) CheckInvariants() error {
 		if th.Halted && p.cur == c.idx {
 			return fail(c.idx, th.PC, "halted thread %s is the blocked scheme's current context", th.Name)
 		}
+	}
+	// Whatever the context summary claims to know must equal a computation
+	// from scratch (its validity bound may only be early, never late): a
+	// difference means a write to a context or to Thread.Halted skipped
+	// availabilityChanged / invalidateReady.
+	fresh := *p
+	fresh.sel = ctxSummary{}
+	fresh.readyAt(p.cycle)
+	fresh.idleCharge()
+	got, want := p.sel, fresh.sel
+	switch {
+	case got.membersKnown && (got.bound != want.bound || got.live != want.live),
+		p.cycle < got.validUntil && (got.ready != want.ready || got.validUntil > want.validUntil),
+		got.idleKnown && (got.wake != want.wake || got.idleCls != want.idleCls || got.idleCtx != want.idleCtx):
+		return fail(-1, -1, "stale context summary %+v, recomputed %+v", got, want)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/guard"
 	"repro/internal/isa"
@@ -115,6 +116,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Contexts < 1:
 		return fmt.Errorf("core: need at least one context")
+	case c.Contexts > maxContexts:
+		return fmt.Errorf("core: %d contexts exceed the supported maximum of %d", c.Contexts, maxContexts)
 	case c.Scheme == Single && c.Contexts != 1:
 		return fmt.Errorf("core: single scheme requires exactly one context")
 	case int(c.Scheme) >= NumSchemes:
@@ -128,6 +131,38 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// ctxSummary is what context selection and event classification need to
+// know about the contexts, kept up to date by the events that change it
+// instead of being rescanned every slot. It is derived state — a pure
+// function of the contexts' thread, Thread.Halted, availableAt, availCause
+// and shadowUntil fields and the clock — in three parts with their own
+// lifetimes; the zero value knows nothing and is refilled on first use.
+type ctxSummary struct {
+	// Membership: changes only when a thread is bound, halts or is
+	// restored (invalidateReady).
+	membersKnown bool
+	bound        uint64 // bit i: context i has a thread
+	live         uint64 // bit i: context i has a thread that has not halted
+
+	// Selectability at the current cycle. A write to one context's
+	// availability updates its bit in place (availabilityChanged); the
+	// clock changes a bit only by crossing validUntil, the nearest future
+	// availableAt or shadowUntil of a live context.
+	ready      uint64 // bit i: context i can take the slot
+	validUntil int64  // ready holds for cycles before this one
+
+	// The idle charge, looked up only when ready is empty (idleCharge):
+	// any availability write outdates it, the clock does not.
+	idleKnown bool
+	wake      int64     // earliest availableAt of a live context (MaxInt64 if none)
+	idleCls   SlotClass // that context's wait cause
+	idleCtx   int       // and its index (-1 if none)
+}
+
+// maxContexts is the largest supported context count: the width of the
+// processor's ready mask (the paper evaluates up to eight).
+const maxContexts = 64
 
 // hwContext is one hardware context (replicated PC/EPC/register state per
 // paper §6; here: a binding slot for a Thread plus availability state).
@@ -177,7 +212,7 @@ type Processor struct {
 	// workstation); it only attributes diagnostics and errors.
 	ID int
 
-	ctxs []*hwContext
+	ctxs []hwContext
 	btb  *BTB
 
 	cycle int64
@@ -199,6 +234,12 @@ type Processor struct {
 	stallCause  SlotClass
 
 	fuFree [isa.NumUnits]int64
+
+	// sel summarizes the contexts for selection (never serialized): every
+	// write to a context's availability must be followed by
+	// availabilityChanged, every write to its thread or to a bound
+	// thread's Halted by invalidateReady.
+	sel ctxSummary
 
 	// completer is Mem's memsys.Completer view when it has one, resolved
 	// once at construction. capCompletions records whether the memory
@@ -271,8 +312,9 @@ func NewProcessor(cfg Config, m memsys.System, fm *mem.Memory) (*Processor, erro
 	if f, ok := m.(memsys.IdealInstFetch); ok {
 		p.idealIF = f.InstFetchIsIdeal()
 	}
-	for i := 0; i < cfg.Contexts; i++ {
-		p.ctxs = append(p.ctxs, &hwContext{idx: i, replayPC: -1})
+	p.ctxs = make([]hwContext, cfg.Contexts)
+	for i := range p.ctxs {
+		p.ctxs[i] = hwContext{idx: i, replayPC: -1}
 	}
 	if cfg.BTBEntries > 0 {
 		p.btb = NewBTB(cfg.BTBEntries)
@@ -299,7 +341,7 @@ func (p *Processor) Contexts() int { return len(p.ctxs) }
 // availability state of the context is discarded; an in-flight miss keeps
 // filling the cache but no longer blocks the context.
 func (p *Processor) BindThread(idx int, th *Thread) {
-	c := p.ctxs[idx]
+	c := &p.ctxs[idx]
 	c.thread = th
 	c.availableAt = p.cycle
 	c.shadowUntil = 0
@@ -308,6 +350,7 @@ func (p *Processor) BindThread(idx int, th *Thread) {
 	if p.cur == idx {
 		p.cur = -1
 	}
+	p.invalidateReady()
 }
 
 // ThreadAt returns the thread bound to context idx, or nil.
@@ -316,16 +359,109 @@ func (p *Processor) ThreadAt(idx int) *Thread { return p.ctxs[idx].thread }
 // AllHalted reports whether every bound thread has halted (and at least
 // one thread is bound).
 func (p *Processor) AllHalted() bool {
-	bound := false
-	for _, c := range p.ctxs {
-		if c.thread != nil {
-			bound = true
-			if !c.thread.Halted {
-				return false
+	bound, live := p.members()
+	return bound != 0 && live == 0
+}
+
+// invalidateReady forgets the whole context summary: a thread was bound
+// or unbound, a bound thread halted, or the processor was restored.
+func (p *Processor) invalidateReady() { p.sel = ctxSummary{} }
+
+// members returns the bound and live context masks, rescanning the
+// threads if membership changed since the last call.
+func (p *Processor) members() (bound, live uint64) {
+	s := &p.sel
+	if !s.membersKnown {
+		s.bound, s.live, s.membersKnown = 0, 0, true
+		for i := range p.ctxs {
+			if th := p.ctxs[i].thread; th != nil {
+				s.bound |= 1 << uint(i)
+				if !th.Halted {
+					s.live |= 1 << uint(i)
+				}
 			}
 		}
 	}
-	return bound
+	return s.bound, s.live
+}
+
+// selectableAt reports whether live context c can take the issue slot at
+// cycle now, and lowers *until to the cycle at which the clock alone next
+// changes that answer. A context is selectable when it is available;
+// under the cycle-by-cycle schemes a context inside its miss shadow is
+// selectable too (it still takes its slot, charged to switch overhead).
+func (p *Processor) selectableAt(c *hwContext, now int64, until *int64) bool {
+	if c.availableAt <= now {
+		return true
+	}
+	*until = min(*until, c.availableAt)
+	shadowSelects := p.Cfg.Scheme == Interleaved || p.Cfg.Scheme == FineGrained
+	if !shadowSelects || c.shadowUntil <= now {
+		return false
+	}
+	*until = min(*until, c.shadowUntil)
+	return true
+}
+
+// readyAt returns the mask of contexts selectable at cycle now (which
+// never runs backwards between invalidations). It is the per-slot
+// question, so the usual answer — nothing has happened — is one compare,
+// small enough to inline.
+func (p *Processor) readyAt(now int64) uint64 {
+	if now >= p.sel.validUntil {
+		p.rescanReady(now)
+	}
+	return p.sel.ready
+}
+
+// rescanReady recomputes the ready mask and its validity bound from the
+// live contexts: the clock has reached the old bound, or the summary was
+// forgotten.
+func (p *Processor) rescanReady(now int64) {
+	s := &p.sel
+	_, live := p.members()
+	s.ready, s.validUntil = 0, math.MaxInt64
+	for m := live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if p.selectableAt(&p.ctxs[i], now, &s.validUntil) {
+			s.ready |= 1 << uint(i)
+		}
+	}
+}
+
+// availabilityChanged brings the summary up to date after live context
+// c's availableAt, availCause or shadowUntil were rewritten at cycle now:
+// its ready bit is recomputed in place, so a miss or a yield costs no
+// rescan of the other contexts.
+func (p *Processor) availabilityChanged(c *hwContext, now int64) {
+	s := &p.sel
+	s.idleKnown = false
+	if now >= s.validUntil {
+		return // already outdated: the next readyAt rescans
+	}
+	if bit := uint64(1) << uint(c.idx); p.selectableAt(c, now, &s.validUntil) {
+		s.ready |= bit
+	} else {
+		s.ready &^= bit
+	}
+}
+
+// idleCharge returns what a slot with no selectable context is charged
+// to — the wait cause and index of the live context that will wake
+// soonest — and that wake cycle (MaxInt64 when nothing ever will). Callers
+// have just consulted readyAt.
+func (p *Processor) idleCharge() (cls SlotClass, ctx int, wake int64) {
+	s := &p.sel
+	if !s.idleKnown {
+		s.wake, s.idleCls, s.idleCtx, s.idleKnown = math.MaxInt64, SlotIdle, -1, true
+		for m := s.live; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if c := &p.ctxs[i]; c.availableAt < s.wake {
+				s.wake, s.idleCls, s.idleCtx = c.availableAt, c.availCause, i
+			}
+		}
+	}
+	return s.idleCls, s.idleCtx, s.wake
 }
 
 func (p *Processor) count(now int64, cls SlotClass, ctx int) {
@@ -431,7 +567,7 @@ func (p *Processor) issueSlot(now int64) {
 
 	c := p.selectContext(now)
 	if c == nil {
-		cls, ctx := p.idleCause()
+		cls, ctx, _ := p.idleCharge()
 		p.count(now, cls, ctx)
 		return
 	}
@@ -477,82 +613,63 @@ func (p *Processor) issueSlot(now int64) {
 	p.execute(c, th, in, now)
 }
 
-// selectContext picks the issuing context for this cycle.
+// selectContext picks the issuing context for this cycle from the ready
+// mask: the forced context after an I-cache fill, the blocked scheme's
+// current context while it stays available, otherwise the next ready
+// context after the round-robin pointer.
 func (p *Processor) selectContext(now int64) *hwContext {
+	ready := p.readyAt(now)
 	if p.forceNext >= 0 {
-		c := p.ctxs[p.forceNext]
+		c := &p.ctxs[p.forceNext]
 		p.forceNext = -1
+		// Available, not merely inside a miss shadow.
 		if c.runnable() && c.availableAt <= now {
 			p.rr = c.idx
 			return c
 		}
 	}
+	blocked := false
 	switch p.Cfg.Scheme {
 	case Single:
-		c := p.ctxs[0]
-		if c.runnable() && c.availableAt <= now {
-			return c
+		if ready&1 != 0 {
+			return &p.ctxs[0]
 		}
 		return nil
-
 	case Blocked, BlockedFast:
+		// The current context keeps the pipeline while it stays available.
 		if p.cur >= 0 {
-			c := p.ctxs[p.cur]
-			if c.runnable() && c.availableAt <= now {
-				return c
+			if ready>>uint(p.cur)&1 != 0 {
+				return &p.ctxs[p.cur]
 			}
 			p.cur = -1
 		}
-		// Pick the next available context round-robin.
-		for i, j := 0, p.rr+1; i < len(p.ctxs); i, j = i+1, j+1 {
-			if j >= len(p.ctxs) {
-				j = 0
-			}
-			c := p.ctxs[j]
-			if c.runnable() && c.availableAt <= now {
-				p.rr = c.idx
-				p.cur = c.idx
-				return c
-			}
-		}
-		return nil
-
-	case Interleaved, FineGrained:
-		// Strict round-robin across available contexts. A context inside
-		// its miss shadow still takes its slot (the slot is charged to
-		// switch overhead by the caller).
-		for i, j := 0, p.rr+1; i < len(p.ctxs); i, j = i+1, j+1 {
-			if j >= len(p.ctxs) {
-				j = 0
-			}
-			c := p.ctxs[j]
-			if !c.runnable() {
-				continue
-			}
-			if c.availableAt <= now || c.shadowUntil > now {
-				p.rr = c.idx
-				return c
-			}
-		}
+		blocked = true
+	}
+	// Round-robin: the next selectable context after rr. Under the
+	// cycle-by-cycle schemes a context inside its miss shadow still takes
+	// its slot (charged to switch overhead by the caller).
+	i := nextReady(ready, p.rr)
+	if i < 0 {
 		return nil
 	}
-	return nil
+	p.rr = i
+	if blocked {
+		p.cur = i
+	}
+	return &p.ctxs[i]
 }
 
-// idleCause decides what to charge a cycle with no selectable context:
-// the unavailability cause of the context that will wake soonest.
-func (p *Processor) idleCause() (SlotClass, int) {
-	best := int64(math.MaxInt64)
-	cls := SlotIdle
-	ctx := -1
-	for _, c := range p.ctxs {
-		if c.runnable() && c.availableAt < best {
-			best = c.availableAt
-			cls = c.availCause
-			ctx = c.idx
-		}
+// nextReady returns the first set bit of ready strictly after position rr,
+// wrapping around, or -1 when ready is empty. rr is -1 before the first
+// pick.
+func nextReady(ready uint64, rr int) int {
+	if after := ready &^ (1<<uint(rr+1) - 1); after != 0 {
+		return bits.TrailingZeros64(after)
 	}
-	return cls, ctx
+	if ready != 0 {
+		return bits.TrailingZeros64(ready)
+	}
+	return -1
 }
 
 // depStall checks source and WAW dependencies; on a stall it returns the
@@ -746,6 +863,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 		th.PC++
 		c.availableAt = now + int64(in.Imm)
 		c.availCause = yieldCause(in.Region)
+		p.availabilityChanged(c, now)
 		p.shadowUntil = now + int64(p.Cfg.ExplicitSwitchCost)
 		p.shadowCtx = c.idx
 		p.cur = -1
@@ -764,6 +882,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 		th.PC++
 		c.availableAt = now + int64(in.Imm)
 		c.availCause = yieldCause(in.Region)
+		p.availabilityChanged(c, now)
 		if p.obsSink != nil {
 			p.obsCtxSwitch(now, c.idx, c.availCause, c.availableAt)
 		}
@@ -781,6 +900,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 		if th.TrapHandler < 0 {
 			th.Halted = true
 			th.HaltedAt = now
+			p.invalidateReady()
 			p.busySlot(now, c, th, in)
 			if p.cur == c.idx {
 				p.cur = -1
@@ -802,6 +922,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 	case isa.HALT:
 		th.Halted = true
 		th.HaltedAt = now
+		p.invalidateReady()
 		p.busySlot(now, c, th, in)
 		if p.cur == c.idx {
 			p.cur = -1
@@ -822,6 +943,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 		if c.availableAt < now+int64(p.Cfg.PipelineDepth) {
 			c.availableAt = now + int64(p.Cfg.PipelineDepth)
 			c.availCause = SlotStallShort
+			p.availabilityChanged(c, now)
 		}
 	}
 }
@@ -852,6 +974,7 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		}
 		c.availableAt = fill
 		c.availCause = missSlot(memsys.Memory, in.Region)
+		p.availabilityChanged(c, now)
 		th.PC++
 		p.busySlot(now, c, th, in)
 		return false
@@ -889,6 +1012,7 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 	if c.replayPC == th.PC && p.Cfg.Scheme != Single {
 		c.availableAt = maxI64(res.FillAt, now+1)
 		c.availCause = cause
+		p.availabilityChanged(c, now)
 		p.count(now, cause, c.idx)
 		return false
 	}
@@ -931,6 +1055,7 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		p.shadowCtx = c.idx
 		c.availableAt = maxI64(res.FillAt, now+depth)
 		c.availCause = cause
+		p.availabilityChanged(c, now)
 		p.cur = -1
 		if p.obsSink != nil {
 			p.obsCtxSwitch(now, c.idx, cause, c.availableAt)
@@ -949,6 +1074,7 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		c.shadowUntil = now + depth
 		c.availableAt = maxI64(res.FillAt, now+depth)
 		c.availCause = cause
+		p.availabilityChanged(c, now)
 		if p.obsSink != nil {
 			p.obsCtxSwitch(now, c.idx, cause, c.availableAt)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -536,20 +537,36 @@ func TestSlotConservation(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(Interleaved, 4).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultConfig(Single, 2)
-	if bad.Validate() == nil {
-		t.Error("single with 2 contexts accepted")
-	}
-	bad = DefaultConfig(Interleaved, 0)
-	if bad.Validate() == nil {
-		t.Error("zero contexts accepted")
-	}
-	bad = DefaultConfig(Interleaved, 2)
-	bad.BTBEntries = 100
-	if bad.Validate() == nil {
-		t.Error("non-power-of-two BTB accepted")
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		mutate  func(*Config)
+		wantErr string // substring; empty means valid
+	}{
+		{name: "interleaved/4", cfg: DefaultConfig(Interleaved, 4)},
+		{name: "single/2", cfg: DefaultConfig(Single, 2), wantErr: "exactly one context"},
+		{name: "zero contexts", cfg: DefaultConfig(Interleaved, 0), wantErr: "at least one context"},
+		{name: "mask-width contexts", cfg: DefaultConfig(Interleaved, maxContexts)},
+		{name: "contexts beyond the ready mask", cfg: DefaultConfig(Interleaved, maxContexts+1),
+			wantErr: "65 contexts exceed the supported maximum of 64"},
+		{name: "blocked beyond the ready mask", cfg: DefaultConfig(Blocked, 1000), wantErr: "maximum of 64"},
+		{name: "non-power-of-two BTB", cfg: DefaultConfig(Interleaved, 2),
+			mutate: func(c *Config) { c.BTBEntries = 100 }, wantErr: "power of two"},
+	} {
+		if c.mutate != nil {
+			c.mutate(&c.cfg)
+		}
+		err := c.cfg.Validate()
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.wantErr != "" && !strings.Contains(err.Error(), c.wantErr):
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantErr)
+		}
+		if _, nerr := NewProcessor(c.cfg, perfectMem{}, mem.New()); (nerr == nil) != (err == nil) {
+			t.Errorf("%s: NewProcessor error %v, Validate error %v", c.name, nerr, err)
+		}
 	}
 }

@@ -14,7 +14,9 @@ import (
 // and metrics cadences of a restored run are position-identical to an
 // uninterrupted one by construction. Derived state is never serialized:
 // a thread's decoded-instruction cache comes from its program, the
-// processor's completer/idealIF probes from its memory system, and the
+// processor's completer/idealIF probes from its memory system, the
+// context-selection summary (ready mask, wake cycle, idle charge) is
+// recomputed from the restored contexts on first use, and the
 // dependency-region memo is dropped (it only short-circuits the Step
 // immediately after the NextEvent that computed it, and no Step follows
 // a restore without a fresh NextEvent).
@@ -144,7 +146,8 @@ func (p *Processor) SaveState(w *snapshot.Writer) {
 	for _, v := range p.fuFree {
 		w.I64(v)
 	}
-	for _, c := range p.ctxs {
+	for i := range p.ctxs {
+		c := &p.ctxs[i]
 		w.I64(c.availableAt)
 		w.U8(uint8(c.availCause))
 		w.I64(c.shadowUntil)
@@ -183,7 +186,8 @@ func (p *Processor) RestoreState(r *snapshot.Reader) {
 	for i := range p.fuFree {
 		p.fuFree[i] = r.I64()
 	}
-	for _, c := range p.ctxs {
+	for i := range p.ctxs {
+		c := &p.ctxs[i]
 		c.availableAt = r.I64()
 		c.availCause = SlotClass(r.U8())
 		c.shadowUntil = r.I64()
@@ -199,8 +203,10 @@ func (p *Processor) RestoreState(r *snapshot.Reader) {
 	}
 	p.Stats.restoreState(r)
 	// Drop the dependency-region memo: it is only valid for the Step
-	// immediately following the NextEvent that computed it.
+	// immediately following the NextEvent that computed it. Likewise the
+	// context-selection summary, which describes the overwritten contexts.
 	p.depTh = nil
+	p.invalidateReady()
 }
 
 func b2i(b bool) int64 {

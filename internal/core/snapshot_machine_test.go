@@ -10,6 +10,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/prog"
 	"repro/internal/snapshot"
 )
 
@@ -29,13 +30,19 @@ type uniMachine struct {
 
 func buildStallMachine(t *testing.T, scheme Scheme, nctx int, noFF bool, chaosSeed int64) *uniMachine {
 	t.Helper()
+	return buildMachine(t, stallProg(t), scheme, nctx, noFF, chaosSeed)
+}
+
+// buildMachine runs one thread of pr per context (R4 = thread id) on a
+// default hierarchy.
+func buildMachine(t *testing.T, pr *prog.Program, scheme Scheme, nctx int, noFF bool, chaosSeed int64) *uniMachine {
+	t.Helper()
 	params := cache.DefaultParams()
 	if chaosSeed != 0 {
 		params.Chaos = guard.Options{ChaosSeed: chaosSeed}.NewChaos()
 	}
 	h := cache.MustNewHierarchy(params)
 	fm := mem.New()
-	pr := stallProg(t)
 	pr.LoadInit(fm)
 	cfg := DefaultConfig(scheme, nctx)
 	cfg.NoFastForward = noFF

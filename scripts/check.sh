@@ -23,6 +23,14 @@ GUARD_CHECKS=1 go test ./...
 # sampling, cancellation, or watchdog behavior fails here first.
 go test -count=1 -run 'TestEngineGolden' ./internal/engine
 
+# Repository-benchmark smoke: one cold and one timed pass of the two
+# workstation workloads (Table 7 cells; forked switch-cost/MSHR sweeps) at
+# quick scale, well under a second each. The benchmark gates on byte
+# identity between passes and exits non-zero on any differing cell, so a
+# busy-path or checkpoint change that breaks reproducibility fails here.
+go run ./benchmark -workload ws-table7 -smoke >/dev/null
+go run ./benchmark -workload sweep-fork -smoke >/dev/null
+
 # Chaos-mode determinism: perturb all memory/network latencies on a
 # race-free app and assert the final memory is byte-identical to the
 # unperturbed run (mpsim runs the reference config itself and fails on
