@@ -75,6 +75,21 @@ func (f *mshrFile) removeAt(i int) {
 	}
 }
 
+// rebuild re-inserts the entries one by one, for a file whose entries
+// came from outside (a restored checkpoint). Checkpoints hold the
+// registers in ascending line order; inserting each at its sorted
+// position rebuilds the file and its cached earliest fill without
+// trusting that, dropping duplicates.
+func (f *mshrFile) rebuild() {
+	loaded := f.e
+	f.e, f.earliest = make([]pendingFill, 0, cap(loaded)), noFill
+	for _, pf := range loaded {
+		if slot, dup := f.find(pf.line); !dup {
+			f.insertAt(slot, pf)
+		}
+	}
+}
+
 // rescanEarliest recomputes the cached earliest fill from the entries.
 func (f *mshrFile) rescanEarliest() {
 	f.earliest = noFill

@@ -22,6 +22,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/memsys"
 	"repro/internal/metrics"
+	"repro/internal/snapshot"
 )
 
 // Params configures the fabric. The paper's Table 8 ranges are garbled in
@@ -149,30 +150,13 @@ func (n *Node) AttachMetrics(m *metrics.ProcMetrics) {
 	reg.Register("coh/deferred", &n.Stats.Deferred)
 }
 
-// countingSource wraps the latency PRNG's source and counts raw draws,
-// which is what makes the stream checkpointable: math/rand exposes no
-// internal state, but replaying the recorded number of raw draws from a
-// fresh same-seeded source lands the stream at the identical position.
-// The wrapped source produces exactly the values the bare source would,
-// so existing golden results are unchanged.
-type countingSource struct {
-	src   rand.Source64
-	draws int64
-}
-
-func (s *countingSource) Int63() int64 { s.draws++; return s.src.Int63() }
-
-func (s *countingSource) Uint64() uint64 { s.draws++; return s.src.Uint64() }
-
-func (s *countingSource) Seed(seed int64) { s.src.Seed(seed); s.draws = 0 }
-
 // Fabric is the shared directory and interconnect for all nodes.
 type Fabric struct {
 	P      Params
 	nodes  []*Node
 	dir    map[uint32]*dirPage
 	rng    *rand.Rand
-	rngSrc *countingSource
+	rngSrc *snapshot.CountingSource // rng's source; counts draws so the stream position checkpoints
 
 	lastPageNo uint32
 	lastPage   *dirPage
@@ -190,7 +174,7 @@ func NewFabric(p Params, n int) (*Fabric, error) {
 	if n < 1 || n > 64 {
 		return nil, fmt.Errorf("coherence: node count %d out of range [1,64]", n)
 	}
-	src := &countingSource{src: rand.NewSource(p.Seed).(rand.Source64)}
+	src := snapshot.NewCountingSource(p.Seed)
 	f := &Fabric{
 		P:      p,
 		dir:    make(map[uint32]*dirPage),

@@ -1,12 +1,10 @@
 package coherence
 
 import (
-	"sort"
-
 	"repro/internal/snapshot"
 )
 
-// This file serializes the multiprocessor memory system for
+// This file is the multiprocessor memory system's state walk for
 // checkpoint/restore, and provides the directory/timing Hash built on
 // the same canonical encoding. Restore targets a fabric freshly built
 // from the same Params and node count; the latency PRNG resumes by
@@ -19,157 +17,66 @@ const (
 	sectionNode   = 0x4e4f4431 // "NOD1"
 )
 
-func (n *Node) saveState(w *snapshot.Writer) {
-	w.Section(sectionNode)
-	w.Int(n.id)
-	n.cache.SaveState(w)
-	// pending is serialized in request order — the slice order carries
+func (n *Node) state(c snapshot.Codec) {
+	c.Section(sectionNode)
+	c.ShapeI64("node id", int64(n.id))
+	n.cache.State(c)
+	// pending is visited in request order — the slice order carries
 	// protocol meaning (fill service and expiry scan it in order).
-	w.U32(uint32(len(n.pending)))
-	for _, pf := range n.pending {
-		w.U32(pf.line)
-		w.Bool(pf.exclusive)
-		w.I64(pf.fill)
-	}
-	w.I64(n.Stats.Accesses)
-	for _, v := range n.Stats.ByClass {
-		w.I64(v)
-	}
-	w.I64(n.Stats.Invalidations)
-	w.I64(n.Stats.Upgrades)
-	w.I64(n.Stats.Deferred)
+	snapshot.Slice(c, &n.pending, func(pf *pendingFill) {
+		c.U32(&pf.line)
+		c.Bool(&pf.exclusive)
+		c.I64(&pf.fill)
+	})
+	c.I64(&n.Stats.Accesses)
+	c.I64s(n.Stats.ByClass[:])
+	c.I64(&n.Stats.Invalidations)
+	c.I64(&n.Stats.Upgrades)
+	c.I64(&n.Stats.Deferred)
 }
 
-func (n *Node) restoreState(r *snapshot.Reader) {
-	r.Section(sectionNode)
-	r.Expect("node id", int64(r.Int()), int64(n.id))
-	n.cache.RestoreState(r)
-	cnt := r.U32()
-	n.pending = n.pending[:0]
-	for i := uint32(0); i < cnt && r.Err() == nil; i++ {
-		n.pending = append(n.pending, pendingFill{
-			line:      r.U32(),
-			exclusive: r.Bool(),
-			fill:      r.I64(),
-		})
-	}
-	n.Stats.Accesses = r.I64()
-	for i := range n.Stats.ByClass {
-		n.Stats.ByClass[i] = r.I64()
-	}
-	n.Stats.Invalidations = r.I64()
-	n.Stats.Upgrades = r.I64()
-	n.Stats.Deferred = r.I64()
-}
-
-// SaveState serializes the fabric: every node (cache, miss registers,
-// stats), the directory radix pages in ascending page order, the
-// latency PRNG's draw count, and the chaos stream position. The
-// page-lookup memos are derived state and are not serialized.
-func (f *Fabric) SaveState(w *snapshot.Writer) {
-	w.Section(sectionFabric)
-	w.Int(len(f.nodes))
-	w.Int(f.P.LineSize)
-	w.Int(f.P.CacheSize)
-	w.I64(f.P.Seed)
-
-	for _, n := range f.nodes {
-		n.saveState(w)
-	}
-
-	pageNos := make([]uint32, 0, len(f.dir))
-	for no := range f.dir {
-		pageNos = append(pageNos, no)
-	}
-	sort.Slice(pageNos, func(i, j int) bool { return pageNos[i] < pageNos[j] })
-	w.U32(uint32(len(pageNos)))
-	for _, no := range pageNos {
-		w.U32(no)
-		pg := f.dir[no]
-		for i := range pg {
-			w.U32(uint32(int32(pg[i].owner)))
-			w.U64(pg[i].sharers)
-		}
-	}
-
-	w.I64(f.rngSrc.draws)
-
-	w.Bool(f.P.Chaos != nil)
-	if f.P.Chaos != nil {
-		w.I64(f.P.Chaos.Seed())
-		w.I64(f.P.Chaos.Skew())
-		state, draws := f.P.Chaos.SnapshotState()
-		w.U64(state)
-		w.I64(draws)
-	}
-}
+// SaveState serializes the fabric into w.
+func (f *Fabric) SaveState(w *snapshot.Writer) { f.State(snapshot.Saving(w)) }
 
 // RestoreState overwrites the fabric's state from a snapshot. The
-// fabric must have been built with the same Params and node count; the
-// PRNG is repositioned by discarding the recorded number of raw draws
-// from its fresh same-seeded source.
-func (f *Fabric) RestoreState(r *snapshot.Reader) {
-	r.Section(sectionFabric)
-	r.Expect("node count", int64(r.Int()), int64(len(f.nodes)))
-	r.Expect("line size", int64(r.Int()), int64(f.P.LineSize))
-	r.Expect("cache size", int64(r.Int()), int64(f.P.CacheSize))
-	r.Expect("latency seed", r.I64(), f.P.Seed)
+// fabric must have been built with the same Params and node count, and
+// must not have drawn from its latency PRNG yet.
+func (f *Fabric) RestoreState(r *snapshot.Reader) { f.State(snapshot.Restoring(r)) }
+
+// State visits the fabric: every node (cache, miss registers, stats),
+// the directory radix pages in ascending page order, the latency PRNG's
+// draw count, and the chaos stream position. The page-lookup memos are
+// derived state: never visited, dropped on restore.
+func (f *Fabric) State(c snapshot.Codec) {
+	c.Section(sectionFabric)
+	c.ShapeI64("node count", int64(len(f.nodes)))
+	c.ShapeI64("line size", int64(f.P.LineSize))
+	c.ShapeI64("cache size", int64(f.P.CacheSize))
+	c.ShapeI64("latency seed", f.P.Seed)
 
 	for _, n := range f.nodes {
-		n.restoreState(r)
+		n.state(c)
 	}
 
-	f.dir = make(map[uint32]*dirPage)
-	f.lastPage = nil
-	f.pageCache = [64]struct {
-		no uint32
-		pg *dirPage
-	}{}
-	cnt := r.U32()
-	for i := uint32(0); i < cnt && r.Err() == nil; i++ {
-		no := r.U32()
-		pg := new(dirPage)
-		for j := range pg {
-			pg[j].owner = int(int32(r.U32()))
-			pg[j].sharers = r.U64()
-		}
-		if r.Err() == nil {
-			f.dir[no] = pg
-		}
+	if !c.Saving() {
+		f.lastPage = nil
+		clear(f.pageCache[:])
 	}
+	snapshot.Map(c, f.dir, func(pg **dirPage) {
+		if *pg == nil {
+			*pg = new(dirPage)
+		}
+		for i := range *pg {
+			e := &(*pg)[i]
+			owner := int32(e.owner)
+			c.I32(&owner)
+			e.owner = int(owner)
+			c.U64(&e.sharers)
+		}
+	})
 
-	draws := r.I64()
-	if r.Err() == nil && draws >= 0 {
-		// Reposition the PRNG: a fresh fabric's source has drawn nothing,
-		// so discard exactly the snapshot's draw count. (A reused fabric
-		// that already drew more cannot rewind — shape-check it.)
-		r.Expect("rng draws already taken", f.rngSrc.draws, 0)
-		for i := int64(0); i < draws && r.Err() == nil; i++ {
-			f.rngSrc.src.Int63()
-		}
-		f.rngSrc.draws = draws
-	}
-
-	hadChaos := r.Bool()
-	if r.Err() == nil {
-		inSnap, inMachine := int64(0), int64(0)
-		if hadChaos {
-			inSnap = 1
-		}
-		if f.P.Chaos != nil {
-			inMachine = 1
-		}
-		r.Expect("chaos presence", inSnap, inMachine)
-	}
-	if hadChaos && f.P.Chaos != nil {
-		r.Expect("chaos seed", r.I64(), f.P.Chaos.Seed())
-		r.Expect("chaos skew", r.I64(), f.P.Chaos.Skew())
-		state := r.U64()
-		cdraws := r.I64()
-		if r.Err() == nil {
-			f.P.Chaos.RestoreSnapshotState(state, cdraws)
-		}
-	}
+	f.rngSrc.State(c)
+	f.P.Chaos.State(c)
 }
 
 // Hash returns a deterministic digest of the fabric's complete state —

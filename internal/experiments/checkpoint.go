@@ -27,9 +27,11 @@ import (
 //
 // Forking is an optimization, never a semantic: a forked cell is
 // byte-identical to its from-scratch run (pinned by
-// TestSweepForkedMatchesScratch), and any unusable checkpoint — corrupt
-// file, stale codec version, foreign fingerprint — falls back to the
-// scratch path instead of failing the sweep.
+// TestSweepForkedMatchesScratch), and an unusable checkpoint never fails
+// the sweep: a cached file whose container does not decode (corrupt,
+// stale codec version, foreign fingerprint) is re-simulated and
+// replaced, and a payload the resuming machine rejects falls back to the
+// scratch path for that cell.
 
 // CheckpointOptions configures warm-up sharing for sweeps.
 type CheckpointOptions struct {
@@ -81,8 +83,11 @@ func (pc *prefixCache) path(key string) string {
 }
 
 // get returns the cached checkpoint for key, consulting disk on a memory
-// miss. Unreadable files report as misses; a readable-but-corrupt file
-// is returned as-is and rejected later by ResumeCtx's typed errors.
+// miss. A file that cannot be read, or whose container does not decode
+// for this key (corrupt, another codec version, a foreign fingerprint),
+// reports as a miss: the caller then simulates the warm-up and put
+// replaces the bad file, so the same run still forks and later runs
+// stop tripping over it.
 func (pc *prefixCache) get(key string) []byte {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -94,6 +99,9 @@ func (pc *prefixCache) get(key string) []byte {
 	}
 	b, err := snapshot.LoadFile(pc.path(key))
 	if err != nil {
+		return nil
+	}
+	if _, err := snapshot.Decode(b, workstation.Kind, key); err != nil {
 		return nil
 	}
 	pc.mem[key] = b
@@ -109,14 +117,6 @@ func (pc *prefixCache) put(key string, data []byte) {
 	if pc.dir != "" {
 		_ = snapshot.SaveFile(pc.path(key), data)
 	}
-}
-
-// drop forgets a key whose cached bytes proved unusable, so a later run
-// can re-checkpoint instead of tripping over the same bad file.
-func (pc *prefixCache) drop(key string) {
-	pc.mu.Lock()
-	delete(pc.mem, key)
-	pc.mu.Unlock()
 }
 
 // checkpointUnusable reports whether err is one of the typed rejections
@@ -203,7 +203,7 @@ func sweepThroughputsShared(ctx context.Context, cfg UniConfig, workload string,
 			if !checkpointUnusable(err) {
 				return err
 			}
-			cache.drop(keys[i]) // bad bytes: scratch this cell instead
+			// A payload this machine rejects: scratch this cell instead.
 		}
 		r, err := workstation.RunCtx(ctx, kernels, configs[i])
 		if err != nil {

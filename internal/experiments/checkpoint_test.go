@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/snapshot"
 	"repro/internal/workstation"
 )
 
@@ -73,12 +76,16 @@ func TestSweepCheckpointDir(t *testing.T) {
 	}
 
 	// Corrupt every cached checkpoint: the typed decode rejection must
-	// fall back to scratch, not fail the sweep or change its results.
+	// not fail the sweep or change its results, and the run must replace
+	// each bad file with the bytes it held before, so the next run forks
+	// from disk again instead of rejecting the same file forever.
+	orig := map[string][]byte{}
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		orig[f] = bytes.Clone(data)
 		data[len(data)/2] ^= 0x40
 		if err := os.WriteFile(f, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -90,6 +97,19 @@ func TestSweepCheckpointDir(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("sweep over corrupted checkpoints diverges from the clean run")
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := strings.TrimSuffix(filepath.Base(f), ".ckpt")
+		if _, err := snapshot.Decode(data, workstation.Kind, key); err != nil {
+			t.Errorf("%s still does not decode after the fallback run: %v", filepath.Base(f), err)
+		}
+		if !bytes.Equal(data, orig[f]) {
+			t.Errorf("%s was not restored to its pre-corruption bytes", filepath.Base(f))
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package guard
 
+import "repro/internal/snapshot"
+
 // Chaos is the fault injector: a deterministic latency perturber. The
 // memory systems add Jitter() cycles to each miss or network latency
 // they compute, shifting every timing decision in the run while leaving
@@ -10,9 +12,9 @@ package guard
 // into functional state: exactly the class of bug chaos mode exists to
 // catch.
 //
-// The PRNG is a self-contained splitmix64 (not math/rand) so guard stays
-// a leaf package and each simulation cell can own a private, seeded
-// stream with no shared state.
+// The PRNG is a self-contained splitmix64 (not math/rand) so its whole
+// position is one word a checkpoint can carry, and each simulation cell
+// can own a private, seeded stream with no shared state.
 type Chaos struct {
 	state uint64
 	seed  int64
@@ -32,9 +34,6 @@ func NewChaos(seed, skew int64) *Chaos {
 	}
 	return &Chaos{state: uint64(seed), seed: seed, skew: skew}
 }
-
-// Seed returns the seed the perturber was built with.
-func (c *Chaos) Seed() int64 { return c.seed }
 
 // Skew returns the maximum jitter in cycles.
 func (c *Chaos) Skew() int64 { return c.skew }
@@ -62,24 +61,17 @@ func (c *Chaos) Jitter() int64 {
 // call. Nil-safe.
 func (c *Chaos) Perturb(lat int64) int64 { return lat + c.Jitter() }
 
-// SnapshotState returns the PRNG position for checkpointing: the raw
-// splitmix64 state and the draw count. Seed and skew are configuration,
-// not state — a restorer rebuilds the Chaos from its config and resumes
-// the stream with RestoreSnapshotState. Nil-safe (returns zeros).
-func (c *Chaos) SnapshotState() (state uint64, draws int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.state, c.Draws
-}
-
-// RestoreSnapshotState resumes the perturbation stream at a position
-// captured by SnapshotState. Nil-safe (a no-op, matching a run whose
-// chaos mode is off).
-func (c *Chaos) RestoreSnapshotState(state uint64, draws int64) {
-	if c == nil {
+// State visits the perturber for checkpointing: a presence byte, seed
+// and skew as shape checks (they are configuration — the restorer
+// rebuilds the Chaos from its config), then the stream position, so a
+// forked run draws exactly the jitter an uninterrupted run would.
+// Nil-safe: a nil Chaos is an absent one.
+func (c *Chaos) State(cd snapshot.Codec) {
+	if !cd.Present("chaos", c != nil) {
 		return
 	}
-	c.state = state
-	c.Draws = draws
+	cd.ShapeI64("chaos seed", c.seed)
+	cd.ShapeI64("chaos skew", c.skew)
+	cd.U64(&c.state)
+	cd.I64(&c.Draws)
 }

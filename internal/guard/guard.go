@@ -2,11 +2,12 @@
 // errors, a liveness watchdog, structured diagnostics, invariant-check
 // gating, and deterministic fault injection (chaos mode).
 //
-// The package is a leaf — it imports only the standard library — so every
-// simulation layer (core, cache, coherence, mp, workstation, experiments)
-// can depend on it without cycles. The simulators produce guard values
-// (SimError, Diagnostic, ProcState); guard itself never steps a
-// simulation.
+// The package is a near-leaf — it imports only the standard library and
+// internal/snapshot (for the Codec its checkpointable parts are visited
+// through) — so every simulation layer (core, cache, coherence, mp,
+// workstation, experiments) can depend on it without cycles. The
+// simulators produce guard values (SimError, Diagnostic, ProcState);
+// guard itself never steps a simulation.
 package guard
 
 import (

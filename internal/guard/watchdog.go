@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/snapshot"
 )
 
 // Watchdog detects livelock and deadlock by watching a monotone progress
@@ -58,26 +60,19 @@ func (w *Watchdog) Observe(now, progress int64) (tripped bool) {
 	return now-w.lastProgress >= w.window
 }
 
-// ProgressState returns the watchdog's position for checkpointing: the
-// last observed progress counter, the cycle it was observed at, and
-// whether the watchdog has been primed. Nil-safe (returns zeros).
-func (w *Watchdog) ProgressState() (lastCount, lastProgress int64, primed bool) {
-	if w == nil {
-		return 0, 0, false
-	}
-	return w.lastCount, w.lastProgress, w.primed
-}
-
-// SetProgressState resumes a watchdog at a position captured by
-// ProgressState, so a restored run observes exactly the staleness an
-// uninterrupted run would. Nil-safe (a no-op).
-func (w *Watchdog) SetProgressState(lastCount, lastProgress int64, primed bool) {
-	if w == nil {
+// State visits the watchdog for checkpointing: a presence byte, the
+// window as a shape check, then its position — the last observed
+// progress counter, the cycle it was observed at, and whether it has
+// been primed — so a restored run observes exactly the staleness an
+// uninterrupted run would. Nil-safe: a nil watchdog is an absent one.
+func (w *Watchdog) State(c snapshot.Codec) {
+	if !c.Present("watchdog", w != nil) {
 		return
 	}
-	w.lastCount = lastCount
-	w.lastProgress = lastProgress
-	w.primed = primed
+	c.ShapeI64("watchdog window", w.window)
+	c.I64(&w.lastCount)
+	c.I64(&w.lastProgress)
+	c.Bool(&w.primed)
 }
 
 // Stalled returns how many cycles have elapsed since the last observed

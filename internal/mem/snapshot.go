@@ -1,50 +1,33 @@
 package mem
 
 import (
-	"sort"
-
 	"repro/internal/snapshot"
 )
 
 // sectionMemory tags the functional-memory block in a snapshot payload.
 const sectionMemory = 0x4d454d31 // "MEM1"
 
-// SaveState serializes the memory contents: every touched page, in
-// ascending page-number order so identical contents always produce
-// identical bytes. The page-lookup memos are derived state and are not
-// serialized.
-func (m *Memory) SaveState(w *snapshot.Writer) {
-	w.Section(sectionMemory)
-	pns := make([]uint32, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	w.U32(uint32(len(pns)))
-	for _, pn := range pns {
-		w.U32(pn)
-		for _, cell := range m.pages[pn] {
-			w.U64(cell)
-		}
-	}
-}
+// SaveState serializes the memory contents into w.
+func (m *Memory) SaveState(w *snapshot.Writer) { m.State(snapshot.Saving(w)) }
 
 // RestoreState replaces the memory contents with the serialized pages,
 // dropping anything the memory held before (the restore target is
 // normally a freshly built machine, but a reused one restores just as
 // correctly).
-func (m *Memory) RestoreState(r *snapshot.Reader) {
-	r.Section(sectionMemory)
-	m.Reset()
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		pn := r.U32()
-		p := new(page)
-		for c := range p {
-			p[c] = r.U64()
-		}
-		if r.Err() == nil {
-			m.pages[pn] = p
-		}
+func (m *Memory) RestoreState(r *snapshot.Reader) { m.State(snapshot.Restoring(r)) }
+
+// State visits every touched page, in ascending page-number order so
+// identical contents always produce identical bytes. The page-lookup
+// memos are derived state: never visited, dropped on restore.
+func (m *Memory) State(c snapshot.Codec) {
+	c.Section(sectionMemory)
+	if !c.Saving() {
+		m.Reset()
 	}
+	snapshot.Map(c, m.pages, func(p **page) {
+		if *p == nil {
+			*p = new(page)
+		}
+		c.U64s((*p)[:])
+	})
 }

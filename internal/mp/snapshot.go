@@ -60,7 +60,7 @@ func CheckpointAtCtx(ctx context.Context, p *prog.Program, cfg Config, atCycle i
 		return nil, fmt.Errorf("%w (before cycle %d)", ErrCompleted, atCycle)
 	}
 	w := snapshot.NewWriter()
-	m.saveState(w, atCycle)
+	m.state(snapshot.Saving(w), &atCycle)
 	return snapshot.Encode(Kind, fingerprint, w.Bytes()), nil
 }
 
@@ -79,9 +79,14 @@ func ResumeCtx(ctx context.Context, p *prog.Program, cfg Config, data []byte, fi
 	if err != nil {
 		return nil, err
 	}
-	atCycle, err := m.restoreState(rd)
-	if err != nil {
+	var atCycle int64
+	m.state(snapshot.Restoring(rd), &atCycle)
+	if err := snapshot.Finish(rd); err != nil {
 		return nil, err
+	}
+	if atCycle < 0 || atCycle%engine.BlockCycles != 0 || atCycle >= m.cfg.LimitCycles {
+		return nil, fmt.Errorf("%w: checkpoint cycle %d is not a block boundary below the %d-cycle limit",
+			snapshot.ErrMismatch, atCycle, m.cfg.LimitCycles)
 	}
 	completed, err := m.runBlocks(ctx, atCycle, cfg.LimitCycles)
 	if err != nil {
@@ -90,84 +95,27 @@ func ResumeCtx(ctx context.Context, p *prog.Program, cfg Config, data []byte, fi
 	return m.result(completed), nil
 }
 
-// saveState serializes the full machine as of block boundary atCycle.
-func (m *machine) saveState(w *snapshot.Writer, atCycle int64) {
-	w.Section(sectionRun)
-	w.I64(atCycle)
+// state visits the full machine as of block boundary *atCycle. Threads
+// are already bound by newMachine in the fixed tid order, so only their
+// contents are visited.
+func (m *machine) state(c snapshot.Codec, atCycle *int64) {
+	c.Section(sectionRun)
+	c.I64(atCycle)
 	// Shape checks: the resuming machine must have identical geometry.
-	w.U8(uint8(m.cfg.Scheme))
-	w.Int(m.cfg.Processors)
-	w.Int(m.cfg.Contexts)
-	w.I64(m.cfg.LimitCycles)
+	c.ShapeU8("scheme", uint8(m.cfg.Scheme))
+	c.ShapeI64("processors", int64(m.cfg.Processors))
+	c.ShapeI64("contexts", int64(m.cfg.Contexts))
+	c.ShapeI64("cycle limit", m.cfg.LimitCycles)
 
-	w.I64(m.eng.NextGuard)
-	w.Bool(m.eng.Watchdog != nil)
-	if m.eng.Watchdog != nil {
-		w.I64(m.eng.Watchdog.Window())
-		lastCount, lastProgress, primed := m.eng.Watchdog.ProgressState()
-		w.I64(lastCount)
-		w.I64(lastProgress)
-		w.Bool(primed)
-	}
+	c.I64(&m.eng.NextGuard)
+	m.eng.Watchdog.State(c)
 
 	for _, th := range m.threads {
-		th.SaveState(w)
+		th.State(c)
 	}
 	for _, proc := range m.procs {
-		proc.SaveState(w)
+		proc.State(c)
 	}
-	m.fab.SaveState(w)
-	m.fm.SaveState(w)
-}
-
-// restoreState rebuilds the machine from a payload Reader and returns
-// the block boundary to resume at. Threads are already bound by
-// newMachine in the fixed tid order, so only contents are restored.
-func (m *machine) restoreState(rd *snapshot.Reader) (int64, error) {
-	rd.Section(sectionRun)
-	atCycle := rd.I64()
-	rd.Expect("scheme", int64(rd.U8()), int64(m.cfg.Scheme))
-	rd.Expect("processors", int64(rd.Int()), int64(m.cfg.Processors))
-	rd.Expect("contexts", int64(rd.Int()), int64(m.cfg.Contexts))
-	rd.Expect("cycle limit", rd.I64(), m.cfg.LimitCycles)
-
-	m.eng.NextGuard = rd.I64()
-	hadWD := rd.Bool()
-	if rd.Err() == nil {
-		var inSnap, inMachine int64
-		if hadWD {
-			inSnap = 1
-		}
-		if m.eng.Watchdog != nil {
-			inMachine = 1
-		}
-		rd.Expect("watchdog presence", inSnap, inMachine)
-	}
-	if hadWD && m.eng.Watchdog != nil {
-		rd.Expect("watchdog window", rd.I64(), m.eng.Watchdog.Window())
-		lastCount := rd.I64()
-		lastProgress := rd.I64()
-		primed := rd.Bool()
-		if rd.Err() == nil {
-			m.eng.Watchdog.SetProgressState(lastCount, lastProgress, primed)
-		}
-	}
-
-	for _, th := range m.threads {
-		th.RestoreState(rd)
-	}
-	for _, proc := range m.procs {
-		proc.RestoreState(rd)
-	}
-	m.fab.RestoreState(rd)
-	m.fm.RestoreState(rd)
-
-	if err := snapshot.Finish(rd); err != nil {
-		return 0, err
-	}
-	if atCycle < 0 || atCycle%engine.BlockCycles != 0 || atCycle >= m.cfg.LimitCycles {
-		return 0, fmt.Errorf("%w: checkpoint cycle %d is not a block boundary below the %d-cycle limit",
-			snapshot.ErrMismatch, atCycle, m.cfg.LimitCycles)
-	}
-	return atCycle, nil
+	m.fab.State(c)
+	m.fm.State(c)
 }

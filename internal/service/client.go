@@ -57,8 +57,7 @@ type heartbeatRequest struct {
 	// still held by Worker. An ID the coordinator no longer recognizes
 	// (expired and swept, or re-leased to someone else) comes back in
 	// Expired — the worker is fenced off that cell and should stop
-	// working it. An empty list renews every lease held by Worker
-	// (legacy, unfenced).
+	// working it. An empty list renews nothing.
 	LeaseIDs []int64 `json:"leaseIds,omitempty"`
 }
 

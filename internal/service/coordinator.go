@@ -893,33 +893,22 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.expireLocked(now)
 	c.ensureWorkerLocked(req.Worker, now)
 	resp := heartbeatResponse{}
-	if len(req.LeaseIDs) > 0 {
-		// Fenced renewal: each ID renews only if that exact lease is
-		// still live and still belongs to this worker.
-		live := map[int64]*cell{}
-		for _, j := range c.jobs {
-			for _, cl := range j.cells {
-				if cl.state == cellLeased && cl.worker == req.Worker {
-					live[cl.leaseID] = cl
-				}
+	// Fenced renewal: each ID renews only if that exact lease is still
+	// live and still belongs to this worker.
+	live := map[int64]*cell{}
+	for _, j := range c.jobs {
+		for _, cl := range j.cells {
+			if cl.state == cellLeased && cl.worker == req.Worker {
+				live[cl.leaseID] = cl
 			}
 		}
-		for _, id := range req.LeaseIDs {
-			if cl, ok := live[id]; ok {
-				cl.expiry = now.Add(c.cfg.LeaseTTL)
-				resp.Renewed++
-			} else {
-				resp.Expired = append(resp.Expired, id)
-			}
-		}
-	} else {
-		for _, j := range c.jobs {
-			for _, cl := range j.cells {
-				if cl.state == cellLeased && cl.worker == req.Worker {
-					cl.expiry = now.Add(c.cfg.LeaseTTL)
-					resp.Renewed++
-				}
-			}
+	}
+	for _, id := range req.LeaseIDs {
+		if cl, ok := live[id]; ok {
+			cl.expiry = now.Add(c.cfg.LeaseTTL)
+			resp.Renewed++
+		} else {
+			resp.Expired = append(resp.Expired, id)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

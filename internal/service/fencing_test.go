@@ -65,6 +65,11 @@ func TestStaleHeartbeatRenewalRejected(t *testing.T) {
 	if hb := heartbeat(t, srv.URL, heartbeatRequest{Worker: "w1", LeaseIDs: []int64{stale.LeaseID}}); hb.Renewed != 1 || len(hb.Expired) != 0 {
 		t.Fatalf("live renewal = %+v, want 1 renewed", hb)
 	}
+	// A heartbeat naming no leases renews nothing: there is no unfenced
+	// "renew whatever I hold" form for a stale worker to fall into.
+	if hb := heartbeat(t, srv.URL, heartbeatRequest{Worker: "w1"}); hb.Renewed != 0 || len(hb.Expired) != 0 {
+		t.Fatalf("empty renewal = %+v, want nothing renewed", hb)
+	}
 
 	// Let the lease expire (the next request's sweep reclaims it), then
 	// hand the cell to another worker.

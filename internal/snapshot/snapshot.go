@@ -1,11 +1,16 @@
-// Package snapshot is the versioned, deterministic binary codec for
-// machine-state checkpoints. Every simulator layer (mem, core, cache,
-// coherence) serializes itself through a Writer and restores through a
-// Reader; the container format carries a magic number, a codec version,
-// a kind string (which machine shape the snapshot holds), a caller
-// fingerprint (the prefix-configuration hash), and a trailing checksum
-// over the payload, so a corrupt, truncated, or mismatched file is
-// rejected with a typed error instead of deserializing garbage.
+// Package snapshot is the versioned, deterministic binary format for
+// machine-state checkpoints, and the Codec the simulator layers read and
+// write it through. A layer (mem, core, cache, coherence, and the mp and
+// workstation drivers above them) describes its serialized state once,
+// as a walk — func (x *T) State(c Codec) — that visits its fields in
+// payload order; the Codec appends each visited field when saving and
+// overwrites it when restoring, so there is no second, mirrored
+// description to keep in step (codec.go). The container format carries a
+// magic number, a codec version, a kind string (which machine shape the
+// snapshot holds), a caller fingerprint (the prefix-configuration hash),
+// and a trailing checksum over the payload, so a corrupt, truncated, or
+// mismatched file is rejected with a typed error instead of
+// deserializing garbage.
 //
 // The encoding is fixed-width little-endian with explicit section tags
 // between layers. Two snapshots of identical machine state are
@@ -31,8 +36,8 @@ import (
 	"repro/internal/faultfs"
 )
 
-// Version is the codec version. Any change to a layer's serialized
-// field set must bump it; Decode rejects other versions with ErrVersion
+// Version is the codec version. Any change to the bytes a layer's walk
+// produces must bump it; Decode rejects other versions with ErrVersion
 // so stale checkpoint files fall back to from-scratch simulation rather
 // than restoring skewed state.
 const Version = 1
@@ -72,8 +77,8 @@ func StateHash(data []byte) uint64 {
 	return h
 }
 
-// Writer serializes machine state into a growing buffer using
-// fixed-width little-endian encoding.
+// Writer is the growing payload buffer a save walk appends to. Fields
+// are written through a Codec (Saving), never directly.
 type Writer struct {
 	buf []byte
 }
@@ -84,44 +89,26 @@ func NewWriter() *Writer { return &Writer{} }
 // Bytes returns the raw serialized payload written so far.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+func (w *Writer) u8(v uint8)   { w.buf = append(w.buf, v) }
+func (w *Writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *Writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
-// Bool appends a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U32 appends a little-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-// U64 appends a little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-// I64 appends an int64 (two's complement, little-endian).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int appends an int as int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// String appends a length-prefixed UTF-8 string.
-func (w *Writer) String(s string) {
-	w.U32(uint32(len(s)))
+// str appends a length-prefixed UTF-8 string.
+func (w *Writer) str(s string) {
+	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
 }
 
-// Section appends a section tag. Tags delimit each layer's block so a
-// drifted encoder/decoder pair fails loudly at the seam instead of
-// silently misreading the following fields.
-func (w *Writer) Section(tag uint32) { w.U32(tag) }
+// grow appends n zero bytes and returns them for the caller to fill.
+func (w *Writer) grow(n int) []byte {
+	w.buf = append(w.buf, make([]byte, n)...)
+	return w.buf[len(w.buf)-n:]
+}
 
-// Reader deserializes a payload written by Writer. Errors are sticky:
-// the first short read or tag mismatch records ErrCorrupt, every later
-// call returns zero values, and the caller checks Err once at the end.
+// Reader is the payload a restore walk consumes, through a Codec
+// (Restoring). Errors are sticky: the first short read, tag mismatch or
+// failed shape check records ErrCorrupt, every later visit leaves its
+// field untouched, and the caller checks once at the end with Finish.
 type Reader struct {
 	buf []byte
 	off int
@@ -131,11 +118,7 @@ type Reader struct {
 // NewReader wraps a payload.
 func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 
-// Err returns the sticky decode error, nil if every read succeeded.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread payload bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+func (r *Reader) remaining() int { return len(r.buf) - r.off }
 
 // fail records the sticky error (first failure wins).
 func (r *Reader) fail(format string, args ...any) {
@@ -144,11 +127,12 @@ func (r *Reader) fail(format string, args ...any) {
 	}
 }
 
+// take consumes the next n bytes, or fails and returns nil.
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.buf) {
+	if n > len(r.buf)-r.off {
 		r.fail("truncated (%d bytes wanted, %d left)", n, len(r.buf)-r.off)
 		return nil
 	}
@@ -157,20 +141,7 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
+func (r *Reader) u32() uint32 {
 	b := r.take(4)
 	if b == nil {
 		return 0
@@ -178,8 +149,7 @@ func (r *Reader) U32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
+func (r *Reader) u64() uint64 {
 	b := r.take(8)
 	if b == nil {
 		return 0
@@ -187,46 +157,14 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.U32()
-	if int64(n) > int64(r.Remaining()) {
+// str reads a length-prefixed string.
+func (r *Reader) str() string {
+	n := r.u32()
+	if int64(n) > int64(r.remaining()) {
 		r.fail("string length %d exceeds remaining payload", n)
 		return ""
 	}
-	b := r.take(int(n))
-	return string(b)
-}
-
-// Section consumes a section tag and verifies it.
-func (r *Reader) Section(tag uint32) {
-	got := r.U32()
-	if r.err == nil && got != tag {
-		r.fail("section tag %#x, want %#x", got, tag)
-	}
-}
-
-// Expect verifies a decoded value against the value the restoring
-// machine was constructed with; a mismatch means the snapshot belongs
-// to a differently-shaped machine and restore must not proceed.
-func (r *Reader) Expect(what string, got, want int64) {
-	if r.err == nil && got != want {
-		r.fail("%s is %d in snapshot but %d in target machine", what, got, want)
-	}
-}
-
-// ExpectStr is Expect for string-valued shape fields (thread and scheme
-// names).
-func (r *Reader) ExpectStr(what, got, want string) {
-	if r.err == nil && got != want {
-		r.fail("%s is %q in snapshot but %q in target machine", what, got, want)
-	}
+	return string(r.take(int(n)))
 }
 
 // Container layout (all little-endian):
@@ -237,13 +175,13 @@ func (r *Reader) ExpectStr(what, got, want string) {
 // Encode wraps a serialized payload in the versioned container.
 func Encode(kind, fingerprint string, payload []byte) []byte {
 	w := NewWriter()
-	w.U32(magic)
-	w.U32(Version)
-	w.String(kind)
-	w.String(fingerprint)
-	w.U32(uint32(len(payload)))
+	w.u32(magic)
+	w.u32(Version)
+	w.str(kind)
+	w.str(fingerprint)
+	w.u32(uint32(len(payload)))
 	w.buf = append(w.buf, payload...)
-	w.U64(StateHash(payload))
+	w.u64(StateHash(payload))
 	return w.Bytes()
 }
 
@@ -253,22 +191,22 @@ func Encode(kind, fingerprint string, payload []byte) []byte {
 // configuration that produced the checkpoint.
 func Decode(data []byte, kind, fingerprint string) (*Reader, error) {
 	r := NewReader(data)
-	if got := r.U32(); r.err != nil || got != magic {
+	if got := r.u32(); r.err != nil || got != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if got := r.U32(); r.err != nil || got != Version {
+	if got := r.u32(); r.err != nil || got != Version {
 		return nil, fmt.Errorf("%w: file has codec version %d, this binary speaks %d", ErrVersion, got, Version)
 	}
-	gotKind := r.String()
-	gotFP := r.String()
-	n := r.U32()
+	gotKind := r.str()
+	gotFP := r.str()
+	n := r.u32()
 	payload := r.take(int(n))
-	sum := r.U64()
+	sum := r.u64()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Remaining())
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
 	}
 	if StateHash(payload) != sum {
 		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
@@ -283,13 +221,13 @@ func Decode(data []byte, kind, fingerprint string) (*Reader, error) {
 }
 
 // Finish verifies a payload Reader consumed cleanly: no decode error
-// and no unread bytes. Every RestoreState chain ends here.
+// and no unread bytes. Every restore walk ends here.
 func Finish(r *Reader) error {
-	if err := r.Err(); err != nil {
-		return err
+	if r.err != nil {
+		return r.err
 	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("%w: %d unread payload bytes", ErrCorrupt, r.Remaining())
+	if r.remaining() != 0 {
+		return fmt.Errorf("%w: %d unread payload bytes", ErrCorrupt, r.remaining())
 	}
 	return nil
 }

@@ -1,14 +1,14 @@
 package workstation
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/snapshot"
-
-	"context"
 )
 
 // This file checkpoints a workstation run at a slice boundary and
@@ -32,26 +32,6 @@ const sectionRun = 0x57535231
 // and event traces that a fork would silently truncate, so callers must
 // fall back to from-scratch simulation.
 var ErrNotCheckpointable = errors.New("workstation: instrumented run cannot be checkpointed")
-
-// countingSource wraps a rand.Source64 and counts raw draws, forwarding
-// values untouched. A checkpoint records the draw count; restore
-// repositions a fresh same-seeded source by discarding that many draws.
-type countingSource struct {
-	src   rand.Source64
-	draws int64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
 
 // CheckpointWarmupCtx simulates the warm-up prefix (every slice before
 // the measure boundary) and returns the machine serialized in the codec
@@ -88,7 +68,7 @@ func (r *runner) checkpointAt(ctx context.Context, atSlice int, fingerprint stri
 		return nil, err
 	}
 	w := snapshot.NewWriter()
-	r.saveState(w, atSlice)
+	r.state(snapshot.Saving(w), &atSlice)
 	return snapshot.Encode(Kind, fingerprint, w.Bytes()), nil
 }
 
@@ -114,9 +94,14 @@ func ResumeCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, data []by
 	if err != nil {
 		return nil, err
 	}
-	atSlice, err := r.restoreState(rd)
-	if err != nil {
+	var atSlice int
+	r.state(snapshot.Restoring(rd), &atSlice)
+	if err := snapshot.Finish(rd); err != nil {
 		return nil, err
+	}
+	if atSlice < 0 || atSlice > r.totalSlices {
+		return nil, fmt.Errorf("%w: checkpoint slice %d outside run of %d slices",
+			snapshot.ErrMismatch, atSlice, r.totalSlices)
 	}
 	if err := r.runSlices(ctx, atSlice, r.totalSlices); err != nil {
 		return nil, err
@@ -124,136 +109,54 @@ func ResumeCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, data []by
 	return r.result(), nil
 }
 
-// saveState serializes the full run state as of the top of slice
-// atSlice (before that slice's scheduler invocation).
-func (r *runner) saveState(w *snapshot.Writer, atSlice int) {
-	w.Section(sectionRun)
-	w.Int(atSlice)
+// state visits the full run state as of the top of slice *atSlice
+// (before that slice's scheduler invocation). Order matters for restore:
+// threads first, then bindings (BindThread resets per-context
+// availability), then the processor (which overwrites exactly those
+// fields).
+func (r *runner) state(c snapshot.Codec, atSlice *int) {
+	c.Section(sectionRun)
+	c.Int(atSlice)
 	// Shape checks: the resuming runner must have identical slice
 	// geometry or every absolute slice index computation diverges.
-	w.U8(uint8(r.cfg.Scheme))
-	w.Int(r.cfg.Contexts)
-	w.I64(r.cfg.OS.SliceCycles)
-	w.Int(r.groupPeriod)
-	w.Int(r.rotation)
-	w.Int(r.warmupSlices)
-	w.Int(len(r.threads))
+	c.ShapeU8("scheme", uint8(r.cfg.Scheme))
+	c.ShapeI64("contexts", int64(r.cfg.Contexts))
+	c.ShapeI64("slice cycles", r.cfg.OS.SliceCycles)
+	c.ShapeI64("group period", int64(r.groupPeriod))
+	c.ShapeI64("rotation", int64(r.rotation))
+	c.ShapeI64("warm-up slices", int64(r.warmupSlices))
+	c.ShapeI64("thread count", int64(len(r.threads)))
 
-	w.I64(r.rngSrc.draws)
-
-	w.Bool(r.eng.Watchdog != nil)
-	if r.eng.Watchdog != nil {
-		w.I64(r.eng.Watchdog.Window())
-		lastCount, lastProgress, primed := r.eng.Watchdog.ProgressState()
-		w.I64(lastCount)
-		w.I64(lastProgress)
-		w.Bool(primed)
-	}
+	r.rngSrc.State(c)
+	r.eng.Watchdog.State(c)
 
 	for i := range r.threads {
-		w.I64(r.measureStart[i])
-		w.I64(r.devotedStart[i])
+		c.I64(&r.measureStart[i])
+		c.I64(&r.devotedStart[i])
 	}
 	for _, th := range r.threads {
-		th.SaveState(w)
+		th.State(c)
 	}
 	// Context bindings as thread indices (-1 = empty slot). The binding
 	// is state, not config: with one scheduling group the loop binds only
 	// at slice 0, so a resumed run cannot rebuild it from the slice index.
-	for c := 0; c < r.cfg.Contexts; c++ {
-		idx := -1
-		if th := r.proc.ThreadAt(c); th != nil {
-			for i, cand := range r.threads {
-				if cand == th {
-					idx = i
-					break
-				}
-			}
-		}
-		w.Int(idx)
-	}
-	r.proc.SaveState(w)
-	r.h.SaveState(w)
-	r.fm.SaveState(w)
-}
-
-// restoreState rebuilds the run state from a payload Reader and returns
-// the slice index to resume at. Order matters: threads restore first,
-// then bindings (BindThread resets per-context availability), then the
-// processor (which overwrites exactly those fields).
-func (r *runner) restoreState(rd *snapshot.Reader) (int, error) {
-	rd.Section(sectionRun)
-	atSlice := rd.Int()
-	rd.Expect("scheme", int64(rd.U8()), int64(r.cfg.Scheme))
-	rd.Expect("contexts", int64(rd.Int()), int64(r.cfg.Contexts))
-	rd.Expect("slice cycles", rd.I64(), r.cfg.OS.SliceCycles)
-	rd.Expect("group period", int64(rd.Int()), int64(r.groupPeriod))
-	rd.Expect("rotation", int64(rd.Int()), int64(r.rotation))
-	rd.Expect("warm-up slices", int64(rd.Int()), int64(r.warmupSlices))
-	rd.Expect("thread count", int64(rd.Int()), int64(len(r.threads)))
-
-	draws := rd.I64()
-	if rd.Err() == nil {
-		rd.Expect("rng draws already taken", r.rngSrc.draws, 0)
-		for i := int64(0); i < draws && rd.Err() == nil; i++ {
-			r.rngSrc.src.Int63()
-		}
-		r.rngSrc.draws = draws
-	}
-
-	hadWD := rd.Bool()
-	if rd.Err() == nil {
-		var inSnap, inMachine int64
-		if hadWD {
-			inSnap = 1
-		}
-		if r.eng.Watchdog != nil {
-			inMachine = 1
-		}
-		rd.Expect("watchdog presence", inSnap, inMachine)
-	}
-	if hadWD && r.eng.Watchdog != nil {
-		rd.Expect("watchdog window", rd.I64(), r.eng.Watchdog.Window())
-		lastCount := rd.I64()
-		lastProgress := rd.I64()
-		primed := rd.Bool()
-		if rd.Err() == nil {
-			r.eng.Watchdog.SetProgressState(lastCount, lastProgress, primed)
-		}
-	}
-
-	for i := range r.threads {
-		r.measureStart[i] = rd.I64()
-		r.devotedStart[i] = rd.I64()
-	}
-	for _, th := range r.threads {
-		th.RestoreState(rd)
-	}
-	for c := 0; c < r.cfg.Contexts; c++ {
-		idx := rd.Int()
-		if rd.Err() != nil {
-			break
+	for ctx := 0; ctx < r.cfg.Contexts; ctx++ {
+		idx := slices.Index(r.threads, r.proc.ThreadAt(ctx))
+		c.Int(&idx)
+		if c.Saving() || c.Err() != nil {
+			continue
 		}
 		if idx < -1 || idx >= len(r.threads) {
-			rd.Expect("bound thread index", int64(idx), -1)
-			break
+			c.Expect("bound thread index", int64(idx), -1)
+			continue
 		}
+		var th *core.Thread
 		if idx >= 0 {
-			r.proc.BindThread(c, r.threads[idx])
-		} else {
-			r.proc.BindThread(c, nil)
+			th = r.threads[idx]
 		}
+		r.proc.BindThread(ctx, th)
 	}
-	r.proc.RestoreState(rd)
-	r.h.RestoreState(rd)
-	r.fm.RestoreState(rd)
-
-	if err := snapshot.Finish(rd); err != nil {
-		return 0, err
-	}
-	if atSlice < 0 || atSlice > r.totalSlices {
-		return 0, fmt.Errorf("%w: checkpoint slice %d outside run of %d slices",
-			snapshot.ErrMismatch, atSlice, r.totalSlices)
-	}
-	return atSlice, nil
+	r.proc.State(c)
+	r.h.State(c)
+	r.fm.State(c)
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/osmodel"
 	"repro/internal/prog"
+	"repro/internal/snapshot"
 )
 
 // MeasureOverrides replace individual machine parameters at the instant
@@ -198,7 +199,7 @@ type runner struct {
 	totalSlices  int
 	warmupSlices int
 	rng          *rand.Rand
-	rngSrc       *countingSource
+	rngSrc       *snapshot.CountingSource
 	measureStart []int64
 	devotedStart []int64
 }
@@ -317,7 +318,7 @@ func newRunner(kernels []apps.Kernel, cfg Config) (*runner, error) {
 	// The scheduler-interference stream draws through a counting source
 	// so a checkpoint records the stream position; the wrapper forwards
 	// the raw Int63 values untouched and the stream is unchanged.
-	r.rngSrc = &countingSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}
+	r.rngSrc = snapshot.NewCountingSource(cfg.Seed)
 	r.rng = rand.New(r.rngSrc)
 
 	r.measureStart = make([]int64, len(r.threads))

@@ -77,6 +77,8 @@ diff "$RES_DIR/full.json" "$RES_DIR/resumed.json"
 # divergence), requires the report to be byte-identical at -j 8 and -j 1,
 # and replays the checked-in reproducer (a deliberately broken TAS),
 # which must still fail with the documented divergence exit code 1.
+# It ends with ten seconds of FuzzRestore: mutated checkpoint payloads
+# fed to every layer's RestoreState must fail typed, never panic or hang.
 if [ -n "${FUZZ:-}" ]; then
     FUZZ_DIR="$(mktemp -d)"
     trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$FUZZ_DIR"' EXIT
@@ -89,14 +91,18 @@ if [ -n "${FUZZ:-}" ]; then
         -replay internal/fuzz/testdata/corpus/fuzz-d6927cc28841f924 \
         > "$FUZZ_DIR/replay.txt" || code=$?
     [ "$code" -eq 1 ] # divergence must reproduce
+    # -fuzzminimizetime 1x: the fabric seed is 50 KB, and by default each
+    # input that finds new coverage is minimized for up to a minute.
+    go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s -fuzzminimizetime 1x ./internal/snapshot
 fi
 
 # Optional checkpoint pass: CKPT=1 scripts/check.sh requires a forked
 # sweep run (the default) to be byte-identical to -no-checkpoint, both
 # in the tables and the -json dump; then re-runs with a persistent
 # -checkpoint-dir, corrupts every checkpoint file in place, and requires
-# the next run to detect the typed codec error, fall back to cycle-0
-# simulation, and still produce identical output.
+# the next run to detect the typed codec error, re-simulate the warm-up,
+# still produce identical output, and leave the directory holding the
+# files it held before the corruption.
 if [ -n "${CKPT:-}" ]; then
     CKPT_DIR="$(mktemp -d)"
     trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$CKPT_DIR"' EXIT
@@ -113,9 +119,10 @@ if [ -n "${CKPT:-}" ]; then
         -json "$CKPT_DIR/dir.json" > "$CKPT_DIR/dir.txt"
     diff "$CKPT_DIR/scratch.txt" "$CKPT_DIR/dir.txt"
     ls "$CKPT_DIR/ckpts"/*.ckpt >/dev/null # warm-up prefixes were persisted
+    cp -r "$CKPT_DIR/ckpts" "$CKPT_DIR/ckpts.orig"
     for f in "$CKPT_DIR/ckpts"/*.ckpt; do
         # Flip a byte mid-file: the codec must reject it (ErrCorrupt),
-        # drop the cached prefix, and re-simulate from cycle 0.
+        # re-simulate the warm-up, and write the good bytes back.
         sz=$(wc -c < "$f")
         printf '\377' | dd of="$f" bs=1 seek=$((sz / 2)) conv=notrunc 2>/dev/null
     done
@@ -124,6 +131,7 @@ if [ -n "${CKPT:-}" ]; then
         -json "$CKPT_DIR/corrupt.json" > "$CKPT_DIR/corrupt.txt"
     diff "$CKPT_DIR/scratch.txt" "$CKPT_DIR/corrupt.txt"
     diff "$CKPT_DIR/scratch.json" "$CKPT_DIR/corrupt.json"
+    diff -r "$CKPT_DIR/ckpts.orig" "$CKPT_DIR/ckpts" # healed, byte for byte
 fi
 
 # Optional distributed-service pass: SERVICE=1 scripts/check.sh runs the
