@@ -19,7 +19,7 @@
 // (parallelism appears in the result's Cfg JSON). A 429 (coordinator at
 // its job bound) is retried after the coordinator's Retry-After.
 //
-// wait polls until the job completes — riding out coordinator restarts —
+// wait long-polls until the job completes — riding out coordinator restarts —
 // then writes the job's stdout text (byte-identical to cmd/experiments)
 // to -out or stdout, and the raw results JSON to -json-out. Exit codes
 // follow cmd/experiments: 0 success, 1 any cell failed, 2 usage,
@@ -249,7 +249,7 @@ func runWait(args []string) int {
 	job := fs.Int("job", 0, "job id (required)")
 	out := fs.String("out", "", "write the job's stdout text here (default: stdout)")
 	jsonOut := fs.String("json-out", "", "write the raw results JSON here (as cmd/experiments -json)")
-	poll := fs.Duration("poll", 200*time.Millisecond, "status poll interval")
+	poll := fs.Duration("poll", 200*time.Millisecond, "retry spacing after a transport error (the wait itself long-polls the coordinator)")
 	if err := fs.Parse(args); err != nil {
 		return experiments.ExitUsage
 	}

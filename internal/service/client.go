@@ -67,6 +67,19 @@ type heartbeatResponse struct {
 	Expired []int64 `json:"expired,omitempty"`
 }
 
+// releaseRequest hands leases back before they expire: a draining
+// worker names the leases it still holds and the coordinator returns
+// those cells to pending at once. Fenced like the heartbeat — only a live
+// lease still held by Worker is released, anything else is ignored.
+type releaseRequest struct {
+	Worker   string  `json:"worker"`
+	LeaseIDs []int64 `json:"leaseIds,omitempty"`
+}
+
+type releaseResponse struct {
+	Released int `json:"released"`
+}
+
 type completeRequest struct {
 	Worker  string          `json:"worker"`
 	Job     int             `json:"job"`
@@ -195,8 +208,18 @@ func (c *Client) Status(ctx context.Context, job int) (JobStatus, error) {
 // Result fetches a completed job's result; an incomplete job returns a
 // 202 apiError.
 func (c *Client) Result(ctx context.Context, job int) (JobResult, error) {
+	return c.result(ctx, job, 0)
+}
+
+// result is Result with a long-poll: wait > 0 asks the coordinator to
+// hold the request until the job completes or wait lapses.
+func (c *Client) result(ctx context.Context, job int, wait time.Duration) (JobResult, error) {
+	path := fmt.Sprintf("/api/jobs/%d/result", job)
+	if wait > 0 {
+		path += fmt.Sprintf("?wait=%d", wait.Milliseconds())
+	}
 	var res JobResult
-	err := c.call(ctx, http.MethodGet, fmt.Sprintf("/api/jobs/%d/result", job), nil, &res)
+	err := c.call(ctx, http.MethodGet, path, nil, &res)
 	if err == nil && len(res.JSON) > 0 {
 		// encoding/json compacts an embedded RawMessage when the response
 		// is marshaled, flattening the coordinator's MarshalIndent output.
@@ -210,25 +233,38 @@ func (c *Client) Result(ctx context.Context, job int) (JobResult, error) {
 	return res, err
 }
 
-// WaitResult polls until the job completes and returns its result,
-// riding out coordinator restarts: transport errors retry (the job's
+// resultWait is how long WaitResult asks the coordinator to hold each
+// /result request. Short enough that a dead connection is noticed,
+// long enough that a job costs a handful of requests.
+const resultWait = 10 * time.Second
+
+// WaitResult blocks until the job completes and returns its result. It
+// long-polls: the coordinator holds each request until the job is done,
+// so the result arrives when the last cell does, not a poll tick later.
+// It rides out coordinator restarts: transport errors retry (the job's
 // journal survives the process, and a restarting coordinator presents
 // as a refused connection, not a status code). Any API status other
 // than 202 ("still running") and 429 is terminal — in particular a 500
 // from /result carries the job's assembly error and retrying it would
-// loop forever. poll <= 0 defaults to 200ms.
+// loop forever. poll spaces the retries after a transport error, a 429,
+// or a 202 that came back before the wait lapsed (a coordinator that
+// ignores ?wait=); poll <= 0 defaults to 200ms.
 func (c *Client) WaitResult(ctx context.Context, job int, poll time.Duration) (JobResult, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
 	for {
-		res, err := c.Result(ctx, job)
+		asked := time.Now()
+		res, err := c.result(ctx, job, resultWait)
 		if err == nil {
 			return res, nil
 		}
 		if ae, ok := err.(*apiError); ok {
 			if ae.Status != http.StatusAccepted && ae.Status != http.StatusTooManyRequests {
 				return JobResult{}, err
+			}
+			if ae.Status == http.StatusAccepted && time.Since(asked) >= resultWait {
+				continue // the coordinator held the request: ask again at once
 			}
 		}
 		select {

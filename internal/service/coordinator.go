@@ -421,6 +421,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /api/register", c.handleRegister)
 	mux.HandleFunc("POST /api/lease", c.handleLease)
 	mux.HandleFunc("POST /api/heartbeat", c.handleHeartbeat)
+	mux.HandleFunc("POST /api/release", c.handleRelease)
 	mux.HandleFunc("POST /api/complete", c.handleComplete)
 	return mux
 }
@@ -689,21 +690,63 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// maxResultWait caps how long one /result request may be held, so a
+// client cannot park a handler indefinitely.
+const maxResultWait = 30 * time.Second
+
+// handleResult answers 200 with the result, 500 with the assembly error,
+// or 202 while the job is still running. With ?wait=<ms> a running job
+// holds the request — woken by the job's completion notify, not a poll —
+// until the job completes, the wait lapses (202) or the client hangs up.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked(time.Now())
-	j, ok := c.jobFromPath(w, r)
-	if !ok {
-		return
+	var wait time.Duration
+	if s := r.URL.Query().Get("wait"); s != "" {
+		ms, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || ms < 0 {
+			httpError(w, http.StatusBadRequest, "bad wait %q", s)
+			return
+		}
+		wait = min(time.Duration(ms)*time.Millisecond, maxResultWait)
 	}
-	switch {
-	case j.resultErr != nil:
-		httpError(w, http.StatusInternalServerError, "%v", j.resultErr)
-	case j.result == nil:
-		writeJSON(w, http.StatusAccepted, JobStatus{ID: j.id, Cells: len(j.cells), Done: j.done})
-	default:
-		writeJSON(w, http.StatusOK, *j.result)
+	deadline := time.Now().Add(wait)
+	for {
+		c.mu.Lock()
+		now := time.Now()
+		c.expireLocked(now)
+		j, ok := c.jobFromPath(w, r)
+		if !ok {
+			c.mu.Unlock()
+			return
+		}
+		result, resultErr := j.result, j.resultErr
+		running := JobStatus{ID: j.id, Cells: len(j.cells), Done: j.done}
+		notify := j.notify
+		c.mu.Unlock()
+
+		left := deadline.Sub(now)
+		switch {
+		case resultErr != nil:
+			httpError(w, http.StatusInternalServerError, "%v", resultErr)
+			return
+		case result != nil:
+			writeJSON(w, http.StatusOK, *result)
+			return
+		case left <= 0:
+			writeJSON(w, http.StatusAccepted, running)
+			return
+		}
+		// Like handleCells, wake at least once a lease TTL to sweep: expiry
+		// of the last outstanding lease is itself a completion path, and it
+		// only runs inside requests.
+		timer := time.NewTimer(min(left, c.cfg.LeaseTTL))
+		select {
+		case <-r.Context().Done():
+			timer.Stop()
+			return
+		case <-notify:
+		case <-timer.C:
+		}
+		timer.Stop()
 	}
 }
 
@@ -815,21 +858,26 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	defer c.mu.Unlock()
 	c.expireLocked(now)
 	ws := c.ensureWorkerLocked(req.Worker, now)
-	retry := leaseResponse{RetryMillis: clampMillis(c.cfg.LeaseTTL / 4)}
 	if now.Before(ws.quarantinedUntil) {
 		// Tripped breaker: starve the worker until the cooldown passes.
-		retry.RetryMillis = clampMillis(time.Until(ws.quarantinedUntil))
-		writeJSON(w, http.StatusOK, retry)
+		writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: clampMillis(ws.quarantinedUntil.Sub(now))})
 		return
 	}
 	var resp leaseResponse
+	// retry is the empty-grant hint: a quarter TTL, or sooner when a
+	// pending cell's redispatch backoff ends before that.
+	retry := c.cfg.LeaseTTL / 4
 	for _, id := range c.jobIDsLocked() {
 		j := c.jobs[id]
 		for _, cl := range j.cells {
 			if len(resp.Leases) >= max {
 				break
 			}
-			if cl.state != cellPending || now.Before(cl.eligibleAt) {
+			if cl.state != cellPending {
+				continue
+			}
+			if backoff := cl.eligibleAt.Sub(now); backoff > 0 {
+				retry = min(retry, backoff)
 				continue
 			}
 			c.nextLease++
@@ -846,7 +894,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(resp.Leases) == 0 {
-		resp.RetryMillis = retry.RetryMillis
+		// Rounded up, so the worker's next ask finds the cell eligible.
+		resp.RetryMillis = clampMillis(retry + time.Millisecond - 1)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -895,21 +944,74 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	resp := heartbeatResponse{}
 	// Fenced renewal: each ID renews only if that exact lease is still
 	// live and still belongs to this worker.
-	live := map[int64]*cell{}
+	granted := c.cellsByLeaseLocked(req.LeaseIDs)
+	for _, id := range req.LeaseIDs {
+		cl := granted[id]
+		switch {
+		case cl != nil && cl.state == cellLeased && cl.worker == req.Worker:
+			cl.expiry = now.Add(c.cfg.LeaseTTL)
+			resp.Renewed++
+		case cl != nil && cl.state == cellDone:
+			// The cell finished with this as its last lease: the heartbeat
+			// raced the worker dropping the ID. Nothing to renew, and the
+			// worker was not fenced off anything.
+		default:
+			resp.Expired = append(resp.Expired, id)
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// cellsByLeaseLocked finds, for each of ids, the cell whose latest lease
+// it is (nil if none). IDs are never reused within a process, so a cell
+// found under an ID was last leased under exactly that lease; whether
+// the lease is still live is the cell's state.
+func (c *Coordinator) cellsByLeaseLocked(ids []int64) map[int64]*cell {
+	granted := make(map[int64]*cell, len(ids))
+	for _, id := range ids {
+		granted[id] = nil
+	}
 	for _, j := range c.jobs {
 		for _, cl := range j.cells {
-			if cl.state == cellLeased && cl.worker == req.Worker {
-				live[cl.leaseID] = cl
+			if _, asked := granted[cl.leaseID]; asked && cl.leaseID != 0 {
+				granted[cl.leaseID] = cl
 			}
 		}
 	}
+	return granted
+}
+
+// handleRelease takes leases back from a draining worker: each named
+// lease that is still live and still held by that worker returns its
+// cell to pending, eligible at once. A release is not an expiry — the
+// attempt is refunded and the breaker does not advance — and nothing is
+// journaled. Unknown, foreign, expired or completed IDs are ignored, so
+// a repeated release is harmless.
+func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
+	var req releaseRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+		httpError(w, http.StatusBadRequest, "release needs a worker name")
+		return
+	}
+	now := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Sweep first, as the heartbeat does: a lease past its TTL is an
+	// expiry, not a release.
+	c.expireLocked(now)
+	resp := releaseResponse{}
+	granted := c.cellsByLeaseLocked(req.LeaseIDs)
 	for _, id := range req.LeaseIDs {
-		if cl, ok := live[id]; ok {
-			cl.expiry = now.Add(c.cfg.LeaseTTL)
-			resp.Renewed++
-		} else {
-			resp.Expired = append(resp.Expired, id)
+		cl := granted[id]
+		if cl == nil || cl.state != cellLeased || cl.worker != req.Worker {
+			continue
 		}
+		cl.state = cellPending
+		cl.worker = ""
+		cl.attempts--
+		cl.eligibleAt = now
+		resp.Released++
+		c.cfg.Logf("lease %d on %s/%d released by %q", id, cl.grid, cl.index, req.Worker)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

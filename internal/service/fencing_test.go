@@ -232,3 +232,110 @@ func TestWorkerCompleteRetryHonorsCancel(t *testing.T) {
 	}
 	t.Errorf("goroutines: %d before, %d after cancel — leak", before, runtime.NumGoroutine())
 }
+
+// release posts a fenced release and returns how many leases it freed.
+func release(t *testing.T, base string, req releaseRequest) int {
+	t.Helper()
+	var resp releaseResponse
+	if err := (&Client{Base: base}).call(context.Background(), http.MethodPost, "/api/release", req, &resp); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	return resp.Released
+}
+
+// completeCell simulates the leased cell and reports it as worker.
+func completeCell(t *testing.T, base string, spec JobSpec, l Lease, worker string) string {
+	t.Helper()
+	rec, err := experiments.RunUniCell(context.Background(), *spec.Uni, l.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := json.Marshal(rec)
+	var resp completeResponse
+	if err := (&Client{Base: base}).call(context.Background(), http.MethodPost, "/api/complete", completeRequest{
+		Worker: worker, Job: l.Job, Grid: l.Grid, Index: l.Index, LeaseID: l.LeaseID, Record: payload,
+	}, &resp); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+	return resp.Status
+}
+
+// A heartbeat that races a completion — the worker reported the cell but
+// has not yet dropped the lease ID — names a lease that is finished, not
+// lost: it must come back neither renewed nor expired.
+func TestHeartbeatAfterCompletionNotExpired(t *testing.T) {
+	c := newTestCoordinator(t, Config{})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	spec := JobSpec{Uni: quickUniSpec()}
+	if _, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	done := leaseOne(t, srv.URL, "w1")
+	live := leaseOne(t, srv.URL, "w1")
+	if s := completeCell(t, srv.URL, spec, done, "w1"); s != "accepted" {
+		t.Fatalf("completion = %q, want accepted", s)
+	}
+	hb := heartbeat(t, srv.URL, heartbeatRequest{Worker: "w1", LeaseIDs: []int64{done.LeaseID, live.LeaseID, 999}})
+	if hb.Renewed != 1 || len(hb.Expired) != 1 || hb.Expired[0] != 999 {
+		t.Fatalf("heartbeat = %+v, want the live lease renewed, the finished one unreported, only the unknown ID expired", hb)
+	}
+}
+
+// Release is fenced like the heartbeat: it frees only a live lease the
+// named worker still holds, refunds the attempt, leaves the breaker
+// alone, and is idempotent; foreign, finished and unknown IDs change
+// nothing.
+func TestReleaseFencing(t *testing.T) {
+	c := newTestCoordinator(t, Config{LeaseTTL: time.Minute})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	spec := JobSpec{Uni: quickUniSpec()}
+	cl := &Client{Base: srv.URL}
+	job, _, err := cl.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := leaseOne(t, srv.URL, "w1")
+	held := leaseOne(t, srv.URL, "w2")
+	if s := completeCell(t, srv.URL, spec, finished, "w1"); s != "accepted" {
+		t.Fatalf("completion = %q, want accepted", s)
+	}
+
+	// w1 names w2's lease, its own finished one and one nobody granted.
+	if n := release(t, srv.URL, releaseRequest{Worker: "w1", LeaseIDs: []int64{held.LeaseID, finished.LeaseID, 999}}); n != 0 {
+		t.Fatalf("foreign/finished/unknown release freed %d leases, want 0", n)
+	}
+	if hb := heartbeat(t, srv.URL, heartbeatRequest{Worker: "w2", LeaseIDs: []int64{held.LeaseID}}); hb.Renewed != 1 {
+		t.Fatalf("w2's lease after w1's release attempt = %+v, want it still live", hb)
+	}
+	if st, err := cl.Status(context.Background(), job); err != nil || st.Done != 1 {
+		t.Fatalf("status after no-op release = %+v, %v; want 1 done", st, err)
+	}
+
+	// The holder's own release frees it, once.
+	if n := release(t, srv.URL, releaseRequest{Worker: "w2", LeaseIDs: []int64{held.LeaseID}}); n != 1 {
+		t.Fatalf("holder's release freed %d leases, want 1", n)
+	}
+	if n := release(t, srv.URL, releaseRequest{Worker: "w2", LeaseIDs: []int64{held.LeaseID}}); n != 0 {
+		t.Fatalf("repeated release freed %d leases, want 0", n)
+	}
+	if hb := heartbeat(t, srv.URL, heartbeatRequest{Worker: "w2", LeaseIDs: []int64{held.LeaseID}}); hb.Renewed != 0 || len(hb.Expired) != 1 {
+		t.Fatalf("heartbeat on a released lease = %+v, want it fenced off", hb)
+	}
+	// The cell is pending again at once — the one-minute TTL cannot have
+	// run out — under a fresh ID, with the attempt refunded.
+	again := leaseOne(t, srv.URL, "w3")
+	if again.Grid != held.Grid || again.Index != held.Index {
+		t.Fatalf("next lease is %s/%d, want the released %s/%d", again.Grid, again.Index, held.Grid, held.Index)
+	}
+	if again.LeaseID == held.LeaseID || again.Attempt != 1 {
+		t.Fatalf("re-grant = lease %d attempt %d, want a new ID and attempt 1", again.LeaseID, again.Attempt)
+	}
+	c.mu.Lock()
+	expiries := c.workers["w2"].consecExpiries
+	c.mu.Unlock()
+	if expiries != 0 {
+		t.Fatalf("release advanced w2's breaker to %d", expiries)
+	}
+}

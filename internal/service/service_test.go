@@ -105,7 +105,9 @@ func newTestCoordinator(t *testing.T, cfg Config) *Coordinator {
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	cfg.Logf = t.Logf
+	if cfg.Logf == nil {
+		cfg.Logf = t.Logf
+	}
 	c, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +117,8 @@ func newTestCoordinator(t *testing.T, cfg Config) *Coordinator {
 }
 
 // startWorker runs a worker until the test ends (or it dies); the
-// returned channel carries Run's error.
+// returned channel carries Run's error. The test does not finish before
+// the worker has: a drain may still log through t.Logf.
 func startWorker(t *testing.T, base string, cfg WorkerConfig) <-chan error {
 	t.Helper()
 	cfg.Coordinator = base
@@ -123,9 +126,16 @@ func startWorker(t *testing.T, base string, cfg WorkerConfig) <-chan error {
 		cfg.Logf = t.Logf
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 	done := make(chan error, 1)
-	go func() { done <- NewWorker(cfg).Run(ctx) }()
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		done <- NewWorker(cfg).Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-exited
+	})
 	return done
 }
 

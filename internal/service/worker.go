@@ -64,9 +64,17 @@ type Worker struct {
 	faultMu  sync.Mutex
 	fault    error
 
+	// slotFree wakes Run when a lease goroutine frees a slot. One pending
+	// wake-up is enough: Run re-counts the free slots after every one.
+	slotFree chan struct{}
+
 	leaseMu sync.Mutex
-	leases  map[int64]bool // lease IDs currently being worked
+	leases  map[int64]bool // lease IDs this worker holds
 }
+
+// detachedCallTimeout bounds the two calls that must outlive a drain —
+// the in-flight lease request and the release that follows it.
+const detachedCallTimeout = 2 * time.Second
 
 // NewWorker builds a worker; Run does the work.
 func NewWorker(cfg WorkerConfig) *Worker {
@@ -80,15 +88,17 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Logf = func(string, ...any) {}
 	}
 	return &Worker{
-		cfg:    cfg,
-		client: &Client{Base: cfg.Coordinator, HTTP: cfg.HTTPClient},
-		killed: make(chan struct{}),
-		leases: map[int64]bool{},
+		cfg:      cfg,
+		client:   &Client{Base: cfg.Coordinator, HTTP: cfg.HTTPClient},
+		killed:   make(chan struct{}),
+		slotFree: make(chan struct{}, 1),
+		leases:   map[int64]bool{},
 	}
 }
 
-// trackLease/untrackLease maintain the set of lease IDs the heartbeat
-// fences its renewals to.
+// trackLease/untrackLease maintain the set of lease IDs the worker
+// holds: the heartbeat fences its renewals to it, and what a drain
+// leaves in it is handed back by releaseHeld.
 func (w *Worker) trackLease(id int64) {
 	w.leaseMu.Lock()
 	w.leases[id] = true
@@ -138,7 +148,9 @@ func (w *Worker) stalled() bool {
 // Run registers, then leases and simulates cells until ctx is cancelled
 // (returns ctx.Err()) or an injected fault kills the worker (returns
 // ErrFaultInjected). Transport errors never kill it: a worker outlives
-// coordinator restarts by construction, it just keeps retrying.
+// coordinator restarts by construction, it just keeps retrying. A
+// cancelled ctx is a drain: simulations stop, and every lease the worker
+// still holds is handed back to the coordinator before Run returns.
 func (w *Worker) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -156,18 +168,23 @@ func (w *Worker) Run(ctx context.Context) error {
 	go w.heartbeatLoop(ctx)
 
 	var wg sync.WaitGroup
-	defer wg.Wait()
 	for ctx.Err() == nil {
 		free := w.cfg.Slots - int(w.running.Load())
 		if free <= 0 {
-			if !sleepCtx(ctx, 20*time.Millisecond) {
-				break
+			select {
+			case <-w.slotFree:
+			case <-ctx.Done():
 			}
 			continue
 		}
 		var resp leaseResponse
-		err := w.client.call(ctx, http.MethodPost, "/api/lease",
+		// The request outlives a drain. Abandoned mid-flight it could still
+		// be granted — to a worker that is gone, the cell then idle for a
+		// whole lease TTL; finished, a late grant is handed back below.
+		leaseCtx, leaseDone := context.WithTimeout(context.WithoutCancel(ctx), detachedCallTimeout)
+		err := w.client.call(leaseCtx, http.MethodPost, "/api/lease",
 			leaseRequest{Worker: w.cfg.Name, Max: free}, &resp)
+		leaseDone()
 		if err != nil {
 			if ctx.Err() != nil {
 				break
@@ -190,18 +207,48 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		for _, l := range resp.Leases {
 			w.ttlNanos.Store(l.TTLMillis * int64(time.Millisecond))
-			w.running.Add(1)
 			w.trackLease(l.LeaseID)
+			if ctx.Err() != nil {
+				continue // granted into a drain: held, never started
+			}
+			w.running.Add(1)
 			wg.Add(1)
 			go func(l Lease) {
 				defer wg.Done()
-				defer w.running.Add(-1)
-				defer w.untrackLease(l.LeaseID)
-				w.runLease(ctx, l)
+				// A lease the drain cut short stays held, for releaseHeld.
+				if w.runLease(ctx, l) || ctx.Err() == nil {
+					w.untrackLease(l.LeaseID)
+				}
+				w.running.Add(-1)
+				select {
+				case w.slotFree <- struct{}{}:
+				default:
+				}
 			}(l)
 		}
 	}
+	wg.Wait()
+	w.releaseHeld(ctx)
 	return w.exitErr(ctx, nil)
+}
+
+// releaseHeld hands back the leases a drain left the worker holding —
+// granted as it drained, or their simulation or report cut short — so
+// the cells redispatch at once instead of after a lease TTL. An injected
+// death releases nothing: it means kill -9, and the leases must expire.
+// A coordinator without the endpoint answers 404 and they expire too.
+func (w *Worker) releaseHeld(ctx context.Context) {
+	ids := w.activeLeases()
+	if len(ids) == 0 || w.faultErr() != nil {
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedCallTimeout)
+	defer cancel()
+	err := w.client.call(ctx, http.MethodPost, "/api/release",
+		releaseRequest{Worker: w.cfg.Name, LeaseIDs: ids}, nil)
+	if err != nil {
+		w.cfg.Logf("worker %q: releasing %d lease(s): %v (they will expire instead)", w.cfg.Name, len(ids), err)
+	}
 }
 
 func (w *Worker) exitErr(ctx context.Context, err error) error {
@@ -283,8 +330,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 }
 
 // runLease simulates one leased cell and reports the record, weaving in
-// the scripted fault for this execution ordinal, if any.
-func (w *Worker) runLease(ctx context.Context, l Lease) {
+// the scripted fault for this execution ordinal, if any. It returns
+// whether the coordinator answered the report.
+func (w *Worker) runLease(ctx context.Context, l Lease) bool {
 	n := int(w.execCount.Add(1))
 	kind := w.cfg.Plan.At(n)
 	if w.cfg.OnCell != nil {
@@ -294,7 +342,7 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 		// Die "while simulating": no result is ever produced and the
 		// lease expires on its own.
 		w.die(fmt.Sprintf("%v on execution %d (%s/%d attempt %d)", kind, n, l.Grid, l.Index, l.Attempt))
-		return
+		return false
 	}
 	if kind == guard.FaultHeartbeatStall {
 		ttl := time.Duration(l.TTLMillis) * time.Millisecond
@@ -308,26 +356,26 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 	case experiments.GridWorkstation:
 		if l.Spec.Uni == nil {
 			w.cfg.Logf("worker %q: lease %d names the workstation grid but carries no uni config", w.cfg.Name, l.LeaseID)
-			return
+			return false
 		}
 		rec, err := experiments.RunUniCell(ctx, *l.Spec.Uni, l.Index)
 		if err != nil {
-			return // drained or bad index: say nothing, let the lease expire
+			return false // drained: Run hands the lease back; bad index: it expires
 		}
 		payload, _ = json.Marshal(rec)
 	case experiments.GridMultiprocessor:
 		if l.Spec.MP == nil {
 			w.cfg.Logf("worker %q: lease %d names the multiprocessor grid but carries no mp config", w.cfg.Name, l.LeaseID)
-			return
+			return false
 		}
 		rec, err := experiments.RunMPCell(ctx, *l.Spec.MP, l.Index)
 		if err != nil {
-			return
+			return false
 		}
 		payload, _ = json.Marshal(rec)
 	default:
 		w.cfg.Logf("worker %q: lease %d names unknown grid %q", w.cfg.Name, l.LeaseID, l.Grid)
-		return
+		return false
 	}
 
 	switch kind {
@@ -336,24 +384,25 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 		// and the cell re-runs elsewhere — determinism makes the loss
 		// invisible in the output.
 		w.die(fmt.Sprintf("%v on execution %d (%s/%d attempt %d)", kind, n, l.Grid, l.Index, l.Attempt))
-		return
+		return false
 	case guard.FaultHeartbeatStall:
 		// Hold the result until the stall window closes — well past lease
 		// expiry, so the cell has been redispatched — then report it late,
 		// exercising the coordinator's dedup.
 		for w.stalled() && ctx.Err() == nil {
 			if !sleepCtx(ctx, 5*time.Millisecond) {
-				return
+				return false
 			}
 		}
 	}
-	w.complete(ctx, l, payload)
+	return w.complete(ctx, l, payload)
 }
 
 // complete reports the record, retrying transport errors and 5xx
 // indefinitely — the journal-then-ack contract means an unacked record
 // may or may not be durable, and re-reporting is always safe (dedup).
-func (w *Worker) complete(ctx context.Context, l Lease, payload []byte) {
+// It returns whether the coordinator answered the report.
+func (w *Worker) complete(ctx context.Context, l Lease, payload []byte) bool {
 	req := completeRequest{Worker: w.cfg.Name, Job: l.Job, Grid: l.Grid,
 		Index: l.Index, LeaseID: l.LeaseID, Record: payload}
 	backoff := 50 * time.Millisecond
@@ -364,17 +413,17 @@ func (w *Worker) complete(ctx context.Context, l Lease, payload []byte) {
 			if resp.Status != "accepted" {
 				w.cfg.Logf("worker %q: %s/%d report was a %s", w.cfg.Name, l.Grid, l.Index, resp.Status)
 			}
-			return
+			return true
 		}
 		if ctx.Err() != nil || !retryable(err) {
 			if ctx.Err() == nil {
 				w.cfg.Logf("worker %q: %s/%d report rejected: %v", w.cfg.Name, l.Grid, l.Index, err)
 			}
-			return
+			return false
 		}
 		w.cfg.Logf("worker %q: %s/%d report: %v (retrying)", w.cfg.Name, l.Grid, l.Index, err)
 		if !sleepCtx(ctx, backoff) {
-			return
+			return false
 		}
 		if backoff *= 2; backoff > 2*time.Second {
 			backoff = 2 * time.Second

@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test -race ./...
+# The service's slot wake-up, drain release and held /result handlers are
+# timing-dependent: repeat that package so a rare interleaving shows.
+go test -race -count=3 ./internal/service
 
 # Second pass with the invariant checkers armed (GUARD_CHECKS=1 turns on
 # the coherence/cache/pipeline audits in every guarded run). The env gate
@@ -30,6 +33,10 @@ go test -count=1 -run 'TestEngineGolden' ./internal/engine
 # busy-path or checkpoint change that breaks reproducibility fails here.
 go run ./benchmark -workload ws-table7 -smoke >/dev/null
 go run ./benchmark -workload sweep-fork -smoke >/dev/null
+# The same for the service path (two jobs through coordinator, journal,
+# loopback HTTP and a worker), which otherwise has no default-on gate
+# here: SERVICE=1 below is optional.
+go run ./benchmark -workload svc-grid -smoke >/dev/null
 
 # Chaos-mode determinism: perturb all memory/network latencies on a
 # race-free app and assert the final memory is byte-identical to the
@@ -140,6 +147,12 @@ fi
 # (documented exit 7) and the coordinator kill -9'd and restarted once on
 # the same state dir and address — then requires the service's tables and
 # -json output to be byte-identical to the single-process run above.
+# The order is what makes both events land whatever the machine's speed
+# (the grid takes a fraction of a second now that dispatch is
+# event-driven): the doomed worker starts alone, so the first cell is
+# its; its lease then pins the job open for a lease TTL, and the
+# coordinator is killed inside that window, with the rest of the grid
+# journaled by the survivor.
 if [ -n "${SERVICE:-}" ]; then
     SVC_DIR="$(mktemp -d)"
     trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$SVC_DIR"' EXIT
@@ -148,30 +161,35 @@ if [ -n "${SERVICE:-}" ]; then
 
     # Coordinator: port 0 picks a free port, -addr-file publishes it.
     "$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr 127.0.0.1:0 \
-        -addr-file "$SVC_DIR/addr" -lease-ttl 2s 2> "$SVC_DIR/serve1.log" &
+        -addr-file "$SVC_DIR/addr" -lease-ttl 3s 2> "$SVC_DIR/serve1.log" &
     SERVE_PID=$!
     for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr" ] && break; sleep 0.1; done
     ADDR="http://$(cat "$SVC_DIR/addr")"
 
-    # One worker dies abruptly on its first cell; the survivor does the
-    # real work (the dead worker's lease expires and redispatches).
+    JOB=$("$SVC_DIR/expserve" submit -coordinator "$ADDR" -quick -only table7 -j 2)
+
+    # One worker dies abruptly on its first cell: documented exit 7. It
+    # releases nothing (an injected death is a kill -9), so its lease
+    # must expire before that cell can redispatch.
+    wcode=0
     "$SVC_DIR/expworker" -coordinator "$ADDR" -name doomed -poll 100ms \
-        -fault die-mid-cell@1 2> "$SVC_DIR/doomed.log" &
-    DOOMED_PID=$!
+        -fault die-mid-cell@1 2> "$SVC_DIR/doomed.log" || wcode=$?
+    [ "$wcode" -eq 7 ]
+
+    # The survivor does the real work.
     "$SVC_DIR/expworker" -coordinator "$ADDR" -name steady -slots 2 -poll 100ms \
         2> "$SVC_DIR/steady.log" &
     STEADY_PID=$!
 
-    JOB=$("$SVC_DIR/expserve" submit -coordinator "$ADDR" -quick -only table7 -j 2)
-
-    # Kill -9 the coordinator mid-job and restart it on the same state
-    # dir and address: the journal resumes the job with zero
-    # re-simulation, the workers just retry until the new process answers.
+    # Kill -9 the coordinator mid-job (the dead worker's lease is still
+    # live) and restart it on the same state dir and address: the journal
+    # resumes the job with zero re-simulation, the worker just retries
+    # until the new process answers.
     sleep 1
     kill -9 "$SERVE_PID"
     wait "$SERVE_PID" || true
     "$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr "$(cat "$SVC_DIR/addr")" \
-        -lease-ttl 2s 2> "$SVC_DIR/serve2.log" &
+        -lease-ttl 3s 2> "$SVC_DIR/serve2.log" &
     SERVE_PID=$!
 
     "$SVC_DIR/expserve" wait -coordinator "$ADDR" -job "$JOB" \
@@ -181,9 +199,6 @@ if [ -n "${SERVICE:-}" ]; then
     diff "$RES_DIR/full.txt" "$SVC_DIR/svc.txt"
     diff "$RES_DIR/full.json" "$SVC_DIR/svc.json"
 
-    # The doomed worker died by its injected fault: documented exit 7.
-    wcode=0; wait "$DOOMED_PID" || wcode=$?
-    [ "$wcode" -eq 7 ]
     # Worker and coordinator drain cleanly on SIGTERM (exit 3 / 0).
     kill "$STEADY_PID"
     wcode=0; wait "$STEADY_PID" || wcode=$?
