@@ -135,7 +135,7 @@ func run(args []string) int {
 		cfg.LimitCycles = *limit
 		cfg.Guard = *gopts
 		cfg.Obs = obs.Options()
-		p := app.Build(splash.Options{
+		p := app.Program(splash.Options{
 			CodeBase:     0x0100_0000,
 			DataBase:     0x5000_0000,
 			Yield:        yieldFor(sc),

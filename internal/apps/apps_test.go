@@ -132,3 +132,62 @@ func TestKernelCharacters(t *testing.T) {
 		t.Errorf("mxm busy fraction = %.2f, want >= 0.5", ms.BusyFraction())
 	}
 }
+
+// TestRegistryIsTheCallersCopy: Lookup reads a table built once per
+// process, so a caller scribbling on the map Registry returned must not
+// reach it.
+func TestRegistryIsTheCallersCopy(t *testing.T) {
+	reg := Registry()
+	delete(reg, "doduc")
+	reg["li"] = Kernel{Name: "impostor"}
+	if k, err := Lookup("doduc"); err != nil || k.Name != "doduc" {
+		t.Errorf("Lookup(doduc) after the caller deleted it from its copy: %v, %v", k.Name, err)
+	}
+	if k, err := Lookup("li"); err != nil || k.Name != "li" {
+		t.Errorf("Lookup(li) after the caller overwrote it in its copy: %v, %v", k.Name, err)
+	}
+	if len(Registry()) != 12 {
+		t.Errorf("registry has %d kernels after a caller edited its copy", len(Registry()))
+	}
+}
+
+// TestProgramSharesSuiteKernelsOnly: a suite kernel's Program is linked
+// once per Options and its Build is still a fresh, private link; a kernel
+// that does not declare itself shared — anything built outside the
+// registry, where a name says nothing about the Build behind it — is
+// relinked on every Program call.
+func TestProgramSharesSuiteKernelsOnly(t *testing.T) {
+	prog.ResetShared()
+	defer prog.ResetShared()
+	o := Options{CodeBase: 0x0100_0000, DataBase: 0x4000_0000, Yield: prog.YieldBackoff, AutoTolerate: true}
+	k, err := Lookup("emit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := k.Program(o)
+	if k.Program(o) != p {
+		t.Error("suite kernel linked twice for one Options")
+	}
+	other := o
+	other.Yield = prog.YieldSwitch
+	if k.Program(other) == p {
+		t.Error("different Options served the same program")
+	}
+	if q := k.Build(o); q == p || q.Fingerprint() != p.Fingerprint() {
+		t.Error("Build must link a fresh program identical to the shared one")
+	}
+	if b, h, _ := prog.SharedStats(); b != 2 || h != 1 {
+		t.Errorf("SharedStats = %d builds, %d hits; want 2 and 1", b, h)
+	}
+
+	adhoc := Emit() // same name, not declared shared
+	if adhoc.Shared {
+		t.Fatal("a kernel constructor declared itself shared")
+	}
+	if a, b := adhoc.Program(o), adhoc.Program(o); a == b || a == p {
+		t.Error("an undeclared kernel's Program was served from the memo")
+	}
+	if b, h, _ := prog.SharedStats(); b != 2 || h != 1 {
+		t.Errorf("an undeclared kernel went through the memo: %d builds, %d hits", b, h)
+	}
+}

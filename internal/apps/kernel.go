@@ -15,6 +15,8 @@ package apps
 
 import (
 	"fmt"
+	"maps"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -45,8 +47,24 @@ func (o Options) normalize() Options {
 
 // Kernel is a buildable application.
 type Kernel struct {
-	Name  string
+	Name string
+	// Build links a fresh program the caller owns and may rewrite.
 	Build func(Options) *prog.Program
+	// Shared declares that Name identifies Build for the life of the
+	// process, as it does for every suite kernel: Program then links each
+	// (Name, Options) once. An ad-hoc kernel leaves it false and is
+	// rebuilt on every Program call.
+	Shared bool
+}
+
+// Program returns the kernel linked with o for read-only use: a suite
+// kernel's program is shared by every caller in the process (prog.Shared),
+// so it must not be written to.
+func (k Kernel) Program(o Options) *prog.Program {
+	if !k.Shared {
+		return k.Build(o)
+	}
+	return prog.Shared(k.Name, o, k.Build)
 }
 
 // newBuilder applies the common option plumbing.
@@ -57,22 +75,28 @@ func newBuilder(name string, o Options) *prog.Builder {
 	return b
 }
 
-// Registry returns all twelve SPEC89-like kernels by name.
-func Registry() map[string]Kernel {
+// registry is the suite, built once: the kernel constructors allocate a
+// closure each, and grid drivers look a kernel up per cell.
+var registry = sync.OnceValue(func() map[string]Kernel {
 	ks := []Kernel{
 		Doduc(), Li(), Eqntott(), Matrix300(), Tomcatv(),
 		Btrix(), Cholsky(), Cfft2d(), Emit(), Gmtry(), Mxm(), Vpenta(),
 	}
 	m := make(map[string]Kernel, len(ks))
 	for _, k := range ks {
+		k.Shared = true
 		m[k.Name] = k
 	}
 	return m
-}
+})
+
+// Registry returns all twelve SPEC89-like kernels by name, in a map the
+// caller owns.
+func Registry() map[string]Kernel { return maps.Clone(registry()) }
 
 // Lookup returns the kernel named name.
 func Lookup(name string) (Kernel, error) {
-	k, ok := Registry()[name]
+	k, ok := registry()[name]
 	if !ok {
 		return Kernel{}, fmt.Errorf("apps: unknown kernel %q", name)
 	}

@@ -35,6 +35,22 @@ import (
 // The equivalence tests (fastforward_test.go, mp/fastforward_test.go)
 // assert Stats / memory-hash / arch-hash identity against NoFastForward
 // runs for every scheme, uni and MP, with watchdog and chaos enabled.
+//
+// Busy streak. On busy code NextEvent's answer is always "step", and
+// asking was 8.7 % of a Table 7 pass. Processor.Run therefore stops
+// asking once two consecutive cycles have retired an instruction, and
+// steps until a cycle retires nothing; the cycle after that is classified
+// again. This needs no argument of its own: Step is exact for every cycle
+// (it is what the skip engine is measured against), so stepping a cycle
+// that NextEvent would have skipped changes nothing but host time, and the
+// streak only ever steps. What it costs is the first stall cycle after a
+// streak, stepped where it would have been skipped with its region; what
+// it saves is a classification per busy cycle. RunUntilHalted (which must
+// look at the halt state every cycle anyway) and the multiprocessor's
+// lockstep driver do not streak: on the MP's interlock-bound kernels the
+// stepped stall cycle costs more than the classifications saved (measured,
+// ROADMAP item 1). streak_test.go compares Run against the
+// classify-every-cycle loop after every call, over each way a streak ends.
 
 // NextEvent classifies the processor's current cycle. If the returned
 // until is <= Now(), the cycle may do real work and must be executed with

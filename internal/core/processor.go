@@ -479,24 +479,37 @@ func (p *Processor) count(now int64, cls SlotClass, ctx int) {
 	}
 }
 
+// busyStreak is how many consecutive retiring cycles Run sees before it
+// stops classifying the cycle that follows one (fastforward.go, "busy
+// streak").
+const busyStreak = 2
+
 // Run advances the processor n cycles, fast-forwarding through stall
 // regions (fastforward.go) unless Cfg.NoFastForward or a Trace hook
-// forces cycle-by-cycle stepping.
+// forces cycle-by-cycle stepping. Inside a busy streak it steps without
+// asking NextEvent first.
 func (p *Processor) Run(n int64) {
 	end := p.cycle + n
+	streak := 0
 	for p.cycle < end {
-		cls, ctx, until := p.NextEvent()
-		if until <= p.cycle {
-			p.Step()
-			continue
+		if streak < busyStreak {
+			if cls, ctx, until := p.NextEvent(); until > p.cycle {
+				if until > end {
+					until = end
+				}
+				if p.obs != nil {
+					p.ObservedSkipTo(until, cls, ctx)
+				} else {
+					p.SkipTo(until, cls, ctx)
+				}
+				streak = 0
+				continue
+			}
 		}
-		if until > end {
-			until = end
-		}
-		if p.obs != nil {
-			p.ObservedSkipTo(until, cls, ctx)
+		if p.Step() {
+			streak++
 		} else {
-			p.SkipTo(until, cls, ctx)
+			streak = 0
 		}
 	}
 }
@@ -531,8 +544,9 @@ func (p *Processor) RunUntilHalted(limit int64) (int64, bool) {
 }
 
 // Step advances the processor one cycle: one issue slot on the paper's
-// processor, IssueWidth slots on the superscalar extension.
-func (p *Processor) Step() {
+// processor, IssueWidth slots on the superscalar extension. It reports
+// whether any slot retired an instruction.
+func (p *Processor) Step() (retired bool) {
 	now := p.cycle
 	p.cycle++
 	p.Stats.Cycles++
@@ -541,47 +555,51 @@ func (p *Processor) Step() {
 		width = 1
 	}
 	for w := 0; w < width; w++ {
-		p.issueSlot(now)
+		if p.issueSlot(now) {
+			retired = true
+		}
 	}
 	if p.cycle >= p.nextSample {
 		p.obsSampleTick()
 	}
+	return retired
 }
 
-// issueSlot spends one issue slot at cycle now.
-func (p *Processor) issueSlot(now int64) {
+// issueSlot spends one issue slot at cycle now and reports whether it
+// retired an instruction.
+func (p *Processor) issueSlot(now int64) bool {
 	// Processor-wide stalls take precedence: the blocking I-cache, the
 	// blocked scheme's pipeline flush, and single-context structural
 	// stalls.
 	switch {
 	case now < p.ifetchUntil:
 		p.count(now, SlotICache, p.ifetchCtx)
-		return
+		return false
 	case now < p.shadowUntil:
 		p.count(now, SlotSwitch, p.shadowCtx)
-		return
+		return false
 	case now < p.stallUntil:
 		p.count(now, p.stallCause, p.stallCtx)
-		return
+		return false
 	}
 
 	c := p.selectContext(now)
 	if c == nil {
 		cls, ctx, _ := p.idleCharge()
 		p.count(now, cls, ctx)
-		return
+		return false
 	}
 
 	// Interleaved miss shadow: this context's slots between a miss
 	// issuing and its detection in WB are squashed work.
 	if now < c.shadowUntil {
 		p.count(now, SlotSwitch, c.idx)
-		return
+		return false
 	}
 	// Fetch redirect after a mispredicted branch.
 	if now < c.redirectUntil {
 		p.count(now, SlotStallShort, c.idx)
-		return
+		return false
 	}
 
 	th := c.thread
@@ -594,23 +612,23 @@ func (p *Processor) issueSlot(now int64) {
 		p.ifetchCtx = c.idx
 		p.forceNext = c.idx // the stalled fetch completes first
 		p.count(now, SlotICache, c.idx)
-		return
+		return false
 	}
 
 	// Scoreboard: source and destination (WAW) dependencies.
 	if cls, stalled := p.depStall(th, in, now); stalled {
 		p.count(now, cls, c.idx)
-		return
+		return false
 	}
 
 	// Functional-unit conflict (non-pipelined units).
 	tm := in.TM
 	if tm.Unit != isa.UnitNone && p.fuFree[tm.Unit] > now {
 		p.count(now, stallClass(int(p.fuFree[tm.Unit]-now), in.Region), c.idx)
-		return
+		return false
 	}
 
-	p.execute(c, th, in, now)
+	return p.execute(c, th, in, now)
 }
 
 // selectContext picks the issuing context for this cycle from the ready
@@ -796,8 +814,9 @@ func (p *Processor) busySlot(now int64, c *hwContext, th *Thread, in *isa.Inst) 
 }
 
 // execute issues instruction in from context c at cycle now: functional
-// semantics plus timing bookkeeping.
-func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
+// semantics plus timing bookkeeping. It reports whether the instruction
+// retired (a miss that replays and an explicit yield do not).
+func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) (retired bool) {
 	p.depTh = nil // issuing writes the scoreboard: drop the depRegion memo
 	tm := in.TM
 	if tm.Unit != isa.UnitNone && tm.Issue > 1 {
@@ -847,14 +866,12 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 		th.setReady(in.Rd, now+int64(tm.Latency), producerClass(in))
 
 	case isa.LW, isa.SW, isa.FLD, isa.FSD, isa.TAS:
-		if done := p.executeMem(c, th, in, now); !done {
-			return // slot already accounted by the miss path
-		}
+		return p.executeMem(c, th, in, now) // slot and PC accounted there
 
 	case isa.BEQ, isa.BNE, isa.BLEZ, isa.BGTZ, isa.J, isa.JAL, isa.JR:
 		p.executeBranch(c, th, in, now)
 		p.busySlot(now, c, th, in)
-		return // PC already updated
+		return true // PC already updated
 
 	case isa.SWITCH:
 		// Explicit switch (blocked scheme, Table 4: cost 3). The switch
@@ -874,7 +891,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 			p.SwitchWatch(now, c.idx)
 		}
 		p.count(now, SlotSwitch, c.idx)
-		return
+		return false
 
 	case isa.BACKOFF:
 		// Interleaved backoff (Table 4: cost 1 — this slot).
@@ -890,7 +907,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 			p.SwitchWatch(now, c.idx)
 		}
 		p.count(now, SlotSwitch, c.idx)
-		return
+		return false
 
 	case isa.TRAP:
 		// Software exception (§6): save the resume PC in this context's
@@ -905,19 +922,19 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 			if p.cur == c.idx {
 				p.cur = -1
 			}
-			return
+			return true
 		}
 		th.EPC = th.PC + 1
 		th.PC = th.TrapHandler
 		c.redirectUntil = now + 1 + int64(p.Cfg.MispredictPenalty)
 		p.busySlot(now, c, th, in)
-		return
+		return true
 
 	case isa.ERET:
 		th.PC = th.EPC
 		c.redirectUntil = now + 1 + int64(p.Cfg.MispredictPenalty)
 		p.busySlot(now, c, th, in)
-		return
+		return true
 
 	case isa.HALT:
 		th.Halted = true
@@ -927,7 +944,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 		if p.cur == c.idx {
 			p.cur = -1
 		}
-		return
+		return true
 
 	default:
 		panic(guard.NewSimError("core.execute", fmt.Errorf("unimplemented op %v", in.Op)).
@@ -946,6 +963,7 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 			p.availabilityChanged(c, now)
 		}
 	}
+	return true
 }
 
 // yieldCause is what to charge idle time caused by an explicit
@@ -958,16 +976,17 @@ func yieldCause(r isa.Region) SlotClass {
 	return SlotStallLong
 }
 
-// executeMem handles loads, stores and atomics. It returns true if the
-// instruction completed (hit) and the caller should retire it; on a miss
-// it performs all scheme-specific bookkeeping and accounting itself.
-func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64) bool {
+// executeMem handles loads, stores and atomics, with all scheme-specific
+// bookkeeping and slot accounting. It reports whether the instruction
+// retired: a hit, any fine-grained reference and a single-context access
+// executing under its miss do; every other miss replays.
+func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64) (retired bool) {
 	addr := uint32(int64(th.readInt(in.Rs)) + int64(in.Imm))
 
 	// The fine-grained scheme has no data cache: every reference is a
 	// fixed-latency memory access with zero switch cost (§2.1).
 	if p.Cfg.Scheme == FineGrained {
-		p.memFunctional(th, in, c.idx, now)
+		p.memFunctional(th, in, addr, c.idx, now)
 		fill := now + int64(p.Cfg.FineGrainedMemLatency)
 		if d := in.Dst; d != isa.NoReg {
 			th.setReady(d, fill, missSlot(memsys.Memory, in.Region))
@@ -977,15 +996,17 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		p.availabilityChanged(c, now)
 		th.PC++
 		p.busySlot(now, c, th, in)
-		return false
+		return true
 	}
 
 	res := p.Mem.AccessData(addr, in.IsStore(), th.pcAddr(th.PC), now)
 	if res.Hit {
-		p.memFunctional(th, in, c.idx, now)
+		p.memFunctional(th, in, addr, c.idx, now)
 		if d := in.Dst; d != isa.NoReg {
 			th.setReady(d, res.ReadyAt, producerClass(in))
 		}
+		th.PC++
+		p.busySlot(now, c, th, in)
 		return true
 	}
 
@@ -1031,13 +1052,13 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		}
 		// Lockup-free: execute under the miss; consumers wait for the
 		// fill through the scoreboard.
-		p.memFunctional(th, in, c.idx, now)
+		p.memFunctional(th, in, addr, c.idx, now)
 		if d := in.Dst; d != isa.NoReg {
 			th.setReady(d, res.FillAt, cause)
 		}
 		th.PC++
 		p.busySlot(now, c, th, in)
-		return false
+		return true
 
 	case Blocked, BlockedFast:
 		// Flush the pipeline: the miss is detected in WB, so the whole
@@ -1088,9 +1109,9 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		At(now).On(p.ID, c.idx, th.PC).WithAddr(addr))
 }
 
-// memFunctional applies the functional semantics of a memory instruction.
-func (p *Processor) memFunctional(th *Thread, in *isa.Inst, ctx int, now int64) {
-	addr := uint32(int64(th.readInt(in.Rs)) + int64(in.Imm))
+// memFunctional applies the functional semantics of a memory instruction
+// to the effective address executeMem computed.
+func (p *Processor) memFunctional(th *Thread, in *isa.Inst, addr uint32, ctx int, now int64) {
 	switch in.Op {
 	case isa.LW:
 		v := p.FMem.LoadW(addr)

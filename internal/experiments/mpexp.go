@@ -240,7 +240,7 @@ func runMPCellSpec(ctx context.Context, cfg MPConfig, i int, sp mpSpec) (*MPCell
 				mcfg.Guard.WatchdogWindow = guard.Escalate(mcfg.Guard.WatchdogWindow, attempt-1)
 			}
 		}
-		p := sp.app.Build(splash.Options{
+		p := sp.app.Program(splash.Options{
 			CodeBase:     0x0100_0000,
 			DataBase:     0x5000_0000,
 			Yield:        workstationYield(sp.scheme),

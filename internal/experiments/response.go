@@ -135,7 +135,7 @@ func RunResponseCtx(ctx context.Context, cfg ResponseConfig) (*ResponseResult, e
 	err = runCells(ctx, cfg.Parallelism, len(designs), func(ctx context.Context, i int) error {
 		d := designs[i]
 		fg := foregroundProgram(cfg)
-		bgProg := bg.Build(apps.Options{
+		bgProg := bg.Program(apps.Options{
 			CodeBase: 0x0100_0000,
 			DataBase: 0x4000_0000,
 			Yield:    workstation.YieldModeFor(d.scheme),

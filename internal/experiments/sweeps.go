@@ -204,7 +204,7 @@ func RemoteLatencySweepCtx(ctx context.Context, cfg MPConfig, app string) (*Swee
 		mcfg.Coherence.RemoteHigh = int(float64(mcfg.Coherence.RemoteHigh) * sp.scale)
 		mcfg.Coherence.DirtyLow = int(float64(mcfg.Coherence.DirtyLow) * sp.scale)
 		mcfg.Coherence.DirtyHigh = int(float64(mcfg.Coherence.DirtyHigh) * sp.scale)
-		p := a.Build(splash.Options{
+		p := a.Program(splash.Options{
 			CodeBase:     0x0100_0000,
 			DataBase:     0x5000_0000,
 			Yield:        workstationYield(sp.scheme),

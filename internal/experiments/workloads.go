@@ -38,7 +38,8 @@ func spKernel(name string) (apps.Kernel, error) {
 		return apps.Kernel{}, err
 	}
 	return apps.Kernel{
-		Name: "sp-" + name,
+		Name:   "sp-" + name,
+		Shared: true, // one Build per app name
 		Build: func(o apps.Options) *prog.Program {
 			return app.Build(splash.Options{
 				CodeBase:     o.CodeBase,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/isa"
 	"repro/internal/prog"
 )
 
@@ -313,5 +314,48 @@ func TestReplayMatchesSweep(t *testing.T) {
 	}
 	if divs := Check(cells, results); len(divs) != 0 {
 		t.Fatalf("clean program diverged on replay: %v", divs)
+	}
+}
+
+// TestMutationRewritesOnlyItsOwnProgram pins applyMutation's in-place
+// TAS→LW rewrite to a program BuildProgram linked for that call alone:
+// every call links through its own Builder and never through the
+// process-wide memo of shared programs (prog.Shared), so the rewrite cannot
+// reach a program any other cell holds.
+func TestMutationRewritesOnlyItsOwnProgram(t *testing.T) {
+	prog.ResetShared()
+	defer prog.ResetShared()
+	spec := Generate(experiments.DeriveSeed(20260808, 0), 2)
+	clean, err := BuildProgram(spec, prog.YieldBackoff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := clean.Fingerprint()
+
+	broken := *spec
+	broken.Mut = MutTASPlain
+	mutated, err := BuildProgram(&broken, prog.YieldBackoff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mutated == clean {
+		t.Fatal("the mutated build returned the clean build's program")
+	}
+	if &mutated.Insts[0] == &clean.Insts[0] {
+		t.Fatal("the mutated build aliases the clean build's instructions")
+	}
+	for i := range mutated.Insts {
+		if mutated.Insts[i].Op == isa.TAS {
+			t.Fatalf("instruction %d of the mutated program is still a TAS", i)
+		}
+	}
+	if clean.Fingerprint() != sum {
+		t.Error("mutating one build rewrote another build's program")
+	}
+	if again, err := BuildProgram(spec, prog.YieldBackoff); err != nil || again == clean || again.Fingerprint() != sum {
+		t.Errorf("a clean build after the mutation is not a fresh, identical program (err %v)", err)
+	}
+	if b, h, _ := prog.SharedStats(); b != 0 || h != 0 {
+		t.Errorf("BuildProgram went through the shared-program memo: %d builds, %d hits", b, h)
 	}
 }

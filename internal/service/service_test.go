@@ -249,24 +249,26 @@ func TestWorkerDiesMidCell(t *testing.T) {
 	// ordinal could race the steady worker finishing the whole grid.
 	doomed := startWorker(t, srv.URL, WorkerConfig{Name: "doomed", PollInterval: 20 * time.Millisecond,
 		Plan: &guard.FaultPlan{Events: []guard.FaultEvent{{AtCell: 1, Kind: guard.FaultDieMidCell}}}, OnCell: counter.hook})
-	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
 
 	id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := waitResult(t, srv.URL, id)
-	assertIdentical(t, res, wantText, wantJSON)
-	counter.assertMax(t, 3) // never more than the lease-attempt budget
-
+	// The doomed worker is alone until it has died, so the first cell is
+	// its: started beside it, the steady worker can finish the whole grid
+	// between two of the doomed worker's polls and the fault never fires.
 	select {
 	case err := <-doomed:
 		if !strings.Contains(err.Error(), "die-mid-cell") {
 			t.Errorf("doomed worker exited with %v, want injected die-mid-cell fault", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Error("doomed worker never died")
+		t.Fatal("doomed worker never died")
 	}
+	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
+	res := waitResult(t, srv.URL, id)
+	assertIdentical(t, res, wantText, wantJSON)
+	counter.assertMax(t, 3) // never more than the lease-attempt budget
 }
 
 // A worker that computes a result but dies before reporting it loses the
@@ -284,24 +286,26 @@ func TestWorkerDiesBeforeAck(t *testing.T) {
 	counter := newExecCounter()
 	doomed := startWorker(t, srv.URL, WorkerConfig{Name: "doomed", PollInterval: 20 * time.Millisecond,
 		Plan: &guard.FaultPlan{Events: []guard.FaultEvent{{AtCell: 1, Kind: guard.FaultDieBeforeAck}}}, OnCell: counter.hook})
-	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
 
 	id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := waitResult(t, srv.URL, id)
-	assertIdentical(t, res, wantText, wantJSON)
-	counter.assertMax(t, 3)
-
+	// The doomed worker is alone until it has died, so the first cell is
+	// its: started beside it, the steady worker can finish the whole grid
+	// between two of the doomed worker's polls and the fault never fires.
 	select {
 	case err := <-doomed:
 		if !strings.Contains(err.Error(), "die-before-ack") {
 			t.Errorf("doomed worker exited with %v, want injected die-before-ack fault", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Error("doomed worker never died")
+		t.Fatal("doomed worker never died")
 	}
+	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
+	res := waitResult(t, srv.URL, id)
+	assertIdentical(t, res, wantText, wantJSON)
+	counter.assertMax(t, 3) // never more than the lease-attempt budget
 }
 
 // A heartbeat stall expires the worker's lease mid-flight; the cell

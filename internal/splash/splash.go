@@ -18,6 +18,8 @@ package splash
 
 import (
 	"fmt"
+	"maps"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -63,8 +65,14 @@ func (o Options) normalize(defaultSteps int) Options {
 
 // App is a buildable SPMD application.
 type App struct {
-	Name  string
+	Name string
+	// Build links a fresh program the caller owns and may rewrite.
 	Build func(Options) *prog.Program
+	// Shared declares that Name identifies Build for the life of the
+	// process, as it does for every suite app: Program then links each
+	// (Name, Options) once. An ad-hoc app leaves it false and is rebuilt
+	// on every Program call.
+	Shared bool
 
 	// Racy marks apps with deliberately unsynchronized shared writes
 	// (mp3d's cell scatter). Their final memory is scheduling-dependent,
@@ -73,19 +81,34 @@ type App struct {
 	Racy bool
 }
 
-// Registry returns the seven apps by name.
-func Registry() map[string]App {
+// Program returns the app linked with o for read-only use: a suite app's
+// program is shared by every caller in the process (prog.Shared), so it
+// must not be written to.
+func (a App) Program(o Options) *prog.Program {
+	if !a.Shared {
+		return a.Build(o)
+	}
+	return prog.Shared(a.Name, o, a.Build)
+}
+
+// registry is the suite, built once: the app constructors allocate a
+// closure each, and grid drivers look an app up per cell.
+var registry = sync.OnceValue(func() map[string]App {
 	as := []App{MP3D(), Barnes(), Water(), Ocean(), Locus(), PTHOR(), Cholesky()}
 	m := make(map[string]App, len(as))
 	for _, a := range as {
+		a.Shared = true
 		m[a.Name] = a
 	}
 	return m
-}
+})
+
+// Registry returns the seven apps by name, in a map the caller owns.
+func Registry() map[string]App { return maps.Clone(registry()) }
 
 // Lookup returns the app named name.
 func Lookup(name string) (App, error) {
-	a, ok := Registry()[name]
+	a, ok := registry()[name]
 	if !ok {
 		return App{}, fmt.Errorf("splash: unknown app %q", name)
 	}

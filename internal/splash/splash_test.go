@@ -35,6 +35,49 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestRegistryIsTheCallersCopy and TestProgramSharesSuiteAppsOnly mirror
+// the apps package's: Lookup reads a table built once, Registry hands out
+// copies, and only a registry app's Program goes through the memo.
+func TestRegistryIsTheCallersCopy(t *testing.T) {
+	reg := Registry()
+	delete(reg, "ocean")
+	reg["water"] = App{Name: "impostor"}
+	for _, name := range []string{"ocean", "water"} {
+		if a, err := Lookup(name); err != nil || a.Name != name {
+			t.Errorf("Lookup(%s) after a caller edited its copy: %v, %v", name, a.Name, err)
+		}
+	}
+	if len(Registry()) != 7 {
+		t.Errorf("registry has %d apps after a caller edited its copy", len(Registry()))
+	}
+}
+
+func TestProgramSharesSuiteAppsOnly(t *testing.T) {
+	prog.ResetShared()
+	defer prog.ResetShared()
+	app, err := Lookup("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := app.Program(buildOpts(4))
+	if app.Program(buildOpts(4)) != p {
+		t.Error("suite app linked twice for one Options")
+	}
+	if app.Program(buildOpts(8)) == p {
+		t.Error("different Options served the same program")
+	}
+	if q := app.Build(buildOpts(4)); q == p || q.Fingerprint() != p.Fingerprint() {
+		t.Error("Build must link a fresh program identical to the shared one")
+	}
+	adhoc := Ocean() // same name, not declared shared
+	if a, b := adhoc.Program(buildOpts(4)), adhoc.Program(buildOpts(4)); adhoc.Shared || a == b || a == p {
+		t.Error("an undeclared app's Program was served from the memo")
+	}
+	if b, h, _ := prog.SharedStats(); b != 2 || h != 1 {
+		t.Errorf("SharedStats = %d builds, %d hits; want 2 and 1", b, h)
+	}
+}
+
 // Every app must build and run to completion on a small multiprocessor
 // under every scheme, with sync time recorded.
 func TestEveryAppCompletes(t *testing.T) {

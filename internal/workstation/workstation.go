@@ -291,7 +291,7 @@ func newRunner(kernels []apps.Kernel, cfg Config) (*runner, error) {
 		// processes do not all alias to the same direct-mapped sets (as
 		// real loaders stagger them); they still conflict where their
 		// footprints overlap.
-		p := k.Build(apps.Options{
+		p := k.Program(apps.Options{
 			CodeBase:     0x0100_0000*uint32(i+1) + 0x4800*uint32(i),
 			DataBase:     0x4000_0000 + 0x0200_0000*uint32(i) + 0x3800*uint32(i),
 			Yield:        yield,

@@ -7,6 +7,11 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# vet's copylocks check is what keeps a *prog.Program (it embeds a
+# sync.Once, and suite programs are shared process-wide) from being copied
+# by value. The race pass includes the shared-program tests: one grid at
+# -j 8 racing for the memo (experiments.TestGridLinksEachProgramOnce) and
+# concurrent callers of one key (prog.TestSharedConcurrentCallersGetOneBuild).
 go vet ./...
 go build ./...
 go test -race ./...
@@ -37,6 +42,12 @@ go run ./benchmark -workload sweep-fork -smoke >/dev/null
 # loopback HTTP and a worker), which otherwise has no default-on gate
 # here: SERVICE=1 below is optional.
 go run ./benchmark -workload svc-grid -smoke >/dev/null
+# And for the two multiprocessor workloads: the lockstep driver over the
+# coherence fabric, and the stall-dominated cells whose divide chains go
+# through Processor.Run — where a busy-path change that taxes fast-forward
+# would show.
+go run ./benchmark -workload mp-table10 -smoke >/dev/null
+go run ./benchmark -workload core-stall -smoke >/dev/null
 
 # Chaos-mode determinism: perturb all memory/network latencies on a
 # race-free app and assert the final memory is byte-identical to the
