@@ -23,15 +23,6 @@ import (
 	"repro/internal/stats"
 )
 
-func parseScheme(s string) (core.Scheme, error) {
-	for sc := core.Scheme(0); int(sc) < core.NumSchemes; sc++ {
-		if sc.String() == s {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
-
 func main() {
 	scheme := flag.String("scheme", "single", "context scheme")
 	contexts := flag.Int("contexts", 1, "hardware contexts")
@@ -53,7 +44,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	sc, err := parseScheme(*scheme)
+	sc, err := core.ParseScheme(*scheme)
 	if err != nil {
 		die(err)
 	}

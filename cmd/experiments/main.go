@@ -35,8 +35,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -134,13 +132,8 @@ func run(args []string) (code int) {
 		fmt.Fprintf(os.Stderr, "[raw results written to %s]\n", *jsonOut)
 	}()
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, n := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
+	onlyList := experiments.ParseOnly(*only)
+	sel := experiments.Selection(onlyList)
 
 	ucfg := experiments.DefaultUniConfig()
 	mcfg := experiments.DefaultMPConfig()
@@ -163,32 +156,18 @@ func run(args []string) (code int) {
 		}
 	}
 
-	needUni := experiments.NeedUni(sel)
-	needMP := experiments.NeedMP(sel)
-
+	// The grids the selection runs, and the fingerprint of that run: it
+	// covers everything that determines cell results — the resolved grid
+	// configs (shapes, seeds, guard/chaos flags), the experiment
+	// selection, and the binary. Resuming under any drift is a hard error —
+	// replayed cells would silently disagree with what this run would
+	// simulate.
+	grids, fp, err := experiments.Grids(onlyList, &ucfg, &mcfg)
+	if err != nil {
+		return fail(err)
+	}
+	var journal *experiments.Journal
 	if *journalPath != "" || *resumePath != "" {
-		// The fingerprint covers everything that determines cell results:
-		// the resolved grid configs (shapes, seeds, guard/chaos flags),
-		// the experiment selection, and the binary. Resuming under any
-		// drift is a hard error — replayed cells would silently disagree
-		// with what this run would simulate.
-		var uniFP *experiments.UniConfig
-		var mpFP *experiments.MPConfig
-		if needUni {
-			uniFP = &ucfg
-		}
-		if needMP {
-			mpFP = &mcfg
-		}
-		onlyList := make([]string, 0, len(want))
-		for n := range want {
-			onlyList = append(onlyList, n)
-		}
-		sort.Strings(onlyList)
-		fp := experiments.NewFingerprint(uniFP, mpFP, onlyList)
-
-		var journal *experiments.Journal
-		var err error
 		if *resumePath != "" {
 			journal, err = experiments.OpenJournalAllow(*resumePath, fp, *allowBinaryMismatch, func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "experiments: warning: "+format+"\n", args...)
@@ -218,8 +197,6 @@ func run(args []string) (code int) {
 				}
 			})
 		}
-		ucfg.Journal = journal
-		mcfg.Journal = journal
 	}
 
 	if sel("table4") {
@@ -259,86 +236,34 @@ func run(args []string) (code int) {
 		}
 	}
 
-	var uni *experiments.UniResult
-	if needUni {
+	// Each grid prints its sections through its own renderer, the one a
+	// distributed run of the same grid assembles with, so the two agree
+	// byte for byte.
+	for _, g := range grids {
 		start := time.Now()
-		r, err := experiments.RunUniprocessorCtx(ctx, ucfg)
+		rep, err := g.Run(ctx, journal)
 		if err != nil {
 			return fail(err)
 		}
-		uni = r
-		jsonBlob["workstation"] = r
-		fmt.Fprintf(os.Stderr, "[workstation evaluation: %v]\n", time.Since(start).Round(time.Millisecond))
-		if r.Failures > 0 {
-			for _, c := range r.Cells {
-				if c.Failed {
-					fmt.Fprintf(os.Stderr, "experiments: workstation cell %s/%v/%d FAILED: %s\n",
-						c.Workload, c.Scheme, c.Contexts, c.Failure)
-					if c.Diagnostic != "" {
-						fmt.Fprintln(os.Stderr, c.Diagnostic)
-					}
+		jsonBlob[g.Name()] = rep.Value
+		fmt.Fprintf(os.Stderr, "[%s evaluation: %v]\n", g.Name(), time.Since(start).Round(time.Millisecond))
+		for _, c := range rep.Cells {
+			if c.Failed {
+				fmt.Fprintf(os.Stderr, "experiments: %s cell %s/%v/%d FAILED: %s\n",
+					g.Name(), c.Subject, c.Scheme, c.Contexts, c.Failure)
+				if c.Diagnostic != "" {
+					fmt.Fprintln(os.Stderr, c.Diagnostic)
 				}
+				code = experiments.ExitFailure
 			}
-			code = experiments.ExitFailure
 		}
-		if r.Skipped > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: workstation grid interrupted: %d cells skipped\n", r.Skipped)
+		if rep.Skipped > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: %s grid interrupted: %d cells skipped\n", g.Name(), rep.Skipped)
 		}
-		var cells []obsCell
-		for _, c := range r.Cells {
-			cells = append(cells, obsCell{
-				label: fmt.Sprintf("%s-%v-%dctx", c.Workload, c.Scheme, c.Contexts),
-				m:     c.Metrics,
-			})
-		}
-		if err := writeGridMetrics(obs, "workstation", cells); err != nil {
+		if err := writeGridMetrics(obs, g.Name(), rep.Cells); err != nil {
 			return fail(err)
 		}
-	}
-	// The grid sections print through the shared renderer so a distributed
-	// run of the same grids reproduces these bytes exactly.
-	if needUni {
-		fmt.Print(experiments.RenderUniSections(sel, uni))
-	}
-
-	var mpr *experiments.MPResult
-	if needMP {
-		start := time.Now()
-		r, err := experiments.RunMultiprocessorCtx(ctx, mcfg)
-		if err != nil {
-			return fail(err)
-		}
-		mpr = r
-		jsonBlob["multiprocessor"] = r
-		fmt.Fprintf(os.Stderr, "[multiprocessor evaluation: %v]\n", time.Since(start).Round(time.Millisecond))
-		if r.Failures > 0 {
-			for _, c := range r.Cells {
-				if c.Failed {
-					fmt.Fprintf(os.Stderr, "experiments: multiprocessor cell %s/%v/%d FAILED: %s\n",
-						c.App, c.Scheme, c.Contexts, c.Failure)
-					if c.Diagnostic != "" {
-						fmt.Fprintln(os.Stderr, c.Diagnostic)
-					}
-				}
-			}
-			code = experiments.ExitFailure
-		}
-		if r.Skipped > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: multiprocessor grid interrupted: %d cells skipped\n", r.Skipped)
-		}
-		var cells []obsCell
-		for _, c := range r.Cells {
-			cells = append(cells, obsCell{
-				label: fmt.Sprintf("%s-%v-%dctx", c.App, c.Scheme, c.Contexts),
-				m:     c.Metrics,
-			})
-		}
-		if err := writeGridMetrics(obs, "multiprocessor", cells); err != nil {
-			return fail(err)
-		}
-	}
-	if needMP {
-		fmt.Print(experiments.RenderMPSections(sel, mpr))
+		fmt.Print(rep.Text)
 	}
 
 	// The remaining sections have no SKIP rendering of their own; once
@@ -439,26 +364,23 @@ func resumeHint(journalPath, resumePath string) string {
 	return ""
 }
 
-// obsCell pairs one grid cell's observability record with its label.
-type obsCell struct {
-	label string
-	m     *metrics.CellMetrics
-}
-
 // writeGridMetrics exports a grid's observability records: every cell
 // concatenates into one JSON-lines file (each introduced by its "cell"
 // delimiter line), while traces — one Chrome trace JSON object per cell —
 // go to individually suffixed files. prefix keeps the workstation and
 // multiprocessor grids from overwriting each other's output. All files
 // are written atomically (temp + rename).
-func writeGridMetrics(f *metrics.Flags, prefix string, cells []obsCell) error {
+func writeGridMetrics(f *metrics.Flags, prefix string, cells []experiments.CellReport) error {
+	label := func(c experiments.CellReport) string {
+		return fmt.Sprintf("%s-%v-%dctx", c.Subject, c.Scheme, c.Contexts)
+	}
 	if f.MetricsOut != "" {
 		err := metrics.WriteFileAtomic(metrics.SuffixPath(f.MetricsOut, prefix), func(w io.Writer) error {
 			for _, c := range cells {
-				if c.m == nil {
+				if c.Metrics == nil {
 					continue
 				}
-				if err := metrics.WriteJSONL(w, c.m, c.label); err != nil {
+				if err := metrics.WriteJSONL(w, c.Metrics, label(c)); err != nil {
 					return err
 				}
 			}
@@ -470,11 +392,11 @@ func writeGridMetrics(f *metrics.Flags, prefix string, cells []obsCell) error {
 	}
 	if f.TraceOut != "" {
 		for _, c := range cells {
-			if c.m == nil {
+			if c.Metrics == nil {
 				continue
 			}
-			err := metrics.WriteFileAtomic(metrics.SuffixPath(f.TraceOut, prefix+"."+c.label), func(w io.Writer) error {
-				return metrics.WriteChromeTrace(w, c.m)
+			err := metrics.WriteFileAtomic(metrics.SuffixPath(f.TraceOut, prefix+"."+label(c)), func(w io.Writer) error {
+				return metrics.WriteChromeTrace(w, c.Metrics)
 			})
 			if err != nil {
 				return err

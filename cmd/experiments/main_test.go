@@ -138,3 +138,71 @@ func TestResumeFingerprintMismatchExitCode(t *testing.T) {
 		t.Errorf("resume under different flags returned %d, want %d", code, experiments.ExitFingerprintMismatch)
 	}
 }
+
+// A journaled record that decodes but is neither a result nor a failure
+// — here cell 1 of each grid, overwritten in place with a valid line
+// hash — is not replayed on either grid: -resume runs those cells again
+// and prints what the uninterrupted run printed. (It used to render FAIL
+// in Table 7 and a completed 0-cycle cell in Table 10.)
+func TestResumeRerunsRecordThatIsNoOutcome(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	fullJSON, resumedJSON := filepath.Join(dir, "full.json"), filepath.Join(dir, "resumed.json")
+	journal := filepath.Join(dir, "grid.journal")
+	base := []string{"-quick", "-only", "table7,table10", "-j", "2"}
+	if code := run(append(base, "-json", fullJSON, "-journal", journal)); code != 0 {
+		t.Fatalf("journaled run returned %d", code)
+	}
+
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+	forged := 0
+	for i, raw := range lines {
+		var line map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &line); err != nil {
+			t.Fatal(err)
+		}
+		if string(line["type"]) != `"cell"` || string(line["index"]) != "1" {
+			continue
+		}
+		line["data"] = json.RawMessage(`{"stats":{}}`)
+		line["hash"], _ = json.Marshal(experiments.DataHash(line["data"]))
+		if lines[i], err = json.Marshal(line); err != nil {
+			t.Fatal(err)
+		}
+		forged++
+	}
+	if forged != 2 {
+		t.Fatalf("forged %d journal lines, want cell 1 of both grids", forged)
+	}
+	if err := os.WriteFile(journal, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if code := run(append(base, "-json", resumedJSON, "-resume", journal)); code != 0 {
+		t.Fatalf("resumed run returned %d", code)
+	}
+	full, err := os.ReadFile(fullJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := os.ReadFile(resumedJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(full, resumed) {
+		t.Error("resumed -json output differs from the uninterrupted run")
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Count(after, []byte("\n")) - len(lines); got != forged {
+		t.Errorf("resume appended %d records, want the %d re-run cells", got, forged)
+	}
+}

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -42,6 +43,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/guard"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
 
@@ -149,12 +151,6 @@ func runServe(args []string) int {
 // therefore the journal fingerprints and output bytes — agree with a
 // local reference run.
 func buildSpec(quick bool, only string, jobs int) (service.JobSpec, error) {
-	var spec service.JobSpec
-	if only != "" {
-		for _, n := range strings.Split(only, ",") {
-			spec.Only = append(spec.Only, strings.TrimSpace(n))
-		}
-	}
 	ucfg := experiments.DefaultUniConfig()
 	mcfg := experiments.DefaultMPConfig()
 	if quick {
@@ -163,16 +159,22 @@ func buildSpec(quick bool, only string, jobs int) (service.JobSpec, error) {
 	}
 	ucfg.Parallelism = jobs
 	mcfg.Parallelism = jobs
-	sel := experiments.Selection(spec.Only)
-	if experiments.NeedUni(sel) {
-		spec.Uni = &ucfg
+	spec := service.JobSpec{Only: experiments.ParseOnly(only), Uni: &ucfg, MP: &mcfg}
+	grids, fp, err := experiments.Grids(spec.Only, spec.Uni, spec.MP)
+	if err != nil {
+		return spec, err
 	}
-	if experiments.NeedMP(sel) {
-		spec.MP = &mcfg
-	}
-	if spec.Uni == nil && spec.MP == nil {
+	if len(grids) == 0 {
 		return spec, fmt.Errorf("selection %q needs no grid; pick from %s",
 			only, strings.Join(experiments.GridSections, " "))
+	}
+	// Submit the configs of the grids that run and no other: the ones the
+	// run's fingerprint carries.
+	if fp.Uni == nil {
+		spec.Uni = nil
+	}
+	if fp.MP == nil {
+		spec.MP = nil
 	}
 	return spec, nil
 }
@@ -243,6 +245,13 @@ func runProgress(args []string) int {
 	return 0
 }
 
+func writeFile(path string, data []byte) error {
+	return metrics.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
 func runWait(args []string) int {
 	fs := flag.NewFlagSet("expserve wait", flag.ContinueOnError)
 	coordinator := fs.String("coordinator", "", "coordinator base URL (required)")
@@ -269,15 +278,17 @@ func runWait(args []string) int {
 		}
 		return die(err)
 	}
+	// Atomic writes (temp + rename), as cmd/experiments -json: a crash or a
+	// failed write leaves whatever the file held before.
 	if *out != "" {
-		if err := os.WriteFile(*out, []byte(res.Text), 0o644); err != nil {
+		if err := writeFile(*out, []byte(res.Text)); err != nil {
 			return die(err)
 		}
 	} else {
 		fmt.Print(res.Text)
 	}
 	if *jsonOut != "" {
-		if err := os.WriteFile(*jsonOut, res.JSON, 0o644); err != nil {
+		if err := writeFile(*jsonOut, res.JSON); err != nil {
 			return die(err)
 		}
 	}

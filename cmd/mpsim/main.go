@@ -32,30 +32,9 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mp"
 	"repro/internal/profiling"
-	"repro/internal/prog"
 	"repro/internal/splash"
 	"repro/internal/stats"
 )
-
-func parseScheme(s string) (core.Scheme, error) {
-	for sc := core.Scheme(0); int(sc) < core.NumSchemes; sc++ {
-		if sc.String() == s {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
-
-func yieldFor(s core.Scheme) prog.YieldMode {
-	switch s {
-	case core.Blocked, core.BlockedFast:
-		return prog.YieldSwitch
-	case core.Interleaved:
-		return prog.YieldBackoff
-	default:
-		return prog.YieldNone
-	}
-}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -102,7 +81,7 @@ func run(args []string) int {
 	}
 	defer stopProf()
 
-	sc, err := parseScheme(*scheme)
+	sc, err := core.ParseScheme(*scheme)
 	if err != nil {
 		return die(err)
 	}
@@ -135,14 +114,7 @@ func run(args []string) int {
 		cfg.LimitCycles = *limit
 		cfg.Guard = *gopts
 		cfg.Obs = obs.Options()
-		p := app.Program(splash.Options{
-			CodeBase:     0x0100_0000,
-			DataBase:     0x5000_0000,
-			Yield:        yieldFor(sc),
-			AutoTolerate: sc != core.Single,
-			NumThreads:   *procs * counts[i],
-			Steps:        *steps,
-		})
+		p := app.Program(splash.MPOptions(sc, *procs*counts[i], *steps, 0))
 		res, err := mp.RunCtx(ctx, p, cfg)
 		if err != nil {
 			return err

@@ -153,17 +153,21 @@ func tortureSpec() service.JobSpec {
 // baseline computes the fault-free single-process result the way
 // cmd/experiments would print it — the byte-identity reference.
 func baseline(spec service.JobSpec) (text string, jsonBytes []byte, err error) {
-	sel := experiments.Selection(spec.Only)
-	uni, err := experiments.RunUniprocessorCtx(context.Background(), *spec.Uni)
+	grids, _, err := experiments.Grids(spec.Only, spec.Uni, spec.MP)
 	if err != nil {
 		return "", nil, err
 	}
-	blob := map[string]any{"workstation": uni}
-	data, err := json.MarshalIndent(blob, "", "  ")
-	if err != nil {
-		return "", nil, err
+	blob := map[string]any{}
+	for _, g := range grids {
+		rep, err := g.Run(context.Background(), nil)
+		if err != nil {
+			return "", nil, err
+		}
+		text += rep.Text
+		blob[g.Name()] = rep.Value
 	}
-	return experiments.RenderUniSections(sel, uni), data, nil
+	jsonBytes, err = json.MarshalIndent(blob, "", "  ")
+	return text, jsonBytes, err
 }
 
 // firedString renders a fired-class tally compactly and stably.

@@ -38,15 +38,6 @@ import (
 	"repro/internal/workstation"
 )
 
-func parseScheme(s string) (core.Scheme, error) {
-	for sc := core.Scheme(0); int(sc) < core.NumSchemes; sc++ {
-		if sc.String() == s {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q (single, blocked, blocked-fast, interleaved, fine-grained)", s)
-}
-
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
@@ -92,7 +83,7 @@ func run(args []string) int {
 	}
 	defer stopProf()
 
-	sc, err := parseScheme(*scheme)
+	sc, err := core.ParseScheme(*scheme)
 	if err != nil {
 		return die(err)
 	}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 
 	"repro/internal/guard"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/metrics"
+	"repro/internal/prog"
 )
 
 // Scheme selects the context-multiplexing policy (paper §2-3).
@@ -47,6 +49,29 @@ func (s Scheme) String() string {
 		return schemeNames[s]
 	}
 	return "scheme(?)"
+}
+
+// ParseScheme is the inverse of String, for the commands' -scheme flags.
+func ParseScheme(name string) (Scheme, error) {
+	for s, n := range schemeNames {
+		if n == name {
+			return Scheme(s), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q (%s)", name, strings.Join(schemeNames[:], ", "))
+}
+
+// YieldMode maps a scheme to the latency-tolerance instruction its
+// compilation uses.
+func (s Scheme) YieldMode() prog.YieldMode {
+	switch s {
+	case Blocked, BlockedFast:
+		return prog.YieldSwitch
+	case Interleaved:
+		return prog.YieldBackoff
+	default:
+		return prog.YieldNone
+	}
 }
 
 // Config parameterizes a processor.

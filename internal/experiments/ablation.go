@@ -106,11 +106,7 @@ func RunAblationsCtx(ctx context.Context, cfg UniConfig) (*AblationResult, error
 		if sp.variant >= 0 {
 			scheme, contexts = variants[sp.variant].scheme, 4
 		}
-		wcfg := workstation.DefaultConfig(scheme, contexts)
-		wcfg.OS.SliceCycles = cfg.SliceCycles
-		wcfg.WarmupRotations = cfg.WarmupRotations
-		wcfg.MeasureRotations = cfg.MeasureRotations
-		wcfg.Seed = DeriveSeed(cfg.Seed, i)
+		wcfg := cfg.cellConfig(scheme, contexts, DeriveSeed(cfg.Seed, i))
 		if sp.variant >= 0 && variants[sp.variant].mutate != nil {
 			variants[sp.variant].mutate(&wcfg)
 		}

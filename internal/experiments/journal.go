@@ -12,11 +12,8 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/faultfs"
-	"repro/internal/metrics"
 	"repro/internal/snapshot"
-	"repro/internal/workstation"
 )
 
 // Exit codes shared by the simulation commands, documented in
@@ -43,15 +40,6 @@ const (
 // into config identity (hashed, hard error on mismatch) and binary
 // identity (recorded in the header, checked separately, overridable).
 const JournalVersion = 2
-
-// Grid names tagging journal cell records, so one journal can hold both
-// grids of a cmd/experiments run without index collisions. Exported
-// because the distributed experiment service addresses cells by
-// (grid, index) across the wire with the same keys.
-const (
-	GridWorkstation    = "workstation"
-	GridMultiprocessor = "multiprocessor"
-)
 
 // Fingerprint identifies what a journal was recorded under, in two
 // parts with different severities:
@@ -137,7 +125,8 @@ func (fp Fingerprint) Hash() string {
 // main module version plus the VCS revision when the build recorded one.
 // Test binaries and `go run` builds without VCS stamping all report
 // "(devel)", which is correct — they are rebuilt from the same tree.
-func binaryVersion() string {
+// Read once: a worker resolves a spec, fingerprint included, per lease.
+var binaryVersion = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "unknown"
@@ -152,7 +141,7 @@ func binaryVersion() string {
 		v = "unknown"
 	}
 	return v
-}
+})
 
 // FingerprintError is the hard, diagnosable error OpenJournal returns
 // when a journal was recorded under a different configuration or binary;
@@ -195,37 +184,6 @@ type journalLine struct {
 	Grid    string          `json:"grid,omitempty"`
 	Index   int             `json:"index,omitempty"`
 	Data    json.RawMessage `json:"data,omitempty"`
-}
-
-// UniCellRecord is the journaled outcome of one workstation grid cell —
-// everything RunUniprocessorCtx needs to rebuild the cell without
-// re-simulating. Failed cells are journaled too (Result nil), so a
-// resume does not re-run a deterministic failure. It is also the wire
-// form a service worker reports for a workstation cell.
-type UniCellRecord struct {
-	Result     *workstation.Result `json:"result,omitempty"`
-	Failed     bool                `json:"failed,omitempty"`
-	Failure    string              `json:"failure,omitempty"`
-	Diagnostic string              `json:"diagnostic,omitempty"`
-	Retried    bool                `json:"retried,omitempty"`
-}
-
-// MPCellRecord is the journaled outcome of one multiprocessor grid cell.
-// It mirrors mp.Result minus the functional memory image (megabytes per
-// cell, and MPCell only consumes the digest). It is also the wire form
-// a service worker reports for a multiprocessor cell.
-type MPCellRecord struct {
-	Cycles     int64                `json:"cycles,omitempty"`
-	Completed  bool                 `json:"completed,omitempty"`
-	Stats      core.Stats           `json:"stats"`
-	Threads    int                  `json:"threads,omitempty"`
-	MemHash    uint64               `json:"memHash,omitempty"`
-	ArchHash   uint64               `json:"archHash,omitempty"`
-	Metrics    *metrics.CellMetrics `json:"metrics,omitempty"`
-	Failed     bool                 `json:"failed,omitempty"`
-	Failure    string               `json:"failure,omitempty"`
-	Diagnostic string               `json:"diagnostic,omitempty"`
-	Retried    bool                 `json:"retried,omitempty"`
 }
 
 type journalKey struct {

@@ -146,7 +146,7 @@ func TestJournalReplaysFailedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record(GridWorkstation, 3, UniCellRecord{Failed: true, Failure: "watchdog: wedged", Retried: true})
+	j.Record(GridWorkstation, 3, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "watchdog: wedged", Retried: true}})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestJournalCorruptionTolerance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			j.Record(GridWorkstation, i, UniCellRecord{Failed: true, Failure: fmt.Sprintf("cell %d", i)})
+			j.Record(GridWorkstation, i, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: fmt.Sprintf("cell %d", i)}})
 		}
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestJournalCorruptionTolerance(t *testing.T) {
 			}
 			// The torn tail is gone and the journal accepts appends on a
 			// clean record boundary: append one cell, close, reopen.
-			j.Record(GridWorkstation, 40+tc.cells, UniCellRecord{Failed: true, Failure: "appended"})
+			j.Record(GridWorkstation, 40+tc.cells, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "appended"}})
 			if err := j.Err(); err != nil {
 				t.Fatalf("append after recovery: %v", err)
 			}
@@ -361,7 +361,7 @@ func TestJournalBinaryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record(GridWorkstation, 2, UniCellRecord{Failed: true, Failure: "recorded by writer"})
+	j.Record(GridWorkstation, 2, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "recorded by writer"}})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -456,12 +456,12 @@ func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record(GridWorkstation, 0, UniCellRecord{Failed: true, Failure: "cell 0"})
-	j.Record(GridWorkstation, 1, UniCellRecord{Failed: true, Failure: "cell 1"})
+	j.Record(GridWorkstation, 0, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 0"}})
+	j.Record(GridWorkstation, 1, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 1"}})
 	if err := j.Err(); err != nil {
 		t.Fatalf("clean appends errored: %v", err)
 	}
-	j.Record(GridWorkstation, 2, UniCellRecord{Failed: true, Failure: "cell 2"})
+	j.Record(GridWorkstation, 2, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 2"}})
 
 	var ae *AppendError
 	if err := j.Err(); !errors.As(err, &ae) {
@@ -477,7 +477,7 @@ func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 		t.Error("un-durable cell entered the replay map")
 	}
 	// Sticky: later appends are refused outright.
-	j.Record(GridWorkstation, 3, UniCellRecord{Failed: true, Failure: "cell 3"})
+	j.Record(GridWorkstation, 3, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 3"}})
 	if _, ok := j.ReplayRaw(GridWorkstation, 3); ok {
 		t.Error("append after sticky error was accepted")
 	}
@@ -503,7 +503,7 @@ func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 		t.Error("cell with failed sync survived the crash")
 	}
 	// And the recovered journal appends cleanly where it left off.
-	j2.Record(GridWorkstation, 2, UniCellRecord{Failed: true, Failure: "cell 2 rerun"})
+	j2.Record(GridWorkstation, 2, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 2 rerun"}})
 	if err := j2.Err(); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
@@ -524,8 +524,8 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record(GridWorkstation, 0, UniCellRecord{Failed: true, Failure: "cell 0"})
-	j.Record(GridWorkstation, 1, UniCellRecord{Failed: true, Failure: "cell 1"})
+	j.Record(GridWorkstation, 0, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 0"}})
+	j.Record(GridWorkstation, 1, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 1"}})
 	var ae *AppendError
 	if err := j.Err(); !errors.As(err, &ae) || ae.Index != 1 {
 		t.Fatalf("Err() = %v, want *AppendError for cell 1", err)
@@ -539,7 +539,7 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	if got := j2.Cells(); got != 1 {
 		t.Fatalf("recovered %d cells, want 1", got)
 	}
-	j2.Record(GridWorkstation, 1, UniCellRecord{Failed: true, Failure: "cell 1 rerun"})
+	j2.Record(GridWorkstation, 1, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 1 rerun"}})
 	if err := j2.Err(); err != nil {
 		t.Fatalf("append after torn-tail truncation: %v", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/metrics"
 	"repro/internal/mp"
-	"repro/internal/prog"
 	"repro/internal/splash"
 	"repro/internal/stats"
 )
@@ -91,28 +90,11 @@ type MPCell struct {
 	Breakdown core.Breakdown
 	Completed bool
 
-	// Failed marks a cell whose simulation errored (watchdog trip,
-	// invariant violation, cycle-budget exhaustion, panic); Failure is
-	// the one-line error and Diagnostic the structured dump when one was
-	// attached. The rest of the grid is unaffected (graceful degradation).
-	Failed     bool
-	Failure    string
-	Diagnostic string
-
-	// Retried marks a cell whose first attempt tripped the liveness
-	// watchdog and was deterministically re-run at a doubled cycle and
-	// watchdog budget; the recorded outcome is the retry's.
-	Retried bool `json:",omitempty"`
-
-	// Skipped marks a cell that never completed because the run was
-	// interrupted (SIGINT/SIGTERM drain or first-error cancellation).
-	// Skipped cells carry no measurement and no failure diagnosis.
-	Skipped bool `json:",omitempty"`
-
-	// Metrics is the cell's observability record, nil unless MPConfig.Obs
-	// enabled instrumentation.
-	Metrics *metrics.CellMetrics `json:",omitempty"`
+	CellStatus
 }
+
+func (c MPCell) at() cellSpec   { return cellSpec{c.App, c.Scheme, c.Contexts} }
+func (c MPCell) ratio() float64 { return c.Speedup }
 
 // MPResult holds the full multiprocessor evaluation.
 type MPResult struct {
@@ -128,12 +110,7 @@ type MPResult struct {
 
 // Cell returns the measurement for (app, scheme, contexts).
 func (r *MPResult) Cell(app string, s core.Scheme, n int) (MPCell, bool) {
-	for _, c := range r.Cells {
-		if c.App == app && c.Scheme == s && c.Contexts == n {
-			return c, true
-		}
-	}
-	return MPCell{}, false
+	return findCell(r.Cells, cellSpec{app, s, n})
 }
 
 // MeanSpeedup is the geometric mean across apps for (scheme, contexts).
@@ -142,326 +119,156 @@ func (r *MPResult) MeanSpeedup(s core.Scheme, n int) float64 {
 	return m
 }
 
-// MeanSpeedupN additionally reports coverage: used is the number of cells
-// that entered the mean, total the number of (s, n) cells in the grid.
-// Failed cells and cells without a positive speedup (e.g. a lost
-// baseline) are excluded from the mean rather than dragged in as zeros.
+// MeanSpeedupN additionally reports coverage; see meanRatio.
 func (r *MPResult) MeanSpeedupN(s core.Scheme, n int) (mean float64, used, total int) {
-	var xs []float64
-	for _, c := range r.Cells {
-		if c.Scheme == s && c.Contexts == n {
-			total++
-			if !c.Failed && !c.Skipped {
-				xs = append(xs, c.Speedup)
-			}
-		}
-	}
-	mean, skipped := stats.GeoMean(xs)
-	return mean, len(xs) - skipped, total
+	return meanRatio(r.Cells, s, n)
 }
 
-// mpSpec addresses one cell of the multiprocessor grid; like uniSpec,
-// the index into mpSpecs(cfg) is the cell's identity everywhere.
-type mpSpec struct {
-	name     string
-	app      splash.App
-	scheme   core.Scheme
-	contexts int
+// MPCellRecord is the journaled outcome of one multiprocessor grid cell
+// and the wire form a service worker reports for it. It mirrors
+// mp.Result minus the functional memory image (megabytes per cell, and
+// MPCell only consumes the digest). A failed cell is not Completed.
+type MPCellRecord struct {
+	Cycles    int64                `json:"cycles,omitempty"`
+	Completed bool                 `json:"completed,omitempty"`
+	Stats     core.Stats           `json:"stats"`
+	Threads   int                  `json:"threads,omitempty"`
+	MemHash   uint64               `json:"memHash,omitempty"`
+	ArchHash  uint64               `json:"archHash,omitempty"`
+	Metrics   *metrics.CellMetrics `json:"metrics,omitempty"`
+	CellOutcome
 }
 
-// mpSpecs enumerates cfg's grid in its canonical order: per app, the
-// single-context baseline first, then schemes × context counts.
-func mpSpecs(cfg MPConfig) ([]mpSpec, error) {
-	appNames := cfg.Apps
-	if appNames == nil {
-		appNames = MPAppOrder
+func (cfg MPConfig) apps() []string {
+	if cfg.Apps == nil {
+		return MPAppOrder
 	}
-	var specs []mpSpec
-	for _, name := range appNames {
-		app, err := splash.Lookup(name)
+	return cfg.Apps
+}
+
+// multiprocessorGrid is the Table 10 evaluation: the subjects are the
+// SPLASH-like applications, a cell's ratio its application's
+// single-context execution time over its own.
+var multiprocessorGrid = &machine[MPConfig, MPCellRecord, MPCell, MPResult]{
+	name: GridMultiprocessor,
+	sections: []section[MPResult]{
+		{"table10", func(r *MPResult) string { return FormatTable10(r) + "\n\n" }},
+		{"fig8", func(r *MPResult) string { return FormatMPFigure(r, core.Blocked, 8) + "\n" }},
+		{"fig9", func(r *MPResult) string { return FormatMPFigure(r, core.Interleaved, 9) + "\n" }},
+	},
+	design: func(cfg MPConfig) design {
+		return design{subjects: cfg.apps(), schemes: cfg.Schemes, contexts: cfg.ContextCounts,
+			seed: cfg.Seed, parallelism: cfg.Parallelism, timeout: cfg.CellTimeout, guard: cfg.Guard}
+	},
+	lookup: func(app string) error {
+		_, err := splash.Lookup(app)
+		return err
+	},
+	attempt: func(ctx context.Context, cfg MPConfig, a cellAttempt) (*MPCellRecord, error) {
+		app, err := splash.Lookup(a.subject)
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, mpSpec{name, app, core.Single, 1})
-		for _, s := range cfg.Schemes {
-			for _, n := range cfg.ContextCounts {
-				specs = append(specs, mpSpec{name, app, s, n})
-			}
+		return mpAttempt(ctx, cfg, app, a)
+	},
+	outcome:  func(rec *MPCellRecord) *CellOutcome { return &rec.CellOutcome },
+	measured: func(rec *MPCellRecord) bool { return rec.Completed },
+	cell: func(sp cellSpec, st CellStatus, rec, base *MPCellRecord) MPCell {
+		c := MPCell{App: sp.subject, Scheme: sp.scheme, Contexts: sp.contexts, CellStatus: st}
+		if rec == nil {
+			return c
 		}
+		c.Cycles = rec.Cycles
+		c.Breakdown = rec.Stats.Breakdown()
+		c.Completed = true
+		c.Metrics = rec.Metrics
+		if sp.baseline() {
+			c.Speedup = 1
+		} else if base != nil && base.Cycles > 0 && rec.Cycles > 0 {
+			c.Speedup = float64(base.Cycles) / float64(rec.Cycles)
+		}
+		return c
+	},
+	result: func(cfg MPConfig, t tally[MPCell]) *MPResult {
+		return &MPResult{Cfg: cfg, Cells: t.cells, Failures: t.failures, Skipped: t.skipped}
+	},
+}
+
+// mpAttempt runs one attempt of a multiprocessor cell on app — the
+// cell's, except in tests that substitute their own. An escalated re-run
+// doubles the cycle limit as well (and with it the default
+// LimitCycles/20 watchdog window); running into the limit itself is not
+// a budget trip and is not retried — the cell already ran that far.
+func mpAttempt(ctx context.Context, cfg MPConfig, app splash.App, a cellAttempt) (*MPCellRecord, error) {
+	mcfg := mp.DefaultConfig(a.scheme, a.contexts)
+	mcfg.Processors = cfg.Processors
+	mcfg.LimitCycles = guard.Escalate(cfg.LimitCycles, a.escalation)
+	mcfg.Coherence.Seed = a.seed
+	mcfg.Guard = a.guard
+	mcfg.Obs = cfg.Obs
+	p := app.Program(splash.MPOptions(a.scheme, cfg.Processors*a.contexts, cfg.Steps, cfg.Scale))
+	r, err := mp.RunCtx(ctx, p, mcfg)
+	if err != nil {
+		return nil, err
 	}
-	return specs, nil
+	if !r.Completed {
+		err := fmt.Errorf("%s under %v/%d exceeded the cycle limit", a.subject, a.scheme, a.contexts)
+		if r.Diag != nil {
+			// Carry the limit-time machine dump into the cell's
+			// Diagnostic so the degraded grid reports where the cell
+			// was wedged.
+			return nil, guard.NewSimError("experiments.budget", err).At(r.Diag.Cycle).WithDiag(r.Diag)
+		}
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return &MPCellRecord{Cycles: r.Cycles, Completed: r.Completed, Stats: r.Stats,
+		Threads: r.Threads, MemHash: r.MemHash, ArchHash: r.ArchHash, Metrics: r.Metrics}, nil
 }
 
 // MPGridSize returns the number of cells in cfg's multiprocessor grid —
 // the valid index range for RunMPCell and AssembleMP.
-func MPGridSize(cfg MPConfig) (int, error) {
-	specs, err := mpSpecs(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return len(specs), nil
-}
+func MPGridSize(cfg MPConfig) (int, error) { return multiprocessorGrid.size(cfg) }
 
 // RunMPCell simulates one cell of cfg's multiprocessor grid and returns
-// its journal/wire record — the single copy of the per-cell policy, as
-// RunUniCell is for the workstation grid. A liveness-watchdog trip or
-// per-cell deadline is retried once at doubled budgets (cycle limit and
-// watchdog window both double); cycle-budget exhaustion is NOT retried —
-// the cell already ran to the configured limit. The only non-nil error
-// returns are a bad index and a cancellation of ctx itself.
+// its journal/wire record, under the per-cell policy every driver shares
+// (grid.runCell). The only non-nil error returns are a bad index and a
+// cancellation of ctx itself.
 func RunMPCell(ctx context.Context, cfg MPConfig, index int) (*MPCellRecord, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	specs, err := mpSpecs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if index < 0 || index >= len(specs) {
-		return nil, fmt.Errorf("experiments: multiprocessor cell %d outside grid [0,%d)", index, len(specs))
-	}
-	return runMPCellSpec(ctx, cfg, index, specs[index])
-}
-
-func runMPCellSpec(ctx context.Context, cfg MPConfig, i int, sp mpSpec) (*MPCellRecord, error) {
-	attempt := func(attempt int) (*mp.Result, error) {
-		mcfg := mp.DefaultConfig(sp.scheme, sp.contexts)
-		mcfg.Processors = cfg.Processors
-		mcfg.LimitCycles = cfg.LimitCycles
-		mcfg.Coherence.Seed = DeriveSeed(cfg.Seed, i)
-		mcfg.Guard = cellGuard(cfg.Guard, i)
-		mcfg.Obs = cfg.Obs
-		if attempt > 1 {
-			// Escalate both budgets: the cycle limit (which also doubles the
-			// default LimitCycles/20 watchdog window) and any explicit
-			// window from the flags.
-			mcfg.LimitCycles = guard.Escalate(mcfg.LimitCycles, attempt-1)
-			if mcfg.Guard.WatchdogWindow > 0 {
-				mcfg.Guard.WatchdogWindow = guard.Escalate(mcfg.Guard.WatchdogWindow, attempt-1)
-			}
-		}
-		p := sp.app.Program(splash.Options{
-			CodeBase:     0x0100_0000,
-			DataBase:     0x5000_0000,
-			Yield:        workstationYield(sp.scheme),
-			AutoTolerate: sp.scheme != core.Single,
-			NumThreads:   cfg.Processors * sp.contexts,
-			Steps:        cfg.Steps,
-			Scale:        cfg.Scale,
-		})
-		cellCtx, cancel, budget := withCellDeadline(ctx, cfg.CellTimeout, attempt)
-		defer cancel()
-		r, err := mp.RunCtx(cellCtx, p, mcfg)
-		if err != nil {
-			return nil, classifyDeadline(ctx, cellCtx, budget, err)
-		}
-		if !r.Completed {
-			err := fmt.Errorf("%s under %v/%d exceeded the cycle limit", sp.name, sp.scheme, sp.contexts)
-			if r.Diag != nil {
-				// Carry the limit-time machine dump into the cell's
-				// Diagnostic so the degraded grid reports where the cell
-				// was wedged.
-				return nil, guard.NewSimError("experiments.budget", err).At(r.Diag.Cycle).WithDiag(r.Diag)
-			}
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		return r, nil
-	}
-	policy := guard.GridRetry()
-	retried := false
-	var r *mp.Result
-	var err error
-	for n := 1; ; n++ {
-		r, err = attempt(n)
-		if err == nil || !guard.IsBudgetTrip(err) || ctx.Err() != nil || !policy.Allowed(n+1) {
-			break
-		}
-		retried = true
-	}
-	if err != nil {
-		if guard.IsCancellation(err) && ctx.Err() != nil {
-			return nil, err // drained mid-cell: renders as SKIP, not journaled
-		}
-		rec := &MPCellRecord{Failed: true, Retried: retried}
-		rec.Failure, rec.Diagnostic = failureStrings(err)
-		return rec, nil
-	}
-	return &MPCellRecord{Cycles: r.Cycles, Completed: r.Completed, Stats: r.Stats,
-		Threads: r.Threads, MemHash: r.MemHash, ArchHash: r.ArchHash,
-		Metrics: r.Metrics, Retried: retried}, nil
+	return multiprocessorGrid.runCell(ctx, cfg, index)
 }
 
 // AssembleMP folds index-ordered cell records into the evaluation
 // result: speedups against each app's single-context baseline, failure
-// and skip counts. A nil record renders as SKIP. Assembly is pure; see
-// AssembleUni.
+// and skip counts (grid.tabulate). A nil record renders as SKIP.
 func AssembleMP(cfg MPConfig, recs []*MPCellRecord) (*MPResult, error) {
-	specs, err := mpSpecs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) != len(specs) {
-		return nil, fmt.Errorf("experiments: multiprocessor grid has %d cells, got %d records", len(specs), len(recs))
-	}
-	res := &MPResult{Cfg: cfg}
-	var baseCycles int64
-	for i, sp := range specs {
-		rec := recs[i]
-		cell := MPCell{App: sp.name, Scheme: sp.scheme, Contexts: sp.contexts}
-		isBase := sp.scheme == core.Single && sp.contexts == 1
-		switch {
-		case rec == nil:
-			// The run was interrupted before this cell completed.
-			cell.Skipped = true
-			res.Skipped++
-			if isBase {
-				baseCycles = 0
-			}
-		case rec.Failed:
-			// The cell failed (watchdog, deadline, invariant, cycle budget,
-			// panic): record it and keep going. A failed baseline zeroes its
-			// app's speedups but costs nothing else.
-			cell.Retried = rec.Retried
-			cell.Failed = true
-			cell.Failure, cell.Diagnostic = rec.Failure, rec.Diagnostic
-			res.Failures++
-			if isBase {
-				baseCycles = 0
-			}
-		default:
-			cell.Retried = rec.Retried
-			cell.Cycles = rec.Cycles
-			cell.Breakdown = rec.Stats.Breakdown()
-			cell.Completed = true
-			cell.Metrics = rec.Metrics
-			if isBase {
-				baseCycles = rec.Cycles
-				cell.Speedup = 1
-			} else if baseCycles > 0 && rec.Cycles > 0 {
-				cell.Speedup = float64(baseCycles) / float64(rec.Cycles)
-			}
-		}
-		res.Cells = append(res.Cells, cell)
-	}
-	return res, nil
+	return multiprocessorGrid.assemble(cfg, recs)
 }
 
-// RunMultiprocessor runs the full multiprocessor evaluation. Like
-// RunUniprocessor, the (app, scheme, contexts) cells are independent
-// simulations, so they fan out across cfg.Parallelism workers with
-// per-cell derived seeds and index-ordered result collection: output is
-// byte-identical at every parallelism level.
+// RenderMPSections renders the multiprocessor sections the selection
+// asks for, byte-identical to what cmd/experiments prints for them.
+func RenderMPSections(sel func(string) bool, mpr *MPResult) string {
+	return multiprocessorGrid.render(sel, mpr)
+}
+
+// RunMultiprocessor runs the full multiprocessor evaluation.
 func RunMultiprocessor(cfg MPConfig) (*MPResult, error) {
 	return RunMultiprocessorCtx(context.Background(), cfg)
 }
 
 // RunMultiprocessorCtx is RunMultiprocessor with cancellation and
-// journaling: cancelling ctx drains the grid (queued cells never start,
-// running cells stop within one lockstep block, both render as SKIP),
-// and a cfg.Journal replays completed cells from a previous run and
-// records new ones durably. A cell whose first attempt trips the
-// liveness watchdog is retried once at a doubled cycle and watchdog
-// budget with the same derived seed; cycle-budget exhaustion is NOT
-// retried — it already ran to the configured limit.
+// journaling (grid.run): cancelling ctx drains the grid — running cells
+// stop within one lockstep block — and a cfg.Journal replays completed
+// cells from a previous run and records new ones durably.
 func RunMultiprocessorCtx(ctx context.Context, cfg MPConfig) (*MPResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	specs, err := mpSpecs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	j := cfg.Journal
-	recs := make([]*MPCellRecord, len(specs))
-	failures := runCellsAll(ctx, cfg.Parallelism, len(specs), func(ctx context.Context, i int) error {
-		var rec MPCellRecord
-		if j.Replay(GridMultiprocessor, i, &rec) {
-			recs[i] = &rec
-			return nil
-		}
-		out, err := runMPCellSpec(ctx, cfg, i, specs[i])
-		if err != nil {
-			return nil // drained mid-cell: renders as SKIP, not journaled
-		}
-		recs[i] = out
-		j.Record(GridMultiprocessor, i, out)
-		return nil
-	})
-	// Failures escaping the per-cell classification above are panics
-	// recovered by the pool; fold them in as failed cells.
-	for _, f := range failures {
-		rec := &MPCellRecord{Failed: true}
-		rec.Failure, rec.Diagnostic = failureStrings(f.Err)
-		recs[f.Index] = rec
-		j.Record(GridMultiprocessor, f.Index, rec)
-	}
-	res, err := AssembleMP(cfg, recs)
-	if err != nil {
-		return nil, err
-	}
-	if err := j.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func workstationYield(s core.Scheme) prog.YieldMode {
-	switch s {
-	case core.Blocked, core.BlockedFast:
-		return prog.YieldSwitch
-	case core.Interleaved:
-		return prog.YieldBackoff
-	default:
-		return prog.YieldNone
-	}
+	return multiprocessorGrid.run(ctx, cfg, cfg.Journal)
 }
 
 // FormatTable10 renders the paper's Table 10: application speedup due to
 // multiple contexts.
 func FormatTable10(r *MPResult) string {
-	var b strings.Builder
-	b.WriteString("Table 10: Application speedup due to multiple contexts\n")
-	b.WriteString("(execution time relative to the single-context processor)\n\n")
-	appNames := r.Cfg.Apps
-	if appNames == nil {
-		appNames = MPAppOrder
-	}
-	header := append([]string{"Contexts", "Scheme"}, appNames...)
-	header = append(header, "Mean")
-	t := stats.NewTable(header...)
-	var usedSum, totalSum int
-	for _, n := range r.Cfg.ContextCounts {
-		for _, s := range []core.Scheme{core.Interleaved, core.Blocked} {
-			row := []string{fmt.Sprintf("%d", n), s.String()}
-			found := false
-			for _, a := range appNames {
-				if c, ok := r.Cell(a, s, n); ok {
-					switch {
-					case c.Skipped:
-						row = append(row, "SKIP")
-					case c.Failed:
-						row = append(row, "FAIL")
-					default:
-						row = append(row, stats.Ratio(c.Speedup))
-					}
-					found = true
-				} else {
-					row = append(row, "-")
-				}
-			}
-			if !found {
-				continue
-			}
-			mean, used, total := r.MeanSpeedupN(s, n)
-			usedSum += used
-			totalSum += total
-			row = append(row, stats.Ratio(mean))
-			t.AddRow(row...)
-		}
-	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "\nMean: geometric mean over cells with a positive speedup (%d of %d cells).\n", usedSum, totalSum)
-	return b.String()
+	return formatRatioTable("Table 10: Application speedup due to multiple contexts\n"+
+		"(execution time relative to the single-context processor)\n\n",
+		"speedup", r.Cfg.apps(), r.Cfg.ContextCounts, r.Cells)
 }
 
 // FormatMPFigure renders Figure 8 (blocked) or Figure 9 (interleaved): the
@@ -470,11 +277,7 @@ func FormatMPFigure(r *MPResult, scheme core.Scheme, figure int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %d: execution time breakdown, %s scheme\n", figure, scheme)
 	b.WriteString("(bar length = time relative to 1 context; B=busy s=short stall l=long stall M=memory Y=sync S=switch)\n\n")
-	appNames := r.Cfg.Apps
-	if appNames == nil {
-		appNames = MPAppOrder
-	}
-	for _, a := range appNames {
+	for _, a := range r.Cfg.apps() {
 		base, ok := r.Cell(a, core.Single, 1)
 		if !ok || base.Failed || base.Skipped || base.Cycles == 0 {
 			if ok && base.Skipped {

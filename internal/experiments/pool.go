@@ -58,12 +58,51 @@ func NewPool(parallelism int) *Pool {
 // Workers reports the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// poolError carries the failing cell's index so Run can report the
-// lowest-indexed failure — the same error a serial run would hit first —
-// regardless of completion order.
-type poolError struct {
-	index int
-	err   error
+// dispatch is the pool's one loop: task(ctx, i) for every i in [0, n), at
+// most p.workers at a time, every genuine failure handed to failed (one
+// call at a time). A cancelled ctx drains it — queued cells never start —
+// and a cell the cancellation stopped mid-run surfaces a cancellation
+// artifact, which is not a failure and is dropped: reported, a cancelled
+// low-index cell would mask the failure that caused the cancellation. A
+// panicking task is recovered and surfaced as that cell's failure, so
+// one diverging simulation cannot take down the whole run. One worker
+// runs every task inline on the caller's goroutine.
+func (p *Pool) dispatch(ctx context.Context, n int, task func(ctx context.Context, i int) error, failed func(i int, err error)) {
+	call := callRecovered(task)
+	var mu sync.Mutex
+	cell := func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		if err := call(ctx, i); err != nil && !(guard.IsCancellation(err) && ctx.Err() != nil) {
+			mu.Lock()
+			failed(i, err)
+			mu.Unlock()
+		}
+	}
+	workers := min(p.workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			cell(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				cell(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 }
 
 // Run executes task(ctx, i) for every i in [0, n), at most p.workers at a
@@ -73,86 +112,23 @@ type poolError struct {
 // The lowest-indexed failure observed — the error a serial run would hit
 // first — cancels the context handed to the remaining tasks and is
 // returned after all started workers drain; queued cells that have not
-// started are skipped. A panicking task
-// is recovered and surfaced as that cell's error, so one diverging
-// simulation cannot take down the whole experiment run.
+// started are skipped. With no failure, Run reports ctx's own
+// cancellation, if any.
 func (p *Pool) Run(ctx context.Context, n int, task func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if n <= 0 {
-		return ctx.Err()
-	}
-	call := callRecovered(task)
-
-	if p.workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := call(ctx, i); err != nil {
-				// A cell stopped by the caller's cancellation is not a
-				// cell failure; report the drain itself.
-				if guard.IsCancellation(err) && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return err
-			}
-		}
-		return nil
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first *poolError
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if first == nil || i < first.index {
-			first = &poolError{index: i, err: err}
+	var first *CellError
+	p.dispatch(ctx, n, task, func(i int, err error) {
+		if first == nil || i < first.Index {
+			first = &CellError{Index: i, Err: err}
 		}
-		mu.Unlock()
 		cancel()
-	}
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain without running
-				}
-				if err := call(ctx, i); err != nil {
-					// When the shared context has been canceled (first
-					// failure, or an external drain), in-flight cells
-					// surface cancellation artifacts. Those must not
-					// reach fail(): a canceled low-index cell would
-					// otherwise mask the genuine lowest-indexed failure.
-					if guard.IsCancellation(err) && ctx.Err() != nil {
-						continue
-					}
-					fail(i, err)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
+	})
 	if first != nil {
-		return first.err
+		return first.Err
 	}
 	return ctx.Err()
 }
@@ -197,61 +173,10 @@ func (p *Pool) RunAll(ctx context.Context, n int, task func(ctx context.Context,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if n <= 0 {
-		return nil
-	}
-	call := callRecovered(task)
-
 	var failures []CellError
-	if p.workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break // graceful drain: stop dispatching queued cells
-			}
-			if err := call(ctx, i); err != nil {
-				if guard.IsCancellation(err) && ctx.Err() != nil {
-					continue // canceled mid-cell, not a cell failure
-				}
-				failures = append(failures, CellError{Index: i, Err: err})
-			}
-		}
-		return failures
-	}
-
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // graceful drain: skip queued cells
-				}
-				if err := call(ctx, i); err != nil {
-					if guard.IsCancellation(err) && ctx.Err() != nil {
-						continue // canceled mid-cell, not a cell failure
-					}
-					mu.Lock()
-					failures = append(failures, CellError{Index: i, Err: err})
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
+	p.dispatch(ctx, n, task, func(i int, err error) {
+		failures = append(failures, CellError{Index: i, Err: err})
+	})
 	sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
 	return failures
 }

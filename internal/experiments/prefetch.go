@@ -95,11 +95,7 @@ func RunPrefetchComparisonCtx(ctx context.Context, cfg UniConfig) (*PrefetchResu
 			v := variants[sp.variant]
 			scheme, contexts, mode = v.scheme, v.contexts, v.mode
 		}
-		wc := workstation.DefaultConfig(scheme, contexts)
-		wc.OS.SliceCycles = cfg.SliceCycles
-		wc.WarmupRotations = cfg.WarmupRotations
-		wc.MeasureRotations = cfg.MeasureRotations
-		wc.Seed = DeriveSeed(cfg.Seed, i)
+		wc := cfg.cellConfig(scheme, contexts, DeriveSeed(cfg.Seed, i))
 		wc.Cache.Prefetch = mode
 		r, err := workstation.RunCtx(ctx, sp.kernels, wc)
 		if err != nil {

@@ -1,17 +1,9 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
 	"strings"
-
-	"repro/internal/core"
 )
-
-// Section rendering shared by cmd/experiments and the distributed
-// experiment service. Byte-identity between a single-process run and a
-// distributed one is a correctness bar (the crash harness diffs the two),
-// so the exact bytes each section contributes to stdout live here, in one
-// copy, instead of being re-derived by each driver.
 
 // GridSections are the section names backed by the two grids — the
 // subset of cmd/experiments' -only vocabulary a distributed job can
@@ -19,57 +11,19 @@ import (
 var GridSections = []string{"table7", "fig6", "fig7", "table10", "fig8", "fig9"}
 
 // IsGridSection reports whether name is one of GridSections.
-func IsGridSection(name string) bool {
-	for _, s := range GridSections {
-		if s == name {
-			return true
+func IsGridSection(name string) bool { return slices.Contains(GridSections, name) }
+
+// ParseOnly splits an -only flag into the selection list every command
+// fingerprints and submits: trimmed, deduplicated, sorted; empty for "".
+func ParseOnly(flag string) []string {
+	var only []string
+	for _, name := range strings.Split(flag, ",") {
+		if name = strings.TrimSpace(name); name != "" && !slices.Contains(only, name) {
+			only = append(only, name)
 		}
 	}
-	return false
-}
-
-// NeedUni reports whether the selection requires the workstation grid.
-func NeedUni(sel func(string) bool) bool {
-	return sel("table7") || sel("fig6") || sel("fig7")
-}
-
-// NeedMP reports whether the selection requires the multiprocessor grid.
-func NeedMP(sel func(string) bool) bool {
-	return sel("table10") || sel("fig8") || sel("fig9")
-}
-
-// RenderUniSections renders the workstation sections the selection asks
-// for, byte-identical to what cmd/experiments prints for them.
-func RenderUniSections(sel func(string) bool, uni *UniResult) string {
-	var b strings.Builder
-	if sel("table7") {
-		fmt.Fprintln(&b, FormatTable7(uni))
-		fmt.Fprintln(&b)
-	}
-	if sel("fig6") {
-		fmt.Fprintln(&b, FormatFigure(uni, core.Blocked, 6))
-	}
-	if sel("fig7") {
-		fmt.Fprintln(&b, FormatFigure(uni, core.Interleaved, 7))
-	}
-	return b.String()
-}
-
-// RenderMPSections renders the multiprocessor sections the selection
-// asks for, byte-identical to what cmd/experiments prints for them.
-func RenderMPSections(sel func(string) bool, mpr *MPResult) string {
-	var b strings.Builder
-	if sel("table10") {
-		fmt.Fprintln(&b, FormatTable10(mpr))
-		fmt.Fprintln(&b)
-	}
-	if sel("fig8") {
-		fmt.Fprintln(&b, FormatMPFigure(mpr, core.Blocked, 8))
-	}
-	if sel("fig9") {
-		fmt.Fprintln(&b, FormatMPFigure(mpr, core.Interleaved, 9))
-	}
-	return b.String()
+	slices.Sort(only)
+	return only
 }
 
 // Selection turns an -only style list into the selector the renderers

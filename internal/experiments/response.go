@@ -14,7 +14,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/prog"
 	"repro/internal/stats"
-	"repro/internal/workstation"
 )
 
 // The paper's §5.1 closing argument: "many workstations run with one large
@@ -138,7 +137,7 @@ func RunResponseCtx(ctx context.Context, cfg ResponseConfig) (*ResponseResult, e
 		bgProg := bg.Program(apps.Options{
 			CodeBase: 0x0100_0000,
 			DataBase: 0x4000_0000,
-			Yield:    workstation.YieldModeFor(d.scheme),
+			Yield:    d.scheme.YieldMode(),
 		})
 
 		fm := mem.New()

@@ -50,25 +50,27 @@ func TestCellsDoNotWriteTheirPrograms(t *testing.T) {
 	uni.Schemes = allSchemes
 	uni.ContextCounts = []int{2}
 	uni.SliceCycles = 4_000
-	uspecs, err := uniSpecs(uni)
+	ug, err := workstationGrid.bind(uni)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sp := range uspecs {
+	for i, sp := range ug.cells {
 		var ps []linked
-		kernels := make([]apps.Kernel, len(sp.kernels))
-		for j, k := range sp.kernels {
+		own, err := ResolveWorkload(sp.subject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels := make([]apps.Kernel, len(own))
+		for j, k := range own {
 			kernels[j] = apps.Kernel{Name: k.Name, Build: func(o apps.Options) *prog.Program {
 				p := k.Build(o)
 				ps = append(ps, linked{p, p.Fingerprint()})
 				return p
 			}}
 		}
-		sp.kernels = kernels
-		label := "ws/" + sp.workload + "/" + sp.scheme.String()
-		rec, err := runUniCellSpec(ctx, uni, i, sp)
-		if err != nil || rec.Failed {
-			t.Fatalf("%s: %v %+v", label, err, rec)
+		label := "ws/" + sp.subject + "/" + sp.scheme.String()
+		if _, err := uniAttempt(ctx, uni, kernels, ug.attemptOf(i, 1)); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 		checkIntact(t, label, ps)
 	}
@@ -78,22 +80,24 @@ func TestCellsDoNotWriteTheirPrograms(t *testing.T) {
 	mpc.Processors = 2
 	mpc.Schemes = allSchemes
 	mpc.ContextCounts = []int{2}
-	mspecs, err := mpSpecs(mpc)
+	mg, err := multiprocessorGrid.bind(mpc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sp := range mspecs {
+	for i, sp := range mg.cells {
 		var ps []linked
-		app := sp.app
-		sp.app = splash.App{Name: app.Name, Racy: app.Racy, Build: func(o splash.Options) *prog.Program {
+		app, err := splash.Lookup(sp.subject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recording := splash.App{Name: app.Name, Racy: app.Racy, Build: func(o splash.Options) *prog.Program {
 			p := app.Build(o)
 			ps = append(ps, linked{p, p.Fingerprint()})
 			return p
 		}}
-		label := "mp/" + sp.name + "/" + sp.scheme.String()
-		rec, err := runMPCellSpec(ctx, mpc, i, sp)
-		if err != nil || rec.Failed {
-			t.Fatalf("%s: %v %+v", label, err, rec)
+		label := "mp/" + sp.subject + "/" + sp.scheme.String()
+		if _, err := mpAttempt(ctx, mpc, recording, mg.attemptOf(i, 1)); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 		checkIntact(t, label, ps)
 	}
@@ -152,18 +156,21 @@ func TestGridLinksEachProgramOnce(t *testing.T) {
 	// The memo bypassed: the same cells on kernels that are not declared
 	// shared, so Program is Build.
 	cfg := table7Grid(1)
-	specs, err := uniSpecs(cfg)
+	g, err := workstationGrid.bind(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]*UniCellRecord, len(specs))
-	for i, sp := range specs {
-		own := make([]apps.Kernel, len(sp.kernels))
-		for j, k := range sp.kernels {
+	recs := make([]*UniCellRecord, len(g.cells))
+	for i, sp := range g.cells {
+		shared, err := ResolveWorkload(sp.subject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := make([]apps.Kernel, len(shared))
+		for j, k := range shared {
 			own[j] = apps.Kernel{Name: k.Name, Build: k.Build}
 		}
-		sp.kernels = own
-		if recs[i], err = runUniCellSpec(context.Background(), cfg, i, sp); err != nil {
+		if recs[i], err = uniAttempt(context.Background(), cfg, own, g.attemptOf(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,16 +251,17 @@ func TestWarmCellAllocation(t *testing.T) {
 	defer prog.ResetShared()
 
 	uni := table7Grid(1)
-	uspecs, err := uniSpecs(uni)
+	ug, err := workstationGrid.bind(uni)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mpc := QuickMPConfig()
 	mpc.Apps = []string{"ocean"}
-	mspecs, err := mpSpecs(mpc)
+	mg, err := multiprocessorGrid.bind(mpc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	uspecs, mspecs := ug.cells, mg.cells
 	for _, c := range []struct {
 		name  string
 		limit uint64
@@ -290,8 +298,8 @@ func TestWarmCellAllocation(t *testing.T) {
 		}
 		t.Logf("%s: %d bytes warm", c.name, bytes)
 	}
-	if sp := uspecs[4]; sp.workload != "IC" || sp.scheme != core.Interleaved || sp.contexts != 4 {
-		t.Errorf("cell 4 of the grid is %s %v/%d", sp.workload, sp.scheme, sp.contexts)
+	if sp := uspecs[4]; sp.subject != "IC" || sp.scheme != core.Interleaved || sp.contexts != 4 {
+		t.Errorf("cell 4 of the grid is %s %v/%d", sp.subject, sp.scheme, sp.contexts)
 	}
 	if sp := mspecs[len(mspecs)-1]; sp.scheme != core.Interleaved || sp.contexts != 4 {
 		t.Errorf("last multiprocessor cell is %v/%d", sp.scheme, sp.contexts)

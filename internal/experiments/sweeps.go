@@ -47,15 +47,7 @@ func SwitchCostSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 	// every point sees the same scheduler-interference stream, so the
 	// curve isolates the swept parameter. The cells are still
 	// independent simulations and fan out through the pool.
-	var configs []workstation.Config
-	add := func(w workstation.Config) {
-		w.OS.SliceCycles = cfg.SliceCycles
-		w.WarmupRotations = cfg.WarmupRotations
-		w.MeasureRotations = cfg.MeasureRotations
-		w.Seed = cfg.Seed
-		configs = append(configs, w)
-	}
-	add(workstation.DefaultConfig(core.Single, 1))
+	configs := []workstation.Config{cfg.cellConfig(core.Single, 1, cfg.Seed)}
 	// Unit-step resolution: each extra point costs one measure phase, not
 	// a full warm-up, because every blocked cell forks from one shared
 	// warm-up checkpoint (the sweep ran {1,3,5,7,9} before forking made
@@ -65,11 +57,11 @@ func SwitchCostSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 		// The flush cost is a measurement-time override (not a base-config
 		// edit): warm-up runs at the default cost for every point, so all
 		// ten cells share one warm-up prefix and fork from one checkpoint.
-		w := workstation.DefaultConfig(core.Blocked, 4)
+		w := cfg.cellConfig(core.Blocked, 4, cfg.Seed)
 		w.Measure.BlockedFlushCost = cost
-		add(w)
+		configs = append(configs, w)
 	}
-	add(workstation.DefaultConfig(core.Interleaved, 4))
+	configs = append(configs, cfg.cellConfig(core.Interleaved, 4, cfg.Seed))
 
 	thr, err := sweepThroughputsShared(ctx, cfg, workload, kernels, configs)
 	if err != nil {
@@ -122,20 +114,12 @@ func ContextCountSweepCtx(ctx context.Context, cfg UniConfig, workload string) (
 	if err != nil {
 		return nil, err
 	}
-	mk := func(s core.Scheme, n int) workstation.Config {
-		w := workstation.DefaultConfig(s, n)
-		w.OS.SliceCycles = cfg.SliceCycles
-		w.WarmupRotations = cfg.WarmupRotations
-		w.MeasureRotations = cfg.MeasureRotations
-		w.Seed = cfg.Seed
-		return w
-	}
 	schemes := []core.Scheme{core.Blocked, core.Interleaved}
 	counts := []int{2, 4, 8}
-	configs := []workstation.Config{mk(core.Single, 1)}
+	configs := []workstation.Config{cfg.cellConfig(core.Single, 1, cfg.Seed)}
 	for _, s := range schemes {
 		for _, n := range counts {
-			configs = append(configs, mk(s, n))
+			configs = append(configs, cfg.cellConfig(s, n, cfg.Seed))
 		}
 	}
 	// The context count is structural — it shapes the warm-up itself —
@@ -204,15 +188,7 @@ func RemoteLatencySweepCtx(ctx context.Context, cfg MPConfig, app string) (*Swee
 		mcfg.Coherence.RemoteHigh = int(float64(mcfg.Coherence.RemoteHigh) * sp.scale)
 		mcfg.Coherence.DirtyLow = int(float64(mcfg.Coherence.DirtyLow) * sp.scale)
 		mcfg.Coherence.DirtyHigh = int(float64(mcfg.Coherence.DirtyHigh) * sp.scale)
-		p := a.Program(splash.Options{
-			CodeBase:     0x0100_0000,
-			DataBase:     0x5000_0000,
-			Yield:        workstationYield(sp.scheme),
-			AutoTolerate: sp.scheme != core.Single,
-			NumThreads:   cfg.Processors * sp.contexts,
-			Steps:        cfg.Steps,
-			Scale:        cfg.Scale,
-		})
+		p := a.Program(splash.MPOptions(sp.scheme, cfg.Processors*sp.contexts, cfg.Steps, cfg.Scale))
 		r, err := mp.RunCtx(ctx, p, mcfg)
 		if err != nil {
 			return err
@@ -257,21 +233,13 @@ func MSHRSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepRe
 	if err != nil {
 		return nil, err
 	}
-	mk := func(s core.Scheme, n int) workstation.Config {
-		w := workstation.DefaultConfig(s, n)
-		w.OS.SliceCycles = cfg.SliceCycles
-		w.WarmupRotations = cfg.WarmupRotations
-		w.MeasureRotations = cfg.MeasureRotations
-		w.Seed = cfg.Seed
-		return w
-	}
 	mshrs := []int{1, 2, 4, 8}
-	configs := []workstation.Config{mk(core.Single, 1)}
+	configs := []workstation.Config{cfg.cellConfig(core.Single, 1, cfg.Seed)}
 	for _, m := range mshrs {
 		// Warm-up runs with the default miss registers; the swept count
 		// takes effect when measurement starts, so the interleaved cells
 		// share one warm-up prefix and fork from one checkpoint.
-		w := mk(core.Interleaved, 4)
+		w := cfg.cellConfig(core.Interleaved, 4, cfg.Seed)
 		w.Measure.MSHRs = m
 		configs = append(configs, w)
 	}
@@ -354,11 +322,7 @@ func IssueWidthSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 		return nil, err
 	}
 	mk := func(s core.Scheme, n, width int) workstation.Config {
-		w := workstation.DefaultConfig(s, n)
-		w.OS.SliceCycles = cfg.SliceCycles
-		w.WarmupRotations = cfg.WarmupRotations
-		w.MeasureRotations = cfg.MeasureRotations
-		w.Seed = cfg.Seed
+		w := cfg.cellConfig(s, n, cfg.Seed)
 		cc := core.DefaultConfig(s, n)
 		cc.IssueWidth = width
 		w.Core = &cc

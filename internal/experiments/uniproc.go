@@ -102,28 +102,11 @@ type UniCell struct {
 	Gain      float64
 	Breakdown core.Breakdown
 
-	// Failed marks a cell whose simulation errored (watchdog trip,
-	// invariant violation, panic); Failure is the one-line error and
-	// Diagnostic the structured dump when one was attached. The rest of
-	// the grid is unaffected (graceful degradation).
-	Failed     bool
-	Failure    string
-	Diagnostic string
-
-	// Retried marks a cell whose first attempt tripped the liveness
-	// watchdog and was deterministically re-run at a doubled window; the
-	// recorded outcome (success or failure) is the retry's.
-	Retried bool `json:",omitempty"`
-
-	// Skipped marks a cell that never completed because the run was
-	// interrupted (SIGINT/SIGTERM drain or first-error cancellation).
-	// Skipped cells carry no measurement and no failure diagnosis.
-	Skipped bool `json:",omitempty"`
-
-	// Metrics is the cell's observability record, nil unless UniConfig.Obs
-	// enabled instrumentation.
-	Metrics *metrics.CellMetrics `json:",omitempty"`
+	CellStatus
 }
+
+func (c UniCell) at() cellSpec   { return cellSpec{c.Workload, c.Scheme, c.Contexts} }
+func (c UniCell) ratio() float64 { return c.Gain }
 
 // UniResult holds every cell of the workstation evaluation, including the
 // single-context baselines (Scheme == core.Single, Contexts == 1).
@@ -140,12 +123,7 @@ type UniResult struct {
 
 // Cell returns the measurement for (workload, scheme, contexts).
 func (r *UniResult) Cell(w string, s core.Scheme, n int) (UniCell, bool) {
-	for _, c := range r.Cells {
-		if c.Workload == w && c.Scheme == s && c.Contexts == n {
-			return c, true
-		}
-	}
-	return UniCell{}, false
+	return findCell(r.Cells, cellSpec{w, s, n})
 }
 
 // MeanGain returns the geometric-mean throughput gain across workloads for
@@ -155,302 +133,143 @@ func (r *UniResult) MeanGain(s core.Scheme, n int) float64 {
 	return m
 }
 
-// MeanGainN additionally reports coverage: used is the number of cells
-// that entered the mean, total the number of (s, n) cells in the grid.
-// Failed cells and cells without a positive gain (e.g. a lost baseline)
-// are excluded from the mean rather than dragged in as zeros.
+// MeanGainN additionally reports coverage; see meanRatio.
 func (r *UniResult) MeanGainN(s core.Scheme, n int) (mean float64, used, total int) {
-	var gs []float64
-	for _, c := range r.Cells {
-		if c.Scheme == s && c.Contexts == n {
-			total++
-			if !c.Failed && !c.Skipped {
-				gs = append(gs, c.Gain)
-			}
-		}
-	}
-	mean, skipped := stats.GeoMean(gs)
-	return mean, len(gs) - skipped, total
+	return meanRatio(r.Cells, s, n)
 }
 
-// uniSpec addresses one cell of the workstation grid: the cell at index
-// i of uniSpecs(cfg) is the same (workload, scheme, contexts) simulation
-// everywhere — in-process pool, journal replay, and the distributed
-// service all key cells by this index.
-type uniSpec struct {
-	workload string
-	kernels  []apps.Kernel
-	scheme   core.Scheme
-	contexts int
+// UniCellRecord is the journaled outcome of one workstation grid cell —
+// everything needed to rebuild the cell without re-simulating — and the
+// wire form a service worker reports for it. A failed cell has no Result.
+type UniCellRecord struct {
+	Result *workstation.Result `json:"result,omitempty"`
+	CellOutcome
 }
 
-// uniSpecs enumerates cfg's grid in its canonical order: per workload,
-// the single-context baseline first, then schemes × context counts.
-func uniSpecs(cfg UniConfig) ([]uniSpec, error) {
-	workloads := cfg.Workloads
-	if workloads == nil {
-		workloads = WorkloadOrder
+// cellConfig is the workstation one cell of an experiment under cfg
+// simulates: the scheme's default machine at cfg's time scale.
+func (cfg UniConfig) cellConfig(s core.Scheme, contexts int, seed int64) workstation.Config {
+	w := workstation.DefaultConfig(s, contexts)
+	w.OS.SliceCycles = cfg.SliceCycles
+	w.WarmupRotations = cfg.WarmupRotations
+	w.MeasureRotations = cfg.MeasureRotations
+	w.Seed = seed
+	return w
+}
+
+func (cfg UniConfig) workloads() []string {
+	if cfg.Workloads == nil {
+		return WorkloadOrder
 	}
-	var specs []uniSpec
-	for _, w := range workloads {
-		kernels, err := ResolveWorkload(w)
+	return cfg.Workloads
+}
+
+// workstationGrid is the Table 7 evaluation: the subjects are the
+// Table 5 workload mixes, a cell's ratio its fairness-normalized
+// throughput over its mix's single-context baseline.
+var workstationGrid = &machine[UniConfig, UniCellRecord, UniCell, UniResult]{
+	name: GridWorkstation,
+	sections: []section[UniResult]{
+		{"table7", func(r *UniResult) string { return FormatTable7(r) + "\n\n" }},
+		{"fig6", func(r *UniResult) string { return FormatFigure(r, core.Blocked, 6) + "\n" }},
+		{"fig7", func(r *UniResult) string { return FormatFigure(r, core.Interleaved, 7) + "\n" }},
+	},
+	design: func(cfg UniConfig) design {
+		return design{subjects: cfg.workloads(), schemes: cfg.Schemes, contexts: cfg.ContextCounts,
+			seed: cfg.Seed, parallelism: cfg.Parallelism, timeout: cfg.CellTimeout, guard: cfg.Guard}
+	},
+	lookup: func(workload string) error {
+		_, err := ResolveWorkload(workload)
+		return err
+	},
+	attempt: func(ctx context.Context, cfg UniConfig, a cellAttempt) (*UniCellRecord, error) {
+		kernels, err := ResolveWorkload(a.subject)
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, uniSpec{w, kernels, core.Single, 1})
-		for _, s := range cfg.Schemes {
-			for _, n := range cfg.ContextCounts {
-				specs = append(specs, uniSpec{w, kernels, s, n})
-			}
+		return uniAttempt(ctx, cfg, kernels, a)
+	},
+	outcome:  func(rec *UniCellRecord) *CellOutcome { return &rec.CellOutcome },
+	measured: func(rec *UniCellRecord) bool { return rec.Result != nil },
+	cell: func(sp cellSpec, st CellStatus, rec, base *UniCellRecord) UniCell {
+		c := UniCell{Workload: sp.subject, Scheme: sp.scheme, Contexts: sp.contexts, CellStatus: st}
+		if rec == nil {
+			return c
 		}
+		r := rec.Result
+		c.Busy = r.Throughput
+		c.Breakdown = r.Stats.Breakdown()
+		c.Metrics = r.Metrics
+		if sp.baseline() {
+			c.Gain = 1
+		} else if base != nil && base.Result.FairThroughput > 0 {
+			c.Gain = r.FairThroughput / base.Result.FairThroughput
+		}
+		return c
+	},
+	result: func(cfg UniConfig, t tally[UniCell]) *UniResult {
+		return &UniResult{Cfg: cfg, Cells: t.cells, Failures: t.failures, Skipped: t.skipped}
+	},
+}
+
+// uniAttempt runs one attempt of a workstation cell on the given
+// kernels — its workload's, except in tests that substitute their own.
+func uniAttempt(ctx context.Context, cfg UniConfig, kernels []apps.Kernel, a cellAttempt) (*UniCellRecord, error) {
+	wcfg := cfg.cellConfig(a.scheme, a.contexts, a.seed)
+	wcfg.Guard = a.guard
+	wcfg.Obs = cfg.Obs
+	r, err := workstation.RunCtx(ctx, kernels, wcfg)
+	if err != nil {
+		return nil, err
 	}
-	return specs, nil
+	return &UniCellRecord{Result: r}, nil
 }
 
 // UniGridSize returns the number of cells in cfg's workstation grid —
 // the valid index range for RunUniCell and AssembleUni.
-func UniGridSize(cfg UniConfig) (int, error) {
-	specs, err := uniSpecs(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return len(specs), nil
-}
+func UniGridSize(cfg UniConfig) (int, error) { return workstationGrid.size(cfg) }
 
 // RunUniCell simulates one cell of cfg's workstation grid and returns
-// its journal/wire record. It is the single copy of the per-cell policy
-// every driver shares — cmd/experiments' pool and the distributed
-// service's workers produce byte-identical records because both call
-// this: per-index derived seed and chaos stream, one deterministic
-// retry at a doubled budget when the first attempt trips the liveness
-// watchdog or the per-cell deadline, failures folded into the record.
-// The only non-nil error returns are a bad index and a cancellation of
-// ctx itself (the cell was drained, not diagnosed).
+// its journal/wire record, under the per-cell policy every driver shares
+// (grid.runCell). The only non-nil error returns are a bad index and a
+// cancellation of ctx itself.
 func RunUniCell(ctx context.Context, cfg UniConfig, index int) (*UniCellRecord, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	specs, err := uniSpecs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if index < 0 || index >= len(specs) {
-		return nil, fmt.Errorf("experiments: workstation cell %d outside grid [0,%d)", index, len(specs))
-	}
-	return runUniCellSpec(ctx, cfg, index, specs[index])
-}
-
-func runUniCellSpec(ctx context.Context, cfg UniConfig, i int, sp uniSpec) (*UniCellRecord, error) {
-	build := func(attempt int) workstation.Config {
-		wcfg := workstation.DefaultConfig(sp.scheme, sp.contexts)
-		wcfg.OS.SliceCycles = cfg.SliceCycles
-		wcfg.WarmupRotations = cfg.WarmupRotations
-		wcfg.MeasureRotations = cfg.MeasureRotations
-		wcfg.Seed = DeriveSeed(cfg.Seed, i)
-		wcfg.Guard = cellGuard(cfg.Guard, i)
-		wcfg.Obs = cfg.Obs
-		if attempt > 1 {
-			// Escalated re-run: same derived seed, doubled liveness window.
-			// A budget trip can mean "slower than the window", not "wedged";
-			// doubling separates the two.
-			wcfg.Guard.WatchdogWindow = guard.Escalate(wcfg.Guard.WatchdogWindow, attempt-1)
-		}
-		return wcfg
-	}
-	run := func(attempt int) (*workstation.Result, error) {
-		cellCtx, cancel, budget := withCellDeadline(ctx, cfg.CellTimeout, attempt)
-		defer cancel()
-		r, err := workstation.RunCtx(cellCtx, sp.kernels, build(attempt))
-		return r, classifyDeadline(ctx, cellCtx, budget, err)
-	}
-	policy := guard.GridRetry()
-	retried := false
-	var r *workstation.Result
-	var err error
-	for attempt := 1; ; attempt++ {
-		r, err = run(attempt)
-		if err == nil || !guard.IsBudgetTrip(err) || ctx.Err() != nil || !policy.Allowed(attempt+1) {
-			break
-		}
-		retried = true
-	}
-	if err != nil {
-		if guard.IsCancellation(err) && ctx.Err() != nil {
-			return nil, err // drained mid-cell: renders as SKIP, not journaled
-		}
-		rec := &UniCellRecord{Failed: true, Retried: retried}
-		rec.Failure, rec.Diagnostic = failureStrings(err)
-		return rec, nil
-	}
-	return &UniCellRecord{Result: r, Retried: retried}, nil
+	return workstationGrid.runCell(ctx, cfg, index)
 }
 
 // AssembleUni folds index-ordered cell records into the evaluation
 // result: gains against each workload's single-context baseline, failure
-// and skip counts. A nil record is a cell that never completed
-// (interrupted, or still unfinished in a distributed run) and renders as
-// SKIP. Assembly is pure — the distributed coordinator calls it over
-// journal-replayed records and gets the bytes a single-process run
-// prints.
+// and skip counts (grid.tabulate). A nil record renders as SKIP.
 func AssembleUni(cfg UniConfig, recs []*UniCellRecord) (*UniResult, error) {
-	specs, err := uniSpecs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) != len(specs) {
-		return nil, fmt.Errorf("experiments: workstation grid has %d cells, got %d records", len(specs), len(recs))
-	}
-	res := &UniResult{Cfg: cfg}
-	var base *workstation.Result
-	for i, sp := range specs {
-		rec := recs[i]
-		cell := UniCell{Workload: sp.workload, Scheme: sp.scheme, Contexts: sp.contexts}
-		isBase := sp.scheme == core.Single && sp.contexts == 1
-		switch {
-		case rec == nil:
-			// The run was interrupted before this cell completed.
-			cell.Skipped = true
-			res.Skipped++
-			if isBase {
-				base = nil
-			}
-		case rec.Failed || rec.Result == nil:
-			// The cell failed (watchdog, deadline, invariant, panic — or a
-			// malformed record with no result): record it and keep going. A
-			// failed baseline zeroes its workload's gains but costs nothing
-			// else.
-			cell.Retried = rec.Retried
-			cell.Failed = true
-			cell.Failure, cell.Diagnostic = rec.Failure, rec.Diagnostic
-			if cell.Failure == "" {
-				cell.Failure = "cell record carries no result"
-			}
-			res.Failures++
-			if isBase {
-				base = nil
-			}
-		default:
-			r := rec.Result
-			cell.Retried = rec.Retried
-			cell.Busy = r.Throughput
-			cell.Breakdown = r.Stats.Breakdown()
-			cell.Metrics = r.Metrics
-			if isBase {
-				base = r
-				cell.Gain = 1
-			} else if base != nil && base.FairThroughput > 0 {
-				cell.Gain = r.FairThroughput / base.FairThroughput
-			}
-		}
-		res.Cells = append(res.Cells, cell)
-	}
-	return res, nil
+	return workstationGrid.assemble(cfg, recs)
 }
 
-// RunUniprocessor runs the full workstation evaluation. The cells — one
-// (workload, scheme, contexts) simulation each — are independent, so they
-// fan out across cfg.Parallelism workers; every cell derives its seed
-// from its grid position, and results land in a pre-sized slice indexed
-// by cell, so the output is byte-identical at every parallelism level.
+// RenderUniSections renders the workstation sections the selection asks
+// for, byte-identical to what cmd/experiments prints for them.
+func RenderUniSections(sel func(string) bool, uni *UniResult) string {
+	return workstationGrid.render(sel, uni)
+}
+
+// RunUniprocessor runs the full workstation evaluation.
 func RunUniprocessor(cfg UniConfig) (*UniResult, error) {
 	return RunUniprocessorCtx(context.Background(), cfg)
 }
 
-// RunUniprocessorCtx is RunUniprocessor with cancellation and journaling:
-// cancelling ctx drains the grid (queued cells never start, running cells
-// stop within engine.BlockCycles cycles, both render as SKIP), and a
-// cfg.Journal replays completed cells from a previous run and records new
-// ones durably. A cell whose first attempt trips the liveness watchdog is
-// retried once at a doubled window with the same derived seed before
-// being declared failed.
+// RunUniprocessorCtx is RunUniprocessor with cancellation and journaling
+// (grid.run): cancelling ctx drains the grid — queued cells never start,
+// running cells stop within engine.BlockCycles cycles, both render as
+// SKIP — and a cfg.Journal replays completed cells from a previous run
+// and records new ones durably.
 func RunUniprocessorCtx(ctx context.Context, cfg UniConfig) (*UniResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	specs, err := uniSpecs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	j := cfg.Journal
-	recs := make([]*UniCellRecord, len(specs))
-	failures := runCellsAll(ctx, cfg.Parallelism, len(specs), func(ctx context.Context, i int) error {
-		var rec UniCellRecord
-		if j.Replay(GridWorkstation, i, &rec) {
-			recs[i] = &rec
-			return nil
-		}
-		out, err := runUniCellSpec(ctx, cfg, i, specs[i])
-		if err != nil {
-			return nil // drained mid-cell: renders as SKIP, not journaled
-		}
-		recs[i] = out
-		j.Record(GridWorkstation, i, out)
-		return nil
-	})
-	// Failures escaping the per-cell classification above are panics
-	// recovered by the pool; fold them in as failed cells.
-	for _, f := range failures {
-		rec := &UniCellRecord{Failed: true}
-		rec.Failure, rec.Diagnostic = failureStrings(f.Err)
-		recs[f.Index] = rec
-		j.Record(GridWorkstation, f.Index, rec)
-	}
-	res, err := AssembleUni(cfg, recs)
-	if err != nil {
-		return nil, err
-	}
-	if err := j.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return workstationGrid.run(ctx, cfg, cfg.Journal)
 }
 
 // FormatTable7 renders the paper's Table 7: throughput increase with
 // multiple contexts, as ratios to the single-context baseline.
 func FormatTable7(r *UniResult) string {
-	var b strings.Builder
-	b.WriteString("Table 7: Increase in application throughput with multiple contexts\n")
-	b.WriteString("(ratio to single-context baseline; paper reports e.g. interleaved 1.22/1.50 means)\n\n")
-	workloads := r.Cfg.Workloads
-	if workloads == nil {
-		workloads = WorkloadOrder
-	}
-	header := append([]string{"Contexts", "Scheme"}, workloads...)
-	header = append(header, "Mean")
-	t := stats.NewTable(header...)
-	var usedSum, totalSum int
-	for _, n := range r.Cfg.ContextCounts {
-		for _, s := range []core.Scheme{core.Interleaved, core.Blocked} {
-			found := false
-			row := []string{fmt.Sprintf("%d", n), s.String()}
-			for _, w := range workloads {
-				if c, ok := r.Cell(w, s, n); ok {
-					switch {
-					case c.Skipped:
-						row = append(row, "SKIP")
-					case c.Failed:
-						row = append(row, "FAIL")
-					default:
-						row = append(row, stats.Ratio(c.Gain))
-					}
-					found = true
-				} else {
-					row = append(row, "-")
-				}
-			}
-			if !found {
-				continue
-			}
-			mean, used, total := r.MeanGainN(s, n)
-			usedSum += used
-			totalSum += total
-			row = append(row, stats.Ratio(mean))
-			t.AddRow(row...)
-		}
-	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "\nMean: geometric mean over cells with a positive gain (%d of %d cells).\n", usedSum, totalSum)
-	return b.String()
+	return formatRatioTable("Table 7: Increase in application throughput with multiple contexts\n"+
+		"(ratio to single-context baseline; paper reports e.g. interleaved 1.22/1.50 means)\n\n",
+		"gain", r.Cfg.workloads(), r.Cfg.ContextCounts, r.Cells)
 }
 
 // FormatFigure renders Figure 6 (blocked) or Figure 7 (interleaved): the
@@ -460,10 +279,6 @@ func FormatFigure(r *UniResult, scheme core.Scheme, figure int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %d: %s scheme processor utilization\n", figure, scheme)
 	b.WriteString("(bar: B=busy i=instr stall I=I-cache D=D-cache/TLB S=switch; number = busy fraction)\n\n")
-	workloads := r.Cfg.Workloads
-	if workloads == nil {
-		workloads = WorkloadOrder
-	}
 	configs := []struct {
 		s core.Scheme
 		n int
@@ -474,7 +289,7 @@ func FormatFigure(r *UniResult, scheme core.Scheme, figure int) string {
 			n int
 		}{scheme, n})
 	}
-	for _, w := range workloads {
+	for _, w := range r.Cfg.workloads() {
 		fmt.Fprintf(&b, "%s:\n", w)
 		for _, cf := range configs {
 			c, ok := r.Cell(w, cf.s, cf.n)

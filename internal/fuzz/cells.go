@@ -19,7 +19,6 @@ import (
 	"repro/internal/osmodel"
 	"repro/internal/prog"
 	"repro/internal/snapshot"
-	"repro/internal/workstation"
 )
 
 // Limits bounds a single cell. The zero value selects defaults generous
@@ -109,7 +108,7 @@ func (c Cell) yieldMode() prog.YieldMode {
 	if c.Machine == "func" {
 		return prog.YieldBackoff
 	}
-	return workstation.YieldModeFor(c.Scheme)
+	return c.Scheme.YieldMode()
 }
 
 // CellResult is the digest record a cell produces.

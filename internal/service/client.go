@@ -12,9 +12,9 @@ import (
 )
 
 // Wire types of the job API. Everything is plain JSON over HTTP; the
-// cell records themselves travel as the raw journal payloads
-// (experiments.UniCellRecord / MPCellRecord), so a worker's report and a
-// journal line carry the same bytes.
+// cell records themselves travel as the raw journal payloads (what
+// experiments.Grid.RunCell returns), so a worker's report and a journal
+// line carry the same bytes.
 
 type submitResponse struct {
 	ID    int `json:"id"`

@@ -17,7 +17,7 @@
 //     journal with zero re-simulation of completed cells.
 //
 // Determinism does the rest: cells derive their seeds from their grid
-// index (experiments.RunUniCell / RunMPCell), so *which* worker runs a
+// index (experiments.Grid.RunCell), so *which* worker runs a
 // cell, how often it is retried, and in what order results arrive are
 // all invisible in the output.
 package service
@@ -54,58 +54,23 @@ type JobSpec struct {
 	MP   *experiments.MPConfig  `json:"mp,omitempty"`
 }
 
-// grids resolves the spec to its grid sizes. Sections must be grid
-// sections (the table4/fig2/... sections are single-process only); a
-// grid a selected section needs must have its config present. An empty
-// Only selects every section of every present config.
-func (s JobSpec) grids() (uniN, mpN int, err error) {
-	sel := experiments.Selection(s.Only)
+// resolve maps the spec to the grids it runs and its journal
+// fingerprint — the same mapping, and so the same fingerprint,
+// cmd/experiments derives from the same configs and selection. Sections
+// must be grid sections (table4, fig2, ... are single-process only); an
+// empty Only selects every section of every present config.
+func (s JobSpec) resolve() ([]experiments.Grid, experiments.Fingerprint, error) {
 	for _, name := range s.Only {
 		if !experiments.IsGridSection(name) {
-			return 0, 0, fmt.Errorf("service: section %q is not a grid section (want one of %s)",
+			return nil, experiments.Fingerprint{}, fmt.Errorf("service: section %q is not a grid section (want one of %s)",
 				name, strings.Join(experiments.GridSections, " "))
 		}
 	}
-	needUni := experiments.NeedUni(sel) && (len(s.Only) > 0 || s.Uni != nil)
-	needMP := experiments.NeedMP(sel) && (len(s.Only) > 0 || s.MP != nil)
-	if needUni {
-		if s.Uni == nil {
-			return 0, 0, fmt.Errorf("service: selection needs the workstation grid but the spec has no uni config")
-		}
-		if uniN, err = experiments.UniGridSize(*s.Uni); err != nil {
-			return 0, 0, err
-		}
+	grids, fp, err := experiments.Grids(s.Only, s.Uni, s.MP)
+	if err == nil && len(grids) == 0 {
+		err = fmt.Errorf("service: spec selects no grid cells")
 	}
-	if needMP {
-		if s.MP == nil {
-			return 0, 0, fmt.Errorf("service: selection needs the multiprocessor grid but the spec has no mp config")
-		}
-		if mpN, err = experiments.MPGridSize(*s.MP); err != nil {
-			return 0, 0, err
-		}
-	}
-	if uniN+mpN == 0 {
-		return 0, 0, fmt.Errorf("service: spec selects no grid cells")
-	}
-	return uniN, mpN, nil
-}
-
-// fingerprint builds the spec's journal fingerprint with the same rules
-// cmd/experiments uses (only the configs a selected section needs enter).
-func (s JobSpec) fingerprint() (experiments.Fingerprint, error) {
-	uniN, mpN, err := s.grids()
-	if err != nil {
-		return experiments.Fingerprint{}, err
-	}
-	var uni *experiments.UniConfig
-	var mp *experiments.MPConfig
-	if uniN > 0 {
-		uni = s.Uni
-	}
-	if mpN > 0 {
-		mp = s.MP
-	}
-	return experiments.NewFingerprint(uni, mp, s.Only), nil
+	return grids, fp, err
 }
 
 // Config parameterizes the coordinator.
@@ -172,8 +137,9 @@ const (
 // record is reconstructed (conservatively: fresh attempt counts) after a
 // coordinator restart.
 type cell struct {
-	grid       string
+	grid       experiments.Grid
 	index      int
+	jitter     uint64 // this cell's redispatch-backoff stream
 	state      int
 	attempts   int
 	eligibleAt time.Time
@@ -223,8 +189,7 @@ type job struct {
 	id         int
 	spec       JobSpec
 	journal    *experiments.Journal
-	uniN       int
-	mpN        int
+	grids      []experiments.Grid
 	cells      []*cell
 	done       int
 	failed     int
@@ -307,14 +272,15 @@ func (c *Coordinator) journalPath(id int) string {
 	return filepath.Join(c.cfg.Dir, fmt.Sprintf("job-%d.journal", id))
 }
 
-// newJob builds the in-memory cell table for a validated spec.
-func newJob(id int, spec JobSpec, uniN, mpN int, journal *experiments.Journal) *job {
-	j := &job{id: id, spec: spec, journal: journal, uniN: uniN, mpN: mpN, notify: make(chan struct{})}
-	for i := 0; i < uniN; i++ {
-		j.cells = append(j.cells, &cell{grid: experiments.GridWorkstation, index: i})
-	}
-	for i := 0; i < mpN; i++ {
-		j.cells = append(j.cells, &cell{grid: experiments.GridMultiprocessor, index: i})
+// newJob builds the in-memory cell table for a validated spec. Each
+// cell's backoff jitter is decorrelated per (job, grid, index), the way
+// cell seeds are decorrelated per index.
+func newJob(id int, spec JobSpec, grids []experiments.Grid, journal *experiments.Journal) *job {
+	j := &job{id: id, spec: spec, journal: journal, grids: grids, notify: make(chan struct{})}
+	for n, g := range grids {
+		for i := 0; i < g.Size(); i++ {
+			j.cells = append(j.cells, &cell{grid: g, index: i, jitter: uint64(id)<<24 ^ uint64(i)<<1 ^ uint64(n)})
+		}
 	}
 	return j
 }
@@ -332,11 +298,7 @@ func (c *Coordinator) recoverJob(id int) error {
 	if err := json.Unmarshal(data, &spec); err != nil {
 		return fmt.Errorf("spec file: %w", err)
 	}
-	uniN, mpN, err := spec.grids()
-	if err != nil {
-		return err
-	}
-	fp, err := spec.fingerprint()
+	grids, fp, err := spec.resolve()
 	if err != nil {
 		return err
 	}
@@ -356,15 +318,15 @@ func (c *Coordinator) recoverJob(id int) error {
 			return err
 		}
 	}
-	j := newJob(id, spec, uniN, mpN, journal)
+	j := newJob(id, spec, grids, journal)
 	for _, cl := range j.cells {
-		raw, ok := journal.ReplayRaw(cl.grid, cl.index)
+		raw, ok := journal.ReplayRaw(cl.grid.Name(), cl.index)
 		if !ok {
 			continue
 		}
-		failed, err := recordOutcome(cl.grid, raw)
+		failed, err := cl.grid.Validate(raw)
 		if err != nil {
-			continue // undecodable record: re-run the cell
+			continue // not a cell's outcome: re-run the cell
 		}
 		cl.state = cellDone
 		cl.hash = experiments.DataHash(raw)
@@ -373,7 +335,7 @@ func (c *Coordinator) recoverJob(id int) error {
 		if failed {
 			j.failed++
 		}
-		j.events = append(j.events, CellEvent{Seq: len(j.events), Grid: cl.grid, Index: cl.index, Failed: failed, Replayed: true})
+		j.events = append(j.events, CellEvent{Seq: len(j.events), Grid: cl.grid.Name(), Index: cl.index, Failed: failed, Replayed: true})
 	}
 	c.cfg.Logf("job %d recovered: %d/%d cells replayed from journal", id, j.done, len(j.cells))
 	if j.complete() {
@@ -381,34 +343,6 @@ func (c *Coordinator) recoverJob(id int) error {
 	}
 	c.jobs[id] = j
 	return nil
-}
-
-// recordOutcome validates a reported cell record for its grid and
-// returns whether it records a failure. A record that is neither a
-// result nor a diagnosed failure is rejected — a worker cannot ack its
-// way out of doing the work.
-func recordOutcome(grid string, raw json.RawMessage) (failed bool, err error) {
-	switch grid {
-	case experiments.GridWorkstation:
-		var rec experiments.UniCellRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return false, err
-		}
-		if !rec.Failed && rec.Result == nil {
-			return false, fmt.Errorf("service: workstation record carries neither result nor failure")
-		}
-		return rec.Failed, nil
-	case experiments.GridMultiprocessor:
-		var rec experiments.MPCellRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return false, err
-		}
-		if !rec.Failed && !rec.Completed {
-			return false, fmt.Errorf("service: multiprocessor record carries neither result nor failure")
-		}
-		return rec.Failed, nil
-	}
-	return false, fmt.Errorf("service: unknown grid %q", grid)
 }
 
 // Handler returns the coordinator's HTTP API.
@@ -471,19 +405,9 @@ func (c *Coordinator) expireLocked(now time.Time) {
 				c.failCellLocked(j, cl, fmt.Sprintf("dispatch: %d lease attempts expired without a result", cl.attempts))
 				continue
 			}
-			cl.eligibleAt = now.Add(c.cfg.Retry.Delay(cellKey(j.id, cl), cl.attempts+1))
+			cl.eligibleAt = now.Add(c.cfg.Retry.Delay(cl.jitter, cl.attempts+1))
 		}
 	}
-}
-
-// cellKey decorrelates the redispatch jitter stream per (job, grid,
-// index), the way cell seeds are decorrelated per index.
-func cellKey(jobID int, cl *cell) uint64 {
-	key := uint64(jobID)<<24 ^ uint64(cl.index)<<1
-	if cl.grid == experiments.GridMultiprocessor {
-		key |= 1
-	}
-	return key
 }
 
 // failCellLocked records a synthetic failed record for a cell the
@@ -491,19 +415,8 @@ func cellKey(jobID int, cl *cell) uint64 {
 // worker report takes, so the job still completes (degraded, like a
 // failed in-process cell) and a restart replays the decision.
 func (c *Coordinator) failCellLocked(j *job, cl *cell, reason string) {
-	var payload any
-	switch cl.grid {
-	case experiments.GridWorkstation:
-		payload = &experiments.UniCellRecord{Failed: true, Failure: reason}
-	default:
-		payload = &experiments.MPCellRecord{Failed: true, Failure: reason}
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return
-	}
-	if err := c.markDoneLocked(j, cl, raw, true, ""); err != nil {
-		c.cfg.Logf("job %d: %s/%d: journaling dispatch failure: %v", j.id, cl.grid, cl.index, err)
+	if err := c.markDoneLocked(j, cl, cl.grid.FailedRecord(reason), true, ""); err != nil {
+		c.cfg.Logf("job %d: %s/%d: journaling dispatch failure: %v", j.id, cl.grid.Name(), cl.index, err)
 	}
 }
 
@@ -511,7 +424,7 @@ func (c *Coordinator) failCellLocked(j *job, cl *cell, reason string) {
 // in that order; a record that did not reach disk is never acked and
 // never counted. The final cell of a job triggers assembly.
 func (c *Coordinator) markDoneLocked(j *job, cl *cell, raw json.RawMessage, failed bool, worker string) error {
-	j.journal.Record(cl.grid, cl.index, raw)
+	j.journal.Record(cl.grid.Name(), cl.index, raw)
 	if err := j.journal.Err(); err != nil {
 		return err
 	}
@@ -523,7 +436,7 @@ func (c *Coordinator) markDoneLocked(j *job, cl *cell, raw json.RawMessage, fail
 	if failed {
 		j.failed++
 	}
-	j.events = append(j.events, CellEvent{Seq: len(j.events), Grid: cl.grid, Index: cl.index, Worker: worker, Failed: failed})
+	j.events = append(j.events, CellEvent{Seq: len(j.events), Grid: cl.grid.Name(), Index: cl.index, Worker: worker, Failed: failed})
 	if j.complete() {
 		c.assembleLocked(j)
 		c.cfg.Logf("job %d complete: %d cells, %d failed, %d duplicate reports, %d mismatched reports",
@@ -535,60 +448,30 @@ func (c *Coordinator) markDoneLocked(j *job, cl *cell, raw json.RawMessage, fail
 }
 
 // assembleLocked folds the journal's records into the final tables and
-// JSON through the exact helpers cmd/experiments prints with — this is
-// where byte-identity is inherited rather than re-implemented.
+// JSON through each grid's own assembly, the one cmd/experiments prints
+// with — this is where byte-identity is inherited rather than
+// re-implemented.
 func (c *Coordinator) assembleLocked(j *job) {
-	sel := experiments.Selection(j.spec.Only)
 	var text strings.Builder
 	blob := map[string]any{}
 	failures := 0
-	if j.uniN > 0 {
-		recs := make([]*experiments.UniCellRecord, j.uniN)
-		for i := 0; i < j.uniN; i++ {
-			raw, ok := j.journal.ReplayRaw(experiments.GridWorkstation, i)
-			if !ok {
-				j.resultErr = fmt.Errorf("service: job %d: workstation cell %d missing from journal at assembly", j.id, i)
+	for _, g := range j.grids {
+		recs := make([]json.RawMessage, g.Size())
+		for i := range recs {
+			var ok bool
+			if recs[i], ok = j.journal.ReplayRaw(g.Name(), i); !ok {
+				j.resultErr = fmt.Errorf("service: job %d: %s cell %d missing from journal at assembly", j.id, g.Name(), i)
 				return
 			}
-			var rec experiments.UniCellRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				j.resultErr = fmt.Errorf("service: job %d: workstation cell %d: %w", j.id, i, err)
-				return
-			}
-			recs[i] = &rec
 		}
-		uni, err := experiments.AssembleUni(*j.spec.Uni, recs)
+		rep, err := g.Assemble(recs)
 		if err != nil {
 			j.resultErr = err
 			return
 		}
-		text.WriteString(experiments.RenderUniSections(sel, uni))
-		blob["workstation"] = uni
-		failures += uni.Failures
-	}
-	if j.mpN > 0 {
-		recs := make([]*experiments.MPCellRecord, j.mpN)
-		for i := 0; i < j.mpN; i++ {
-			raw, ok := j.journal.ReplayRaw(experiments.GridMultiprocessor, i)
-			if !ok {
-				j.resultErr = fmt.Errorf("service: job %d: multiprocessor cell %d missing from journal at assembly", j.id, i)
-				return
-			}
-			var rec experiments.MPCellRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				j.resultErr = fmt.Errorf("service: job %d: multiprocessor cell %d: %w", j.id, i, err)
-				return
-			}
-			recs[i] = &rec
-		}
-		mpr, err := experiments.AssembleMP(*j.spec.MP, recs)
-		if err != nil {
-			j.resultErr = err
-			return
-		}
-		text.WriteString(experiments.RenderMPSections(sel, mpr))
-		blob["multiprocessor"] = mpr
-		failures += mpr.Failures
+		text.WriteString(rep.Text)
+		blob[g.Name()] = rep.Value
+		failures += rep.Failures
 	}
 	data, err := json.MarshalIndent(blob, "", "  ")
 	if err != nil {
@@ -605,12 +488,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decode spec: %v", err)
 		return
 	}
-	uniN, mpN, err := spec.grids()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fp, err := spec.fingerprint()
+	grids, fp, err := spec.resolve()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -654,9 +532,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.nextJob++
-	j := newJob(id, spec, uniN, mpN, journal)
+	j := newJob(id, spec, grids, journal)
 	c.jobs[id] = j
-	c.cfg.Logf("job %d submitted: %d workstation + %d multiprocessor cells", id, uniN, mpN)
+	c.cfg.Logf("job %d submitted: %d cells in %d grid(s)", id, len(j.cells), len(grids))
 	writeJSON(w, http.StatusCreated, submitResponse{ID: id, Cells: len(j.cells)})
 }
 
@@ -887,7 +765,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			cl.worker = req.Worker
 			cl.expiry = now.Add(c.cfg.LeaseTTL)
 			resp.Leases = append(resp.Leases, Lease{
-				Job: j.id, Grid: cl.grid, Index: cl.index,
+				Job: j.id, Grid: cl.grid.Name(), Index: cl.index,
 				LeaseID: cl.leaseID, Attempt: cl.attempts,
 				TTLMillis: c.cfg.LeaseTTL.Milliseconds(), Spec: j.spec,
 			})
@@ -1011,7 +889,7 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 		cl.attempts--
 		cl.eligibleAt = now
 		resp.Released++
-		c.cfg.Logf("lease %d on %s/%d released by %q", id, cl.grid, cl.index, req.Worker)
+		c.cfg.Logf("lease %d on %s/%d released by %q", id, cl.grid.Name(), cl.index, req.Worker)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1030,7 +908,30 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	raw := json.RawMessage(buf.Bytes())
-	failed, err := recordOutcome(req.Grid, raw)
+
+	// Find the cell, then let its grid judge the record outside the lock
+	// (a job's cell table never changes once it exists). A record that is
+	// neither a result nor a diagnosed failure is rejected — a worker
+	// cannot ack its way out of doing the work.
+	c.mu.Lock()
+	j := c.jobs[req.Job]
+	c.mu.Unlock()
+	if j == nil {
+		httpError(w, http.StatusNotFound, "no job %d", req.Job)
+		return
+	}
+	var cl *cell
+	for _, cand := range j.cells {
+		if cand.grid.Name() == req.Grid && cand.index == req.Index {
+			cl = cand
+			break
+		}
+	}
+	if cl == nil {
+		httpError(w, http.StatusBadRequest, "job %d has no cell %s/%d", req.Job, req.Grid, req.Index)
+		return
+	}
+	failed, err := cl.grid.Validate(raw)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1040,22 +941,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	j := c.jobs[req.Job]
-	if j == nil {
-		httpError(w, http.StatusNotFound, "no job %d", req.Job)
-		return
-	}
-	var cl *cell
-	for _, cand := range j.cells {
-		if cand.grid == req.Grid && cand.index == req.Index {
-			cl = cand
-			break
-		}
-	}
-	if cl == nil {
-		httpError(w, http.StatusBadRequest, "job %d has no cell %s/%d", req.Job, req.Grid, req.Index)
-		return
-	}
 	ws := c.ensureWorkerLocked(req.Worker, now)
 	// A worker that delivers results is alive, whatever its lease
 	// bookkeeping looked like; reset its breaker.

@@ -395,7 +395,7 @@ func TestDuplicateAndMismatchedReports(t *testing.T) {
 	if s := complete(payload); s != "duplicate" {
 		t.Errorf("repeated identical report: %s, want duplicate", s)
 	}
-	bogus, _ := json.Marshal(&experiments.UniCellRecord{Failed: true, Failure: "forged divergent record"})
+	bogus, _ := json.Marshal(&experiments.UniCellRecord{CellOutcome: experiments.CellOutcome{Failed: true, Failure: "forged divergent record"}})
 	if s := complete(bogus); s != "mismatch" {
 		t.Errorf("divergent report: %s, want mismatch", s)
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -46,10 +45,9 @@ type WorkerConfig struct {
 }
 
 // Worker leases cells, simulates them through the same
-// experiments.RunUniCell / RunMPCell the in-process grids use — that
-// single shared policy is what makes its records byte-identical to a
-// local run's — and reports the records back, heartbeating its leases
-// meanwhile.
+// experiments.Grid.RunCell the in-process grids use — that single shared
+// policy is what makes its records byte-identical to a local run's — and
+// reports the records back, heartbeating its leases meanwhile.
 type Worker struct {
 	cfg    WorkerConfig
 	client *Client
@@ -351,31 +349,24 @@ func (w *Worker) runLease(ctx context.Context, l Lease) bool {
 			w.cfg.Name, kind, n, 3*ttl)
 	}
 
-	var payload []byte
-	switch l.Grid {
-	case experiments.GridWorkstation:
-		if l.Spec.Uni == nil {
-			w.cfg.Logf("worker %q: lease %d names the workstation grid but carries no uni config", w.cfg.Name, l.LeaseID)
-			return false
-		}
-		rec, err := experiments.RunUniCell(ctx, *l.Spec.Uni, l.Index)
-		if err != nil {
-			return false // drained: Run hands the lease back; bad index: it expires
-		}
-		payload, _ = json.Marshal(rec)
-	case experiments.GridMultiprocessor:
-		if l.Spec.MP == nil {
-			w.cfg.Logf("worker %q: lease %d names the multiprocessor grid but carries no mp config", w.cfg.Name, l.LeaseID)
-			return false
-		}
-		rec, err := experiments.RunMPCell(ctx, *l.Spec.MP, l.Index)
-		if err != nil {
-			return false
-		}
-		payload, _ = json.Marshal(rec)
-	default:
-		w.cfg.Logf("worker %q: lease %d names unknown grid %q", w.cfg.Name, l.LeaseID, l.Grid)
+	grids, _, err := l.Spec.resolve()
+	if err != nil {
+		w.cfg.Logf("worker %q: lease %d: %v", w.cfg.Name, l.LeaseID, err)
 		return false
+	}
+	var grid experiments.Grid
+	for _, g := range grids {
+		if g.Name() == l.Grid {
+			grid = g
+		}
+	}
+	if grid == nil {
+		w.cfg.Logf("worker %q: lease %d names grid %q, which its spec does not run", w.cfg.Name, l.LeaseID, l.Grid)
+		return false
+	}
+	payload, err := grid.RunCell(ctx, l.Index)
+	if err != nil {
+		return false // drained: Run hands the lease back; bad index: it expires
 	}
 
 	switch kind {

@@ -21,6 +21,7 @@ import (
 	"maps"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -61,6 +62,22 @@ func (o Options) normalize(defaultSteps int) Options {
 		o.Scale = 1
 	}
 	return o
+}
+
+// MPOptions is how every multiprocessor run links an application: the
+// address map the mp driver's nodes share, the scheme's
+// latency-tolerance instruction (none for the single-context baseline),
+// and one SPMD thread per hardware context in the machine.
+func MPOptions(s core.Scheme, threads, steps, scale int) Options {
+	return Options{
+		CodeBase:     0x0100_0000,
+		DataBase:     0x5000_0000,
+		Yield:        s.YieldMode(),
+		AutoTolerate: s != core.Single,
+		NumThreads:   threads,
+		Steps:        steps,
+		Scale:        scale,
+	}
 }
 
 // App is a buildable SPMD application.

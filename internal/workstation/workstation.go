@@ -97,18 +97,8 @@ func DefaultConfig(s core.Scheme, contexts int) Config {
 	}
 }
 
-// YieldModeFor maps a scheme to the latency-tolerance instruction its
-// compilation uses.
-func YieldModeFor(s core.Scheme) prog.YieldMode {
-	switch s {
-	case core.Blocked, core.BlockedFast:
-		return prog.YieldSwitch
-	case core.Interleaved:
-		return prog.YieldBackoff
-	default:
-		return prog.YieldNone
-	}
-}
+// YieldModeFor is core.Scheme.YieldMode under the name older callers use.
+func YieldModeFor(s core.Scheme) prog.YieldMode { return s.YieldMode() }
 
 // AppResult reports one application's progress over the measured window.
 type AppResult struct {
@@ -281,7 +271,7 @@ func newRunner(kernels []apps.Kernel, cfg Config) (*runner, error) {
 
 	// Build one process per kernel, each in its own code and data region
 	// (regions collide in the caches — that is the point).
-	yield := YieldModeFor(cfg.Scheme)
+	yield := cfg.Scheme.YieldMode()
 	if cfg.YieldOverride != nil {
 		yield = *cfg.YieldOverride
 	}

@@ -14,6 +14,16 @@ cd "$(dirname "$0")/.."
 # concurrent callers of one key (prog.TestSharedConcurrentCallersGetOneBuild).
 go vet ./...
 go build ./...
+
+# The cell record format stays behind experiments.Grid: the schedulers
+# outside internal/experiments drive a grid by name and index and never
+# name a per-grid record type, constant, assembler or renderer.
+if grep -rnE 'GridWorkstation|GridMultiprocessor|UniCellRecord|MPCellRecord|AssembleUni|AssembleMP|RenderUniSections|RenderMPSections' \
+    --include='*.go' --exclude='*_test.go' internal/service cmd/expserve cmd/expworker; then
+    echo "check.sh: a scheduler names a per-grid symbol; drive the grid through experiments.Grid" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
