@@ -1,9 +1,5 @@
 package core
 
-import (
-	"repro/internal/isa"
-)
-
 // This file is the event-driven stall fast-forward engine. The paper's
 // grids simulate tens of millions of cycles per cell, and most of those
 // cycles do nothing but charge an issue slot to a stall class while every
@@ -25,30 +21,48 @@ import (
 //     region: the stall frontiers carry their own cause/context, and
 //     the idle charge depends only on availableAt/availCause fields that
 //     no boring cycle mutates.
-//   - Any cycle in which a context is selectable is NOT boring — even if
-//     the instruction would immediately stall on a dependency or a busy
-//     functional unit — because issueSlot then calls FetchInst (which
-//     counts the fetch) and mutates the round-robin pointer. Those cycles
-//     run through Step as before; fuFree therefore never needs to appear
-//     in the event computation.
+//   - A cycle in which a context is selectable is not boring in general:
+//     issueSlot then calls FetchInst (which counts the fetch on a real
+//     I-cache) and selectContext may move the round-robin pointer. The
+//     exception is a monopolist over an ideal instruction fetch — the
+//     single context, or a blocked scheme's committed current context —
+//     whose selection mutates nothing and whose fetch is pure: its
+//     interlock and functional-unit stalls are regions too.
 //
 // The equivalence tests (fastforward_test.go, mp/fastforward_test.go)
 // assert Stats / memory-hash / arch-hash identity against NoFastForward
 // runs for every scheme, uni and MP, with watchdog and chaos enabled.
 //
-// Busy streak. On busy code NextEvent's answer is always "step", and
-// asking was 8.7 % of a Table 7 pass. Processor.Run therefore stops
-// asking once two consecutive cycles have retired an instruction, and
-// steps until a cycle retires nothing; the cycle after that is classified
-// again. This needs no argument of its own: Step is exact for every cycle
-// (it is what the skip engine is measured against), so stepping a cycle
-// that NextEvent would have skipped changes nothing but host time, and the
-// streak only ever steps. What it costs is the first stall cycle after a
-// streak, stepped where it would have been skipped with its region; what
-// it saves is a classification per busy cycle. RunUntilHalted (which must
-// look at the halt state every cycle anyway) and the multiprocessor's
-// lockstep driver do not streak: on the MP's interlock-bound kernels the
-// stepped stall cycle costs more than the classifications saved (measured,
+// One cascade, three entry points. Step is the definition of a cycle.
+// NextEvent and Advance are one function, advance, with and without
+// permission to act: the pure classifier, and what drivers call —
+// "NextEvent, and if the cycle is not boring, Step" — without walking the
+// cascade twice. Where the cascade itself establishes which context takes
+// the slot and what becomes of it (a monopolist, or over an ideal fetch
+// the interleaved round-robin pick, at single issue), Advance charges the
+// stall slot or executes the instruction there and then, with Step's
+// clock and sampling bookkeeping around it; every other configuration it
+// steps. issueSlot shares the scoreboard and functional-unit rules
+// (hazardRegion) with it, so they exist once. advance_oracle_test.go
+// holds Advance to NextEvent-then-Step after every call, and no driver
+// calls NextEvent any more (scripts/check.sh).
+//
+// Busy streak. On the workstation Advance cannot fuse — the I-cache
+// counts its fetches — so a busy cycle there would still be classified
+// and then stepped, and asking was 8.7 % of a Table 7 pass. Processor.Run
+// therefore stops classifying once two consecutive cycles have retired an
+// instruction, and steps until a cycle retires nothing; the cycle after
+// that goes through Advance again. This needs no argument of its own:
+// Step is exact for every cycle (it is what the skip engine is measured
+// against), so stepping a cycle that would have been skipped changes
+// nothing but host time, and the streak only ever steps. What it costs is
+// the first stall cycle after a streak, stepped where it would have been
+// skipped with its region; what it saves is a classification per busy
+// cycle. RunUntilHalted (which must look at the halt state every cycle
+// anyway) does not streak, and the multiprocessor's lockstep driver has
+// no use for one: over its ideal fetch a busy cycle's classification is
+// part of issuing it, and on its interlock-bound kernels a stepped stall
+// cycle cost more than the classifications a streak saved (measured,
 // ROADMAP item 1). streak_test.go compares Run against the
 // classify-every-cycle loop after every call, over each way a streak ends.
 
@@ -58,12 +72,37 @@ import (
 // charge of (cls, ctx) — SkipTo(until, cls, ctx) advances past them in
 // O(1). until may be math.MaxInt64 when nothing will ever wake the
 // processor (all threads halted or unbound); callers bound it by their
-// cycle budget.
-func (p *Processor) NextEvent() (cls SlotClass, ctx int, until int64) {
+// cycle budget. NextEvent mutates nothing: it is the oracle Advance is
+// tested against, and drivers call Advance.
+func (p *Processor) NextEvent() (cls SlotClass, ctx int, until int64) { return p.advance(false) }
+
+// Advance is NextEvent and, when the cycle is not boring, Step: a boring
+// cycle returns its region untouched exactly as NextEvent does, any other
+// cycle is executed and returns until <= the cycle it ran. It is what a
+// driver calls each cycle.
+func (p *Processor) Advance() (cls SlotClass, ctx int, until int64) { return p.advance(true) }
+
+// advance is the cascade behind both: processor-wide stall frontiers,
+// forced fetch, context selection from the ready mask, then — once a
+// context is known to hold the slot over a pure instruction fetch — its
+// miss shadow, fetch redirect, scoreboard and functional unit
+// (hazardRegion). With issue false nothing is mutated and a cycle that
+// may do work is only reported. With issue true that cycle is executed,
+// and where the cascade got as far as the slot's outcome it is not walked
+// again by Step: the stall slot is charged or the instruction executed
+// here, with Step's clock and sampling bookkeeping around it — the same
+// mutations in the same order as selectContext and issueSlot would make.
+// That covers single issue over an ideal fetch for a monopolist (the
+// single context, or a blocked scheme's committed current context, whose
+// selection touches nothing) and for the interleaved round-robin pick
+// (whose selection sets rr); a counting fetch, superscalar issue,
+// NoFastForward, Trace, a forced fetch, a blocked scheme between
+// monopolies and fine-grained are stepped.
+func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64) {
 	now := p.cycle
 	if p.Cfg.NoFastForward || p.Trace != nil {
 		// Tracing observes every cycle individually, so nothing is boring.
-		return SlotIdle, -1, now
+		return p.stepped(issue)
 	}
 	// Processor-wide stall frontiers, in issueSlot's precedence order.
 	// Each region charges its own cause/context; a later frontier may
@@ -76,81 +115,94 @@ func (p *Processor) NextEvent() (cls SlotClass, ctx int, until int64) {
 	case now < p.stallUntil:
 		return p.stallCause, p.stallCtx, p.boundEvent(p.stallUntil)
 	}
-	// Selection phase. A pending forced fetch makes the very next cycle
-	// interesting (selectContext consumes it).
+	// A pending forced fetch makes the very next cycle interesting
+	// (selectContext consumes it).
 	if p.forceNext >= 0 {
-		return SlotIdle, -1, now
+		return p.stepped(issue)
 	}
-	// Monopolizing schemes over a pure instruction fetch: while the single
-	// context (Single) or the committed current context (Blocked) is
-	// available, selectContext returns it without touching rr/cur, the
-	// ideal I-cache makes the re-fetch of its stalled instruction free and
-	// stateless, and depStall/fuFree read only state nothing can mutate
-	// while this context monopolizes the pipeline. Its interlock and
-	// functional-unit stalls are therefore skippable regions — on the MP's
-	// dependency-bound kernels these are the majority of all slots.
-	scheme := p.Cfg.Scheme
+	// Who takes the slot, where that is known without running
+	// selectContext. The ideal I-cache makes the fetch free and stateless,
+	// and a monopolist's scoreboard and functional units are read-only
+	// while it keeps the pipeline, so its stalls are skippable regions —
+	// on the MP's dependency-bound kernels the majority of all slots.
 	ready := p.readyAt(now)
-	if p.idealIF && (scheme == Single || ((scheme == Blocked || scheme == BlockedFast) && p.cur >= 0)) {
-		mono := 0
-		if scheme != Single {
-			mono = p.cur
-		}
-		if ready>>uint(mono)&1 != 0 {
-			return p.interlockRegion(&p.ctxs[mono], now)
-		}
-		if scheme != Single {
-			// The monopoly just broke (current context became unavailable
-			// or halted): the next selectContext mutates rr/cur. Step it.
-			return SlotIdle, -1, now
+	var c *hwContext
+	mono := true
+	if p.idealIF {
+		switch scheme := p.Cfg.Scheme; {
+		case scheme == Single:
+			if ready&1 != 0 {
+				c = &p.ctxs[0]
+			}
+		case (scheme == Blocked || scheme == BlockedFast) && p.cur >= 0:
+			if ready>>uint(p.cur)&1 == 0 {
+				// The monopoly just broke (current context became
+				// unavailable or halted): selectContext moves rr/cur.
+				return p.stepped(issue)
+			}
+			c = &p.ctxs[p.cur]
+		case scheme == Interleaved:
+			if ready != 0 {
+				c, mono = &p.ctxs[nextReady(ready, p.rr)], false
+			}
 		}
 	} else if p.cur >= 0 {
 		// Blocked-scheme current context over a counting I-cache: every
 		// cycle re-fetches (and re-counts), so nothing is skippable.
-		return SlotIdle, -1, now
+		return p.stepped(issue)
 	}
-	if ready != 0 {
-		// Someone can take the slot.
-		return SlotIdle, -1, now
+	if c == nil {
+		if ready != 0 {
+			return p.stepped(issue) // someone can take the slot
+		}
+		// No context selectable before wake: idle region, charged to the
+		// wait cause of the context that wakes first, which only a write
+		// (never a boring cycle) can change before then.
+		cls, ctx, wake := p.idleCharge()
+		return cls, ctx, p.boundEvent(wake)
 	}
-	// No context selectable before wake: idle region, charged to the wait
-	// cause of the context that wakes first, which only a write (never a
-	// boring cycle) can change before then.
-	cls, ctx, wake := p.idleCharge()
-	return cls, ctx, p.boundEvent(wake)
-}
-
-// interlockRegion classifies the cycle of a monopolizing, available
-// context c over an ideal instruction fetch, mirroring issueSlot's
-// post-selection cascade exactly: per-context shadow, fetch redirect,
-// dependency interlock (depRegion, whose sub-region boundaries are the
-// hazard-clear cycles), then a functional-unit conflict — which splits
-// into a long-stall and a short-stall piece at the LongLatencyThreshold
-// crossing, because stallClass recharges by remaining length each cycle.
-// until == now means the instruction really issues this cycle.
-func (p *Processor) interlockRegion(c *hwContext, now int64) (cls SlotClass, ctx int, until int64) {
-	if now < c.shadowUntil {
-		return SlotSwitch, c.idx, p.boundEvent(c.shadowUntil)
-	}
-	if now < c.redirectUntil {
-		return SlotStallShort, c.idx, p.boundEvent(c.redirectUntil)
-	}
+	// c holds the slot: issueSlot's cascade from here on, over a fetch that
+	// is pure — its miss shadow, its fetch redirect, then the scoreboard
+	// and functional unit. Every cycle in [now, until) charges cls while c
+	// keeps the slot; until <= now means its instruction issues this cycle.
 	th := c.thread
 	in := &th.insts[th.PC]
-	dcls, duntil := depRegion(th, in, now)
-	p.depTh, p.depPC, p.depCycle, p.depCls, p.depUntil = th, th.PC, now, dcls, duntil
-	if duntil > now {
-		return dcls, c.idx, p.boundEvent(duntil)
+	switch {
+	case now < c.shadowUntil:
+		cls, until = SlotSwitch, c.shadowUntil
+	case now < c.redirectUntil:
+		cls, until = SlotStallShort, c.redirectUntil
+	default:
+		cls, until = p.hazardRegion(th, in, now)
 	}
-	if tm := in.TM; tm.Unit != isa.UnitNone && p.fuFree[tm.Unit] > now {
-		free := p.fuFree[tm.Unit]
-		if in.Region == isa.RegionSync {
-			return SlotSync, c.idx, p.boundEvent(free)
-		}
-		if b := free - int64(isa.LongLatencyThreshold); now < b {
-			return SlotStallLong, c.idx, p.boundEvent(b)
-		}
-		return SlotStallShort, c.idx, p.boundEvent(free)
+	if mono && until > now {
+		return cls, c.idx, p.boundEvent(until)
+	}
+	if !issue || p.Cfg.IssueWidth > 1 {
+		return p.stepped(issue)
+	}
+	p.cycle++
+	p.Stats.Cycles++
+	if !mono {
+		p.rr = c.idx // the pick is taken whether the slot issues or stalls
+	}
+	if until > now {
+		p.count(now, cls, c.idx)
+	} else {
+		p.execute(c, th, in, now)
+	}
+	if p.cycle >= p.nextSample {
+		p.obsSampleTick()
+	}
+	return SlotIdle, -1, now
+}
+
+// stepped is advance's answer for a cycle that may do work and that only
+// Step can decide: NextEvent reports it, Advance steps it.
+func (p *Processor) stepped(issue bool) (cls SlotClass, ctx int, until int64) {
+	now := p.cycle
+	if issue {
+		p.Step()
 	}
 	return SlotIdle, -1, now
 }
@@ -167,17 +219,24 @@ func (p *Processor) interlockRegion(c *hwContext, now int64) (cls SlotClass, ctx
 // push-based machinery (and is pinned by its own equivalence test).
 func (p *Processor) boundEvent(until int64) int64 {
 	if p.capCompletions {
-		if e := p.completer.NextCompletion(p.cycle); e > p.cycle && e < until {
-			until = e
-		}
+		return p.capEvent(until)
+	}
+	return until
+}
+
+// capEvent is boundEvent's conservative path, kept out of line so the
+// usual answer inlines.
+func (p *Processor) capEvent(until int64) int64 {
+	if e := p.completer.NextCompletion(p.cycle); e > p.cycle && e < until {
+		return e
 	}
 	return until
 }
 
 // SkipTo bulk-advances the clock from Now() to target, charging every
-// skipped issue slot to (cls, ctx) — the charge NextEvent reported for
-// the region. Calling it with a (target, cls, ctx) not obtained from
-// NextEvent breaks cycle accounting.
+// skipped issue slot to (cls, ctx) — the charge Advance (or NextEvent)
+// reported for the region. Calling it with a (target, cls, ctx) not
+// obtained from one of them breaks cycle accounting.
 //
 // SkipTo is deliberately branch-free with respect to observability so
 // the fast-forward loops can inline it: when Observed() is true, callers

@@ -374,6 +374,65 @@ func BenchmarkIssueBusy(b *testing.B) {
 	}
 }
 
+// BenchmarkAdvanceILP is the calibration pair for Advance, after the
+// low_ilp / high_ilp kernels of Durbhakula (arXiv:2008.10037): one
+// context over an ideal instruction fetch, visited the way the
+// multiprocessor's lockstep driver visits a node — Advance, and SkipTo
+// when it reports a region. "high" is independent single-cycle adds, so
+// every visit classifies and issues in the one pass; "low" is a chain of
+// dependent FP adds, so visits alternate between an issue and the
+// four-cycle interlock region behind it, which Advance hands back exactly
+// as NextEvent does. One op is one visit. A change that helps the first
+// must not tax the second.
+func BenchmarkAdvanceILP(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		body func(pb *prog.Builder)
+	}{
+		{"low", func(pb *prog.Builder) {
+			for i := 0; i < 8; i++ {
+				pb.FAdd(isa.F1, isa.F1, isa.F2)
+			}
+		}},
+		{"high", func(pb *prog.Builder) {
+			for r := isa.R1; r <= isa.R8; r++ {
+				pb.Addi(r, r, 1)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pb := prog.NewBuilder("ilp-"+bc.name, 0x1000, 0x10_0000, 1<<20)
+			pb.Label("loop")
+			bc.body(pb)
+			pb.J("loop")
+			pr, err := pb.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := MustNewProcessor(DefaultConfig(Single, 1), idealFetchMem{newFakeMem(40)}, mem.New())
+			p.BindThread(0, NewThread("t0", pr))
+			visit := func(n int) {
+				for i := 0; i < n; i++ {
+					if cls, ctx, until := p.Advance(); until > p.Now() {
+						p.SkipTo(until, cls, ctx)
+					}
+				}
+			}
+			visit(10_000) // BTB and scoreboard settled
+			retired, cycles := p.Stats.Retired, p.Stats.Cycles
+			b.ReportAllocs()
+			b.ResetTimer()
+			visit(b.N)
+			b.StopTimer()
+			retired, cycles = p.Stats.Retired-retired, p.Stats.Cycles-cycles
+			if low := bc.name == "low"; low != (cycles > 3*retired) {
+				b.Fatalf("%d instructions in %d cycles: not the %s-ILP kernel", retired, cycles, bc.name)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(retired), "ns/inst")
+		})
+	}
+}
+
 // TestFastForwardTraceDisablesSkips: a Trace hook must see every cycle,
 // so the engine must refuse to skip while one is installed.
 func TestFastForwardTraceDisablesSkips(t *testing.T) {

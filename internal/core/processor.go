@@ -157,6 +157,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// CheckOverride reports whether c can stand in for the configuration a
+// machine derives from its own scheme and context count. The driver binds
+// that many threads and compiles their programs for that scheme's yield
+// instruction, so an override may change anything but those two.
+func (c Config) CheckOverride(s Scheme, contexts int) error {
+	if c.Scheme != s || c.Contexts != contexts {
+		return fmt.Errorf("core override is %v with %d contexts, the machine is %v with %d",
+			c.Scheme, c.Contexts, s, contexts)
+	}
+	return nil
+}
+
 // ctxSummary is what context selection and event classification need to
 // know about the contexts, kept up to date by the events that change it
 // instead of being rescanned every slot. It is derived state — a pure
@@ -278,16 +290,6 @@ type Processor struct {
 	// ideal I-cache), which lets the fast-forward engine skip dependency
 	// and functional-unit stall regions on monopolizing schemes.
 	idealIF bool
-
-	// Memo of the last depRegion classification, so the Step immediately
-	// following the NextEvent that computed it does not redo the hazard
-	// walk. Valid only for (depTh, depPC) at cycle depCycle; execute
-	// clears depTh because issuing writes the scoreboard.
-	depTh    *Thread
-	depPC    int
-	depCycle int64
-	depCls   SlotClass
-	depUntil int64
 
 	Stats Stats
 	Trace func(TraceEvent) // optional per-cycle hook
@@ -512,30 +514,37 @@ const busyStreak = 2
 // Run advances the processor n cycles, fast-forwarding through stall
 // regions (fastforward.go) unless Cfg.NoFastForward or a Trace hook
 // forces cycle-by-cycle stepping. Inside a busy streak it steps without
-// asking NextEvent first.
+// classifying the cycle first.
 func (p *Processor) Run(n int64) {
 	end := p.cycle + n
 	streak := 0
 	for p.cycle < end {
-		if streak < busyStreak {
-			if cls, ctx, until := p.NextEvent(); until > p.cycle {
-				if until > end {
-					until = end
-				}
-				if p.obs != nil {
-					p.ObservedSkipTo(until, cls, ctx)
-				} else {
-					p.SkipTo(until, cls, ctx)
-				}
+		if streak >= busyStreak {
+			if !p.Step() {
 				streak = 0
-				continue
 			}
+			continue
 		}
-		if p.Step() {
+		// Advance does not say whether its cycle retired; the count does.
+		retired := p.Stats.Retired
+		if cls, ctx, until := p.Advance(); until > p.cycle {
+			p.skipTo(min(until, end), cls, ctx)
+		}
+		if p.Stats.Retired != retired {
 			streak++
 		} else {
 			streak = 0
 		}
+	}
+}
+
+// skipTo is SkipTo for the single-processor drivers, which learn whether
+// the processor is observed only here.
+func (p *Processor) skipTo(target int64, cls SlotClass, ctx int) {
+	if p.obs != nil {
+		p.ObservedSkipTo(target, cls, ctx)
+	} else {
+		p.SkipTo(target, cls, ctx)
 	}
 }
 
@@ -551,18 +560,8 @@ func (p *Processor) RunUntilHalted(limit int64) (int64, bool) {
 		if p.AllHalted() {
 			return p.cycle - start, true
 		}
-		cls, ctx, until := p.NextEvent()
-		if until <= p.cycle {
-			p.Step()
-			continue
-		}
-		if until > end {
-			until = end
-		}
-		if p.obs != nil {
-			p.ObservedSkipTo(until, cls, ctx)
-		} else {
-			p.SkipTo(until, cls, ctx)
+		if cls, ctx, until := p.Advance(); until > p.cycle {
+			p.skipTo(min(until, end), cls, ctx)
 		}
 	}
 	return p.cycle - start, p.AllHalted()
@@ -640,16 +639,9 @@ func (p *Processor) issueSlot(now int64) bool {
 		return false
 	}
 
-	// Scoreboard: source and destination (WAW) dependencies.
-	if cls, stalled := p.depStall(th, in, now); stalled {
+	// Scoreboard, then functional-unit conflict.
+	if cls, until := p.hazardRegion(th, in, now); until > now {
 		p.count(now, cls, c.idx)
-		return false
-	}
-
-	// Functional-unit conflict (non-pipelined units).
-	tm := in.TM
-	if tm.Unit != isa.UnitNone && p.fuFree[tm.Unit] > now {
-		p.count(now, stallClass(int(p.fuFree[tm.Unit]-now), in.Region), c.idx)
 		return false
 	}
 
@@ -715,32 +707,27 @@ func nextReady(ready uint64, rr int) int {
 	return -1
 }
 
-// depStall checks source and WAW dependencies; on a stall it returns the
-// class to charge. It reuses the classification NextEvent memoized this
-// cycle when one is valid: depRegion is a pure function of the scoreboard,
-// which nothing touches between the classification and the issue slot.
-func (p *Processor) depStall(th *Thread, in *isa.Inst, now int64) (SlotClass, bool) {
-	if p.depTh == th && p.depCycle == now && p.depPC == th.PC {
-		return p.depCls, p.depUntil > now
-	}
-	cls, until := depRegion(th, in, now)
-	return cls, until > now
-}
-
-// depRegion computes the current dependency-stall sub-region of in at
-// cycle now: the class every cycle in [now, until) charges, with
-// until <= now meaning no dependency stalls the instruction. The charged
-// class is that of the hazard with the latest writeback, so it can change
-// when an earlier hazard clears mid-stall; until is therefore the nearest
-// hazard-clear cycle, not the end of the whole stall — callers re-evaluate
-// there. Nothing on this thread executes while it is stalled, so regReady
-// and regStall are constant over the region and the per-cycle depStall
-// answer is provably (cls) for every cycle in it.
+// hazardRegion is what keeps fetched instruction in of thread th from
+// issuing at cycle now: the class every cycle in [now, until) charges
+// while nothing else issues, with until <= now meaning the instruction can
+// issue.
+//
+// First the scoreboard: source and destination (WAW) dependencies. The
+// charged class is that of the hazard with the latest writeback, so it can
+// change when an earlier hazard clears mid-stall; until is therefore the
+// nearest hazard-clear cycle, not the end of the whole stall — callers
+// re-evaluate there. Nothing on this thread executes while it is stalled,
+// so regReady and regStall are constant over the region and the per-cycle
+// answer is provably cls for every cycle in it. Then a conflict on a
+// non-pipelined functional unit, which splits into a long-stall and a
+// short-stall piece at the LongLatencyThreshold crossing, because the
+// stall is charged by its remaining length each cycle.
+//
 // The operand checks are unrolled and compare against isa.NumRegs (the
 // regReady array length) so the bounds checks vanish: this runs once per
-// NextEvent classification and once per issued instruction, which makes it
-// one of the hottest leaves in the whole simulator.
-func depRegion(th *Thread, in *isa.Inst, now int64) (cls SlotClass, until int64) {
+// slot that reaches the scoreboard, which makes it one of the hottest
+// leaves in the whole simulator.
+func (p *Processor) hazardRegion(th *Thread, in *isa.Inst, now int64) (cls SlotClass, until int64) {
 	worst := int64(0)
 	cls = SlotStallShort
 	until = int64(math.MaxInt64)
@@ -778,25 +765,23 @@ func depRegion(th *Thread, in *isa.Inst, now int64) (cls SlotClass, until int64)
 			}
 		}
 	}
-	if !active {
-		return 0, now
+	if active {
+		if in.Region == isa.RegionSync {
+			cls = SlotSync
+		}
+		return cls, until
 	}
-	if in.Region == isa.RegionSync {
-		cls = SlotSync
+	if tm := in.TM; tm.Unit != isa.UnitNone && p.fuFree[tm.Unit] > now {
+		free := p.fuFree[tm.Unit]
+		if in.Region == isa.RegionSync {
+			return SlotSync, free
+		}
+		if b := free - int64(isa.LongLatencyThreshold); now < b {
+			return SlotStallLong, b
+		}
+		return SlotStallShort, free
 	}
-	return cls, until
-}
-
-// stallClass classifies a pipeline stall by its remaining length and the
-// region of the stalled instruction.
-func stallClass(remaining int, region isa.Region) SlotClass {
-	if region == isa.RegionSync {
-		return SlotSync
-	}
-	if remaining > isa.LongLatencyThreshold {
-		return SlotStallLong
-	}
-	return SlotStallShort
+	return SlotIdle, now
 }
 
 // producerClass gives the slot class charged to stalls on the result of an
@@ -842,7 +827,6 @@ func (p *Processor) busySlot(now int64, c *hwContext, th *Thread, in *isa.Inst) 
 // semantics plus timing bookkeeping. It reports whether the instruction
 // retired (a miss that replays and an explicit yield do not).
 func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) (retired bool) {
-	p.depTh = nil // issuing writes the scoreboard: drop the depRegion memo
 	tm := in.TM
 	if tm.Unit != isa.UnitNone && tm.Issue > 1 {
 		p.fuFree[tm.Unit] = now + int64(tm.Issue)

@@ -99,8 +99,7 @@ func scanIdleCause(p *Processor) (SlotClass, int) {
 
 // scanNextEvent is the pre-mask NextEvent: identical frontier, forced
 // fetch and monopoly handling, then a scan over the contexts for "can
-// anyone issue, and if not, who wakes first". interlockRegion writes the
-// dependency memo, so callers pass a copy of the processor.
+// anyone issue, and if not, who wakes first".
 func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64) {
 	now := p.cycle
 	if p.Cfg.NoFastForward || p.Trace != nil {
@@ -124,7 +123,17 @@ func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64) {
 			c = &p.ctxs[p.cur]
 		}
 		if scanRunnable(c) && c.availableAt <= now {
-			return p.interlockRegion(c, now)
+			cls, until := SlotSwitch, c.shadowUntil
+			if now >= until {
+				cls, until = SlotStallShort, c.redirectUntil
+			}
+			if now >= until {
+				cls, until = p.hazardRegion(c.thread, &c.thread.insts[c.thread.PC], now)
+			}
+			if until > now {
+				return cls, c.idx, p.boundEvent(until)
+			}
+			return SlotIdle, -1, now
 		}
 		if scheme != Single {
 			return SlotIdle, -1, now

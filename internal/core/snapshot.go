@@ -17,10 +17,7 @@ import (
 // a thread's decoded-instruction cache comes from its program, the
 // processor's completer/idealIF probes from its memory system, the
 // context-selection summary (ready mask, wake cycle, idle charge) is
-// recomputed from the restored contexts on first use, and the
-// dependency-region memo is dropped (it only short-circuits the Step
-// immediately after the NextEvent that computed it, and no Step follows
-// a restore without a fresh NextEvent).
+// recomputed from the restored contexts on first use.
 //
 // Observability state (metrics cursors, event traces) is deliberately
 // not serialized: drivers fall back to from-scratch simulation for
@@ -129,11 +126,8 @@ func (p *Processor) State(c snapshot.Codec) {
 	}
 	p.Stats.state(c)
 	if !c.Saving() {
-		// Drop the dependency-region memo: it is only valid for the Step
-		// immediately following the NextEvent that computed it. Likewise
-		// the context-selection summary, which describes the overwritten
+		// The context-selection summary described the overwritten
 		// contexts.
-		p.depTh = nil
 		p.invalidateReady()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/coherence"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/memsys"
@@ -42,22 +43,14 @@ func classifyEveryCycle(p *Processor, n int64) {
 			p.Step()
 			continue
 		}
-		if until > end {
-			until = end
-		}
-		if p.obs != nil {
-			p.ObservedSkipTo(until, cls, ctx)
-		} else {
-			p.SkipTo(until, cls, ctx)
-		}
+		p.skipTo(min(until, end), cls, ctx)
 	}
 }
 
 // idealFetchMem is fakeMem declaring its instruction fetch pure, as the
 // multiprocessor's node memory does: the monopolizing schemes then skip
-// interlock regions (interlockRegion) and memoize the dependency walk for
-// the Step that follows a classification — which a streak's Steps do not
-// get.
+// interlock regions, and Run's Advance issues in the pass that classified
+// — which a streak's Steps do not.
 type idealFetchMem struct{ *fakeMem }
 
 func (idealFetchMem) InstFetchIsIdeal() bool { return true }
@@ -115,7 +108,10 @@ type streakScenario struct {
 	scheme Scheme
 	nctx   int
 	width  int                  // IssueWidth, 0 for the paper's single issue
+	noFF   bool                 // Cfg.NoFastForward
+	btb    int                  // BTBEntries, 0 for the default
 	mem    func() memsys.System // nil: the workstation cache hierarchy
+	fabric bool                 // instead: node 0 of a two-node coherence fabric
 	chunk  int64                // cycles per Run call ("slice")
 	chunks int
 	sample int64 // metrics SampleEvery, 0 for an unobserved machine
@@ -140,6 +136,7 @@ type streakMachine struct {
 	proc    *Processor
 	fm      *mem.Memory
 	h       *cache.Hierarchy
+	fab     *coherence.Fabric
 	threads []*Thread
 	col     *metrics.Collector
 	events  []TraceEvent
@@ -149,9 +146,13 @@ func (sc *streakScenario) build(t *testing.T) *streakMachine {
 	t.Helper()
 	m := &streakMachine{fm: mem.New()}
 	var sys memsys.System
-	if sc.mem != nil {
+	switch {
+	case sc.fabric:
+		m.fab = coherence.MustNewFabric(coherence.DefaultParams(), 2)
+		sys = m.fab.Node(0)
+	case sc.mem != nil:
 		sys = sc.mem()
-	} else {
+	default:
 		m.h = cache.MustNewHierarchy(cache.DefaultParams())
 		sys = m.h
 	}
@@ -159,12 +160,19 @@ func (sc *streakScenario) build(t *testing.T) *streakMachine {
 	pr.LoadInit(m.fm)
 	cfg := DefaultConfig(sc.scheme, sc.nctx)
 	cfg.IssueWidth = sc.width
+	cfg.NoFastForward = sc.noFF
+	if sc.btb > 0 {
+		cfg.BTBEntries = sc.btb
+	}
 	m.proc = MustNewProcessor(cfg, sys, m.fm)
 	if sc.sample > 0 {
 		m.col = metrics.NewCollector(metrics.Options{SampleEvery: sc.sample, Events: true}, 1)
 		m.proc.AttachMetrics(m.col.Proc(0))
 		if m.h != nil {
 			m.h.AttachMetrics(m.col.Proc(0))
+		}
+		if m.fab != nil {
+			m.fab.Node(0).AttachMetrics(m.col.Proc(0))
 		}
 	}
 	if sc.trace {
@@ -185,26 +193,39 @@ func (sc *streakScenario) build(t *testing.T) *streakMachine {
 // recorded.
 func (m *streakMachine) state(t *testing.T, final bool) []byte {
 	t.Helper()
+	if !m.proc.Observed() {
+		return append(m.checkpoint(), fmt.Sprintf("%v", m.events)...)
+	}
 	w := snapshot.NewWriter()
 	for _, th := range m.threads {
 		th.SaveState(w)
 	}
-	if m.proc.Observed() {
-		var blob []byte
-		if final {
-			var err error
-			if blob, err = json.Marshal(m.col.Result()); err != nil {
-				t.Fatal(err)
-			}
+	var blob []byte
+	if final {
+		var err error
+		if blob, err = json.Marshal(m.col.Result()); err != nil {
+			t.Fatal(err)
 		}
-		return append(w.Bytes(), fmt.Sprintf("@%d %+v %s", m.proc.Now(), m.proc.Stats, blob)...)
+	}
+	return append(w.Bytes(), fmt.Sprintf("@%d %+v %s", m.proc.Now(), m.proc.Stats, blob)...)
+}
+
+// checkpoint is the unobserved machine as a driver would save it: threads,
+// processor, memory system, functional memory.
+func (m *streakMachine) checkpoint() []byte {
+	w := snapshot.NewWriter()
+	for _, th := range m.threads {
+		th.SaveState(w)
 	}
 	m.proc.SaveState(w)
 	if m.h != nil {
 		m.h.SaveState(w)
 	}
+	if m.fab != nil {
+		m.fab.SaveState(w)
+	}
 	m.fm.SaveState(w)
-	return append(w.Bytes(), fmt.Sprintf("%v", m.events)...)
+	return w.Bytes()
 }
 
 func slotsDelta(before, after *Stats) (cls SlotClass, ok bool) {

@@ -50,10 +50,26 @@ func sweepProgram(passes int) *prog.Program {
 	return b.MustBuild()
 }
 
+// switchEvent is one SwitchWatch callback.
+type switchEvent struct {
+	proc, ctx int
+	now       int64
+}
+
 // runPair executes cfg twice — fast-forwarding (default) and with
-// NoFastForward forced through the core override — and returns both.
+// NoFastForward forced through the core override — and returns both. The
+// lockstep driver promises SwitchWatch callbacks in (cycle, processor)
+// order whichever way it gets through a cycle, so the two runs must also
+// make the same callbacks in the same order.
 func runPair(t *testing.T, p *prog.Program, cfg Config) (ff, off *Result) {
 	t.Helper()
+	var ffSwitches, offSwitches []switchEvent
+	record := func(into *[]switchEvent) func(*core.Processor, int, int64) {
+		return func(p *core.Processor, ctx int, now int64) {
+			*into = append(*into, switchEvent{p.ID, ctx, now})
+		}
+	}
+	cfg.SwitchWatch = record(&ffSwitches)
 	ff, err := Run(p, cfg)
 	if err != nil {
 		t.Fatalf("fast-forward run: %v", err)
@@ -62,9 +78,17 @@ func runPair(t *testing.T, p *prog.Program, cfg Config) (ff, off *Result) {
 	ccfg.NoFastForward = true
 	offCfg := cfg
 	offCfg.Core = &ccfg
+	offCfg.SwitchWatch = record(&offSwitches)
 	off, err = Run(p, offCfg)
 	if err != nil {
 		t.Fatalf("stepped run: %v", err)
+	}
+	if !reflect.DeepEqual(ffSwitches, offSwitches) {
+		t.Errorf("SwitchWatch saw %d callbacks fast-forwarded, %d stepped, or the same number in another order",
+			len(ffSwitches), len(offSwitches))
+	}
+	if cfg.Scheme != core.Single && cfg.Scheme != core.FineGrained && len(ffSwitches) == 0 {
+		t.Errorf("SwitchWatch never fired: the comparison is empty")
 	}
 	return ff, off
 }

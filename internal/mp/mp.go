@@ -130,9 +130,9 @@ func RunCtx(ctx context.Context, p *prog.Program, cfg Config) (*Result, error) {
 	return m.result(completed), nil
 }
 
-// procRunner is the per-processor driver state: until is the cached
-// NextEvent horizon (zero forces a recompute on first touch), (cls, ctx)
-// the charge for the processor's current boring region. The caches are
+// procRunner is the per-processor driver state: until is the horizon the
+// last Advance reported (zero forces a first call), (cls, ctx) the charge
+// for the processor's current boring region. The caches are
 // derived state — at a block boundary every processor is settled to the
 // boundary cycle and a recompute yields the identical classification —
 // so checkpoints drop them.
@@ -176,6 +176,9 @@ func newMachine(p *prog.Program, cfg Config) (*machine, error) {
 	}
 	ccfg := core.DefaultConfig(cfg.Scheme, cfg.Contexts)
 	if cfg.Core != nil {
+		if err := cfg.Core.CheckOverride(cfg.Scheme, cfg.Contexts); err != nil {
+			return nil, fmt.Errorf("mp: %w", err)
+		}
 		ccfg = *cfg.Core
 	}
 	if cfg.Coherence.Chaos == nil {
@@ -275,9 +278,10 @@ func newMachine(p *prog.Program, cfg Config) (*machine, error) {
 	}
 
 	// A single scan per global cycle both classifies and steps, walking
-	// processors in index order. The lockstep driver exploits a property
-	// of the fast-forward engine's boring regions: a processor's cached
-	// NextEvent stays valid while OTHER processors execute, because
+	// processors in index order, one core.Processor.Advance per processor
+	// due to act. The lockstep driver exploits a property of the
+	// fast-forward engine's boring regions: the region a processor's last
+	// Advance reported stays valid while OTHER processors execute, because
 	// cross-processor traffic mutates only coherence-node state, which
 	// reaches a core exclusively through its own accesses — and a boring
 	// processor makes none. So a stalled processor is simply left lagging
@@ -290,12 +294,12 @@ func newMachine(p *prog.Program, cfg Config) (*machine, error) {
 	// stepping, making fast-forward ON vs OFF results byte-identical.
 	//
 	// Stepping processor j before classifying processor i > j is safe on a
-	// pull-based memory system (the only kind the fabric is): NextEvent
-	// reads purely processor-local state, and cross-processor traffic
-	// reaches a core only through its own accesses, so the classification
-	// is independent of its position relative to other processors' steps
-	// in the same cycle — while the steps themselves retain the lockstep
-	// (cycle, processor index) order.
+	// pull-based memory system (the only kind the fabric is): Advance's
+	// classification reads purely processor-local state, and
+	// cross-processor traffic reaches a core only through its own
+	// accesses, so the classification is independent of its position
+	// relative to other processors' steps in the same cycle — while the
+	// steps themselves retain the lockstep (cycle, processor index) order.
 	//
 	// The block advancer comes in two copies selected once per run, NOT as
 	// one copy with per-skip `if observed` branches: this loop is the
@@ -321,11 +325,10 @@ func newMachine(p *prog.Program, cfg Config) (*machine, error) {
 					if r.proc.Now() < now {
 						r.proc.SkipTo(now, r.cls, r.ctx)
 					}
-					r.cls, r.ctx, r.until = r.proc.NextEvent()
+					r.cls, r.ctx, r.until = r.proc.Advance()
 					if r.until <= now {
-						// Real work this cycle; the stale until forces a
-						// fresh classification next cycle.
-						r.proc.Step()
+						// Real work was done this cycle; the stale until
+						// forces a fresh classification next cycle.
 						stepped = true
 						continue
 					}
@@ -360,9 +363,8 @@ func newMachine(p *prog.Program, cfg Config) (*machine, error) {
 					if r.proc.Now() < now {
 						r.proc.ObservedSkipTo(now, r.cls, r.ctx)
 					}
-					r.cls, r.ctx, r.until = r.proc.NextEvent()
+					r.cls, r.ctx, r.until = r.proc.Advance()
 					if r.until <= now {
-						r.proc.Step()
 						stepped = true
 						continue
 					}

@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -159,6 +160,39 @@ func TestConfigErrors(t *testing.T) {
 	bad.Contexts = 0
 	if _, err := Run(p, bad); err == nil {
 		t.Error("zero contexts accepted")
+	}
+}
+
+// A Core override configures the pipeline, not the machine: the driver
+// binds Contexts threads per processor and the program was compiled for
+// Scheme's yield instruction, so an override that disagrees on either is
+// refused (it used to index past the override's contexts in BindThread, or
+// run SWITCH-compiled code on an interleaved pipeline).
+func TestCoreOverrideMustMatchMachine(t *testing.T) {
+	p := counterProgram(1, prog.YieldBackoff)
+	for _, tc := range []struct {
+		name     string
+		scheme   core.Scheme
+		contexts int
+		ok       bool
+	}{
+		{"same scheme and contexts", core.Interleaved, 4, true},
+		{"fewer contexts", core.Interleaved, 2, false},
+		{"more contexts", core.Interleaved, 8, false},
+		{"another scheme", core.Blocked, 4, false},
+	} {
+		cfg := DefaultConfig(core.Interleaved, 4)
+		cfg.Processors = 2
+		ccfg := core.DefaultConfig(tc.scheme, tc.contexts)
+		ccfg.BTBEntries = 0 // what an override is for
+		cfg.Core = &ccfg
+		_, err := Run(p, cfg)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "core override")) {
+			t.Errorf("%s: accepted, or refused for another reason: %v", tc.name, err)
+		}
 	}
 }
 

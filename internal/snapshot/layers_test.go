@@ -344,11 +344,6 @@ func TestStateWalkCoversEveryField(t *testing.T) {
 			"completer":      "probed from Mem at construction",
 			"capCompletions": "probed from Mem at construction",
 			"idealIF":        "probed from Mem at construction",
-			"depTh":          "dependency-region memo, dropped on restore",
-			"depPC":          "dependency-region memo",
-			"depCycle":       "dependency-region memo",
-			"depCls":         "dependency-region memo",
-			"depUntil":       "dependency-region memo",
 			"Trace":          "caller's hook",
 			"MemWatch":       "caller's hook",
 			"SwitchWatch":    "caller's hook",

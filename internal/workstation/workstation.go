@@ -203,6 +203,9 @@ func newRunner(kernels []apps.Kernel, cfg Config) (*runner, error) {
 	}
 	ccfg := core.DefaultConfig(cfg.Scheme, cfg.Contexts)
 	if cfg.Core != nil {
+		if err := cfg.Core.CheckOverride(cfg.Scheme, cfg.Contexts); err != nil {
+			return nil, fmt.Errorf("workstation: %w", err)
+		}
 		ccfg = *cfg.Core
 	}
 

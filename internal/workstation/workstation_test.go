@@ -1,6 +1,7 @@
 package workstation
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -107,6 +108,36 @@ func TestRunValidation(t *testing.T) {
 	bad.Contexts = 0
 	if _, err := Run(ks, bad); err == nil {
 		t.Error("zero contexts accepted")
+	}
+}
+
+// A Core override that disagrees with the machine's scheme or context
+// count is refused: the runner binds Contexts threads and compiled the
+// kernels for Scheme's yield instruction.
+func TestCoreOverrideMustMatchMachine(t *testing.T) {
+	ks := testWorkload(t, "emit")
+	for _, tc := range []struct {
+		name     string
+		scheme   core.Scheme
+		contexts int
+		ok       bool
+	}{
+		{"same scheme and contexts", core.Interleaved, 4, true},
+		{"fewer contexts", core.Interleaved, 2, false},
+		{"more contexts", core.Interleaved, 8, false},
+		{"another scheme", core.Blocked, 4, false},
+	} {
+		cfg := quickConfig(core.Interleaved, 4)
+		ccfg := core.DefaultConfig(tc.scheme, tc.contexts)
+		ccfg.BTBEntries = 0 // what an override is for
+		cfg.Core = &ccfg
+		_, err := Run(ks, cfg)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "core override")) {
+			t.Errorf("%s: accepted, or refused for another reason: %v", tc.name, err)
+		}
 	}
 }
 

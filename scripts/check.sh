@@ -24,6 +24,16 @@ if grep -rnE 'GridWorkstation|GridMultiprocessor|UniCellRecord|MPCellRecord|Asse
     exit 1
 fi
 
+# A driver advances a processor with core.Processor.Advance, which
+# classifies a cycle and issues it in one pass. NextEvent stays as the pure
+# classifier Advance is tested against; a driver that calls it and then
+# Step walks the issue cascade twice per busy cycle again.
+if grep -rn 'NextEvent()' --include='*.go' --exclude='*_test.go' . |
+    grep -v -e '^./internal/core/fastforward.go:' -e '^./internal/core/processor.go:'; then
+    echo "check.sh: a driver calls NextEvent(); advance the processor with Advance()" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
