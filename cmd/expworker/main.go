@@ -54,7 +54,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "expworker: -coordinator is required")
 		return experiments.ExitUsage
 	}
-	plan, err := guard.ParseFaultPlan(*fault)
+	plan, err := guard.ProcessFaults.Parse(*fault)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "expworker:", err)
 		return experiments.ExitUsage

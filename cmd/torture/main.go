@@ -18,8 +18,8 @@
 // whose faults all landed beyond the run's operation count is loud,
 // never silent — and -require-all-classes turns missing coverage across
 // the whole seed set into a failure (the CI gate). A failing seed is
-// shrunk to a minimal schedule by removing fault events one at a time
-// while the failure reproduces.
+// shrunk to a minimal schedule (seeded.Minimize: fault events are removed
+// in chunks, then one at a time, while the failure reproduces).
 //
 // Usage:
 //
@@ -67,13 +67,14 @@ func run() int {
 	fs.Parse(os.Args[1:])
 
 	seeds := make([]int64, 0, *n)
-	if *seed != 0 {
-		seeds = append(seeds, *seed)
-	} else {
-		for s := *first; s < *first+*n; s++ {
-			seeds = append(seeds, s)
-		}
+	for s := *first; s < *first+*n; s++ {
+		seeds = append(seeds, s)
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" { // set, to any value: -seed 0 is seed 0
+			seeds = []int64{*seed}
+		}
+	})
 
 	spec := tortureSpec()
 	baseText, baseJSON, err := baseline(spec)
@@ -105,7 +106,11 @@ func run() int {
 					_, rerr := runSeed(spec, baseText, baseJSON, cand, *runTimeout, logf)
 					return rerr != nil
 				})
-				fmt.Printf("seed %d: minimal failing schedule: %s — necessary faults: %s\n", s, min, remaining(min))
+				if len(min.slots()) == 0 {
+					fmt.Printf("seed %d: the failure reproduces with no faults at all — a base bug\n", s)
+				} else {
+					fmt.Printf("seed %d: minimal failing schedule, every fault of it necessary: %s\n", s, min)
+				}
 				fmt.Printf("seed %d: replay with: torture -seed %d  (schedules are pure functions of the seed)\n", s, s)
 			}
 			continue
@@ -250,10 +255,9 @@ func runSeed(spec service.JobSpec, baseText string, baseJSON []byte, sched sched
 	go srv.Serve(ln)
 
 	// Two workers, each behind its own faulted transport.
-	transports := []*faultnet.Transport{
-		faultnet.NewTransport(nil, sched.Client, nil),
-		faultnet.NewTransport(nil, sched.Workers[0], nil),
-		faultnet.NewTransport(nil, sched.Workers[1], nil),
+	var transports [len(netNames)]*faultnet.Transport
+	for i, plan := range sched.Net {
+		transports[i] = faultnet.NewTransport(nil, plan, nil)
 	}
 	for i := 0; i < 2; i++ {
 		w := service.NewWorker(service.WorkerConfig{

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/faultfs"
+	"repro/internal/faultnet"
 )
 
 // Two seeds in-process — one per crash-inducing disk class family —
@@ -32,20 +36,24 @@ func TestTortureSmoke(t *testing.T) {
 	}
 }
 
+// Every seed, negative ones included, arms exactly one disk class and all
+// three transports, and the schedule is a pure function of the seed.
 func TestScheduleFromSeedDeterministic(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
+	for seed := int64(-50); seed <= 50; seed++ {
 		a, b := scheduleFromSeed(seed), scheduleFromSeed(seed)
-		if a != b {
+		if a.String() != b.String() {
 			t.Fatalf("seed %d: schedule not a pure function of the seed:\n%s\n%s", seed, a, b)
 		}
-		if a.Disk.Empty() {
-			t.Fatalf("seed %d: no disk fault armed", seed)
+		if len(a.Disk) != 1 {
+			t.Fatalf("seed %d: want exactly one disk fault armed, got %s", seed, a)
 		}
-		if a.Client.Empty() || a.Workers[0].Empty() || a.Workers[1].Empty() {
-			t.Fatalf("seed %d: a transport has no faults armed", seed)
+		for i, p := range a.Net {
+			if len(p) == 0 {
+				t.Fatalf("seed %d: %s has no faults armed", seed, netNames[i])
+			}
 		}
 	}
-	if scheduleFromSeed(1) == scheduleFromSeed(2) {
+	if scheduleFromSeed(1).String() == scheduleFromSeed(2).String() {
 		t.Fatal("distinct seeds produced identical schedules")
 	}
 }
@@ -54,22 +62,28 @@ func TestScheduleFromSeedDeterministic(t *testing.T) {
 // keep every fault it does.
 func TestShrinkSchedule(t *testing.T) {
 	full := scheduleFromSeed(1)
-	if full.Disk.FailSyncAt == 0 {
-		t.Fatalf("test premise: seed 1 arms failed-sync, got %s", full)
+	sync, okSync := full.Disk.Lookup(faultfs.FaultFailedSync)
+	drop, okDrop := full.Net[0].Lookup(faultnet.FaultDrop)
+	if !okSync || !okDrop {
+		t.Fatalf("test premise: seed 1 arms failed-sync and a client drop, got %s", full)
 	}
 	// Synthetic failure: reproduces iff the disk failed-sync AND the
 	// client drop are both present.
+	runs := 0
 	fails := func(s schedule) bool {
-		return s.Disk.FailSyncAt != 0 && s.Client.DropAt != 0
+		runs++
+		_, hasSync := s.Disk.Lookup(faultfs.FaultFailedSync)
+		_, hasDrop := s.Net[0].Lookup(faultnet.FaultDrop)
+		return hasSync && hasDrop
 	}
 	min := shrinkSchedule(full, fails)
-	want := schedule{}
-	want.Disk.FailSyncAt = full.Disk.FailSyncAt
-	want.Client.DropAt = full.Client.DropAt
-	if min != want {
+	want := fmt.Sprintf("disk{%v} client{%v} w0{} w1{}", sync, drop)
+	if min.String() != want {
 		t.Fatalf("shrink kept extra faults:\n got %s\nwant %s", min, want)
 	}
-	if got := remaining(min); got != "disk:failed-sync client:drop" {
-		t.Fatalf("remaining = %q", got)
+	// Removing one event at a time until nothing more goes costs one run
+	// per event (16) plus a confirming pass over the two that stay.
+	if runs >= 18 {
+		t.Errorf("shrink took %d runs for 16 events; the one-at-a-time loop took 18", runs)
 	}
 }

@@ -6,66 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/faultfs"
 	"repro/internal/faultnet"
 	"repro/internal/fuzz"
 	"repro/internal/guard"
 	"repro/internal/prog"
 )
-
-// Renderers of the three schedule structs in the one syntax the rows
-// below are written in: kind@N[:arg], comma-separated, classes in
-// declaration order, a delay's argument in milliseconds.
-
-func canonDisk(p faultfs.Plan) string {
-	var evs []string
-	if p.TornWriteAt != 0 {
-		evs = append(evs, canonEvent(faultfs.FaultTornWrite, p.TornWriteAt, int64(p.TornWriteKeep)))
-	}
-	if p.FailSyncAt != 0 {
-		evs = append(evs, canonEvent(faultfs.FaultFailedSync, p.FailSyncAt, 0))
-	}
-	if p.ENOSPCAfterBytes != 0 {
-		evs = append(evs, canonEvent(faultfs.FaultENOSPC, p.ENOSPCAfterBytes, 0))
-	}
-	return strings.Join(evs, ",")
-}
-
-func canonNet(p faultnet.Plan) string {
-	var evs []string
-	for _, c := range []struct {
-		kind    faultnet.FaultKind
-		at, arg int64
-	}{
-		{faultnet.FaultDrop, p.DropAt, 0},
-		{faultnet.FaultDelay, p.DelayAt, int64(p.Delay / time.Millisecond)},
-		{faultnet.FaultDup, p.DupAt, 0},
-		{faultnet.FaultReset, p.ResetAt, 0},
-		{faultnet.FaultTruncate, p.TruncateAt, int64(p.TruncateBytes)},
-	} {
-		if c.at != 0 {
-			evs = append(evs, canonEvent(c.kind, c.at, c.arg))
-		}
-	}
-	return strings.Join(evs, ",")
-}
-
-func canonEvent(kind fmt.Stringer, at, arg int64) string {
-	if arg == 0 {
-		return fmt.Sprintf("%v@%d", kind, at)
-	}
-	return fmt.Sprintf("%v@%d:%d", kind, at, arg)
-}
-
-func canonSchedule(s schedule) string {
-	return fmt.Sprintf("disk{%s} client{%s} w0{%s} w1{%s}",
-		canonDisk(s.Disk), canonNet(s.Client), canonNet(s.Workers[0]), canonNet(s.Workers[1]))
-}
 
 // TestSeededStreamsPinned holds every seeded derivation in the repository
 // to the bytes it yields today: the torture schedules, a network plan, the
@@ -83,7 +32,7 @@ func TestSeededStreamsPinned(t *testing.T) {
 		got  func() string
 		want string
 	}{
-		{"net plan seed 5", func() string { return canonNet(faultnet.PlanFromSeed(5, faultnet.AllNetFaults)) },
+		{"net plan seed 5", func() string { return faultnet.PlanFromSeed(5).String() },
 			"drop@2,delay@20:11,duplicate@5,reset@8,truncation@17:49"},
 		{"chaos(7,24) jitter", func() string {
 			c := guard.NewChaos(7, 24)
@@ -135,7 +84,7 @@ func TestSeededStreamsPinned(t *testing.T) {
 			name string
 			got  func() string
 			want string
-		}{fmt.Sprintf("torture seed %d", seed), func() string { return canonSchedule(scheduleFromSeed(seed)) }, want})
+		}{fmt.Sprintf("torture seed %d", seed), func() string { return scheduleFromSeed(seed).String() }, want})
 	}
 	for _, r := range rows {
 		if got := r.got(); got != r.want {

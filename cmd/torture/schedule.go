@@ -2,147 +2,99 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/faultfs"
 	"repro/internal/faultnet"
+	"repro/internal/seeded"
 )
 
 // schedule is one seed's complete fault plan: a disk plan under the
 // coordinator's journals, and a network plan per HTTP participant (the
-// polling client and each of the two workers).
+// polling client and each of the two workers, in netNames order).
 type schedule struct {
-	Disk    faultfs.Plan
-	Client  faultnet.Plan
-	Workers [2]faultnet.Plan
+	Disk seeded.Plan[faultfs.FaultKind]
+	Net  [3]seeded.Plan[faultnet.FaultKind]
 }
 
+var netNames = [3]string{"client", "w0", "w1"}
+
+// String renders the four plans in seeded.Plan syntax, each under its
+// participant's name.
 func (s schedule) String() string {
-	return fmt.Sprintf("disk{%s} client{%s} w0{%s} w1{%s}",
-		s.Disk, s.Client, s.Workers[0], s.Workers[1])
-}
-
-// splitmix64 is the repo-wide seeding primitive (see guard, faultfs,
-// faultnet): advancing x yields an independent stream per seed.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9E3779B97F4A7C15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	out := fmt.Sprintf("disk{%s}", s.Disk)
+	for i, p := range s.Net {
+		out += fmt.Sprintf(" %s{%s}", netNames[i], p)
+	}
+	return out
 }
 
 // scheduleFromSeed derives the whole schedule from the seed alone — a
 // pure function, so "replay seed N" is the complete reproduction
 // recipe.
 //
-// The disk plan does not reuse faultfs.PlanFromSeed: its default
-// ordinal spans target long-running hosts, and a 5-cell torture run
-// performs only ~6 journal writes and ~6 syncs per job. The spans here
-// are fitted to that volume (and the ENOSPC budget to its byte volume,
-// past the journal header, within the cell records), so scheduled disk
-// faults actually land. One disk class per seed — the run crashes and
-// restarts on the first disk fault, so arming several would leave the
-// rest unfired noise. The class rotates with the seed; network plans
-// carry all five classes (request volume is high enough for
-// faultnet's 2..21 ordinal window on every transport).
+// The disk spans are fitted to a 5-cell torture run, which performs only
+// ~6 journal writes and ~6 syncs per job (and the ENOSPC budget to its
+// byte volume, past the journal header, within the cell records), so
+// scheduled disk faults actually land. One disk class per seed — the run
+// crashes and restarts on the first disk fault, so arming several would
+// leave the rest unfired noise. The class rotates with the seed, taken as
+// unsigned so a negative seed arms one too; network plans carry all five
+// classes (request volume is high enough for faultnet's 2..21 ordinal
+// window on every transport).
 func scheduleFromSeed(seed int64) schedule {
-	x := uint64(seed) ^ 0x746f7274 // "tort": decorrelate from other consumers of the seed
-	var s schedule
-	switch seed % 3 {
-	case 0:
-		s.Disk.TornWriteAt = int64(2 + splitmix64(&x)%5)
-		s.Disk.TornWriteKeep = int(splitmix64(&x) % 48)
-	case 1:
-		s.Disk.FailSyncAt = int64(2 + splitmix64(&x)%5)
-	case 2:
-		s.Disk.ENOSPCAfterBytes = int64(400 + splitmix64(&x)%1200)
+	x := seeded.Stream(uint64(seed) ^ 0x746f7274) // "tort": decorrelate from other consumers of the seed
+	disk := seeded.Event[faultfs.FaultKind]{Kind: faultfs.DiskFaultKinds[uint64(seed)%3]}
+	switch disk.Kind {
+	case faultfs.FaultTornWrite:
+		disk.At = int64(2 + x.Next()%5)
+		disk.Arg = int64(x.Next() % 48)
+	case faultfs.FaultFailedSync:
+		disk.At = int64(2 + x.Next()%5)
+	case faultfs.FaultENOSPC:
+		disk.At = int64(400 + x.Next()%1200)
 	}
-	s.Client = faultnet.PlanFromSeed(int64(splitmix64(&x)), faultnet.AllNetFaults)
-	s.Workers[0] = faultnet.PlanFromSeed(int64(splitmix64(&x)), faultnet.AllNetFaults)
-	s.Workers[1] = faultnet.PlanFromSeed(int64(splitmix64(&x)), faultnet.AllNetFaults)
+	s := schedule{Disk: seeded.Plan[faultfs.FaultKind]{disk}}
+	for i := range s.Net {
+		s.Net[i] = faultnet.PlanFromSeed(int64(x.Next()))
+	}
 	return s
 }
 
-// event is one removable fault in a schedule, for shrinking.
-type event struct {
-	name  string
-	clear func(*schedule)
+// slot addresses one event of a schedule: plan 0 is the disk plan, plan
+// 1+i is Net[i].
+type slot struct{ plan, i int }
+
+// slots lists every armed fault, for shrinking.
+func (s schedule) slots() []slot {
+	var out []slot
+	for i := range s.Disk {
+		out = append(out, slot{0, i})
+	}
+	for n, p := range s.Net {
+		for i := range p {
+			out = append(out, slot{1 + n, i})
+		}
+	}
+	return out
 }
 
-// events enumerates the schedule's armed faults.
-func events(s schedule) []event {
-	var evs []event
-	if s.Disk.TornWriteAt != 0 {
-		evs = append(evs, event{"disk:torn-write", func(c *schedule) { c.Disk.TornWriteAt, c.Disk.TornWriteKeep = 0, 0 }})
-	}
-	if s.Disk.FailSyncAt != 0 {
-		evs = append(evs, event{"disk:failed-sync", func(c *schedule) { c.Disk.FailSyncAt = 0 }})
-	}
-	if s.Disk.ENOSPCAfterBytes != 0 {
-		evs = append(evs, event{"disk:enospc", func(c *schedule) { c.Disk.ENOSPCAfterBytes = 0 }})
-	}
-	nets := []struct {
-		name string
-		plan func(*schedule) *faultnet.Plan
-	}{
-		{"client", func(c *schedule) *faultnet.Plan { return &c.Client }},
-		{"w0", func(c *schedule) *faultnet.Plan { return &c.Workers[0] }},
-		{"w1", func(c *schedule) *faultnet.Plan { return &c.Workers[1] }},
-	}
-	for _, n := range nets {
-		n := n
-		p := n.plan(&s)
-		if p.DropAt != 0 {
-			evs = append(evs, event{n.name + ":drop", func(c *schedule) { n.plan(c).DropAt = 0 }})
-		}
-		if p.DelayAt != 0 {
-			evs = append(evs, event{n.name + ":delay", func(c *schedule) { pl := n.plan(c); pl.DelayAt, pl.Delay = 0, 0 }})
-		}
-		if p.DupAt != 0 {
-			evs = append(evs, event{n.name + ":duplicate", func(c *schedule) { n.plan(c).DupAt = 0 }})
-		}
-		if p.ResetAt != 0 {
-			evs = append(evs, event{n.name + ":reset", func(c *schedule) { n.plan(c).ResetAt = 0 }})
-		}
-		if p.TruncateAt != 0 {
-			evs = append(evs, event{n.name + ":truncation", func(c *schedule) { pl := n.plan(c); pl.TruncateAt, pl.TruncateBytes = 0, 0 }})
+// only returns the schedule holding just the listed events of s.
+func (s schedule) only(keep []slot) schedule {
+	var out schedule
+	for _, k := range keep {
+		if k.plan == 0 {
+			out.Disk = append(out.Disk, s.Disk[k.i])
+		} else {
+			out.Net[k.plan-1] = append(out.Net[k.plan-1], s.Net[k.plan-1][k.i])
 		}
 	}
-	return evs
+	return out
 }
 
-// shrinkSchedule minimizes a failing schedule: remove one fault event
-// at a time, keeping each removal that still reproduces the failure,
-// until no single removal does. The result is 1-minimal — every
+// shrinkSchedule minimizes a failing schedule to a 1-minimal one: every
 // remaining fault is necessary (removing any one of them makes the
 // failure vanish). fails runs a candidate and reports whether it still
 // fails.
 func shrinkSchedule(s schedule, fails func(schedule) bool) schedule {
-	for changed := true; changed; {
-		changed = false
-		for _, ev := range events(s) {
-			cand := s
-			ev.clear(&cand)
-			if fails(cand) {
-				s = cand
-				changed = true
-			}
-		}
-	}
-	return s
-}
-
-// remaining lists the armed fault names, for the minimal-schedule
-// report.
-func remaining(s schedule) string {
-	evs := events(s)
-	if len(evs) == 0 {
-		return "none (failure reproduces with no faults at all — a base bug)"
-	}
-	names := make([]string, len(evs))
-	for i, ev := range evs {
-		names[i] = ev.name
-	}
-	return strings.Join(names, " ")
+	return s.only(seeded.Minimize(s.slots(), func(keep []slot) bool { return fails(s.only(keep)) }))
 }

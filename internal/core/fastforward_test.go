@@ -295,7 +295,8 @@ func TestRunUntilHaltedLimits(t *testing.T) {
 // (the ratio bounds the engine's bookkeeping overhead near 1.0), and
 // fine-grained, whose fixed full-latency memory sleeps are exactly the
 // regions the engine elides. The multiprocessor grid, where remote
-// latencies make whole schemes skippable, is measured by cmd/bench.
+// latencies make whole schemes skippable, is measured by the repository
+// benchmark's core-stall workload (core.ff_speedup_chain).
 func BenchmarkStepFastForward(b *testing.B) {
 	for _, cell := range []struct {
 		scheme Scheme

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/seeded"
 )
 
 // journalTestConfig is the small grid the journal tests run: one workload,
@@ -451,7 +452,7 @@ func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 
 	// Header sync is #1; cell records sync at #2, #3, #4. Fail the third
 	// cell's barrier.
-	inj := faultfs.NewInjector(mem, faultfs.Plan{FailSyncAt: 4}, nil, nil)
+	inj := faultfs.NewInjector(mem, seeded.Plan[faultfs.FaultKind]{{Kind: faultfs.FaultFailedSync, At: 4}}, nil, nil)
 	j, err := CreateJournalFS(inj, path, fp)
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +520,7 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 
 	// Header is write #1, cells are #2, #3, ... — tear the second cell's
 	// write partway through.
-	inj := faultfs.NewInjector(mem, faultfs.Plan{TornWriteAt: 3, TornWriteKeep: 17}, nil, nil)
+	inj := faultfs.NewInjector(mem, seeded.Plan[faultfs.FaultKind]{{Kind: faultfs.FaultTornWrite, At: 3, Arg: 17}}, nil, nil)
 	j, err := CreateJournalFS(inj, path, fp)
 	if err != nil {
 		t.Fatal(err)

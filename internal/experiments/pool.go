@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/guard"
+	"repro/internal/seeded"
 )
 
 // The parallel experiment engine. Every experiment in this package is a
@@ -32,11 +33,7 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 // finalizer rather than by consecutive integers, which many PRNGs map to
 // correlated streams.
 func DeriveSeed(base int64, cell int) int64 {
-	z := uint64(base) + uint64(cell+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return int64(seeded.Mix(uint64(base) + uint64(cell+1)*0x9E3779B97F4A7C15))
 }
 
 // Pool runs independent experiment cells across a bounded set of workers.

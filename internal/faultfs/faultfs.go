@@ -18,8 +18,9 @@
 // Production code uses the OS() passthrough, which adds nothing on top
 // of the os package — zero behavior change — except SyncDir, the
 // parent-directory fsync that makes renames themselves durable. The
-// package is a leaf: it imports only the standard library, so the other
-// leaf packages (snapshot, metrics) can depend on it without cycles.
+// package is a leaf: it imports only the standard library and seeded
+// (the schedule an Injector executes), so the other leaf packages
+// (snapshot, metrics) can depend on it without cycles.
 package faultfs
 
 import (

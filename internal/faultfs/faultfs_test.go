@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"syscall"
 	"testing"
+
+	"repro/internal/seeded"
 )
 
 // write is a test helper: create path on fsys with content, optionally
@@ -161,7 +163,7 @@ func TestMemReadDir(t *testing.T) {
 // fails, or runs dry, and everything else passes through.
 func TestInjectorTornWrite(t *testing.T) {
 	m := NewMem()
-	inj := NewInjector(m, Plan{TornWriteAt: 2, TornWriteKeep: 3}, nil, nil)
+	inj := NewInjector(m, seeded.Plan[FaultKind]{{Kind: FaultTornWrite, At: 2, Arg: 3}}, nil, nil)
 	f, err := inj.OpenFile("/f", os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +197,7 @@ func TestInjectorTornWrite(t *testing.T) {
 func TestInjectorFailedSyncKeepsDataVolatile(t *testing.T) {
 	m := NewMem()
 	var seen []Fault
-	inj := NewInjector(m, Plan{FailSyncAt: 2}, nil, func(f Fault) { seen = append(seen, f) })
+	inj := NewInjector(m, seeded.Plan[FaultKind]{{Kind: FaultFailedSync, At: 2}}, nil, func(f Fault) { seen = append(seen, f) })
 	f, err := inj.OpenFile("/f", os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +221,7 @@ func TestInjectorFailedSyncKeepsDataVolatile(t *testing.T) {
 
 func TestInjectorENOSPCPersists(t *testing.T) {
 	m := NewMem()
-	inj := NewInjector(m, Plan{ENOSPCAfterBytes: 10}, nil, nil)
+	inj := NewInjector(m, seeded.Plan[FaultKind]{{Kind: FaultENOSPC, At: 10}}, nil, nil)
 	f, err := inj.OpenFile("/f", os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +248,7 @@ func TestInjectorENOSPCPersists(t *testing.T) {
 // The path filter keeps unrelated I/O out of the ordinal counters.
 func TestInjectorPathFilter(t *testing.T) {
 	m := NewMem()
-	inj := NewInjector(m, Plan{TornWriteAt: 1, TornWriteKeep: 0},
+	inj := NewInjector(m, seeded.Plan[FaultKind]{{Kind: FaultTornWrite, At: 1}},
 		func(p string) bool { return p == "/target" }, nil)
 	write(t, inj, "/noise", "unrelated", true) // not counted, not faulted
 	f, err := inj.OpenFile("/target", os.O_CREATE|os.O_WRONLY, 0o644)
@@ -258,28 +260,6 @@ func TestInjectorPathFilter(t *testing.T) {
 	}
 	if got := readFile(t, m, "/noise"); got != "unrelated" {
 		t.Errorf("filtered path was faulted: %q", got)
-	}
-}
-
-// Same seed, same schedule: PlanFromSeed is a pure function, and two
-// injectors with the same plan fire identically on the same op stream.
-func TestPlanFromSeedDeterministic(t *testing.T) {
-	for seed := int64(1); seed < 50; seed++ {
-		a := PlanFromSeed(seed, AllDiskFaults)
-		b := PlanFromSeed(seed, AllDiskFaults)
-		if a != b {
-			t.Fatalf("seed %d: plans differ: %+v vs %+v", seed, a, b)
-		}
-		if a.TornWriteAt == 0 || a.FailSyncAt == 0 || a.ENOSPCAfterBytes == 0 {
-			t.Fatalf("seed %d: full mask left a class unarmed: %+v", seed, a)
-		}
-	}
-	if PlanFromSeed(7, 0) != (Plan{}) {
-		t.Error("empty mask armed something")
-	}
-	one := PlanFromSeed(7, 1<<FaultFailedSync)
-	if one.TornWriteAt != 0 || one.ENOSPCAfterBytes != 0 || one.FailSyncAt == 0 {
-		t.Errorf("single-class mask produced %+v", one)
 	}
 }
 

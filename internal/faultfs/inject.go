@@ -5,6 +5,8 @@ import (
 	"io/fs"
 	"sync"
 	"syscall"
+
+	"repro/internal/seeded"
 )
 
 // FaultKind classifies one injected disk failure.
@@ -44,6 +46,10 @@ func (k FaultKind) String() string {
 // accounting.
 var DiskFaultKinds = []FaultKind{FaultTornWrite, FaultFailedSync, FaultENOSPC}
 
+// Layer is the disk-fault vocabulary: each kind has its own counter
+// (writes, syncs, bytes written), so ordinals never collide.
+var Layer = seeded.Layer[FaultKind]{Kinds: DiskFaultKinds}
+
 // Fault describes one injected failure, delivered to the OnFault hook.
 type Fault struct {
 	Kind    FaultKind
@@ -66,92 +72,25 @@ func (e *InjectedError) Error() string {
 
 func (e *InjectedError) Unwrap() error { return e.Err }
 
-// Plan is one deterministic disk-fault schedule: which write/sync
-// ordinal each one-shot fault fires on. Ordinals are 1-based counts of
-// matching operations seen by the injector (after the path filter);
-// zero disables that class. A Plan is pure data — generate it from a
-// seed with PlanFromSeed, shrink it by zeroing fields.
-type Plan struct {
-	// TornWriteAt tears the n-th Write: only TornWriteKeep bytes (mod
-	// the write's length) reach the underlying FS, and the write
-	// returns EIO.
-	TornWriteAt   int64 `json:"tornWriteAt,omitempty"`
-	TornWriteKeep int   `json:"tornWriteKeep,omitempty"`
-	// FailSyncAt fails the n-th Sync with EIO. The data reached the
-	// file, the durability barrier did not.
-	FailSyncAt int64 `json:"failSyncAt,omitempty"`
-	// ENOSPCAfterBytes is the total write budget in bytes across the
-	// whole FS; once crossed, writes fail with ENOSPC.
-	ENOSPCAfterBytes int64 `json:"enospcAfterBytes,omitempty"`
-}
-
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool {
-	return p.TornWriteAt == 0 && p.FailSyncAt == 0 && p.ENOSPCAfterBytes == 0
-}
-
-// String renders the plan compactly for reports.
-func (p Plan) String() string {
-	if p.Empty() {
-		return "disk:none"
-	}
-	s := "disk:"
-	if p.TornWriteAt > 0 {
-		s += fmt.Sprintf("[torn-write@%d keep %d]", p.TornWriteAt, p.TornWriteKeep)
-	}
-	if p.FailSyncAt > 0 {
-		s += fmt.Sprintf("[failed-sync@%d]", p.FailSyncAt)
-	}
-	if p.ENOSPCAfterBytes > 0 {
-		s += fmt.Sprintf("[enospc after %dB]", p.ENOSPCAfterBytes)
-	}
-	return s
-}
-
-// splitmix64 is the repo-wide seeding PRNG (same constants as
-// guard.Chaos and the experiment pool's DeriveSeed).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// PlanFromSeed derives a deterministic disk schedule from a seed: which
-// classes are armed and their ordinals/budgets are all pure functions
-// of the seed, so the same seed replays the same schedule. classMask
-// selects the armed classes (bit i = DiskFaultKinds[i]); pass
-// AllDiskFaults for everything.
-func PlanFromSeed(seed int64, classMask uint) Plan {
-	st := uint64(seed) ^ 0x64697368 // decorrelate from other layers' streams
-	var p Plan
-	if classMask&(1<<FaultTornWrite) != 0 {
-		p.TornWriteAt = int64(splitmix64(&st)%12) + 2
-		p.TornWriteKeep = int(splitmix64(&st) % 48)
-	}
-	if classMask&(1<<FaultFailedSync) != 0 {
-		p.FailSyncAt = int64(splitmix64(&st)%10) + 2
-	}
-	if classMask&(1<<FaultENOSPC) != 0 {
-		p.ENOSPCAfterBytes = int64(splitmix64(&st)%4096) + 512
-	}
-	return p
-}
-
-// AllDiskFaults is the classMask arming every disk fault class.
-const AllDiskFaults = 1<<FaultTornWrite | 1<<FaultFailedSync | 1<<FaultENOSPC
-
-// Injector wraps an FS and executes a Plan. Operation counters are
-// global across the FS (under one mutex), so a plan's ordinals form one
-// deterministic schedule per injector lifetime. Faults are one-shot:
-// after firing, the class disarms (except ENOSPC, which persists —
-// a full disk stays full until the injector is rebuilt).
+// Injector wraps an FS and executes a seeded.Plan over its three
+// counters, each 1-based and counting only operations on paths the filter
+// matches: a torn-write event tears the At-th Write, of which only Arg
+// bytes (mod the write's length) reach the underlying FS, and returns EIO;
+// a failed-sync event fails the At-th Sync with EIO (the data reached the
+// file, the durability barrier did not); an enospc event's At is the
+// total write budget in bytes across the whole FS, and once it is crossed
+// writes fail with ENOSPC. A kind the plan does not schedule stays at
+// ordinal zero and never fires. Counters are global across the FS (under
+// one mutex), so a plan's ordinals form one deterministic schedule per
+// injector lifetime. Faults are one-shot: after firing, the class disarms
+// (except ENOSPC, which persists — a full disk stays full until the
+// injector is rebuilt).
 type Injector struct {
 	inner   FS
-	plan    Plan
 	filter  func(path string) bool
 	onFault func(Fault)
+
+	torn, failSync, enospc seeded.Event[FaultKind]
 
 	mu       sync.Mutex
 	writes   int64
@@ -165,9 +104,12 @@ type Injector struct {
 // injection to matching paths — counters only advance on matching
 // files, so ordinals are stable against unrelated I/O. onFault
 // (optional) observes every fired fault.
-func NewInjector(inner FS, plan Plan, filter func(path string) bool, onFault func(Fault)) *Injector {
-	return &Injector{inner: inner, plan: plan, filter: filter, onFault: onFault,
-		fired: map[FaultKind]int64{}}
+func NewInjector(inner FS, plan seeded.Plan[FaultKind], filter func(path string) bool, onFault func(Fault)) *Injector {
+	in := &Injector{inner: inner, filter: filter, onFault: onFault, fired: map[FaultKind]int64{}}
+	in.torn, _ = plan.Lookup(FaultTornWrite)
+	in.failSync, _ = plan.Lookup(FaultFailedSync)
+	in.enospc, _ = plan.Lookup(FaultENOSPC)
+	return in
 }
 
 // Fired returns how many faults of each class this injector executed.
@@ -203,25 +145,25 @@ func (in *Injector) decideWrite(path string, length int) (fault *InjectedError, 
 	defer in.mu.Unlock()
 	in.writes++
 	n := in.writes
-	if in.plan.TornWriteAt == n && length > 0 {
-		kept = in.plan.TornWriteKeep % length
+	if in.torn.At == n && length > 0 {
+		kept = int(in.torn.Arg % int64(length))
 		f := Fault{Kind: FaultTornWrite, Path: path, Ordinal: n, Kept: kept}
 		in.fireLocked(f)
 		return &InjectedError{Fault: f, Err: syscall.EIO}, kept
 	}
-	if in.plan.ENOSPCAfterBytes > 0 {
+	if in.enospc.At > 0 {
 		if in.enospcOn {
 			f := Fault{Kind: FaultENOSPC, Path: path, Ordinal: n}
 			in.fireLocked(f)
 			return &InjectedError{Fault: f, Err: syscall.ENOSPC}, 0
 		}
-		if in.written+int64(length) > in.plan.ENOSPCAfterBytes {
-			kept = int(in.plan.ENOSPCAfterBytes - in.written)
+		if in.written+int64(length) > in.enospc.At {
+			kept = int(in.enospc.At - in.written)
 			if kept < 0 {
 				kept = 0
 			}
 			in.enospcOn = true
-			in.written = in.plan.ENOSPCAfterBytes
+			in.written = in.enospc.At
 			f := Fault{Kind: FaultENOSPC, Path: path, Ordinal: n, Kept: kept}
 			in.fireLocked(f)
 			return &InjectedError{Fault: f, Err: syscall.ENOSPC}, kept
@@ -235,7 +177,7 @@ func (in *Injector) decideSync(path string) *InjectedError {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.syncs++
-	if in.plan.FailSyncAt == in.syncs {
+	if in.failSync.At == in.syncs {
 		f := Fault{Kind: FaultFailedSync, Path: path, Ordinal: in.syncs}
 		in.fireLocked(f)
 		return &InjectedError{Fault: f, Err: syscall.EIO}

@@ -1,6 +1,6 @@
 // Package faultnet is the seeded network-fault layer for the
 // distributed experiment service. A Transport wraps any
-// http.RoundTripper and executes a deterministic Plan against the
+// http.RoundTripper and executes a deterministic seeded.Plan against the
 // request stream flowing through it — dropped requests, delayed and
 // duplicated deliveries, connection resets after the server processed
 // the request, and truncated response bodies — which stresses exactly
@@ -11,8 +11,8 @@
 // Schedules are ordinal-based, not probabilistic: PlanFromSeed derives
 // which request ordinal each fault class fires on as a pure function of
 // the seed, so the same seed replays the same schedule and a failing
-// schedule shrinks by zeroing fields. The package is a leaf: it imports
-// only the standard library.
+// schedule shrinks by dropping events. The package is a leaf: it imports
+// only the standard library and seeded.
 package faultnet
 
 import (
@@ -23,6 +23,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"repro/internal/seeded"
 )
 
 // FaultKind classifies one injected network failure.
@@ -72,8 +74,9 @@ func (k FaultKind) String() string {
 // coverage accounting.
 var NetFaultKinds = []FaultKind{FaultDrop, FaultDelay, FaultDup, FaultReset, FaultTruncate}
 
-// AllNetFaults is the classMask arming every network fault class.
-const AllNetFaults = 1<<FaultDrop | 1<<FaultDelay | 1<<FaultDup | 1<<FaultReset | 1<<FaultTruncate
+// Layer is the network-fault vocabulary: every kind counts the requests
+// through one transport, so a plan names an ordinal at most once.
+var Layer = seeded.Layer[FaultKind]{Kinds: NetFaultKinds, OneCounter: true}
 
 // Fault describes one injected failure, delivered to the OnFault hook.
 type Fault struct {
@@ -95,105 +98,37 @@ func (e *InjectedError) Error() string {
 
 func (e *InjectedError) Unwrap() error { return e.Err }
 
-// Plan is one deterministic network-fault schedule: which request
-// ordinal (1-based, per transport) each one-shot fault fires on; zero
-// disables that class. When several classes name the same ordinal the
-// lowest-numbered class wins and the others stay armed for nothing —
-// PlanFromSeed avoids collisions, hand-built plans should too.
-type Plan struct {
-	DropAt     int64 `json:"dropAt,omitempty"`
-	DelayAt    int64 `json:"delayAt,omitempty"`
-	DupAt      int64 `json:"dupAt,omitempty"`
-	ResetAt    int64 `json:"resetAt,omitempty"`
-	TruncateAt int64 `json:"truncateAt,omitempty"`
-	// Delay is how long FaultDelay pauses the request.
-	Delay time.Duration `json:"delayNanos,omitempty"`
-	// TruncateBytes is how much of the response body FaultTruncate lets
-	// through before erroring.
-	TruncateBytes int `json:"truncateBytes,omitempty"`
-}
-
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool {
-	return p.DropAt == 0 && p.DelayAt == 0 && p.DupAt == 0 && p.ResetAt == 0 && p.TruncateAt == 0
-}
-
-// String renders the plan compactly for reports.
-func (p Plan) String() string {
-	if p.Empty() {
-		return "net:none"
-	}
-	s := "net:"
-	if p.DropAt > 0 {
-		s += fmt.Sprintf("[drop@%d]", p.DropAt)
-	}
-	if p.DelayAt > 0 {
-		s += fmt.Sprintf("[delay@%d %v]", p.DelayAt, p.Delay)
-	}
-	if p.DupAt > 0 {
-		s += fmt.Sprintf("[duplicate@%d]", p.DupAt)
-	}
-	if p.ResetAt > 0 {
-		s += fmt.Sprintf("[reset@%d]", p.ResetAt)
-	}
-	if p.TruncateAt > 0 {
-		s += fmt.Sprintf("[truncation@%d after %dB]", p.TruncateAt, p.TruncateBytes)
-	}
-	return s
-}
-
-// splitmix64 is the repo-wide seeding PRNG (same constants as
-// guard.Chaos, faultfs.PlanFromSeed and the pool's DeriveSeed).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// PlanFromSeed derives a deterministic network schedule from a seed.
-// classMask selects the armed classes (bit i = NetFaultKinds[i]); pass
-// AllNetFaults for everything. Armed classes get distinct ordinals, so
-// every armed fault actually fires if the request stream is long
-// enough.
-func PlanFromSeed(seed int64, classMask uint) Plan {
-	st := uint64(seed) ^ 0x6e657477 // decorrelate from the disk layer's stream
-	var p Plan
+// PlanFromSeed derives a deterministic network schedule from a seed:
+// every class armed, each on its own request ordinal in 2..21, so every
+// fault actually fires if the request stream is long enough.
+func PlanFromSeed(seed int64) seeded.Plan[FaultKind] {
+	st := seeded.Stream(uint64(seed) ^ 0x6e657477) // decorrelate from the disk layer's stream
 	used := map[int64]bool{}
-	pick := func(span, base int64) int64 {
-		for {
-			n := int64(splitmix64(&st)%uint64(span)) + base
-			if !used[n] {
-				used[n] = true
-				return n
-			}
+	var p seeded.Plan[FaultKind]
+	for _, kind := range NetFaultKinds {
+		e := seeded.Event[FaultKind]{Kind: kind}
+		for e.At == 0 || used[e.At] {
+			e.At = int64(st.Next()%20) + 2
 		}
-	}
-	if classMask&(1<<FaultDrop) != 0 {
-		p.DropAt = pick(20, 2)
-	}
-	if classMask&(1<<FaultDelay) != 0 {
-		p.DelayAt = pick(20, 2)
-		p.Delay = time.Duration(splitmix64(&st)%40+10) * time.Millisecond
-	}
-	if classMask&(1<<FaultDup) != 0 {
-		p.DupAt = pick(20, 2)
-	}
-	if classMask&(1<<FaultReset) != 0 {
-		p.ResetAt = pick(20, 2)
-	}
-	if classMask&(1<<FaultTruncate) != 0 {
-		p.TruncateAt = pick(20, 2)
-		p.TruncateBytes = int(splitmix64(&st) % 64)
+		used[e.At] = true
+		switch kind {
+		case FaultDelay:
+			e.Arg = int64(st.Next()%40) + 10
+		case FaultTruncate:
+			e.Arg = int64(st.Next() % 64)
+		}
+		p = append(p, e)
 	}
 	return p
 }
 
-// Transport wraps an http.RoundTripper and executes a Plan. The request
-// ordinal counter is per transport, so each worker/client gets its own
-// deterministic schedule. Faults are one-shot: each class fires at most
-// once per transport lifetime.
+// Transport wraps an http.RoundTripper and executes a seeded.Plan against
+// its request ordinal (1-based). The counter is per transport, so each
+// worker/client gets its own deterministic schedule. A delay event's Arg
+// is the pause in milliseconds; a truncation event's Arg is how much of
+// the response body gets through before the error. Faults are one-shot:
+// under a plan that passes Layer.Check each class fires at most once per
+// transport lifetime.
 type Transport struct {
 	// Base handles the real round trips; nil means
 	// http.DefaultTransport.
@@ -201,7 +136,7 @@ type Transport struct {
 	// OnFault (optional) observes every fired fault.
 	OnFault func(Fault)
 
-	plan Plan
+	plan seeded.Plan[FaultKind]
 
 	mu       sync.Mutex
 	requests int64
@@ -209,7 +144,7 @@ type Transport struct {
 }
 
 // NewTransport wraps base with plan.
-func NewTransport(base http.RoundTripper, plan Plan, onFault func(Fault)) *Transport {
+func NewTransport(base http.RoundTripper, plan seeded.Plan[FaultKind], onFault func(Fault)) *Transport {
 	return &Transport{Base: base, OnFault: onFault, plan: plan, fired: map[FaultKind]int64{}}
 }
 
@@ -231,42 +166,30 @@ func (t *Transport) base() http.RoundTripper {
 	return http.DefaultTransport
 }
 
-// decide consumes one request ordinal and returns the fault to execute,
-// if any.
-func (t *Transport) decide(url string) *Fault {
+// decide consumes one request ordinal and returns the fault to execute
+// and its argument, if any.
+func (t *Transport) decide(url string) (*Fault, int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.requests++
-	n := t.requests
-	var kind FaultKind = -1
-	switch n {
-	case t.plan.DropAt:
-		kind = FaultDrop
-	case t.plan.DelayAt:
-		kind = FaultDelay
-	case t.plan.DupAt:
-		kind = FaultDup
-	case t.plan.ResetAt:
-		kind = FaultReset
-	case t.plan.TruncateAt:
-		kind = FaultTruncate
-	default:
-		return nil
+	e, ok := t.plan.At(t.requests)
+	if !ok {
+		return nil, 0
 	}
-	f := Fault{Kind: kind, Ordinal: n, URL: url}
-	t.fired[kind]++
+	f := Fault{Kind: e.Kind, Ordinal: t.requests, URL: url}
+	t.fired[e.Kind]++
 	hook := t.OnFault
 	if hook != nil {
 		t.mu.Unlock()
 		hook(f)
 		t.mu.Lock()
 	}
-	return &f
+	return &f, e.Arg
 }
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	f := t.decide(req.URL.String())
+	f, arg := t.decide(req.URL.String())
 	if f == nil {
 		return t.base().RoundTrip(req)
 	}
@@ -281,7 +204,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	case FaultDelay:
 		select {
-		case <-time.After(t.plan.Delay):
+		case <-time.After(time.Duration(arg) * time.Millisecond):
 		case <-req.Context().Done():
 			return nil, &InjectedError{Fault: *f, Err: req.Context().Err()}
 		}
@@ -316,7 +239,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp.Body = &truncatedBody{inner: resp.Body, remaining: t.plan.TruncateBytes, fault: *f}
+		resp.Body = &truncatedBody{inner: resp.Body, remaining: int(arg), fault: *f}
 		return resp, nil
 	}
 	return t.base().RoundTrip(req)

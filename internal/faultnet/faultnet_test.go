@@ -11,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/seeded"
 )
 
 // echoServer counts deliveries and echoes each request body back.
@@ -41,7 +43,7 @@ func post(t *testing.T, c *http.Client, url, body string) (string, error) {
 
 func TestTransportDrop(t *testing.T) {
 	srv, hits, _ := echoServer(t)
-	tr := NewTransport(nil, Plan{DropAt: 2}, nil)
+	tr := NewTransport(nil, seeded.Plan[FaultKind]{{Kind: FaultDrop, At: 2}}, nil)
 	c := &http.Client{Transport: tr}
 
 	if _, err := post(t, c, srv.URL, "one"); err != nil {
@@ -66,7 +68,7 @@ func TestTransportDrop(t *testing.T) {
 
 func TestTransportDelayForwardsAfterPause(t *testing.T) {
 	srv, hits, _ := echoServer(t)
-	tr := NewTransport(nil, Plan{DelayAt: 1, Delay: 30 * time.Millisecond}, nil)
+	tr := NewTransport(nil, seeded.Plan[FaultKind]{{Kind: FaultDelay, At: 1, Arg: 30}}, nil)
 	c := &http.Client{Transport: tr}
 
 	start := time.Now()
@@ -84,7 +86,7 @@ func TestTransportDelayForwardsAfterPause(t *testing.T) {
 
 func TestTransportDupDeliversTwice(t *testing.T) {
 	srv, hits, bodies := echoServer(t)
-	tr := NewTransport(nil, Plan{DupAt: 1}, nil)
+	tr := NewTransport(nil, seeded.Plan[FaultKind]{{Kind: FaultDup, At: 1}}, nil)
 	c := &http.Client{Transport: tr}
 
 	out, err := post(t, c, srv.URL, "payload")
@@ -103,7 +105,7 @@ func TestTransportDupDeliversTwice(t *testing.T) {
 
 func TestTransportResetAfterProcessing(t *testing.T) {
 	srv, hits, _ := echoServer(t)
-	tr := NewTransport(nil, Plan{ResetAt: 1}, nil)
+	tr := NewTransport(nil, seeded.Plan[FaultKind]{{Kind: FaultReset, At: 1}}, nil)
 	c := &http.Client{Transport: tr}
 
 	_, err := post(t, c, srv.URL, "done-but-lost")
@@ -118,7 +120,7 @@ func TestTransportResetAfterProcessing(t *testing.T) {
 
 func TestTransportTruncatesBody(t *testing.T) {
 	srv, _, _ := echoServer(t)
-	tr := NewTransport(nil, Plan{TruncateAt: 1, TruncateBytes: 4}, nil)
+	tr := NewTransport(nil, seeded.Plan[FaultKind]{{Kind: FaultTruncate, At: 1, Arg: 4}}, nil)
 	c := &http.Client{Transport: tr}
 
 	resp, err := c.Post(srv.URL, "text/plain", strings.NewReader("longish body"))
@@ -135,33 +137,31 @@ func TestTransportTruncatesBody(t *testing.T) {
 	}
 }
 
+// PlanFromSeed is a pure function of the seed that arms every class on an
+// ordinal of its own; a hand-built plan that puts two classes on one
+// request, where the second could never fire, is reported by Layer.Check.
 func TestPlanFromSeedDeterministicAndCollisionFree(t *testing.T) {
-	for seed := int64(1); seed < 100; seed++ {
-		a := PlanFromSeed(seed, AllNetFaults)
-		if b := PlanFromSeed(seed, AllNetFaults); a != b {
-			t.Fatalf("seed %d: plans differ", seed)
+	for seed := int64(1); seed <= 200; seed++ {
+		a := PlanFromSeed(seed)
+		if b := PlanFromSeed(seed); a.String() != b.String() {
+			t.Fatalf("seed %d: plans differ: %s vs %s", seed, a, b)
 		}
-		ords := []int64{a.DropAt, a.DelayAt, a.DupAt, a.ResetAt, a.TruncateAt}
-		seen := map[int64]bool{}
-		for _, n := range ords {
-			if n == 0 {
-				t.Fatalf("seed %d: full mask left a class unarmed: %+v", seed, a)
-			}
-			if seen[n] {
-				t.Fatalf("seed %d: ordinal collision in %+v", seed, a)
-			}
-			seen[n] = true
+		if err := Layer.Check(a); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if a.Delay <= 0 {
+		for _, kind := range NetFaultKinds {
+			if e, ok := a.Lookup(kind); !ok || e.At < 1 {
+				t.Fatalf("seed %d: class %v unarmed in %s", seed, kind, a)
+			}
+		}
+		if e, _ := a.Lookup(FaultDelay); e.Arg <= 0 {
 			t.Fatalf("seed %d: delay class armed with no delay", seed)
 		}
 	}
-	if !PlanFromSeed(5, 0).Empty() {
-		t.Error("empty mask armed something")
-	}
-	only := PlanFromSeed(5, 1<<FaultReset)
-	if only.ResetAt == 0 || only.DropAt != 0 || only.DupAt != 0 {
-		t.Errorf("single-class mask produced %+v", only)
+	colliding := seeded.Plan[FaultKind]{{Kind: FaultDrop, At: 3}, {Kind: FaultReset, At: 3}}
+	err := Layer.Check(colliding)
+	if err == nil || !strings.Contains(err.Error(), "drop@3") || !strings.Contains(err.Error(), "reset@3") {
+		t.Errorf("Check(%s) = %v, want an error naming both events", colliding, err)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestTransportOnFaultAndIsolation(t *testing.T) {
 	srv, _, _ := echoServer(t)
 	var mu sync.Mutex
 	var seen []Fault
-	plan := Plan{DropAt: 2}
+	plan := seeded.Plan[FaultKind]{{Kind: FaultDrop, At: 2}}
 	trA := NewTransport(nil, plan, func(f Fault) { mu.Lock(); seen = append(seen, f); mu.Unlock() })
 	trB := NewTransport(nil, plan, func(f Fault) { mu.Lock(); seen = append(seen, f); mu.Unlock() })
 	cA := &http.Client{Transport: trA}

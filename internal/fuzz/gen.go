@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/seeded"
 )
 
 // Program address-space constants shared by generation, replay, and the
@@ -129,26 +130,19 @@ type Spec struct {
 // sections race. The oracle must observe lost updates as divergence.
 const MutTASPlain = "tas-plain"
 
-// sm is splitmix64: the only rng the fuzzer uses, so generated programs
-// are stable across Go releases (unlike math/rand's default source).
-type sm struct{ s uint64 }
+// sm is the only rng the fuzzer uses: the shared splitmix64 stream, so
+// generated programs are stable across Go releases (unlike math/rand's
+// default source).
+type sm struct{ seeded.Stream }
 
-func newSM(seed uint64) *sm { return &sm{s: seed} }
+func newSM(seed uint64) *sm { return &sm{seeded.Stream(seed)} }
 
-func (x *sm) next() uint64 {
-	x.s += 0x9E3779B97F4A7C15
-	z := x.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
+func (x *sm) intn(n int) int { return int(x.Next() % uint64(n)) }
 
-func (x *sm) intn(n int) int { return int(x.next() % uint64(n)) }
-
-func (x *sm) u32() uint32 { return uint32(x.next()) }
+func (x *sm) u32() uint32 { return uint32(x.Next()) }
 
 // f64 returns a finite float in roughly [-500, 500).
-func (x *sm) f64() float64 { return float64(x.next()>>11)/(1<<53)*1000 - 500 }
+func (x *sm) f64() float64 { return float64(x.Next()>>11)/(1<<53)*1000 - 500 }
 
 // Generate derives a complete Spec from (seed, threads). The same pair
 // always yields the same Spec; per-program seeds in a sweep come from
@@ -226,7 +220,7 @@ func Generate(seed int64, threads int) *Spec {
 			A:    s.AccLock[acc],
 			B:    acc,
 			N:    1 + r.intn(2),
-			V:    r.next(),
+			V:    r.Next(),
 		})
 	}
 	return s
@@ -236,23 +230,23 @@ func (s *Spec) genItem(r *sm, phase int, writable, readable []int) Item {
 	for {
 		switch r.intn(10) {
 		case 0, 1:
-			return Item{Kind: KALU, N: 1 + r.intn(6), V: r.next()}
+			return Item{Kind: KALU, N: 1 + r.intn(6), V: r.Next()}
 		case 2:
-			return Item{Kind: KFP, N: 1 + r.intn(4), V: r.next()}
+			return Item{Kind: KFP, N: 1 + r.intn(4), V: r.Next()}
 		case 3:
 			if r.intn(2) == 0 {
-				return Item{Kind: KLoad, A: r.intn(len(s.ROW)), B: 0, V: r.next()}
+				return Item{Kind: KLoad, A: r.intn(len(s.ROW)), B: 0, V: r.Next()}
 			}
-			return Item{Kind: KLoad, A: r.intn(privItemSlots), B: 1, V: r.next()}
+			return Item{Kind: KLoad, A: r.intn(privItemSlots), B: 1, V: r.Next()}
 		case 4:
 			if r.intn(3) == 0 {
-				return Item{Kind: KStoreF, A: r.intn(privItemSlots), V: r.next()}
+				return Item{Kind: KStoreF, A: r.intn(privItemSlots), V: r.Next()}
 			}
-			return Item{Kind: KStore, A: r.intn(privItemSlots), V: r.next()}
+			return Item{Kind: KStore, A: r.intn(privItemSlots), V: r.Next()}
 		case 5:
-			return Item{Kind: KBranch, N: 1 + r.intn(3), V: r.next()}
+			return Item{Kind: KBranch, N: 1 + r.intn(3), V: r.Next()}
 		case 6:
-			it := Item{Kind: KLoop, N: 1 + r.intn(6), B: -1, V: r.next()}
+			it := Item{Kind: KLoop, N: 1 + r.intn(6), B: -1, V: r.Next()}
 			if r.intn(2) == 0 {
 				it.B = writable[r.intn(len(writable))]
 				it.A = s.AccLock[it.B]
@@ -265,7 +259,7 @@ func (s *Spec) genItem(r *sm, phase int, writable, readable []int) Item {
 				A:    s.AccLock[acc],
 				B:    acc,
 				N:    1 + r.intn(3),
-				V:    r.next(),
+				V:    r.Next(),
 			}
 		case 8:
 			if len(readable) == 0 {
@@ -275,10 +269,10 @@ func (s *Spec) genItem(r *sm, phase int, writable, readable []int) Item {
 				Kind: KRead,
 				A:    readable[r.intn(len(readable))],
 				B:    r.intn(privItemSlots),
-				V:    r.next(),
+				V:    r.Next(),
 			}
 		case 9:
-			return Item{Kind: KDiv, V: r.next()}
+			return Item{Kind: KDiv, V: r.Next()}
 		}
 	}
 }

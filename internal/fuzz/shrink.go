@@ -1,7 +1,7 @@
 package fuzz
 
 // Shrinking: minimize a failing spec while it keeps failing the oracle.
-// Classic ddmin-style chunk removal over grammar items, then scalar
+// Chunk removal over grammar items (seeded.Minimize), then scalar
 // reductions (loop counts, thread count), then structural cleanup
 // (trailing empty phases). Every candidate is validated and re-run
 // through the full predicate, so a shrunk reproducer is guaranteed to
@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/guard"
+	"repro/internal/seeded"
 )
 
 // defaultShrinkBudget bounds oracle evaluations per shrink. Each
@@ -60,49 +61,28 @@ func Shrink(ctx context.Context, spec *Spec, quick bool, lim Limits, pool *exper
 		return spec.Clone(), lastErr
 	}
 
-	// Pass 1: ddmin-lite over the flat item list, chunk sizes n/2 … 1.
+	// Pass 1: seeded.Minimize over the flat item list (chunk sizes n/2 … 1,
+	// then single items until none goes).
 	type coord struct{ phase, idx int }
-	flatten := func(s *Spec) []coord {
-		var cs []coord
-		for p, items := range s.Phases {
-			for i := range items {
-				cs = append(cs, coord{p, i})
-			}
+	var coords []coord
+	for p, items := range cur.Phases {
+		for i := range items {
+			coords = append(coords, coord{p, i})
 		}
-		return cs
 	}
-	without := func(s *Spec, drop map[coord]bool) *Spec {
-		c := s.Clone()
+	only := func(keep []coord) *Spec {
+		c := cur.Clone()
 		for p := range c.Phases {
-			var kept []Item
-			for i, it := range c.Phases[p] {
-				if !drop[coord{p, i}] {
-					kept = append(kept, it)
-				}
-			}
-			c.Phases[p] = kept
+			c.Phases[p] = nil
+		}
+		for _, k := range keep {
+			c.Phases[k.phase] = append(c.Phases[k.phase], cur.Phases[k.phase][k.idx])
 		}
 		return c
 	}
-	for chunk := len(flatten(cur)) / 2; chunk >= 1; chunk /= 2 {
-		for start := 0; ; {
-			coords := flatten(cur)
-			if start >= len(coords) {
-				break
-			}
-			drop := map[coord]bool{}
-			for i := start; i < start+chunk && i < len(coords); i++ {
-				drop[coords[i]] = true
-			}
-			if cand := without(cur, drop); fails(cand) {
-				cur = cand // indices shifted; retry same start
-			} else {
-				start += chunk
-			}
-			if lastErr != nil {
-				return cur, lastErr
-			}
-		}
+	cur = only(seeded.Minimize(coords, func(keep []coord) bool { return fails(only(keep)) }))
+	if lastErr != nil {
+		return cur, lastErr
 	}
 
 	// Pass 2: scalar reduction — shrink every N toward 1.

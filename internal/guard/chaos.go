@@ -1,6 +1,9 @@
 package guard
 
-import "repro/internal/snapshot"
+import (
+	"repro/internal/seeded"
+	"repro/internal/snapshot"
+)
 
 // Chaos is the fault injector: a deterministic latency perturber. The
 // memory systems add Jitter() cycles to each miss or network latency
@@ -12,11 +15,11 @@ import "repro/internal/snapshot"
 // into functional state: exactly the class of bug chaos mode exists to
 // catch.
 //
-// The PRNG is a self-contained splitmix64 (not math/rand) so its whole
-// position is one word a checkpoint can carry, and each simulation cell
-// can own a private, seeded stream with no shared state.
+// The PRNG is a seeded.Stream (not math/rand) so its whole position is
+// one word a checkpoint can carry, and each simulation cell can own a
+// private, seeded stream with no shared state.
 type Chaos struct {
-	state uint64
+	state seeded.Stream
 	seed  int64
 	skew  int64
 
@@ -32,20 +35,11 @@ func NewChaos(seed, skew int64) *Chaos {
 	if skew < 0 {
 		skew = 0
 	}
-	return &Chaos{state: uint64(seed), seed: seed, skew: skew}
+	return &Chaos{state: seeded.Stream(seed), seed: seed, skew: skew}
 }
 
 // Skew returns the maximum jitter in cycles.
 func (c *Chaos) Skew() int64 { return c.skew }
-
-// next advances the splitmix64 state.
-func (c *Chaos) next() uint64 {
-	c.state += 0x9E3779B97F4A7C15
-	z := c.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
 
 // Jitter returns the next perturbation in [0, Skew] cycles. A nil Chaos
 // returns 0, so call sites need no mode check.
@@ -54,7 +48,7 @@ func (c *Chaos) Jitter() int64 {
 		return 0
 	}
 	c.Draws++
-	return int64(c.next() % uint64(c.skew+1))
+	return int64(c.state.Next() % uint64(c.skew+1))
 }
 
 // Perturb returns lat plus jitter: the common "stretch this latency"
@@ -72,6 +66,6 @@ func (c *Chaos) State(cd snapshot.Codec) {
 	}
 	cd.ShapeI64("chaos seed", c.seed)
 	cd.ShapeI64("chaos skew", c.skew)
-	cd.U64(&c.state)
+	cd.U64((*uint64)(&c.state))
 	cd.I64(&c.Draws)
 }

@@ -2,12 +2,12 @@ package guard
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+
+	"repro/internal/seeded"
 )
 
-// Crash fault plans for the distributed experiment service's chaos
-// harness. A FaultPlan scripts *process-level* failures — a worker dying
+// Crash faults for the distributed experiment service's chaos harness. A
+// plan of these scripts *process-level* failures — a worker dying
 // mid-cell, dying after computing a result but before acknowledging it,
 // or silently stalling its heartbeats — the way the Chaos injector
 // scripts latency failures: deterministically, so every schedule the
@@ -50,65 +50,12 @@ func (k FaultKind) String() string {
 	}
 }
 
-// FaultEvent schedules one fault: the worker injects Kind on its Nth
-// cell execution (1-based, counted across all leases it runs).
-type FaultEvent struct {
-	AtCell int
-	Kind   FaultKind
-}
-
-// FaultPlan is a deterministic schedule of injected process failures,
-// keyed by the worker's own execution count — not wall-clock — so runs
-// replay. The zero value (and a nil plan) injects nothing.
-type FaultPlan struct {
-	Events []FaultEvent
-}
-
-// At returns the fault to inject on the n-th cell execution (1-based),
-// or FaultNone. Nil-safe.
-func (p *FaultPlan) At(n int) FaultKind {
-	if p == nil {
-		return FaultNone
-	}
-	for _, e := range p.Events {
-		if e.AtCell == n {
-			return e.Kind
-		}
-	}
-	return FaultNone
-}
-
-// Empty reports whether the plan injects nothing. Nil-safe.
-func (p *FaultPlan) Empty() bool { return p == nil || len(p.Events) == 0 }
-
-// ParseFaultPlan parses the command-line form "kind@N[,kind@N...]",
-// e.g. "die-mid-cell@3" or "heartbeat-stall@2,die-before-ack@5". An
-// empty string is the empty plan.
-func ParseFaultPlan(s string) (*FaultPlan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return &FaultPlan{}, nil
-	}
-	kinds := map[string]FaultKind{
-		FaultDieMidCell.String():     FaultDieMidCell,
-		FaultDieBeforeAck.String():   FaultDieBeforeAck,
-		FaultHeartbeatStall.String(): FaultHeartbeatStall,
-	}
-	var p FaultPlan
-	for _, part := range strings.Split(s, ",") {
-		kindStr, atStr, ok := strings.Cut(strings.TrimSpace(part), "@")
-		if !ok {
-			return nil, fmt.Errorf("guard: fault %q: want kind@N", part)
-		}
-		kind, ok := kinds[kindStr]
-		if !ok {
-			return nil, fmt.Errorf("guard: unknown fault kind %q (die-mid-cell, die-before-ack, heartbeat-stall)", kindStr)
-		}
-		n, err := strconv.Atoi(atStr)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("guard: fault %q: bad cell ordinal %q", part, atStr)
-		}
-		p.Events = append(p.Events, FaultEvent{AtCell: n, Kind: kind})
-	}
-	return &p, nil
+// ProcessFaults is the process-fault vocabulary. A worker counts its cell
+// executions (1-based, across all leases it runs) and injects the kind a
+// seeded.Plan[FaultKind] schedules at that ordinal; the command-line form
+// is ProcessFaults.Parse's, e.g. "die-mid-cell@3" or
+// "heartbeat-stall@2,die-before-ack@5".
+var ProcessFaults = seeded.Layer[FaultKind]{
+	Kinds:      []FaultKind{FaultDieMidCell, FaultDieBeforeAck, FaultHeartbeatStall},
+	OneCounter: true,
 }

@@ -1,6 +1,10 @@
 package guard
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/seeded"
+)
 
 // Retry is the deterministic retry/backoff policy shared by the grid
 // runners (the watchdog doubled-budget retry) and the distributed
@@ -9,8 +13,8 @@ import "time"
 //   - Escalation is exact doubling (Escalate), so a retried simulation is
 //     reproducible from (seed, attempt) alone — no wall-clock leaks into
 //     the budget a cell runs under.
-//   - Delays are capped exponential with splitmix64-seeded jitter
-//     (the chaos seeding discipline), so a redispatch schedule replays
+//   - Delays are capped exponential with seeded jitter (seeded.Mix, the
+//     chaos seeding discipline), so a redispatch schedule replays
 //     byte-identically for a given (Seed, key) and never synchronizes
 //     retry storms across cells.
 type Retry struct {
@@ -45,7 +49,7 @@ func (r Retry) Allowed(attempt int) bool {
 // Delay returns the backoff to wait before running attempt (1-based;
 // the first attempt never waits). The base schedule is Base doubled per
 // retry and capped at Cap; jitter adds up to half the computed delay,
-// drawn deterministically from splitmix64(Seed, key, attempt) so a
+// drawn deterministically from seeded.Mix of (Seed, key, attempt) so a
 // given (policy, key) sequence replays exactly.
 func (r Retry) Delay(key uint64, attempt int) time.Duration {
 	if attempt <= 1 || r.Base <= 0 {
@@ -57,7 +61,7 @@ func (r Retry) Delay(key uint64, attempt int) time.Duration {
 	}
 	if r.Seed != 0 && d > 0 {
 		span := uint64(d)/2 + 1
-		d += time.Duration(mix64(uint64(r.Seed)+key*0x9E3779B97F4A7C15+uint64(attempt)) % span)
+		d += time.Duration(seeded.Mix(uint64(r.Seed)+key*0x9E3779B97F4A7C15+uint64(attempt)) % span)
 	}
 	return d
 }
@@ -73,12 +77,4 @@ func Escalate(v int64, attempt int) int64 {
 		v <<= 1
 	}
 	return v
-}
-
-// mix64 is the splitmix64 finalizer — the same decorrelation step the
-// chaos injector and per-cell seed derivation use.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

@@ -101,32 +101,31 @@ func TestEscalate(t *testing.T) {
 }
 
 func TestFaultPlanParseAndAt(t *testing.T) {
-	p, err := ParseFaultPlan("die-mid-cell@3,heartbeat-stall@5")
+	p, err := ProcessFaults.Parse("die-mid-cell@3,heartbeat-stall@5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]FaultKind{1: FaultNone, 3: FaultDieMidCell, 5: FaultHeartbeatStall, 6: FaultNone}
+	want := map[int64]FaultKind{1: FaultNone, 3: FaultDieMidCell, 5: FaultHeartbeatStall, 6: FaultNone}
 	for n, k := range want {
-		if got := p.At(n); got != k {
-			t.Errorf("At(%d) = %v, want %v", n, got, k)
+		if got, ok := p.At(n); got.Kind != k || ok != (k != FaultNone) {
+			t.Errorf("At(%d) = %v, %v, want %v", n, got, ok, k)
 		}
 	}
-	if p.Empty() {
-		t.Error("plan with events reports Empty")
-	}
 
-	empty, err := ParseFaultPlan("")
-	if err != nil || !empty.Empty() {
-		t.Errorf("empty plan: %v, Empty=%v", err, empty.Empty())
+	empty, err := ProcessFaults.Parse("")
+	if err != nil || len(empty) != 0 {
+		t.Errorf("empty plan: %v, %v", empty, err)
 	}
-	var nilPlan *FaultPlan
-	if nilPlan.At(1) != FaultNone || !nilPlan.Empty() {
+	if _, ok := empty.At(1); ok {
 		t.Error("nil plan must be inert")
 	}
 
-	for _, bad := range []string{"die-mid-cell", "nope@2", "die-mid-cell@0", "die-mid-cell@x"} {
-		if _, err := ParseFaultPlan(bad); err == nil {
-			t.Errorf("ParseFaultPlan(%q) succeeded, want error", bad)
+	for _, bad := range []string{"die-mid-cell", "nope@2", "none@2", "die-mid-cell@0", "die-mid-cell@x",
+		// Neither can fire as written: one execution runs one fault, and a
+		// dead worker does not die again.
+		"die-mid-cell@3,heartbeat-stall@3", "die-mid-cell@1,die-mid-cell@4"} {
+		if _, err := ProcessFaults.Parse(bad); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/seeded"
 )
 
 func TestWriteFileAtomicReplacesWholeFile(t *testing.T) {
@@ -145,7 +146,7 @@ func TestWriteFileAtomicFailedSyncAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inj := faultfs.NewInjector(m, faultfs.Plan{FailSyncAt: 1}, nil, nil)
+	inj := faultfs.NewInjector(m, seeded.Plan[faultfs.FaultKind]{{Kind: faultfs.FaultFailedSync, At: 1}}, nil, nil)
 	err := WriteFileAtomicFS(inj, path, func(w io.Writer) error {
 		_, err := io.WriteString(w, "doomed rewrite\n")
 		return err

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/guard"
+	"repro/internal/seeded"
 )
 
 // tinyUniSpec is quickUniSpec with short slices: five cells of a few
@@ -150,7 +151,7 @@ func TestInjectedDeathReleasesNothing(t *testing.T) {
 	srv := httptest.NewServer(stub.handler())
 	defer srv.Close()
 	done := startWorker(t, srv.URL, WorkerConfig{Name: "doomed", PollInterval: 20 * time.Millisecond,
-		Plan: &guard.FaultPlan{Events: []guard.FaultEvent{{AtCell: 1, Kind: guard.FaultDieMidCell}}}})
+		Plan: seeded.Plan[guard.FaultKind]{{Kind: guard.FaultDieMidCell, At: 1}}})
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrFaultInjected) {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/guard"
+	"repro/internal/seeded"
 )
 
 // quickUniSpec is the small workstation grid the integration tests run:
@@ -248,7 +249,7 @@ func TestWorkerDiesMidCell(t *testing.T) {
 	// The fault fires on the doomed worker's FIRST execution: a later
 	// ordinal could race the steady worker finishing the whole grid.
 	doomed := startWorker(t, srv.URL, WorkerConfig{Name: "doomed", PollInterval: 20 * time.Millisecond,
-		Plan: &guard.FaultPlan{Events: []guard.FaultEvent{{AtCell: 1, Kind: guard.FaultDieMidCell}}}, OnCell: counter.hook})
+		Plan: seeded.Plan[guard.FaultKind]{{Kind: guard.FaultDieMidCell, At: 1}}, OnCell: counter.hook})
 
 	id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
 	if err != nil {
@@ -285,7 +286,7 @@ func TestWorkerDiesBeforeAck(t *testing.T) {
 	defer srv.Close()
 	counter := newExecCounter()
 	doomed := startWorker(t, srv.URL, WorkerConfig{Name: "doomed", PollInterval: 20 * time.Millisecond,
-		Plan: &guard.FaultPlan{Events: []guard.FaultEvent{{AtCell: 1, Kind: guard.FaultDieBeforeAck}}}, OnCell: counter.hook})
+		Plan: seeded.Plan[guard.FaultKind]{{Kind: guard.FaultDieBeforeAck, At: 1}}, OnCell: counter.hook})
 
 	id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
 	if err != nil {
@@ -324,7 +325,7 @@ func TestHeartbeatStallDeduplicates(t *testing.T) {
 	defer srv.Close()
 	counter := newExecCounter()
 	startWorker(t, srv.URL, WorkerConfig{Name: "staller", PollInterval: 20 * time.Millisecond,
-		Plan: &guard.FaultPlan{Events: []guard.FaultEvent{{AtCell: 1, Kind: guard.FaultHeartbeatStall}}}, OnCell: counter.hook})
+		Plan: seeded.Plan[guard.FaultKind]{{Kind: guard.FaultHeartbeatStall, At: 1}}, OnCell: counter.hook})
 	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
 
 	id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)

@@ -11,10 +11,11 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/guard"
+	"repro/internal/seeded"
 )
 
 // ErrFaultInjected is what Worker.Run returns after executing a
-// scripted fault from its FaultPlan — the process-level analogue of a
+// scripted fault from its Plan — the process-level analogue of a
 // chaos perturbation. cmd/expworker maps it to its own exit code so the
 // crash harness can tell an injected death from a real failure.
 var ErrFaultInjected = errors.New("service: worker died by injected fault")
@@ -31,10 +32,10 @@ type WorkerConfig struct {
 	// PollInterval is the idle re-poll spacing when the coordinator has
 	// nothing to lease and no hint; <= 0 means 250ms.
 	PollInterval time.Duration
-	// Plan scripts process-level faults by execution ordinal (nil or
-	// empty: none). The fault kinds are guard.FaultDieMidCell,
-	// FaultDieBeforeAck and FaultHeartbeatStall.
-	Plan *guard.FaultPlan
+	// Plan scripts process-level faults by execution ordinal (nil: none).
+	// The fault kinds are guard.FaultDieMidCell, FaultDieBeforeAck and
+	// FaultHeartbeatStall.
+	Plan seeded.Plan[guard.FaultKind]
 	// OnCell, when non-nil, is called at the start of every cell
 	// execution (the chaos tests count executions per cell with it).
 	OnCell func(job int, grid string, index int, attempt int)
@@ -331,8 +332,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // the scripted fault for this execution ordinal, if any. It returns
 // whether the coordinator answered the report.
 func (w *Worker) runLease(ctx context.Context, l Lease) bool {
-	n := int(w.execCount.Add(1))
-	kind := w.cfg.Plan.At(n)
+	n := w.execCount.Add(1)
+	ev, _ := w.cfg.Plan.At(n) // no event: the zero Kind, FaultNone
+	kind := ev.Kind
 	if w.cfg.OnCell != nil {
 		w.cfg.OnCell(l.Job, l.Grid, l.Index, l.Attempt)
 	}

@@ -34,6 +34,16 @@ if grep -rn 'NextEvent()' --include='*.go' --exclude='*_test.go' . |
     exit 1
 fi
 
+# One splitmix64: the step and its finalizer are seeded.Stream and
+# seeded.Mix, and every seeded consumer (chaos jitter, fault plans, the
+# fuzzer's generator, per-cell seeds, retry jitter) draws from them. The
+# finalizer's multiplier anywhere else is a second copy.
+if grep -rn '0xBF58476D1CE4E5B9' --include='*.go' --exclude='*_test.go' . |
+    grep -v '^./internal/seeded/'; then
+    echo "check.sh: a second splitmix64; draw from seeded.Stream or seeded.Mix" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
@@ -254,8 +264,13 @@ if [ -n "${TORTURE:-}" ]; then
 fi
 
 # Optional performance pass: BENCH=1 scripts/check.sh additionally runs
-# the benchmark suite and regenerates the throughput grid JSON
-# (see scripts/bench.sh for BASE_REF / BENCH_OUT knobs).
+# the Go benchmarks: the serial-vs-parallel experiment grids, simulator
+# throughput, the fast-forward engine A/B, and the functional-memory fast
+# path. End-to-end numbers and before/after comparisons are the
+# repository benchmark's: go run ./benchmark -workload <w> -out a.jsonl,
+# then -compare a.jsonl b.jsonl (benchmark/README.md).
 if [ -n "${BENCH:-}" ]; then
-    sh scripts/bench.sh
+    go test -run='^$' -bench='Table7|Table10|SimulatorThroughput|MPSimulatorThroughput' -benchtime=1x .
+    go test -run='^$' -bench='BenchmarkStepFastForward' -benchtime=2s ./internal/core/
+    go test -run='^$' -bench='BenchmarkMemAccess' -benchtime=1s ./internal/mem/
 fi
