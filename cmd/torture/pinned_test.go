@@ -27,11 +27,12 @@ func TestSeededStreamsPinned(t *testing.T) {
 	delays := func(key uint64) string {
 		return fmt.Sprint(retry.Delay(key, 2), retry.Delay(key, 3), retry.Delay(key, 4))
 	}
-	rows := []struct {
+	type row struct {
 		name string
 		got  func() string
 		want string
-	}{
+	}
+	rows := []row{
 		{"net plan seed 5", func() string { return faultnet.PlanFromSeed(5).String() },
 			"drop@2,delay@20:11,duplicate@5,reset@8,truncation@17:49"},
 		{"chaos(7,24) jitter", func() string {
@@ -80,11 +81,8 @@ func TestSeededStreamsPinned(t *testing.T) {
 	}
 	for seed, want := range tortureSchedules {
 		seed := int64(seed)
-		rows = append(rows, struct {
-			name string
-			got  func() string
-			want string
-		}{fmt.Sprintf("torture seed %d", seed), func() string { return scheduleFromSeed(seed).String() }, want})
+		rows = append(rows, row{fmt.Sprintf("torture seed %d", seed),
+			func() string { return scheduleFromSeed(seed).String() }, want})
 	}
 	for _, r := range rows {
 		if got := r.got(); got != r.want {

@@ -103,14 +103,12 @@ func (e *InjectedError) Unwrap() error { return e.Err }
 // fault actually fires if the request stream is long enough.
 func PlanFromSeed(seed int64) seeded.Plan[FaultKind] {
 	st := seeded.Stream(uint64(seed) ^ 0x6e657477) // decorrelate from the disk layer's stream
-	used := map[int64]bool{}
 	var p seeded.Plan[FaultKind]
 	for _, kind := range NetFaultKinds {
 		e := seeded.Event[FaultKind]{Kind: kind}
-		for e.At == 0 || used[e.At] {
+		for taken := true; taken; _, taken = p.At(e.At) {
 			e.At = int64(st.Next()%20) + 2
 		}
-		used[e.At] = true
 		switch kind {
 		case FaultDelay:
 			e.Arg = int64(st.Next()%40) + 10

@@ -19,6 +19,7 @@ package seeded
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -126,15 +127,11 @@ func (l Layer[K]) Parse(s string) (Plan[K], error) {
 		if !ok {
 			return nil, fmt.Errorf("seeded: fault %q: want kind@N[:arg]", part)
 		}
-		e, known := Event[K]{}, false
-		for _, k := range l.Kinds {
-			if k.String() == name {
-				e.Kind, known = k, true
-			}
-		}
-		if !known {
+		k := slices.IndexFunc(l.Kinds, func(k K) bool { return k.String() == name })
+		if k < 0 {
 			return nil, fmt.Errorf("seeded: unknown fault kind %q (one of %v)", name, l.Kinds)
 		}
+		e := Event[K]{Kind: l.Kinds[k]}
 		at, arg, hasArg := strings.Cut(rest, ":")
 		var err error
 		if e.At, err = strconv.ParseInt(at, 10, 64); err != nil || e.At < 1 {
@@ -180,8 +177,7 @@ func Minimize[T any](items []T, fails func([]T) bool) []T {
 	sweep := func(chunk int) (removed bool) {
 		for start := 0; start < len(cur); {
 			end := min(start+chunk, len(cur))
-			cand := append(append(make([]T, 0, len(cur)-(end-start)), cur[:start]...), cur[end:]...)
-			if fails(cand) {
+			if cand := slices.Delete(slices.Clone(cur), start, end); fails(cand) {
 				cur, removed = cand, true // the next chunk has moved to start
 			} else {
 				start = end
