@@ -28,10 +28,14 @@ import (
 // Forking is an optimization, never a semantic: a forked cell is
 // byte-identical to its from-scratch run (pinned by
 // TestSweepForkedMatchesScratch), and an unusable checkpoint never fails
-// the sweep: a cached file whose container does not decode (corrupt,
-// stale codec version, foreign fingerprint) is re-simulated and
-// replaced, and a payload the resuming machine rejects falls back to the
-// scratch path for that cell.
+// the sweep: a cached file whose container does not open (corrupt,
+// stale codec version, foreign fingerprint), or whose payload the
+// resuming machine rejects, is re-simulated and replaced, and the
+// group's cells fork from the replacement.
+//
+// A checkpoint is verified once per sweep, when it is opened into a
+// snapshot.Image; the forks of a group then read that one image
+// concurrently and do not hash it again.
 
 // CheckpointOptions configures warm-up sharing for sweeps.
 type CheckpointOptions struct {
@@ -66,34 +70,24 @@ func prefixKey(workload string, w workstation.Config) string {
 	return hex.EncodeToString(sum[:12])
 }
 
-// prefixCache caches encoded prefix checkpoints, in memory and — when a
-// directory is configured — on disk.
+// prefixCache is the on-disk side of warm-up sharing: verified prefix
+// checkpoints by fingerprint, when a directory is configured. Within a
+// sweep the images live in the planner's group table; this cache is what
+// outlasts it.
 type prefixCache struct {
-	mu  sync.Mutex
 	dir string
-	mem map[string][]byte
 }
 
-func newPrefixCache(dir string) *prefixCache {
-	return &prefixCache{dir: dir, mem: map[string][]byte{}}
-}
-
-func (pc *prefixCache) path(key string) string {
+func (pc prefixCache) path(key string) string {
 	return filepath.Join(pc.dir, key+".ckpt")
 }
 
-// get returns the cached checkpoint for key, consulting disk on a memory
-// miss. A file that cannot be read, or whose container does not decode
-// for this key (corrupt, another codec version, a foreign fingerprint),
-// reports as a miss: the caller then simulates the warm-up and put
-// replaces the bad file, so the same run still forks and later runs
-// stop tripping over it.
-func (pc *prefixCache) get(key string) []byte {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if b, ok := pc.mem[key]; ok {
-		return b
-	}
+// get opens the checkpoint file for key. A file that cannot be read, or
+// whose container does not open for this key (corrupt, another codec
+// version, a foreign fingerprint), reports as a miss: the caller then
+// simulates the warm-up and put replaces the bad file, so the same run
+// still forks and later runs stop tripping over it.
+func (pc prefixCache) get(key string) *snapshot.Image {
 	if pc.dir == "" {
 		return nil
 	}
@@ -101,22 +95,26 @@ func (pc *prefixCache) get(key string) []byte {
 	if err != nil {
 		return nil
 	}
-	if _, err := snapshot.Decode(b, workstation.Kind, key); err != nil {
+	img, err := snapshot.Open(b, workstation.Kind, key)
+	if err != nil {
 		return nil
 	}
-	pc.mem[key] = b
-	return b
+	return img
 }
 
-// put stores a checkpoint, writing through to disk best-effort (a failed
-// write leaves the in-memory copy serving this run).
-func (pc *prefixCache) put(key string, data []byte) {
-	pc.mu.Lock()
-	pc.mem[key] = data
-	pc.mu.Unlock()
+// put opens a freshly encoded checkpoint — every image a fork reads went
+// through snapshot.Open exactly once, whether it came from get or from
+// here — and writes it through to disk best-effort, replacing whatever
+// file held the key (a failed write leaves the image serving this run).
+func (pc prefixCache) put(key string, data []byte) (*snapshot.Image, error) {
+	img, err := snapshot.Open(data, workstation.Kind, key)
+	if err != nil {
+		return nil, err
+	}
 	if pc.dir != "" {
 		_ = snapshot.SaveFile(pc.path(key), data)
 	}
+	return img, nil
 }
 
 // checkpointUnusable reports whether err is one of the typed rejections
@@ -129,83 +127,120 @@ func checkpointUnusable(err error) bool {
 		errors.Is(err, snapshot.ErrMismatch)
 }
 
+// prefixGroup is the cells of one sweep that share a warm-up prefix, and
+// the image they fork from.
+type prefixGroup struct {
+	cells []int
+	// img is the group's checkpoint, opened once in stage 1 and only read
+	// in stage 2; nil means the group's cells run from scratch.
+	img *snapshot.Image
+	// The first cell whose fork rejects img's payload re-simulates the
+	// warm-up, once, and the rest of the group forks from healed.
+	heal    sync.Once
+	healed  *snapshot.Image
+	healErr error
+}
+
 // sweepThroughputsShared is sweepThroughputs with warm-up sharing: cells
 // whose prefix keys collide are forked from one shared warm-up
 // checkpoint instead of each simulating its own. Cells that cannot fork
-// — observability enabled, singleton groups, unkeyable configs — and
-// cells whose checkpoint is rejected with a typed error run from
-// scratch. Results are byte-identical to sweepThroughputs either way.
+// — observability enabled, singleton groups, unkeyable configs — run
+// from scratch. Results are byte-identical to sweepThroughputs either
+// way.
 func sweepThroughputsShared(ctx context.Context, cfg UniConfig, workload string, kernels []apps.Kernel, configs []workstation.Config) ([]float64, error) {
 	if cfg.Checkpoint.Disabled {
 		return sweepThroughputs(ctx, cfg.Parallelism, kernels, configs)
 	}
 
 	keys := make([]string, len(configs))
-	groups := map[string][]int{}
+	groups := map[string]*prefixGroup{}
 	for i, w := range configs {
 		if w.Obs.Enabled() {
 			continue // instrumented cells are not checkpointable
 		}
 		if k := prefixKey(workload, w); k != "" {
 			keys[i] = k
-			groups[k] = append(groups[k], i)
+			if groups[k] == nil {
+				groups[k] = &prefixGroup{}
+			}
+			groups[k].cells = append(groups[k].cells, i)
 		}
 	}
 	var shared []string
-	for k, idxs := range groups {
-		if len(idxs) > 1 {
+	for k, g := range groups {
+		if len(g.cells) > 1 {
 			shared = append(shared, k)
 		}
 	}
 	sort.Strings(shared)
 
-	// Stage 1: one warm-up simulation per multi-cell group (or a cache
-	// hit from a previous sweep/run). ckpts is written only here and
-	// read-only in stage 2.
-	cache := newPrefixCache(cfg.Checkpoint.Dir)
-	ckpts := make(map[string][]byte, len(shared))
-	var mu sync.Mutex
+	// warm simulates group k's warm-up and stores the checkpoint; a group
+	// that cannot be checkpointed gets no image.
+	cache := prefixCache{dir: cfg.Checkpoint.Dir}
+	warm := func(ctx context.Context, k string) (*snapshot.Image, error) {
+		prefix := configs[groups[k].cells[0]]
+		prefix.Measure = workstation.MeasureOverrides{}
+		data, err := workstation.CheckpointWarmupCtx(ctx, kernels, prefix, k)
+		if errors.Is(err, workstation.ErrNotCheckpointable) {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		return cache.put(k, data)
+	}
+
+	// Stage 1: one image per multi-cell group, from a previous run's file
+	// or one warm-up simulation. Each group is written by its own cell
+	// here and only read in stage 2.
 	err := runCells(ctx, cfg.Parallelism, len(shared), func(ctx context.Context, i int) error {
 		k := shared[i]
-		data := cache.get(k)
-		if data == nil {
-			prefix := configs[groups[k][0]]
-			prefix.Measure = workstation.MeasureOverrides{}
+		img := cache.get(k)
+		if img == nil {
 			var err error
-			data, err = workstation.CheckpointWarmupCtx(ctx, kernels, prefix, k)
-			if err != nil {
-				if errors.Is(err, workstation.ErrNotCheckpointable) {
-					return nil // the group's cells fall back to scratch
-				}
+			if img, err = warm(ctx, k); err != nil {
 				return err
 			}
-			cache.put(k, data)
 		}
-		mu.Lock()
-		ckpts[k] = data
-		mu.Unlock()
+		groups[k].img = img
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Stage 2: every cell, forked from its group's checkpoint when one
-	// exists, from scratch otherwise.
+	// forked returns cell i's result forked from its group's image, or
+	// nil when the cell has to run from scratch. A payload the machine
+	// rejects (the container was sound, what it holds is not this
+	// machine) is replaced, file included, by one warm-up simulation for
+	// the whole group; a fresh image rejected as well is left to scratch.
+	forked := func(ctx context.Context, i int) (*workstation.Result, error) {
+		g := groups[keys[i]]
+		if g == nil || g.img == nil {
+			return nil, nil
+		}
+		r, err := workstation.ResumeImageCtx(ctx, kernels, configs[i], g.img)
+		if !checkpointUnusable(err) {
+			return r, err
+		}
+		g.heal.Do(func() { g.healed, g.healErr = warm(ctx, keys[i]) })
+		if g.healed == nil {
+			return nil, g.healErr
+		}
+		r, err = workstation.ResumeImageCtx(ctx, kernels, configs[i], g.healed)
+		if checkpointUnusable(err) {
+			return nil, nil
+		}
+		return r, err
+	}
+
+	// Stage 2: every cell, forked when it can be.
 	thr := make([]float64, len(configs))
 	err = runCells(ctx, cfg.Parallelism, len(configs), func(ctx context.Context, i int) error {
-		if data := ckpts[keys[i]]; data != nil {
-			r, err := workstation.ResumeCtx(ctx, kernels, configs[i], data, keys[i])
-			if err == nil {
-				thr[i] = r.FairThroughput
-				return nil
-			}
-			if !checkpointUnusable(err) {
-				return err
-			}
-			// A payload this machine rejects: scratch this cell instead.
+		r, err := forked(ctx, i)
+		if r == nil && err == nil {
+			r, err = workstation.RunCtx(ctx, kernels, configs[i])
 		}
-		r, err := workstation.RunCtx(ctx, kernels, configs[i])
 		if err != nil {
 			return err
 		}

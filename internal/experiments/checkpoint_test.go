@@ -47,9 +47,9 @@ func TestSweepForkedMatchesScratch(t *testing.T) {
 }
 
 // TestSweepCheckpointDir pins the on-disk cache: a sweep persists its
-// prefix checkpoints, a second run reuses them, and corrupting every
-// cached file degrades cleanly to from-scratch simulation with
-// identical results.
+// prefix checkpoints, a second run reuses them, and a run that finds
+// every cached file unusable re-simulates the warm-ups, gives identical
+// results and puts the files back.
 func TestSweepCheckpointDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -75,41 +75,58 @@ func TestSweepCheckpointDir(t *testing.T) {
 		t.Error("disk-cached sweep diverges from the run that wrote the cache")
 	}
 
-	// Corrupt every cached checkpoint: the typed decode rejection must
-	// not fail the sweep or change its results, and the run must replace
-	// each bad file with the bytes it held before, so the next run forks
-	// from disk again instead of rejecting the same file forever.
+	// Two ways a cached file can be unusable, and the same demands of
+	// both: the sweep neither fails nor changes its results, and it
+	// replaces each bad file with the bytes it held before, so the next
+	// run forks from disk again instead of rejecting the same file
+	// forever. A flipped byte fails the container's checksum when the
+	// file is opened; a sound container around a payload that is not a
+	// machine opens, and is rejected by the first fork that reads it.
 	orig := map[string][]byte{}
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig[f] = bytes.Clone(data)
-		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(f, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		orig[f] = data
 	}
-	got, err = SwitchCostSweep(cfg, "DC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("sweep over corrupted checkpoints diverges from the clean run")
-	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := strings.TrimSuffix(filepath.Base(f), ".ckpt")
-		if _, err := snapshot.Decode(data, workstation.Kind, key); err != nil {
-			t.Errorf("%s still does not decode after the fallback run: %v", filepath.Base(f), err)
-		}
-		if !bytes.Equal(data, orig[f]) {
-			t.Errorf("%s was not restored to its pre-corruption bytes", filepath.Base(f))
-		}
+	for _, tc := range []struct {
+		name   string
+		poison func(key string, good []byte) []byte
+	}{
+		{"flipped byte", func(_ string, good []byte) []byte {
+			bad := bytes.Clone(good)
+			bad[len(bad)/2] ^= 0x40
+			return bad
+		}},
+		{"payload not a machine", func(key string, _ []byte) []byte {
+			return snapshot.Encode(workstation.Kind, key, []byte("not a machine"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, f := range files {
+				key := strings.TrimSuffix(filepath.Base(f), ".ckpt")
+				if err := os.WriteFile(f, tc.poison(key, orig[f]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := SwitchCostSweep(cfg, "DC")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("sweep over unusable checkpoints diverges from the clean run")
+			}
+			for _, f := range files {
+				data, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, orig[f]) {
+					t.Errorf("%s was not restored to its pre-corruption bytes (%d bytes on disk)", filepath.Base(f), len(data))
+				}
+			}
+		})
 	}
 }
 

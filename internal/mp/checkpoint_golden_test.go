@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -32,6 +33,15 @@ func TestCheckpointGolden(t *testing.T) {
 	}
 	got := fmt.Sprintf("%v/%dx%d len=%d hash=%#016x\n", cfg.Scheme, cfg.Processors, cfg.Contexts,
 		len(ckpt), snapshot.StateHash(ckpt))
+	// The container was sealed in place around the state walk; wrapping
+	// its payload with Encode must give the same bytes.
+	img, err := snapshot.Open(ckpt, Kind, "golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ckpt, snapshot.Encode(Kind, "golden", img.Payload())) {
+		t.Error("container sealed in place differs from Encode of its payload")
+	}
 
 	path := filepath.Join("testdata", "checkpoint.golden")
 	if os.Getenv("UPDATE_CKPT_GOLDEN") != "" {

@@ -59,15 +59,24 @@ func CheckpointAtCtx(ctx context.Context, p *prog.Program, cfg Config, atCycle i
 	if completed {
 		return nil, fmt.Errorf("%w (before cycle %d)", ErrCompleted, atCycle)
 	}
-	w := snapshot.NewWriter()
-	m.state(snapshot.Saving(w), &atCycle)
-	return snapshot.Encode(Kind, fingerprint, w.Bytes()), nil
+	return snapshot.Seal(Kind, fingerprint, func(c snapshot.Codec) { m.state(c, &atCycle) }), nil
 }
 
-// ResumeCtx restores a checkpoint produced by CheckpointAtCtx into a
-// freshly built machine for cfg and runs it to completion, returning the
-// same Result the uninterrupted run would.
+// ResumeCtx restores a checkpoint produced by CheckpointAtCtx and runs
+// it to completion: snapshot.Open, which verifies the container against
+// the fingerprint it was written with, then ResumeImageCtx.
 func ResumeCtx(ctx context.Context, p *prog.Program, cfg Config, data []byte, fingerprint string) (*Result, error) {
+	img, err := snapshot.Open(data, Kind, fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	return ResumeImageCtx(ctx, p, cfg, img)
+}
+
+// ResumeImageCtx restores an opened checkpoint into a freshly built
+// machine for cfg and runs it to completion, returning the same Result
+// the uninterrupted run would. It only reads img.
+func ResumeImageCtx(ctx context.Context, p *prog.Program, cfg Config, img *snapshot.Image) (*Result, error) {
 	m, err := newMachine(p, cfg)
 	if err != nil {
 		return nil, err
@@ -75,10 +84,7 @@ func ResumeCtx(ctx context.Context, p *prog.Program, cfg Config, data []byte, fi
 	if m.col != nil || cfg.SwitchWatch != nil {
 		return nil, ErrNotCheckpointable
 	}
-	rd, err := snapshot.Decode(data, Kind, fingerprint)
-	if err != nil {
-		return nil, err
-	}
+	rd := img.Reader()
 	var atCycle int64
 	m.state(snapshot.Restoring(rd), &atCycle)
 	if err := snapshot.Finish(rd); err != nil {

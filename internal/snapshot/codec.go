@@ -113,9 +113,10 @@ func (c Codec) Int(p *int) {
 // U32s visits every element of s.
 func (c Codec) U32s(s []uint32) {
 	if c.w != nil {
-		b := c.w.grow(4 * len(s))
-		for i, v := range s {
-			binary.LittleEndian.PutUint32(b[4*i:], v)
+		if b := c.w.grow(4 * len(s)); b != nil {
+			for i, v := range s {
+				binary.LittleEndian.PutUint32(b[4*i:], v)
+			}
 		}
 	} else if b := c.r.take(4 * len(s)); b != nil {
 		for i := range s {
@@ -127,9 +128,10 @@ func (c Codec) U32s(s []uint32) {
 // U64s visits every element of s.
 func (c Codec) U64s(s []uint64) {
 	if c.w != nil {
-		b := c.w.grow(8 * len(s))
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(b[8*i:], v)
+		if b := c.w.grow(8 * len(s)); b != nil {
+			for i, v := range s {
+				binary.LittleEndian.PutUint64(b[8*i:], v)
+			}
 		}
 	} else if b := c.r.take(8 * len(s)); b != nil {
 		for i := range s {
@@ -141,9 +143,10 @@ func (c Codec) U64s(s []uint64) {
 // I64s visits every element of s.
 func (c Codec) I64s(s []int64) {
 	if c.w != nil {
-		b := c.w.grow(8 * len(s))
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		if b := c.w.grow(8 * len(s)); b != nil {
+			for i, v := range s {
+				binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+			}
 		}
 	} else if b := c.r.take(8 * len(s)); b != nil {
 		for i := range s {
@@ -155,10 +158,11 @@ func (c Codec) I64s(s []int64) {
 // Bools visits every element of s, one byte each.
 func (c Codec) Bools(s []bool) {
 	if c.w != nil {
-		b := c.w.grow(len(s))
-		for i, v := range s {
-			if v {
-				b[i] = 1
+		if b := c.w.grow(len(s)); b != nil {
+			for i, v := range s {
+				if v {
+					b[i] = 1
+				}
 			}
 		}
 	} else if b := c.r.take(len(s)); b != nil {

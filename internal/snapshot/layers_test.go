@@ -164,13 +164,19 @@ var layers = []layer{
 		func(t testing.TB) []byte { m := newMulti(t); m.warm(); return saved(m.fm.SaveState) }},
 }
 
-// restore feeds data to layer l's RestoreState and returns Finish's
-// verdict; anything other than success or ErrCorrupt is a test failure.
+// restore feeds data to layer l's RestoreState the way a fork receives a
+// payload — wrapped in a container, opened once, read through the
+// image's Reader — and returns Finish's verdict; anything other than
+// success or ErrCorrupt is a test failure.
 func restore(t *testing.T, l layer, data []byte) error {
 	t.Helper()
-	r := snapshot.NewReader(data)
+	img, err := snapshot.Open(snapshot.Encode("layer", l.name, data), "layer", l.name)
+	if err != nil {
+		t.Fatalf("%s: a container just encoded does not open: %v", l.name, err)
+	}
+	r := img.Reader()
 	l.fresh(t).RestoreState(r)
-	err := snapshot.Finish(r)
+	err = snapshot.Finish(r)
 	if err != nil && !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("%s: restore failed with an untyped error: %v", l.name, err)
 	}
@@ -214,6 +220,29 @@ func TestRestoreSeeds(t *testing.T) {
 					t.Fatalf("%s: payload truncated to %d of %d bytes accepted", l.name, n, len(s))
 				}
 			}
+		}
+	}
+}
+
+// TestSealLayers runs every layer's own walk through Seal: the sizing
+// pass must count what the saving pass then writes — bulk arrays, sorted
+// maps, optional parts — so the container is exactly Encode of the
+// payload and sits in a buffer that never grew.
+func TestSealLayers(t *testing.T) {
+	u, m := newUni(t), newMulti(t)
+	u.warm()
+	m.warm()
+	for name, walk := range map[string]func(snapshot.Codec){
+		"Thread": u.threads[0].State, "Processor": u.proc.State, "Hierarchy": u.h.State,
+		"Fabric": m.fab.State, "Memory": m.fm.State,
+	} {
+		sealed := snapshot.Seal("layer", name, walk)
+		payload := saved(func(w *snapshot.Writer) { walk(snapshot.Saving(w)) })
+		if !bytes.Equal(sealed, snapshot.Encode("layer", name, payload)) {
+			t.Errorf("%s: Seal and Encode disagree on the container bytes", name)
+		}
+		if len(sealed) != cap(sealed) {
+			t.Errorf("%s: %d-byte container in a %d-byte buffer: the sizing walk miscounted", name, len(sealed), cap(sealed))
 		}
 	}
 }

@@ -77,32 +77,62 @@ func StateHash(data []byte) uint64 {
 	return h
 }
 
-// Writer is the growing payload buffer a save walk appends to. Fields
-// are written through a Codec (Saving), never directly.
+// Writer is the buffer a save walk appends to. Fields are written
+// through a Codec (Saving), never directly. A Writer from NewWriter holds
+// a bare payload and grows as it goes; one from begin holds a container
+// under construction: header, then the payload from offset start, in a
+// buffer sized up front so the walk never regrows it and seal never
+// copies it.
 type Writer struct {
-	buf []byte
+	buf   []byte
+	start int // where the payload begins in buf; 0 for a bare payload
+	// sizing makes the Writer count the bytes a walk would append (in n)
+	// without storing them: how Seal learns the payload size before it
+	// allocates.
+	sizing bool
+	n      int
 }
 
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
 // Bytes returns the raw serialized payload written so far.
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte { return w.buf[w.start:] }
 
-func (w *Writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *Writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *Writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+// grow appends n zero bytes and returns them for the caller to fill; a
+// sizing Writer counts them and returns nil. Every append goes through
+// here, so this is the one place the two kinds of Writer differ.
+func (w *Writer) grow(n int) []byte {
+	if w.sizing {
+		w.n += n
+		return nil
+	}
+	w.buf = append(w.buf, make([]byte, n)...)
+	return w.buf[len(w.buf)-n:]
+}
+
+func (w *Writer) u8(v uint8) {
+	if b := w.grow(1); b != nil {
+		b[0] = v
+	}
+}
+
+func (w *Writer) u32(v uint32) {
+	if b := w.grow(4); b != nil {
+		binary.LittleEndian.PutUint32(b, v)
+	}
+}
+
+func (w *Writer) u64(v uint64) {
+	if b := w.grow(8); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
 
 // str appends a length-prefixed UTF-8 string.
 func (w *Writer) str(s string) {
 	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// grow appends n zero bytes and returns them for the caller to fill.
-func (w *Writer) grow(n int) []byte {
-	w.buf = append(w.buf, make([]byte, n)...)
-	return w.buf[len(w.buf)-n:]
+	copy(w.grow(len(s)), s)
 }
 
 // Reader is the payload a restore walk consumes, through a Codec
@@ -171,25 +201,66 @@ func (r *Reader) str() string {
 //
 //	u32 magic | u32 version | str kind | str fingerprint |
 //	u32 payloadLen | payload | u64 fnv1a(payload)
+//
+// A container is built in place, in one buffer: begin writes the header
+// and a length placeholder, the payload is appended behind it, and seal
+// back-patches the length and appends the checksum.
 
-// Encode wraps a serialized payload in the versioned container.
-func Encode(kind, fingerprint string, payload []byte) []byte {
-	w := NewWriter()
+// begin starts a container for a payload of size bytes. The size is a
+// capacity, not a promise: a payload that turns out longer grows the
+// buffer like any append, and seal records the length actually written.
+func begin(kind, fingerprint string, size int) *Writer {
+	head := 4 + 4 + 4 + len(kind) + 4 + len(fingerprint) + 4
+	w := &Writer{buf: make([]byte, 0, head+size+8)}
 	w.u32(magic)
 	w.u32(Version)
 	w.str(kind)
 	w.str(fingerprint)
-	w.u32(uint32(len(payload)))
-	w.buf = append(w.buf, payload...)
-	w.u64(StateHash(payload))
-	return w.Bytes()
+	w.u32(0) // payload length, patched by seal
+	w.start = len(w.buf)
+	return w
 }
 
-// Decode validates a container and returns a Reader over its payload.
-// The kind and fingerprint must match what the caller is restoring
-// into: kind names the machine shape, fingerprint the prefix
-// configuration that produced the checkpoint.
-func Decode(data []byte, kind, fingerprint string) (*Reader, error) {
+// seal closes a container started by begin and returns it.
+func (w *Writer) seal() []byte {
+	payload := w.buf[w.start:]
+	binary.LittleEndian.PutUint32(w.buf[w.start-4:], uint32(len(payload)))
+	w.u64(StateHash(payload))
+	return w.buf
+}
+
+// Seal runs a save walk and returns its payload in the versioned
+// container. The walk runs twice: once against a sizing Writer, so the
+// container is allocated at its final size, and once to fill it.
+func Seal(kind, fingerprint string, walk func(Codec)) []byte {
+	sizing := &Writer{sizing: true}
+	walk(Saving(sizing))
+	w := begin(kind, fingerprint, sizing.n)
+	walk(Saving(w))
+	return w.seal()
+}
+
+// Encode wraps an already serialized payload in the versioned container.
+func Encode(kind, fingerprint string, payload []byte) []byte {
+	w := begin(kind, fingerprint, len(payload))
+	copy(w.grow(len(payload)), payload)
+	return w.seal()
+}
+
+// Image is a container that passed every check Open makes, viewed as
+// its payload. It is immutable: any number of restores may read one
+// Image at once, each through its own Reader, and none of them repeats
+// the verification.
+type Image struct {
+	payload []byte
+}
+
+// Open validates a container — magic, version, lengths, no trailing
+// bytes, payload checksum — against the kind and fingerprint the caller
+// is restoring into: kind names the machine shape, fingerprint the
+// prefix configuration that produced the checkpoint. The Image aliases
+// data, which the caller must not modify afterwards.
+func Open(data []byte, kind, fingerprint string) (*Image, error) {
 	r := NewReader(data)
 	if got := r.u32(); r.err != nil || got != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -217,7 +288,24 @@ func Decode(data []byte, kind, fingerprint string) (*Reader, error) {
 	if gotFP != fingerprint {
 		return nil, fmt.Errorf("%w: prefix fingerprint %q, want %q", ErrMismatch, gotFP, fingerprint)
 	}
-	return NewReader(payload), nil
+	return &Image{payload: payload}, nil
+}
+
+// Reader returns a fresh Reader over the verified payload.
+func (im *Image) Reader() *Reader { return NewReader(im.payload) }
+
+// Payload returns the verified payload bytes, which the caller must not
+// modify.
+func (im *Image) Payload() []byte { return im.payload }
+
+// Decode is Open followed by Reader, for a caller that restores a
+// container once.
+func Decode(data []byte, kind, fingerprint string) (*Reader, error) {
+	im, err := Open(data, kind, fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	return im.Reader(), nil
 }
 
 // Finish verifies a payload Reader consumed cleanly: no decode error

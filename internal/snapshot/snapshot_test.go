@@ -224,48 +224,91 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSealEqualsEncode: a container sealed in place around a walk is
+// byte for byte the container Encode builds around the same walk's
+// payload, and the sizing walk counted it exactly, so the buffer was
+// allocated once at its final size.
+func TestSealEqualsEncode(t *testing.T) {
+	f := fields{
+		u8: 1, u32s: [3]uint32{7, 8, 9}, bs: [3]bool{true, false, true},
+		m: map[uint32]int64{9: -9, 2: 2, 1 << 31: 7}, list: []uint32{5, 4, 3},
+	}
+	w := NewWriter()
+	f.walk(Saving(w))
+
+	sealed := Seal("kind", "fp", f.walk)
+	if !bytes.Equal(sealed, Encode("kind", "fp", w.Bytes())) {
+		t.Error("Seal and Encode disagree on the container bytes")
+	}
+	if len(sealed) != cap(sealed) {
+		t.Errorf("sealed container is %d bytes in a %d-byte buffer: the sizing walk miscounted", len(sealed), cap(sealed))
+	}
+	if empty := Seal("kind", "fp", func(Codec) {}); !bytes.Equal(empty, Encode("kind", "fp", nil)) {
+		t.Error("Seal and Encode disagree on the empty payload")
+	}
+}
+
+// TestDecodeRejections: every way a container can be unusable, and for
+// each the typed error. Open is the one verification; Decode is Open
+// plus a Reader, so the two must fail alike, message included.
 func TestDecodeRejections(t *testing.T) {
 	w := NewWriter()
 	w.u64(1)
 	good := Encode("kind", "fp", w.Bytes())
+	mutate := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(good)) }
 
-	if _, err := Decode(good, "other", "fp"); !errors.Is(err, ErrMismatch) {
-		t.Errorf("wrong kind: %v, want ErrMismatch", err)
+	cases := []struct {
+		name     string
+		data     []byte
+		kind, fp string
+		want     error
+	}{
+		{"bad magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b }), "kind", "fp", ErrCorrupt},
+		{"garbage", []byte("not a snapshot at all"), "kind", "fp", ErrCorrupt},
+		// A different version is ErrVersion, so callers can report
+		// staleness distinctly from corruption.
+		{"version", mutate(func(b []byte) []byte { b[4] = Version + 1; return b }), "kind", "fp", ErrVersion},
+		{"trailing bytes", mutate(func(b []byte) []byte { return append(b, 0) }), "kind", "fp", ErrCorrupt},
+		{"flipped payload byte", mutate(func(b []byte) []byte { b[len(b)-9] ^= 0xff; return b }), "kind", "fp", ErrCorrupt},
+		{"wrong kind", good, "other", "fp", ErrMismatch},
+		{"wrong fingerprint", good, "kind", "other", ErrMismatch},
 	}
-	if _, err := Decode(good, "kind", "other"); !errors.Is(err, ErrMismatch) {
-		t.Errorf("wrong fingerprint: %v, want ErrMismatch", err)
-	}
-
-	// Flip one payload byte: checksum must catch it.
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-9] ^= 0xff
-	if _, err := Decode(bad, "kind", "fp"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("bit flip: %v, want ErrCorrupt", err)
-	}
-
-	// Truncation anywhere must be ErrCorrupt, never a panic.
+	// Truncation anywhere is a typed rejection, never a panic: ErrCorrupt,
+	// or ErrVersion for a cut inside the version word.
 	for n := 0; n < len(good); n++ {
-		if _, err := Decode(good[:n], "kind", "fp"); err == nil {
-			t.Fatalf("truncation at %d bytes accepted", n)
+		want := ErrCorrupt
+		if n >= 4 && n < 8 {
+			want = ErrVersion
+		}
+		cases = append(cases, struct {
+			name     string
+			data     []byte
+			kind, fp string
+			want     error
+		}{"truncation", good[:n], "kind", "fp", want})
+	}
+	for _, tc := range cases {
+		img, openErr := Open(tc.data, tc.kind, tc.fp)
+		if img != nil || !errors.Is(openErr, tc.want) {
+			t.Errorf("%s (%d bytes): Open = %v, %v; want %v", tc.name, len(tc.data), img, openErr, tc.want)
+			continue
+		}
+		r, decodeErr := Decode(tc.data, tc.kind, tc.fp)
+		if r != nil || decodeErr == nil || decodeErr.Error() != openErr.Error() {
+			t.Errorf("%s: Decode = %v, %v; Open said %v", tc.name, r, decodeErr, openErr)
 		}
 	}
 
-	// A different version is ErrVersion, so callers can report staleness
-	// distinctly from corruption.
-	vbad := append([]byte(nil), good...)
-	vbad[4] = Version + 1
-	if _, err := Decode(vbad, "kind", "fp"); !errors.Is(err, ErrVersion) {
-		t.Errorf("version bump: %v, want ErrVersion", err)
+	img, err := Open(good, "kind", "fp")
+	if err != nil {
+		t.Fatalf("Open of a good container: %v", err)
 	}
-
-	if _, err := Decode([]byte("not a snapshot at all"), "kind", "fp"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("garbage: %v, want ErrCorrupt", err)
-	}
-
-	// Trailing garbage after the checksum is corruption too.
-	tbad := append(append([]byte(nil), good...), 0)
-	if _, err := Decode(tbad, "kind", "fp"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("trailing bytes: %v, want ErrCorrupt", err)
+	// Each Reader is a fresh cursor over the same verified payload.
+	for i := 0; i < 2; i++ {
+		r := img.Reader()
+		if got := r.u64(); got != 1 || Finish(r) != nil {
+			t.Errorf("reader %d: payload u64 = %d, Finish = %v", i, got, Finish(r))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package workstation
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -35,6 +36,7 @@ func TestCheckpointGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		got += fmt.Sprintf("%v/%d len=%d hash=%#016x\n", tc.scheme, tc.ctxs, len(ckpt), snapshot.StateHash(ckpt))
+		sealedEqualsEncoded(t, ckpt)
 	}
 
 	path := filepath.Join("testdata", "checkpoint.golden")
@@ -52,5 +54,19 @@ func TestCheckpointGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("checkpoint bytes moved:\n got:\n%swant:\n%s", got, want)
+	}
+}
+
+// sealedEqualsEncoded checks the two ways of building a container
+// against each other: ckpt was sealed in place around the state walk,
+// and wrapping its payload with Encode must give the same bytes.
+func sealedEqualsEncoded(t *testing.T, ckpt []byte) {
+	t.Helper()
+	img, err := snapshot.Open(ckpt, Kind, "golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ckpt, snapshot.Encode(Kind, "golden", img.Payload())) {
+		t.Error("container sealed in place differs from Encode of its payload")
 	}
 }

@@ -36,8 +36,9 @@ var ErrNotCheckpointable = errors.New("workstation: instrumented run cannot be c
 // CheckpointWarmupCtx simulates the warm-up prefix (every slice before
 // the measure boundary) and returns the machine serialized in the codec
 // container, tagged with the caller's prefix fingerprint. The sweep
-// planner calls this once per cell group and forks every cell of the
-// group from the returned bytes via ResumeCtx.
+// planner calls this once per cell group, opens the returned bytes once
+// (snapshot.Open) and forks every cell of the group from that image via
+// ResumeImageCtx.
 func CheckpointWarmupCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, fingerprint string) ([]byte, error) {
 	r, err := newRunner(kernels, cfg)
 	if err != nil {
@@ -67,22 +68,34 @@ func (r *runner) checkpointAt(ctx context.Context, atSlice int, fingerprint stri
 	if err := r.runSlices(ctx, 0, atSlice); err != nil {
 		return nil, err
 	}
-	w := snapshot.NewWriter()
-	r.state(snapshot.Saving(w), &atSlice)
-	return snapshot.Encode(Kind, fingerprint, w.Bytes()), nil
+	return snapshot.Seal(Kind, fingerprint, func(c snapshot.Codec) { r.state(c, &atSlice) }), nil
 }
 
 // ResumeCtx restores a checkpoint produced by CheckpointWarmupCtx /
-// CheckpointAtCtx into a freshly built machine for cfg and runs the
-// remaining slices, returning the same Result the uninterrupted run
-// would. cfg must describe the same machine shape the checkpoint was
-// taken under — same scheme, contexts, slice geometry, workload — which
-// the caller asserts by passing the fingerprint the checkpoint was
-// written with (Decode rejects others with snapshot.ErrMismatch) and the
-// decoder double-checks structurally. Only MeasureOverrides may differ
-// between the checkpointing and resuming configurations: they apply at
-// the measure boundary, inside the resumed half of the loop.
+// CheckpointAtCtx and runs the remaining slices: snapshot.Open, which
+// verifies the container and rejects a fingerprint other than the one
+// the checkpoint was written with (snapshot.ErrMismatch), then
+// ResumeImageCtx.
 func ResumeCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, data []byte, fingerprint string) (*Result, error) {
+	img, err := snapshot.Open(data, Kind, fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	return ResumeImageCtx(ctx, kernels, cfg, img)
+}
+
+// ResumeImageCtx restores an opened checkpoint into a freshly built
+// machine for cfg and runs the remaining slices, returning the same
+// Result the uninterrupted run would. It only reads img, so the forks
+// of a sweep group resume one image concurrently and the container is
+// verified once, by whoever opened it. cfg must describe the same
+// machine shape the checkpoint was taken under — same scheme, contexts,
+// slice geometry, workload — which the caller asserted by opening the
+// container with the fingerprint it was written with, and the walk
+// double-checks structurally. Only MeasureOverrides may differ between
+// the checkpointing and resuming configurations: they apply at the
+// measure boundary, inside the resumed half of the loop.
+func ResumeImageCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, img *snapshot.Image) (*Result, error) {
 	r, err := newRunner(kernels, cfg)
 	if err != nil {
 		return nil, err
@@ -90,10 +103,7 @@ func ResumeCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, data []by
 	if r.col.Proc(0) != nil {
 		return nil, ErrNotCheckpointable
 	}
-	rd, err := snapshot.Decode(data, Kind, fingerprint)
-	if err != nil {
-		return nil, err
-	}
+	rd := img.Reader()
 	var atSlice int
 	r.state(snapshot.Restoring(rd), &atSlice)
 	if err := snapshot.Finish(rd); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -124,6 +125,64 @@ func TestForkEquivalenceWithOverrides(t *testing.T) {
 	}
 	if reflect.DeepEqual(want.Stats, base.Stats) {
 		t.Error("MSHR override had no effect — override is not being applied")
+	}
+}
+
+// TestConcurrentForksShareOneImage is the sweep planner's stage 2 in
+// miniature: eight goroutines fork one opened image at once, each under
+// its own measure-time override. A restore only reads the image, so
+// every fork must equal its own scratch run, the payload must be the
+// bytes it was before, and the race detector must have nothing to say
+// (run with -race -count=10).
+func TestConcurrentForksShareOneImage(t *testing.T) {
+	ks := testWorkload(t, "cfft2d", "gmtry", "tomcatv", "vpenta")
+	prefix := forkConfig(core.Blocked, 4, false)
+	ckpt, err := CheckpointWarmupCtx(context.Background(), ks, prefix, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := snapshot.Open(ckpt, Kind, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := snapshot.StateHash(img.Payload())
+
+	cells := make([]Config, 8)
+	want := make([]*Result, len(cells))
+	for i := range cells {
+		cells[i] = prefix
+		if i%2 == 0 {
+			cells[i].Measure.BlockedFlushCost = 1 + i
+		} else {
+			cells[i].Measure.MSHRs = i
+		}
+		if want[i], err = Run(ks, cells[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got := make([]*Result, len(cells))
+	var wg sync.WaitGroup
+	for i := range cells {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, err := ResumeImageCtx(context.Background(), ks, cells[i], img)
+			if err != nil {
+				t.Errorf("fork %d: %v", i, err)
+				return
+			}
+			got[i] = r
+		}(i)
+	}
+	wg.Wait()
+	for i := range cells {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("fork %d (%+v) differs from its scratch run", i, cells[i].Measure)
+		}
+	}
+	if after := snapshot.StateHash(img.Payload()); after != before {
+		t.Errorf("image payload hash moved across the forks: %#x -> %#x", before, after)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 )
 
-func testWorkload(t *testing.T, names ...string) []apps.Kernel {
+func testWorkload(t testing.TB, names ...string) []apps.Kernel {
 	t.Helper()
 	var ks []apps.Kernel
 	for _, n := range names {

@@ -44,6 +44,17 @@ if grep -rn '0xBF58476D1CE4E5B9' --include='*.go' --exclude='*_test.go' . |
     exit 1
 fi
 
+# The sweep planner opens a checkpoint once (snapshot.Open) and forks
+# every cell of the group from that image (workstation.ResumeImageCtx).
+# snapshot.Decode and workstation.ResumeCtx verify the container on
+# every call, which is right for a one-off restore and is the per-fork
+# audit the planner must not go back to.
+if grep -rnE 'snapshot\.Decode\(|workstation\.ResumeCtx\(' \
+    --include='*.go' --exclude='*_test.go' internal/experiments; then
+    echo "check.sh: the sweep planner verifies per fork; open the image once and use ResumeImageCtx" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
@@ -120,6 +131,51 @@ code=0
 diff "$RES_DIR/full.txt" "$RES_DIR/resumed.txt"
 diff "$RES_DIR/full.json" "$RES_DIR/resumed.json"
 
+# Checkpoint pass (four quick sweep runs of about half a second each): a
+# forked sweep run (the default) must be byte-identical to
+# -no-checkpoint, both in the tables and the -json dump; then a
+# persistent -checkpoint-dir is written, every checkpoint file in it is
+# made unusable in place, and the next run must notice, re-simulate the
+# warm-up, still produce identical output, and leave the directory
+# holding the files it held before.
+"$RES_DIR/experiments" -quick -only sweeps -j 2 -no-checkpoint \
+    -json "$RES_DIR/scratch.json" > "$RES_DIR/scratch.txt"
+"$RES_DIR/experiments" -quick -only sweeps -j 2 \
+    -json "$RES_DIR/forked.json" > "$RES_DIR/forked.txt"
+diff "$RES_DIR/scratch.txt" "$RES_DIR/forked.txt"
+diff "$RES_DIR/scratch.json" "$RES_DIR/forked.json"
+
+"$RES_DIR/experiments" -quick -only sweeps -j 2 \
+    -checkpoint-dir "$RES_DIR/ckpts" \
+    -json "$RES_DIR/dir.json" > "$RES_DIR/dir.txt"
+diff "$RES_DIR/scratch.txt" "$RES_DIR/dir.txt"
+ls "$RES_DIR/ckpts"/*.ckpt >/dev/null # warm-up prefixes were persisted
+cp -r "$RES_DIR/ckpts" "$RES_DIR/ckpts.orig"
+poisoned=
+for f in "$RES_DIR/ckpts"/*.ckpt; do
+    if [ -z "$poisoned" ]; then
+        # One file becomes a sound container around a payload that is not
+        # a machine: magic, codec version 1, kind, the file's own key as
+        # the fingerprint, length, 13 bytes, their FNV-1a. It opens; the
+        # first fork that reads it must reject it, and the group's warm-up
+        # is then simulated once and the file replaced.
+        poisoned=$(basename "$f" .ckpt) # 24 hex digits (\030)
+        printf 'RPSN\001\000\000\000\013\000\000\000workstation\030\000\000\000%s\015\000\000\000not a machine\024\313\065\302\377\274\107\217' \
+            "$poisoned" > "$f"
+        continue
+    fi
+    # The rest get a byte flipped mid-file: the container's checksum must
+    # reject it (ErrCorrupt) when the file is opened.
+    sz=$(wc -c < "$f")
+    printf '\377' | dd of="$f" bs=1 seek=$((sz / 2)) conv=notrunc 2>/dev/null
+done
+"$RES_DIR/experiments" -quick -only sweeps -j 2 \
+    -checkpoint-dir "$RES_DIR/ckpts" \
+    -json "$RES_DIR/corrupt.json" > "$RES_DIR/corrupt.txt"
+diff "$RES_DIR/scratch.txt" "$RES_DIR/corrupt.txt"
+diff "$RES_DIR/scratch.json" "$RES_DIR/corrupt.json"
+diff -r "$RES_DIR/ckpts.orig" "$RES_DIR/ckpts" # healed, byte for byte
+
 # Optional differential-fuzz pass: FUZZ=1 scripts/check.sh runs the
 # fixed-seed cross-scheme interleaving sweep (>=500 cells; exits 1 on any
 # divergence), requires the report to be byte-identical at -j 8 and -j 1,
@@ -142,44 +198,6 @@ if [ -n "${FUZZ:-}" ]; then
     # -fuzzminimizetime 1x: the fabric seed is 50 KB, and by default each
     # input that finds new coverage is minimized for up to a minute.
     go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s -fuzzminimizetime 1x ./internal/snapshot
-fi
-
-# Optional checkpoint pass: CKPT=1 scripts/check.sh requires a forked
-# sweep run (the default) to be byte-identical to -no-checkpoint, both
-# in the tables and the -json dump; then re-runs with a persistent
-# -checkpoint-dir, corrupts every checkpoint file in place, and requires
-# the next run to detect the typed codec error, re-simulate the warm-up,
-# still produce identical output, and leave the directory holding the
-# files it held before the corruption.
-if [ -n "${CKPT:-}" ]; then
-    CKPT_DIR="$(mktemp -d)"
-    trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$CKPT_DIR"' EXIT
-    go build -o "$CKPT_DIR/experiments" ./cmd/experiments
-    "$CKPT_DIR/experiments" -quick -only sweeps -j 2 -no-checkpoint \
-        -json "$CKPT_DIR/scratch.json" > "$CKPT_DIR/scratch.txt"
-    "$CKPT_DIR/experiments" -quick -only sweeps -j 2 \
-        -json "$CKPT_DIR/forked.json" > "$CKPT_DIR/forked.txt"
-    diff "$CKPT_DIR/scratch.txt" "$CKPT_DIR/forked.txt"
-    diff "$CKPT_DIR/scratch.json" "$CKPT_DIR/forked.json"
-
-    "$CKPT_DIR/experiments" -quick -only sweeps -j 2 \
-        -checkpoint-dir "$CKPT_DIR/ckpts" \
-        -json "$CKPT_DIR/dir.json" > "$CKPT_DIR/dir.txt"
-    diff "$CKPT_DIR/scratch.txt" "$CKPT_DIR/dir.txt"
-    ls "$CKPT_DIR/ckpts"/*.ckpt >/dev/null # warm-up prefixes were persisted
-    cp -r "$CKPT_DIR/ckpts" "$CKPT_DIR/ckpts.orig"
-    for f in "$CKPT_DIR/ckpts"/*.ckpt; do
-        # Flip a byte mid-file: the codec must reject it (ErrCorrupt),
-        # re-simulate the warm-up, and write the good bytes back.
-        sz=$(wc -c < "$f")
-        printf '\377' | dd of="$f" bs=1 seek=$((sz / 2)) conv=notrunc 2>/dev/null
-    done
-    "$CKPT_DIR/experiments" -quick -only sweeps -j 2 \
-        -checkpoint-dir "$CKPT_DIR/ckpts" \
-        -json "$CKPT_DIR/corrupt.json" > "$CKPT_DIR/corrupt.txt"
-    diff "$CKPT_DIR/scratch.txt" "$CKPT_DIR/corrupt.txt"
-    diff "$CKPT_DIR/scratch.json" "$CKPT_DIR/corrupt.json"
-    diff -r "$CKPT_DIR/ckpts.orig" "$CKPT_DIR/ckpts" # healed, byte for byte
 fi
 
 # Optional distributed-service pass: SERVICE=1 scripts/check.sh runs the
