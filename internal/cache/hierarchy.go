@@ -347,10 +347,12 @@ func (h *Hierarchy) AccessData(addr uint32, write bool, pc uint32, now int64) me
 // FetchInst implements memsys.InstMemory. The I-cache is blocking: a miss
 // returns the fill time and the caller stalls the processor until then.
 // The I-cache fetches two lines per miss (Table 1), which is modeled by
-// filling the next sequential line for free.
+// filling the next sequential line for free. A hit is the two
+// memsys.CountedInstFetch methods and nothing else, which is what lets the
+// core count a stalled instruction's re-fetches instead of making them.
 func (h *Hierarchy) FetchInst(addr uint32, now int64) (readyAt int64, miss bool) {
-	h.Stats.InstFetches++
-	if h.L1I.Present(addr) {
+	h.CountInstFetches(1)
+	if h.InstFetchHits(addr) {
 		return now, false
 	}
 	h.Stats.InstMisses++
@@ -367,6 +369,15 @@ func (h *Hierarchy) FetchInst(addr uint32, now int64) (readyAt int64, miss bool)
 	return fillAt, true
 }
 
+// InstFetchHits implements memsys.CountedInstFetch: a fetch hits when its
+// line is resident in the primary instruction cache, which only a FetchInst
+// miss or SchedulerInterference changes.
+func (h *Hierarchy) InstFetchHits(addr uint32) bool { return h.L1I.Present(addr) }
+
+// CountInstFetches implements memsys.CountedInstFetch: the whole effect of
+// n fetches that hit.
+func (h *Hierarchy) CountInstFetches(n int64) { h.Stats.InstFetches += n }
+
 // SchedulerInterference invalidates iLines instruction-cache lines, dLines
 // data-cache lines and tlbEntries TLB slots at a scheduler invocation
 // (paper Table 6 / Torrellas' IRIX measurements).
@@ -379,3 +390,5 @@ func (h *Hierarchy) SchedulerInterference(iLines, dLines, tlbEntries int, rng *r
 var _ memsys.System = (*Hierarchy)(nil)
 
 var _ memsys.Completer = (*Hierarchy)(nil)
+
+var _ memsys.CountedInstFetch = (*Hierarchy)(nil)

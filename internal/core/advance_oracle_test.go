@@ -2,13 +2,19 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/coherence"
 	"repro/internal/isa"
+	"repro/internal/mem"
+	"repro/internal/memsys"
+	"repro/internal/metrics"
 	"repro/internal/prog"
 	"repro/internal/snapshot"
 )
@@ -73,6 +79,121 @@ func advanceProg(mode prog.YieldMode) func(testing.TB) *prog.Program {
 	}
 }
 
+// oracleScenario is one machine configuration of the grid.
+type oracleScenario struct {
+	name   string
+	prog   func(testing.TB) *prog.Program
+	scheme Scheme
+	nctx   int
+	width  int    // IssueWidth, 0 for the paper's single issue
+	noFF   bool   // Cfg.NoFastForward
+	btb    int    // BTBEntries, 0 for the default
+	mem    string // which memory system: one of oracleMems
+	sample int64  // metrics SampleEvery, 0 for an unobserved machine
+	trace  bool   // install a Trace hook on every machine
+}
+
+// oracleMems are the three things an instruction fetch can be to the
+// engine: ideal (node 0 of a two-node coherence fabric), counted (the
+// workstation cache hierarchy) and opaque (fakeMem, which says nothing
+// about its fetch — and keeps its fills in a map no checkpoint holds).
+var oracleMems = []string{"fabric", "hierarchy", "opaque"}
+
+type oracleMachine struct {
+	proc    *Processor
+	fm      *mem.Memory
+	h       *cache.Hierarchy
+	fab     *coherence.Fabric
+	threads []*Thread
+	col     *metrics.Collector
+	events  []TraceEvent
+}
+
+func (sc *oracleScenario) build(t *testing.T) *oracleMachine {
+	t.Helper()
+	m := &oracleMachine{fm: mem.New()}
+	var sys memsys.System
+	switch sc.mem {
+	case "fabric":
+		m.fab = coherence.MustNewFabric(coherence.DefaultParams(), 2)
+		sys = m.fab.Node(0)
+	case "hierarchy":
+		m.h = cache.MustNewHierarchy(cache.DefaultParams())
+		sys = m.h
+	default:
+		sys = newFakeMem(40)
+	}
+	pr := sc.prog(t)
+	pr.LoadInit(m.fm)
+	cfg := DefaultConfig(sc.scheme, sc.nctx)
+	cfg.IssueWidth = sc.width
+	cfg.NoFastForward = sc.noFF
+	if sc.btb > 0 {
+		cfg.BTBEntries = sc.btb
+	}
+	m.proc = MustNewProcessor(cfg, sys, m.fm)
+	if sc.sample > 0 {
+		m.col = metrics.NewCollector(metrics.Options{SampleEvery: sc.sample, Events: true}, 1)
+		m.proc.AttachMetrics(m.col.Proc(0))
+		if m.h != nil {
+			m.h.AttachMetrics(m.col.Proc(0))
+		}
+		if m.fab != nil {
+			m.fab.Node(0).AttachMetrics(m.col.Proc(0))
+		}
+	}
+	if sc.trace {
+		m.proc.Trace = func(ev TraceEvent) { m.events = append(m.events, ev) }
+	}
+	for i := 0; i < sc.nctx; i++ {
+		th := NewThread(fmt.Sprintf("t%d", i), pr)
+		th.SetIntReg(isa.R4, uint32(i))
+		m.proc.BindThread(i, th)
+		m.threads = append(m.threads, th)
+	}
+	return m
+}
+
+// state is everything the machine would checkpoint, plus the trace so
+// far. An observed processor does not checkpoint: its clock and accounting
+// stand in, and at the end (final) everything its observers recorded.
+func (m *oracleMachine) state(t *testing.T, final bool) []byte {
+	t.Helper()
+	if !m.proc.Observed() {
+		return append(m.checkpoint(), fmt.Sprintf("%v", m.events)...)
+	}
+	w := snapshot.NewWriter()
+	for _, th := range m.threads {
+		th.SaveState(w)
+	}
+	var blob []byte
+	if final {
+		var err error
+		if blob, err = json.Marshal(m.col.Result()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return append(w.Bytes(), fmt.Sprintf("@%d %+v %s", m.proc.Now(), m.proc.Stats, blob)...)
+}
+
+// checkpoint is the unobserved machine as a driver would save it: threads,
+// processor, memory system, functional memory.
+func (m *oracleMachine) checkpoint() []byte {
+	w := snapshot.NewWriter()
+	for _, th := range m.threads {
+		th.SaveState(w)
+	}
+	m.proc.SaveState(w)
+	if m.h != nil {
+		m.h.SaveState(w)
+	}
+	if m.fab != nil {
+		m.fab.SaveState(w)
+	}
+	m.fm.SaveState(w)
+	return w.Bytes()
+}
+
 // advancePath names the way the next Advance call goes through the
 // function, from the state it will read. It is a second reading of the
 // cascade on purpose, used only to count coverage and to predict whether
@@ -95,12 +216,6 @@ func advancePath(p *Processor) string {
 		return "fallback/forced-fetch"
 	}
 	ready := p.readyAt(now)
-	if !p.idealIF {
-		if p.cur >= 0 || ready != 0 {
-			return "fallback/counting-fetch"
-		}
-		return "idle"
-	}
 	scheme := p.Cfg.Scheme
 	blocked := scheme == Blocked || scheme == BlockedFast
 	kind := "mono"
@@ -148,10 +263,35 @@ func advancePath(p *Processor) string {
 	default:
 		what = "fu-short"
 	}
-	if p.Cfg.IssueWidth > 1 && (what == "issue" || kind == "interleaved") {
+	// A fetch the memory notices comes after the shadow and the redirect,
+	// which never fetch. A monopolist's stall behind a line the memory says
+	// is resident is a region that counts its fetches; any other slot is
+	// fetched for real in the pass that classified it, and then issues or
+	// stalls — or, where the memory said the line is not resident, misses.
+	// An opaque memory says nothing, so it has no such regions (and
+	// fakeMem's fetch never misses).
+	fetched := !p.idealIF && what != "shadow" && what != "redirect"
+	resident := fetched && p.countIF != nil && p.countIF.InstFetchHits(th.pcAddr(th.PC))
+	if kind == "mono" && what != "issue" && resident {
+		return "counted/region"
+	}
+	if p.Cfg.IssueWidth > 1 && (what == "issue" || kind == "interleaved" || fetched) {
 		return "fallback/superscalar"
 	}
-	return kind + "/" + what
+	if !fetched {
+		return kind + "/" + what
+	}
+	if what != "issue" {
+		what = "stall-slot"
+	}
+	switch {
+	case p.countIF == nil:
+		return "opaque/" + what
+	case !resident:
+		return "fetched/miss"
+	default:
+		return "fetched/" + what
+	}
 }
 
 // advancePaths is every way through Advance; each must be gone at least
@@ -162,24 +302,26 @@ var advancePaths = []string{
 	"mono/redirect", "mono/dependency", "mono/fu-sync", "mono/fu-long", "mono/fu-short", "mono/issue",
 	"interleaved/shadow", "interleaved/redirect", "interleaved/dependency",
 	"interleaved/fu-sync", "interleaved/fu-long", "interleaved/fu-short", "interleaved/issue",
-	"fallback/no-fast-forward", "fallback/trace", "fallback/forced-fetch", "fallback/counting-fetch",
+	"counted/region", "fetched/issue", "fetched/stall-slot", "fetched/miss", "opaque/issue", "opaque/stall-slot",
+	"fallback/no-fast-forward", "fallback/trace", "fallback/forced-fetch",
 	"fallback/broken-monopoly", "fallback/blocked-pick", "fallback/fine-grained", "fallback/superscalar",
 }
 
 // boringPath reports whether a call on that path must return a region and
 // leave the clock alone.
 func boringPath(path string) bool {
-	return path == "idle" || strings.HasPrefix(path, "frontier/") ||
+	return path == "idle" || path == "counted/region" || strings.HasPrefix(path, "frontier/") ||
 		(strings.HasPrefix(path, "mono/") && path != "mono/issue")
 }
 
 // sameAfterCall compares what one call can change short of the memory
 // system's insides (the whole-machine comparison at every restore and at
-// the end covers those): the processor's serialized state — an observed
-// one does not checkpoint; its clock and accounting stand in — and every
-// thread, field by field, because serializing eight register files twice a
-// call is most of a minute over the grid.
-func sameAfterCall(a, b *streakMachine) bool {
+// the end covers those) — but with the hierarchy's counters, which a
+// counted fetch moves from outside it: the processor's serialized state —
+// an observed one does not checkpoint; its clock and accounting stand in —
+// and every thread, field by field, because serializing eight register
+// files twice a call is most of a minute over the grid.
+func sameAfterCall(a, b *oracleMachine) bool {
 	for i, x := range a.threads {
 		y := b.threads[i]
 		if x.PC != y.PC || x.Regs != y.Regs || x.Halted != y.Halted || x.HaltedAt != y.HaltedAt ||
@@ -188,6 +330,9 @@ func sameAfterCall(a, b *streakMachine) bool {
 			x.regReady != y.regReady || x.regStall != y.regStall {
 			return false
 		}
+	}
+	if a.h != nil && a.h.Stats != b.h.Stats {
+		return false
 	}
 	if a.proc.Observed() {
 		return a.proc.Now() == b.proc.Now() && a.proc.Stats == b.proc.Stats
@@ -200,7 +345,7 @@ func sameAfterCall(a, b *streakMachine) bool {
 
 // reincarnate checkpoints the machine and returns a fresh one restored
 // from the bytes.
-func (sc *streakScenario) reincarnate(t *testing.T, m *streakMachine) *streakMachine {
+func (sc *oracleScenario) reincarnate(t *testing.T, m *oracleMachine) *oracleMachine {
 	t.Helper()
 	fresh := sc.build(t)
 	fresh.proc.AllHalted() // a summary for the restore to outdate
@@ -228,7 +373,7 @@ func (sc *streakScenario) reincarnate(t *testing.T, m *streakMachine) *streakMac
 // (the blocking I-cache leaves its own on the hierarchy; an ideal fetch
 // never does), and both machines are checkpointed and restored into fresh
 // ones at a 64-cycle boundary.
-func (sc *streakScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[string]int) {
+func (sc *oracleScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[string]int) {
 	t.Helper()
 	adv, ref := sc.build(t), sc.build(t)
 	const block = 64
@@ -276,25 +421,30 @@ func (sc *streakScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[
 		if now == forceAt && ref.proc.forceNext < 0 {
 			adv.proc.forceNext, ref.proc.forceNext = victim, victim
 		}
-		if now == restoreAt && !ref.proc.Observed() {
+		if now == restoreAt && !ref.proc.Observed() && sc.mem != "opaque" {
 			compare("before the restore", true)
 			adv, ref = sc.reincarnate(t, adv), sc.reincarnate(t, ref)
 		}
 
 		path := advancePath(ref.proc)
 		tally[path]++
-		cls, ctx, until := adv.proc.Advance()
-		wcls, wctx, wuntil := ref.proc.NextEvent()
+		// advance itself, for its fourth result: Advance and NextEvent are it
+		// with issue true and false.
+		cls, ctx, until, fetches := adv.proc.advance(true)
+		wcls, wctx, wuntil, wfetches := ref.proc.advance(false)
 		if wuntil <= now {
 			ref.proc.Step()
 			wcls, wctx, wuntil = SlotIdle, -1, now
 		}
-		if cls != wcls || ctx != wctx || until != wuntil {
-			t.Fatalf("%s @%d (%s): Advance = (%v, %d, %d), NextEvent+Step (%v, %d, %d)",
-				sc.name, now, path, cls, ctx, until, wcls, wctx, wuntil)
+		if cls != wcls || ctx != wctx || until != wuntil || fetches != wfetches {
+			t.Fatalf("%s @%d (%s): Advance = (%v, %d, %d, %v), NextEvent+Step (%v, %d, %d, %v)",
+				sc.name, now, path, cls, ctx, until, fetches, wcls, wctx, wuntil, wfetches)
 		}
 		if boring := until > now; boring != boringPath(path) {
 			t.Fatalf("%s @%d: path %s but Advance returned until %d", sc.name, now, path, until)
+		}
+		if fetches != (path == "counted/region") {
+			t.Fatalf("%s @%d: path %s but Advance returned fetches %v", sc.name, now, path, fetches)
 		}
 		compare("after a call on path "+path, false)
 		if until > now {
@@ -302,8 +452,15 @@ func (sc *streakScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[
 			if len(marks) > 0 {
 				target = min(target, marks[0])
 			}
-			adv.proc.skipTo(target, cls, ctx)
-			ref.proc.skipTo(target, cls, ctx)
+			adv.proc.skipTo(target, cls, ctx, fetches)
+			if fetches {
+				// What a counted region owes is what stepping it fetches.
+				for ref.proc.Now() < target {
+					ref.proc.Step()
+				}
+			} else {
+				ref.proc.skipTo(target, cls, ctx, false)
+			}
 		}
 	}
 	if tail < 0 && !sc.noFF && !sc.trace {
@@ -316,9 +473,10 @@ func (sc *streakScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[
 }
 
 // TestAdvanceMatchesNextEventThenStep is the grid: every scheme × 1/2/4/8
-// contexts × ideal fetch (a coherence node) and counting fetch (the
-// workstation hierarchy) × fast-forward on/off × issue width 1/2 × Trace
-// set or not × sampled every 32 cycles or unobserved.
+// contexts × ideal fetch (a coherence node), counting fetch (the
+// workstation hierarchy) and opaque fetch (fakeMem) × fast-forward on/off ×
+// issue width 1/2 × Trace set or not × sampled every 32 cycles or
+// unobserved.
 func TestAdvanceMatchesNextEventThenStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	tally := map[string]int{}
@@ -336,16 +494,13 @@ func TestAdvanceMatchesNextEventThenStep(t *testing.T) {
 			yield = prog.YieldBackoff
 		}
 		for _, nctx := range counts {
-			for opt := 0; opt < 32; opt++ {
-				sc := streakScenario{
-					prog: advanceProg(yield), scheme: scheme, nctx: nctx, btb: 32,
-					fabric: opt&1 == 0, noFF: opt&2 != 0, width: 1 + opt>>2&1, trace: opt&8 != 0,
+			for opt := 0; opt < 16*len(oracleMems); opt++ {
+				sc := oracleScenario{
+					prog: advanceProg(yield), scheme: scheme, nctx: nctx, btb: 32, mem: oracleMems[opt>>4],
+					noFF: opt&1 != 0, width: 1 + opt>>1&1, trace: opt&4 != 0, sample: 32 * int64(opt>>3&1),
 				}
-				if opt&16 != 0 {
-					sc.sample = 32
-				}
-				sc.name = fmt.Sprintf("%v/%dctx/fabric=%v/noFF=%v/width=%d/trace=%v/sample=%d",
-					scheme, nctx, sc.fabric, sc.noFF, sc.width, sc.trace, sc.sample)
+				sc.name = fmt.Sprintf("%v/%dctx/%s/noFF=%v/width=%d/trace=%v/sample=%d",
+					scheme, nctx, sc.mem, sc.noFF, sc.width, sc.trace, sc.sample)
 				sc.advanceOracle(t, rng, tally)
 				scenarios++
 			}
@@ -364,4 +519,37 @@ func TestAdvanceMatchesNextEventThenStep(t *testing.T) {
 		}
 	}
 	t.Logf("%d scenarios: %v", scenarios, tally)
+}
+
+// TestStepReportsRetirement: Step's result must say exactly whether the
+// cycle moved Stats.Retired — on hits, misses that replay, misses executed
+// under (single context), fine-grained references, yields, traps and halts.
+func TestStepReportsRetirement(t *testing.T) {
+	for _, sc := range []oracleScenario{
+		{name: "stall/single", prog: stallProg, scheme: Single, nctx: 1},
+		{name: "stall/blocked", prog: stallProg, scheme: Blocked, nctx: 2},
+		{name: "stall/interleaved", prog: stallProg, scheme: Interleaved, nctx: 4},
+		{name: "stall/fine-grained", prog: stallProg, scheme: FineGrained, nctx: 4},
+		{name: "stall/width2", prog: stallProg, scheme: Interleaved, nctx: 2, width: 2},
+		{name: "yield/interleaved", prog: yieldProg, scheme: Interleaved, nctx: 4},
+		{name: "yield/blocked-fast", prog: yieldProg, scheme: BlockedFast, nctx: 2},
+	} {
+		m := sc.build(t)
+		var yes, no int
+		for i := 0; i < 60_000; i++ {
+			before := m.proc.Stats.Retired
+			got := m.proc.Step()
+			if want := m.proc.Stats.Retired != before; got != want {
+				t.Fatalf("%s: cycle %d: Step reported retired=%v, Stats.Retired moved=%v", sc.name, i, got, want)
+			}
+			if got {
+				yes++
+			} else {
+				no++
+			}
+		}
+		if yes == 0 || no == 0 {
+			t.Errorf("%s: %d retiring and %d non-retiring cycles; the scenario needs both", sc.name, yes, no)
+		}
+	}
 }

@@ -22,49 +22,58 @@ package core
 //     the idle charge depends only on availableAt/availCause fields that
 //     no boring cycle mutates.
 //   - A cycle in which a context is selectable is not boring in general:
-//     issueSlot then calls FetchInst (which counts the fetch on a real
-//     I-cache) and selectContext may move the round-robin pointer. The
-//     exception is a monopolist over an ideal instruction fetch — the
-//     single context, or a blocked scheme's committed current context —
-//     whose selection mutates nothing and whose fetch is pure: its
-//     interlock and functional-unit stalls are regions too.
+//     issueSlot then calls FetchInst and selectContext may move the
+//     round-robin pointer. The exception is a monopolist — the single
+//     context, or a blocked scheme's committed current context — whose
+//     selection mutates nothing: its interlock and functional-unit stalls
+//     are regions too, given what its re-fetches do. Over an ideal fetch
+//     (memsys.IdealInstFetch, the multiprocessor's) they do nothing. Over a
+//     counting one (memsys.CountedInstFetch, the workstation's I-cache) a
+//     fetch that hits is one count and a presence test, and residency
+//     changes only in a fetch that misses or between a driver's calls
+//     (SchedulerInterference), never inside a region — so while the stalled
+//     instruction's line is resident the region stands, and its n slots owe
+//     exactly CountInstFetches(n). Behind a non-resident line, or over a
+//     memory that says nothing about its fetch, the stall is no region:
+//     each of its slots is fetched for real.
 //
-// The equivalence tests (fastforward_test.go, mp/fastforward_test.go)
-// assert Stats / memory-hash / arch-hash identity against NoFastForward
-// runs for every scheme, uni and MP, with watchdog and chaos enabled.
+// The equivalence tests (fastforward_test.go, counted_fetch_test.go,
+// mp/fastforward_test.go) assert Stats / memory-hash / arch-hash / cache
+// statistics identity against NoFastForward runs for every scheme, uni and
+// MP, with watchdog and chaos enabled.
 //
 // One cascade, three entry points. Step is the definition of a cycle.
 // NextEvent and Advance are one function, advance, with and without
 // permission to act: the pure classifier, and what drivers call —
 // "NextEvent, and if the cycle is not boring, Step" — without walking the
 // cascade twice. Where the cascade itself establishes which context takes
-// the slot and what becomes of it (a monopolist, or over an ideal fetch
-// the interleaved round-robin pick, at single issue), Advance charges the
-// stall slot or executes the instruction there and then, with Step's
-// clock and sampling bookkeeping around it; every other configuration it
-// steps. issueSlot shares the scoreboard and functional-unit rules
-// (hazardRegion) with it, so they exist once. advance_oracle_test.go
-// holds Advance to NextEvent-then-Step after every call, and no driver
-// calls NextEvent any more (scripts/check.sh).
+// the slot and what becomes of it (a monopolist, or the interleaved
+// round-robin pick, at single issue), Advance performs the fetch, then
+// charges the stall slot or executes the instruction there and then, with
+// Step's clock and sampling bookkeeping around it; every other
+// configuration it steps. issueSlot shares the fetch (fetchMisses) and the
+// scoreboard and functional-unit rules (hazardRegion) with it, so they
+// exist once. advance_oracle_test.go holds Advance to NextEvent-then-Step
+// after every call, and no driver calls NextEvent any more
+// (scripts/check.sh).
 //
-// Busy streak. On the workstation Advance cannot fuse — the I-cache
-// counts its fetches — so a busy cycle there would still be classified
-// and then stepped, and asking was 8.7 % of a Table 7 pass. Processor.Run
-// therefore stops classifying once two consecutive cycles have retired an
-// instruction, and steps until a cycle retires nothing; the cycle after
-// that goes through Advance again. This needs no argument of its own:
-// Step is exact for every cycle (it is what the skip engine is measured
-// against), so stepping a cycle that would have been skipped changes
-// nothing but host time, and the streak only ever steps. What it costs is
-// the first stall cycle after a streak, stepped where it would have been
-// skipped with its region; what it saves is a classification per busy
-// cycle. RunUntilHalted (which must look at the halt state every cycle
-// anyway) does not streak, and the multiprocessor's lockstep driver has
-// no use for one: over its ideal fetch a busy cycle's classification is
-// part of issuing it, and on its interlock-bound kernels a stepped stall
-// cycle cost more than the classifications a streak saved (measured,
-// ROADMAP item 1). streak_test.go compares Run against the
-// classify-every-cycle loop after every call, over each way a streak ends.
+// Who settles a region's fetches. advance has a fourth result, fetches:
+// the region's slots each re-fetch a resident line. It is a result and not
+// state because NextEvent must mutate nothing. The single-processor loops
+// (Run, RunUntilHalted) pass it to skipTo, which counts (target − now) ×
+// width fetches beside the slot charge — under observation split at the
+// sample points like the slots, so the cache/inst-fetches series reads
+// stepped values. The exported NextEvent and Advance drop it: their one
+// driver outside this package is the multiprocessor's, whose fetch is
+// ideal, so SkipTo never owes a fetch and keeps its signature and its
+// place inlined in mp.advancePlain. A driver of its own over a counting
+// fetch runs the processor with Run.
+//
+// No busy streak. Run used to stop classifying after two retiring cycles
+// and step until one retired nothing, because over the counting I-cache a
+// busy cycle was classified and then stepped, and asking was 8.7 % of a
+// Table 7 pass. Now asking is issuing, whatever the memory, and the streak
+// is gone (ROADMAP item 1 has the measurement).
 
 // NextEvent classifies the processor's current cycle. If the returned
 // until is <= Now(), the cycle may do real work and must be executed with
@@ -74,31 +83,40 @@ package core
 // processor (all threads halted or unbound); callers bound it by their
 // cycle budget. NextEvent mutates nothing: it is the oracle Advance is
 // tested against, and drivers call Advance.
-func (p *Processor) NextEvent() (cls SlotClass, ctx int, until int64) { return p.advance(false) }
+func (p *Processor) NextEvent() (cls SlotClass, ctx int, until int64) {
+	cls, ctx, until, _ = p.advance(false)
+	return
+}
 
 // Advance is NextEvent and, when the cycle is not boring, Step: a boring
 // cycle returns its region untouched exactly as NextEvent does, any other
 // cycle is executed and returns until <= the cycle it ran. It is what a
-// driver calls each cycle.
-func (p *Processor) Advance() (cls SlotClass, ctx int, until int64) { return p.advance(true) }
+// driver over an ideal instruction fetch calls each cycle (over a counting
+// one a region may owe fetch counts: see "who settles a region's fetches").
+func (p *Processor) Advance() (cls SlotClass, ctx int, until int64) {
+	cls, ctx, until, _ = p.advance(true)
+	return
+}
 
 // advance is the cascade behind both: processor-wide stall frontiers,
 // forced fetch, context selection from the ready mask, then — once a
-// context is known to hold the slot over a pure instruction fetch — its
-// miss shadow, fetch redirect, scoreboard and functional unit
-// (hazardRegion). With issue false nothing is mutated and a cycle that
-// may do work is only reported. With issue true that cycle is executed,
-// and where the cascade got as far as the slot's outcome it is not walked
-// again by Step: the stall slot is charged or the instruction executed
-// here, with Step's clock and sampling bookkeeping around it — the same
-// mutations in the same order as selectContext and issueSlot would make.
-// That covers single issue over an ideal fetch for a monopolist (the
-// single context, or a blocked scheme's committed current context, whose
-// selection touches nothing) and for the interleaved round-robin pick
-// (whose selection sets rr); a counting fetch, superscalar issue,
-// NoFastForward, Trace, a forced fetch, a blocked scheme between
-// monopolies and fine-grained are stepped.
-func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64) {
+// context is known to hold the slot — its miss shadow, fetch redirect,
+// scoreboard and functional unit (hazardRegion). With issue false nothing
+// is mutated and a cycle that may do work is only reported. With issue
+// true that cycle is executed, and where the cascade got as far as the
+// slot's outcome it is not walked again by Step: the instruction is fetched
+// (unless the fetch is ideal) and, if that hits, the stall slot charged or
+// the instruction executed here, with Step's clock and sampling bookkeeping
+// around it — the same mutations as selectContext and issueSlot would make,
+// in an order that differs only in when the pure hazardRegion is read.
+// That covers single issue for a monopolist (the single context, or a
+// blocked scheme's committed current context, whose selection touches
+// nothing) and for the interleaved round-robin pick (whose selection sets
+// rr); superscalar issue, NoFastForward, Trace, a forced fetch, a blocked
+// scheme between monopolies and fine-grained are stepped. fetches is set on
+// a region whose every slot re-fetches a resident line of a counting
+// I-cache; whoever skips it owes those counts (skipTo).
+func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64, fetches bool) {
 	now := p.cycle
 	if p.Cfg.NoFastForward || p.Trace != nil {
 		// Tracing observes every cycle individually, so nothing is boring.
@@ -109,11 +127,11 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64) {
 	// start inside an earlier one, so only the nearest end is skippable.
 	switch {
 	case now < p.ifetchUntil:
-		return SlotICache, p.ifetchCtx, p.boundEvent(p.ifetchUntil)
+		return SlotICache, p.ifetchCtx, p.boundEvent(p.ifetchUntil), false
 	case now < p.shadowUntil:
-		return SlotSwitch, p.shadowCtx, p.boundEvent(p.shadowUntil)
+		return SlotSwitch, p.shadowCtx, p.boundEvent(p.shadowUntil), false
 	case now < p.stallUntil:
-		return p.stallCause, p.stallCtx, p.boundEvent(p.stallUntil)
+		return p.stallCause, p.stallCtx, p.boundEvent(p.stallUntil), false
 	}
 	// A pending forced fetch makes the very next cycle interesting
 	// (selectContext consumes it).
@@ -121,35 +139,29 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64) {
 		return p.stepped(issue)
 	}
 	// Who takes the slot, where that is known without running
-	// selectContext. The ideal I-cache makes the fetch free and stateless,
-	// and a monopolist's scoreboard and functional units are read-only
-	// while it keeps the pipeline, so its stalls are skippable regions —
-	// on the MP's dependency-bound kernels the majority of all slots.
+	// selectContext. A monopolist's scoreboard and functional units are
+	// read-only while it keeps the pipeline, so its stalls are skippable
+	// regions — on the MP's dependency-bound kernels the majority of all
+	// slots, on the workstation every interlock.
 	ready := p.readyAt(now)
 	var c *hwContext
 	mono := true
-	if p.idealIF {
-		switch scheme := p.Cfg.Scheme; {
-		case scheme == Single:
-			if ready&1 != 0 {
-				c = &p.ctxs[0]
-			}
-		case (scheme == Blocked || scheme == BlockedFast) && p.cur >= 0:
-			if ready>>uint(p.cur)&1 == 0 {
-				// The monopoly just broke (current context became
-				// unavailable or halted): selectContext moves rr/cur.
-				return p.stepped(issue)
-			}
-			c = &p.ctxs[p.cur]
-		case scheme == Interleaved:
-			if ready != 0 {
-				c, mono = &p.ctxs[nextReady(ready, p.rr)], false
-			}
+	switch scheme := p.Cfg.Scheme; {
+	case scheme == Single:
+		if ready&1 != 0 {
+			c = &p.ctxs[0]
 		}
-	} else if p.cur >= 0 {
-		// Blocked-scheme current context over a counting I-cache: every
-		// cycle re-fetches (and re-counts), so nothing is skippable.
-		return p.stepped(issue)
+	case (scheme == Blocked || scheme == BlockedFast) && p.cur >= 0:
+		if ready>>uint(p.cur)&1 == 0 {
+			// The monopoly just broke (current context became
+			// unavailable or halted): selectContext moves rr/cur.
+			return p.stepped(issue)
+		}
+		c = &p.ctxs[p.cur]
+	case scheme == Interleaved:
+		if ready != 0 {
+			c, mono = &p.ctxs[nextReady(ready, p.rr)], false
+		}
 	}
 	if c == nil {
 		if ready != 0 {
@@ -159,12 +171,13 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64) {
 		// wait cause of the context that wakes first, which only a write
 		// (never a boring cycle) can change before then.
 		cls, ctx, wake := p.idleCharge()
-		return cls, ctx, p.boundEvent(wake)
+		return cls, ctx, p.boundEvent(wake), false
 	}
-	// c holds the slot: issueSlot's cascade from here on, over a fetch that
-	// is pure — its miss shadow, its fetch redirect, then the scoreboard
-	// and functional unit. Every cycle in [now, until) charges cls while c
-	// keeps the slot; until <= now means its instruction issues this cycle.
+	// c holds the slot: issueSlot's cascade from here on — its miss shadow
+	// and its fetch redirect, which never fetch, then (behind the fetch,
+	// unless that is ideal) the scoreboard and the functional unit. Every
+	// cycle in [now, until) charges cls while c keeps the slot and its
+	// fetches hit; until <= now means its instruction issues this cycle.
 	th := c.thread
 	in := &th.insts[th.PC]
 	switch {
@@ -173,10 +186,12 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64) {
 	case now < c.redirectUntil:
 		cls, until = SlotStallShort, c.redirectUntil
 	default:
+		fetches = !p.idealIF
 		cls, until = p.hazardRegion(th, in, now)
 	}
-	if mono && until > now {
-		return cls, c.idx, p.boundEvent(until)
+	// A monopolist's stall is a region if its re-fetches are known to hit.
+	if mono && until > now && (!fetches || p.countIF != nil && p.countIF.InstFetchHits(th.pcAddr(th.PC))) {
+		return cls, c.idx, p.boundEvent(until), fetches
 	}
 	if !issue || p.Cfg.IssueWidth > 1 {
 		return p.stepped(issue)
@@ -186,25 +201,27 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64) {
 	if !mono {
 		p.rr = c.idx // the pick is taken whether the slot issues or stalls
 	}
-	if until > now {
+	switch {
+	case fetches && p.fetchMisses(c, th, now): // the miss took the slot
+	case until > now:
 		p.count(now, cls, c.idx)
-	} else {
+	default:
 		p.execute(c, th, in, now)
 	}
 	if p.cycle >= p.nextSample {
 		p.obsSampleTick()
 	}
-	return SlotIdle, -1, now
+	return SlotIdle, -1, now, false
 }
 
 // stepped is advance's answer for a cycle that may do work and that only
 // Step can decide: NextEvent reports it, Advance steps it.
-func (p *Processor) stepped(issue bool) (cls SlotClass, ctx int, until int64) {
+func (p *Processor) stepped(issue bool) (cls SlotClass, ctx int, until int64, fetches bool) {
 	now := p.cycle
 	if issue {
 		p.Step()
 	}
-	return SlotIdle, -1, now
+	return SlotIdle, -1, now, false
 }
 
 // boundEvent caps a skip target by the memory system's earliest in-flight

@@ -434,6 +434,61 @@ func BenchmarkAdvanceILP(b *testing.B) {
 	}
 }
 
+// BenchmarkAdvanceCountedFetch is BenchmarkAdvanceILP over the
+// workstation's counting I-cache (cache.Hierarchy), driven as the
+// workstation drives it, by Run: "issue" is independent single-cycle adds,
+// so every cycle classifies, counts its fetch and issues in the one pass;
+// "interlock" is a chain of dependent integer divides, so nearly every
+// cycle re-fetches a resident line behind an interlock and goes by in a
+// counted region. One op is one simulated cycle; the repository
+// benchmark's core.busy_ns_per_inst / core.chain_ns_per_cycle are the
+// end-to-end readings of the same pair.
+func BenchmarkAdvanceCountedFetch(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		body func(pb *prog.Builder)
+	}{
+		{"issue", func(pb *prog.Builder) {
+			for r := isa.R1; r <= isa.R8; r++ {
+				pb.Addi(r, r, 1)
+			}
+		}},
+		{"interlock", func(pb *prog.Builder) {
+			pb.Li(isa.R2, 1)
+			for i := 0; i < 8; i++ {
+				pb.Div(isa.R1, isa.R1, isa.R2)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pb := prog.NewBuilder("counted-"+bc.name, 0x1000, 0x10_0000, 1<<20)
+			pb.Label("loop")
+			bc.body(pb)
+			pb.J("loop")
+			pr, err := pb.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := cache.MustNewHierarchy(cache.DefaultParams())
+			p := MustNewProcessor(DefaultConfig(Single, 1), h, mem.New())
+			p.BindThread(0, NewThread("t0", pr))
+			p.Run(10_000) // I-lines, BTB and scoreboard settled
+			retired, fetches := p.Stats.Retired, h.Stats.InstFetches
+			b.ReportAllocs()
+			b.ResetTimer()
+			p.Run(int64(b.N))
+			b.StopTimer()
+			retired, fetches = p.Stats.Retired-retired, h.Stats.InstFetches-fetches
+			if interlock := bc.name == "interlock"; b.N >= 1000 && interlock != (int64(b.N) > 3*retired) {
+				b.Fatalf("%d instructions in %d cycles: not the %s kernel", retired, b.N, bc.name)
+			}
+			if fetches < int64(b.N)*9/10 {
+				b.Fatalf("%d fetches in %d cycles: the kernel left the I-cache", fetches, b.N)
+			}
+		})
+	}
+}
+
 // TestFastForwardTraceDisablesSkips: a Trace hook must see every cycle,
 // so the engine must refuse to skip while one is installed.
 func TestFastForwardTraceDisablesSkips(t *testing.T) {

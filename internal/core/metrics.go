@@ -104,21 +104,18 @@ func (p *Processor) Observed() bool { return p.obs != nil }
 // (rather than a branch inside SkipTo) so the uninstrumented SkipTo stays
 // within the inlining budget of the fast-forward loops.
 func (p *Processor) ObservedSkipTo(target int64, cls SlotClass, ctx int) {
-	if target <= p.cycle {
-		return
-	}
-	width := int64(p.Cfg.IssueWidth)
-	if width < 1 {
-		width = 1
-	}
-	p.obsSkip(target, cls, ctx, width)
+	p.obsSkip(target, cls, ctx, false)
 }
 
 // obsSkip is SkipTo under observability: the whole region becomes one
 // coalesced charge-span event, and the counter charge is split at sample
 // points so each sample reads exactly the values a stepped run shows at
-// that cycle.
-func (p *Processor) obsSkip(target int64, cls SlotClass, ctx int, width int64) {
+// that cycle. fetches says the region's slots each re-fetch a resident
+// instruction line (skipTo): the fetch count is split the same way.
+func (p *Processor) obsSkip(target int64, cls SlotClass, ctx int, fetches bool) {
+	if target <= p.cycle {
+		return
+	}
 	var th *Thread
 	if ctx >= 0 {
 		th = p.ctxs[ctx].thread
@@ -127,25 +124,29 @@ func (p *Processor) obsSkip(target int64, cls SlotClass, ctx int, width int64) {
 		p.obsSink.Charge(p.cycle, slotNames[cls], ctx, target-p.cycle)
 	}
 	for p.nextSample <= target {
-		p.obsBulkCharge(p.nextSample-p.cycle, cls, ctx, th, width)
+		p.obsBulkCharge(p.nextSample-p.cycle, cls, ctx, th, fetches)
 		p.obs.Sampler.SampleAt(p.nextSample)
 		p.nextSample += p.sampleEvery
 	}
-	p.obsBulkCharge(target-p.cycle, cls, ctx, th, width)
+	p.obsBulkCharge(target-p.cycle, cls, ctx, th, fetches)
 }
 
-func (p *Processor) obsBulkCharge(n int64, cls SlotClass, ctx int, th *Thread, width int64) {
+func (p *Processor) obsBulkCharge(n int64, cls SlotClass, ctx int, th *Thread, fetches bool) {
 	if n <= 0 {
 		return
 	}
+	slots := n * max(int64(p.Cfg.IssueWidth), 1)
 	p.cycle += n
 	p.Stats.Cycles += n
-	p.Stats.Slots[cls] += n * width
+	p.Stats.Slots[cls] += slots
 	if th != nil {
-		th.Devoted += n * width
+		th.Devoted += slots
 	}
 	if ctx >= 0 {
-		p.ctxSlots[ctx*NumSlotClasses+int(cls)] += n * width
+		p.ctxSlots[ctx*NumSlotClasses+int(cls)] += slots
+	}
+	if fetches {
+		p.countIF.CountInstFetches(slots)
 	}
 }
 

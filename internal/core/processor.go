@@ -288,8 +288,12 @@ type Processor struct {
 
 	// idealIF records that Mem's instruction fetch is pure (the MP's
 	// ideal I-cache), which lets the fast-forward engine skip dependency
-	// and functional-unit stall regions on monopolizing schemes.
+	// and functional-unit stall regions on monopolizing schemes. countIF is
+	// Mem's memsys.CountedInstFetch view when it has one (the workstation's
+	// I-cache): such regions are skippable over it too while the stalled
+	// instruction's line is resident, and owe one fetch count per slot.
 	idealIF bool
+	countIF memsys.CountedInstFetch
 
 	Stats Stats
 	Trace func(TraceEvent) // optional per-cycle hook
@@ -339,6 +343,7 @@ func NewProcessor(cfg Config, m memsys.System, fm *mem.Memory) (*Processor, erro
 	if f, ok := m.(memsys.IdealInstFetch); ok {
 		p.idealIF = f.InstFetchIsIdeal()
 	}
+	p.countIF, _ = m.(memsys.CountedInstFetch)
 	p.ctxs = make([]hwContext, cfg.Contexts)
 	for i := range p.ctxs {
 		p.ctxs[i] = hwContext{idx: i, replayPC: -1}
@@ -506,46 +511,31 @@ func (p *Processor) count(now int64, cls SlotClass, ctx int) {
 	}
 }
 
-// busyStreak is how many consecutive retiring cycles Run sees before it
-// stops classifying the cycle that follows one (fastforward.go, "busy
-// streak").
-const busyStreak = 2
-
 // Run advances the processor n cycles, fast-forwarding through stall
 // regions (fastforward.go) unless Cfg.NoFastForward or a Trace hook
-// forces cycle-by-cycle stepping. Inside a busy streak it steps without
-// classifying the cycle first.
+// forces cycle-by-cycle stepping.
 func (p *Processor) Run(n int64) {
 	end := p.cycle + n
-	streak := 0
 	for p.cycle < end {
-		if streak >= busyStreak {
-			if !p.Step() {
-				streak = 0
-			}
-			continue
-		}
-		// Advance does not say whether its cycle retired; the count does.
-		retired := p.Stats.Retired
-		if cls, ctx, until := p.Advance(); until > p.cycle {
-			p.skipTo(min(until, end), cls, ctx)
-		}
-		if p.Stats.Retired != retired {
-			streak++
-		} else {
-			streak = 0
+		if cls, ctx, until, fetches := p.advance(true); until > p.cycle {
+			p.skipTo(min(until, end), cls, ctx, fetches)
 		}
 	}
 }
 
 // skipTo is SkipTo for the single-processor drivers, which learn whether
-// the processor is observed only here.
-func (p *Processor) skipTo(target int64, cls SlotClass, ctx int) {
+// the processor is observed only here, and which alone can be handed a
+// region whose slots each re-fetch a resident line (fetches, advance's
+// fourth result): those fetches are counted here, one per skipped slot.
+func (p *Processor) skipTo(target int64, cls SlotClass, ctx int, fetches bool) {
 	if p.obs != nil {
-		p.ObservedSkipTo(target, cls, ctx)
-	} else {
-		p.SkipTo(target, cls, ctx)
+		p.obsSkip(target, cls, ctx, fetches)
+		return
 	}
+	if fetches {
+		p.countIF.CountInstFetches((target - p.cycle) * max(int64(p.Cfg.IssueWidth), 1))
+	}
+	p.SkipTo(target, cls, ctx)
 }
 
 // RunUntilHalted advances until all bound threads halt, up to limit
@@ -560,8 +550,8 @@ func (p *Processor) RunUntilHalted(limit int64) (int64, bool) {
 		if p.AllHalted() {
 			return p.cycle - start, true
 		}
-		if cls, ctx, until := p.Advance(); until > p.cycle {
-			p.skipTo(min(until, end), cls, ctx)
+		if cls, ctx, until, fetches := p.advance(true); until > p.cycle {
+			p.skipTo(min(until, end), cls, ctx, fetches)
 		}
 	}
 	return p.cycle - start, p.AllHalted()
@@ -629,13 +619,7 @@ func (p *Processor) issueSlot(now int64) bool {
 	th := c.thread
 	in := &th.insts[th.PC]
 
-	// Instruction fetch. The I-cache is blocking: a miss stalls the
-	// whole processor regardless of scheme (paper §4.1).
-	if ready, miss := p.Mem.FetchInst(th.pcAddr(th.PC), now); miss {
-		p.ifetchUntil = ready
-		p.ifetchCtx = c.idx
-		p.forceNext = c.idx // the stalled fetch completes first
-		p.count(now, SlotICache, c.idx)
+	if p.fetchMisses(c, th, now) {
 		return false
 	}
 
@@ -646,6 +630,20 @@ func (p *Processor) issueSlot(now int64) bool {
 	}
 
 	return p.execute(c, th, in, now)
+}
+
+// fetchMisses performs context c's instruction fetch for the slot at cycle
+// now. The I-cache is blocking: a miss stalls the whole processor
+// regardless of scheme (paper §4.1), takes the slot, and is reported.
+func (p *Processor) fetchMisses(c *hwContext, th *Thread, now int64) bool {
+	ready, miss := p.Mem.FetchInst(th.pcAddr(th.PC), now)
+	if miss {
+		p.ifetchUntil = ready
+		p.ifetchCtx = c.idx
+		p.forceNext = c.idx // the stalled fetch completes first
+		p.count(now, SlotICache, c.idx)
+	}
+	return miss
 }
 
 // selectContext picks the issuing context for this cycle from the ready
@@ -796,9 +794,9 @@ func producerClass(in *isa.Inst) SlotClass {
 	return SlotStallShort
 }
 
-// missSlot maps a miss class and region to the slot class charged while a
-// context waits for the fill.
-func missSlot(mc memsys.MissClass, region isa.Region) SlotClass {
+// missSlot maps the region of a missing reference to the slot class
+// charged while its context waits for the fill.
+func missSlot(region isa.Region) SlotClass {
 	if region == isa.RegionSync {
 		return SlotSync
 	}
@@ -998,10 +996,10 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		p.memFunctional(th, in, addr, c.idx, now)
 		fill := now + int64(p.Cfg.FineGrainedMemLatency)
 		if d := in.Dst; d != isa.NoReg {
-			th.setReady(d, fill, missSlot(memsys.Memory, in.Region))
+			th.setReady(d, fill, missSlot(in.Region))
 		}
 		c.availableAt = fill
-		c.availCause = missSlot(memsys.Memory, in.Region)
+		c.availCause = missSlot(in.Region)
 		p.availabilityChanged(c, now)
 		th.PC++
 		p.busySlot(now, c, th, in)
@@ -1023,7 +1021,7 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 	// stays here and the access replays when the line (or TLB entry)
 	// arrives, which also gives the replayed load post-coherence data on
 	// a multiprocessor.
-	cause := missSlot(res.Class, in.Region)
+	cause := missSlot(in.Region)
 
 	// A TLB miss is a software refill: the handler runs on the processor
 	// itself, so no scheme can overlap it — the pipe blocks until the
@@ -1040,7 +1038,7 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 	// line was stolen): the context was never restarted, so there is
 	// nothing to flush — it re-sleeps at the cost of this slot only.
 	if c.replayPC == th.PC && p.Cfg.Scheme != Single {
-		c.availableAt = maxI64(res.FillAt, now+1)
+		c.availableAt = max(res.FillAt, now+1)
 		c.availCause = cause
 		p.availabilityChanged(c, now)
 		p.count(now, cause, c.idx)
@@ -1083,7 +1081,7 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		}
 		p.shadowUntil = now + depth
 		p.shadowCtx = c.idx
-		c.availableAt = maxI64(res.FillAt, now+depth)
+		c.availableAt = max(res.FillAt, now+depth)
 		c.availCause = cause
 		p.availabilityChanged(c, now)
 		p.cur = -1
@@ -1102,7 +1100,7 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		p.Stats.MissSwitches++
 		depth := int64(p.Cfg.PipelineDepth)
 		c.shadowUntil = now + depth
-		c.availableAt = maxI64(res.FillAt, now+depth)
+		c.availableAt = max(res.FillAt, now+depth)
 		c.availCause = cause
 		p.availabilityChanged(c, now)
 		if p.obsSink != nil {
@@ -1290,11 +1288,4 @@ func evalFP(in *isa.Inst, th *Thread) float64 {
 		return math.Sqrt(s)
 	}
 	panic("core: evalFP on non-FP op")
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -38,6 +38,13 @@ func (f *fakeMem) AccessData(addr uint32, write bool, pc uint32, now int64) mems
 	return memsys.DataResult{FillAt: now + f.lat, Class: memsys.Memory}
 }
 
+// idealFetchMem is fakeMem declaring its instruction fetch pure, as the
+// multiprocessor's node memory does: the monopolizing schemes then skip
+// interlock regions and Advance issues in the pass that classified.
+type idealFetchMem struct{ *fakeMem }
+
+func (idealFetchMem) InstFetchIsIdeal() bool { return true }
+
 // perfectMem hits on everything.
 type perfectMem struct{}
 

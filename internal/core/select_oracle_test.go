@@ -98,26 +98,28 @@ func scanIdleCause(p *Processor) (SlotClass, int) {
 }
 
 // scanNextEvent is the pre-mask NextEvent: identical frontier, forced
-// fetch and monopoly handling, then a scan over the contexts for "can
-// anyone issue, and if not, who wakes first".
-func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64) {
+// fetch and monopoly handling — a monopolist's stall is a region over an
+// ideal fetch, and over a counting one while the stalled instruction's
+// line is resident, when its slots fetch — then a scan over the contexts
+// for "can anyone issue, and if not, who wakes first".
+func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64, fetches bool) {
 	now := p.cycle
 	if p.Cfg.NoFastForward || p.Trace != nil {
-		return SlotIdle, -1, now
+		return SlotIdle, -1, now, false
 	}
 	switch {
 	case now < p.ifetchUntil:
-		return SlotICache, p.ifetchCtx, p.boundEvent(p.ifetchUntil)
+		return SlotICache, p.ifetchCtx, p.boundEvent(p.ifetchUntil), false
 	case now < p.shadowUntil:
-		return SlotSwitch, p.shadowCtx, p.boundEvent(p.shadowUntil)
+		return SlotSwitch, p.shadowCtx, p.boundEvent(p.shadowUntil), false
 	case now < p.stallUntil:
-		return p.stallCause, p.stallCtx, p.boundEvent(p.stallUntil)
+		return p.stallCause, p.stallCtx, p.boundEvent(p.stallUntil), false
 	}
 	if p.forceNext >= 0 {
-		return SlotIdle, -1, now
+		return SlotIdle, -1, now, false
 	}
 	scheme := p.Cfg.Scheme
-	if p.idealIF && (scheme == Single || ((scheme == Blocked || scheme == BlockedFast) && p.cur >= 0)) {
+	if scheme == Single || ((scheme == Blocked || scheme == BlockedFast) && p.cur >= 0) {
 		c := &p.ctxs[0]
 		if scheme != Single {
 			c = &p.ctxs[p.cur]
@@ -128,18 +130,23 @@ func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64) {
 				cls, until = SlotStallShort, c.redirectUntil
 			}
 			if now >= until {
-				cls, until = p.hazardRegion(c.thread, &c.thread.insts[c.thread.PC], now)
+				th := c.thread
+				if !p.idealIF {
+					if p.countIF == nil || !p.countIF.InstFetchHits(th.pcAddr(th.PC)) {
+						return SlotIdle, -1, now, false
+					}
+					fetches = true
+				}
+				cls, until = p.hazardRegion(th, &th.insts[th.PC], now)
 			}
 			if until > now {
-				return cls, c.idx, p.boundEvent(until)
+				return cls, c.idx, p.boundEvent(until), fetches
 			}
-			return SlotIdle, -1, now
+			return SlotIdle, -1, now, false
 		}
 		if scheme != Single {
-			return SlotIdle, -1, now
+			return SlotIdle, -1, now, false
 		}
-	} else if p.cur >= 0 {
-		return SlotIdle, -1, now
 	}
 	shadowSelects := scheme == Interleaved || scheme == FineGrained
 	wake := int64(math.MaxInt64)
@@ -149,20 +156,20 @@ func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64) {
 			continue
 		}
 		if c.availableAt <= now || (shadowSelects && c.shadowUntil > now) {
-			return SlotIdle, -1, now
+			return SlotIdle, -1, now, false
 		}
 		if c.availableAt < wake {
 			wake = c.availableAt
 		}
 	}
 	cls, ctx = scanIdleCause(p)
-	return cls, ctx, p.boundEvent(wake)
+	return cls, ctx, p.boundEvent(wake), false
 }
 
 // oracleTally counts how often the interesting paths were compared, so a
 // scenario that never reaches one fails loudly instead of passing empty.
 type oracleTally struct {
-	slots, forced, idle, skips int64
+	slots, forced, idle, skips, counted int64
 }
 
 // checkedRun advances p to cycle end exactly like Processor.Run, checking
@@ -173,18 +180,18 @@ func checkedRun(t *testing.T, label string, p *Processor, end int64, tally *orac
 	for p.cycle < end {
 		now := p.cycle
 		ref := *p
-		wcls, wctx, wuntil := scanNextEvent(&ref)
-		cls, ctx, until := p.NextEvent()
-		if cls != wcls || ctx != wctx || until != wuntil {
-			t.Fatalf("%s @%d: NextEvent = (%v, %d, %d), scan reference (%v, %d, %d)",
-				label, now, cls, ctx, until, wcls, wctx, wuntil)
+		wcls, wctx, wuntil, wfetches := scanNextEvent(&ref)
+		cls, ctx, until, fetches := p.advance(false) // NextEvent, with the result it drops
+		if cls != wcls || ctx != wctx || until != wuntil || fetches != wfetches {
+			t.Fatalf("%s @%d: NextEvent = (%v, %d, %d, %v), scan reference (%v, %d, %d, %v)",
+				label, now, cls, ctx, until, fetches, wcls, wctx, wuntil, wfetches)
 		}
 		if until > now {
-			if until > end {
-				until = end
-			}
-			p.SkipTo(until, cls, ctx)
+			p.skipTo(min(until, end), cls, ctx, fetches)
 			tally.skips++
+			if fetches {
+				tally.counted++
+			}
 			continue
 		}
 		if now >= p.ifetchUntil && now >= p.shadowUntil && now >= p.stallUntil {
@@ -353,15 +360,17 @@ func TestReadyMaskMatchesScanReference(t *testing.T) {
 					total.forced += tally.forced
 					total.idle += tally.idle
 					total.skips += tally.skips
+					total.counted += tally.counted
 				}
 			}
 		}
 	}
-	if total.forced == 0 || total.idle == 0 {
-		t.Errorf("coverage hole: %d forced-fetch selections, %d idle selections compared", total.forced, total.idle)
+	if total.forced == 0 || total.idle == 0 || total.counted == 0 {
+		t.Errorf("coverage hole: %d forced-fetch selections, %d idle selections compared, %d resident-line regions skipped",
+			total.forced, total.idle, total.counted)
 	}
-	t.Logf("compared %d selections (%d forced, %d idle) and %d skipped regions",
-		total.slots, total.forced, total.idle, total.skips)
+	t.Logf("compared %d selections (%d forced, %d idle) and %d skipped regions (%d of them counting fetches)",
+		total.slots, total.forced, total.idle, total.skips, total.counted)
 }
 
 func TestNextReady(t *testing.T) {

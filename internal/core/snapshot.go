@@ -15,7 +15,7 @@ import (
 // and metrics cadences of a restored run are position-identical to an
 // uninterrupted one by construction. Derived state is never serialized:
 // a thread's decoded-instruction cache comes from its program, the
-// processor's completer/idealIF probes from its memory system, the
+// processor's completer/idealIF/countIF probes from its memory system, the
 // context-selection summary (ready mask, wake cycle, idle charge) is
 // recomputed from the restored contexts on first use.
 //

@@ -92,6 +92,25 @@ type IdealInstFetch interface {
 	InstFetchIsIdeal() bool
 }
 
+// CountedInstFetch is implemented by instruction memories whose FetchInst,
+// when it hits, returns readyAt == now and has no effect but one fetch
+// count (the workstation's I-cache: a direct-mapped presence test beside
+// Stats.InstFetches). The re-fetches of a stalled instruction whose line
+// is resident are then a number, not calls: the fast-forward engine asks
+// InstFetchHits where Step would have fetched and settles the count with
+// CountInstFetches, so a monopolist's interlock and functional-unit stalls
+// are skippable regions over this memory too. A fetch that would miss is
+// never reasoned about — the engine performs it, through FetchInst.
+type CountedInstFetch interface {
+	// InstFetchHits reports whether FetchInst(addr, now) would hit at any
+	// now until the next FetchInst miss or external displacement. It
+	// mutates nothing.
+	InstFetchHits(addr uint32) bool
+	// CountInstFetches accounts n fetches InstFetchHits answered true for,
+	// exactly as n FetchInst calls would have.
+	CountInstFetches(n int64)
+}
+
 // Completer is implemented by memory systems that can report their
 // earliest outstanding completion. The core's stall fast-forward engine
 // consults it when deciding how far the clock may bulk-advance.

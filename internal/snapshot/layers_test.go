@@ -373,6 +373,7 @@ func TestStateWalkCoversEveryField(t *testing.T) {
 			"completer":      "probed from Mem at construction",
 			"capCompletions": "probed from Mem at construction",
 			"idealIF":        "probed from Mem at construction",
+			"countIF":        "probed from Mem at construction",
 			"Trace":          "caller's hook",
 			"MemWatch":       "caller's hook",
 			"SwitchWatch":    "caller's hook",

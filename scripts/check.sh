@@ -34,6 +34,21 @@ if grep -rn 'NextEvent()' --include='*.go' --exclude='*_test.go' . |
     exit 1
 fi
 
+# The core fetches an instruction in one place, fetchMisses, which
+# issueSlot and the fused issue in advance share; what the fast-forward
+# engine skips it reasons about through memsys.CountedInstFetch instead. A
+# second FetchInst call site is a second copy of the blocking-miss rule.
+# And Run's busy streak is retired (ROADMAP item 1): classifying a busy
+# cycle is issuing it.
+if [ "$(grep -rn 'FetchInst(' --include='*.go' --exclude='*_test.go' internal/core | wc -l)" -ne 1 ]; then
+    echo "check.sh: internal/core must call FetchInst( from exactly one site (fetchMisses)" >&2
+    exit 1
+fi
+if grep -rn 'busyStreak' --include='*.go' .; then
+    echo "check.sh: busyStreak is back; Run classifies and issues every cycle in one pass" >&2
+    exit 1
+fi
+
 # One splitmix64: the step and its finalizer are seeded.Stream and
 # seeded.Mix, and every seeded consumer (chaos jitter, fault plans, the
 # fuzzer's generator, per-cell seeds, retry jitter) draws from them. The
@@ -84,9 +99,9 @@ go run ./benchmark -workload sweep-fork -smoke >/dev/null
 # here: SERVICE=1 below is optional.
 go run ./benchmark -workload svc-grid -smoke >/dev/null
 # And for the two multiprocessor workloads: the lockstep driver over the
-# coherence fabric, and the stall-dominated cells whose divide chains go
-# through Processor.Run — where a busy-path change that taxes fast-forward
-# would show.
+# coherence fabric, and the stall-dominated cells whose divide chains run
+# RunGuardedCtx → RunUntilHalted over the workstation hierarchy — where a
+# busy-path change that taxes fast-forward would show.
 go run ./benchmark -workload mp-table10 -smoke >/dev/null
 go run ./benchmark -workload core-stall -smoke >/dev/null
 
@@ -289,6 +304,6 @@ fi
 # then -compare a.jsonl b.jsonl (benchmark/README.md).
 if [ -n "${BENCH:-}" ]; then
     go test -run='^$' -bench='Table7|Table10|SimulatorThroughput|MPSimulatorThroughput' -benchtime=1x .
-    go test -run='^$' -bench='BenchmarkStepFastForward' -benchtime=2s ./internal/core/
+    go test -run='^$' -bench='BenchmarkStepFastForward|BenchmarkAdvanceCountedFetch' -benchtime=2s ./internal/core/
     go test -run='^$' -bench='BenchmarkMemAccess' -benchtime=1s ./internal/mem/
 fi
