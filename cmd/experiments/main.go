@@ -3,11 +3,23 @@
 // Usage:
 //
 //	experiments [-quick] [-j N] [-only table7,table10,table4,fig2,fig3,fig6,fig7,fig8,fig9,ablations,sweeps,response]
+//	experiments [-quick] [-j N] -subjects DC,ocean [-schemes interleaved] [-contexts 2,4]
 //
 // With no -only flag every experiment runs (a few minutes at full scale;
 // seconds with -quick). Independent simulation cells fan out across -j
 // workers (default: all CPUs); -j 1 is the serial path. Output is
 // byte-identical at every -j.
+//
+// -subjects, -schemes and -contexts narrow the Table 7 / Table 10 grids
+// to a subset grid: the named workload mixes and applications, each
+// with its single-context baseline, under the named schemes and context
+// counts. A grid none of whose subjects is named is left out. A subset
+// grid is an ordinary grid — journal, -cell-timeout, -metrics-out and
+// the FAIL/SKIP rendering all apply — but its cells derive their seeds
+// from their index in the subset, so a subset cell is not the full
+// grid's cell of the same name. With -chaos, every multiprocessor cell
+// of a race-free application also runs unperturbed and fails unless its
+// final memory is identical.
 //
 // Sensitivity sweeps whose swept parameter takes effect at the
 // warm-up/measure boundary (switch cost, MSHRs) simulate their shared
@@ -35,6 +47,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"syscall"
 	"time"
@@ -43,12 +56,15 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/guard"
 	"repro/internal/metrics"
-	"repro/internal/profiling"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
+
+// interruptSignal is what -interrupt-after raises; the drain tests
+// switch it to SIGTERM.
+var interruptSignal os.Signal = os.Interrupt
 
 // run is main with an explicit exit code so failure paths are testable:
 // every error — including a failed -json write, which used to os.Exit
@@ -56,10 +72,8 @@ func main() {
 // code through the normal return path, after all defers have run.
 func run(args []string) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "reduced problem sizes (seconds instead of minutes)")
-	only := fs.String("only", "", "comma-separated subset of experiments to run")
+	gridFlags := experiments.BindGridFlags(fs)
 	jsonOut := fs.String("json", "", "also write raw results as JSON to this file")
-	jobs := fs.Int("j", runtime.NumCPU(), "concurrent simulation cells (1 = serial)")
 	journalPath := fs.String("journal", "", "record completed grid cells to this journal file (crash-safe; overwrites)")
 	resumePath := fs.String("resume", "", "resume from this journal: replay its cells, run only the remainder, keep appending")
 	allowBinaryMismatch := fs.Bool("allow-binary-mismatch", false, "resume a journal written by a different binary when the configuration is identical")
@@ -67,14 +81,20 @@ func run(args []string) (code int) {
 	checkpointDir := fs.String("checkpoint-dir", "", "persist sweep warm-up checkpoints in this directory and reuse them across runs (default: in-memory only)")
 	noCheckpoint := fs.Bool("no-checkpoint", false, "disable warm-up sharing: every sweep cell simulates its own warm-up")
 	interruptAfter := fs.Int("interrupt-after", 0, "testing: raise SIGINT after this many journal appends")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	gopts := guard.BindFlags(fs)
-	prof := profiling.BindFlags(fs)
 	obs := metrics.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return experiments.ExitUsage
 	}
 	if *journalPath != "" && *resumePath != "" {
 		fmt.Fprintln(os.Stderr, "experiments: -journal and -resume are mutually exclusive (resume keeps appending to the resumed journal)")
+		return experiments.ExitUsage
+	}
+	onlyList, ucfg, mcfg, err := gridFlags.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return experiments.ExitUsage
 	}
 
@@ -99,7 +119,7 @@ func run(args []string) (code int) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	stopProf, err := prof.Start()
+	stopProf, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)
 	}
@@ -132,17 +152,7 @@ func run(args []string) (code int) {
 		fmt.Fprintf(os.Stderr, "[raw results written to %s]\n", *jsonOut)
 	}()
 
-	onlyList := experiments.ParseOnly(*only)
 	sel := experiments.Selection(onlyList)
-
-	ucfg := experiments.DefaultUniConfig()
-	mcfg := experiments.DefaultMPConfig()
-	if *quick {
-		ucfg = experiments.QuickUniConfig()
-		mcfg = experiments.QuickMPConfig()
-	}
-	ucfg.Parallelism = *jobs
-	mcfg.Parallelism = *jobs
 	ucfg.CellTimeout = *cellTimeout
 	mcfg.CellTimeout = *cellTimeout
 	ucfg.Guard = *gopts
@@ -184,15 +194,18 @@ func run(args []string) (code int) {
 		defer journal.Close()
 		if *interruptAfter > 0 {
 			// Test harness for the interrupt-resume determinism check:
-			// deliver a real SIGINT to ourselves partway through the grid,
-			// exercising the same signal path an operator's Ctrl-C does.
+			// deliver a real signal to ourselves partway through the grid,
+			// exercising the same path an operator's Ctrl-C does, and hold
+			// the appending cell until the run has seen it — so at -j 1 no
+			// further cell completes.
 			var once sync.Once
 			n := *interruptAfter
 			journal.SetAppendHook(func(appended int) {
 				if appended >= n {
 					once.Do(func() {
 						p, _ := os.FindProcess(os.Getpid())
-						p.Signal(os.Interrupt)
+						p.Signal(interruptSignal)
+						<-ctx.Done()
 					})
 				}
 			})
@@ -289,7 +302,7 @@ func run(args []string) (code int) {
 
 	if sel("response") && !skipInterrupted("response") {
 		rcfg := experiments.DefaultResponseConfig()
-		rcfg.Parallelism = *jobs
+		rcfg.Parallelism = gridFlags.Jobs
 		r, err := experiments.RunResponseCtx(ctx, rcfg)
 		if err != nil {
 			return fail(err)
@@ -404,4 +417,43 @@ func writeGridMetrics(f *metrics.Flags, prefix string, cells []experiments.CellR
 		}
 	}
 	return nil
+}
+
+// startProfiles begins CPU profiling when cpu names a file and returns a
+// stop function that finishes that profile and writes a heap profile to
+// mem, when it names one. The profiles diagnose hot-path regressions on
+// any grid run without code edits:
+//
+//	experiments -quick -cpuprofile cpu.out -memprofile mem.out
+//	go tool pprof cpu.out
+func startProfiles(cpu, mem string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if mem == "" {
+			return
+		}
+		mf, err := os.Create(mem)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "profiling:", err)
+			return
+		}
+		defer mf.Close()
+		runtime.GC() // settle allocations so the heap profile is stable
+		if err := pprof.WriteHeapProfile(mf); err != nil {
+			fmt.Fprintln(os.Stderr, "profiling:", err)
+		}
+	}, nil
 }

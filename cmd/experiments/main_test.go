@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/experiments"
@@ -65,14 +68,118 @@ func TestResumeMissingJournalFails(t *testing.T) {
 	}
 }
 
-// absorbInterrupts keeps a test-local handler registered for SIGINT so a
-// self-delivered interrupt that lands after run()'s own handler is
-// unregistered cannot kill the test binary.
+// absorbInterrupts keeps a test-local handler registered for SIGINT and
+// SIGTERM so a self-delivered signal that lands after run()'s own handler
+// is unregistered cannot kill the test binary.
 func absorbInterrupts(t *testing.T) {
 	t.Helper()
 	ch := make(chan os.Signal, 8)
-	signal.Notify(ch, os.Interrupt)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	t.Cleanup(func() { signal.Stop(ch) })
+}
+
+// capture runs run(args) with os.Stdout and os.Stderr redirected and
+// returns its exit code and what it wrote to each.
+func capture(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	read := func(f **os.File) func() string {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := *f
+		*f = w
+		done := make(chan string, 1)
+		go func() {
+			data, _ := io.ReadAll(r)
+			done <- string(data)
+		}()
+		return func() string {
+			*f = old
+			w.Close()
+			return <-done
+		}
+	}
+	outDone, errDone := read(&os.Stdout), read(&os.Stderr)
+	code = run(args)
+	return code, outDone(), errDone()
+}
+
+// subsetDC is a three-cell subset grid: DC's baseline, interleaved/2 and
+// interleaved/4.
+var subsetDC = []string{"-quick", "-subjects", "DC", "-schemes", "interleaved", "-contexts", "2,4"}
+
+// SIGINT and SIGTERM partway through a serial subset grid drain it: the
+// run exits ExitInterrupted, the completed baseline is printed, the
+// cells that never completed render SKIP, and stderr says the run was
+// interrupted.
+func TestSubsetGridDrainsOnSignal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	absorbInterrupts(t)
+	t.Cleanup(func() { interruptSignal = os.Interrupt })
+	for _, sig := range []os.Signal{os.Interrupt, syscall.SIGTERM} {
+		t.Run(sig.String(), func(t *testing.T) {
+			interruptSignal = sig
+			journal := filepath.Join(t.TempDir(), "grid.journal")
+			code, out, errOut := capture(t, append(subsetDC, "-j", "1", "-journal", journal, "-interrupt-after", "1")...)
+			if code != experiments.ExitInterrupted {
+				t.Fatalf("exit code %d, want %d; stderr:\n%s", code, experiments.ExitInterrupted, errOut)
+			}
+			if !strings.Contains(out, "DC:\n  1 ctx |") {
+				t.Errorf("the completed baseline is not printed:\n%s", out)
+			}
+			if !strings.Contains(out, "  4 ctx SKIPPED") || !strings.Contains(out, "SKIP") {
+				t.Errorf("the cells that never completed do not render SKIP:\n%s", out)
+			}
+			if !strings.Contains(errOut, "experiments: interrupted") {
+				t.Errorf("stderr does not report the interruption:\n%s", errOut)
+			}
+		})
+	}
+}
+
+func TestBadSubsetExitsUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-subjects", "nosuch"},
+		{"-contexts", "0"},
+		{"-schemes", "single"},
+		{"-subjects", "DC", "-only", "table10"},
+	} {
+		if code, _, _ := capture(t, args...); code != experiments.ExitUsage {
+			t.Errorf("%v: exit code %d, want %d", args, code, experiments.ExitUsage)
+		}
+	}
+}
+
+// A subset grid's output does not depend on -j, and a subset is part of
+// the journal fingerprint: resuming a -subjects DC journal as -subjects
+// IC is the documented mismatch.
+func TestSubsetGridIsAnOrdinaryGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	journal := filepath.Join(t.TempDir(), "grid.journal")
+	code, serial, _ := capture(t, append(subsetDC, "-j", "1", "-journal", journal)...)
+	if code != 0 {
+		t.Fatalf("-j 1 exit code %d", code)
+	}
+	code, parallel, _ := capture(t, append(subsetDC, "-j", "4")...)
+	if code != 0 {
+		t.Fatalf("-j 4 exit code %d", code)
+	}
+	if serial != parallel {
+		t.Errorf("-j 1 and -j 4 print different bytes:\n%s\n---\n%s", serial, parallel)
+	}
+	if strings.Contains(serial, "Table 10") || !strings.Contains(serial, "Table 7") {
+		t.Errorf("-subjects DC ran other than the workstation grid:\n%s", serial)
+	}
+
+	other := []string{"-quick", "-subjects", "IC", "-schemes", "interleaved", "-contexts", "2,4", "-resume", journal}
+	if code, _, _ := capture(t, other...); code != experiments.ExitFingerprintMismatch {
+		t.Errorf("resume under another subset: exit code %d, want %d", code, experiments.ExitFingerprintMismatch)
+	}
 }
 
 // The end-to-end acceptance path, in-process: a run interrupted by a real

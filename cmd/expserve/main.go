@@ -2,7 +2,7 @@
 // and client in one binary.
 //
 //	expserve serve -dir STATE [-addr 127.0.0.1:7711] [-addr-file F]
-//	expserve submit -coordinator URL [-quick] [-only table7,...] [-j N]
+//	expserve submit -coordinator URL [-quick] [-only table7,...] [-j N] [-subjects ...] [-schemes ...] [-contexts ...]
 //	expserve progress -coordinator URL -job N
 //	expserve wait -coordinator URL -job N [-out F] [-json-out F]
 //
@@ -13,11 +13,12 @@
 // a restart on the same -dir resumes every job from its journal with
 // zero re-simulation. SIGINT/SIGTERM shut it down gracefully (exit 0).
 //
-// submit builds the same configurations cmd/experiments would run for
-// the given flags, posts them, and prints the job id. For byte-identical
-// output to a local run, pass the -quick/-only/-j of the reference run
-// (parallelism appears in the result's Cfg JSON). A 429 (coordinator at
-// its job bound) is retried after the coordinator's Retry-After.
+// submit resolves its grid flags through the binding cmd/experiments
+// uses (experiments.BindGridFlags), posts the configurations, and prints
+// the job id. For byte-identical output to a local run, pass the
+// reference run's grid flags, -j included (parallelism appears in the
+// result's Cfg JSON). A 429 (coordinator at its job bound) is retried
+// after the coordinator's Retry-After.
 //
 // wait long-polls until the job completes — riding out coordinator restarts —
 // then writes the job's stdout text (byte-identical to cmd/experiments)
@@ -36,7 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -146,27 +146,23 @@ func runServe(args []string) int {
 	return 0
 }
 
-// buildSpec resolves submit's flags to the job spec, mirroring how
-// cmd/experiments resolves the same flags so the submitted configs — and
-// therefore the journal fingerprints and output bytes — agree with a
+// buildSpec resolves submit's grid flags to the job spec through the
+// binding cmd/experiments resolves them with, so the submitted configs —
+// and therefore the journal fingerprints and output bytes — agree with a
 // local reference run.
-func buildSpec(quick bool, only string, jobs int) (service.JobSpec, error) {
-	ucfg := experiments.DefaultUniConfig()
-	mcfg := experiments.DefaultMPConfig()
-	if quick {
-		ucfg = experiments.QuickUniConfig()
-		mcfg = experiments.QuickMPConfig()
+func buildSpec(gf *experiments.GridFlags) (service.JobSpec, error) {
+	only, ucfg, mcfg, err := gf.Resolve()
+	if err != nil {
+		return service.JobSpec{}, err
 	}
-	ucfg.Parallelism = jobs
-	mcfg.Parallelism = jobs
-	spec := service.JobSpec{Only: experiments.ParseOnly(only), Uni: &ucfg, MP: &mcfg}
+	spec := service.JobSpec{Only: only, Uni: &ucfg, MP: &mcfg}
 	grids, fp, err := experiments.Grids(spec.Only, spec.Uni, spec.MP)
 	if err != nil {
 		return spec, err
 	}
 	if len(grids) == 0 {
 		return spec, fmt.Errorf("selection %q needs no grid; pick from %s",
-			only, strings.Join(experiments.GridSections, " "))
+			gf.Only, strings.Join(experiments.GridSections, " "))
 	}
 	// Submit the configs of the grids that run and no other: the ones the
 	// run's fingerprint carries.
@@ -182,9 +178,7 @@ func buildSpec(quick bool, only string, jobs int) (service.JobSpec, error) {
 func runSubmit(args []string) int {
 	fs := flag.NewFlagSet("expserve submit", flag.ContinueOnError)
 	coordinator := fs.String("coordinator", "", "coordinator base URL (required)")
-	quick := fs.Bool("quick", false, "reduced problem sizes, as cmd/experiments -quick")
-	only := fs.String("only", "", "comma-separated grid sections (table7 fig6 fig7 table10 fig8 fig9)")
-	jobs := fs.Int("j", runtime.NumCPU(), "parallelism recorded in the result Cfg (match the reference run's -j)")
+	gf := experiments.BindGridFlags(fs)
 	timeout := fs.Duration("timeout", time.Minute, "give up submitting after this long")
 	if err := fs.Parse(args); err != nil {
 		return experiments.ExitUsage
@@ -193,7 +187,7 @@ func runSubmit(args []string) int {
 		fmt.Fprintln(os.Stderr, "expserve submit: -coordinator is required")
 		return experiments.ExitUsage
 	}
-	spec, err := buildSpec(*quick, *only, *jobs)
+	spec, err := buildSpec(gf)
 	if err != nil {
 		return die(err)
 	}

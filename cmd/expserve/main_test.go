@@ -2,40 +2,76 @@ package main
 
 import (
 	"context"
+	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/service"
 )
 
+// gridFlags parses args through the grid-flag binding both submit and
+// cmd/experiments register.
+func gridFlags(t *testing.T, args ...string) *experiments.GridFlags {
+	t.Helper()
+	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
+	gf := experiments.BindGridFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return gf
+}
+
 // submit resolves its flags the way cmd/experiments does and sends only
-// the configs the selection's grids run under.
+// the configs the selection's grids run under: the same configs, and so
+// the same fingerprint, a local run of the same arguments journals under.
 func TestBuildSpecSubmitsOnlyWhatTheSelectionRuns(t *testing.T) {
 	for _, c := range []struct {
-		only    string
+		args    []string
 		uni, mp bool
 		list    string
 	}{
-		{"", true, true, ""},
-		{"table7", true, false, "table7"},
-		{" fig9 ,table10", false, true, "fig9 table10"},
-		{"fig6,fig8", true, true, "fig6 fig8"},
+		{nil, true, true, ""},
+		{[]string{"-only", "table7"}, true, false, "table7"},
+		{[]string{"-only", " fig9 ,table10"}, false, true, "fig9 table10"},
+		{[]string{"-only", "fig6,fig8"}, true, true, "fig6 fig8"},
+		{[]string{"-subjects", "DC", "-schemes", "interleaved", "-contexts", "2,4"}, true, false, "fig6 fig7 table7"},
+		{[]string{"-subjects", "DC,ocean", "-only", "table10"}, false, true, "table10"},
+		{[]string{"-subjects", "ocean", "-contexts", "2"}, false, true, "fig8 fig9 table10"},
 	} {
-		spec, err := buildSpec(true, c.only, 2)
+		args := append([]string{"-quick", "-j", "2"}, c.args...)
+		spec, err := buildSpec(gridFlags(t, args...))
 		if err != nil {
-			t.Fatalf("-only %q: %v", c.only, err)
+			t.Fatalf("%v: %v", args, err)
 		}
 		if (spec.Uni != nil) != c.uni || (spec.MP != nil) != c.mp || strings.Join(spec.Only, " ") != c.list {
-			t.Errorf("-only %q: spec %v with uni=%v mp=%v", c.only, spec.Only, spec.Uni != nil, spec.MP != nil)
+			t.Errorf("%v: spec %v with uni=%v mp=%v", args, spec.Only, spec.Uni != nil, spec.MP != nil)
+		}
+
+		// What cmd/experiments does with the same arguments.
+		only, uni, mp, err := gridFlags(t, args...).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fp, err := experiments.Grids(only, &uni, &mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (fp.Uni != nil && !reflect.DeepEqual(*spec.Uni, uni)) || (fp.MP != nil && !reflect.DeepEqual(*spec.MP, mp)) {
+			t.Errorf("%v: submit sends configs other than the ones experiments runs", args)
+		}
+		if got, want := experiments.NewFingerprint(spec.Uni, spec.MP, spec.Only).Hash(), fp.Hash(); got != want {
+			t.Errorf("%v: submit fingerprint %s, experiments %s", args, got, want)
 		}
 	}
-	for _, only := range []string{"table4", "sweeps,fig2"} {
-		if _, err := buildSpec(true, only, 2); err == nil {
-			t.Errorf("-only %q built a spec with no grid in it", only)
+	for _, args := range [][]string{{"-only", "table4"}, {"-only", "sweeps,fig2"}, {"-subjects", "nosuch"}, {"-contexts", "0"}} {
+		if _, err := buildSpec(gridFlags(t, args...)); err == nil {
+			t.Errorf("%v built a spec", args)
 		}
 	}
 }
@@ -64,11 +100,10 @@ func TestWaitWritesAtomically(t *testing.T) {
 		<-worked
 	}()
 
-	spec, err := buildSpec(true, "table7", 2)
+	spec, err := buildSpec(gridFlags(t, "-quick", "-j", "2", "-only", "table7", "-subjects", "DC"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Uni.Workloads = []string{"DC"}
 	if _, _, err := (&service.Client{Base: srv.URL}).Submit(ctx, spec); err != nil {
 		t.Fatal(err)
 	}

@@ -145,14 +145,18 @@ func run() int {
 }
 
 // tortureSpec is the grid under torture: the quick workstation config
-// (one workload, 5 cells) — small enough that 20 seeds finish in CI,
-// real enough that every service path (lease, heartbeat, complete,
-// journal, assembly) runs.
+// (one workload, 5 cells), as `experiments -quick -j 2 -subjects DC`
+// resolves it — small enough that 20 seeds finish in CI, real enough
+// that every service path (lease, heartbeat, complete, journal,
+// assembly) runs. Only stays nil (every section of the one grid) so the
+// journal the fault schedules cut into keeps its bytes.
 func tortureSpec() service.JobSpec {
-	cfg := experiments.QuickUniConfig()
-	cfg.Workloads = []string{"DC"}
-	cfg.Parallelism = 2
-	return service.JobSpec{Uni: &cfg}
+	gf := experiments.GridFlags{Quick: true, Jobs: 2, Subjects: "DC"}
+	_, uni, _, err := gf.Resolve()
+	if err != nil {
+		panic(err)
+	}
+	return service.JobSpec{Uni: &uni}
 }
 
 // baseline computes the fault-free single-process result the way

@@ -222,6 +222,14 @@ func (m *machine[C, R, T, Res]) run(ctx context.Context, cfg C, j *Journal) (*Re
 	return m.result(cfg, t), nil
 }
 
+func (m *machine[C, R, T, Res]) sectionNames() []string {
+	names := make([]string, len(m.sections))
+	for i, s := range m.sections {
+		names[i] = s.name
+	}
+	return names
+}
+
 func (m *machine[C, R, T, Res]) selected(sel func(string) bool) bool {
 	for _, s := range m.sections {
 		if sel(s.name) {

@@ -194,6 +194,10 @@ var multiprocessorGrid = &machine[MPConfig, MPCellRecord, MPCell, MPResult]{
 	},
 }
 
+// OpChaosDivergence marks a multiprocessor cell whose final memory under
+// its chaos seed differs from the same cell run unperturbed.
+const OpChaosDivergence = "experiments.chaos"
+
 // mpAttempt runs one attempt of a multiprocessor cell on app — the
 // cell's, except in tests that substitute their own. An escalated re-run
 // doubles the cycle limit as well (and with it the default
@@ -220,6 +224,23 @@ func mpAttempt(ctx context.Context, cfg MPConfig, app splash.App, a cellAttempt)
 			return nil, guard.NewSimError("experiments.budget", err).At(r.Diag.Cycle).WithDiag(r.Diag)
 		}
 		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	// Under chaos, timing faults must never reach functional state: the
+	// cell also runs unperturbed and the final memory must match. Racy
+	// apps (mp3d's unsynchronized scatter) are exempt — their memory is
+	// scheduling-dependent by construction.
+	if a.guard.ChaosSeed != 0 && !app.Racy {
+		mcfg.Guard.ChaosSeed = 0
+		mcfg.Obs = metrics.Options{}
+		ref, err := mp.RunCtx(ctx, p, mcfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: chaos reference run: %w", err)
+		}
+		if ref.MemHash != r.MemHash {
+			return nil, guard.NewSimError(OpChaosDivergence, fmt.Errorf(
+				"%s under %v/%d: perturbed memory hash %#x != unperturbed %#x — timing state leaked into functional state",
+				a.subject, a.scheme, a.contexts, r.MemHash, ref.MemHash)).At(r.Cycles)
+		}
 	}
 	return &MPCellRecord{Cycles: r.Cycles, Completed: r.Completed, Stats: r.Stats,
 		Threads: r.Threads, MemHash: r.MemHash, ArchHash: r.ArchHash, Metrics: r.Metrics}, nil

@@ -2,13 +2,12 @@ package metrics
 
 import (
 	"flag"
-	"io"
 	"path/filepath"
 	"strings"
 )
 
-// Flags carries the observability command-line surface shared by
-// cmd/experiments, cmd/uniprog and cmd/mpsim.
+// Flags carries the observability command-line surface of
+// cmd/experiments, which exports each grid's cells through it.
 type Flags struct {
 	MetricsOut  string
 	TraceOut    string
@@ -38,34 +37,6 @@ func (f *Flags) Options() Options {
 		o.SampleEvery = DefaultSampleEvery
 	}
 	return o
-}
-
-// Write exports m to the configured files. label tags the cell inside the
-// JSON-lines output; suffix (when non-empty) is inserted before each file
-// extension so multi-cell commands can emit one file per cell. Both files
-// are written atomically (temp + rename), so an interrupted run never
-// leaves a truncated export behind.
-func (f *Flags) Write(m *CellMetrics, label, suffix string) error {
-	if m == nil {
-		return nil
-	}
-	if f.MetricsOut != "" {
-		err := WriteFileAtomic(SuffixPath(f.MetricsOut, suffix), func(w io.Writer) error {
-			return WriteJSONL(w, m, label)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if f.TraceOut != "" {
-		err := WriteFileAtomic(SuffixPath(f.TraceOut, suffix), func(w io.Writer) error {
-			return WriteChromeTrace(w, m)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SuffixPath inserts ".suffix" before path's extension: SuffixPath("a/b.jsonl",

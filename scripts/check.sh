@@ -24,6 +24,16 @@ if grep -rnE 'GridWorkstation|GridMultiprocessor|UniCellRecord|MPCellRecord|Asse
     exit 1
 fi
 
+# One command runs every grid: cmd/experiments and expserve submit
+# resolve -quick/-only/-j and the subset flags through
+# experiments.BindGridFlags. A command that builds a grid config by hand
+# is a second copy of that resolution.
+if grep -rnE 'DefaultUniConfig|QuickUniConfig|DefaultMPConfig|QuickMPConfig' \
+    --include='*.go' --exclude='*_test.go' cmd; then
+    echo "check.sh: a command builds a grid config by hand; resolve it with experiments.BindGridFlags" >&2
+    exit 1
+fi
+
 # A driver advances a processor with core.Processor.Advance, which
 # classifies a cycle and issues it in one pass. NextEvent stays as the pure
 # classifier Advance is tested against; a driver that calls it and then
@@ -105,22 +115,21 @@ go run ./benchmark -workload svc-grid -smoke >/dev/null
 go run ./benchmark -workload mp-table10 -smoke >/dev/null
 go run ./benchmark -workload core-stall -smoke >/dev/null
 
-# Chaos-mode determinism: perturb all memory/network latencies on a
-# race-free app and assert the final memory is byte-identical to the
-# unperturbed run (mpsim runs the reference config itself and fails on
-# divergence).
-go run ./cmd/mpsim -app ocean -scheme interleaved -contexts 2 -procs 2 -steps 1 -chaos 20260805 >/dev/null
-go run ./cmd/mpsim -app barnes -scheme blocked -contexts 2 -procs 2 -steps 1 -chaos 7 -check-invariants >/dev/null
-
-# Observability pass: run a small grid with the metrics/trace exporters on
-# and validate every emitted file against the documented schemas
-# (JSON-lines per internal/metrics/export.go; Chrome trace_event phases).
+# Chaos-mode determinism and observability, as subset grids of the
+# experiments binary. Under -chaos every multiprocessor cell of a
+# race-free app also runs unperturbed and fails unless its final memory
+# is byte-identical (the grid's own check, exit 1 on divergence). The
+# observability runs export per-grid JSON-lines and per-cell Chrome
+# traces through the grid exporter, validated against the documented
+# schemas (internal/metrics/export.go; trace_event phases).
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
-go run ./cmd/uniprog -workload R0 -scheme interleaved -contexts 2 \
-    -rotations 1 -slice 8000 \
+go build -o "$OBS_DIR/experiments" ./cmd/experiments
+"$OBS_DIR/experiments" -quick -only table10 -subjects ocean -schemes interleaved -contexts 2 -chaos 20260805 >/dev/null
+"$OBS_DIR/experiments" -quick -only table10 -subjects barnes -schemes blocked -contexts 2 -chaos 7 -check-invariants >/dev/null
+"$OBS_DIR/experiments" -quick -subjects R0 -schemes interleaved -contexts 2 \
     -metrics-out "$OBS_DIR/uni.jsonl" -trace-out "$OBS_DIR/uni.json" >/dev/null
-go run ./cmd/mpsim -app mp3d -scheme interleaved -contexts 2 -procs 2 -steps 1 \
+"$OBS_DIR/experiments" -quick -subjects mp3d -schemes interleaved -contexts 2 \
     -metrics-out "$OBS_DIR/mp.jsonl" -trace-out "$OBS_DIR/mp.json" >/dev/null
 go run ./cmd/obscheck "$OBS_DIR"/*.jsonl "$OBS_DIR"/*.json
 
