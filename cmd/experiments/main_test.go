@@ -109,34 +109,79 @@ func capture(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // interleaved/4.
 var subsetDC = []string{"-quick", "-subjects", "DC", "-schemes", "interleaved", "-contexts", "2,4"}
 
-// SIGINT and SIGTERM partway through a serial subset grid drain it: the
-// run exits ExitInterrupted, the completed baseline is printed, the
+// subsetOcean is a three-cell multiprocessor subset grid: ocean's
+// baseline, interleaved/2 and interleaved/4.
+var subsetOcean = []string{"-quick", "-subjects", "ocean", "-schemes", "interleaved", "-contexts", "2,4"}
+
+// drainSubset runs a serial subset grid that raises sig after its first
+// journaled cell, and checks that the run drains: it exits
+// ExitInterrupted, the completed baseline of subject is printed, the
 // cells that never completed render SKIP, and stderr says the run was
 // interrupted.
-func TestSubsetGridDrainsOnSignal(t *testing.T) {
+func drainSubset(t *testing.T, subset []string, subject string, sig os.Signal) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	absorbInterrupts(t)
+	interruptSignal = sig
 	t.Cleanup(func() { interruptSignal = os.Interrupt })
-	for _, sig := range []os.Signal{os.Interrupt, syscall.SIGTERM} {
-		t.Run(sig.String(), func(t *testing.T) {
-			interruptSignal = sig
-			journal := filepath.Join(t.TempDir(), "grid.journal")
-			code, out, errOut := capture(t, append(subsetDC, "-j", "1", "-journal", journal, "-interrupt-after", "1")...)
-			if code != experiments.ExitInterrupted {
-				t.Fatalf("exit code %d, want %d; stderr:\n%s", code, experiments.ExitInterrupted, errOut)
-			}
-			if !strings.Contains(out, "DC:\n  1 ctx |") {
-				t.Errorf("the completed baseline is not printed:\n%s", out)
-			}
-			if !strings.Contains(out, "  4 ctx SKIPPED") || !strings.Contains(out, "SKIP") {
-				t.Errorf("the cells that never completed do not render SKIP:\n%s", out)
-			}
-			if !strings.Contains(errOut, "experiments: interrupted") {
-				t.Errorf("stderr does not report the interruption:\n%s", errOut)
-			}
-		})
+	journal := filepath.Join(t.TempDir(), "grid.journal")
+	code, out, errOut := capture(t, append(subset, "-j", "1", "-journal", journal, "-interrupt-after", "1")...)
+	if code != experiments.ExitInterrupted {
+		t.Fatalf("exit code %d, want %d; stderr:\n%s", code, experiments.ExitInterrupted, errOut)
+	}
+	if !strings.Contains(out, subject+":\n  1 ctx |") {
+		t.Errorf("the completed baseline is not printed:\n%s", out)
+	}
+	if !strings.Contains(out, "  4 ctx SKIPPED") || !strings.Contains(out, "SKIP") {
+		t.Errorf("the cells that never completed do not render SKIP:\n%s", out)
+	}
+	if !strings.Contains(errOut, "experiments: interrupted") {
+		t.Errorf("stderr does not report the interruption:\n%s", errOut)
+	}
+}
+
+// SIGINT partway through a serial workstation subset grid drains it.
+func TestWorkstationSubsetSigintDrain(t *testing.T) {
+	drainSubset(t, subsetDC, "DC", os.Interrupt)
+}
+
+// SIGTERM takes the same drain path as SIGINT.
+func TestWorkstationSubsetSigtermDrain(t *testing.T) {
+	drainSubset(t, subsetDC, "DC", syscall.SIGTERM)
+}
+
+// SIGINT partway through a serial multiprocessor subset grid drains it.
+func TestMultiprocessorSubsetSigintDrain(t *testing.T) {
+	drainSubset(t, subsetOcean, "ocean", os.Interrupt)
+}
+
+// SIGTERM takes the same drain path as SIGINT.
+func TestMultiprocessorSubsetSigtermDrain(t *testing.T) {
+	drainSubset(t, subsetOcean, "ocean", syscall.SIGTERM)
+}
+
+// An uninterrupted multiprocessor subset grid runs only Table 10 and
+// completes every cell.
+func TestMultiprocessorSubsetCompletesWithoutSignal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	code, out, errOut := capture(t, append(subsetOcean, "-j", "1")...)
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0; stderr:\n%s", code, errOut)
+	}
+	if strings.Contains(out, "Table 7") || !strings.Contains(out, "Table 10") {
+		t.Errorf("-subjects ocean ran other than the multiprocessor grid:\n%s", out)
+	}
+	if strings.Contains(out, "SKIP") || strings.Contains(out, "FAIL") {
+		t.Errorf("a cell did not complete:\n%s", out)
+	}
+	for _, row := range []string{"ocean:\n  1 ctx |", "  2 ctx |", "  4 ctx |"} {
+		if !strings.Contains(out, row) {
+			t.Errorf("output lacks %q:\n%s", row, out)
+		}
 	}
 }
 
