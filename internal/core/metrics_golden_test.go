@@ -8,10 +8,10 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/guard"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/metrics"
-
-	"repro/internal/isa"
+	"repro/internal/prog"
 )
 
 // Golden property of the observability layer: a fast-forwarded run and a
@@ -79,6 +79,45 @@ func TestMetricsGoldenFastForwardUni(t *testing.T) {
 			if len(m.Procs) != 1 || len(m.Procs[0].Samples) == 0 || len(m.Events) == 0 {
 				t.Errorf("%s: empty metrics: %d series, %d events", label, len(m.Procs), len(m.Events))
 			}
+		}
+	}
+}
+
+// An issue event names the instruction that issued, not where its thread
+// goes next: straight-line code, a taken branch (the skipped instruction
+// never issues) and a hitting load report their own addresses, in order,
+// stepped and fast-forwarded alike.
+func TestIssueEventPCs(t *testing.T) {
+	pr := buildProg(t, "pcs", func(b *prog.Builder) {
+		b.Addi(isa.R1, isa.R0, 64)      // 0
+		b.Beq(isa.R0, isa.R0, "target") // 1: taken
+		b.Addi(isa.R2, isa.R0, 1)       // 2: skipped
+		b.Label("target")
+		b.Lw(isa.R3, isa.R1, 0) // 3: hits
+		b.Halt()                // 4
+	})
+	var want []uint32
+	for _, idx := range []int{0, 1, 3, 4} {
+		want = append(want, pr.PCAddr(idx))
+	}
+	for _, noFF := range []bool{false, true} {
+		cfg := DefaultConfig(Single, 1)
+		cfg.NoFastForward = noFF
+		p := MustNewProcessor(cfg, perfectMem{}, mem.New())
+		col := metrics.NewCollector(metrics.Options{Events: true}, 1)
+		p.AttachMetrics(col.Proc(0))
+		p.BindThread(0, NewThread("pcs", pr))
+		if _, done := p.RunUntilHalted(1000); !done {
+			t.Fatalf("noFF=%v: did not halt", noFF)
+		}
+		var got []uint32
+		for _, ev := range col.Result().Events {
+			if ev.Kind == metrics.KindIssue {
+				got = append(got, ev.PC)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("noFF=%v: issue events at PCs %#x, want %#x", noFF, got, want)
 		}
 	}
 }

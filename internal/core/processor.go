@@ -803,6 +803,9 @@ func missSlot(region isa.Region) SlotClass {
 	return SlotDMem
 }
 
+// busySlot charges the issue slot of instruction in, which thread th in
+// context c issued at cycle now. Callers charge it before th.PC moves on:
+// the issue event names th.PC.
 func (p *Processor) busySlot(now int64, c *hwContext, th *Thread, in *isa.Inst) {
 	c.replayPC = -1
 	cls := SlotBusy
@@ -876,9 +879,9 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) (
 		return p.executeMem(c, th, in, now) // slot and PC accounted there
 
 	case isa.BEQ, isa.BNE, isa.BLEZ, isa.BGTZ, isa.J, isa.JAL, isa.JR:
-		p.executeBranch(c, th, in, now)
 		p.busySlot(now, c, th, in)
-		return true // PC already updated
+		p.executeBranch(c, th, in, now) // moves the PC
+		return true
 
 	case isa.SWITCH:
 		// Explicit switch (blocked scheme, Table 4: cost 3). The switch
@@ -931,16 +934,16 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) (
 			}
 			return true
 		}
+		p.busySlot(now, c, th, in)
 		th.EPC = th.PC + 1
 		th.PC = th.TrapHandler
 		c.redirectUntil = now + 1 + int64(p.Cfg.MispredictPenalty)
-		p.busySlot(now, c, th, in)
 		return true
 
 	case isa.ERET:
+		p.busySlot(now, c, th, in)
 		th.PC = th.EPC
 		c.redirectUntil = now + 1 + int64(p.Cfg.MispredictPenalty)
-		p.busySlot(now, c, th, in)
 		return true
 
 	case isa.HALT:
@@ -958,8 +961,8 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) (
 			At(now).On(p.ID, c.idx, th.PC))
 	}
 
-	th.PC++
 	p.busySlot(now, c, th, in)
+	th.PC++
 
 	// Fine-grained pipelines hold one instruction per context: the next
 	// issue waits a full pipeline depth.
@@ -1001,8 +1004,8 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		c.availableAt = fill
 		c.availCause = missSlot(in.Region)
 		p.availabilityChanged(c, now)
-		th.PC++
 		p.busySlot(now, c, th, in)
+		th.PC++
 		return true
 	}
 
@@ -1012,8 +1015,8 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		if d := in.Dst; d != isa.NoReg {
 			th.setReady(d, res.ReadyAt, producerClass(in))
 		}
-		th.PC++
 		p.busySlot(now, c, th, in)
+		th.PC++
 		return true
 	}
 
@@ -1063,8 +1066,8 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 		if d := in.Dst; d != isa.NoReg {
 			th.setReady(d, res.FillAt, cause)
 		}
-		th.PC++
 		p.busySlot(now, c, th, in)
+		th.PC++
 		return true
 
 	case Blocked, BlockedFast:
