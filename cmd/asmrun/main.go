@@ -7,7 +7,11 @@
 //	asmrun -scheme interleaved -contexts 2 -copies 2 prog.s
 //
 // With -copies N the program is loaded into N contexts (each copy gets
-// its own thread; they share the program's data).
+// its own thread; they share the program's data). -trace prints one
+// "cycle  ctxN  disassembly" line per issued instruction, read from the
+// processor's event trace after the run. That trace holds at most
+// metrics.DefaultEventCap events (issues and stall spans together), so a
+// long run's trace stops early; the dropped count is reported on stderr.
 package main
 
 import (
@@ -19,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/prog"
 	"repro/internal/stats"
 )
@@ -28,7 +33,7 @@ func main() {
 	contexts := flag.Int("contexts", 1, "hardware contexts")
 	copies := flag.Int("copies", 1, "thread copies of the program to load")
 	limit := flag.Int64("limit", 100_000_000, "cycle limit")
-	trace := flag.Bool("trace", false, "print a per-cycle issue trace")
+	trace := flag.Bool("trace", false, "print a per-cycle issue trace (at most metrics.DefaultEventCap events)")
 	list := flag.Bool("list", false, "print the assembled listing and exit")
 	flag.Parse()
 
@@ -67,12 +72,10 @@ func main() {
 	if err != nil {
 		die(err)
 	}
+	var col *metrics.Collector
 	if *trace {
-		proc.Trace = func(ev core.TraceEvent) {
-			if ev.Inst != "" {
-				fmt.Printf("%8d  ctx%d  %s\n", ev.Cycle, ev.Ctx, ev.Inst)
-			}
-		}
+		col = metrics.NewCollector(metrics.Options{Events: true}, 1)
+		proc.AttachMetrics(col.Proc(0))
 	}
 
 	var threads []*core.Thread
@@ -85,6 +88,18 @@ func main() {
 	}
 
 	cycles, done := proc.RunUntilHalted(*limit)
+	if col != nil {
+		tr := col.Result()
+		for _, ev := range tr.Events {
+			if ev.Kind == metrics.KindIssue {
+				fmt.Printf("%8d  ctx%d  %s\n", ev.Cycle, ev.Ctx, p.Insts[(ev.PC-p.Base)/4].String())
+			}
+		}
+		if tr.DroppedEvents > 0 {
+			fmt.Fprintf(os.Stderr, "asmrun: trace truncated: %d events dropped past the cap of %d\n",
+				tr.DroppedEvents, metrics.DefaultEventCap)
+		}
+	}
 	if !done {
 		die(fmt.Errorf("did not halt within %d cycles", *limit))
 	}

@@ -74,8 +74,6 @@ type (
 	Breakdown = core.Breakdown
 	// Thread is a software thread (architectural state + program).
 	Thread = core.Thread
-	// TraceEvent describes how one cycle was spent.
-	TraceEvent = core.TraceEvent
 )
 
 // DefaultConfig returns the paper's processor configuration for the given

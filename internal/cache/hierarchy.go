@@ -171,33 +171,6 @@ func (h *Hierarchy) expireFills(now int64) {
 	h.installReady(now, fillHoldCycles)
 }
 
-// NextCompletion implements memsys.Completer: the earliest pending fill
-// (demand or prefetch) completing strictly after now, or math.MaxInt64
-// when nothing is outstanding. The core's fast-forward engine uses it to
-// bound bulk clock advances; fills themselves still install lazily on the
-// next access, as always.
-func (h *Hierarchy) NextCompletion(now int64) int64 {
-	if h.pending.earliest > now {
-		return h.pending.earliest // noFill == math.MaxInt64 when empty
-	}
-	// The earliest fill has landed and is held for its replay: look
-	// past it.
-	next := int64(noFill)
-	for _, pf := range h.pending.e {
-		if pf.fill > now && pf.fill < next {
-			next = pf.fill
-		}
-	}
-	return next
-}
-
-// PullBasedTiming implements memsys.Completer: every state transition in
-// the hierarchy (fill install, expiry, TLB hold cleanup, occupancy
-// frontier advance, chaos draw) happens inside AccessData/FetchInst and
-// depends only on the access cycle, so access-free regions may be skipped
-// whole.
-func (h *Hierarchy) PullBasedTiming() bool { return true }
-
 func (h *Hierarchy) installL1D(line uint32) {
 	addr := line << uint32(h.L1D.lineShift)
 	if victim, vd, ok := h.L1D.Fill(addr, false); ok && vd {
@@ -388,7 +361,5 @@ func (h *Hierarchy) SchedulerInterference(iLines, dLines, tlbEntries int, rng *r
 }
 
 var _ memsys.System = (*Hierarchy)(nil)
-
-var _ memsys.Completer = (*Hierarchy)(nil)
 
 var _ memsys.CountedInstFetch = (*Hierarchy)(nil)

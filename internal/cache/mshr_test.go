@@ -352,17 +352,6 @@ func TestEarliestFillAcrossAccessPaths(t *testing.T) {
 	}
 	h.AccessData(b, false, 0, now+1)
 	check(h, "second miss + prefetch", lb, lb+1, la, la+1)
-	if got, want := h.NextCompletion(now), ra.FillAt; got != want {
-		t.Fatalf("NextCompletion(%d) = %d, want %d", now, got, want)
-	}
-	// Past the first fill (which is held for its replay) NextCompletion
-	// looks beyond it.
-	if got, want := h.NextCompletion(ra.FillAt), h.pending.e[3].fill; got != want {
-		t.Fatalf("NextCompletion(%d) = %d, want the prefetch's fill %d", ra.FillAt, got, want)
-	}
-	if got := h.NextCompletion(math.MaxInt64 - 1); got != math.MaxInt64 {
-		t.Fatalf("NextCompletion past every fill = %d, want MaxInt64", got)
-	}
 }
 
 // TestMSHRFullFillAt: with every demand register busy, the retry time is

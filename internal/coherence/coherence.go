@@ -14,7 +14,6 @@ package coherence
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 
@@ -498,28 +497,6 @@ func (n *Node) miss(line, addr uint32, write bool, pc uint32, now int64) memsys.
 	return memsys.DataResult{FillAt: fill, Class: class}
 }
 
-// NextCompletion implements memsys.Completer: the earliest of this node's
-// in-flight fills completing strictly after now, or math.MaxInt64 when
-// none are outstanding.
-func (n *Node) NextCompletion(now int64) int64 {
-	next := int64(math.MaxInt64)
-	for i := range n.pending {
-		if pf := &n.pending[i]; pf.fill > now && pf.fill < next {
-			next = pf.fill
-		}
-	}
-	return next
-}
-
-// PullBasedTiming implements memsys.Completer: directory state, sharer
-// sets, pending fills (this node's and the cross-node exclusive-pending
-// probes) and chaos draws all change only inside AccessData calls, so the
-// lockstep driver may jump every processor across an access-free region
-// in one step. Cross-processor ordering is unaffected: a skip only
-// happens when every processor is access-free, and the (cycle, processor)
-// transaction order resumes identically at the region's end.
-func (n *Node) PullBasedTiming() bool { return true }
-
 // install places a line in the node's cache, handling the victim's
 // directory state.
 func (n *Node) install(line uint32, exclusive bool) {
@@ -564,5 +541,3 @@ func (f *Fabric) DirectoryInvariants() string {
 }
 
 var _ memsys.System = (*Node)(nil)
-
-var _ memsys.Completer = (*Node)(nil)

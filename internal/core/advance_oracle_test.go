@@ -90,7 +90,6 @@ type oracleScenario struct {
 	btb    int    // BTBEntries, 0 for the default
 	mem    string // which memory system: one of oracleMems
 	sample int64  // metrics SampleEvery, 0 for an unobserved machine
-	trace  bool   // install a Trace hook on every machine
 }
 
 // oracleMems are the three things an instruction fetch can be to the
@@ -106,7 +105,6 @@ type oracleMachine struct {
 	fab     *coherence.Fabric
 	threads []*Thread
 	col     *metrics.Collector
-	events  []TraceEvent
 }
 
 func (sc *oracleScenario) build(t *testing.T) *oracleMachine {
@@ -142,9 +140,6 @@ func (sc *oracleScenario) build(t *testing.T) *oracleMachine {
 			m.fab.Node(0).AttachMetrics(m.col.Proc(0))
 		}
 	}
-	if sc.trace {
-		m.proc.Trace = func(ev TraceEvent) { m.events = append(m.events, ev) }
-	}
 	for i := 0; i < sc.nctx; i++ {
 		th := NewThread(fmt.Sprintf("t%d", i), pr)
 		th.SetIntReg(isa.R4, uint32(i))
@@ -154,13 +149,13 @@ func (sc *oracleScenario) build(t *testing.T) *oracleMachine {
 	return m
 }
 
-// state is everything the machine would checkpoint, plus the trace so
-// far. An observed processor does not checkpoint: its clock and accounting
-// stand in, and at the end (final) everything its observers recorded.
+// state is everything the machine would checkpoint. An observed processor
+// does not checkpoint: its clock and accounting stand in, and at the end
+// (final) everything its observers recorded.
 func (m *oracleMachine) state(t *testing.T, final bool) []byte {
 	t.Helper()
 	if !m.proc.Observed() {
-		return append(m.checkpoint(), fmt.Sprintf("%v", m.events)...)
+		return m.checkpoint()
 	}
 	w := snapshot.NewWriter()
 	for _, th := range m.threads {
@@ -204,8 +199,6 @@ func advancePath(p *Processor) string {
 	switch {
 	case p.Cfg.NoFastForward:
 		return "fallback/no-fast-forward"
-	case p.Trace != nil:
-		return "fallback/trace"
 	case now < p.ifetchUntil:
 		return "frontier/ifetch"
 	case now < p.shadowUntil:
@@ -303,7 +296,7 @@ var advancePaths = []string{
 	"interleaved/shadow", "interleaved/redirect", "interleaved/dependency",
 	"interleaved/fu-sync", "interleaved/fu-long", "interleaved/fu-short", "interleaved/issue",
 	"counted/region", "fetched/issue", "fetched/stall-slot", "fetched/miss", "opaque/issue", "opaque/stall-slot",
-	"fallback/no-fast-forward", "fallback/trace", "fallback/forced-fetch",
+	"fallback/no-fast-forward", "fallback/forced-fetch",
 	"fallback/broken-monopoly", "fallback/blocked-pick", "fallback/fine-grained", "fallback/superscalar",
 }
 
@@ -364,7 +357,6 @@ func (sc *oracleScenario) reincarnate(t *testing.T, m *oracleMachine) *oracleMac
 	if err := snapshot.Finish(r); err != nil {
 		t.Fatalf("%s: restore: %v", sc.name, err)
 	}
-	fresh.events = m.events
 	return fresh
 }
 
@@ -382,7 +374,7 @@ func (sc *oracleScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[
 	forceAt := rebindAt + 1 + rng.Int63n(2*block)
 	restoreAt := block * (6 + rng.Int63n(8))
 	limit := int64(40_000)
-	if sc.noFF || sc.trace {
+	if sc.noFF {
 		limit = 1000 // every cycle is a stepped fallback: the first thousand say it all
 	}
 	victim := rng.Intn(sc.nctx)
@@ -463,7 +455,7 @@ func (sc *oracleScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[
 			}
 		}
 	}
-	if tail < 0 && !sc.noFF && !sc.trace {
+	if tail < 0 && !sc.noFF {
 		t.Fatalf("%s: not halted after %d cycles", sc.name, limit)
 	}
 	compare("at the end", true)
@@ -475,8 +467,7 @@ func (sc *oracleScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[
 // TestAdvanceMatchesNextEventThenStep is the grid: every scheme × 1/2/4/8
 // contexts × ideal fetch (a coherence node), counting fetch (the
 // workstation hierarchy) and opaque fetch (fakeMem) × fast-forward on/off ×
-// issue width 1/2 × Trace set or not × sampled every 32 cycles or
-// unobserved.
+// issue width 1/2 × sampled every 32 cycles or unobserved.
 func TestAdvanceMatchesNextEventThenStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	tally := map[string]int{}
@@ -494,13 +485,13 @@ func TestAdvanceMatchesNextEventThenStep(t *testing.T) {
 			yield = prog.YieldBackoff
 		}
 		for _, nctx := range counts {
-			for opt := 0; opt < 16*len(oracleMems); opt++ {
+			for opt := 0; opt < 8*len(oracleMems); opt++ {
 				sc := oracleScenario{
-					prog: advanceProg(yield), scheme: scheme, nctx: nctx, btb: 32, mem: oracleMems[opt>>4],
-					noFF: opt&1 != 0, width: 1 + opt>>1&1, trace: opt&4 != 0, sample: 32 * int64(opt>>3&1),
+					prog: advanceProg(yield), scheme: scheme, nctx: nctx, btb: 32, mem: oracleMems[opt>>3],
+					noFF: opt&1 != 0, width: 1 + opt>>1&1, sample: 32 * int64(opt>>2&1),
 				}
-				sc.name = fmt.Sprintf("%v/%dctx/%s/noFF=%v/width=%d/trace=%v/sample=%d",
-					scheme, nctx, sc.mem, sc.noFF, sc.width, sc.trace, sc.sample)
+				sc.name = fmt.Sprintf("%v/%dctx/%s/noFF=%v/width=%d/sample=%d",
+					scheme, nctx, sc.mem, sc.noFF, sc.width, sc.sample)
 				sc.advanceOracle(t, rng, tally)
 				scenarios++
 			}

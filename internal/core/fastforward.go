@@ -15,7 +15,9 @@ package core
 //     fills install, NAK retries resolve, TLB holds expire and chaos
 //     latency draws happen inside AccessData/FetchInst calls. A cycle in
 //     which no context can issue performs no such call, so skipping it
-//     leaves the memory system bit-identical.
+//     leaves the memory system bit-identical, and a region ends at its own
+//     until, never at a memory completion (the memsys package doc states
+//     the property and why it holds).
 //   - A skippable ("boring") cycle's issueSlot reduces to a single
 //     count(now, cls, ctx) whose (cls, ctx) is constant across the whole
 //     region: the stall frontiers carry their own cause/context, and
@@ -112,14 +114,14 @@ func (p *Processor) Advance() (cls SlotClass, ctx int, until int64) {
 // That covers single issue for a monopolist (the single context, or a
 // blocked scheme's committed current context, whose selection touches
 // nothing) and for the interleaved round-robin pick (whose selection sets
-// rr); superscalar issue, NoFastForward, Trace, a forced fetch, a blocked
-// scheme between monopolies and fine-grained are stepped. fetches is set on
-// a region whose every slot re-fetches a resident line of a counting
-// I-cache; whoever skips it owes those counts (skipTo).
+// rr); superscalar issue, a forced fetch, a blocked scheme between
+// monopolies and fine-grained are stepped. NoFastForward is the one
+// setting that steps every cycle: observation does not (metrics.go).
+// fetches is set on a region whose every slot re-fetches a resident line
+// of a counting I-cache; whoever skips it owes those counts (skipTo).
 func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64, fetches bool) {
 	now := p.cycle
-	if p.Cfg.NoFastForward || p.Trace != nil {
-		// Tracing observes every cycle individually, so nothing is boring.
+	if p.Cfg.NoFastForward {
 		return p.stepped(issue)
 	}
 	// Processor-wide stall frontiers, in issueSlot's precedence order.
@@ -127,11 +129,11 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64, fe
 	// start inside an earlier one, so only the nearest end is skippable.
 	switch {
 	case now < p.ifetchUntil:
-		return SlotICache, p.ifetchCtx, p.boundEvent(p.ifetchUntil), false
+		return SlotICache, p.ifetchCtx, p.ifetchUntil, false
 	case now < p.shadowUntil:
-		return SlotSwitch, p.shadowCtx, p.boundEvent(p.shadowUntil), false
+		return SlotSwitch, p.shadowCtx, p.shadowUntil, false
 	case now < p.stallUntil:
-		return p.stallCause, p.stallCtx, p.boundEvent(p.stallUntil), false
+		return p.stallCause, p.stallCtx, p.stallUntil, false
 	}
 	// A pending forced fetch makes the very next cycle interesting
 	// (selectContext consumes it).
@@ -171,7 +173,7 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64, fe
 		// wait cause of the context that wakes first, which only a write
 		// (never a boring cycle) can change before then.
 		cls, ctx, wake := p.idleCharge()
-		return cls, ctx, p.boundEvent(wake), false
+		return cls, ctx, wake, false
 	}
 	// c holds the slot: issueSlot's cascade from here on — its miss shadow
 	// and its fetch redirect, which never fetch, then (behind the fetch,
@@ -191,7 +193,7 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64, fe
 	}
 	// A monopolist's stall is a region if its re-fetches are known to hit.
 	if mono && until > now && (!fetches || p.countIF != nil && p.countIF.InstFetchHits(th.pcAddr(th.PC))) {
-		return cls, c.idx, p.boundEvent(until), fetches
+		return cls, c.idx, until, fetches
 	}
 	if !issue || p.Cfg.IssueWidth > 1 {
 		return p.stepped(issue)
@@ -224,36 +226,11 @@ func (p *Processor) stepped(issue bool) (cls SlotClass, ctx int, until int64, fe
 	return SlotIdle, -1, now, false
 }
 
-// boundEvent caps a skip target by the memory system's earliest in-flight
-// completion when the system has not declared pull-based timing
-// (memsys.Completer.PullBasedTiming). For pull-based systems — both real
-// ones here — completions matter to the core only through
-// availableAt/regReady values fixed when the stall began, so the cap
-// would merely chop long skips into completion-sized pieces: on a
-// multiprocessor saturating its miss registers, the inter-fill gap across
-// all nodes is a few cycles, and capping there forfeits nearly the whole
-// win. The conservative path stays for any future memory system with
-// push-based machinery (and is pinned by its own equivalence test).
-func (p *Processor) boundEvent(until int64) int64 {
-	if p.capCompletions {
-		return p.capEvent(until)
-	}
-	return until
-}
-
-// capEvent is boundEvent's conservative path, kept out of line so the
-// usual answer inlines.
-func (p *Processor) capEvent(until int64) int64 {
-	if e := p.completer.NextCompletion(p.cycle); e > p.cycle && e < until {
-		return e
-	}
-	return until
-}
-
 // SkipTo bulk-advances the clock from Now() to target, charging every
 // skipped issue slot to (cls, ctx) — the charge Advance (or NextEvent)
-// reported for the region. Calling it with a (target, cls, ctx) not
-// obtained from one of them breaks cycle accounting.
+// reported for the region, with target at most its until (a driver may
+// stop short at a budget or a block boundary). Calling it with a (target,
+// cls, ctx) not obtained from one of them breaks cycle accounting.
 //
 // SkipTo is deliberately branch-free with respect to observability so
 // the fast-forward loops can inline it: when Observed() is true, callers

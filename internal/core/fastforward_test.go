@@ -152,52 +152,6 @@ func TestFastForwardEquivalenceUni(t *testing.T) {
 	}
 }
 
-// pushTimingMem wraps a memory system and retracts its pull-based-timing
-// declaration, forcing the engine down the conservative path that caps
-// every skip at NextCompletion. The cap must be invisible in results —
-// only in how many jumps a region takes — and this pins that.
-type pushTimingMem struct {
-	*cache.Hierarchy
-}
-
-func (pushTimingMem) PullBasedTiming() bool { return false }
-
-// TestFastForwardCappedEquivalence asserts FF ON == FF OFF when the
-// memory system does not declare pull-based timing (the capCompletions
-// path, unused by the real systems but load-bearing for any future
-// push-based one).
-func TestFastForwardCappedEquivalence(t *testing.T) {
-	run := func(noFF bool) ffOutcome {
-		h := cache.MustNewHierarchy(cache.DefaultParams())
-		fm := mem.New()
-		pr := stallProg(t)
-		pr.LoadInit(fm)
-		cfg := DefaultConfig(Blocked, 4)
-		cfg.NoFastForward = noFF
-		p := MustNewProcessor(cfg, pushTimingMem{h}, fm)
-		var threads []*Thread
-		for i := 0; i < 4; i++ {
-			th := NewThread(fmt.Sprintf("t%d", i), pr)
-			th.SetIntReg(isa.R4, uint32(i))
-			p.BindThread(i, th)
-			threads = append(threads, th)
-		}
-		cycles, halted := p.RunUntilHalted(10_000_000)
-		out := ffOutcome{cycles: cycles, halted: halted, stats: p.Stats, memHash: fm.Hash(), cacheStats: h.Stats}
-		out.archHash = out.memHash
-		for _, th := range threads {
-			out.archHash = th.HashArchState(out.archHash)
-		}
-		return out
-	}
-	ff := run(false)
-	off := run(true)
-	if !ff.halted {
-		t.Fatal("capped run did not halt")
-	}
-	compareOutcomes(t, "capped/blocked/4ctx", ff, off)
-}
-
 // TestFastForwardRunChunks asserts that Run in arbitrary chunk sizes —
 // which cut skip regions at awkward boundaries — accumulates exactly the
 // same stats fast-forwarded as stepped cycle by cycle. (The final chunk
@@ -486,23 +440,5 @@ func BenchmarkAdvanceCountedFetch(b *testing.B) {
 				b.Fatalf("%d fetches in %d cycles: the kernel left the I-cache", fetches, b.N)
 			}
 		})
-	}
-}
-
-// TestFastForwardTraceDisablesSkips: a Trace hook must see every cycle,
-// so the engine must refuse to skip while one is installed.
-func TestFastForwardTraceDisablesSkips(t *testing.T) {
-	fm := mem.New()
-	pr := sumProgram(t, 4, 0x100000)
-	p := MustNewProcessor(DefaultConfig(FineGrained, 1), perfectMem{}, fm)
-	p.BindThread(0, NewThread("t0", pr))
-	var events int64
-	p.Trace = func(TraceEvent) { events++ }
-	cycles, done := p.RunUntilHalted(1 << 20)
-	if !done {
-		t.Fatal("did not halt")
-	}
-	if events != cycles {
-		t.Errorf("trace saw %d events over %d cycles; fast-forward must be off under tracing", events, cycles)
 	}
 }

@@ -225,13 +225,6 @@ func (p *Processor) RunGuardedCtx(ctx context.Context, limit int64, opts guard.O
 		Checkers:   checkers,
 		GuardEvery: opts.CheckCadence(),
 		GuardAtEnd: true,
-		// The hook indirects through the field so a hook may disarm
-		// itself mid-run (checkpoint captures do).
-		BlockEnd: func(now int64) {
-			if p.BlockHook != nil {
-				p.BlockHook(now)
-			}
-		},
 		Describe: func(d *guard.Diagnostic) {
 			d.Scheme = p.Cfg.Scheme.String()
 			d.Procs = []guard.ProcState{p.Snapshot()}

@@ -10,9 +10,8 @@ import (
 // Observability integration. The processor registers its counters with a
 // per-processor metrics registry and feeds the event sink from the same
 // three places that mutate slot accounting: count, busySlot and SkipTo.
-// The fast-forward engine stays enabled under instrumentation — unlike the
-// Trace hook, which observes individual cycles and therefore forces
-// stepping — because every hook is defined so a bulk-charged region
+// This is the one way to watch a cycle, and the fast-forward engine stays
+// enabled under it, because every hook is defined so a bulk-charged region
 // produces exactly the samples and events of a stepped one:
 //
 //   - Samples are keyed to cycles (a sample at cycle S reads the counters

@@ -229,16 +229,6 @@ func (c *hwContext) runnable() bool {
 	return c.thread != nil && !c.thread.Halted
 }
 
-// TraceEvent describes how one cycle was spent; the pipeview tool renders
-// sequences of these as Figure 2/3-style timelines.
-type TraceEvent struct {
-	Cycle int64
-	Ctx   int // issuing context, -1 if none
-	Class SlotClass
-	PC    int
-	Inst  string // disassembly, set only for issued instructions
-}
-
 // Processor is one multiple-context processor pipeline.
 type Processor struct {
 	Cfg  Config
@@ -278,14 +268,6 @@ type Processor struct {
 	// thread's Halted by invalidateReady.
 	sel ctxSummary
 
-	// completer is Mem's memsys.Completer view when it has one, resolved
-	// once at construction. capCompletions records whether the memory
-	// system declined to declare pull-based timing, in which case the
-	// fast-forward engine conservatively bounds every skip by the earliest
-	// in-flight completion.
-	completer      memsys.Completer
-	capCompletions bool
-
 	// idealIF records that Mem's instruction fetch is pure (the MP's
 	// ideal I-cache), which lets the fast-forward engine skip dependency
 	// and functional-unit stall regions on monopolizing schemes. countIF is
@@ -296,7 +278,6 @@ type Processor struct {
 	countIF memsys.CountedInstFetch
 
 	Stats Stats
-	Trace func(TraceEvent) // optional per-cycle hook
 	// MemWatch, if set, observes every retired word-width memory
 	// operation (functional value flow); used by tests to audit
 	// synchronization protocols.
@@ -307,13 +288,6 @@ type Processor struct {
 	// hashes architectural state here; the hook fires at the same cycles
 	// with fast-forward on or off, so chains are comparable across modes.
 	SwitchWatch func(now int64, ctx int)
-	// BlockHook, if set, is invoked by RunGuardedCtx between guard
-	// chunks (multiples of the 64-cycle block) with the current cycle.
-	// Chunk boundaries are the single-processor driver's snapshot
-	// points: the machine is settled identically there whether the chunk
-	// stepped or fast-forwarded, so state captured by the hook restores
-	// position-identically. The hook must not advance the processor.
-	BlockHook func(now int64)
 
 	// Observability (metrics.go). obs is nil when disabled, which keeps
 	// the hot path to one nil check; nextSample is MaxInt64 whenever
@@ -336,10 +310,6 @@ func NewProcessor(cfg Config, m memsys.System, fm *mem.Memory) (*Processor, erro
 	}
 	// rr starts at -1 so the first round-robin pick is context 0.
 	p := &Processor{Cfg: cfg, Mem: m, FMem: fm, cur: -1, rr: -1, forceNext: -1, nextSample: noSample}
-	if c, ok := m.(memsys.Completer); ok {
-		p.completer = c
-		p.capCompletions = !c.PullBasedTiming()
-	}
 	if f, ok := m.(memsys.IdealInstFetch); ok {
 		p.idealIF = f.InstFetchIsIdeal()
 	}
@@ -506,14 +476,11 @@ func (p *Processor) count(now int64, cls SlotClass, ctx int) {
 	if p.obs != nil {
 		p.obsCount(now, cls, ctx)
 	}
-	if p.Trace != nil {
-		p.Trace(TraceEvent{Cycle: now, Ctx: ctx, Class: cls})
-	}
 }
 
 // Run advances the processor n cycles, fast-forwarding through stall
-// regions (fastforward.go) unless Cfg.NoFastForward or a Trace hook
-// forces cycle-by-cycle stepping.
+// regions (fastforward.go) unless Cfg.NoFastForward forces cycle-by-cycle
+// stepping.
 func (p *Processor) Run(n int64) {
 	end := p.cycle + n
 	for p.cycle < end {
@@ -818,9 +785,6 @@ func (p *Processor) busySlot(now int64, c *hwContext, th *Thread, in *isa.Inst) 
 	p.Stats.Retired++
 	if p.obs != nil {
 		p.obsIssue(now, cls, c, th)
-	}
-	if p.Trace != nil {
-		p.Trace(TraceEvent{Cycle: now, Ctx: c.idx, Class: cls, PC: th.PC, Inst: in.String()})
 	}
 }
 

@@ -9,23 +9,23 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/prog"
 )
 
-// TestBlockedRunsToMiss: the blocked scheme must not rotate contexts
-// between misses — context 0's instructions run contiguously.
-func TestBlockedRunsToMiss(t *testing.T) {
-	fm := mem.New()
-	p := MustNewProcessor(DefaultConfig(Blocked, 2), perfectMem{}, fm)
-	var order []int
-	p.Trace = func(ev TraceEvent) {
-		if ev.Class == SlotBusy {
-			order = append(order, ev.Ctx)
-		}
-	}
+// busyIssueOrder runs two contexts of n independent adds and a halt each
+// under scheme, fast-forwarded or stepped, and returns the context of every
+// busy issue slot in order, read from the event trace.
+func busyIssueOrder(t *testing.T, scheme Scheme, n int, noFF bool) []int {
+	t.Helper()
+	cfg := DefaultConfig(scheme, 2)
+	cfg.NoFastForward = noFF
+	p := MustNewProcessor(cfg, perfectMem{}, mem.New())
+	col := metrics.NewCollector(metrics.Options{Events: true}, 1)
+	p.AttachMetrics(col.Proc(0))
 	for i := 0; i < 2; i++ {
 		pr := buildProg(t, "w", func(b *prog.Builder) {
-			for j := 0; j < 50; j++ {
+			for j := 0; j < n; j++ {
 				b.Add(isa.R2, isa.R3, isa.R4)
 			}
 			b.Halt()
@@ -33,52 +33,53 @@ func TestBlockedRunsToMiss(t *testing.T) {
 		p.BindThread(i, NewThread("w", pr))
 	}
 	if _, done := p.RunUntilHalted(10_000); !done {
-		t.Fatal("did not finish")
+		t.Fatalf("%v noFF=%v: did not finish", scheme, noFF)
 	}
-	// With no misses at all, context 0 must run to completion before
-	// context 1 issues anything.
-	switches := 0
-	for i := 1; i < len(order); i++ {
-		if order[i] != order[i-1] {
-			switches++
+	var order []int
+	for _, ev := range col.Result().Events {
+		if ev.Kind == metrics.KindIssue && ev.Class == slotNames[SlotBusy] {
+			order = append(order, ev.Ctx)
 		}
 	}
-	if switches != 1 {
-		t.Errorf("blocked scheme switched %d times with no misses, want 1 (at halt)", switches)
+	if len(order) != 2*(n+1) {
+		t.Fatalf("%v noFF=%v: %d busy issues, want %d", scheme, noFF, len(order), 2*(n+1))
+	}
+	return order
+}
+
+// TestBlockedRunsToMiss: the blocked scheme must not rotate contexts
+// between misses — context 0's instructions run contiguously.
+func TestBlockedRunsToMiss(t *testing.T) {
+	for _, noFF := range []bool{false, true} {
+		order := busyIssueOrder(t, Blocked, 50, noFF)
+		// With no misses at all, context 0 must run to completion before
+		// context 1 issues anything.
+		switches := 0
+		for i := 1; i < len(order); i++ {
+			if order[i] != order[i-1] {
+				switches++
+			}
+		}
+		if switches != 1 {
+			t.Errorf("noFF=%v: blocked scheme switched %d times with no misses, want 1 (at halt)", noFF, switches)
+		}
 	}
 }
 
 // TestInterleavedAlternates: with two compute-bound contexts the
 // interleaved scheme alternates every cycle.
 func TestInterleavedAlternates(t *testing.T) {
-	fm := mem.New()
-	p := MustNewProcessor(DefaultConfig(Interleaved, 2), perfectMem{}, fm)
-	var order []int
-	p.Trace = func(ev TraceEvent) {
-		if ev.Class == SlotBusy {
-			order = append(order, ev.Ctx)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		pr := buildProg(t, "w", func(b *prog.Builder) {
-			for j := 0; j < 30; j++ {
-				b.Add(isa.R2, isa.R3, isa.R4)
+	for _, noFF := range []bool{false, true} {
+		order := busyIssueOrder(t, Interleaved, 30, noFF)
+		same := 0
+		for i := 1; i < len(order)-2; i++ { // tail after one halts alternation stops
+			if order[i] == order[i-1] {
+				same++
 			}
-			b.Halt()
-		})
-		p.BindThread(i, NewThread("w", pr))
-	}
-	if _, done := p.RunUntilHalted(10_000); !done {
-		t.Fatal("did not finish")
-	}
-	same := 0
-	for i := 1; i < len(order)-2; i++ { // tail after one halts alternation stops
-		if order[i] == order[i-1] {
-			same++
 		}
-	}
-	if same > 2 {
-		t.Errorf("interleaved scheme repeated a context %d times while both ran", same)
+		if same > 2 {
+			t.Errorf("noFF=%v: interleaved scheme repeated a context %d times while both ran", noFF, same)
+		}
 	}
 }
 

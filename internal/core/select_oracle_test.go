@@ -104,16 +104,16 @@ func scanIdleCause(p *Processor) (SlotClass, int) {
 // for "can anyone issue, and if not, who wakes first".
 func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64, fetches bool) {
 	now := p.cycle
-	if p.Cfg.NoFastForward || p.Trace != nil {
+	if p.Cfg.NoFastForward {
 		return SlotIdle, -1, now, false
 	}
 	switch {
 	case now < p.ifetchUntil:
-		return SlotICache, p.ifetchCtx, p.boundEvent(p.ifetchUntil), false
+		return SlotICache, p.ifetchCtx, p.ifetchUntil, false
 	case now < p.shadowUntil:
-		return SlotSwitch, p.shadowCtx, p.boundEvent(p.shadowUntil), false
+		return SlotSwitch, p.shadowCtx, p.shadowUntil, false
 	case now < p.stallUntil:
-		return p.stallCause, p.stallCtx, p.boundEvent(p.stallUntil), false
+		return p.stallCause, p.stallCtx, p.stallUntil, false
 	}
 	if p.forceNext >= 0 {
 		return SlotIdle, -1, now, false
@@ -140,7 +140,7 @@ func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64, fetches b
 				cls, until = p.hazardRegion(th, &th.insts[th.PC], now)
 			}
 			if until > now {
-				return cls, c.idx, p.boundEvent(until), fetches
+				return cls, c.idx, until, fetches
 			}
 			return SlotIdle, -1, now, false
 		}
@@ -163,7 +163,7 @@ func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64, fetches b
 		}
 	}
 	cls, ctx = scanIdleCause(p)
-	return cls, ctx, p.boundEvent(wake), false
+	return cls, ctx, wake, false
 }
 
 // oracleTally counts how often the interesting paths were compared, so a

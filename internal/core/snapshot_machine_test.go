@@ -154,49 +154,3 @@ func TestSnapshotRestoreAtBlockBoundaries(t *testing.T) {
 		}
 	}
 }
-
-// TestBlockHookCheckpoint drives the per-block hook: a checkpoint
-// captured from inside RunGuardedCtx (between guard chunks) restores
-// into a run indistinguishable from the uninterrupted one.
-func TestBlockHookCheckpoint(t *testing.T) {
-	ref := buildStallMachine(t, Interleaved, 4, false, 5)
-	if _, halted, err := ref.proc.RunGuardedCtx(nil, uniRunLimit, guard.Options{}); err != nil || !halted {
-		t.Fatalf("reference run: halted=%v err=%v", halted, err)
-	}
-	want := ref.outcome()
-
-	a := buildStallMachine(t, Interleaved, 4, false, 5)
-	var ckpt []byte
-	var capturedAt int64
-	a.proc.BlockHook = func(now int64) {
-		if ckpt == nil && now >= 4096 && !a.proc.AllHalted() {
-			capturedAt = now
-			a.proc.BlockHook = nil // one capture is enough
-			ckpt = a.save()
-		}
-	}
-	if _, halted, err := a.proc.RunGuardedCtx(nil, uniRunLimit, guard.Options{}); err != nil || !halted {
-		t.Fatalf("hooked run: halted=%v err=%v", halted, err)
-	}
-	if ckpt == nil {
-		t.Fatal("hook never captured a checkpoint")
-	}
-	if capturedAt%64 != 0 {
-		t.Fatalf("hook fired off the block grid: cycle %d", capturedAt)
-	}
-	if got := a.outcome(); got != want {
-		t.Errorf("hooked run diverges from uninterrupted run")
-	}
-
-	b := buildStallMachine(t, Interleaved, 4, false, 5)
-	b.restore(t, ckpt)
-	if b.proc.Now() != capturedAt {
-		t.Fatalf("restored clock = %d, want %d", b.proc.Now(), capturedAt)
-	}
-	if _, halted, err := b.proc.RunGuardedCtx(nil, uniRunLimit, guard.Options{}); err != nil || !halted {
-		t.Fatalf("restored run: halted=%v err=%v", halted, err)
-	}
-	if got := b.outcome(); got != want {
-		t.Errorf("run restored from the block hook diverges from the uninterrupted run")
-	}
-}

@@ -5,11 +5,11 @@
 // The paper's cycle-exact methodology rests on one invariant: a machine
 // advances in fixed 64-cycle blocks, and every piece of harness
 // bookkeeping — halt checks, watchdog observations, invariant checks,
-// cancellation polls, metrics cell samples, checkpoint hooks — happens
-// only at block boundaries, at the same absolute cycles regardless of
-// how the span was chunked, fast-forwarded, or resumed from a
-// checkpoint. That is what makes fast-forward ON vs OFF, forked vs
-// scratch, and interrupted vs uninterrupted runs byte-identical.
+// cancellation polls, metrics cell samples — happens only at block
+// boundaries, at the same absolute cycles regardless of how the span was
+// chunked, fast-forwarded, or resumed from a checkpoint. That is what
+// makes fast-forward ON vs OFF, forked vs scratch, and interrupted vs
+// uninterrupted runs byte-identical.
 // Implementing the loop once per driver let the copies drift
 // (independently duplicated 64s, diverging watchdog reports, a
 // truncated default window); this package is the one copy.
@@ -64,8 +64,8 @@ func DefaultWatchdogWindow(limitCycles int64) int64 {
 
 // Engine drives one machine in blocks, running the fixed boundary
 // sequence — metrics sample, halt check, cancellation poll, guard
-// (checkpoint hook, watchdog, invariant checks) — at the cycles the
-// configured cadences prescribe. The zero value of every optional field
+// (watchdog, invariant checks) — at the cycles the configured cadences
+// prescribe. The zero value of every optional field
 // disables that boundary stream.
 //
 // Construct one per machine (or per guarded run), set the fields, and
@@ -102,10 +102,6 @@ type Engine struct {
 	// Checkers are invariant checkers polled at every guard boundary, in
 	// order; the first violation aborts the run.
 	Checkers []guard.InvariantChecker
-	// BlockEnd, when non-nil, runs first at every guard boundary — the
-	// checkpoint hook (core.Processor.BlockHook): the machine is settled
-	// on the block grid and safe to serialize.
-	BlockEnd func(now int64)
 	// GuardEvery is the guard-boundary cadence (guard.Options.
 	// CheckCadence); boundaries fall at NextGuard, then every GuardEvery
 	// cycles. With HaltEvery set, guard work lands on the first block
@@ -161,7 +157,7 @@ func (e *Engine) Run(ctx context.Context, start, end int64) (halted bool, err er
 	done := ctx.Done() // nil for context.Background(): detached fast path
 
 	// Specialize the boundary schedule once per span.
-	guardOn := e.Watchdog != nil || e.BlockEnd != nil || len(e.Checkers) > 0
+	guardOn := e.Watchdog != nil || len(e.Checkers) > 0
 	if guardOn && e.NextGuard <= start {
 		e.NextGuard = start + e.GuardEvery
 	}
@@ -222,9 +218,6 @@ func (e *Engine) Run(ctx context.Context, start, end int64) (halted bool, err er
 		}
 		if guardOn && (now >= e.NextGuard || (e.GuardAtEnd && now >= end)) {
 			e.NextGuard = now + e.GuardEvery
-			if e.BlockEnd != nil {
-				e.BlockEnd(now)
-			}
 			if e.Watchdog != nil {
 				e.Arms++
 				if e.Watchdog.Observe(now, e.Progress()) {

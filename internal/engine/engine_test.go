@@ -112,15 +112,22 @@ func TestCancellationLatency(t *testing.T) {
 
 // A detached, unguarded, unobserved run must be one Advance call over
 // the whole span: the engine never constrains the fast-forward engine's
-// bulk skips.
+// bulk skips. A guard cadence with nothing armed at it (no watchdog, no
+// checker — a guarded uniprocessor run with default options) is no
+// boundary either.
 func TestDetachedRunIsOneSpan(t *testing.T) {
-	m := &fakeMachine{}
-	e := &engine.Engine{Advance: m.advance}
-	if halted, err := e.Run(nil, 0, 1_000_000); halted || err != nil {
-		t.Fatalf("halted=%v err=%v", halted, err)
-	}
-	if len(m.spans) != 1 || m.spans[0] != [2]int64{0, 1_000_000} {
-		t.Fatalf("detached spans = %v, want one full-span call", m.spans)
+	for _, e := range []*engine.Engine{
+		{},
+		{GuardEvery: 4096, GuardAtEnd: true, Describe: func(*guard.Diagnostic) {}},
+	} {
+		m := &fakeMachine{}
+		e.Advance = m.advance
+		if halted, err := e.Run(nil, 0, 1_000_000); halted || err != nil {
+			t.Fatalf("halted=%v err=%v", halted, err)
+		}
+		if len(m.spans) != 1 || m.spans[0] != [2]int64{0, 1_000_000} {
+			t.Fatalf("detached spans = %v, want one full-span call", m.spans)
+		}
 	}
 }
 
@@ -185,7 +192,7 @@ func TestGuardBoundarySchedule(t *testing.T) {
 		Advance:    m.advance,
 		GuardEvery: 100,
 		GuardAtEnd: true,
-		BlockEnd:   func(now int64) { ends = append(ends, now) },
+		Checkers:   []guard.InvariantChecker{recordClock(m, &ends)},
 	}
 	if _, err := e.Run(nil, 0, 350); err != nil {
 		t.Fatal(err)
@@ -207,7 +214,7 @@ func TestGuardBoundarySchedule(t *testing.T) {
 		Halted:     m2.halted,
 		HaltEvery:  engine.BlockCycles,
 		GuardEvery: 100,
-		BlockEnd:   func(now int64) { ends = append(ends, now) },
+		Checkers:   []guard.InvariantChecker{recordClock(m2, &ends)},
 	}
 	if _, err := e2.Run(nil, 0, 350); err != nil {
 		t.Fatal(err)
@@ -302,6 +309,15 @@ type checkerFunc func() error
 
 func (f checkerFunc) CheckInvariants() error { return f() }
 
+// recordClock is a checker that never fails and appends m's clock to *at
+// at every guard boundary it is polled at.
+func recordClock(m *fakeMachine, at *[]int64) guard.InvariantChecker {
+	return checkerFunc(func() error {
+		*at = append(*at, m.now)
+		return nil
+	})
+}
+
 // Guard cursors are absolute: resuming a span mid-schedule (the
 // checkpoint restore path) observes the remaining boundaries at the
 // exact cycles the uninterrupted run would.
@@ -320,7 +336,7 @@ func TestAbsoluteCursorsAcrossSpans(t *testing.T) {
 		Halted:     m.halted,
 		HaltEvery:  engine.BlockCycles,
 		GuardEvery: 200,
-		BlockEnd:   func(now int64) { ends = append(ends, now) },
+		Checkers:   []guard.InvariantChecker{recordClock(m, &ends)},
 	}
 	run(e, [][2]int64{{0, 320}, {320, 640}})
 	split := append([]int64(nil), ends...)
@@ -332,7 +348,7 @@ func TestAbsoluteCursorsAcrossSpans(t *testing.T) {
 		Halted:     m2.halted,
 		HaltEvery:  engine.BlockCycles,
 		GuardEvery: 200,
-		BlockEnd:   func(now int64) { ends = append(ends, now) },
+		Checkers:   []guard.InvariantChecker{recordClock(m2, &ends)},
 	}
 	run(e2, [][2]int64{{0, 640}})
 	if len(split) != len(ends) {

@@ -34,7 +34,7 @@ func BenchmarkMemAccess(b *testing.B) {
 		b.ResetTimer()
 		var sum uint32
 		for i := 0; i < b.N; i++ {
-			addr := uint32(i%64)<<PageShift | uint32(i)%pageBytes &^ 3
+			addr := uint32(i%64)<<PageShift | uint32(i)%pageBytes&^3
 			if i&1 == 0 {
 				m.StoreW(addr, uint32(i))
 			} else {

@@ -7,6 +7,19 @@
 // The memory systems in this repository are timing-only: all values live
 // in the functional memory (internal/mem); caches track presence, dirtiness
 // and occupancy to compute latencies.
+//
+// They are also pull-based: every observable state change — a fill
+// installing, a miss register expiring, a NAK retry resolving, a TLB hold
+// ending, a chaos latency draw, directory and sharer updates — happens
+// inside an AccessData or FetchInst call and depends only on that call's
+// cycle. Nothing acts on a clock of its own, and a fill reaches the core
+// only through the DataResult.FillAt or ReadyAt it was returned with. That
+// is why the core's stall fast-forward (internal/core/fastforward.go) is
+// exact: a cycle that makes no call changes nothing here, so a region with
+// no calls in it is skipped whole, to its own end, whatever completes
+// inside it. A memory system with background machinery would break that;
+// the fast-forward on ≡ off equivalence tests, chaos included, hold both
+// implementations to it.
 package memsys
 
 // MissClass classifies where a data access was satisfied. It drives both
@@ -109,29 +122,4 @@ type CountedInstFetch interface {
 	// CountInstFetches accounts n fetches InstFetchHits answered true for,
 	// exactly as n FetchInst calls would have.
 	CountInstFetches(n int64)
-}
-
-// Completer is implemented by memory systems that can report their
-// earliest outstanding completion. The core's stall fast-forward engine
-// consults it when deciding how far the clock may bulk-advance.
-type Completer interface {
-	// NextCompletion returns the cycle of the earliest in-flight fill
-	// completing strictly after now, or math.MaxInt64 when nothing is in
-	// flight.
-	NextCompletion(now int64) int64
-
-	// PullBasedTiming reports whether every observable state change in
-	// this memory system happens inside AccessData/FetchInst calls — i.e.
-	// a completed fill has no effect until the next access touches it
-	// (lazy install), and no background machinery acts on its own clock.
-	//
-	// When true, the fast-forward engine may skip an access-free region
-	// in one jump even if fills complete inside it: the completions are
-	// already priced into the waiters' wake-up times (DataResult.FillAt
-	// flows into context availability), and un-awaited completions are
-	// invisible until the next access, which lands on the same cycle
-	// either way. When false, the engine conservatively stops every skip
-	// at NextCompletion, which is exact for any memory system at the cost
-	// of shorter skips. Both systems in this repository are pull-based.
-	PullBasedTiming() bool
 }

@@ -366,22 +366,18 @@ func TestStateWalkCoversEveryField(t *testing.T) {
 			u.warm()
 			return field(u.proc), u.proc.SaveState
 		}, "Cfg", map[string]string{
-			"Mem":            "wiring to the memory system, which has its own walk",
-			"FMem":           "wiring to the functional memory, which has its own walk",
-			"ID":             "diagnostic attribution, set by the driver",
-			"sel":            "context-selection summary, recomputed from the contexts",
-			"completer":      "probed from Mem at construction",
-			"capCompletions": "probed from Mem at construction",
-			"idealIF":        "probed from Mem at construction",
-			"countIF":        "probed from Mem at construction",
-			"Trace":          "caller's hook",
-			"MemWatch":       "caller's hook",
-			"SwitchWatch":    "caller's hook",
-			"BlockHook":      "caller's hook",
-			"obsSink":        "observability; a processor with obs set refuses to save",
-			"ctxSlots":       "observability; a processor with obs set refuses to save",
-			"nextSample":     "observability; a processor with obs set refuses to save",
-			"sampleEvery":    "observability; a processor with obs set refuses to save",
+			"Mem":         "wiring to the memory system, which has its own walk",
+			"FMem":        "wiring to the functional memory, which has its own walk",
+			"ID":          "diagnostic attribution, set by the driver",
+			"sel":         "context-selection summary, recomputed from the contexts",
+			"idealIF":     "probed from Mem at construction",
+			"countIF":     "probed from Mem at construction",
+			"MemWatch":    "caller's hook",
+			"SwitchWatch": "caller's hook",
+			"obsSink":     "observability; a processor with obs set refuses to save",
+			"ctxSlots":    "observability; a processor with obs set refuses to save",
+			"nextSample":  "observability; a processor with obs set refuses to save",
+			"sampleEvery": "observability; a processor with obs set refuses to save",
 		}},
 		{"core.hwContext", func() (reflect.Value, func(*snapshot.Writer)) {
 			u := newUni(t)

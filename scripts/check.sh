@@ -15,6 +15,13 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 
+# Every Go file is gofmt-formatted.
+if [ -n "$(gofmt -l .)" ]; then
+    gofmt -l . >&2
+    echo "check.sh: the files above are not gofmt-formatted; run gofmt -w" >&2
+    exit 1
+fi
+
 # The cell record format stays behind experiments.Grid: the schedulers
 # outside internal/experiments drive a grid by name and index and never
 # name a per-grid record type, constant, assembler or renderer.
@@ -56,6 +63,17 @@ if [ "$(grep -rn 'FetchInst(' --include='*.go' --exclude='*_test.go' internal/co
 fi
 if grep -rn 'busyStreak' --include='*.go' .; then
     echo "check.sh: busyStreak is back; Run classifies and issues every cycle in one pass" >&2
+    exit 1
+fi
+
+# One way to watch a cycle: the metrics event trace, which runs with
+# fast-forward on. The per-cycle Trace hook, the skip cap for a
+# push-timing memory system (the memory systems are pull-based, see
+# internal/memsys) and the block hook nobody set are gone; so is every
+# name they went by.
+if grep -rnwE 'PullBasedTiming|NextCompletion|capCompletions|BlockHook|BlockEnd|TraceEvent' \
+    --include='*.go' --exclude='*_test.go' .; then
+    echo "check.sh: a removed hook or skip cap is back; observe through internal/metrics" >&2
     exit 1
 fi
 
