@@ -250,6 +250,32 @@ func TestReproducerAsmRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCorpusBuildsPinned pins Program.Fingerprint of the checked-in
+// reproducer's spec under each yield mode: the Builder must link the
+// generator's programs to the same bytes.
+func TestCorpusBuildsPinned(t *testing.T) {
+	rep, err := LoadReproducer(filepath.Join("testdata", "corpus", "fuzz-d6927cc28841f924"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mode prog.YieldMode
+		want uint64
+	}{
+		{prog.YieldNone, 0xa835fa290c8ca7a0},
+		{prog.YieldSwitch, 0x346c7f114b3a2ba7},
+		{prog.YieldBackoff, 0x6a1c59f663c6e0dc},
+	} {
+		p, err := BuildProgram(rep.Spec, c.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Fingerprint(); got != c.want {
+			t.Errorf("yield %v: fingerprint %#016x, want %#016x", c.mode, got, c.want)
+		}
+	}
+}
+
 // TestCheckedInCorpusStillFails: every reproducer under testdata/corpus
 // captures a known-bad program (injected scheme bug); each must keep
 // failing on replay, or the corpus has gone stale.

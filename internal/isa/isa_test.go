@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestRegClassification(t *testing.T) {
 	if R0.IsFP() {
@@ -141,6 +144,80 @@ func TestDisassemblyAllOps(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("disasm = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestEveryOpPinned pins, for every opcode over one operand pattern, the
+// disassembly, the source registers and the destination: what listings,
+// traces and the issue stage's decoded operands read.
+func TestEveryOpPinned(t *testing.T) {
+	want := []string{
+		"nop | - - | -",
+		"add r1, r2, r3 | r2 r3 | r1",
+		"addi r1, r2, -5 | r2 - | r1",
+		"sub r1, r2, r3 | r2 r3 | r1",
+		"and r1, r2, r3 | r2 r3 | r1",
+		"andi r1, r2, -5 | r2 - | r1",
+		"or r1, r2, r3 | r2 r3 | r1",
+		"ori r1, r2, -5 | r2 - | r1",
+		"xor r1, r2, r3 | r2 r3 | r1",
+		"xori r1, r2, -5 | r2 - | r1",
+		"slt r1, r2, r3 | r2 r3 | r1",
+		"slti r1, r2, -5 | r2 - | r1",
+		"sltu r1, r2, r3 | r2 r3 | r1",
+		"lui r1, -5 | - - | r1",
+		"sll r1, r2, -5 | r2 - | r1",
+		"srl r1, r2, -5 | r2 - | r1",
+		"sra r1, r2, -5 | r2 - | r1",
+		"sllv r1, r2, r3 | r2 r3 | r1",
+		"srlv r1, r2, r3 | r2 r3 | r1",
+		"mul r1, r2, r3 | r2 r3 | r1",
+		"div r1, r2, r3 | r2 r3 | r1",
+		"rem r1, r2, r3 | r2 r3 | r1",
+		"divu r1, r2, r3 | r2 r3 | r1",
+		"lw r1, -5(r2) | r2 - | r1",
+		"sw r3, -5(r2) | r2 r3 | -",
+		"fld r1, -5(r2) | r2 - | r1",
+		"fsd r3, -5(r2) | r2 r3 | -",
+		"tas r1, -5(r2) | r2 - | r1",
+		"beq r2, r3, @7 | r2 r3 | -",
+		"bne r2, r3, @7 | r2 r3 | -",
+		"blez r2, @7 | r2 - | -",
+		"bgtz r2, @7 | r2 - | -",
+		"j @7 | - - | -",
+		"jal @7 | - - | r1",
+		"jr r2 | r2 - | -",
+		"fadd r1, r2, r3 | r2 r3 | r1",
+		"fsub r1, r2, r3 | r2 r3 | r1",
+		"fmul r1, r2, r3 | r2 r3 | r1",
+		"fneg r1, r2 | r2 - | r1",
+		"fabs r1, r2 | r2 - | r1",
+		"fcvt r1, r2 | r2 - | r1",
+		"fcmplt r1, r2, r3 | r2 r3 | r1",
+		"fcmple r1, r2, r3 | r2 r3 | r1",
+		"fdivs r1, r2, r3 | r2 r3 | r1",
+		"fdivd r1, r2, r3 | r2 r3 | r1",
+		"fsqrt r1, r2 | r2 - | r1",
+		"mtc1 r1, r2 | r2 - | r1",
+		"mfc1 r1, r2 | r2 - | r1",
+		"switch -5 | - - | -",
+		"backoff -5 | - - | -",
+		"trap -5 | - - | -",
+		"eret | - - | -",
+		"halt | - - | -",
+	}
+	if len(want) != NumOps {
+		t.Fatalf("%d pins for %d opcodes", len(want), NumOps)
+	}
+	for op := Op(0); int(op) < NumOps; op++ {
+		in := Inst{Op: op, Rd: R1, Rs: R2, Rt: R3, Imm: -5, Target: 7}
+		a, b := in.Srcs()
+		if got := fmt.Sprintf("%s | %v %v | %v", in.String(), a, b, in.Dest()); got != want[op] {
+			t.Errorf("op %d: got %q, want %q", op, got, want[op])
+		}
+		if in.HasDest() != (in.Dest() != NoReg) {
+			t.Errorf("%v: HasDest %v, Dest %v", op, in.HasDest(), in.Dest())
 		}
 	}
 }
