@@ -125,8 +125,7 @@ func RenderAsm(s *Spec, mode prog.YieldMode) (string, error) {
 
 	targets := map[int]bool{}
 	for _, in := range p.Insts {
-		switch in.Op {
-		case isa.BEQ, isa.BNE, isa.BLEZ, isa.BGTZ, isa.J, isa.JAL:
+		if in.Op.Info().Form.Has(isa.OperandTarget) {
 			targets[int(in.Target)] = true
 		}
 	}
@@ -143,151 +142,7 @@ func RenderAsm(s *Spec, mode prog.YieldMode) (string, error) {
 				b.WriteString(".region normal\n")
 			}
 		}
-		stmt, err := renderInst(in)
-		if err != nil {
-			return "", fmt.Errorf("fuzz: render inst %d: %w", i, err)
-		}
-		b.WriteString("\t" + stmt + "\n")
+		b.WriteString("\t" + in.Format("L") + "\n")
 	}
 	return b.String(), nil
-}
-
-func regName(r isa.Reg) string {
-	if r.IsFP() {
-		return fmt.Sprintf("f%d", int(r)-32)
-	}
-	return fmt.Sprintf("r%d", int(r))
-}
-
-func renderInst(in isa.Inst) (string, error) {
-	rrr := func(m string) string {
-		return fmt.Sprintf("%s %s, %s, %s", m, regName(in.Rd), regName(in.Rs), regName(in.Rt))
-	}
-	rri := func(m string) string {
-		return fmt.Sprintf("%s %s, %s, %d", m, regName(in.Rd), regName(in.Rs), in.Imm)
-	}
-	rr := func(m string) string {
-		return fmt.Sprintf("%s %s, %s", m, regName(in.Rd), regName(in.Rs))
-	}
-	load := func(m string) string {
-		return fmt.Sprintf("%s %s, %d(%s)", m, regName(in.Rd), in.Imm, regName(in.Rs))
-	}
-	store := func(m string) string {
-		return fmt.Sprintf("%s %s, %d(%s)", m, regName(in.Rt), in.Imm, regName(in.Rs))
-	}
-	br2 := func(m string) string {
-		return fmt.Sprintf("%s %s, %s, L%d", m, regName(in.Rs), regName(in.Rt), in.Target)
-	}
-	br1 := func(m string) string {
-		return fmt.Sprintf("%s %s, L%d", m, regName(in.Rs), in.Target)
-	}
-	switch in.Op {
-	case isa.NOP:
-		return "nop", nil
-	case isa.HALT:
-		return "halt", nil
-	case isa.ERET:
-		return "eret", nil
-	case isa.TRAP:
-		return fmt.Sprintf("trap %d", in.Imm), nil
-	case isa.BACKOFF:
-		return fmt.Sprintf("backoff %d", in.Imm), nil
-	case isa.SWITCH:
-		return fmt.Sprintf("switch %d", in.Imm), nil
-	case isa.ADD:
-		return rrr("add"), nil
-	case isa.SUB:
-		return rrr("sub"), nil
-	case isa.AND:
-		return rrr("and"), nil
-	case isa.OR:
-		return rrr("or"), nil
-	case isa.XOR:
-		return rrr("xor"), nil
-	case isa.SLT:
-		return rrr("slt"), nil
-	case isa.SLTU:
-		return rrr("sltu"), nil
-	case isa.SLLV:
-		return rrr("sllv"), nil
-	case isa.SRLV:
-		return rrr("srlv"), nil
-	case isa.MUL:
-		return rrr("mul"), nil
-	case isa.DIV:
-		return rrr("div"), nil
-	case isa.REM:
-		return rrr("rem"), nil
-	case isa.DIVU:
-		return rrr("divu"), nil
-	case isa.ADDI:
-		return rri("addi"), nil
-	case isa.ANDI:
-		return rri("andi"), nil
-	case isa.ORI:
-		return rri("ori"), nil
-	case isa.XORI:
-		return rri("xori"), nil
-	case isa.SLTI:
-		return rri("slti"), nil
-	case isa.SLL:
-		return rri("sll"), nil
-	case isa.SRL:
-		return rri("srl"), nil
-	case isa.SRA:
-		return rri("sra"), nil
-	case isa.LUI:
-		return fmt.Sprintf("lui %s, %d", regName(in.Rd), in.Imm), nil
-	case isa.LW:
-		return load("lw"), nil
-	case isa.FLD:
-		return load("fld"), nil
-	case isa.TAS:
-		return load("tas"), nil
-	case isa.SW:
-		return store("sw"), nil
-	case isa.FSD:
-		return store("fsd"), nil
-	case isa.BEQ:
-		return br2("beq"), nil
-	case isa.BNE:
-		return br2("bne"), nil
-	case isa.BLEZ:
-		return br1("blez"), nil
-	case isa.BGTZ:
-		return br1("bgtz"), nil
-	case isa.J:
-		return fmt.Sprintf("j L%d", in.Target), nil
-	case isa.JAL:
-		return fmt.Sprintf("jal L%d", in.Target), nil
-	case isa.JR:
-		return fmt.Sprintf("jr %s", regName(in.Rs)), nil
-	case isa.FADD:
-		return rrr("fadd"), nil
-	case isa.FSUB:
-		return rrr("fsub"), nil
-	case isa.FMUL:
-		return rrr("fmul"), nil
-	case isa.FDIVS:
-		return rrr("fdivs"), nil
-	case isa.FDIVD:
-		return rrr("fdivd"), nil
-	case isa.FCMPLT:
-		return rrr("fcmplt"), nil
-	case isa.FCMPLE:
-		return rrr("fcmple"), nil
-	case isa.FNEG:
-		return rr("fneg"), nil
-	case isa.FABS:
-		return rr("fabs"), nil
-	case isa.FSQRT:
-		return rr("fsqrt"), nil
-	case isa.FCVTIW:
-		return rr("fcvt"), nil
-	case isa.MTC1:
-		return rr("mtc1"), nil
-	case isa.MFC1:
-		return rr("mfc1"), nil
-	}
-	return "", fmt.Errorf("no assembler syntax for op %v", in.Op)
 }

@@ -104,37 +104,12 @@ var timings = [NumClasses]Timing{
 // TimingOf returns the issue/latency/unit timing for a class.
 func TimingOf(c Class) Timing { return timings[c] }
 
-var opClasses = [NumOps]Class{
-	NOP:  ClassNop,
-	ADD:  ClassIntALU,
-	ADDI: ClassIntALU, SUB: ClassIntALU,
-	AND: ClassIntALU, ANDI: ClassIntALU, OR: ClassIntALU, ORI: ClassIntALU,
-	XOR: ClassIntALU, XORI: ClassIntALU,
-	SLT: ClassIntALU, SLTI: ClassIntALU, SLTU: ClassIntALU, LUI: ClassIntALU,
-	SLL: ClassShift, SRL: ClassShift, SRA: ClassShift,
-	SLLV: ClassShift, SRLV: ClassShift,
-	MUL: ClassIntMul, DIV: ClassIntDiv, REM: ClassIntDiv, DIVU: ClassIntDiv,
-	LW: ClassLoad, SW: ClassStore, FLD: ClassLoad, FSD: ClassStore,
-	TAS: ClassAtomic,
-	BEQ: ClassBranch, BNE: ClassBranch, BLEZ: ClassBranch, BGTZ: ClassBranch,
-	J: ClassBranch, JAL: ClassBranch, JR: ClassBranch,
-	FADD: ClassFPAdd, FSUB: ClassFPAdd, FMUL: ClassFPAdd,
-	FNEG: ClassFPAdd, FABS: ClassFPAdd, FCVTIW: ClassFPAdd,
-	FCMPLT: ClassFPAdd, FCMPLE: ClassFPAdd,
-	FDIVS: ClassFPDivS, FDIVD: ClassFPDivD, FSQRT: ClassFPDivD,
-	MTC1: ClassMove, MFC1: ClassMove,
-	SWITCH: ClassSwitch, BACKOFF: ClassBackoff,
-	TRAP: ClassBranch, ERET: ClassBranch, HALT: ClassHalt,
-}
-
-// ClassOf returns the timing class of an opcode.
-func ClassOf(op Op) Class { return opClasses[op] }
-
 // Timing returns the issue/latency/unit timing of the opcode.
-func (o Op) Timing() Timing { return timings[opClasses[o]] }
+func (o Op) Timing() Timing { return timings[ops[o].Class] }
 
-// Class returns the timing class of the opcode.
-func (o Op) Class() Class { return opClasses[o] }
+// Class returns the timing class of the opcode (its row of the opcode
+// table).
+func (o Op) Class() Class { return ops[o].Class }
 
 // LongLatencyThreshold separates "short" pipeline-dependency stalls from
 // "long" ones in the multiprocessor breakdowns: the paper labels stalls of

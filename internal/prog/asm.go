@@ -20,6 +20,11 @@ package prog
 //	fadd  f1, f2, f3              FP registers are f0-f31
 //	backoff 20                    latency-tolerance instructions
 //	halt
+//
+// An instruction's operands are those of its opcode's form in the opcode
+// table (internal/isa), so every line Inst.Format writes with label
+// targets assembles back to the same instruction; li, la and move are
+// pseudo-instructions.
 
 import (
 	"fmt"
@@ -228,6 +233,9 @@ func parseMem(s string) (isa.Reg, int32, error) {
 	return base, disp, nil
 }
 
+// instruction assembles one instruction: the operands of its opcode's
+// form (isa.Form.Syntax), in order, through the Builder's checked emit
+// path. Only the pseudo-instructions are special.
 func (a *assembler) instruction(s string) error {
 	mnem, rest, _ := strings.Cut(s, " ")
 	mnem = strings.ToLower(strings.TrimSpace(mnem))
@@ -237,247 +245,64 @@ func (a *assembler) instruction(s string) error {
 			ops = append(ops, strings.TrimSpace(o))
 		}
 	}
-	b := a.b
-
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s needs %d operands, got %d", mnem, n, len(ops))
-		}
-		return nil
+	if mnem == "li" || mnem == "la" || mnem == "move" {
+		return a.pseudo(mnem, ops)
 	}
-	regs := func(idx ...int) ([]isa.Reg, error) {
-		out := make([]isa.Reg, len(idx))
-		for i, j := range idx {
-			r, err := parseReg(ops[j])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
+	op, ok := isa.Lookup(mnem)
+	if !ok {
+		return fmt.Errorf("unknown mnemonic %q", mnem)
 	}
-
-	// Three-register ops.
-	rrr := map[string]func(rd, rs, rt isa.Reg){
-		"add": b.Add, "sub": b.Sub, "and": b.And, "or": b.Or, "xor": b.Xor,
-		"slt": b.Slt, "sltu": b.Sltu, "sllv": b.Sllv, "srlv": b.Srlv,
-		"mul": b.Mul, "div": b.Div, "rem": b.Rem, "divu": b.Divu,
-		"fadd": b.FAdd, "fsub": b.FSub, "fmul": b.FMul,
-		"fdivs": b.FDivS, "fdivd": b.FDivD,
-		"fcmplt": b.FCmpLt, "fcmple": b.FCmpLe,
+	syntax := op.Info().Form.Syntax()
+	if len(ops) != len(syntax) {
+		return fmt.Errorf("%s needs %d operands, got %d", mnem, len(syntax), len(ops))
 	}
-	if f, ok := rrr[mnem]; ok {
-		if err := need(3); err != nil {
-			return err
+	in, label := isa.Inst{Op: op}, ""
+	for k, o := range syntax {
+		var err error
+		switch o {
+		case isa.OperandImm:
+			in.Imm, err = parseInt(ops[k])
+		case isa.OperandMem:
+			in.Rs, in.Imm, err = parseMem(ops[k])
+		case isa.OperandTarget:
+			label = ops[k]
+		default:
+			*in.Field(o), err = parseReg(ops[k])
 		}
-		r, err := regs(0, 1, 2)
 		if err != nil {
 			return err
 		}
-		f(r[0], r[1], r[2])
-		return nil
 	}
-
-	// Register-register-immediate ops.
-	rri := map[string]func(rd, rs isa.Reg, imm int32){
-		"addi": b.Addi, "andi": b.Andi, "ori": b.Ori, "xori": b.Xori,
-		"slti": b.Slti, "sll": b.Sll, "srl": b.Srl, "sra": b.Sra,
-	}
-	if f, ok := rri[mnem]; ok {
-		if err := need(3); err != nil {
-			return err
-		}
-		r, err := regs(0, 1)
-		if err != nil {
-			return err
-		}
-		imm, err := parseInt(ops[2])
-		if err != nil {
-			return err
-		}
-		f(r[0], r[1], imm)
-		return nil
-	}
-
-	// Two-register ops.
-	rr := map[string]func(rd, rs isa.Reg){
-		"move": b.Move, "fneg": b.FNeg, "fabs": b.FAbs, "fsqrt": b.FSqrt,
-		"fcvt": b.FCvt, "mtc1": b.Mtc1, "mfc1": b.Mfc1,
-	}
-	if f, ok := rr[mnem]; ok {
-		if err := need(2); err != nil {
-			return err
-		}
-		r, err := regs(0, 1)
-		if err != nil {
-			return err
-		}
-		f(r[0], r[1])
-		return nil
-	}
-
-	// Memory ops.
-	memOps := map[string]func(r, base isa.Reg, off int32){
-		"lw": b.Lw, "sw": b.Sw, "fld": b.Fld, "fsd": b.Fsd, "tas": b.Tas,
-	}
-	if f, ok := memOps[mnem]; ok {
-		if err := need(2); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		base, disp, err := parseMem(ops[1])
-		if err != nil {
-			return err
-		}
-		f(r, base, disp)
-		return nil
-	}
-
-	// Branches.
-	switch mnem {
-	case "beq", "bne":
-		if err := need(3); err != nil {
-			return err
-		}
-		r, err := regs(0, 1)
-		if err != nil {
-			return err
-		}
-		if mnem == "beq" {
-			b.Beq(r[0], r[1], ops[2])
-		} else {
-			b.Bne(r[0], r[1], ops[2])
-		}
-		return nil
-	case "blez", "bgtz":
-		if err := need(2); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		if mnem == "blez" {
-			b.Blez(r, ops[1])
-		} else {
-			b.Bgtz(r, ops[1])
-		}
-		return nil
-	case "j", "jal":
-		if err := need(1); err != nil {
-			return err
-		}
-		if mnem == "j" {
-			b.J(ops[0])
-		} else {
-			b.Jal(ops[0])
-		}
-		return nil
-	case "jr":
-		if err := need(1); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		b.Jr(r)
-		return nil
-	case "li":
-		if err := need(2); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, err := parseInt(ops[1])
-		if err != nil {
-			return err
-		}
-		b.Li(r, uint32(imm))
-		return nil
-	case "la":
-		if err := need(2); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		addr, err := a.symbolAddr(ops[1])
-		if err != nil {
-			return err
-		}
-		b.La(r, addr)
-		return nil
-	case "lui":
-		if err := need(2); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, err := parseInt(ops[1])
-		if err != nil {
-			return err
-		}
-		b.Lui(r, imm)
-		return nil
-	case "backoff", "switch":
-		if err := need(1); err != nil {
-			return err
-		}
-		imm, err := parseInt(ops[0])
-		if err != nil {
-			return err
-		}
-		// Emit the named instruction directly regardless of yield mode.
-		op := isa.BACKOFF
-		if mnem == "switch" {
-			op = isa.SWITCH
-		}
-		a.emitRaw(isa.Inst{Op: op, Imm: imm})
-		return nil
-	case "trap":
-		if err := need(1); err != nil {
-			return err
-		}
-		imm, err := parseInt(ops[0])
-		if err != nil {
-			return err
-		}
-		b.Trap(imm)
-		return nil
-	case "eret":
-		if err := need(0); err != nil {
-			return err
-		}
-		b.Eret()
-		return nil
-	case "nop":
-		if err := need(0); err != nil {
-			return err
-		}
-		b.Nop()
-		return nil
-	case "halt":
-		if err := need(0); err != nil {
-			return err
-		}
-		b.Halt()
-		return nil
-	}
-	return fmt.Errorf("unknown mnemonic %q", mnem)
+	a.b.inst(in, label)
+	return nil
 }
 
-// emitRaw appends an instruction with the current region tag, bypassing
-// the yield-mode indirection (used for explicit backoff/switch mnemonics).
-func (a *assembler) emitRaw(in isa.Inst) {
-	in.Region = a.b.region
-	a.b.insts = append(a.b.insts, in)
+// pseudo assembles the pseudo-instructions: li r, CONST and la r, SYMBOL
+// (one or two instructions, Builder.Li) and move rd, rs (an or with r0).
+func (a *assembler) pseudo(mnem string, ops []string) error {
+	if len(ops) != 2 {
+		return fmt.Errorf("%s needs 2 operands, got %d", mnem, len(ops))
+	}
+	rd, err := parseReg(ops[0])
+	if err != nil {
+		return err
+	}
+	switch mnem {
+	case "li":
+		var v int32
+		if v, err = parseInt(ops[1]); err == nil {
+			a.b.Li(rd, uint32(v))
+		}
+	case "la":
+		var addr uint32
+		if addr, err = a.symbolAddr(ops[1]); err == nil {
+			a.b.La(rd, addr)
+		}
+	default:
+		var rs isa.Reg
+		if rs, err = parseReg(ops[1]); err == nil {
+			a.b.Move(rd, rs)
+		}
+	}
+	return err
 }
