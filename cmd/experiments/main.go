@@ -2,11 +2,12 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-j N] [-only table7,table10,table4,fig2,fig3,fig6,fig7,fig8,fig9,ablations,sweeps,response]
+//	experiments [-quick] [-j N] [-only table7,table10,...]
 //	experiments [-quick] [-j N] -subjects DC,ocean [-schemes interleaved] [-contexts 2,4]
 //
 // With no -only flag every experiment runs (a few minutes at full scale;
-// seconds with -quick). Independent simulation cells fan out across -j
+// seconds with -quick); -h lists the names -only takes, and any other
+// name is a usage error. Independent simulation cells fan out across -j
 // workers (default: all CPUs); -j 1 is the serial path. Output is
 // byte-identical at every -j.
 //

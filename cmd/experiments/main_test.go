@@ -191,6 +191,7 @@ func TestBadSubsetExitsUsage(t *testing.T) {
 		{"-contexts", "0"},
 		{"-schemes", "single"},
 		{"-subjects", "DC", "-only", "table10"},
+		{"-quick", "-only", "tabel7"},
 	} {
 		if code, _, _ := capture(t, args...); code != experiments.ExitUsage {
 			t.Errorf("%v: exit code %d, want %d", args, code, experiments.ExitUsage)

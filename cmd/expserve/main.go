@@ -189,7 +189,8 @@ func runSubmit(args []string) int {
 	}
 	spec, err := buildSpec(gf)
 	if err != nil {
-		return die(err)
+		fmt.Fprintln(os.Stderr, "expserve submit:", err)
+		return experiments.ExitUsage
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -69,9 +69,19 @@ func TestBuildSpecSubmitsOnlyWhatTheSelectionRuns(t *testing.T) {
 			t.Errorf("%v: submit fingerprint %s, experiments %s", args, got, want)
 		}
 	}
-	for _, args := range [][]string{{"-only", "table4"}, {"-only", "sweeps,fig2"}, {"-subjects", "nosuch"}, {"-contexts", "0"}} {
+	for _, args := range [][]string{{"-only", "table4"}, {"-only", "sweeps,fig2"}, {"-only", "tabel7"}, {"-subjects", "nosuch"}, {"-contexts", "0"}} {
 		if _, err := buildSpec(gridFlags(t, args...)); err == nil {
 			t.Errorf("%v built a spec", args)
+		}
+	}
+}
+
+// A selection submit cannot resolve is a usage error, reported before the
+// coordinator is contacted.
+func TestSubmitBadSelectionExitsUsage(t *testing.T) {
+	for _, only := range []string{"tabel7", "table4"} {
+		if code := run([]string{"submit", "-coordinator", "http://127.0.0.1:1", "-only", only}); code != experiments.ExitUsage {
+			t.Errorf("submit -only %s returned %d, want %d", only, code, experiments.ExitUsage)
 		}
 	}
 }

@@ -35,7 +35,7 @@ type GridFlags struct {
 func BindGridFlags(fs *flag.FlagSet) *GridFlags {
 	f := &GridFlags{}
 	fs.BoolVar(&f.Quick, "quick", false, "reduced problem sizes (seconds instead of minutes)")
-	fs.StringVar(&f.Only, "only", "", "comma-separated subset of experiments to run")
+	fs.StringVar(&f.Only, "only", "", "comma-separated subset of experiments to run ("+strings.Join(Sections, " ")+")")
 	fs.IntVar(&f.Jobs, "j", runtime.NumCPU(), "concurrent simulation cells (1 = serial)")
 	fs.StringVar(&f.Subjects, "subjects", "", "subset grid: comma-separated workload mixes ("+
 		strings.Join(WorkloadOrder, " ")+") and applications ("+strings.Join(MPAppOrder, " ")+")")
@@ -50,8 +50,8 @@ func BindGridFlags(fs *flag.FlagSet) *GridFlags {
 // configs; an empty -only then selects the sections of every grid that
 // kept a subject, so a grid none of whose subjects is named is left
 // out. A subset run is a grid run only: -only may then name grid
-// sections alone, of grids that kept a subject. Every error is a usage
-// error.
+// sections alone, of grids that kept a subject. -only may name nothing
+// outside Sections. Every error is a usage error.
 func (f *GridFlags) Resolve() (only []string, uni UniConfig, mp MPConfig, err error) {
 	uni, mp = DefaultUniConfig(), DefaultMPConfig()
 	if f.Quick {
@@ -59,6 +59,11 @@ func (f *GridFlags) Resolve() (only []string, uni UniConfig, mp MPConfig, err er
 	}
 	uni.Parallelism, mp.Parallelism = f.Jobs, f.Jobs
 	only = ParseOnly(f.Only)
+	for _, name := range only {
+		if !slices.Contains(Sections, name) {
+			return nil, uni, mp, fmt.Errorf("-only: unknown experiment %q (have %s)", name, strings.Join(Sections, " "))
+		}
+	}
 	if f.Subjects == "" && f.Schemes == "" && f.Contexts == "" {
 		return only, uni, mp, nil
 	}

@@ -89,6 +89,29 @@ func TestGridFlagsSubsetGrids(t *testing.T) {
 	}
 }
 
+// -only takes the names in Sections and nothing else: a misspelt name is
+// a usage error that lists the valid ones, not a run that selects nothing.
+func TestGridFlagsRejectUnknownSections(t *testing.T) {
+	for _, args := range [][]string{
+		{"-only", "tabel7"},
+		{"-quick", "-only", "table7,fig10"},
+		{"-subjects", "DC", "-only", "nosuch"},
+	} {
+		_, _, _, err := resolveArgs(args...)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") || !strings.Contains(err.Error(), strings.Join(Sections, " ")) {
+			t.Errorf("%v: error %v, want an unknown experiment listing %v", args, err, Sections)
+		}
+	}
+	for _, name := range Sections {
+		if only, _, _, err := resolveArgs("-only", name); err != nil || len(only) != 1 {
+			t.Errorf("-only %s: %v, %v", name, only, err)
+		}
+	}
+	if want := []string{"table7", "fig6", "fig7", "table10", "fig8", "fig9"}; !reflect.DeepEqual(GridSections, want) {
+		t.Errorf("GridSections = %v, want %v", GridSections, want)
+	}
+}
+
 func TestGridFlagsRejectBadSubsets(t *testing.T) {
 	for _, c := range []struct {
 		args []string

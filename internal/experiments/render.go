@@ -6,9 +6,12 @@ import (
 )
 
 // GridSections are the section names backed by the two grids — the
-// subset of cmd/experiments' -only vocabulary a distributed job can
-// request.
-var GridSections = []string{"table7", "fig6", "fig7", "table10", "fig8", "fig9"}
+// subset of the -only vocabulary a distributed job can request.
+var GridSections = append(workstationGrid.sectionNames(), multiprocessorGrid.sectionNames()...)
+
+// Sections is the whole -only vocabulary, in the order cmd/experiments
+// runs it: the grid sections and the experiments outside a grid.
+var Sections = slices.Concat([]string{"table4", "fig2", "fig3"}, GridSections, []string{"ablations", "response", "sweeps"})
 
 // IsGridSection reports whether name is one of GridSections.
 func IsGridSection(name string) bool { return slices.Contains(GridSections, name) }
