@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/guard"
+	"repro/internal/snapshot"
 )
 
 // This file is the processor's side of the simulation-hardening layer
@@ -13,26 +14,18 @@ import (
 // invariant checking, and a guarded run loop with a liveness watchdog.
 
 // HashArchState folds the thread's architectural state — registers, PC,
-// and halt status — into a running FNV-1a digest h (seed with
-// guard-style callers' mem.Memory Hash, or the FNV offset basis).
+// and halt status — into a running FNV-1a digest h (snapshot.Fold; seed
+// with guard-style callers' mem.Memory Hash, or snapshot.FNVOffset).
 // Chaos-mode tests combine these with the memory digest to assert that
 // timing perturbation never changes architectural results.
 func (t *Thread) HashArchState(h uint64) uint64 {
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= 1099511628211 // FNV prime
-			v >>= 8
-		}
-	}
-	mix(uint64(uint32(t.PC)))
+	halted := uint64(0)
 	if t.Halted {
-		mix(1)
-	} else {
-		mix(0)
+		halted = 1
 	}
+	h = snapshot.Fold(snapshot.Fold(h, uint64(uint32(t.PC))), halted)
 	for _, r := range t.Regs {
-		mix(r)
+		h = snapshot.Fold(h, r)
 	}
 	return h
 }

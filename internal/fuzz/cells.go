@@ -139,17 +139,6 @@ type CellResult struct {
 // chains exist to localize divergence, not to archive every switch.
 const maxChain = 2048
 
-const fnvOffset = 14695981039346656037
-
-func mixU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xFF
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
-}
-
 // recorder accumulates the switch-point hash chain for one cell.
 type recorder struct {
 	chain    []uint64
@@ -163,28 +152,28 @@ func (r *recorder) observe(m *mem.Memory, th *core.Thread, proc, ctx int, now in
 	if len(r.chain) >= maxChain {
 		return
 	}
-	h := mixU64(fnvOffset, uint64(now))
-	h = mixU64(h, uint64(proc)<<32|uint64(uint32(ctx)))
-	h = mixU64(h, m.Hash())
+	h := snapshot.Fold(snapshot.FNVOffset, uint64(now))
+	h = snapshot.Fold(h, uint64(proc)<<32|uint64(uint32(ctx)))
+	h = snapshot.Fold(h, m.Hash())
 	r.chain = append(r.chain, th.HashArchState(h))
 }
 
 // cleanHash digests the ordering-independent architectural state: PC,
 // halt flag, and every register except the quarantined spin scratch.
 func cleanHash(ths []*core.Thread) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(snapshot.FNVOffset)
 	for _, th := range ths {
-		h = mixU64(h, uint64(uint32(th.PC)))
+		h = snapshot.Fold(h, uint64(uint32(th.PC)))
 		if th.Halted {
-			h = mixU64(h, 1)
+			h = snapshot.Fold(h, 1)
 		} else {
-			h = mixU64(h, 0)
+			h = snapshot.Fold(h, 0)
 		}
 		for r, v := range th.Regs {
 			if DirtyRegs[isa.Reg(r)] {
 				continue
 			}
-			h = mixU64(h, v)
+			h = snapshot.Fold(h, v)
 		}
 	}
 	return h

@@ -169,17 +169,13 @@ type StateHasher interface {
 }
 
 // MachineHash folds per-layer state digests into one machine-state hash
-// (FNV-1a over the layer digests, in argument order). Drivers fold their
-// layers in a fixed order — functional memory, then the memory system,
-// then architectural state — so equal hashes mean equal machines.
+// (snapshot.Fold over the layer digests, in argument order). Drivers fold
+// their layers in a fixed order — functional memory, then the memory
+// system, then architectural state — so equal hashes mean equal machines.
 func MachineHash(layers ...uint64) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(snapshot.FNVOffset)
 	for _, v := range layers {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= 1099511628211
-			v >>= 8
-		}
+		h = snapshot.Fold(h, v)
 	}
 	return h
 }

@@ -10,6 +10,8 @@ package mem
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/snapshot"
 )
 
 const (
@@ -165,22 +167,14 @@ func (m *Memory) Hash() uint64 {
 		pns = append(pns, pn)
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	h := uint64(14695981039346656037) // FNV offset basis
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= 1099511628211 // FNV prime
-			v >>= 8
-		}
-	}
+	h := uint64(snapshot.FNVOffset)
 	for _, pn := range pns {
 		p := m.pages[pn]
 		for i, cell := range p {
 			if cell == 0 {
 				continue
 			}
-			mix(uint64(pn)<<16 | uint64(i))
-			mix(cell)
+			h = snapshot.Fold(snapshot.Fold(h, uint64(pn)<<16|uint64(i)), cell)
 		}
 	}
 	return h

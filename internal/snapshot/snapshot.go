@@ -59,18 +59,30 @@ var (
 	ErrMismatch = errors.New("snapshot: wrong snapshot")
 )
 
-// fnv1a is the repo-wide hash convention (same constants as
-// mem.Memory.Hash and core.Thread.HashArchState).
+// FNV-1a is the repo-wide hash convention, and this package owns it:
+// StateHash folds bytes and Fold folds 64-bit words, each from FNVOffset.
+// mem.Memory.Hash, core.Thread.HashArchState, guard.MachineHash and the
+// fuzzer's state chains are Folds.
 const (
-	fnvOffset = 14695981039346656037
+	FNVOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
+
+// Fold folds v into the running FNV-1a digest h, one byte at a time from
+// the least significant.
+func Fold(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xFF) * fnvPrime
+		v >>= 8
+	}
+	return h
+}
 
 // StateHash hashes a serialized snapshot (FNV-1a over every byte).
 // Because the encoding is deterministic, equal hashes mean equal
 // machine state for snapshots of the same kind.
 func StateHash(data []byte) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(FNVOffset)
 	for _, b := range data {
 		h = (h ^ uint64(b)) * fnvPrime
 	}

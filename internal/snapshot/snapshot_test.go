@@ -322,7 +322,7 @@ func TestStateHashDeterministic(t *testing.T) {
 	if a == c {
 		t.Error("StateHash collision on adjacent payloads")
 	}
-	if StateHash(nil) != fnvOffset {
+	if StateHash(nil) != FNVOffset {
 		t.Error("StateHash(nil) must be the FNV offset basis")
 	}
 }
