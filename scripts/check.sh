@@ -87,6 +87,26 @@ if grep -rn '0xBF58476D1CE4E5B9' --include='*.go' --exclude='*_test.go' . |
     exit 1
 fi
 
+# One opcode table: internal/isa holds a row per opcode (mnemonic,
+# operand form, register classes, immediate range, timing class), and the
+# assembler, the disassembler, the Builder's operand checks and the fuzz
+# reproducer read it. A mnemonic that names nothing but an opcode, spelled
+# as a string anywhere else, is a second copy of the instruction set.
+if grep -rnE '"(mtc1|fcmplt|sltu|fdivd)"' --include='*.go' --exclude='*_test.go' . |
+    grep -v '^./internal/isa/'; then
+    echo "check.sh: an opcode mnemonic is spelled outside internal/isa; read it from the opcode table" >&2
+    exit 1
+fi
+
+# One FNV-1a: internal/snapshot owns the constants, StateHash (bytes) and
+# Fold (64-bit words); memory, architectural-state, machine and fuzz
+# hashes are Folds. The prime anywhere else is a second copy.
+if grep -rn '1099511628211' --include='*.go' --exclude='*_test.go' . |
+    grep -v '^./internal/snapshot/snapshot.go:'; then
+    echo "check.sh: a second FNV-1a; fold with snapshot.Fold" >&2
+    exit 1
+fi
+
 # The sweep planner opens a checkpoint once (snapshot.Open) and forks
 # every cell of the group from that image (workstation.ResumeImageCtx).
 # snapshot.Decode and workstation.ResumeCtx verify the container on
