@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -103,6 +105,55 @@ func capture(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	outDone, errDone := read(&os.Stdout), read(&os.Stderr)
 	code = run(args)
 	return code, outDone(), errDone()
+}
+
+// studySections are the -only names outside the two grids, in run order.
+var studySections = []string{"table4", "fig2", "fig3", "ablations", "response", "sweeps"}
+
+// The sections outside the grids print pinned bytes and dump a pinned
+// -json at every -j, and running them one -only name at a time prints
+// the same bytes as running them together: the vocabulary and the
+// dispatch agree.
+func TestStudySectionsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const (
+		wantStdout = "95723c4d56a9ffdc89a7c0b535948d3fd566d4ccd9dfdafb1918bc15735487d0"
+		wantJSON   = "56235829c8415a526045ba01dff3079d4d3701e0426e13e502386307b6bdcc3e"
+	)
+	sum := func(b []byte) string {
+		s := sha256.Sum256(b)
+		return hex.EncodeToString(s[:])
+	}
+	for _, j := range []string{"1", "8"} {
+		jsonPath := filepath.Join(t.TempDir(), "out.json")
+		code, out, errOut := capture(t, "-quick", "-only", strings.Join(studySections, ","), "-j", j, "-json", jsonPath)
+		if code != 0 {
+			t.Fatalf("-j %s: exit code %d; stderr:\n%s", j, code, errOut)
+		}
+		if got := sum([]byte(out)); got != wantStdout {
+			t.Errorf("-j %s: stdout sha256 %s, want %s", j, got, wantStdout)
+		}
+		data, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sum(data); got != wantJSON {
+			t.Errorf("-j %s: -json sha256 %s, want %s", j, got, wantJSON)
+		}
+	}
+	var cat strings.Builder
+	for _, name := range studySections {
+		code, out, errOut := capture(t, "-quick", "-only", name, "-j", "8")
+		if code != 0 {
+			t.Fatalf("-only %s: exit code %d; stderr:\n%s", name, code, errOut)
+		}
+		cat.WriteString(out)
+	}
+	if got := sum([]byte(cat.String())); got != wantStdout {
+		t.Errorf("the single-name runs concatenated: sha256 %s, want %s", got, wantStdout)
+	}
 }
 
 // subsetDC is a three-cell subset grid: DC's baseline, interleaved/2 and
