@@ -329,9 +329,13 @@ func IssueWidthSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 		return w
 	}
 	widths := []int{1, 2, 4}
+	// Per width, the single-context cell then the interleaved one; the
+	// width-1 single-context cell is the baseline itself.
 	configs := []workstation.Config{mk(core.Single, 1, 1)}
 	for _, width := range widths {
-		configs = append(configs, mk(core.Single, 1, width))
+		if width > 1 {
+			configs = append(configs, mk(core.Single, 1, width))
+		}
 		configs = append(configs, mk(core.Interleaved, 4, width))
 	}
 	// The issue width changes the slot accounting from cycle zero —
@@ -348,10 +352,10 @@ func IssueWidthSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 	}
 	for wi, width := range widths {
 		res.Series["single"] = append(res.Series["single"], SweepPoint{
-			X: float64(width), Label: fmt.Sprintf("%d", width), Gain: thr[1+2*wi] / base,
+			X: float64(width), Label: fmt.Sprintf("%d", width), Gain: thr[2*wi] / base,
 		})
 		res.Series["interleaved (4 ctx)"] = append(res.Series["interleaved (4 ctx)"], SweepPoint{
-			X: float64(width), Label: fmt.Sprintf("%d", width), Gain: thr[2+2*wi] / base,
+			X: float64(width), Label: fmt.Sprintf("%d", width), Gain: thr[2*wi+1] / base,
 		})
 	}
 	return res, nil
