@@ -9,6 +9,7 @@
 package interleave_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -186,7 +187,7 @@ func BenchmarkAblations(b *testing.B) {
 	var r *experiments.AblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.RunAblations(cfg)
+		r, err = experiments.RunAblationsCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func BenchmarkSweepIssueWidth(b *testing.B) {
 	var r *experiments.SweepResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.IssueWidthSweep(cfg, "R1")
+		r, err = experiments.IssueWidthSweepCtx(context.Background(), cfg, "R1")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func BenchmarkSweepSwitchCost(b *testing.B) {
 	var r *experiments.SweepResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.SwitchCostSweep(cfg, "DC")
+		r, err = experiments.SwitchCostSweepCtx(context.Background(), cfg, "DC")
 		if err != nil {
 			b.Fatal(err)
 		}

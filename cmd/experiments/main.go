@@ -39,6 +39,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,7 +54,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/guard"
 	"repro/internal/metrics"
@@ -213,150 +213,47 @@ func run(args []string) (code int) {
 		}
 	}
 
-	if sel("table4") {
-		r, err := experiments.Table4()
-		if err != nil {
-			return fail(err)
-		}
-		jsonBlob["table4"] = r
-		fmt.Println(experiments.FormatTable4(r))
-		fmt.Println()
-	}
-
-	if sel("fig2") || sel("fig3") {
-		if sel("fig2") {
-			b, i, err := experiments.Figure2()
-			if err != nil {
-				return fail(err)
-			}
-			fmt.Println("Figure 2: switch cost of a data miss with four active contexts")
-			fmt.Printf("(blocked pays %d switch slots, interleaved %d)\n\n",
-				b.Stats.Slots[core.SlotSwitch], i.Stats.Slots[core.SlotSwitch])
-			fmt.Print(experiments.FormatTimeline(b))
-			fmt.Print(experiments.FormatTimeline(i))
-			fmt.Println()
-		}
-		if sel("fig3") {
-			b, i, err := experiments.Figure3()
-			if err != nil {
-				return fail(err)
-			}
-			fmt.Println("Figure 3: four example threads (A:2, B:3 with dependency, C:4, D:6 insns),")
-			fmt.Println("each ending in a cache miss")
-			fmt.Println()
-			fmt.Print(experiments.FormatTimeline(b))
-			fmt.Print(experiments.FormatTimeline(i))
-			fmt.Printf("\nblocked finishes in %d cycles, interleaved in %d\n\n", b.Cycles, i.Cycles)
-		}
-	}
-
-	// Each grid prints its sections through its own renderer, the one a
-	// distributed run of the same grid assembles with, so the two agree
-	// byte for byte.
+	// Walk the vocabulary in order. A grid runs once, at the first of its
+	// sections the selection names, and prints its selected sections
+	// through its own renderer — the one a distributed run of the same
+	// grid assembles with, so the two agree byte for byte. Every other
+	// section runs its row. Once the run is interrupted nothing more
+	// starts: a grid already running drains and renders SKIP cells.
+	gridNamed := map[string]experiments.Grid{}
 	for _, g := range grids {
-		start := time.Now()
-		rep, err := g.Run(ctx, journal)
-		if err != nil {
-			return fail(err)
+		gridNamed[g.Name()] = g
+	}
+	started := map[string]bool{}
+	for _, name := range experiments.Sections {
+		step := cmp.Or(experiments.GridOf(name), name)
+		if !sel(name) || started[step] {
+			continue
 		}
-		jsonBlob[g.Name()] = rep.Value
-		fmt.Fprintf(os.Stderr, "[%s evaluation: %v]\n", g.Name(), time.Since(start).Round(time.Millisecond))
-		for _, c := range rep.Cells {
-			if c.Failed {
-				fmt.Fprintf(os.Stderr, "experiments: %s cell %s/%v/%d FAILED: %s\n",
-					g.Name(), c.Subject, c.Scheme, c.Contexts, c.Failure)
-				if c.Diagnostic != "" {
-					fmt.Fprintln(os.Stderr, c.Diagnostic)
-				}
+		started[step] = true
+		if ctx.Err() != nil {
+			fmt.Fprintf(os.Stderr, "[skipping %s: interrupted]\n", step)
+			continue
+		}
+		start := time.Now()
+		if g := gridNamed[step]; g != nil {
+			failed, err := runGrid(ctx, g, journal, obs, jsonBlob)
+			if err != nil {
+				return fail(err)
+			}
+			if failed {
 				code = experiments.ExitFailure
 			}
-		}
-		if rep.Skipped > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: %s grid interrupted: %d cells skipped\n", g.Name(), rep.Skipped)
-		}
-		if err := writeGridMetrics(obs, g.Name(), rep.Cells); err != nil {
-			return fail(err)
-		}
-		fmt.Print(rep.Text)
-	}
-
-	// The remaining sections have no SKIP rendering of their own; once
-	// the run is interrupted, skip them outright rather than starting
-	// work that would drain immediately.
-	skipInterrupted := func(name string) bool {
-		if ctx.Err() == nil {
-			return false
-		}
-		fmt.Fprintf(os.Stderr, "[skipping %s: interrupted]\n", name)
-		return true
-	}
-
-	if sel("ablations") && !skipInterrupted("ablations") {
-		start := time.Now()
-		r, err := experiments.RunAblationsCtx(ctx, ucfg)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "[ablations: %v]\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiments.FormatAblations(r))
-	}
-
-	if sel("response") && !skipInterrupted("response") {
-		rcfg := experiments.DefaultResponseConfig()
-		rcfg.Parallelism = gridFlags.Jobs
-		r, err := experiments.RunResponseCtx(ctx, rcfg)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(experiments.FormatResponse(r))
-		fmt.Println()
-	}
-
-	if sel("sweeps") && !skipInterrupted("sweeps") {
-		start := time.Now()
-		sweepBlob := map[string]*experiments.SweepResult{}
-		runSweep := func(key string, run func() (*experiments.SweepResult, error)) error {
-			r, err := run()
-			if err != nil {
-				return err
-			}
-			sweepBlob[key] = r
-			fmt.Println(experiments.FormatSweep(r))
-			fmt.Println()
-			return nil
-		}
-		if err := runSweep("switch_cost", func() (*experiments.SweepResult, error) {
-			return experiments.SwitchCostSweepCtx(ctx, ucfg, "DC")
-		}); err != nil {
-			return fail(err)
-		}
-		if err := runSweep("context_count", func() (*experiments.SweepResult, error) {
-			return experiments.ContextCountSweepCtx(ctx, ucfg, "DC")
-		}); err != nil {
-			return fail(err)
-		}
-		if err := runSweep("mshr", func() (*experiments.SweepResult, error) {
-			return experiments.MSHRSweepCtx(ctx, ucfg, "DC")
-		}); err != nil {
-			return fail(err)
-		}
-		if err := runSweep("remote_latency", func() (*experiments.SweepResult, error) {
-			return experiments.RemoteLatencySweepCtx(ctx, mcfg, "ocean")
-		}); err != nil {
-			return fail(err)
-		}
-		if err := runSweep("issue_width", func() (*experiments.SweepResult, error) {
-			return experiments.IssueWidthSweepCtx(ctx, ucfg, "R1")
-		}); err != nil {
-			return fail(err)
-		}
-		jsonBlob["sweeps"] = sweepBlob
-		if r, err := experiments.RunPrefetchComparisonCtx(ctx, ucfg); err != nil {
-			return fail(err)
 		} else {
-			fmt.Println(experiments.FormatPrefetchComparison(r))
+			value, text, err := experiments.RunSection(ctx, name, ucfg, mcfg)
+			if err != nil {
+				return fail(err)
+			}
+			if value != nil {
+				jsonBlob[name] = value
+			}
+			fmt.Print(text)
 		}
-		fmt.Fprintf(os.Stderr, "[sweeps: %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s: %v]\n", step, time.Since(start).Round(time.Millisecond))
 	}
 
 	if ctx.Err() != nil {
@@ -365,6 +262,35 @@ func run(args []string) (code int) {
 		return experiments.ExitInterrupted
 	}
 	return code
+}
+
+// runGrid runs one grid, records its -json value, reports its failed and
+// skipped cells on stderr, exports its observability records and prints
+// its sections. failed reports whether any cell failed.
+func runGrid(ctx context.Context, g experiments.Grid, journal *experiments.Journal, obs *metrics.Flags, jsonBlob map[string]any) (failed bool, err error) {
+	rep, err := g.Run(ctx, journal)
+	if err != nil {
+		return false, err
+	}
+	jsonBlob[g.Name()] = rep.Value
+	for _, c := range rep.Cells {
+		if c.Failed {
+			fmt.Fprintf(os.Stderr, "experiments: %s cell %s/%v/%d FAILED: %s\n",
+				g.Name(), c.Subject, c.Scheme, c.Contexts, c.Failure)
+			if c.Diagnostic != "" {
+				fmt.Fprintln(os.Stderr, c.Diagnostic)
+			}
+			failed = true
+		}
+	}
+	if rep.Skipped > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: %s grid interrupted: %d cells skipped\n", g.Name(), rep.Skipped)
+	}
+	if err := writeGridMetrics(obs, g.Name(), rep.Cells); err != nil {
+		return failed, err
+	}
+	fmt.Print(rep.Text)
+	return failed, nil
 }
 
 // resumeHint names the journal an interrupted run can be resumed from.

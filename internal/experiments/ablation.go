@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/prog"
 	"repro/internal/stats"
@@ -31,7 +30,7 @@ type AblationRow struct {
 	Total int
 }
 
-// RunAblations evaluates, at four contexts on the given workloads:
+// RunAblationsCtx evaluates, at four contexts on the given workloads:
 //
 //   - interleaved (the proposal)
 //   - blocked (the prior art)
@@ -39,16 +38,8 @@ type AblationRow struct {
 //   - interleaved without the BTB
 //   - interleaved without the backoff instruction
 //   - fine-grained (HEP-style, §2.1)
-func RunAblations(cfg UniConfig) (*AblationResult, error) {
-	return RunAblationsCtx(context.Background(), cfg)
-}
-
-// RunAblationsCtx is RunAblations with cancellation.
 func RunAblationsCtx(ctx context.Context, cfg UniConfig) (*AblationResult, error) {
-	workloads := cfg.Workloads
-	if workloads == nil {
-		workloads = WorkloadOrder
-	}
+	workloads := cfg.workloads()
 	res := &AblationResult{Workloads: workloads}
 
 	type variant struct {
@@ -74,62 +65,31 @@ func RunAblationsCtx(ctx context.Context, cfg UniConfig) (*AblationResult, error
 		{"fine-grained (HEP-style)", core.FineGrained, nil},
 	}
 
-	// Flatten the (baseline + variant) × workload grid into independent
-	// cells and fan them out; gains are assembled afterwards in grid
-	// order, so results match the serial path byte for byte.
-	type spec struct {
-		workload string
-		kernels  []apps.Kernel
-		variant  int // -1 = single-context baseline
-	}
-	var specs []spec
+	// The single-context baseline of every workload, then every variant
+	// on every workload; each cell derives its seed from its index.
+	var cells []studyCell
 	for _, w := range workloads {
-		kernels, err := ResolveWorkload(w)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec{w, kernels, -1})
+		cells = append(cells, studyCell{w, cfg.cellConfig(core.Single, 1, DeriveSeed(cfg.Seed, len(cells)))})
 	}
-	for vi := range variants {
+	for _, v := range variants {
 		for _, w := range workloads {
-			kernels, err := ResolveWorkload(w)
-			if err != nil {
-				return nil, err
+			wcfg := cfg.cellConfig(v.scheme, 4, DeriveSeed(cfg.Seed, len(cells)))
+			if v.mutate != nil {
+				v.mutate(&wcfg)
 			}
-			specs = append(specs, spec{w, kernels, vi})
+			cells = append(cells, studyCell{w, wcfg})
 		}
 	}
-	runs := make([]*workstation.Result, len(specs))
-	err := runCells(ctx, cfg.Parallelism, len(specs), func(ctx context.Context, i int) error {
-		sp := specs[i]
-		scheme, contexts := core.Single, 1
-		if sp.variant >= 0 {
-			scheme, contexts = variants[sp.variant].scheme, 4
-		}
-		wcfg := cfg.cellConfig(scheme, contexts, DeriveSeed(cfg.Seed, i))
-		if sp.variant >= 0 && variants[sp.variant].mutate != nil {
-			variants[sp.variant].mutate(&wcfg)
-		}
-		r, err := workstation.RunCtx(ctx, sp.kernels, wcfg)
-		if err != nil {
-			return err
-		}
-		runs[i] = r
-		return nil
-	})
+	runs, err := runStudyCells(ctx, cfg, cells)
 	if err != nil {
 		return nil, err
 	}
 
-	base := make(map[string]float64)
-	for i, w := range workloads {
-		base[w] = runs[i].FairThroughput
-	}
 	for vi, v := range variants {
 		row := AblationRow{Name: v.name}
-		for wi, w := range workloads {
+		for wi := range workloads {
 			r := runs[len(workloads)*(vi+1)+wi]
-			row.Gains = append(row.Gains, r.FairThroughput/base[w])
+			row.Gains = append(row.Gains, r.FairThroughput/runs[wi].FairThroughput)
 		}
 		var skipped int
 		row.Mean, skipped = stats.GeoMean(row.Gains)

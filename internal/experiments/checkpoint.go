@@ -16,14 +16,15 @@ import (
 	"repro/internal/workstation"
 )
 
-// This file is the sweep planner's checkpoint side: sensitivity sweeps
-// whose swept parameter is a measurement-time override (Config.Measure)
-// share one warm-up prefix across all their cells. The planner groups
-// cells by a prefix fingerprint (the configuration with the overrides
-// removed), simulates each multi-cell group's warm-up once, and forks
-// every cell of the group from the cached checkpoint. Sweeps whose
-// parameter shapes the warm-up itself (context count, issue width,
-// remote latency) cannot share a prefix and keep running from scratch.
+// This file is the cell runner of every workstation study outside the
+// grids, and its checkpoint side: sensitivity sweeps whose swept
+// parameter is a measurement-time override (Config.Measure) share one
+// warm-up prefix across all their cells. The planner groups cells by a
+// prefix fingerprint (the configuration with the overrides removed),
+// simulates each multi-cell group's warm-up once, and forks every cell of
+// the group from the cached checkpoint. Cells whose configurations differ
+// in what shapes the warm-up itself (context count, issue width, a
+// derived seed) form singleton groups and run from scratch.
 //
 // Forking is an optimization, never a semantic: a forked cell is
 // byte-identical to its from-scratch run (pinned by
@@ -141,24 +142,32 @@ type prefixGroup struct {
 	healErr error
 }
 
-// sweepThroughputsShared is sweepThroughputs with warm-up sharing: cells
-// whose prefix keys collide are forked from one shared warm-up
-// checkpoint instead of each simulating its own. Cells that cannot fork
-// — observability enabled, singleton groups, unkeyable configs — run
-// from scratch. Results are byte-identical to sweepThroughputs either
-// way.
-func sweepThroughputsShared(ctx context.Context, cfg UniConfig, workload string, kernels []apps.Kernel, configs []workstation.Config) ([]float64, error) {
-	if cfg.Checkpoint.Disabled {
-		return sweepThroughputs(ctx, cfg.Parallelism, kernels, configs)
-	}
+// studyCell is one workstation simulation of a study outside the grids:
+// a workload mix on one machine.
+type studyCell struct {
+	workload string
+	cfg      workstation.Config
+}
 
-	keys := make([]string, len(configs))
+// runStudyCells runs one workstation simulation per cell, fanned out
+// across the pool, and returns the results in cell order. Cells whose
+// prefix keys collide are forked from one shared warm-up checkpoint
+// instead of each simulating its own; cells that cannot fork — forking
+// disabled, observability enabled, singleton groups, unkeyable configs —
+// run from scratch. Results are byte-identical either way.
+func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*workstation.Result, error) {
+	kernels := make([][]apps.Kernel, len(cells))
+	keys := make([]string, len(cells))
 	groups := map[string]*prefixGroup{}
-	for i, w := range configs {
-		if w.Obs.Enabled() {
+	for i, c := range cells {
+		var err error
+		if kernels[i], err = ResolveWorkload(c.workload); err != nil {
+			return nil, err
+		}
+		if cfg.Checkpoint.Disabled || c.cfg.Obs.Enabled() {
 			continue // instrumented cells are not checkpointable
 		}
-		if k := prefixKey(workload, w); k != "" {
+		if k := prefixKey(c.workload, c.cfg); k != "" {
 			keys[i] = k
 			if groups[k] == nil {
 				groups[k] = &prefixGroup{}
@@ -178,9 +187,10 @@ func sweepThroughputsShared(ctx context.Context, cfg UniConfig, workload string,
 	// that cannot be checkpointed gets no image.
 	cache := prefixCache{dir: cfg.Checkpoint.Dir}
 	warm := func(ctx context.Context, k string) (*snapshot.Image, error) {
-		prefix := configs[groups[k].cells[0]]
+		first := groups[k].cells[0]
+		prefix := cells[first].cfg
 		prefix.Measure = workstation.MeasureOverrides{}
-		data, err := workstation.CheckpointWarmupCtx(ctx, kernels, prefix, k)
+		data, err := workstation.CheckpointWarmupCtx(ctx, kernels[first], prefix, k)
 		if errors.Is(err, workstation.ErrNotCheckpointable) {
 			return nil, nil
 		}
@@ -219,7 +229,7 @@ func sweepThroughputsShared(ctx context.Context, cfg UniConfig, workload string,
 		if g == nil || g.img == nil {
 			return nil, nil
 		}
-		r, err := workstation.ResumeImageCtx(ctx, kernels, configs[i], g.img)
+		r, err := workstation.ResumeImageCtx(ctx, kernels[i], cells[i].cfg, g.img)
 		if !checkpointUnusable(err) {
 			return r, err
 		}
@@ -227,7 +237,7 @@ func sweepThroughputsShared(ctx context.Context, cfg UniConfig, workload string,
 		if g.healed == nil {
 			return nil, g.healErr
 		}
-		r, err = workstation.ResumeImageCtx(ctx, kernels, configs[i], g.healed)
+		r, err = workstation.ResumeImageCtx(ctx, kernels[i], cells[i].cfg, g.healed)
 		if checkpointUnusable(err) {
 			return nil, nil
 		}
@@ -235,20 +245,17 @@ func sweepThroughputsShared(ctx context.Context, cfg UniConfig, workload string,
 	}
 
 	// Stage 2: every cell, forked when it can be.
-	thr := make([]float64, len(configs))
-	err = runCells(ctx, cfg.Parallelism, len(configs), func(ctx context.Context, i int) error {
+	runs := make([]*workstation.Result, len(cells))
+	err = runCells(ctx, cfg.Parallelism, len(cells), func(ctx context.Context, i int) error {
 		r, err := forked(ctx, i)
 		if r == nil && err == nil {
-			r, err = workstation.RunCtx(ctx, kernels, configs[i])
+			r, err = workstation.RunCtx(ctx, kernels[i], cells[i].cfg)
 		}
-		if err != nil {
-			return err
-		}
-		thr[i] = r.FairThroughput
-		return nil
+		runs[i] = r
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return thr, nil
+	return runs, nil
 }

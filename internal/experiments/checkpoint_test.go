@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,8 +26,8 @@ func TestSweepForkedMatchesScratch(t *testing.T) {
 		name string
 		run  func(UniConfig) (*SweepResult, error)
 	}{
-		{"switch-cost", func(c UniConfig) (*SweepResult, error) { return SwitchCostSweep(c, "DC") }},
-		{"mshr", func(c UniConfig) (*SweepResult, error) { return MSHRSweep(c, "DC") }},
+		{"switch-cost", func(c UniConfig) (*SweepResult, error) { return SwitchCostSweepCtx(context.Background(), c, "DC") }},
+		{"mshr", func(c UniConfig) (*SweepResult, error) { return MSHRSweepCtx(context.Background(), c, "DC") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forked, err := tc.run(cfg)
@@ -57,7 +58,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 	cfg := QuickUniConfig()
 	cfg.Checkpoint.Dir = t.TempDir()
 
-	want, err := SwitchCostSweep(cfg, "DC")
+	want, err := SwitchCostSweepCtx(context.Background(), cfg, "DC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 	}
 
 	// Second run: warm-ups load from disk instead of re-simulating.
-	got, err := SwitchCostSweep(cfg, "DC")
+	got, err := SwitchCostSweepCtx(context.Background(), cfg, "DC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := SwitchCostSweep(cfg, "DC")
+			got, err := SwitchCostSweepCtx(context.Background(), cfg, "DC")
 			if err != nil {
 				t.Fatal(err)
 			}

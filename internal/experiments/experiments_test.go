@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestAblationsRun(t *testing.T) {
 	}
 	cfg := QuickUniConfig()
 	cfg.Workloads = []string{"DC"}
-	r, err := RunAblations(cfg)
+	r, err := RunAblationsCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,14 +102,14 @@ func TestAllExperimentKindsUnderRace(t *testing.T) {
 	kinds := []func() error{
 		func() error { _, err := RunUniprocessor(uni); return err },
 		func() error { _, err := RunMultiprocessor(mpc); return err },
-		func() error { _, err := RunAblations(uni); return err },
-		func() error { _, err := RunPrefetchComparison(uni); return err },
-		func() error { _, err := RunResponse(rcfg); return err },
-		func() error { _, err := SwitchCostSweep(uni, "DC"); return err },
-		func() error { _, err := ContextCountSweep(uni, "DC"); return err },
-		func() error { _, err := MSHRSweep(uni, "DC"); return err },
-		func() error { _, err := IssueWidthSweep(uni, "R1"); return err },
-		func() error { _, err := RemoteLatencySweep(mpc, "water"); return err },
+		func() error { _, err := RunAblationsCtx(context.Background(), uni); return err },
+		func() error { _, err := RunPrefetchComparisonCtx(context.Background(), uni); return err },
+		func() error { _, err := RunResponseCtx(context.Background(), rcfg); return err },
+		func() error { _, err := SwitchCostSweepCtx(context.Background(), uni, "DC"); return err },
+		func() error { _, err := ContextCountSweepCtx(context.Background(), uni, "DC"); return err },
+		func() error { _, err := MSHRSweepCtx(context.Background(), uni, "DC"); return err },
+		func() error { _, err := IssueWidthSweepCtx(context.Background(), uni, "R1"); return err },
+		func() error { _, err := RemoteLatencySweepCtx(context.Background(), mpc, "water"); return err },
 	}
 	if err := runCells(context.Background(), 4, len(kinds), func(_ context.Context, i int) error { return kinds[i]() }); err != nil {
 		t.Fatal(err)

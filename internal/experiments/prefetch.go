@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/workstation"
 )
 
 // PrefetchCell is one (workload, variant) measurement of the
@@ -18,8 +16,6 @@ type PrefetchCell struct {
 	Workload string
 	Variant  string
 	Gain     float64
-	// Issued/Useful report the prefetcher's own accuracy.
-	Issued, Useful int64
 }
 
 // PrefetchResult compares hardware prefetching against multiple contexts
@@ -42,13 +38,8 @@ func (r *PrefetchResult) Cell(w, v string) (PrefetchCell, bool) {
 	return PrefetchCell{}, false
 }
 
-// RunPrefetchComparison runs the comparison on the given workloads (nil =
-// DC and DT, the memory-bound pair).
-func RunPrefetchComparison(cfg UniConfig) (*PrefetchResult, error) {
-	return RunPrefetchComparisonCtx(context.Background(), cfg)
-}
-
-// RunPrefetchComparisonCtx is RunPrefetchComparison with cancellation.
+// RunPrefetchComparisonCtx runs the comparison on the given workloads
+// (nil = DC and DT, the memory-bound pair).
 func RunPrefetchComparisonCtx(ctx context.Context, cfg UniConfig) (*PrefetchResult, error) {
 	workloads := cfg.Workloads
 	if workloads == nil {
@@ -69,56 +60,31 @@ func RunPrefetchComparisonCtx(ctx context.Context, cfg UniConfig) (*PrefetchResu
 		{"interleaved 4 ctx + stride", core.Interleaved, 4, cache.PrefetchStride},
 	}
 
-	// One baseline plus len(variants) cells per workload, fanned out and
-	// collected by grid index so parallel runs match serial ones exactly.
-	type spec struct {
-		workload string
-		kernels  []apps.Kernel
-		variant  int // -1 = single-context, no-prefetch baseline
-	}
-	var specs []spec
+	// Per workload, the single-context baseline without prefetching, then
+	// every variant; each cell derives its seed from its index.
+	var cells []studyCell
 	for _, w := range workloads {
-		kernels, err := ResolveWorkload(w)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec{w, kernels, -1})
-		for vi := range variants {
-			specs = append(specs, spec{w, kernels, vi})
+		cells = append(cells, studyCell{w, cfg.cellConfig(core.Single, 1, DeriveSeed(cfg.Seed, len(cells)))})
+		for _, v := range variants {
+			wc := cfg.cellConfig(v.scheme, v.contexts, DeriveSeed(cfg.Seed, len(cells)))
+			wc.Cache.Prefetch = v.mode
+			cells = append(cells, studyCell{w, wc})
 		}
 	}
-	runs := make([]*workstation.Result, len(specs))
-	err := runCells(ctx, cfg.Parallelism, len(specs), func(ctx context.Context, i int) error {
-		sp := specs[i]
-		scheme, contexts, mode := core.Single, 1, cache.PrefetchOff
-		if sp.variant >= 0 {
-			v := variants[sp.variant]
-			scheme, contexts, mode = v.scheme, v.contexts, v.mode
-		}
-		wc := cfg.cellConfig(scheme, contexts, DeriveSeed(cfg.Seed, i))
-		wc.Cache.Prefetch = mode
-		r, err := workstation.RunCtx(ctx, sp.kernels, wc)
-		if err != nil {
-			return err
-		}
-		runs[i] = r
-		return nil
-	})
+	runs, err := runStudyCells(ctx, cfg, cells)
 	if err != nil {
 		return nil, err
 	}
 
-	var base *workstation.Result
-	for i, sp := range specs {
-		if sp.variant < 0 {
-			base = runs[i]
-			continue
+	for wi, w := range workloads {
+		base := runs[wi*(1+len(variants))]
+		for vi, v := range variants {
+			res.Cells = append(res.Cells, PrefetchCell{
+				Workload: w,
+				Variant:  v.name,
+				Gain:     runs[wi*(1+len(variants))+1+vi].Gain(base),
+			})
 		}
-		res.Cells = append(res.Cells, PrefetchCell{
-			Workload: sp.workload,
-			Variant:  variants[sp.variant].name,
-			Gain:     runs[i].Gain(base),
-		})
 	}
 	return res, nil
 }

@@ -100,16 +100,11 @@ func foregroundProgram(cfg ResponseConfig) *prog.Program {
 	return b.MustBuild()
 }
 
-// RunResponse measures the foreground's response latency under three
+// RunResponseCtx measures the foreground's response latency under three
 // designs: single-context with OS timesharing, and blocked/interleaved
-// processors with the foreground resident in its own context.
-func RunResponse(cfg ResponseConfig) (*ResponseResult, error) {
-	return RunResponseCtx(context.Background(), cfg)
-}
-
-// RunResponseCtx is RunResponse with cancellation: the designs run their
-// simulations slice by slice, so cancellation is observed at slice
-// granularity (cfg.SliceCycles).
+// processors with the foreground resident in its own context. The designs
+// run their simulations slice by slice, so cancellation is observed at
+// slice granularity (cfg.SliceCycles).
 func RunResponseCtx(ctx context.Context, cfg ResponseConfig) (*ResponseResult, error) {
 	bg, err := apps.Lookup(cfg.Background)
 	if err != nil {

@@ -3,14 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/mp"
 	"repro/internal/splash"
 	"repro/internal/stats"
-	"repro/internal/workstation"
 )
 
 // SweepPoint is one configuration of a one-dimensional sensitivity sweep.
@@ -27,27 +26,18 @@ type SweepResult struct {
 	Series map[string][]SweepPoint
 }
 
-// SwitchCostSweep varies the blocked scheme's pipeline-flush cost from 1
-// to 9 cycles on the given workload at four contexts, with the
+// SwitchCostSweepCtx varies the blocked scheme's pipeline-flush cost from
+// 1 to 10 cycles on the given workload at four contexts, with the
 // interleaved scheme as a horizontal reference — quantifying §2.2's
 // question of whether replicating pipeline registers (a 1-cycle switch)
-// closes the gap.
-func SwitchCostSweep(cfg UniConfig, workload string) (*SweepResult, error) {
-	return SwitchCostSweepCtx(context.Background(), cfg, workload)
-}
-
-// SwitchCostSweepCtx is SwitchCostSweep with cancellation: cancelling ctx
-// stops running cells within engine.BlockCycles cycles.
+// closes the gap. Cancelling ctx stops running cells within
+// engine.BlockCycles cycles.
 func SwitchCostSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepResult, error) {
-	kernels, err := ResolveWorkload(workload)
-	if err != nil {
-		return nil, err
-	}
 	// Sweep cells deliberately share cfg.Seed (common random numbers):
 	// every point sees the same scheduler-interference stream, so the
 	// curve isolates the swept parameter. The cells are still
 	// independent simulations and fan out through the pool.
-	configs := []workstation.Config{cfg.cellConfig(core.Single, 1, cfg.Seed)}
+	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1, cfg.Seed)}}
 	// Unit-step resolution: each extra point costs one measure phase, not
 	// a full warm-up, because every blocked cell forks from one shared
 	// warm-up checkpoint (the sweep ran {1,3,5,7,9} before forking made
@@ -59,15 +49,14 @@ func SwitchCostSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 		// ten cells share one warm-up prefix and fork from one checkpoint.
 		w := cfg.cellConfig(core.Blocked, 4, cfg.Seed)
 		w.Measure.BlockedFlushCost = cost
-		configs = append(configs, w)
+		cells = append(cells, studyCell{workload, w})
 	}
-	configs = append(configs, cfg.cellConfig(core.Interleaved, 4, cfg.Seed))
+	cells = append(cells, studyCell{workload, cfg.cellConfig(core.Interleaved, 4, cfg.Seed)})
 
-	thr, err := sweepThroughputsShared(ctx, cfg, workload, kernels, configs)
+	gains, err := sweepGains(ctx, cfg, cells)
 	if err != nil {
 		return nil, err
 	}
-	base := thr[0]
 	res := &SweepResult{
 		Name:   fmt.Sprintf("blocked switch cost on %s (4 contexts)", workload),
 		XLabel: "flush cost (cycles)",
@@ -75,60 +64,46 @@ func SwitchCostSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 	}
 	for ci, cost := range costs {
 		res.Series["blocked"] = append(res.Series["blocked"], SweepPoint{
-			X: float64(cost), Label: fmt.Sprintf("%d", cost), Gain: thr[1+ci] / base,
+			X: float64(cost), Label: fmt.Sprintf("%d", cost), Gain: gains[1+ci],
 		})
 	}
-	res.Series["interleaved (reference)"] = []SweepPoint{{X: 7, Label: "7", Gain: thr[len(thr)-1] / base}}
+	res.Series["interleaved (reference)"] = []SweepPoint{{X: 7, Label: "7", Gain: gains[len(gains)-1]}}
 	return res, nil
 }
 
-// sweepThroughputs runs one workstation simulation per config, fanned out
-// across the pool, and returns the fairness-normalized throughputs in
-// config order.
-func sweepThroughputs(ctx context.Context, parallelism int, kernels []apps.Kernel, configs []workstation.Config) ([]float64, error) {
-	thr := make([]float64, len(configs))
-	err := runCells(ctx, parallelism, len(configs), func(ctx context.Context, i int) error {
-		r, err := workstation.RunCtx(ctx, kernels, configs[i])
-		if err != nil {
-			return err
-		}
-		thr[i] = r.FairThroughput
-		return nil
-	})
+// sweepGains runs a workstation sweep's cells and returns each cell's
+// fairness-normalized throughput over that of cell 0, the sweep's
+// baseline.
+func sweepGains(ctx context.Context, cfg UniConfig, cells []studyCell) ([]float64, error) {
+	runs, err := runStudyCells(ctx, cfg, cells)
 	if err != nil {
 		return nil, err
 	}
-	return thr, nil
+	gains := make([]float64, len(runs))
+	for i, r := range runs {
+		gains[i] = r.FairThroughput / runs[0].FairThroughput
+	}
+	return gains, nil
 }
 
-// ContextCountSweep varies the number of hardware contexts from 2 to 8 for
-// both schemes on the given workload — the diminishing-returns curve the
-// paper's Figures 6-7 trace with their 1/2/4-context bars.
-func ContextCountSweep(cfg UniConfig, workload string) (*SweepResult, error) {
-	return ContextCountSweepCtx(context.Background(), cfg, workload)
-}
-
-// ContextCountSweepCtx is ContextCountSweep with cancellation.
+// ContextCountSweepCtx varies the number of hardware contexts from 2 to 8
+// for both schemes on the given workload — the diminishing-returns curve
+// the paper's Figures 6-7 trace with their 1/2/4-context bars.
 func ContextCountSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepResult, error) {
-	kernels, err := ResolveWorkload(workload)
-	if err != nil {
-		return nil, err
-	}
 	schemes := []core.Scheme{core.Blocked, core.Interleaved}
 	counts := []int{2, 4, 8}
-	configs := []workstation.Config{cfg.cellConfig(core.Single, 1, cfg.Seed)}
+	// The context count is structural — it shapes the warm-up itself —
+	// so no two cells share a prefix and each runs from scratch.
+	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1, cfg.Seed)}}
 	for _, s := range schemes {
 		for _, n := range counts {
-			configs = append(configs, cfg.cellConfig(s, n, cfg.Seed))
+			cells = append(cells, studyCell{workload, cfg.cellConfig(s, n, cfg.Seed)})
 		}
 	}
-	// The context count is structural — it shapes the warm-up itself —
-	// so these cells cannot share a prefix and run from scratch.
-	thr, err := sweepThroughputs(ctx, cfg.Parallelism, kernels, configs)
+	gains, err := sweepGains(ctx, cfg, cells)
 	if err != nil {
 		return nil, err
 	}
-	base := thr[0]
 	res := &SweepResult{
 		Name:   fmt.Sprintf("context count on %s", workload),
 		XLabel: "hardware contexts",
@@ -138,7 +113,7 @@ func ContextCountSweepCtx(ctx context.Context, cfg UniConfig, workload string) (
 	for _, s := range schemes {
 		for _, n := range counts {
 			res.Series[s.String()] = append(res.Series[s.String()], SweepPoint{
-				X: float64(n), Label: fmt.Sprintf("%d", n), Gain: thr[i] / base,
+				X: float64(n), Label: fmt.Sprintf("%d", n), Gain: gains[i],
 			})
 			i++
 		}
@@ -146,15 +121,10 @@ func ContextCountSweepCtx(ctx context.Context, cfg UniConfig, workload string) (
 	return res, nil
 }
 
-// RemoteLatencySweep scales the multiprocessor's remote latencies (Table
-// 8) by 0.5x to 4x on one application at four contexts, showing how the
-// schemes' speedups respond to the latency multiple contexts must hide.
-func RemoteLatencySweep(cfg MPConfig, app string) (*SweepResult, error) {
-	return RemoteLatencySweepCtx(context.Background(), cfg, app)
-}
-
-// RemoteLatencySweepCtx is RemoteLatencySweep with cancellation:
-// cancelling ctx stops running cells within one lockstep block.
+// RemoteLatencySweepCtx scales the multiprocessor's remote latencies
+// (Table 8) by 0.5x to 4x on one application at four contexts, showing
+// how the schemes' speedups respond to the latency multiple contexts must
+// hide. Cancelling ctx stops running cells within one lockstep block.
 func RemoteLatencySweepCtx(ctx context.Context, cfg MPConfig, app string) (*SweepResult, error) {
 	a, err := splash.Lookup(app)
 	if err != nil {
@@ -220,34 +190,24 @@ func RemoteLatencySweepCtx(ctx context.Context, cfg MPConfig, app string) (*Swee
 	return res, nil
 }
 
-// MSHRSweep varies the lockup-free data cache's miss registers from 1 to
-// 8 for the interleaved scheme at four contexts — the memory-level
+// MSHRSweepCtx varies the lockup-free data cache's miss registers from 1
+// to 8 for the interleaved scheme at four contexts — the memory-level
 // parallelism the scheme depends on (§6's lockup-free cache requirement).
-func MSHRSweep(cfg UniConfig, workload string) (*SweepResult, error) {
-	return MSHRSweepCtx(context.Background(), cfg, workload)
-}
-
-// MSHRSweepCtx is MSHRSweep with cancellation.
 func MSHRSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepResult, error) {
-	kernels, err := ResolveWorkload(workload)
-	if err != nil {
-		return nil, err
-	}
 	mshrs := []int{1, 2, 4, 8}
-	configs := []workstation.Config{cfg.cellConfig(core.Single, 1, cfg.Seed)}
+	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1, cfg.Seed)}}
 	for _, m := range mshrs {
 		// Warm-up runs with the default miss registers; the swept count
 		// takes effect when measurement starts, so the interleaved cells
 		// share one warm-up prefix and fork from one checkpoint.
 		w := cfg.cellConfig(core.Interleaved, 4, cfg.Seed)
 		w.Measure.MSHRs = m
-		configs = append(configs, w)
+		cells = append(cells, studyCell{workload, w})
 	}
-	thr, err := sweepThroughputsShared(ctx, cfg, workload, kernels, configs)
+	gains, err := sweepGains(ctx, cfg, cells)
 	if err != nil {
 		return nil, err
 	}
-	base := thr[0]
 	res := &SweepResult{
 		Name:   fmt.Sprintf("miss registers on %s (interleaved, 4 contexts)", workload),
 		XLabel: "MSHRs",
@@ -255,7 +215,7 @@ func MSHRSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepRe
 	}
 	for mi, m := range mshrs {
 		res.Series["interleaved"] = append(res.Series["interleaved"], SweepPoint{
-			X: float64(m), Label: fmt.Sprintf("%d", m), Gain: thr[1+mi] / base,
+			X: float64(m), Label: fmt.Sprintf("%d", m), Gain: gains[1+mi],
 		})
 	}
 	return res, nil
@@ -269,14 +229,7 @@ func FormatSweep(r *SweepResult) string {
 	for n := range r.Series {
 		names = append(names, n)
 	}
-	// Stable order: blocked, interleaved, then others alphabetically.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
+	sort.Strings(names) // blocked before interleaved
 	t := stats.NewTable(append([]string{r.XLabel}, names...)...)
 	// Collect the union of X labels in first-series order.
 	var labels []string
@@ -306,45 +259,35 @@ func FormatSweep(r *SweepResult) string {
 	return b.String()
 }
 
-// IssueWidthSweep runs the §7 extension: a superscalar version of the
+// IssueWidthSweepCtx runs the §7 extension: a superscalar version of the
 // processor issuing 1, 2 or 4 instructions per cycle, for the
 // single-context and four-context interleaved designs. The paper argues
 // (and Tullsen's later SMT work confirmed) that multiple contexts are what
 // fill the extra issue slots a lone thread cannot.
-func IssueWidthSweep(cfg UniConfig, workload string) (*SweepResult, error) {
-	return IssueWidthSweepCtx(context.Background(), cfg, workload)
-}
-
-// IssueWidthSweepCtx is IssueWidthSweep with cancellation.
 func IssueWidthSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepResult, error) {
-	kernels, err := ResolveWorkload(workload)
-	if err != nil {
-		return nil, err
-	}
-	mk := func(s core.Scheme, n, width int) workstation.Config {
+	mk := func(s core.Scheme, n, width int) studyCell {
 		w := cfg.cellConfig(s, n, cfg.Seed)
 		cc := core.DefaultConfig(s, n)
 		cc.IssueWidth = width
 		w.Core = &cc
-		return w
+		return studyCell{workload, w}
 	}
 	widths := []int{1, 2, 4}
 	// Per width, the single-context cell then the interleaved one; the
-	// width-1 single-context cell is the baseline itself.
-	configs := []workstation.Config{mk(core.Single, 1, 1)}
+	// width-1 single-context cell is the baseline itself. The issue width
+	// changes the slot accounting from cycle zero — warm-up differs per
+	// point — so no two cells share a prefix.
+	cells := []studyCell{mk(core.Single, 1, 1)}
 	for _, width := range widths {
 		if width > 1 {
-			configs = append(configs, mk(core.Single, 1, width))
+			cells = append(cells, mk(core.Single, 1, width))
 		}
-		configs = append(configs, mk(core.Interleaved, 4, width))
+		cells = append(cells, mk(core.Interleaved, 4, width))
 	}
-	// The issue width changes the slot accounting from cycle zero —
-	// warm-up differs per point — so the cells run from scratch.
-	thr, err := sweepThroughputs(ctx, cfg.Parallelism, kernels, configs)
+	gains, err := sweepGains(ctx, cfg, cells)
 	if err != nil {
 		return nil, err
 	}
-	base := thr[0]
 	res := &SweepResult{
 		Name:   fmt.Sprintf("issue width on %s (superscalar extension, paper §7)", workload),
 		XLabel: "issue width",
@@ -352,10 +295,10 @@ func IssueWidthSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 	}
 	for wi, width := range widths {
 		res.Series["single"] = append(res.Series["single"], SweepPoint{
-			X: float64(width), Label: fmt.Sprintf("%d", width), Gain: thr[2*wi] / base,
+			X: float64(width), Label: fmt.Sprintf("%d", width), Gain: gains[2*wi],
 		})
 		res.Series["interleaved (4 ctx)"] = append(res.Series["interleaved (4 ctx)"], SweepPoint{
-			X: float64(width), Label: fmt.Sprintf("%d", width), Gain: thr[2*wi+1] / base,
+			X: float64(width), Label: fmt.Sprintf("%d", width), Gain: gains[2*wi+1],
 		})
 	}
 	return res, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestSwitchCostSweep(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := QuickUniConfig()
-	r, err := SwitchCostSweep(cfg, "DC")
+	r, err := SwitchCostSweepCtx(context.Background(), cfg, "DC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestContextCountSweep(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := QuickUniConfig()
-	r, err := ContextCountSweep(cfg, "DC")
+	r, err := ContextCountSweepCtx(context.Background(), cfg, "DC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestMSHRSweep(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := QuickUniConfig()
-	r, err := MSHRSweep(cfg, "DC")
+	r, err := MSHRSweepCtx(context.Background(), cfg, "DC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRemoteLatencySweep(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := QuickMPConfig()
-	r, err := RemoteLatencySweep(cfg, "ocean")
+	r, err := RemoteLatencySweepCtx(context.Background(), cfg, "ocean")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestIssueWidthSweep(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := QuickUniConfig()
-	r, err := IssueWidthSweep(cfg, "R1")
+	r, err := IssueWidthSweepCtx(context.Background(), cfg, "R1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestPrefetchComparison(t *testing.T) {
 	}
 	cfg := QuickUniConfig()
 	cfg.Workloads = []string{"DC"}
-	r, err := RunPrefetchComparison(cfg)
+	r, err := RunPrefetchComparisonCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestResponseExperiment(t *testing.T) {
 	}
 	cfg := DefaultResponseConfig()
 	cfg.Bursts = 12
-	r, err := RunResponse(cfg)
+	r, err := RunResponseCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
