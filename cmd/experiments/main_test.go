@@ -120,7 +120,7 @@ func TestStudySectionsPinned(t *testing.T) {
 	}
 	const (
 		wantStdout = "95723c4d56a9ffdc89a7c0b535948d3fd566d4ccd9dfdafb1918bc15735487d0"
-		wantJSON   = "56235829c8415a526045ba01dff3079d4d3701e0426e13e502386307b6bdcc3e"
+		wantJSON   = "509b3edfb632e77d14220606352ec8f617756a9b8dc7b769e494d21ce0cbdb16"
 	)
 	sum := func(b []byte) string {
 		s := sha256.Sum256(b)
@@ -141,6 +141,17 @@ func TestStudySectionsPinned(t *testing.T) {
 		}
 		if got := sum(data); got != wantJSON {
 			t.Errorf("-j %s: -json sha256 %s, want %s", j, got, wantJSON)
+		}
+		// Every section with a value is a key; the timelines have none.
+		var blob struct {
+			Table4, Ablations, Response json.RawMessage
+			Sweeps                      map[string]json.RawMessage
+		}
+		if err := json.Unmarshal(data, &blob); err != nil {
+			t.Fatal(err)
+		}
+		if blob.Table4 == nil || blob.Ablations == nil || blob.Response == nil || blob.Sweeps["prefetch"] == nil {
+			t.Errorf("-j %s: -json lacks table4, ablations, response or sweeps.prefetch:\n%s", j, data)
 		}
 	}
 	var cat strings.Builder

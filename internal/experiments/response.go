@@ -44,8 +44,9 @@ type ResponseConfig struct {
 	// Background names the batch kernel.
 	Background string
 	// Parallelism bounds how many designs run concurrently: 0 selects
-	// DefaultParallelism (GOMAXPROCS), 1 forces the serial path.
-	Parallelism int
+	// DefaultParallelism (GOMAXPROCS), 1 forces the serial path. Excluded
+	// from JSON: results are byte-identical at every setting.
+	Parallelism int `json:"-"`
 }
 
 // DefaultResponseConfig returns a foreground job that wakes every 6000

@@ -57,7 +57,7 @@ var studies = []study{
 		if err != nil {
 			return nil, "", err
 		}
-		return nil, FormatAblations(r) + "\n", nil
+		return r, FormatAblations(r) + "\n", nil
 	}},
 	{"response", func(ctx context.Context, uni UniConfig, _ MPConfig) (any, string, error) {
 		cfg := DefaultResponseConfig()
@@ -66,11 +66,11 @@ var studies = []study{
 		if err != nil {
 			return nil, "", err
 		}
-		return nil, FormatResponse(r) + "\n\n", nil
+		return r, FormatResponse(r) + "\n\n", nil
 	}},
 	{"sweeps", func(ctx context.Context, uni UniConfig, mp MPConfig) (any, string, error) {
 		var b strings.Builder
-		sweeps := map[string]*SweepResult{}
+		sweeps := map[string]any{}
 		for _, sw := range []struct {
 			key string
 			run func() (*SweepResult, error)
@@ -92,6 +92,7 @@ var studies = []study{
 		if err != nil {
 			return nil, "", err
 		}
+		sweeps["prefetch"] = r
 		b.WriteString(FormatPrefetchComparison(r) + "\n")
 		return sweeps, b.String(), nil
 	}},
