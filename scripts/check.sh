@@ -41,6 +41,16 @@ if grep -rnE 'DefaultUniConfig|QuickUniConfig|DefaultMPConfig|QuickMPConfig' \
     exit 1
 fi
 
+# One section table: every -only section outside the grids is a row in
+# internal/experiments (sections.go), and a command runs it by name
+# through experiments.RunSection. A command that calls a section body
+# itself is a second copy of that section's run and print.
+if grep -rnE 'experiments\.(Table4|Figure2|Figure3|FormatTimeline|RunAblationsCtx|RunResponseCtx|RunPrefetchComparisonCtx|[A-Za-z]+SweepCtx)\(' \
+    --include='*.go' --exclude='*_test.go' cmd; then
+    echo "check.sh: a command calls a section body; run the section through experiments.RunSection" >&2
+    exit 1
+fi
+
 # A driver advances a processor with core.Processor.Advance, which
 # classifies a cycle and issues it in one pass. NextEvent stays as the pure
 # classifier Advance is tested against; a driver that calls it and then
