@@ -165,7 +165,7 @@ func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*wo
 			return nil, err
 		}
 		if cfg.Checkpoint.Disabled || c.cfg.Obs.Enabled() {
-			continue // instrumented cells are not checkpointable
+			continue // forking is off, or an instrumented cell cannot be checkpointed
 		}
 		if k := prefixKey(c.workload, c.cfg); k != "" {
 			keys[i] = k
