@@ -65,7 +65,9 @@ type Fingerprint struct {
 	// speaking for any reused on-disk checkpoints. Forked and
 	// from-scratch cells are byte-identical, so this is provenance
 	// hygiene, not a correctness requirement — but it keeps one journal
-	// from silently mixing the two regimes.
+	// from silently mixing the two regimes. The stamped version is the
+	// payload's (snapshot.PayloadVersion): a change of container framing
+	// alone leaves every forked cell as it was.
 	Checkpoint *CheckpointStamp `json:"checkpoint,omitempty"`
 }
 
@@ -91,7 +93,7 @@ func NewFingerprint(uni *UniConfig, mp *MPConfig, only []string) Fingerprint {
 		u.Parallelism = 0
 		u.Journal = nil
 		if !u.Checkpoint.Disabled {
-			fp.Checkpoint = &CheckpointStamp{CodecVersion: snapshot.Version}
+			fp.Checkpoint = &CheckpointStamp{CodecVersion: snapshot.PayloadVersion}
 		}
 		u.Checkpoint = CheckpointOptions{}
 		fp.Uni = &u

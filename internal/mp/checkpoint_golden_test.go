@@ -16,11 +16,12 @@ import (
 )
 
 // TestCheckpointGolden pins whole-machine checkpoint bytes (container
-// length and StateHash) of a 4-node, 2-context run with chaos on and the
-// default watchdog armed (and primed: the guard cadence is shortened) to the values the hand-mirrored per-layer
-// codecs wrote at codec version 1; see the workstation test of the same
-// name. Regenerate (only with a codec version bump) with
-// UPDATE_CKPT_GOLDEN=1.
+// length and StateHash, and the payload's StateHash) of a 4-node,
+// 2-context run with chaos on and the default watchdog armed (and
+// primed: the guard cadence is shortened). The payload hash is the value
+// the hand-mirrored per-layer codecs wrote at codec version 1; see the
+// workstation test of the same name. Regenerate (only with a codec
+// version bump) with UPDATE_CKPT_GOLDEN=1.
 func TestCheckpointGolden(t *testing.T) {
 	p := counterProgram(10, prog.YieldBackoff)
 	cfg := DefaultConfig(core.Interleaved, 2)
@@ -31,8 +32,6 @@ func TestCheckpointGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fmt.Sprintf("%v/%dx%d len=%d hash=%#016x\n", cfg.Scheme, cfg.Processors, cfg.Contexts,
-		len(ckpt), snapshot.StateHash(ckpt))
 	// The container was sealed in place around the state walk; wrapping
 	// its payload with Encode must give the same bytes.
 	img, err := snapshot.Open(ckpt, Kind, "golden")
@@ -42,6 +41,8 @@ func TestCheckpointGolden(t *testing.T) {
 	if !bytes.Equal(ckpt, snapshot.Encode(Kind, "golden", img.Payload())) {
 		t.Error("container sealed in place differs from Encode of its payload")
 	}
+	got := fmt.Sprintf("%v/%dx%d len=%d hash=%#016x payload=%#016x\n", cfg.Scheme, cfg.Processors, cfg.Contexts,
+		len(ckpt), snapshot.StateHash(ckpt), snapshot.StateHash(img.Payload()))
 
 	path := filepath.Join("testdata", "checkpoint.golden")
 	if os.Getenv("UPDATE_CKPT_GOLDEN") != "" {

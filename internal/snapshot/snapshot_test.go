@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -269,7 +270,8 @@ func TestDecodeRejections(t *testing.T) {
 		// staleness distinctly from corruption.
 		{"version", mutate(func(b []byte) []byte { b[4] = Version + 1; return b }), "kind", "fp", ErrVersion},
 		{"trailing bytes", mutate(func(b []byte) []byte { return append(b, 0) }), "kind", "fp", ErrCorrupt},
-		{"flipped payload byte", mutate(func(b []byte) []byte { b[len(b)-9] ^= 0xff; return b }), "kind", "fp", ErrCorrupt},
+		{"flipped payload byte", mutate(func(b []byte) []byte { b[len(b)-5] ^= 0xff; return b }), "kind", "fp", ErrCorrupt},
+		{"flipped checksum byte", mutate(func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }), "kind", "fp", ErrCorrupt},
 		{"wrong kind", good, "other", "fp", ErrMismatch},
 		{"wrong fingerprint", good, "kind", "other", ErrMismatch},
 	}
@@ -309,6 +311,23 @@ func TestDecodeRejections(t *testing.T) {
 		if got := r.u64(); got != 1 || Finish(r) != nil {
 			t.Errorf("reader %d: payload u64 = %d, Finish = %v", i, got, Finish(r))
 		}
+	}
+}
+
+// TestContainerTrailerIsCRC32C pins the trailer: the last four bytes of
+// a container are the CRC-32C of its payload, little-endian. The check
+// value of "123456789" is the one every CRC-32C implementation publishes.
+func TestContainerTrailerIsCRC32C(t *testing.T) {
+	if got := checksum([]byte("123456789")); got != 0xe3069283 {
+		t.Fatalf("checksum(123456789) = %#08x, want the CRC-32C check value 0xe3069283", got)
+	}
+	payload := []byte("123456789")
+	data := Encode("kind", "fp", payload)
+	if got := binary.LittleEndian.Uint32(data[len(data)-4:]); got != 0xe3069283 {
+		t.Errorf("container trailer = %#08x, want 0xe3069283", got)
+	}
+	if !bytes.Equal(data[len(data)-4-len(payload):len(data)-4], payload) {
+		t.Error("payload does not sit directly before the trailer")
 	}
 }
 

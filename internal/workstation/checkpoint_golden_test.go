@@ -12,13 +12,16 @@ import (
 	"repro/internal/snapshot"
 )
 
-// TestCheckpointGolden pins whole-machine checkpoint bytes (container
-// length and StateHash) to the values the hand-mirrored per-layer codecs
-// wrote at codec version 1. Persisted -checkpoint-dir files must stay
-// loadable while snapshot.Version does not move, so any rewrite of the
-// state walks has to reproduce these bytes exactly. Chaos is on and the
-// watchdog is armed so both optional blocks are in the payload.
-// Regenerate (only with a codec version bump) with UPDATE_CKPT_GOLDEN=1.
+// TestCheckpointGolden pins whole-machine checkpoint bytes: the
+// container's length and StateHash, and the StateHash of the payload
+// inside it. Persisted -checkpoint-dir files must stay loadable while
+// snapshot.Version does not move, so any rewrite of the state walks has
+// to reproduce these bytes exactly. The payload hashes are the values
+// the hand-mirrored per-layer codecs wrote at codec version 1; version 2
+// changed only the container's trailer, and they did not move. Chaos is
+// on and the watchdog is armed so both optional blocks are in the
+// payload. Regenerate (only with a codec version bump) with
+// UPDATE_CKPT_GOLDEN=1.
 func TestCheckpointGolden(t *testing.T) {
 	ks := testWorkload(t, "cfft2d", "gmtry", "tomcatv", "vpenta")
 	var got string
@@ -35,8 +38,8 @@ func TestCheckpointGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got += fmt.Sprintf("%v/%d len=%d hash=%#016x\n", tc.scheme, tc.ctxs, len(ckpt), snapshot.StateHash(ckpt))
-		sealedEqualsEncoded(t, ckpt)
+		got += fmt.Sprintf("%v/%d len=%d hash=%#016x payload=%#016x\n", tc.scheme, tc.ctxs,
+			len(ckpt), snapshot.StateHash(ckpt), snapshot.StateHash(sealedEqualsEncoded(t, ckpt)))
 	}
 
 	path := filepath.Join("testdata", "checkpoint.golden")
@@ -59,8 +62,9 @@ func TestCheckpointGolden(t *testing.T) {
 
 // sealedEqualsEncoded checks the two ways of building a container
 // against each other: ckpt was sealed in place around the state walk,
-// and wrapping its payload with Encode must give the same bytes.
-func sealedEqualsEncoded(t *testing.T, ckpt []byte) {
+// and wrapping its payload with Encode must give the same bytes. It
+// returns the payload.
+func sealedEqualsEncoded(t *testing.T, ckpt []byte) []byte {
 	t.Helper()
 	img, err := snapshot.Open(ckpt, Kind, "golden")
 	if err != nil {
@@ -69,4 +73,5 @@ func sealedEqualsEncoded(t *testing.T, ckpt []byte) {
 	if !bytes.Equal(ckpt, snapshot.Encode(Kind, "golden", img.Payload())) {
 		t.Error("container sealed in place differs from Encode of its payload")
 	}
+	return img.Payload()
 }

@@ -237,12 +237,12 @@ poisoned=
 for f in "$RES_DIR/ckpts"/*.ckpt; do
     if [ -z "$poisoned" ]; then
         # One file becomes a sound container around a payload that is not
-        # a machine: magic, codec version 1, kind, the file's own key as
-        # the fingerprint, length, 13 bytes, their FNV-1a. It opens; the
-        # first fork that reads it must reject it, and the group's warm-up
-        # is then simulated once and the file replaced.
+        # a machine: magic, codec version 2, kind, the file's own key as
+        # the fingerprint, length, 13 bytes, their CRC-32C (0x13b9f2b0).
+        # It opens; the first fork that reads it must reject it, and the
+        # group's warm-up is then simulated once and the file replaced.
         poisoned=$(basename "$f" .ckpt) # 24 hex digits (\030)
-        printf 'RPSN\001\000\000\000\013\000\000\000workstation\030\000\000\000%s\015\000\000\000not a machine\024\313\065\302\377\274\107\217' \
+        printf 'RPSN\002\000\000\000\013\000\000\000workstation\030\000\000\000%s\015\000\000\000not a machine\260\362\271\023' \
             "$poisoned" > "$f"
         continue
     fi
