@@ -138,6 +138,16 @@ func NewCache(size, lineSize int) *Cache {
 	}
 }
 
+// reuse returns c if it has the geometry NewCache(size, lineSize) would
+// build, contents and all, and a new empty cache otherwise (c nil
+// included).
+func (c *Cache) reuse(size, lineSize int) *Cache {
+	if c != nil && lineSize > 0 && int(c.sets) == size/lineSize && 1<<c.lineShift == lineSize {
+		return c
+	}
+	return NewCache(size, lineSize)
+}
+
 // Line returns the line address of a byte address.
 func (c *Cache) Line(addr uint32) uint32 { return addr >> c.lineShift }
 

@@ -80,15 +80,28 @@ func (h *Hierarchy) AttachMetrics(m *metrics.ProcMetrics) {
 }
 
 // NewHierarchy builds a hierarchy with parameters p.
-func NewHierarchy(p Params) (*Hierarchy, error) {
+func NewHierarchy(p Params) (*Hierarchy, error) { return NewHierarchyReusing(p, nil) }
+
+// NewHierarchyReusing is NewHierarchy for a restore target: it takes the
+// primary and secondary caches of old, a hierarchy nothing uses any
+// more, where their geometry matches p, instead of allocating them. Their
+// tag, valid and dirty arrays still hold old's lines, so the hierarchy
+// is fit to run only once a restore walk (State), which overwrites each
+// of those arrays in full, has succeeded. A nil old allocates every
+// cache, as NewHierarchy does.
+func NewHierarchyReusing(p Params, old *Hierarchy) (*Hierarchy, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	var l1i, l1d, l2 *Cache
+	if old != nil {
+		l1i, l1d, l2 = old.L1I, old.L1D, old.L2
+	}
 	return &Hierarchy{
 		P:        p,
-		L1I:      NewCache(p.L1ISize, p.LineSize),
-		L1D:      NewCache(p.L1DSize, p.LineSize),
-		L2:       NewCache(p.L2Size, p.LineSize),
+		L1I:      l1i.reuse(p.L1ISize, p.LineSize),
+		L1D:      l1d.reuse(p.L1DSize, p.LineSize),
+		L2:       l2.reuse(p.L2Size, p.LineSize),
 		TLB:      NewTLB(p.TLBEntries),
 		pending:  newMSHRFile(p.MSHRs + prefetchBufEntries),
 		tlbHold:  make(map[uint32]int64),

@@ -180,9 +180,13 @@ func (m *Memory) Hash() uint64 {
 	return h
 }
 
-// Reset drops all pages, returning the memory to all-zeroes.
+// Reset drops all pages, returning the memory to all-zeroes. The page
+// map keeps its capacity for whatever is stored next.
 func (m *Memory) Reset() {
-	m.pages = make(map[uint32]*page)
+	if m.pages == nil {
+		m.pages = make(map[uint32]*page)
+	}
+	clear(m.pages)
 	m.lastPage = nil
 	m.cache = [pageCacheSize]pageCacheEntry{}
 }

@@ -22,9 +22,11 @@ func (m *Memory) RestoreState(r *snapshot.Reader) { m.State(snapshot.Restoring(r
 //
 // A restore drops the old contents but keeps the old pages' storage:
 // U64s overwrites a page in full, so a decoded page takes any spare one
-// before allocating. A forked machine was built a moment ago and already
-// holds its programs' initial data, a quarter to a third of the pages
-// its checkpoint names.
+// before allocating. A fork's memory is empty when its machine is new
+// (programs load their initial data only in a run from scratch); from
+// the second fork of a checkpoint on it is the memory of a finished
+// fork of the same checkpoint, which holds as many pages as the restore
+// needs.
 func (m *Memory) State(c snapshot.Codec) {
 	c.Section(sectionMemory)
 	var spare []*page

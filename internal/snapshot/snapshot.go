@@ -33,6 +33,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/faultfs"
 )
@@ -278,11 +279,43 @@ func Encode(kind, fingerprint string, payload []byte) []byte {
 }
 
 // Image is a container that passed every check Open makes, viewed as
-// its payload. It is immutable: any number of restores may read one
-// Image at once, each through its own Reader, and none of them repeats
-// the verification.
+// its payload. The payload is immutable: any number of restores may read
+// one Image at once, each through its own Reader, and none of them
+// repeats the verification.
+//
+// An Image also keeps the restores' spare storage (PutSpare, Spare): a
+// fork of the image that has finished hands over what its restore walk
+// would overwrite in full anyway, and the next fork takes it instead of
+// allocating. The spares live as long as the Image does.
 type Image struct {
 	payload []byte
+
+	mu     sync.Mutex
+	spares []any
+}
+
+// PutSpare hands v, storage a finished restore no longer uses, to the
+// next restore from this image. Safe for concurrent use.
+func (im *Image) PutSpare(v any) {
+	im.mu.Lock()
+	im.spares = append(im.spares, v)
+	im.mu.Unlock()
+}
+
+// Spare takes storage that an earlier restore handed over with PutSpare,
+// or returns nil. Each value is taken at most once, so concurrent
+// restores never share one. Safe for concurrent use.
+func (im *Image) Spare() any {
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	n := len(im.spares)
+	if n == 0 {
+		return nil
+	}
+	v := im.spares[n-1]
+	im.spares[n-1] = nil
+	im.spares = im.spares[:n-1]
+	return v
 }
 
 // Open validates a container — magic, version, lengths, no trailing

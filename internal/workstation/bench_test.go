@@ -22,7 +22,7 @@ func benchForkMachine(b *testing.B) (*runner, []apps.Kernel, Config) {
 	cfg.WarmupRotations = 12
 	cfg.MeasureRotations = 1
 	ks := testWorkload(b, "cfft2d", "gmtry", "tomcatv", "vpenta")
-	r, err := newRunner(ks, cfg)
+	r, err := newRunner(ks, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"slices"
 
 	"repro/internal/apps"
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/snapshot"
 )
 
@@ -40,7 +42,7 @@ var ErrNotCheckpointable = errors.New("workstation: instrumented run cannot be c
 // (snapshot.Open) and forks every cell of the group from that image via
 // ResumeImageCtx.
 func CheckpointWarmupCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, fingerprint string) ([]byte, error) {
-	r, err := newRunner(kernels, cfg)
+	r, err := newRunner(kernels, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +53,7 @@ func CheckpointWarmupCtx(ctx context.Context, kernels []apps.Kernel, cfg Config,
 // serialized machine. It generalizes CheckpointWarmupCtx to arbitrary
 // slice boundaries for the snapshot property tests.
 func CheckpointAtCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, atSlice int, fingerprint string) ([]byte, error) {
-	r, err := newRunner(kernels, cfg)
+	r, err := newRunner(kernels, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -86,17 +88,23 @@ func ResumeCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, data []by
 
 // ResumeImageCtx restores an opened checkpoint into a freshly built
 // machine for cfg and runs the remaining slices, returning the same
-// Result the uninterrupted run would. It only reads img, so the forks
-// of a sweep group resume one image concurrently and the container is
-// verified once, by whoever opened it. cfg must describe the same
-// machine shape the checkpoint was taken under — same scheme, contexts,
-// slice geometry, workload — which the caller asserted by opening the
-// container with the fingerprint it was written with, and the walk
-// double-checks structurally. Only MeasureOverrides may differ between
-// the checkpointing and resuming configurations: they apply at the
-// measure boundary, inside the resumed half of the loop.
+// Result the uninterrupted run would. It only reads img's payload, so
+// the forks of a sweep group resume one image concurrently and the
+// container is verified once, by whoever opened it. cfg must describe
+// the same machine shape the checkpoint was taken under — same scheme,
+// contexts, slice geometry, workload — which the caller asserted by
+// opening the container with the fingerprint it was written with, and
+// the walk double-checks structurally. Only MeasureOverrides may differ
+// between the checkpointing and resuming configurations: they apply at
+// the measure boundary, inside the resumed half of the loop.
+//
+// The machine is built fresh except for its largest storage: a fork
+// takes the memory pages and cache arrays an earlier fork of img left
+// (img.Spare), and leaves its own when it finishes, so a sweep group
+// allocates them once per concurrent fork, not once per cell.
 func ResumeImageCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, img *snapshot.Image) (*Result, error) {
-	r, err := newRunner(kernels, cfg)
+	sp, _ := img.Spare().(*spare)
+	r, err := newRunner(kernels, cfg, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +124,20 @@ func ResumeImageCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, img 
 	if err := r.runSlices(ctx, atSlice, r.totalSlices); err != nil {
 		return nil, err
 	}
-	return r.result(), nil
+	res := r.result()
+	img.PutSpare(&spare{fm: r.fm, h: r.h})
+	return res, nil
+}
+
+// spare is the storage of a finished fork that the next fork of the same
+// image takes: the functional memory, whose pages a restore reuses
+// (mem.Memory.State), and the hierarchy, whose three caches' tag, valid
+// and dirty arrays it reuses (cache.NewHierarchyReusing). A restore walk
+// overwrites every byte of both, so no state crosses from one fork to the
+// next, and a Result copies what it reports, so none aliases them.
+type spare struct {
+	fm *mem.Memory
+	h  *cache.Hierarchy
 }
 
 // state visits the full run state as of the top of slice *atSlice

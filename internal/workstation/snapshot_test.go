@@ -198,7 +198,7 @@ func TestCheckpointAtRandomBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := newRunner(ks, cfg)
+		r, err := newRunner(ks, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -157,7 +157,7 @@ func Run(kernels []apps.Kernel, cfg Config) (*Result, error) {
 // context (Done() == nil) takes exactly the pre-cancellation code path,
 // keeping the fast-forward goldens byte-identical.
 func RunCtx(ctx context.Context, kernels []apps.Kernel, cfg Config) (*Result, error) {
-	r, err := newRunner(kernels, cfg)
+	r, err := newRunner(kernels, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,12 @@ type runner struct {
 	devotedStart []int64
 }
 
-func newRunner(kernels []apps.Kernel, cfg Config) (*runner, error) {
+// newRunner builds the machine for cfg with empty memory: slice 0 of
+// runSlices loads the programs' initial data, so a fork, which enters
+// at the measure boundary, never writes data its restore would discard.
+// A non-nil spare is a finished fork's storage (see spare) for a machine
+// that a restore walk will overwrite before it runs.
+func newRunner(kernels []apps.Kernel, cfg Config, sp *spare) (*runner, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("workstation: empty workload")
 	}
@@ -212,8 +217,14 @@ func newRunner(kernels []apps.Kernel, cfg Config) (*runner, error) {
 	if cfg.Cache.Chaos == nil {
 		cfg.Cache.Chaos = cfg.Guard.NewChaos()
 	}
-	fm := mem.New()
-	h, err := cache.NewHierarchy(cfg.Cache)
+	var fm *mem.Memory
+	var old *cache.Hierarchy
+	if sp != nil {
+		fm, old = sp.fm, sp.h
+	} else {
+		fm = mem.New()
+	}
+	h, err := cache.NewHierarchyReusing(cfg.Cache, old)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +302,6 @@ func newRunner(kernels []apps.Kernel, cfg Config) (*runner, error) {
 			AutoTolerate: yield != prog.YieldNone,
 			Scale:        cfg.AppScale,
 		})
-		p.LoadInit(fm)
 		r.threads[i] = core.NewThread(fmt.Sprintf("%s.%d", k.Name, i), p)
 	}
 
@@ -352,6 +362,12 @@ func (r *runner) runSlices(ctx context.Context, from, to int) error {
 	}
 
 	for slice := from; slice < to; slice++ {
+		if slice == 0 {
+			// Only a run from scratch loads its programs' initial data.
+			for _, th := range r.threads {
+				th.Prog.LoadInit(r.fm)
+			}
+		}
 		// Scheduler invocation at every slice boundary; process switches
 		// only at group boundaries (affinity).
 		switched := 0
