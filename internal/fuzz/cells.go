@@ -421,12 +421,13 @@ func runUni(ctx context.Context, p *prog.Program, s *Spec, c Cell, lim Limits, r
 }
 
 // forkUni is runUni's snapshot fork: run the source machine to a block
-// boundary derived from the program seed, serialize every machine layer
-// through the snapshot codec, and restore into a freshly built twin,
-// which it returns for runUni to finish. The cell's digest — cycles,
-// switch trace, retirement hashes, arch hash — must be indistinguishable
-// from its unforked sibling's; any codec bug surfaces as a strict-group
-// divergence in the oracle.
+// boundary derived from the program seed, seal every machine layer into
+// a checkpoint container (snapshot.Seal), open it (snapshot.Open) and
+// restore into a freshly built twin, which it returns for runUni to
+// finish. This is the drivers' checkpoint path, trailer check included.
+// The cell's digest — cycles, switch trace, retirement hashes, arch hash
+// — must be indistinguishable from its unforked sibling's; any codec bug
+// surfaces as a strict-group divergence in the oracle.
 func forkUni(ctx context.Context, seed int64, lim Limits,
 	build func() (*cache.Hierarchy, *mem.Memory, *core.Processor, []*core.Thread, error),
 	h *cache.Hierarchy, fm *mem.Memory, proc *core.Processor, ths []*core.Thread,
@@ -437,25 +438,27 @@ func forkUni(ctx context.Context, seed int64, lim Limits,
 	if _, _, err := proc.RunGuardedCtx(ctx, at, guard.Options{}); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	w := snapshot.NewWriter()
-	for _, th := range ths {
-		th.SaveState(w)
+	walk := func(h *cache.Hierarchy, fm *mem.Memory, proc *core.Processor, ths []*core.Thread) func(snapshot.Codec) {
+		return func(c snapshot.Codec) {
+			for _, th := range ths {
+				th.State(c)
+			}
+			proc.State(c)
+			h.State(c)
+			fm.State(c)
+		}
 	}
-	proc.SaveState(w)
-	h.SaveState(w)
-	fm.SaveState(w)
+	img, err := snapshot.Open(snapshot.Seal(forkKind, "", walk(h, fm, proc, ths)), forkKind, "")
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("checkpoint at cycle %d: %w", at, err)
+	}
 
 	h2, fm2, proc2, ths2, err := build()
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	r := snapshot.NewReader(w.Bytes())
-	for _, th := range ths2 {
-		th.RestoreState(r)
-	}
-	proc2.RestoreState(r)
-	h2.RestoreState(r)
-	fm2.RestoreState(r)
+	r := img.Reader()
+	walk(h2, fm2, proc2, ths2)(snapshot.Restoring(r))
 	if err := snapshot.Finish(r); err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("restore at cycle %d: %w", at, err)
 	}
@@ -464,6 +467,10 @@ func forkUni(ctx context.Context, seed int64, lim Limits,
 	}
 	return h2, fm2, proc2, ths2, nil
 }
+
+// forkKind names the container forkUni seals: a uniprocessor machine's
+// threads, processor, hierarchy and memory.
+const forkKind = "fuzz-uni"
 
 // forkCycle is the block boundary a Restore cell forks at: one of the
 // first 16, drawn from the program seed. Generated programs run for a
