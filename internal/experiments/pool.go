@@ -52,9 +52,6 @@ func NewPool(parallelism int) *Pool {
 	return &Pool{workers: parallelism}
 }
 
-// Workers reports the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // dispatch is the pool's one loop: task(ctx, i) for every i in [0, n), at
 // most p.workers at a time, every genuine failure handed to failed (one
 // call at a time). A cancelled ctx drains it — queued cells never start —

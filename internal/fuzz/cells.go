@@ -17,9 +17,9 @@ import (
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/mp"
-	"repro/internal/osmodel"
 	"repro/internal/prog"
 	"repro/internal/snapshot"
+	"repro/internal/workstation"
 )
 
 // Limits bounds a single cell. The zero value selects defaults generous
@@ -391,7 +391,7 @@ func runUni(ctx context.Context, p *prog.Program, s *Spec, c Cell, lim Limits, r
 		// programs still see several invocations.
 		const slice = 8192
 		rng := rand.New(rand.NewSource(experiments.DeriveSeed(s.Seed, 0x05c4ed)))
-		inter := osmodel.InterferenceFor(c.Contexts)
+		inter := workstation.InterferenceFor(c.Contexts)
 		for proc.Now() < lim.MaxCycles && !proc.AllHalted() {
 			if _, _, err := proc.RunGuardedCtx(ctx, slice, guard.Options{}); err != nil {
 				return nil, nil, err

@@ -1,12 +1,13 @@
-// Package osmodel implements the paper's operating-system model (§4.3):
-// a time-slicing scheduler with processor affinity whose only simulated
-// effect is cache interference — at every scheduler invocation it
-// displaces cache lines and TLB entries, per Torrellas' measurements of
-// IRIX on a Silicon Graphics 4D/340 (paper Table 6).
-package osmodel
+package workstation
 
-// Params configures the OS model.
-type Params struct {
+// The paper's operating-system model (§4.3): a time-slicing scheduler
+// with processor affinity whose only simulated effect is cache
+// interference. At every scheduler invocation it displaces cache lines
+// and TLB entries, per Torrellas' measurements of IRIX on a Silicon
+// Graphics 4D/340 (paper Table 6).
+
+// OSParams configures the OS model.
+type OSParams struct {
 	// SliceCycles is the scheduler interrupt period. The paper uses
 	// 30 ms at 200 MHz = 6 M cycles; the default here is scaled down by
 	// 100x (see DESIGN.md §3) so full workloads simulate quickly while
@@ -19,9 +20,9 @@ type Params struct {
 	AffinitySlices int
 }
 
-// DefaultParams returns the paper's OS model, time-scaled.
-func DefaultParams() Params {
-	return Params{SliceCycles: 60_000, AffinitySlices: 3}
+// DefaultOSParams returns the paper's OS model, time-scaled.
+func DefaultOSParams() OSParams {
+	return OSParams{SliceCycles: 60_000, AffinitySlices: 3}
 }
 
 // Interference is the cache damage of one scheduler invocation.

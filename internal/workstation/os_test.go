@@ -1,9 +1,9 @@
-package osmodel
+package workstation
 
 import "testing"
 
-func TestDefaults(t *testing.T) {
-	p := DefaultParams()
+func TestOSDefaults(t *testing.T) {
+	p := DefaultOSParams()
 	if p.SliceCycles <= 0 || p.AffinitySlices != 3 {
 		t.Errorf("defaults = %+v", p)
 	}

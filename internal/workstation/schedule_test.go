@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/osmodel"
 	"repro/internal/prog"
 )
 
@@ -117,7 +116,7 @@ func TestOSParamsPlumbed(t *testing.T) {
 	// the run accepts and uses non-default OS params without error.
 	ks := []apps.Kernel{spinKernel("a"), spinKernel("b")}
 	cfg := DefaultConfig(core.Blocked, 2)
-	cfg.OS = osmodel.Params{SliceCycles: 2_000, AffinitySlices: 1}
+	cfg.OS = OSParams{SliceCycles: 2_000, AffinitySlices: 1}
 	if _, err := Run(ks, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/osmodel"
 	"repro/internal/prog"
 	"repro/internal/snapshot"
 )
@@ -46,7 +45,7 @@ type Config struct {
 	Scheme   core.Scheme
 	Contexts int
 
-	OS    osmodel.Params
+	OS    OSParams
 	Cache cache.Params
 	// Core, if non-zero, overrides the derived core configuration.
 	Core *core.Config
@@ -89,7 +88,7 @@ func DefaultConfig(s core.Scheme, contexts int) Config {
 	return Config{
 		Scheme:           s,
 		Contexts:         contexts,
-		OS:               osmodel.DefaultParams(),
+		OS:               DefaultOSParams(),
 		Cache:            cache.DefaultParams(),
 		WarmupRotations:  1,
 		MeasureRotations: 1,
@@ -380,7 +379,7 @@ func (r *runner) runSlices(ctx context.Context, from, to int) error {
 				}
 			}
 		}
-		inter := osmodel.InterferenceFor(switched)
+		inter := InterferenceFor(switched)
 		h.DrainFills(proc.Now())
 		h.SchedulerInterference(inter.ILines, inter.DLines, inter.TLBEntries, r.rng)
 
