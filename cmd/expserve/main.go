@@ -1,17 +1,31 @@
-// Command expserve is the distributed experiment service: coordinator
-// and client in one binary.
+// Command expserve is the distributed experiment service: coordinator,
+// worker and client in one binary.
 //
 //	expserve serve -dir STATE [-addr 127.0.0.1:7711] [-addr-file F]
+//	expserve work -coordinator URL [-name N] [-slots K] [-poll D] [-fault PLAN]
 //	expserve submit -coordinator URL [-quick] [-only table7,...] [-j N] [-subjects ...] [-schemes ...] [-contexts ...]
 //	expserve progress -coordinator URL -job N
 //	expserve wait -coordinator URL -job N [-out F] [-json-out F]
 //
 // serve runs the coordinator: it accepts job specs (the same resolved
-// grid configs cmd/experiments runs), fans cells out to expworker
+// grid configs cmd/experiments runs), fans cells out to expserve work
 // processes under time-bounded leases with heartbeat renewal, journals
 // every completed cell before acknowledging it, and survives kill -9 —
 // a restart on the same -dir resumes every job from its journal with
 // zero re-simulation. SIGINT/SIGTERM shut it down gracefully (exit 0).
+//
+// work leases grid cells from a coordinator, simulates them through the
+// same per-cell policy cmd/experiments uses (derived seeds, doubled
+// budget retry), and reports the records back under heartbeat-renewed
+// leases. A worker's first lease request makes it known to the
+// coordinator; started before its coordinator, it retries every -poll
+// until one answers. -fault scripts deterministic process-level failures
+// for the chaos harness ("die-mid-cell@3",
+// "die-before-ack@1,heartbeat-stall@4"): the worker executes the fault
+// on that cell-execution ordinal and, for the dying kinds, stops
+// abruptly — no completion, no heartbeat — exactly as a crash would, but
+// with its own exit code, 7. A worker runs until stopped: SIGINT/SIGTERM
+// hand its leases back and exit 3.
 //
 // submit resolves its grid flags through the binding cmd/experiments
 // uses (experiments.BindGridFlags), posts the configurations, and prints
@@ -24,7 +38,7 @@
 // then writes the job's stdout text (byte-identical to cmd/experiments)
 // to -out or stdout, and the raw results JSON to -json-out. Exit codes
 // follow cmd/experiments: 0 success, 1 any cell failed, 2 usage,
-// 3 interrupted.
+// 3 interrupted; work adds 7, an injected fault executed.
 package main
 
 import (
@@ -47,12 +61,16 @@ import (
 	"repro/internal/service"
 )
 
+// ExitFaultInjected distinguishes a scripted chaos death of a worker
+// from a real failure; the crash harness asserts on it.
+const ExitFaultInjected = 7
+
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
 func usage() int {
-	fmt.Fprintln(os.Stderr, "usage: expserve serve|submit|progress|wait [flags]")
+	fmt.Fprintln(os.Stderr, "usage: expserve serve|work|submit|progress|wait [flags]")
 	return experiments.ExitUsage
 }
 
@@ -63,6 +81,8 @@ func run(args []string) int {
 	switch args[0] {
 	case "serve":
 		return runServe(args[1:])
+	case "work":
+		return runWork(args[1:])
 	case "submit":
 		return runSubmit(args[1:])
 	case "progress":
@@ -142,6 +162,59 @@ func runServe(args []string) int {
 		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(shCtx)
+	}
+	return 0
+}
+
+func runWork(args []string) int {
+	fs := flag.NewFlagSet("expserve work", flag.ContinueOnError)
+	coordinator := fs.String("coordinator", "", "coordinator base URL (required)")
+	name := fs.String("name", "", "worker name (default: host.pid)")
+	slots := fs.Int("slots", 1, "concurrently simulated cells")
+	poll := fs.Duration("poll", 250*time.Millisecond, "idle lease re-poll interval")
+	fault := fs.String("fault", "", "chaos fault plan, e.g. die-mid-cell@3 (kinds: die-mid-cell, die-before-ack, heartbeat-stall)")
+	if err := fs.Parse(args); err != nil {
+		return experiments.ExitUsage
+	}
+	if *coordinator == "" {
+		fmt.Fprintln(os.Stderr, "expserve work: -coordinator is required")
+		return experiments.ExitUsage
+	}
+	plan, err := guard.ProcessFaults.Parse(*fault)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "expserve work:", err)
+		return experiments.ExitUsage
+	}
+	if *name == "" {
+		host, _ := os.Hostname()
+		if host == "" {
+			host = "worker"
+		}
+		*name = fmt.Sprintf("%s.%d", host, os.Getpid())
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	w := service.NewWorker(service.WorkerConfig{
+		Coordinator:  *coordinator,
+		Name:         *name,
+		Slots:        *slots,
+		PollInterval: *poll,
+		Plan:         plan,
+		Logf: func(format string, a ...any) {
+			fmt.Fprintf(os.Stderr, "expserve: "+format+"\n", a...)
+		},
+	})
+	err = w.Run(ctx)
+	switch {
+	case errors.Is(err, service.ErrFaultInjected):
+		fmt.Fprintln(os.Stderr, "expserve:", err)
+		return ExitFaultInjected
+	case ctx.Err() != nil:
+		fmt.Fprintln(os.Stderr, "expserve: interrupted; drained")
+		return experiments.ExitInterrupted
+	case err != nil:
+		return die(err)
 	}
 	return 0
 }

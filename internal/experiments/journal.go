@@ -50,7 +50,7 @@ const JournalVersion = 2
 //     hard error (*FingerprintError).
 //   - Binary identity (Binary): recorded in the header and compared
 //     separately. Results are a function of the config, not of which
-//     binary ran it — cmd/experiments, cmd/expworker and a rebuilt tree
+//     binary ran it — cmd/experiments, expserve work and a rebuilt tree
 //     all simulate identically — so a mismatch is refusable-by-default
 //     (*BinaryMismatchError) but explicitly overridable
 //     (-allow-binary-mismatch; the service coordinator always allows it).
@@ -161,7 +161,7 @@ func (e *FingerprintError) Error() string {
 
 // BinaryMismatchError is returned by OpenJournal when a journal's config
 // identity matches but it was written by a different binary (e.g. a
-// cmd/expworker journal resumed under cmd/experiments, or a rebuilt
+// service worker's journal resumed under cmd/experiments, or a rebuilt
 // tree). Results depend only on the configuration, so the caller may
 // deliberately proceed with OpenJournalAllow / -allow-binary-mismatch;
 // refusing is merely the conservative default.

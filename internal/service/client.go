@@ -21,10 +21,6 @@ type submitResponse struct {
 	Cells int `json:"cells"`
 }
 
-type registerRequest struct {
-	Worker string `json:"worker"`
-}
-
 // Lease hands one cell to one worker for TTLMillis. The full job spec
 // rides along so a worker needs no job-state round trip — it can
 // simulate from the lease alone. Attempt is 1-based across the cell's

@@ -207,7 +207,6 @@ func (j *job) complete() bool { return j.done == len(j.cells) }
 // expiries trip it, a successful (or duplicate) completion resets it.
 type workerState struct {
 	name             string
-	lastSeen         time.Time
 	consecExpiries   int
 	quarantinedUntil time.Time
 }
@@ -352,7 +351,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /api/jobs/{id}", c.handleStatus)
 	mux.HandleFunc("GET /api/jobs/{id}/result", c.handleResult)
 	mux.HandleFunc("GET /api/jobs/{id}/cells", c.handleCells)
-	mux.HandleFunc("POST /api/register", c.handleRegister)
 	mux.HandleFunc("POST /api/lease", c.handleLease)
 	mux.HandleFunc("POST /api/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /api/release", c.handleRelease)
@@ -698,27 +696,16 @@ func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (c *Coordinator) ensureWorkerLocked(name string, now time.Time) *workerState {
+// ensureWorkerLocked returns the named worker's breaker state, creating
+// it on the worker's first request: there is no separate registration.
+func (c *Coordinator) ensureWorkerLocked(name string) *workerState {
 	w := c.workers[name]
 	if w == nil {
 		w = &workerState{name: name}
 		c.workers[name] = w
-		c.cfg.Logf("worker %q registered", name)
+		c.cfg.Logf("worker %q: first request", name)
 	}
-	w.lastSeen = now
 	return w
-}
-
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
-		httpError(w, http.StatusBadRequest, "register needs a worker name")
-		return
-	}
-	c.mu.Lock()
-	c.ensureWorkerLocked(req.Worker, time.Now())
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -735,7 +722,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	ws := c.ensureWorkerLocked(req.Worker, now)
+	ws := c.ensureWorkerLocked(req.Worker)
 	if now.Before(ws.quarantinedUntil) {
 		// Tripped breaker: starve the worker until the cooldown passes.
 		writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: clampMillis(ws.quarantinedUntil.Sub(now))})
@@ -818,7 +805,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	// redispatched the cell, and renewing here would leave two workers
 	// believing they hold it.
 	c.expireLocked(now)
-	c.ensureWorkerLocked(req.Worker, now)
+	c.ensureWorkerLocked(req.Worker)
 	resp := heartbeatResponse{}
 	// Fenced renewal: each ID renews only if that exact lease is still
 	// live and still belongs to this worker.
@@ -941,7 +928,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	ws := c.ensureWorkerLocked(req.Worker, now)
+	ws := c.ensureWorkerLocked(req.Worker)
 	// A worker that delivers results is alive, whatever its lease
 	// bookkeeping looked like; reset its breaker.
 	ws.consecExpiries = 0

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -28,8 +29,7 @@ func tinyUniSpec() *experiments.UniConfig {
 }
 
 // stubCoordinator is a scripted coordinator for worker tests: it answers
-// register and heartbeat, and leaves lease, complete and release to the
-// test.
+// heartbeat, and leaves lease, complete and release to the test.
 type stubCoordinator struct {
 	lease    func(w http.ResponseWriter, req leaseRequest)
 	complete func(req completeRequest)
@@ -40,9 +40,6 @@ type stubCoordinator struct {
 
 func (s *stubCoordinator) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/register", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
 	mux.HandleFunc("POST /api/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, heartbeatResponse{})
 	})
@@ -133,6 +130,86 @@ func TestWorkerLeasesNextCellWithoutDelay(t *testing.T) {
 	sort.Slice(gaps, func(i, k int) bool { return gaps[i] < gaps[k] })
 	if median := gaps[len(gaps)/2]; median >= 5*time.Millisecond {
 		t.Errorf("median gap between answering a report and the next lease request is %v, want < 5ms (all: %v)", median, gaps)
+	}
+}
+
+// A worker has no registration handshake: its first request is a lease,
+// which makes it known to the coordinator.
+func TestWorkerFirstRequestIsALease(t *testing.T) {
+	var mu sync.Mutex
+	var requests []string
+	first := make(chan struct{})
+	stub := &stubCoordinator{lease: func(w http.ResponseWriter, req leaseRequest) {
+		writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: 10})
+	}}
+	h := stub.handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests = append(requests, r.Method+" "+r.URL.Path)
+		if len(requests) == 1 {
+			close(first)
+		}
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	startWorker(t, srv.URL, WorkerConfig{Name: "new", PollInterval: 10 * time.Millisecond})
+	select {
+	case <-first:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker sent no request")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if requests[0] != "POST /api/lease" {
+		t.Errorf("a new worker's first request is %q, want POST /api/lease", requests[0])
+	}
+}
+
+// A worker started before its coordinator waits for it: the lease loop
+// retries the refused connection every PollInterval and starts leasing
+// once the coordinator listens.
+func TestWorkerStartedBeforeCoordinatorLeases(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	var refused atomic.Int64
+	startWorker(t, "http://"+addr, WorkerConfig{Name: "early", PollInterval: 10 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "lease: %v (retrying)") {
+				refused.Add(1)
+			}
+		}})
+	for deadline := time.Now().Add(10 * time.Second); refused.Load() < 3; {
+		if time.Now().After(deadline) {
+			t.Fatal("worker did not retry its lease against an address with no listener")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	leasing := make(chan struct{})
+	var once sync.Once
+	stub := &stubCoordinator{lease: func(w http.ResponseWriter, req leaseRequest) {
+		once.Do(func() { close(leasing) })
+		writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: 10})
+	}}
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("relisten on %s: %v", addr, err)
+	}
+	srv := httptest.NewUnstartedServer(stub.handler())
+	srv.Listener.Close()
+	srv.Listener = ln
+	srv.Start()
+	defer srv.Close()
+	select {
+	case <-leasing:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never leased from the coordinator that came up after it")
 	}
 }
 
@@ -288,10 +365,15 @@ func TestDrainMidCellReleasesLease(t *testing.T) {
 	spec := JobSpec{Uni: quickUniSpec()}
 	wantText, wantJSON := reference(t, spec)
 
-	// The second worker is known to the coordinator throughout; it starts
-	// leasing once the first has drained.
-	if err := client.call(context.Background(), http.MethodPost, "/api/register", registerRequest{Worker: "steady"}, nil); err != nil {
+	// The second worker is known to the coordinator throughout: its lease
+	// before the submit comes back empty. It starts leasing cells once the
+	// first has drained.
+	var empty leaseResponse
+	if err := client.call(context.Background(), http.MethodPost, "/api/lease", leaseRequest{Worker: "steady", Max: 1}, &empty); err != nil {
 		t.Fatal(err)
+	}
+	if len(empty.Leases) != 0 {
+		t.Fatalf("a lease before any submit granted %d cells", len(empty.Leases))
 	}
 	id, _, err := client.Submit(context.Background(), spec)
 	if err != nil {

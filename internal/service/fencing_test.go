@@ -164,9 +164,6 @@ func TestWorkerCompleteRetryHonorsCancel(t *testing.T) {
 	spec := JobSpec{Uni: quickUniSpec()}
 	var completes atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/register", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
 	mux.HandleFunc("POST /api/lease", func(w http.ResponseWriter, r *http.Request) {
 		// One lease, once; later polls get nothing.
 		var req leaseRequest

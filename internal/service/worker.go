@@ -16,7 +16,7 @@ import (
 
 // ErrFaultInjected is what Worker.Run returns after executing a
 // scripted fault from its Plan — the process-level analogue of a
-// chaos perturbation. cmd/expworker maps it to its own exit code so the
+// chaos perturbation. expserve work maps it to its own exit code so the
 // crash harness can tell an injected death from a real failure.
 var ErrFaultInjected = errors.New("service: worker died by injected fault")
 
@@ -144,10 +144,12 @@ func (w *Worker) stalled() bool {
 	return time.Now().UnixNano() < w.stallUntil.Load()
 }
 
-// Run registers, then leases and simulates cells until ctx is cancelled
-// (returns ctx.Err()) or an injected fault kills the worker (returns
-// ErrFaultInjected). Transport errors never kill it: a worker outlives
-// coordinator restarts by construction, it just keeps retrying. A
+// Run leases and simulates cells until ctx is cancelled (returns
+// ctx.Err()) or an injected fault kills the worker (returns
+// ErrFaultInjected). Its first lease request makes it known to the
+// coordinator. Transport errors never kill it: a worker started before
+// its coordinator, or outliving a coordinator restart, just keeps
+// retrying every PollInterval. A
 // cancelled ctx is a drain: simulations stop, and every lease the worker
 // still holds is handed back to the coordinator before Run returns.
 func (w *Worker) Run(ctx context.Context) error {
@@ -161,9 +163,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 	}()
 
-	if err := w.register(ctx); err != nil {
-		return w.exitErr(ctx, err)
-	}
 	go w.heartbeatLoop(ctx)
 
 	var wg sync.WaitGroup
@@ -228,7 +227,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	wg.Wait()
 	w.releaseHeld(ctx)
-	return w.exitErr(ctx, nil)
+	if err := w.faultErr(); err != nil {
+		return err
+	}
+	return ctx.Err()
 }
 
 // releaseHeld hands back the leases a drain left the worker holding —
@@ -250,41 +252,12 @@ func (w *Worker) releaseHeld(ctx context.Context) {
 	}
 }
 
-func (w *Worker) exitErr(ctx context.Context, err error) error {
-	if ferr := w.faultErr(); ferr != nil {
-		return ferr
-	}
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
 func sleepCtx(ctx context.Context, d time.Duration) bool {
 	select {
 	case <-ctx.Done():
 		return false
 	case <-time.After(d):
 		return true
-	}
-}
-
-// register retries until the coordinator answers; a worker started
-// before (or during a restart of) the coordinator just waits.
-func (w *Worker) register(ctx context.Context) error {
-	for {
-		err := w.client.call(ctx, http.MethodPost, "/api/register",
-			registerRequest{Worker: w.cfg.Name}, nil)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		w.cfg.Logf("worker %q: register: %v (retrying)", w.cfg.Name, err)
-		if !sleepCtx(ctx, w.cfg.PollInterval) {
-			return ctx.Err()
-		}
 	}
 }
 

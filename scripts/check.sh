@@ -26,8 +26,19 @@ fi
 # outside internal/experiments drive a grid by name and index and never
 # name a per-grid record type, constant, assembler or renderer.
 if grep -rnE 'GridWorkstation|GridMultiprocessor|UniCellRecord|MPCellRecord|AssembleUni|AssembleMP|RenderUniSections|RenderMPSections' \
-    --include='*.go' --exclude='*_test.go' internal/service cmd/expserve cmd/expworker; then
+    --include='*.go' --exclude='*_test.go' internal/service cmd/expserve; then
     echo "check.sh: a scheduler names a per-grid symbol; drive the grid through experiments.Grid" >&2
+    exit 1
+fi
+
+# One service binary and no registration handshake: the worker is
+# expserve work, its first lease makes it known to the coordinator, and
+# the OS model lives in internal/workstation. A second worker command, a
+# register endpoint or a package of its own for the OS model is a second
+# copy of what is already there.
+if [ -e cmd/expworker ] || [ -e internal/osmodel ] ||
+    grep -rnE '/api/register|cmd/expworker|internal/osmodel' --include='*.go' --exclude='*_test.go' .; then
+    echo "check.sh: cmd/expworker, /api/register or internal/osmodel is back; use expserve work, the first lease and internal/workstation" >&2
     exit 1
 fi
 
@@ -298,7 +309,6 @@ if [ -n "${SERVICE:-}" ]; then
     SVC_DIR="$(mktemp -d)"
     trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$SVC_DIR"' EXIT
     go build -o "$SVC_DIR/expserve" ./cmd/expserve
-    go build -o "$SVC_DIR/expworker" ./cmd/expworker
 
     # Coordinator: port 0 picks a free port, -addr-file publishes it.
     "$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr 127.0.0.1:0 \
@@ -313,12 +323,12 @@ if [ -n "${SERVICE:-}" ]; then
     # releases nothing (an injected death is a kill -9), so its lease
     # must expire before that cell can redispatch.
     wcode=0
-    "$SVC_DIR/expworker" -coordinator "$ADDR" -name doomed -poll 100ms \
+    "$SVC_DIR/expserve" work -coordinator "$ADDR" -name doomed -poll 100ms \
         -fault die-mid-cell@1 2> "$SVC_DIR/doomed.log" || wcode=$?
     [ "$wcode" -eq 7 ]
 
     # The survivor does the real work.
-    "$SVC_DIR/expworker" -coordinator "$ADDR" -name steady -slots 2 -poll 100ms \
+    "$SVC_DIR/expserve" work -coordinator "$ADDR" -name steady -slots 2 -poll 100ms \
         2> "$SVC_DIR/steady.log" &
     STEADY_PID=$!
 
