@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -176,6 +177,21 @@ func (e *BinaryMismatchError) Error() string {
 		e.Path, e.Got, e.Want)
 }
 
+// HeaderNotWrittenError is returned by OpenJournal when the file holds
+// no complete first line: it is empty, or its header was cut short
+// before the newline. That is what a failed header write in
+// CreateJournal leaves behind. No cell can have been recorded after such
+// a header, so a caller may start the journal afresh, as it would for a
+// missing file. A complete first line that is no valid header stays a
+// plain hard error.
+type HeaderNotWrittenError struct {
+	Path string
+}
+
+func (e *HeaderNotWrittenError) Error() string {
+	return fmt.Sprintf("experiments: journal %s has no intact header (its first line never landed); cannot resume from it", e.Path)
+}
+
 // journalLine is one JSONL record: a header (first line) or a completed
 // cell. Cell data is kept raw so replay can decode straight into the
 // grid-specific record type, and Hash guards against torn appends.
@@ -267,8 +283,9 @@ func CreateJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, er
 // does not match. Reading stops at the first such record; the cells
 // before it replay, the torn cell simply re-runs, and the file is
 // truncated back to its last intact record so new appends start on a
-// clean line. A missing or corrupt *header* is not tolerated: there is
-// nothing safe to resume.
+// clean line. A line counts only once its newline has landed. A missing
+// or corrupt *header* is not tolerated: there is nothing safe to resume
+// (*HeaderNotWrittenError when no first line landed at all).
 func OpenJournal(path string, fp Fingerprint) (*Journal, error) {
 	return OpenJournalAllow(path, fp, false, nil)
 }
@@ -296,9 +313,12 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 	cells := map[journalKey]json.RawMessage{}
 	var validOff int64
 	sawHeader := false
+	lines := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc.Split(scanCompleteLines)
 	for sc.Scan() {
+		lines++
 		raw := sc.Bytes()
 		var line journalLine
 		if err := json.Unmarshal(raw, &line); err != nil {
@@ -342,6 +362,9 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 		validOff += int64(len(raw)) + 1
 	}
 	if !sawHeader {
+		if lines == 0 {
+			return nil, &HeaderNotWrittenError{Path: path}
+		}
 		return nil, fmt.Errorf("experiments: journal %s has no intact header; cannot resume from it", path)
 	}
 
@@ -355,6 +378,16 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 		return nil, fmt.Errorf("experiments: reopen journal: %w", err)
 	}
 	return &Journal{f: af, fs: fsys, path: path, cells: cells}, nil
+}
+
+// scanCompleteLines splits a journal into its newline-terminated lines
+// and drops an unterminated last one: a record cut short before its
+// newline is torn even if its bytes happen to parse.
+func scanCompleteLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
 }
 
 // DataHash digests a cell record's payload (FNV-1a, hex) so a torn

@@ -171,7 +171,9 @@ func TestJournalReplaysFailedCells(t *testing.T) {
 
 // A crash mid-append leaves a torn tail. Each corruption is either
 // tolerated — the intact prefix replays, the torn cell re-runs — or, when
-// the header itself is unusable, a hard error.
+// the header itself is unusable, a hard error. That error is a
+// *HeaderNotWrittenError exactly when no first line landed, so a caller
+// may start afresh; a complete first line that is no header is not.
 func TestJournalCorruptionTolerance(t *testing.T) {
 	// A known-good journal: header + 3 intact cell records.
 	fp := Fingerprint{Version: JournalVersion, Binary: "test"}
@@ -192,10 +194,11 @@ func TestJournalCorruptionTolerance(t *testing.T) {
 	}
 
 	tests := []struct {
-		name    string
-		mutate  func(lines []string) string // full file content
-		cells   int                         // intact cells expected; -1 = hard error
-		errWant string                      // substring of the hard error
+		name      string
+		mutate    func(lines []string) string // full file content
+		cells     int                         // intact cells expected; -1 = hard error
+		errWant   string                      // substring of the hard error
+		unwritten bool                        // the hard error is a *HeaderNotWrittenError
 	}{
 		{
 			name: "intact",
@@ -209,6 +212,13 @@ func TestJournalCorruptionTolerance(t *testing.T) {
 			mutate: func(l []string) string {
 				whole := strings.Join(l[:3], "\n") + "\n"
 				return whole + l[3][:len(l[3])/2] // last record torn in half
+			},
+			cells: 2,
+		},
+		{
+			name: "record without its newline",
+			mutate: func(l []string) string {
+				return strings.Join(l, "\n") // bytes that parse, cut before the newline
 			},
 			cells: 2,
 		},
@@ -246,6 +256,41 @@ func TestJournalCorruptionTolerance(t *testing.T) {
 			mutate: func(l []string) string {
 				return ""
 			},
+			cells:     -1,
+			errWant:   "no intact header",
+			unwritten: true,
+		},
+		{
+			name: "torn header",
+			mutate: func(l []string) string {
+				return l[0][:len(l[0])/2]
+			},
+			cells:     -1,
+			errWant:   "no intact header",
+			unwritten: true,
+		},
+		{
+			name: "header without its newline",
+			mutate: func(l []string) string {
+				return l[0]
+			},
+			cells:     -1,
+			errWant:   "no intact header",
+			unwritten: true,
+		},
+		{
+			name: "complete invalid header",
+			mutate: func(l []string) string {
+				return l[0][:len(l[0])/2] + "\n"
+			},
+			cells:   -1,
+			errWant: "no intact header",
+		},
+		{
+			name: "invalid header before records",
+			mutate: func(l []string) string {
+				return l[0][:len(l[0])/2] + "\n" + strings.Join(l[1:], "\n") + "\n"
+			},
 			cells:   -1,
 			errWant: "no intact header",
 		},
@@ -281,6 +326,10 @@ func TestJournalCorruptionTolerance(t *testing.T) {
 				}
 				if !strings.Contains(err.Error(), tc.errWant) {
 					t.Errorf("error %q does not mention %q", err, tc.errWant)
+				}
+				var unwritten *HeaderNotWrittenError
+				if got := errors.As(err, &unwritten); got != tc.unwritten {
+					t.Errorf("error %q is a HeaderNotWrittenError: %v, want %v", err, got, tc.unwritten)
 				}
 				return
 			}

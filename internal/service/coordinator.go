@@ -308,9 +308,11 @@ func (c *Coordinator) recoverJob(id int) error {
 		c.cfg.Logf("job %d: "+format, append([]any{id}, args...)...)
 	})
 	if err != nil {
-		// A spec without a journal means the crash hit between the two
-		// writes at submission; start the journal fresh.
-		if !errors.Is(err, fs.ErrNotExist) {
+		// A spec without a journal, or with one whose header never landed,
+		// means the crash or a failed write hit between the two writes at
+		// submission; start the journal fresh.
+		var unwritten *experiments.HeaderNotWrittenError
+		if !errors.Is(err, fs.ErrNotExist) && !errors.As(err, &unwritten) {
 			return err
 		}
 		if journal, err = experiments.CreateJournalFS(c.cfg.FS, c.journalPath(id), fp); err != nil {

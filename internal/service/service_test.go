@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -412,6 +414,77 @@ func TestDuplicateAndMismatchedReports(t *testing.T) {
 	// failure.
 	if st.Failed != 0 {
 		t.Errorf("mismatched report overwrote the journaled record (%d failed cells)", st.Failed)
+	}
+}
+
+// A submit whose journal header write failed leaves a durable spec
+// beside an empty or newline-less journal. A restart recreates that
+// journal, as it does a missing one, and runs the job; a complete first
+// line that is no header still stops the coordinator.
+func TestRecoverJournalWithoutHeader(t *testing.T) {
+	spec := JobSpec{Uni: tinyUniSpec()}
+	wantText, wantJSON := reference(t, spec)
+	for _, c := range []struct {
+		name    string
+		journal func(header string) string
+		starts  bool
+	}{
+		{"empty", func(string) string { return "" }, true},
+		{"header without its newline", func(h string) string { return h[:len(h)-1] }, true},
+		{"complete invalid header", func(h string) string { return h[:len(h)/2] + "\n" }, false},
+		{"invalid header before records", func(h string) string {
+			return h[:len(h)/2] + "\n" + `{"type":"cell","grid":"workstation","index":0}` + "\n"
+		}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			coord, err := NewCoordinator(Config{Dir: dir, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(coord.Handler())
+			id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
+			srv.Close()
+			coord.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("job-%d.journal", id))
+			header, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(c.journal(string(header))), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			restarted, err := NewCoordinator(Config{Dir: dir, Logf: t.Logf})
+			if !c.starts {
+				if err == nil {
+					restarted.Close()
+					t.Fatal("coordinator started over a journal whose first line is no header")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			srv = httptest.NewServer(restarted.Handler())
+			startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
+			assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
+			srv.Close()
+			restarted.Close()
+
+			// The recreated journal is a working one: the next restart
+			// replays every cell.
+			again := newTestCoordinator(t, Config{Dir: dir})
+			srv = httptest.NewServer(again.Handler())
+			defer srv.Close()
+			st, err := (&Client{Base: srv.URL}).Status(context.Background(), id)
+			if err != nil || !st.Complete || st.Done != st.Cells {
+				t.Errorf("second restart: %+v, %v; want every cell replayed", st, err)
+			}
+		})
 	}
 }
 
