@@ -149,9 +149,9 @@ func (w *Worker) stalled() bool {
 // ErrFaultInjected). Its first lease request makes it known to the
 // coordinator. Transport errors never kill it: a worker started before
 // its coordinator, or outliving a coordinator restart, just keeps
-// retrying every PollInterval. A
-// cancelled ctx is a drain: simulations stop, and every lease the worker
-// still holds is handed back to the coordinator before Run returns.
+// retrying every PollInterval. A cancelled ctx is a drain: simulations
+// stop, and every lease the worker still holds is handed back to the
+// coordinator before Run returns.
 func (w *Worker) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
