@@ -16,10 +16,10 @@
 // with its single-context baseline, under the named schemes and context
 // counts. A grid none of whose subjects is named is left out. A subset
 // grid is an ordinary grid — journal, -cell-timeout, -metrics-out and
-// the FAIL/SKIP rendering all apply — but its cells derive their seeds
-// from their index in the subset, so a subset cell is not the full
-// grid's cell of the same name. With -chaos, every multiprocessor cell
-// of a race-free application also runs unperturbed and fails unless its
+// the FAIL/SKIP rendering all apply — and each of its cells is the full
+// grid's cell of the same name, because a cell's seed derives from its
+// configuration alone. With -chaos, every multiprocessor cell of a
+// race-free application also runs unperturbed and fails unless its
 // final memory is identical.
 //
 // Sensitivity sweeps whose swept parameter takes effect at the
@@ -35,7 +35,7 @@
 // skipped, running cells stop within a bounded number of simulated
 // cycles, completed work is flushed — and the command exits with code 3.
 // Exit codes: 0 success, 1 cell failure or other error, 2 usage,
-// 3 interrupted, 4 journal fingerprint mismatch.
+// 3 interrupted, 4 journal fingerprint or format-version mismatch.
 package main
 
 import (
@@ -102,8 +102,9 @@ func run(args []string) (code int) {
 	fail := func(err error) int {
 		var fpErr *experiments.FingerprintError
 		var binErr *experiments.BinaryMismatchError
+		var verErr *experiments.JournalVersionError
 		switch {
-		case errors.As(err, &fpErr), errors.As(err, &binErr):
+		case errors.As(err, &fpErr), errors.As(err, &binErr), errors.As(err, &verErr):
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return experiments.ExitFingerprintMismatch
 		case guard.IsCancellation(err):

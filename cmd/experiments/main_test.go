@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"os/signal"
@@ -119,8 +120,8 @@ func TestStudySectionsPinned(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const (
-		wantStdout = "95723c4d56a9ffdc89a7c0b535948d3fd566d4ccd9dfdafb1918bc15735487d0"
-		wantJSON   = "509b3edfb632e77d14220606352ec8f617756a9b8dc7b769e494d21ce0cbdb16"
+		wantStdout = "f16ee2044b8fcf495b76ecbc5e8837f0b74b6ee09a9b0420044db2b21f45a411"
+		wantJSON   = "82d10dfd967138cb823a8e68e3067f446bb2da61f9d6b6688d0a662c5642dac4"
 	)
 	sum := func(b []byte) string {
 		s := sha256.Sum256(b)
@@ -419,5 +420,38 @@ func TestResumeRerunsRecordThatIsNoOutcome(t *testing.T) {
 	}
 	if got := bytes.Count(after, []byte("\n")) - len(lines); got != forged {
 		t.Errorf("resume appended %d records, want the %d re-run cells", got, forged)
+	}
+}
+
+// A journal of another format version holds cells simulated under that
+// version's rules: -resume refuses it with the mismatch exit code, as it
+// does a journal of other flags, and replays nothing.
+func TestResumeJournalOfAnotherVersionExitCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	journal := filepath.Join(t.TempDir(), "grid.journal")
+	if code, _, errOut := capture(t, append(subsetDC, "-j", "2", "-journal", journal)...); code != 0 {
+		t.Fatalf("journaled run: exit code %d; stderr:\n%s", code, errOut)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := fmt.Sprintf(`{"type":"header","version":%d,`, experiments.JournalVersion)
+	if !bytes.HasPrefix(data, []byte(current)) {
+		t.Fatalf("journal does not open with %s", current)
+	}
+	old := fmt.Sprintf(`{"type":"header","version":%d,`, experiments.JournalVersion-1)
+	if err := os.WriteFile(journal, append([]byte(old), data[len(current):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := capture(t, append(subsetDC, "-j", "2", "-resume", journal)...)
+	if code != experiments.ExitFingerprintMismatch {
+		t.Errorf("resume of a version-%d journal: exit code %d, want %d; stderr:\n%s",
+			experiments.JournalVersion-1, code, experiments.ExitFingerprintMismatch, errOut)
+	}
+	if out != "" {
+		t.Errorf("the refused resume printed:\n%s", out)
 	}
 }

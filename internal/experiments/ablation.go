@@ -66,14 +66,15 @@ func RunAblationsCtx(ctx context.Context, cfg UniConfig) (*AblationResult, error
 	}
 
 	// The single-context baseline of every workload, then every variant
-	// on every workload; each cell derives its seed from its index.
+	// on every workload. The baselines and the unmodified interleaved and
+	// blocked rows are Table 7's cells.
 	var cells []studyCell
 	for _, w := range workloads {
-		cells = append(cells, studyCell{w, cfg.cellConfig(core.Single, 1, DeriveSeed(cfg.Seed, len(cells)))})
+		cells = append(cells, studyCell{w, cfg.cellConfig(core.Single, 1)})
 	}
 	for _, v := range variants {
 		for _, w := range workloads {
-			wcfg := cfg.cellConfig(v.scheme, 4, DeriveSeed(cfg.Seed, len(cells)))
+			wcfg := cfg.cellConfig(v.scheme, 4)
 			if v.mutate != nil {
 				v.mutate(&wcfg)
 			}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -23,8 +24,9 @@ import (
 // prefix fingerprint (the configuration with the overrides removed),
 // simulates each multi-cell group's warm-up once, and forks every cell of
 // the group from the cached checkpoint. Cells whose configurations differ
-// in what shapes the warm-up itself (context count, issue width, a
-// derived seed) form singleton groups and run from scratch.
+// in what shapes the warm-up itself (context count, issue width) form
+// singleton groups and run from scratch. The overrides are no part of a
+// cell's seed (cell.go), so the cells of a group share one.
 //
 // Forking is an optimization, never a semantic: a forked cell is
 // byte-identical to its from-scratch run (pinned by
@@ -149,8 +151,9 @@ type studyCell struct {
 	cfg      workstation.Config
 }
 
-// runStudyCells runs one workstation simulation per cell, fanned out
-// across the pool, and returns the results in cell order. Cells whose
+// runStudyCells seeds every cell under cfg.Seed, runs one workstation
+// simulation per cell, fanned out across the pool, and returns the
+// results in cell order. Cells whose
 // prefix keys collide are forked from one shared warm-up checkpoint
 // instead of each simulating its own; cells that cannot fork — forking
 // disabled, observability enabled, singleton groups, unkeyable configs —
@@ -159,11 +162,14 @@ func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*wo
 	kernels := make([][]apps.Kernel, len(cells))
 	keys := make([]string, len(cells))
 	groups := map[string]*prefixGroup{}
+	cells = slices.Clone(cells)
 	for i, c := range cells {
 		var err error
 		if kernels[i], err = ResolveWorkload(c.workload); err != nil {
 			return nil, err
 		}
+		cells[i].cfg = seedWorkstation(cfg.Seed, c.workload, c.cfg)
+		c = cells[i]
 		if cfg.Checkpoint.Disabled || c.cfg.Obs.Enabled() {
 			continue // forking is off, or an instrumented cell cannot be checkpointed
 		}

@@ -21,9 +21,9 @@ import (
 // multiprocessor (Table 10) — the single-context baseline, then every
 // scheme at every context count, each cell reported as a ratio to its
 // subject's baseline. What does not depend on the machine is written
-// here once: the cell enumeration, the per-cell policy (derived seed and
-// chaos stream, wall-clock deadline, one retry at doubled budgets, a
-// failure folded into the record), the local driver (pool, journal
+// here once: the cell enumeration, the per-cell policy (wall-clock
+// deadline, one retry at doubled budgets, a failure folded into the
+// record), the local driver (pool, journal
 // replay, record, panic fold), the assembly of records into a table, and
 // the type-erased Grid the schedulers outside this package drive. A
 // machine (uniproc.go, mpexp.go) supplies what is left: how one attempt
@@ -38,9 +38,10 @@ const (
 )
 
 // cellSpec addresses one cell of a grid. A cell's index in its grid's
-// enumeration is its identity everywhere — seed derivation, journal key,
-// wire address — so the in-process pool, a journal replay and the
-// distributed service all mean the same simulation by the same number.
+// enumeration is its address everywhere — journal key, wire address — so
+// the in-process pool, a journal replay and the distributed service all
+// mean the same simulation by the same number. Its seed is no part of
+// the address: it derives from the cell's configuration (cell.go).
 type cellSpec struct {
 	subject  string // workload mix or application
 	scheme   core.Scheme
@@ -54,7 +55,6 @@ type design struct {
 	subjects    []string
 	schemes     []core.Scheme
 	contexts    []int
-	seed        int64
 	parallelism int
 	timeout     time.Duration
 	guard       guard.Options
@@ -64,9 +64,9 @@ type design struct {
 // one cell; the machine turns it into a simulator configuration.
 type cellAttempt struct {
 	cellSpec
-	seed int64
-	// guard carries the cell's private chaos stream and a liveness
-	// window already doubled escalation times.
+	// guard carries the run's hardening options with the liveness
+	// window already doubled escalation times; the machine decorrelates
+	// the chaos stream when it seeds the cell.
 	guard guard.Options
 	// escalation is the number of times the machine's own budgets (the
 	// multiprocessor cycle limit) double: zero on the first attempt.
@@ -251,12 +251,12 @@ func (m *machine[C, R, T, Res]) render(sel func(string) bool, res *Res) string {
 	return b.String()
 }
 
-// attemptOf resolves attempt n (1-based) of cell i: its seed and chaos
-// stream derive from the index alone, so every driver simulates the same
-// cell, and a re-run keeps both and doubles the liveness window — a
-// budget trip can mean "slower than the window", not "wedged".
+// attemptOf resolves attempt n (1-based) of cell i. A re-run doubles the
+// liveness window — a budget trip can mean "slower than the window", not
+// "wedged" — and keeps the cell's seed and chaos stream, which the
+// machine derives from the configuration with its budgets removed.
 func (g *grid[C, R, T, Res]) attemptOf(i, n int) cellAttempt {
-	a := cellAttempt{cellSpec: g.cells[i], seed: DeriveSeed(g.d.seed, i), guard: cellGuard(g.d.guard, i), escalation: n - 1}
+	a := cellAttempt{cellSpec: g.cells[i], guard: g.d.guard, escalation: n - 1}
 	a.guard.WatchdogWindow = guard.Escalate(a.guard.WatchdogWindow, a.escalation)
 	return a
 }
@@ -315,8 +315,8 @@ func (g *grid[C, R, T, Res]) runCell(ctx context.Context, i int) (*R, error) {
 // Parallelism, a journal replays the cells it holds and records the
 // rest, a drained cell stays nil (SKIP) and a panic the pool recovered
 // becomes that cell's failed record. Every cell derives its seed from its
-// index and lands in its own slot, so the table is byte-identical at any
-// parallelism.
+// configuration and lands in its own slot, so the table is byte-identical
+// at any parallelism.
 func (g *grid[C, R, T, Res]) run(ctx context.Context, j *Journal) (tally[T], error) {
 	recs := make([]*R, len(g.cells))
 	panics := runCellsAll(ctx, g.d.parallelism, len(recs), func(ctx context.Context, i int) error {

@@ -8,9 +8,9 @@ import (
 	"repro/internal/guard"
 )
 
-// cellGuard resolves the grid-level hardening options for one cell: a
-// non-zero chaos seed is decorrelated per cell with DeriveSeed, so each
-// cell perturbs a private stream and results stay independent of
+// cellGuard resolves the run-level hardening options for the cell with
+// DeriveSeed key cell: a non-zero chaos seed is decorrelated per cell, so
+// each cell perturbs a private stream and results stay independent of
 // execution order.
 func cellGuard(o guard.Options, cell int) guard.Options {
 	if o.ChaosSeed != 0 {

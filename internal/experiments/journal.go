@@ -32,15 +32,18 @@ const (
 	// rendered as SKIP.
 	ExitInterrupted = 3
 	// ExitFingerprintMismatch: -resume was given a journal recorded under
-	// a different configuration or binary.
+	// a different configuration or binary, or in another format version.
 	ExitFingerprintMismatch = 4
 )
 
 // JournalVersion is the journal file-format version; OpenJournal refuses
-// files written by a different version. Version 2 split the fingerprint
-// into config identity (hashed, hard error on mismatch) and binary
-// identity (recorded in the header, checked separately, overridable).
-const JournalVersion = 2
+// files written by a different version (*JournalVersionError). Version 2
+// split the fingerprint into config identity (hashed, hard error on
+// mismatch) and binary identity (recorded in the header, checked
+// separately, overridable). Version 3 seeds every cell from its
+// configuration rather than its index in the grid, so a version-2
+// journal holds cells this binary would simulate differently.
+const JournalVersion = 3
 
 // Fingerprint identifies what a journal was recorded under, in two
 // parts with different severities:
@@ -192,6 +195,20 @@ func (e *HeaderNotWrittenError) Error() string {
 	return fmt.Sprintf("experiments: journal %s has no intact header (its first line never landed); cannot resume from it", e.Path)
 }
 
+// JournalVersionError is returned by OpenJournal when the journal was
+// written in another format version. Its cells were simulated under
+// another version's rules, so none may replay; cmd/experiments maps it
+// to ExitFingerprintMismatch, and the service coordinator starts that
+// job's journal afresh and re-runs its cells.
+type JournalVersionError struct {
+	Path      string
+	Got, Want int
+}
+
+func (e *JournalVersionError) Error() string {
+	return fmt.Sprintf("experiments: journal %s has format version %d, this binary writes %d — start a fresh journal with -journal", e.Path, e.Got, e.Want)
+}
+
 // journalLine is one JSONL record: a header (first line) or a completed
 // cell. Cell data is kept raw so replay can decode straight into the
 // grid-specific record type, and Hash guards against torn appends.
@@ -285,7 +302,8 @@ func CreateJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, er
 // truncated back to its last intact record so new appends start on a
 // clean line. A line counts only once its newline has landed. A missing
 // or corrupt *header* is not tolerated: there is nothing safe to resume
-// (*HeaderNotWrittenError when no first line landed at all).
+// (*HeaderNotWrittenError when no first line landed at all). Nor is a
+// header of another format version (*JournalVersionError).
 func OpenJournal(path string, fp Fingerprint) (*Journal, error) {
 	return OpenJournalAllow(path, fp, false, nil)
 }
@@ -329,7 +347,7 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 				return nil, fmt.Errorf("experiments: %s is not a journal (first line is %q, want header)", path, line.Type)
 			}
 			if line.Version != JournalVersion {
-				return nil, fmt.Errorf("experiments: journal %s has format version %d, this binary writes %d", path, line.Version, JournalVersion)
+				return nil, &JournalVersionError{Path: path, Got: line.Version, Want: JournalVersion}
 			}
 			if want := fp.Hash(); line.Hash != want {
 				return nil, &FingerprintError{Path: path, Want: want, Got: line.Hash}

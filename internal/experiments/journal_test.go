@@ -598,3 +598,36 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 		t.Errorf("re-recorded cell = %+v", rec)
 	}
 }
+
+// A journal of another format version is refused with a typed error, so
+// that a caller can tell it from a damaged one: cmd/experiments exits
+// ExitFingerprintMismatch, the service coordinator starts it afresh.
+func TestJournalOfAnotherVersionIsTyped(t *testing.T) {
+	fp := Fingerprint{Version: JournalVersion, Binary: "test"}
+	path := filepath.Join(t.TempDir(), "old.journal")
+	j, err := CreateJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Record(GridWorkstation, 0, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 0"}})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := fmt.Sprintf(`{"type":"header","version":%d,`, JournalVersion)
+	if !strings.HasPrefix(string(data), current) {
+		t.Fatalf("journal does not open with %s:\n%s", current, data)
+	}
+	old := fmt.Sprintf(`{"type":"header","version":%d,`, JournalVersion-1)
+	if err := os.WriteFile(path, []byte(old+string(data[len(current):])), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenJournal(path, fp)
+	var version *JournalVersionError
+	if !errors.As(err, &version) || version.Got != JournalVersion-1 || version.Want != JournalVersion {
+		t.Fatalf("OpenJournal over a version-%d journal: %v; want a *JournalVersionError", JournalVersion-1, err)
+	}
+}

@@ -41,8 +41,8 @@ type MPConfig struct {
 	CellTimeout time.Duration `json:"-"`
 
 	// Guard is the per-cell hardening configuration. A non-zero ChaosSeed
-	// is decorrelated per cell with DeriveSeed, so every cell perturbs its
-	// own private stream.
+	// is decorrelated per cell configuration with DeriveSeed, so every
+	// cell perturbs its own private stream.
 	Guard guard.Options
 
 	// Obs configures per-cell observability; enabled, every cell carries
@@ -139,6 +139,23 @@ type MPCellRecord struct {
 	CellOutcome
 }
 
+// cellConfig is the multiprocessor one cell of an experiment under cfg
+// simulates: the scheme's default machine on cfg's processors, under
+// cfg's cycle limit. The runner seeds it once the experiment has shaped
+// it (seedMP).
+func (cfg MPConfig) cellConfig(s core.Scheme, contexts int) mp.Config {
+	c := mp.DefaultConfig(s, contexts)
+	c.Processors = cfg.Processors
+	c.LimitCycles = cfg.LimitCycles
+	return c
+}
+
+// programOptions links an application for one cell under cfg: one
+// thread per context of every processor.
+func (cfg MPConfig) programOptions(s core.Scheme, contexts int) splash.Options {
+	return splash.MPOptions(s, cfg.Processors*contexts, cfg.Steps, cfg.Scale)
+}
+
 func (cfg MPConfig) apps() []string {
 	if cfg.Apps == nil {
 		return MPAppOrder
@@ -158,7 +175,7 @@ var multiprocessorGrid = &machine[MPConfig, MPCellRecord, MPCell, MPResult]{
 	},
 	design: func(cfg MPConfig) design {
 		return design{subjects: cfg.apps(), schemes: cfg.Schemes, contexts: cfg.ContextCounts,
-			seed: cfg.Seed, parallelism: cfg.Parallelism, timeout: cfg.CellTimeout, guard: cfg.Guard}
+			parallelism: cfg.Parallelism, timeout: cfg.CellTimeout, guard: cfg.Guard}
 	},
 	lookup: func(app string) error {
 		_, err := splash.Lookup(app)
@@ -204,13 +221,13 @@ const OpChaosDivergence = "experiments.chaos"
 // LimitCycles/20 watchdog window); running into the limit itself is not
 // a budget trip and is not retried — the cell already ran that far.
 func mpAttempt(ctx context.Context, cfg MPConfig, app splash.App, a cellAttempt) (*MPCellRecord, error) {
-	mcfg := mp.DefaultConfig(a.scheme, a.contexts)
-	mcfg.Processors = cfg.Processors
+	mcfg := cfg.cellConfig(a.scheme, a.contexts)
 	mcfg.LimitCycles = guard.Escalate(cfg.LimitCycles, a.escalation)
-	mcfg.Coherence.Seed = a.seed
 	mcfg.Guard = a.guard
 	mcfg.Obs = cfg.Obs
-	p := app.Program(splash.MPOptions(a.scheme, cfg.Processors*a.contexts, cfg.Steps, cfg.Scale))
+	opts := cfg.programOptions(a.scheme, a.contexts)
+	mcfg = seedMP(cfg.Seed, a.subject, opts, mcfg)
+	p := app.Program(opts)
 	r, err := mp.RunCtx(ctx, p, mcfg)
 	if err != nil {
 		return nil, err

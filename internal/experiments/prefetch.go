@@ -61,12 +61,12 @@ func RunPrefetchComparisonCtx(ctx context.Context, cfg UniConfig) (*PrefetchResu
 	}
 
 	// Per workload, the single-context baseline without prefetching, then
-	// every variant; each cell derives its seed from its index.
+	// every variant.
 	var cells []studyCell
 	for _, w := range workloads {
-		cells = append(cells, studyCell{w, cfg.cellConfig(core.Single, 1, DeriveSeed(cfg.Seed, len(cells)))})
+		cells = append(cells, studyCell{w, cfg.cellConfig(core.Single, 1)})
 		for _, v := range variants {
-			wc := cfg.cellConfig(v.scheme, v.contexts, DeriveSeed(cfg.Seed, len(cells)))
+			wc := cfg.cellConfig(v.scheme, v.contexts)
 			wc.Cache.Prefetch = v.mode
 			cells = append(cells, studyCell{w, wc})
 		}

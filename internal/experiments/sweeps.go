@@ -33,11 +33,12 @@ type SweepResult struct {
 // closes the gap. Cancelling ctx stops running cells within
 // engine.BlockCycles cycles.
 func SwitchCostSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepResult, error) {
-	// Sweep cells deliberately share cfg.Seed (common random numbers):
-	// every point sees the same scheduler-interference stream, so the
-	// curve isolates the swept parameter. The cells are still
-	// independent simulations and fan out through the pool.
-	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1, cfg.Seed)}}
+	// The blocked points differ only in Measure, so they share a
+	// configuration key and with it a seed: every point sees the same
+	// scheduler-interference stream, and the curve isolates the swept
+	// parameter. The cells are still independent simulations and fan out
+	// through the pool.
+	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1)}}
 	// Unit-step resolution: each extra point costs one measure phase, not
 	// a full warm-up, because every blocked cell forks from one shared
 	// warm-up checkpoint (the sweep ran {1,3,5,7,9} before forking made
@@ -47,11 +48,11 @@ func SwitchCostSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*S
 		// The flush cost is a measurement-time override (not a base-config
 		// edit): warm-up runs at the default cost for every point, so all
 		// ten cells share one warm-up prefix and fork from one checkpoint.
-		w := cfg.cellConfig(core.Blocked, 4, cfg.Seed)
+		w := cfg.cellConfig(core.Blocked, 4)
 		w.Measure.BlockedFlushCost = cost
 		cells = append(cells, studyCell{workload, w})
 	}
-	cells = append(cells, studyCell{workload, cfg.cellConfig(core.Interleaved, 4, cfg.Seed)})
+	cells = append(cells, studyCell{workload, cfg.cellConfig(core.Interleaved, 4)})
 
 	gains, err := sweepGains(ctx, cfg, cells)
 	if err != nil {
@@ -94,10 +95,10 @@ func ContextCountSweepCtx(ctx context.Context, cfg UniConfig, workload string) (
 	counts := []int{2, 4, 8}
 	// The context count is structural — it shapes the warm-up itself —
 	// so no two cells share a prefix and each runs from scratch.
-	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1, cfg.Seed)}}
+	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1)}}
 	for _, s := range schemes {
 		for _, n := range counts {
-			cells = append(cells, studyCell{workload, cfg.cellConfig(s, n, cfg.Seed)})
+			cells = append(cells, studyCell{workload, cfg.cellConfig(s, n)})
 		}
 	}
 	gains, err := sweepGains(ctx, cfg, cells)
@@ -146,20 +147,20 @@ func RemoteLatencySweepCtx(ctx context.Context, cfg MPConfig, app string) (*Swee
 	}
 	// The swept latencies act from cycle zero (the multiprocessor run
 	// has no warm-up/measure split), so no prefix is shared: every cell
-	// simulates from scratch.
+	// simulates from scratch. The latencies are part of the machine, so
+	// each scale seeds its own cells, and the 1.0x points are Table 10's
+	// cells of the application.
 	cycles := make([]int64, len(specs))
 	err = runCells(ctx, cfg.Parallelism, len(specs), func(ctx context.Context, i int) error {
 		sp := specs[i]
-		mcfg := mp.DefaultConfig(sp.scheme, sp.contexts)
-		mcfg.Processors = cfg.Processors
-		mcfg.LimitCycles = cfg.LimitCycles
-		mcfg.Coherence.Seed = cfg.Seed
+		mcfg := cfg.cellConfig(sp.scheme, sp.contexts)
 		mcfg.Coherence.RemoteLow = int(float64(mcfg.Coherence.RemoteLow) * sp.scale)
 		mcfg.Coherence.RemoteHigh = int(float64(mcfg.Coherence.RemoteHigh) * sp.scale)
 		mcfg.Coherence.DirtyLow = int(float64(mcfg.Coherence.DirtyLow) * sp.scale)
 		mcfg.Coherence.DirtyHigh = int(float64(mcfg.Coherence.DirtyHigh) * sp.scale)
-		p := a.Program(splash.MPOptions(sp.scheme, cfg.Processors*sp.contexts, cfg.Steps, cfg.Scale))
-		r, err := mp.RunCtx(ctx, p, mcfg)
+		opts := cfg.programOptions(sp.scheme, sp.contexts)
+		mcfg = seedMP(cfg.Seed, app, opts, mcfg)
+		r, err := mp.RunCtx(ctx, a.Program(opts), mcfg)
 		if err != nil {
 			return err
 		}
@@ -195,12 +196,12 @@ func RemoteLatencySweepCtx(ctx context.Context, cfg MPConfig, app string) (*Swee
 // parallelism the scheme depends on (§6's lockup-free cache requirement).
 func MSHRSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepResult, error) {
 	mshrs := []int{1, 2, 4, 8}
-	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1, cfg.Seed)}}
+	cells := []studyCell{{workload, cfg.cellConfig(core.Single, 1)}}
 	for _, m := range mshrs {
 		// Warm-up runs with the default miss registers; the swept count
 		// takes effect when measurement starts, so the interleaved cells
 		// share one warm-up prefix and fork from one checkpoint.
-		w := cfg.cellConfig(core.Interleaved, 4, cfg.Seed)
+		w := cfg.cellConfig(core.Interleaved, 4)
 		w.Measure.MSHRs = m
 		cells = append(cells, studyCell{workload, w})
 	}
@@ -266,10 +267,12 @@ func FormatSweep(r *SweepResult) string {
 // fill the extra issue slots a lone thread cannot.
 func IssueWidthSweepCtx(ctx context.Context, cfg UniConfig, workload string) (*SweepResult, error) {
 	mk := func(s core.Scheme, n, width int) studyCell {
-		w := cfg.cellConfig(s, n, cfg.Seed)
-		cc := core.DefaultConfig(s, n)
-		cc.IssueWidth = width
-		w.Core = &cc
+		w := cfg.cellConfig(s, n)
+		if width > 1 {
+			cc := core.DefaultConfig(s, n)
+			cc.IssueWidth = width
+			w.Core = &cc
+		}
 		return studyCell{workload, w}
 	}
 	widths := []int{1, 2, 4}

@@ -44,8 +44,8 @@ type UniConfig struct {
 	CellTimeout time.Duration `json:"-"`
 
 	// Guard is the per-cell hardening configuration. A non-zero ChaosSeed
-	// is decorrelated per cell with DeriveSeed, so every cell perturbs its
-	// own private stream.
+	// is decorrelated per cell configuration with DeriveSeed, so every
+	// cell perturbs its own private stream.
 	Guard guard.Options
 
 	// Obs configures per-cell observability; enabled, every cell carries
@@ -147,13 +147,13 @@ type UniCellRecord struct {
 }
 
 // cellConfig is the workstation one cell of an experiment under cfg
-// simulates: the scheme's default machine at cfg's time scale.
-func (cfg UniConfig) cellConfig(s core.Scheme, contexts int, seed int64) workstation.Config {
+// simulates: the scheme's default machine at cfg's time scale. The
+// runner seeds it once the experiment has shaped it (seedWorkstation).
+func (cfg UniConfig) cellConfig(s core.Scheme, contexts int) workstation.Config {
 	w := workstation.DefaultConfig(s, contexts)
 	w.OS.SliceCycles = cfg.SliceCycles
 	w.WarmupRotations = cfg.WarmupRotations
 	w.MeasureRotations = cfg.MeasureRotations
-	w.Seed = seed
 	return w
 }
 
@@ -176,7 +176,7 @@ var workstationGrid = &machine[UniConfig, UniCellRecord, UniCell, UniResult]{
 	},
 	design: func(cfg UniConfig) design {
 		return design{subjects: cfg.workloads(), schemes: cfg.Schemes, contexts: cfg.ContextCounts,
-			seed: cfg.Seed, parallelism: cfg.Parallelism, timeout: cfg.CellTimeout, guard: cfg.Guard}
+			parallelism: cfg.Parallelism, timeout: cfg.CellTimeout, guard: cfg.Guard}
 	},
 	lookup: func(workload string) error {
 		_, err := ResolveWorkload(workload)
@@ -215,9 +215,10 @@ var workstationGrid = &machine[UniConfig, UniCellRecord, UniCell, UniResult]{
 // uniAttempt runs one attempt of a workstation cell on the given
 // kernels — its workload's, except in tests that substitute their own.
 func uniAttempt(ctx context.Context, cfg UniConfig, kernels []apps.Kernel, a cellAttempt) (*UniCellRecord, error) {
-	wcfg := cfg.cellConfig(a.scheme, a.contexts, a.seed)
+	wcfg := cfg.cellConfig(a.scheme, a.contexts)
 	wcfg.Guard = a.guard
 	wcfg.Obs = cfg.Obs
+	wcfg = seedWorkstation(cfg.Seed, a.subject, wcfg)
 	r, err := workstation.RunCtx(ctx, kernels, wcfg)
 	if err != nil {
 		return nil, err

@@ -310,9 +310,15 @@ func (c *Coordinator) recoverJob(id int) error {
 	if err != nil {
 		// A spec without a journal, or with one whose header never landed,
 		// means the crash or a failed write hit between the two writes at
-		// submission; start the journal fresh.
+		// submission; start the journal fresh. So does a journal of
+		// another format version: its cells were simulated under another
+		// version's rules, and the job re-runs them.
 		var unwritten *experiments.HeaderNotWrittenError
-		if !errors.Is(err, fs.ErrNotExist) && !errors.As(err, &unwritten) {
+		var version *experiments.JournalVersionError
+		switch {
+		case errors.As(err, &version):
+			c.cfg.Logf("job %d: %v; re-running its cells", id, err)
+		case !errors.Is(err, fs.ErrNotExist) && !errors.As(err, &unwritten):
 			return err
 		}
 		if journal, err = experiments.CreateJournalFS(c.cfg.FS, c.journalPath(id), fp); err != nil {

@@ -24,16 +24,18 @@ import (
 // later one, is judged against fixed digests rather than against itself.
 // A digest moves only when simulated behaviour, the record format or the
 // rendering changes, and such a change says so by updating this table.
+// The last such change seeded every cell from its configuration instead
+// of its grid index, and bumped the journal to version 3.
 var gridGolden = map[string]string{
-	"fingerprint":         "ad783e3b5804648f89bbf3ba",
-	"fingerprint.default": "49907c9c743089086702bbb3",
-	"fingerprint.quick":   "a1d0e64562ac0e0b0cffa126",
-	"local.text":          "e1a9e807f3c746cdbc6d566277c737d97a95bae13fc5a559ae9280d77e2ce134",
-	"local.json":          "038527c4989b15e7e5a0aa82963c051587cd0765b79333789e21b637a19246f7",
-	"local.cells":         "760a1db8a92e4d7d0468fd225591b68f6d36fc7073ab2821bbec824527ab69f3",
-	"failed.text":         "63a53baef9c86066efc03eac7296373b0dfc4ee25d3eceabb041f898fc3a31f0",
-	"failed.json":         "48d99d913f709f6472d644131e19a8ec5fa73c4c90a07581104fda5bd225b651",
-	"failed.cells":        "ca1cf360e9167d7f90d6bf3e09f453b148d6893a9bf1cf165361692e7cba4e12",
+	"fingerprint":         "a6a0e79bb8f289af9c6169a3",
+	"fingerprint.default": "268d3d80bc0cce1733d4a591",
+	"fingerprint.quick":   "0d9b9f43f8260cddac077796",
+	"local.text":          "6f74b8ecb1d5510a6158517fdd2f27cec612974547cc4932058bf622957a966f",
+	"local.json":          "025fd9f56d26a1fa2efee0b41829669fb92cc39e2bd9f1ffe6642a52d0f90a27",
+	"local.cells":         "3b70b534e018665577687fdb6a852335d1b191cb72c05772da802a0b8a3e4894",
+	"failed.text":         "acd25f3761ceafe0b7f6903183c05b47e5351d352872fd91fc72c218f8920e13",
+	"failed.json":         "b602be1b7a5d5c5cfa6c5e16294d73efc824cb4a3cbe2fc7e587985024173fbb",
+	"failed.cells":        "26255301a53a3e2cf3e78a2b8b7504932d4ed0fda905e28ccc3f6700f8c47cc6",
 }
 
 // dispatchFailure is the record a coordinator journals for a cell whose
@@ -67,8 +69,8 @@ func cellLines(t *testing.T, path, wantHeaderHash string) string {
 	if err := json.Unmarshal([]byte(lines[0]), &header); err != nil {
 		t.Fatal(err)
 	}
-	if header.Type != "header" || header.Version != 2 || header.Hash != wantHeaderHash {
-		t.Errorf("journal header %+v, want a version-2 header with hash %s", header, wantHeaderHash)
+	if header.Type != "header" || header.Version != experiments.JournalVersion || header.Hash != wantHeaderHash {
+		t.Errorf("journal header %+v, want a version-%d header with hash %s", header, experiments.JournalVersion, wantHeaderHash)
 	}
 	cells := lines[1:]
 	sort.Strings(cells)
@@ -208,8 +210,9 @@ func TestGridGoldenCoordinatorFailedCells(t *testing.T) {
 	})
 }
 
-// A state directory written by the coordinator of 46f3332 (the job
-// above, copied out after it completed) is recovered as it stands:
+// A state directory written by the coordinator of the journal-version-3
+// change (the job above, copied out after it completed) is recovered as
+// it stands:
 // every cell replays, none is dispatched, and the result is the pinned
 // one.
 func TestRecoverParentStateDirectory(t *testing.T) {

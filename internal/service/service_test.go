@@ -703,3 +703,76 @@ func TestCircuitBreakerQuarantinesWorker(t *testing.T) {
 		t.Errorf("healthy worker got %d leases while flaky is quarantined, want 1", len(got.Leases))
 	}
 }
+
+// A journal of another format version holds cells simulated under that
+// version's rules. The restarted coordinator neither refuses to start
+// over it nor replays it: it starts that job's journal afresh and runs
+// every cell again, to the bytes a single-process run prints.
+func TestRecoverJournalOfAnotherVersion(t *testing.T) {
+	spec := JobSpec{Uni: tinyUniSpec()}
+	wantText, wantJSON := reference(t, spec)
+	dir := t.TempDir()
+	coord, err := NewCoordinator(Config{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	id, cells, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
+	srv.Close()
+	coord.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Journal every cell, then stamp the header with the previous version.
+	grids, fp, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("job-%d.journal", id))
+	j, err := experiments.CreateJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range grids {
+		if _, err := g.Run(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := fmt.Sprintf(`{"type":"header","version":%d,`, experiments.JournalVersion)
+	old := fmt.Sprintf(`{"type":"header","version":%d,`, experiments.JournalVersion-1)
+	if !strings.HasPrefix(string(data), current) || strings.Count(string(data), "\n") != 1+cells {
+		t.Fatalf("journal is not a header and %d cells:\n%s", cells, data)
+	}
+	if err := os.WriteFile(path, []byte(old+string(data[len(current):])), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := NewCoordinator(Config{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("restart over a journal of another version: %v", err)
+	}
+	defer restarted.Close()
+	srv = httptest.NewServer(restarted.Handler())
+	defer srv.Close()
+	st, err := (&Client{Base: srv.URL}).Status(context.Background(), id)
+	if err != nil || st.Done != 0 || st.Cells != cells {
+		t.Fatalf("restarted job: %+v, %v; want %d cells and none replayed", st, err, cells)
+	}
+	startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
+	assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), current) {
+		t.Errorf("the recreated journal does not open with a version-%d header:\n%s", experiments.JournalVersion, data)
+	}
+}
