@@ -115,11 +115,19 @@ func run(args []string) (code int) {
 		return experiments.ExitFailure
 	}
 
+	// The run ends with its cell counts on stderr: simulated from scratch,
+	// forked from a shared warm-up, and shared through the run's memo.
+	before := experiments.Cells()
+	defer func() { fmt.Fprintln(os.Stderr, experiments.Cells().Sub(before)) }()
+
 	// SIGINT/SIGTERM cancel this context: grids drain (running cells stop
 	// within a bounded cycle count, queued ones never start), completed
-	// work is flushed below, and the command exits ExitInterrupted.
+	// work is flushed below, and the command exits ExitInterrupted. Every
+	// section runs under one Run: each distinct cell is simulated once,
+	// and the sections share the -j bound.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ctx = experiments.NewRun(gridFlags.Jobs).Context(ctx)
 
 	stopProf, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {

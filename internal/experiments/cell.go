@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/apps"
 	"repro/internal/guard"
 	"repro/internal/metrics"
 	"repro/internal/mp"
@@ -77,4 +82,226 @@ func seedMP(base int64, app string, opts splash.Options, c mp.Config) mp.Config 
 	c.Coherence.Seed = DeriveSeed(base, k)
 	c.Guard = cellGuard(c.Guard, k)
 	return c
+}
+
+// CellCounts counts the cells this process has simulated: Simulated from
+// scratch, Forked from a shared warm-up checkpoint, and Shared — served
+// by a run's memo without simulating at all.
+type CellCounts struct {
+	Simulated, Forked, Shared int64
+}
+
+var cellCounts struct{ simulated, forked, shared atomic.Int64 }
+
+// Cells returns the process's cell counts so far; one run's counts are
+// the difference across it (CellCounts.Sub).
+func Cells() CellCounts {
+	return CellCounts{cellCounts.simulated.Load(), cellCounts.forked.Load(), cellCounts.shared.Load()}
+}
+
+// Sub is the counts since before.
+func (c CellCounts) Sub(before CellCounts) CellCounts {
+	return CellCounts{c.Simulated - before.Simulated, c.Forked - before.Forked, c.Shared - before.Shared}
+}
+
+func (c CellCounts) String() string {
+	return fmt.Sprintf("[cells: %d simulated, %d forked, %d shared]", c.Simulated, c.Forked, c.Shared)
+}
+
+// A Run is one evaluation run: every section of one cmd/experiments
+// invocation. It is one queue and one memo. Every cell task a pool
+// dispatches under the run's context takes one of its -j slots, so the
+// sections share one bound on concurrent simulations; and each distinct
+// cell — keyed by its seeded configuration, Measure included — is
+// simulated once, however many sections ask for it, single-flight. A
+// cell that fails is not stored: the next caller simulates it again.
+// Outside a run (a service worker, RunUniCell, a study called on its
+// own) every call simulates every cell it names.
+type Run struct {
+	slots chan struct{}
+	mu    sync.Mutex
+	memo  map[[sha256.Size]byte]*flight
+}
+
+// flight is one cell of a run's memo: done closes when its leader has
+// finished, and val is the result when ok.
+type flight struct {
+	done chan struct{}
+	val  any
+	ok   bool
+}
+
+// NewRun returns a run of the given parallelism; values <= 0 select
+// DefaultParallelism.
+func NewRun(parallelism int) *Run {
+	if parallelism <= 0 {
+		parallelism = DefaultParallelism()
+	}
+	return &Run{slots: make(chan struct{}, parallelism), memo: map[[sha256.Size]byte]*flight{}}
+}
+
+type runKey struct{}
+
+// Context returns ctx with r as its run: the experiments driven under it
+// share r's slots and memo.
+func (r *Run) Context(ctx context.Context) context.Context {
+	return context.WithValue(ctx, runKey{}, r)
+}
+
+func runOf(ctx context.Context) *Run {
+	r, _ := ctx.Value(runKey{}).(*Run)
+	return r
+}
+
+// slot is one of a run's -j slots as one cell task holds it.
+type slot struct {
+	r    *Run
+	held bool
+}
+
+type slotKey struct{}
+
+func (s *slot) acquire(ctx context.Context) error {
+	select {
+	case s.r.slots <- struct{}{}:
+		s.held = true
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (s *slot) release() {
+	if s.held {
+		<-s.r.slots
+		s.held = false
+	}
+}
+
+// inSlot runs task under one of ctx's run's slots, waiting for one
+// first; outside a run it runs task at once. A drain while the task
+// waits returns the cancellation.
+func inSlot(ctx context.Context, task func(ctx context.Context) error) error {
+	r := runOf(ctx)
+	if r == nil {
+		return task(ctx)
+	}
+	s := &slot{r: r}
+	if err := s.acquire(ctx); err != nil {
+		return err
+	}
+	defer s.release()
+	return task(context.WithValue(ctx, slotKey{}, s))
+}
+
+// memo returns the result of sim, the simulation of the cell key names,
+// once per run: the first caller simulates it and the callers that ask
+// while it runs wait for that result, giving their slot back meanwhile.
+// Outside a run, or for a key that does not encode, it calls sim.
+func memo[T any](ctx context.Context, key any, sim func() (T, error)) (T, error) {
+	r := runOf(ctx)
+	k, ok := configSum(key)
+	if r == nil || !ok {
+		return sim()
+	}
+	for {
+		r.mu.Lock()
+		f := r.memo[k]
+		if f == nil {
+			f = &flight{done: make(chan struct{})}
+			r.memo[k] = f
+			r.mu.Unlock()
+			// Settle the flight even when sim panics: a result is
+			// stored, a failed cell forgotten.
+			defer func() {
+				r.mu.Lock()
+				if !f.ok {
+					delete(r.memo, k)
+				}
+				r.mu.Unlock()
+				close(f.done)
+			}()
+			v, err := sim()
+			if err == nil {
+				f.val, f.ok = v, true
+			}
+			return v, err
+		}
+		r.mu.Unlock()
+		if err := await(ctx, f); err != nil {
+			var zero T
+			return zero, err
+		}
+		if f.ok {
+			cellCounts.shared.Add(1)
+			return f.val.(T), nil
+		}
+		// The leader failed and its cell is not stored: ask again.
+	}
+}
+
+// await waits for flight f to settle. The caller's slot goes back for the
+// wait, so a cell waiting on another never idles one.
+func await(ctx context.Context, f *flight) error {
+	select {
+	case <-f.done:
+		return nil
+	default:
+	}
+	s, _ := ctx.Value(slotKey{}).(*slot)
+	if s != nil {
+		s.release()
+	}
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	if s != nil {
+		return s.acquire(ctx)
+	}
+	return nil
+}
+
+// workstationCell is the memo key of a seeded workstation cell.
+type workstationCell struct {
+	Workload string
+	Config   workstation.Config
+}
+
+// runWorkstation simulates one seeded workstation cell from scratch.
+func runWorkstation(ctx context.Context, kernels []apps.Kernel, w workstation.Config) (*workstation.Result, error) {
+	cellCounts.simulated.Add(1)
+	return workstation.RunCtx(ctx, kernels, w)
+}
+
+// runMP simulates one seeded multiprocessor cell of app, linked with
+// opts, under c, once per run (memo). A run that does not complete within
+// c's cycle limit is a budget failure carrying the limit-time dump.
+func runMP(ctx context.Context, app splash.App, opts splash.Options, c mp.Config) (*MPCellRecord, error) {
+	key := c
+	key.Coherence.Chaos = nil
+	return memo(ctx, struct {
+		App     string
+		Program splash.Options
+		Config  mp.Config
+	}{app.Name, opts, key}, func() (*MPCellRecord, error) {
+		cellCounts.simulated.Add(1)
+		r, err := mp.RunCtx(ctx, app.Program(opts), c)
+		if err != nil {
+			return nil, err
+		}
+		if !r.Completed {
+			err := fmt.Errorf("%s under %v/%d exceeded the cycle limit", app.Name, c.Scheme, c.Contexts)
+			if r.Diag != nil {
+				// Carry the limit-time machine dump into the cell's
+				// Diagnostic so the degraded grid reports where the cell
+				// was wedged.
+				return nil, guard.NewSimError("experiments.budget", err).At(r.Diag.Cycle).WithDiag(r.Diag)
+			}
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+		return &MPCellRecord{Cycles: r.Cycles, Completed: r.Completed, Stats: r.Stats,
+			Threads: r.Threads, MemHash: r.MemHash, ArchHash: r.ArchHash, Metrics: r.Metrics}, nil
+	})
 }

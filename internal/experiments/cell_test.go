@@ -103,3 +103,56 @@ func TestCellIsItsConfiguration(t *testing.T) {
 		t.Errorf("the remote-latency sweep has %d 1.0x points, want 2", points)
 	}
 }
+
+// The memo belongs to a run, not to the process: called twice in one
+// process outside a run, RunUniCell and SwitchCostSweepCtx simulate
+// every cell they name each time, as repeated benchmark passes need.
+// Inside one run the second sweep simulates nothing and prints the same.
+func TestMemoBelongsToARun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := QuickUniConfig()
+	ctx := context.Background()
+	for pass := 1; pass <= 2; pass++ {
+		before := Cells()
+		if _, err := RunUniCell(ctx, cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := Cells().Sub(before); got != (CellCounts{Simulated: 1}) {
+			t.Errorf("RunUniCell pass %d: %v, want the one cell simulated", pass, got)
+		}
+	}
+	sweep := func(ctx context.Context) (*SweepResult, CellCounts) {
+		t.Helper()
+		before := Cells()
+		r, err := SwitchCostSweepCtx(ctx, cfg, "DC")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, Cells().Sub(before)
+	}
+	// The baseline and the interleaved reference from scratch, the ten
+	// blocked points forked from one warm-up.
+	want := CellCounts{Simulated: 2, Forked: 10}
+	var first *SweepResult
+	for pass := 1; pass <= 2; pass++ {
+		r, got := sweep(ctx)
+		if got != want {
+			t.Errorf("SwitchCostSweepCtx pass %d: %v, want %v", pass, got, want)
+		}
+		first = r
+	}
+
+	run := NewRun(2).Context(ctx)
+	if _, got := sweep(run); got != want {
+		t.Errorf("the first sweep of a run: %v, want %v", got, want)
+	}
+	r, got := sweep(run)
+	if got != (CellCounts{Shared: 12}) {
+		t.Errorf("the second sweep of a run: %v, want every cell shared", got)
+	}
+	if FormatSweep(r) != FormatSweep(first) {
+		t.Errorf("a shared sweep prints\n%s\nwant\n%s", FormatSweep(r), FormatSweep(first))
+	}
+}

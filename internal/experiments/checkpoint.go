@@ -225,6 +225,15 @@ func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*wo
 		return nil, err
 	}
 
+	// resume forks cell i from img, counting the forks that succeed.
+	resume := func(ctx context.Context, i int, img *snapshot.Image) (*workstation.Result, error) {
+		r, err := workstation.ResumeImageCtx(ctx, kernels[i], cells[i].cfg, img)
+		if err == nil {
+			cellCounts.forked.Add(1)
+		}
+		return r, err
+	}
+
 	// forked returns cell i's result forked from its group's image, or
 	// nil when the cell has to run from scratch. A payload the machine
 	// rejects (the container was sound, what it holds is not this
@@ -235,7 +244,7 @@ func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*wo
 		if g == nil || g.img == nil {
 			return nil, nil
 		}
-		r, err := workstation.ResumeImageCtx(ctx, kernels[i], cells[i].cfg, g.img)
+		r, err := resume(ctx, i, g.img)
 		if !checkpointUnusable(err) {
 			return r, err
 		}
@@ -243,20 +252,23 @@ func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*wo
 		if g.healed == nil {
 			return nil, g.healErr
 		}
-		r, err = workstation.ResumeImageCtx(ctx, kernels[i], cells[i].cfg, g.healed)
+		r, err = resume(ctx, i, g.healed)
 		if checkpointUnusable(err) {
 			return nil, nil
 		}
 		return r, err
 	}
 
-	// Stage 2: every cell, forked when it can be.
+	// Stage 2: every cell, forked when it can be, and once per run.
 	runs := make([]*workstation.Result, len(cells))
 	err = runCells(ctx, cfg.Parallelism, len(cells), func(ctx context.Context, i int) error {
-		r, err := forked(ctx, i)
-		if r == nil && err == nil {
-			r, err = workstation.RunCtx(ctx, kernels[i], cells[i].cfg)
-		}
+		r, err := memo(ctx, workstationCell{cells[i].workload, cells[i].cfg}, func() (*workstation.Result, error) {
+			r, err := forked(ctx, i)
+			if r == nil && err == nil {
+				r, err = runWorkstation(ctx, kernels[i], cells[i].cfg)
+			}
+			return r, err
+		})
 		runs[i] = r
 		return err
 	})

@@ -227,20 +227,9 @@ func mpAttempt(ctx context.Context, cfg MPConfig, app splash.App, a cellAttempt)
 	mcfg.Obs = cfg.Obs
 	opts := cfg.programOptions(a.scheme, a.contexts)
 	mcfg = seedMP(cfg.Seed, a.subject, opts, mcfg)
-	p := app.Program(opts)
-	r, err := mp.RunCtx(ctx, p, mcfg)
+	r, err := runMP(ctx, app, opts, mcfg)
 	if err != nil {
 		return nil, err
-	}
-	if !r.Completed {
-		err := fmt.Errorf("%s under %v/%d exceeded the cycle limit", a.subject, a.scheme, a.contexts)
-		if r.Diag != nil {
-			// Carry the limit-time machine dump into the cell's
-			// Diagnostic so the degraded grid reports where the cell
-			// was wedged.
-			return nil, guard.NewSimError("experiments.budget", err).At(r.Diag.Cycle).WithDiag(r.Diag)
-		}
-		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	// Under chaos, timing faults must never reach functional state: the
 	// cell also runs unperturbed and the final memory must match. Racy
@@ -249,7 +238,7 @@ func mpAttempt(ctx context.Context, cfg MPConfig, app splash.App, a cellAttempt)
 	if a.guard.ChaosSeed != 0 && !app.Racy {
 		mcfg.Guard.ChaosSeed = 0
 		mcfg.Obs = metrics.Options{}
-		ref, err := mp.RunCtx(ctx, p, mcfg)
+		ref, err := runMP(ctx, app, opts, mcfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos reference run: %w", err)
 		}
@@ -259,8 +248,8 @@ func mpAttempt(ctx context.Context, cfg MPConfig, app splash.App, a cellAttempt)
 				a.subject, a.scheme, a.contexts, r.MemHash, ref.MemHash)).At(r.Cycles)
 		}
 	}
-	return &MPCellRecord{Cycles: r.Cycles, Completed: r.Completed, Stats: r.Stats,
-		Threads: r.Threads, MemHash: r.MemHash, ArchHash: r.ArchHash, Metrics: r.Metrics}, nil
+	rec := *r // the run's memo keeps r
+	return &rec, nil
 }
 
 // MPGridSize returns the number of cells in cfg's multiprocessor grid —

@@ -60,7 +60,9 @@ func NewPool(parallelism int) *Pool {
 // low-index cell would mask the failure that caused the cancellation. A
 // panicking task is recovered and surfaced as that cell's failure, so
 // one diverging simulation cannot take down the whole run. One worker
-// runs every task inline on the caller's goroutine.
+// runs every task inline on the caller's goroutine. Under a Run's
+// context every task also holds one of the run's slots while it runs,
+// so that all the pools of one run share its -j bound.
 func (p *Pool) dispatch(ctx context.Context, n int, task func(ctx context.Context, i int) error, failed func(i int, err error)) {
 	call := callRecovered(task)
 	var mu sync.Mutex
@@ -68,7 +70,8 @@ func (p *Pool) dispatch(ctx context.Context, n int, task func(ctx context.Contex
 		if ctx.Err() != nil {
 			return
 		}
-		if err := call(ctx, i); err != nil && !(guard.IsCancellation(err) && ctx.Err() != nil) {
+		err := inSlot(ctx, func(ctx context.Context) error { return call(ctx, i) })
+		if err != nil && !(guard.IsCancellation(err) && ctx.Err() != nil) {
 			mu.Lock()
 			failed(i, err)
 			mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/mp"
 	"repro/internal/splash"
 	"repro/internal/stats"
 )
@@ -159,13 +158,9 @@ func RemoteLatencySweepCtx(ctx context.Context, cfg MPConfig, app string) (*Swee
 		mcfg.Coherence.DirtyLow = int(float64(mcfg.Coherence.DirtyLow) * sp.scale)
 		mcfg.Coherence.DirtyHigh = int(float64(mcfg.Coherence.DirtyHigh) * sp.scale)
 		opts := cfg.programOptions(sp.scheme, sp.contexts)
-		mcfg = seedMP(cfg.Seed, app, opts, mcfg)
-		r, err := mp.RunCtx(ctx, a.Program(opts), mcfg)
+		r, err := runMP(ctx, a, opts, seedMP(cfg.Seed, app, opts, mcfg))
 		if err != nil {
 			return err
-		}
-		if !r.Completed {
-			return fmt.Errorf("experiments: %s at scale %.1f did not complete", app, sp.scale)
 		}
 		cycles[i] = r.Cycles
 		return nil

@@ -219,7 +219,9 @@ func uniAttempt(ctx context.Context, cfg UniConfig, kernels []apps.Kernel, a cel
 	wcfg.Guard = a.guard
 	wcfg.Obs = cfg.Obs
 	wcfg = seedWorkstation(cfg.Seed, a.subject, wcfg)
-	r, err := workstation.RunCtx(ctx, kernels, wcfg)
+	r, err := memo(ctx, workstationCell{a.subject, wcfg}, func() (*workstation.Result, error) {
+		return runWorkstation(ctx, kernels, wcfg)
+	})
 	if err != nil {
 		return nil, err
 	}
