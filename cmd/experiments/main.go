@@ -7,9 +7,13 @@
 //
 // With no -only flag every experiment runs (a few minutes at full scale;
 // seconds with -quick); -h lists the names -only takes, and any other
-// name is a usage error. Independent simulation cells fan out across -j
-// workers (default: all CPUs); -j 1 is the serial path. Output is
-// byte-identical at every -j.
+// name is a usage error. Every section starts at once and submits its
+// simulation cells to one queue of -j slots (default: all CPUs; -j 1
+// simulates one cell at a time), and the sections print in their fixed
+// order. Each distinct cell is simulated once per run, however many
+// sections report it. Output is byte-identical at every -j. The run ends
+// with its cell counts on stderr: [cells: N simulated, F forked, S
+// shared].
 //
 // -subjects, -schemes and -contexts narrow the Table 7 / Table 10 grids
 // to a subset grid: the named workload mixes and applications, each
@@ -50,6 +54,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -222,47 +227,67 @@ func run(args []string) (code int) {
 		}
 	}
 
-	// Walk the vocabulary in order. A grid runs once, at the first of its
-	// sections the selection names, and prints its selected sections
-	// through its own renderer — the one a distributed run of the same
-	// grid assembles with, so the two agree byte for byte. Every other
-	// section runs its row. Once the run is interrupted nothing more
-	// starts: a grid already running drains and renders SKIP cells.
+	// Submit every selected section at once, in vocabulary order, and
+	// print them in that order as each finishes. A grid runs once, at the
+	// first of its sections the selection names, and prints its selected
+	// sections through its own renderer — the one a distributed run of
+	// the same grid assembles with, so the two agree byte for byte. Every
+	// other section runs its row. The sections' cells share the run's -j
+	// slots, so one section's tail overlaps the next one's cells. Once
+	// the run is interrupted nothing more starts: a grid drains and
+	// renders SKIP cells, a study that did not finish is skipped.
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel() // an early return stops the sections still running
 	gridNamed := map[string]experiments.Grid{}
 	for _, g := range grids {
 		gridNamed[g.Name()] = g
 	}
-	started := map[string]bool{}
+	var steps []*step
 	for _, name := range experiments.Sections {
-		step := cmp.Or(experiments.GridOf(name), name)
-		if !sel(name) || started[step] {
+		st := &step{name: cmp.Or(experiments.GridOf(name), name), done: make(chan struct{}), start: time.Now()}
+		if !sel(name) || slices.ContainsFunc(steps, func(o *step) bool { return o.name == st.name }) {
 			continue
 		}
-		started[step] = true
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "[skipping %s: interrupted]\n", step)
+		st.grid = gridNamed[st.name]
+		steps = append(steps, st)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(st.done)
+			if st.grid != nil {
+				st.rep, st.err = st.grid.Run(ctx, journal)
+			} else {
+				st.value, st.text, st.err = experiments.RunSection(ctx, name, ucfg, mcfg)
+			}
+		}()
+	}
+	for _, st := range steps {
+		<-st.done
+		switch {
+		case st.err != nil && guard.IsCancellation(st.err) && ctx.Err() != nil:
+			fmt.Fprintf(os.Stderr, "[skipping %s: interrupted]\n", st.name)
 			continue
-		}
-		start := time.Now()
-		if g := gridNamed[step]; g != nil {
-			failed, err := runGrid(ctx, g, journal, obs, jsonBlob)
+		case st.err != nil:
+			return fail(st.err)
+		case st.grid != nil:
+			failed, err := printGrid(st.name, st.rep, obs, jsonBlob)
 			if err != nil {
 				return fail(err)
 			}
 			if failed {
 				code = experiments.ExitFailure
 			}
-		} else {
-			value, text, err := experiments.RunSection(ctx, name, ucfg, mcfg)
-			if err != nil {
-				return fail(err)
+		default:
+			if st.value != nil {
+				jsonBlob[st.name] = st.value
 			}
-			if value != nil {
-				jsonBlob[name] = value
-			}
-			fmt.Print(text)
+			fmt.Print(st.text)
 		}
-		fmt.Fprintf(os.Stderr, "[%s: %v]\n", step, time.Since(start).Round(time.Millisecond))
+		// From submission to output: sections overlap, so these do not
+		// add up to the run's wall clock.
+		fmt.Fprintf(os.Stderr, "[%s: %v]\n", st.name, time.Since(st.start).Round(time.Millisecond))
 	}
 
 	if ctx.Err() != nil {
@@ -273,19 +298,29 @@ func run(args []string) (code int) {
 	return code
 }
 
-// runGrid runs one grid, records its -json value, reports its failed and
+// step is one section of a run, or one grid standing for its sections:
+// submitted at start, printed once done.
+type step struct {
+	name  string
+	grid  experiments.Grid // nil for a section outside the grids
+	start time.Time
+	done  chan struct{}
+
+	rep   *experiments.GridReport
+	value any
+	text  string
+	err   error
+}
+
+// printGrid records a grid's -json value, reports its failed and
 // skipped cells on stderr, exports its observability records and prints
 // its sections. failed reports whether any cell failed.
-func runGrid(ctx context.Context, g experiments.Grid, journal *experiments.Journal, obs *metrics.Flags, jsonBlob map[string]any) (failed bool, err error) {
-	rep, err := g.Run(ctx, journal)
-	if err != nil {
-		return false, err
-	}
-	jsonBlob[g.Name()] = rep.Value
+func printGrid(name string, rep *experiments.GridReport, obs *metrics.Flags, jsonBlob map[string]any) (failed bool, err error) {
+	jsonBlob[name] = rep.Value
 	for _, c := range rep.Cells {
 		if c.Failed {
 			fmt.Fprintf(os.Stderr, "experiments: %s cell %s/%v/%d FAILED: %s\n",
-				g.Name(), c.Subject, c.Scheme, c.Contexts, c.Failure)
+				name, c.Subject, c.Scheme, c.Contexts, c.Failure)
 			if c.Diagnostic != "" {
 				fmt.Fprintln(os.Stderr, c.Diagnostic)
 			}
@@ -293,9 +328,9 @@ func runGrid(ctx context.Context, g experiments.Grid, journal *experiments.Journ
 		}
 	}
 	if rep.Skipped > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: %s grid interrupted: %d cells skipped\n", g.Name(), rep.Skipped)
+		fmt.Fprintf(os.Stderr, "experiments: %s grid interrupted: %d cells skipped\n", name, rep.Skipped)
 	}
-	if err := writeGridMetrics(obs, g.Name(), rep.Cells); err != nil {
+	if err := writeGridMetrics(obs, name, rep.Cells); err != nil {
 		return failed, err
 	}
 	fmt.Print(rep.Text)
