@@ -11,7 +11,7 @@ import (
 
 // Two seeds in-process — one per crash-inducing disk class family —
 // keep the harness itself under tier-1 without the full CI seed set
-// (scripts/check.sh TORTURE=1 runs 20).
+// (scripts/check.sh runs 20).
 func TestTortureSmoke(t *testing.T) {
 	spec := tortureSpec()
 	baseText, baseJSON, err := baseline(spec)

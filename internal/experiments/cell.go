@@ -200,8 +200,11 @@ func inSlot(ctx context.Context, task func(ctx context.Context) error) error {
 // Outside a run, or for a key that does not encode, it calls sim.
 func memo[T any](ctx context.Context, key any, sim func() (T, error)) (T, error) {
 	r := runOf(ctx)
+	if r == nil {
+		return sim()
+	}
 	k, ok := configSum(key)
-	if r == nil || !ok {
+	if !ok {
 		return sim()
 	}
 	for {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -154,5 +155,33 @@ func TestMemoBelongsToARun(t *testing.T) {
 	}
 	if FormatSweep(r) != FormatSweep(first) {
 		t.Errorf("a shared sweep prints\n%s\nwant\n%s", FormatSweep(r), FormatSweep(first))
+	}
+
+	// Two sweeps at once in a fresh run: each cell is simulated by one of
+	// them and shared by the other, single-flight.
+	run = NewRun(2).Context(ctx)
+	before := Cells()
+	var wg sync.WaitGroup
+	outs := make([]string, 2)
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := SwitchCostSweepCtx(run, cfg, "DC")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			outs[i] = FormatSweep(r)
+		}()
+	}
+	wg.Wait()
+	if got := Cells().Sub(before); got != (CellCounts{Simulated: 2, Forked: 10, Shared: 12}) {
+		t.Errorf("two concurrent sweeps of a run: %v, want each cell simulated once and shared once", got)
+	}
+	for _, out := range outs {
+		if out != FormatSweep(first) {
+			t.Errorf("a concurrent sweep prints\n%s\nwant\n%s", out, FormatSweep(first))
+		}
 	}
 }

@@ -27,9 +27,10 @@ import (
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // DeriveSeed deterministically derives the seed of cell i from a config's
-// base seed. The derivation depends only on (base, cell) — never on
-// execution order or worker identity — so every cell sees the same PRNG
-// stream at any parallelism level. Cells are decorrelated by a splitmix64
+// base seed; an experiment cell's i is the key of its configuration
+// (cell.go), the fuzzer's its program's index. The derivation depends
+// only on (base, cell) — never on execution order or worker identity —
+// so every cell sees the same PRNG stream at any parallelism level. Cells are decorrelated by a splitmix64
 // finalizer rather than by consecutive integers, which many PRNGs map to
 // correlated streams.
 func DeriveSeed(base int64, cell int) int64 {

@@ -174,8 +174,7 @@ go test -count=1 -run 'TestEngineGolden' ./internal/engine
 go run ./benchmark -workload ws-table7 -smoke >/dev/null
 go run ./benchmark -workload sweep-fork -smoke >/dev/null
 # The same for the service path (two jobs through coordinator, journal,
-# loopback HTTP and a worker), which otherwise has no default-on gate
-# here: SERVICE=1 below is optional.
+# loopback HTTP and a worker).
 go run ./benchmark -workload svc-grid -smoke >/dev/null
 # And for the two multiprocessor workloads: the lockstep driver over the
 # coherence fabric, and the stall-dominated cells whose divide chains run
@@ -269,109 +268,109 @@ diff "$RES_DIR/scratch.txt" "$RES_DIR/corrupt.txt"
 diff "$RES_DIR/scratch.json" "$RES_DIR/corrupt.json"
 diff -r "$RES_DIR/ckpts.orig" "$RES_DIR/ckpts" # healed, byte for byte
 
-# Optional differential-fuzz pass: FUZZ=1 scripts/check.sh runs the
-# fixed-seed cross-scheme interleaving sweep (>=500 cells; exits 1 on any
-# divergence), requires the report to be byte-identical at -j 8 and -j 1,
-# and replays the checked-in reproducer (a deliberately broken TAS),
-# which must still fail with the documented divergence exit code 1.
-# It ends with ten seconds of FuzzRestore: mutated checkpoint payloads
-# fed to every layer's RestoreState must fail typed, never panic or hang.
+# Differential-fuzz pass: the fixed-seed cross-scheme interleaving sweep
+# (>=500 cells; exits 1 on any divergence) must print a byte-identical
+# report at -j 8 and -j 1, and the checked-in reproducer (a deliberately
+# broken TAS) must still fail with the documented divergence exit code 1.
+FUZZ_DIR="$(mktemp -d)"
+trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$FUZZ_DIR"' EXIT
+go build -o "$FUZZ_DIR/interleavefuzz" ./cmd/interleavefuzz
+"$FUZZ_DIR/interleavefuzz" -n 12 -seed 20260808 -j 8 > "$FUZZ_DIR/j8.txt"
+"$FUZZ_DIR/interleavefuzz" -n 12 -seed 20260808 -j 1 > "$FUZZ_DIR/j1.txt"
+diff "$FUZZ_DIR/j8.txt" "$FUZZ_DIR/j1.txt"
+code=0
+"$FUZZ_DIR/interleavefuzz" -quick \
+    -replay internal/fuzz/testdata/corpus/fuzz-d6927cc28841f924 \
+    > "$FUZZ_DIR/replay.txt" || code=$?
+[ "$code" -eq 1 ] # divergence must reproduce
+
+# Optional: FUZZ=1 scripts/check.sh adds ten seconds of FuzzRestore:
+# mutated checkpoint payloads fed to every layer's RestoreState must fail
+# typed, never panic or hang. It is the one pass with a fixed wall-clock
+# budget rather than a fixed amount of work.
 if [ -n "${FUZZ:-}" ]; then
-    FUZZ_DIR="$(mktemp -d)"
-    trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$FUZZ_DIR"' EXIT
-    go build -o "$FUZZ_DIR/interleavefuzz" ./cmd/interleavefuzz
-    "$FUZZ_DIR/interleavefuzz" -n 12 -seed 20260808 -j 8 > "$FUZZ_DIR/j8.txt"
-    "$FUZZ_DIR/interleavefuzz" -n 12 -seed 20260808 -j 1 > "$FUZZ_DIR/j1.txt"
-    diff "$FUZZ_DIR/j8.txt" "$FUZZ_DIR/j1.txt"
-    code=0
-    "$FUZZ_DIR/interleavefuzz" -quick \
-        -replay internal/fuzz/testdata/corpus/fuzz-d6927cc28841f924 \
-        > "$FUZZ_DIR/replay.txt" || code=$?
-    [ "$code" -eq 1 ] # divergence must reproduce
     # -fuzzminimizetime 1x: the fabric seed is 50 KB, and by default each
     # input that finds new coverage is minimized for up to a minute.
     go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s -fuzzminimizetime 1x ./internal/snapshot
 fi
 
-# Optional distributed-service pass: SERVICE=1 scripts/check.sh runs the
-# same quick table7 grid under the expserve coordinator with two chaos
-# events — one worker killed by an injected fault on its first cell
-# (documented exit 7) and the coordinator kill -9'd and restarted once on
-# the same state dir and address — then requires the service's tables and
-# -json output to be byte-identical to the single-process run above.
+# Distributed-service pass: the same quick table7 grid under the expserve
+# coordinator with two chaos events — one worker killed by an injected
+# fault on its first cell (documented exit 7) and the coordinator kill
+# -9'd and restarted once on the same state dir and address — then the
+# service's tables and -json output must be byte-identical to the
+# single-process run above.
 # The order is what makes both events land whatever the machine's speed
 # (the grid takes a fraction of a second now that dispatch is
 # event-driven): the doomed worker starts alone, so the first cell is
 # its; its lease then pins the job open for a lease TTL, and the
 # coordinator is killed inside that window, with the rest of the grid
 # journaled by the survivor.
-if [ -n "${SERVICE:-}" ]; then
-    SVC_DIR="$(mktemp -d)"
-    trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$SVC_DIR"' EXIT
-    go build -o "$SVC_DIR/expserve" ./cmd/expserve
+SVC_DIR="$(mktemp -d)"
+SERVE_PID= STEADY_PID=
+# A failing step must not leave the coordinator or the worker running.
+trap 'kill $SERVE_PID $STEADY_PID 2>/dev/null || true; rm -rf "$OBS_DIR" "$RES_DIR" "$FUZZ_DIR" "$SVC_DIR"' EXIT
+go build -o "$SVC_DIR/expserve" ./cmd/expserve
 
-    # Coordinator: port 0 picks a free port, -addr-file publishes it.
-    "$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr 127.0.0.1:0 \
-        -addr-file "$SVC_DIR/addr" -lease-ttl 3s 2> "$SVC_DIR/serve1.log" &
-    SERVE_PID=$!
-    for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr" ] && break; sleep 0.1; done
-    ADDR="http://$(cat "$SVC_DIR/addr")"
+# Coordinator: port 0 picks a free port, -addr-file publishes it.
+"$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr 127.0.0.1:0 \
+    -addr-file "$SVC_DIR/addr" -lease-ttl 3s 2> "$SVC_DIR/serve1.log" &
+SERVE_PID=$!
+for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr" ] && break; sleep 0.1; done
+ADDR="http://$(cat "$SVC_DIR/addr")"
 
-    JOB=$("$SVC_DIR/expserve" submit -coordinator "$ADDR" -quick -only table7 -j 2)
+JOB=$("$SVC_DIR/expserve" submit -coordinator "$ADDR" -quick -only table7 -j 2)
 
-    # One worker dies abruptly on its first cell: documented exit 7. It
-    # releases nothing (an injected death is a kill -9), so its lease
-    # must expire before that cell can redispatch.
-    wcode=0
-    "$SVC_DIR/expserve" work -coordinator "$ADDR" -name doomed -poll 100ms \
-        -fault die-mid-cell@1 2> "$SVC_DIR/doomed.log" || wcode=$?
-    [ "$wcode" -eq 7 ]
+# One worker dies abruptly on its first cell: documented exit 7. It
+# releases nothing (an injected death is a kill -9), so its lease
+# must expire before that cell can redispatch.
+wcode=0
+"$SVC_DIR/expserve" work -coordinator "$ADDR" -name doomed -poll 100ms \
+    -fault die-mid-cell@1 2> "$SVC_DIR/doomed.log" || wcode=$?
+[ "$wcode" -eq 7 ]
 
-    # The survivor does the real work.
-    "$SVC_DIR/expserve" work -coordinator "$ADDR" -name steady -slots 2 -poll 100ms \
-        2> "$SVC_DIR/steady.log" &
-    STEADY_PID=$!
+# The survivor does the real work.
+"$SVC_DIR/expserve" work -coordinator "$ADDR" -name steady -slots 2 -poll 100ms \
+    2> "$SVC_DIR/steady.log" &
+STEADY_PID=$!
 
-    # Kill -9 the coordinator mid-job (the dead worker's lease is still
-    # live) and restart it on the same state dir and address: the journal
-    # resumes the job with zero re-simulation, the worker just retries
-    # until the new process answers.
-    sleep 1
-    kill -9 "$SERVE_PID"
-    wait "$SERVE_PID" || true
-    "$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr "$(cat "$SVC_DIR/addr")" \
-        -lease-ttl 3s 2> "$SVC_DIR/serve2.log" &
-    SERVE_PID=$!
+# Kill -9 the coordinator mid-job (the dead worker's lease is still
+# live) and restart it on the same state dir and address: the journal
+# resumes the job with zero re-simulation, the worker just retries
+# until the new process answers.
+sleep 1
+kill -9 "$SERVE_PID"
+wait "$SERVE_PID" || true
+"$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr "$(cat "$SVC_DIR/addr")" \
+    -lease-ttl 3s 2> "$SVC_DIR/serve2.log" &
+SERVE_PID=$!
 
-    "$SVC_DIR/expserve" wait -coordinator "$ADDR" -job "$JOB" \
-        -out "$SVC_DIR/svc.txt" -json-out "$SVC_DIR/svc.json"
+"$SVC_DIR/expserve" wait -coordinator "$ADDR" -job "$JOB" \
+    -out "$SVC_DIR/svc.txt" -json-out "$SVC_DIR/svc.json"
 
-    # Byte-identity against the single-process reference run above.
-    diff "$RES_DIR/full.txt" "$SVC_DIR/svc.txt"
-    diff "$RES_DIR/full.json" "$SVC_DIR/svc.json"
+# Byte-identity against the single-process reference run above.
+diff "$RES_DIR/full.txt" "$SVC_DIR/svc.txt"
+diff "$RES_DIR/full.json" "$SVC_DIR/svc.json"
 
-    # Worker and coordinator drain cleanly on SIGTERM (exit 3 / 0).
-    kill "$STEADY_PID"
-    wcode=0; wait "$STEADY_PID" || wcode=$?
-    [ "$wcode" -eq 3 ]
-    kill "$SERVE_PID"
-    wcode=0; wait "$SERVE_PID" || wcode=$?
-    [ "$wcode" -eq 0 ]
-fi
+# Worker and coordinator drain cleanly on SIGTERM (exit 3 / 0).
+kill "$STEADY_PID"
+wcode=0; wait "$STEADY_PID" || wcode=$?
+[ "$wcode" -eq 3 ]
+kill "$SERVE_PID"
+wcode=0; wait "$SERVE_PID" || wcode=$?
+[ "$wcode" -eq 0 ]
+SERVE_PID= STEADY_PID=
 
-# Optional torture pass: TORTURE=1 scripts/check.sh runs the cmd/torture
-# harness over 20 fixed seeds — each seed a deterministic disk fault
-# schedule under the coordinator's journals (torn write / failed sync /
-# ENOSPC, followed by a crash-restart from the fsync-accurate crash
-# image) plus seeded network faults (drop, delay, duplicate, reset,
+# Torture pass: the cmd/torture harness over 20 fixed seeds — each seed
+# a deterministic disk fault schedule under the coordinator's journals
+# (torn write / failed sync / ENOSPC, followed by a crash-restart from the
+# fsync-accurate crash image) plus seeded network faults (drop, delay, duplicate, reset,
 # truncation) on every worker and client transport. The harness itself
 # asserts byte-identity against the fault-free single-process baseline
 # per seed, and -require-all-classes fails the pass unless every one of
 # the eight fault classes actually fired somewhere in the seed set (no
 # silent zero-coverage schedules).
-if [ -n "${TORTURE:-}" ]; then
-    go run ./cmd/torture -first 1 -n 20 -require-all-classes
-fi
+go run ./cmd/torture -first 1 -n 20 -require-all-classes
 
 # Optional performance pass: BENCH=1 scripts/check.sh additionally runs
 # the Go benchmarks: the serial-vs-parallel experiment grids, simulator
