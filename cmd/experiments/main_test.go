@@ -121,7 +121,7 @@ func TestStudySectionsPinned(t *testing.T) {
 	}
 	const (
 		wantStdout = "f16ee2044b8fcf495b76ecbc5e8837f0b74b6ee09a9b0420044db2b21f45a411"
-		wantJSON   = "82d10dfd967138cb823a8e68e3067f446bb2da61f9d6b6688d0a662c5642dac4"
+		wantJSON   = "ffc348e76cb8700a05d5ef269348f3c9eb5d632ab3395f2c5a94115ca239ad06"
 	)
 	sum := func(b []byte) string {
 		s := sha256.Sum256(b)

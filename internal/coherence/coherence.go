@@ -285,9 +285,12 @@ func (f *Fabric) lineAddr(line uint32) uint32 {
 }
 
 // evicted is called by a node when installing a line displaced victim.
+// A victim with a request of its own in flight is an upgrade: ownership
+// moved to the request when it was issued, and the evicted shared copy
+// does not take it back.
 func (f *Fabric) evicted(n int, victimLine uint32) {
 	e := f.peekEntry(victimLine)
-	if e == nil {
+	if e == nil || f.nodes[n].findPending(victimLine) >= 0 {
 		return
 	}
 	if e.owner == n {

@@ -187,3 +187,41 @@ func TestIdealInstCache(t *testing.T) {
 		t.Error("MP instruction cache must be ideal")
 	}
 }
+
+// A node whose upgrade of a line is in flight can evict the line's old
+// shared copy, when another of its fills lands in the same set. Ownership
+// moved to the upgrade when it was issued; the eviction must not hand it
+// back to the directory, or the protocol runs with an exclusive request
+// in flight for a line nobody owns.
+func TestEvictionDuringUpgradeKeepsOwnership(t *testing.T) {
+	f := newFab(t, 4)
+	n := f.Node(0)
+	a := uint32(0x100)
+	b := a + uint32(f.P.CacheSize) // same direct-mapped set as a
+	now := settle(n, a, false, 0)  // a resident, shared
+	r := n.AccessData(b, false, 0, now)
+	if r.Hit {
+		t.Fatalf("cold read of %#x hit", b)
+	}
+	// Upgrade a one cycle before b's fill lands; b's install then evicts
+	// the shared copy of a while the upgrade is still in flight.
+	if up := n.AccessData(a, true, 0, r.FillAt-1); up.Hit || up.FillAt <= r.FillAt {
+		t.Fatalf("upgrade of %#x = %+v, want a miss landing after %d", a, up, r.FillAt)
+	}
+	if got := n.AccessData(b, false, 0, r.FillAt); !got.Hit {
+		t.Fatalf("read of %#x at its fill = %+v, want a hit", b, got)
+	}
+	if n.cache.Present(a) {
+		t.Fatalf("%#x still resident; the test needs its eviction", a)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatalf("after the eviction: %v", err)
+	}
+	settle(n, a, true, r.FillAt)
+	if e := f.peekEntry(a / uint32(f.P.LineSize)); e == nil || e.owner != 0 {
+		t.Errorf("after the upgrade completes, the directory owner is not node 0: %+v", e)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Errorf("after the upgrade: %v", err)
+	}
+}

@@ -24,18 +24,20 @@ import (
 // later one, is judged against fixed digests rather than against itself.
 // A digest moves only when simulated behaviour, the record format or the
 // rendering changes, and such a change says so by updating this table.
-// The last such change seeded every cell from its configuration instead
-// of its grid index, and bumped the journal to version 3.
+// The last two such changes seeded every cell from its configuration
+// instead of its grid index, bumping the journal to version 3, and kept
+// an in-flight upgrade's ownership when its line's shared copy is
+// evicted.
 var gridGolden = map[string]string{
 	"fingerprint":         "a6a0e79bb8f289af9c6169a3",
 	"fingerprint.default": "268d3d80bc0cce1733d4a591",
 	"fingerprint.quick":   "0d9b9f43f8260cddac077796",
 	"local.text":          "6f74b8ecb1d5510a6158517fdd2f27cec612974547cc4932058bf622957a966f",
-	"local.json":          "025fd9f56d26a1fa2efee0b41829669fb92cc39e2bd9f1ffe6642a52d0f90a27",
-	"local.cells":         "3b70b534e018665577687fdb6a852335d1b191cb72c05772da802a0b8a3e4894",
+	"local.json":          "65d2a7d4ee2c6bf70cc30bb4fc9ba365ad71d1fafb0cef46f2c19b7e9bc4c66c",
+	"local.cells":         "ba65a9d94cb64ba7b6271118a5003992f32858ed385a55411d3483509a22140a",
 	"failed.text":         "acd25f3761ceafe0b7f6903183c05b47e5351d352872fd91fc72c218f8920e13",
-	"failed.json":         "b602be1b7a5d5c5cfa6c5e16294d73efc824cb4a3cbe2fc7e587985024173fbb",
-	"failed.cells":        "26255301a53a3e2cf3e78a2b8b7504932d4ed0fda905e28ccc3f6700f8c47cc6",
+	"failed.json":         "b5cb8686d42c8388a904dde0d88a808689743def2e3e4046b2d2b940d87d2a95",
+	"failed.cells":        "acb41e0d2eb5c6f35b592b904fdf1052d826d1c6c579bfcd87abb03902d3241c",
 }
 
 // dispatchFailure is the record a coordinator journals for a cell whose
@@ -210,8 +212,8 @@ func TestGridGoldenCoordinatorFailedCells(t *testing.T) {
 	})
 }
 
-// A state directory written by the coordinator of the journal-version-3
-// change (the job above, copied out after it completed) is recovered as
+// A state directory written by the coordinator of the ownership fix
+// above (the job above, copied out after it completed) is recovered as
 // it stands:
 // every cell replays, none is dispatched, and the result is the pinned
 // one.
