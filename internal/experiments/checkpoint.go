@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"path/filepath"
 	"slices"
@@ -61,15 +59,14 @@ func prefixKey(workload string, w workstation.Config) string {
 	w.Measure = workstation.MeasureOverrides{}
 	w.Obs = metrics.Options{}
 	w.Cache.Chaos = nil // run-time state, derived from Guard when nil
-	data, err := json.Marshal(struct {
+	sum, ok := configSum(struct {
 		Codec    int
 		Workload string
 		Config   workstation.Config
 	}{snapshot.Version, workload, w})
-	if err != nil {
+	if !ok {
 		return "" // unkeyable config: disables sharing for this cell
 	}
-	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:12])
 }
 
