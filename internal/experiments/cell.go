@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/metrics"
 	"repro/internal/mp"
@@ -29,37 +30,71 @@ import (
 // warm-up prefix the sweep planner can fork from; a snapshot codec bump
 // re-seeds nothing, because the codec version is no part of a machine.
 
-// configSum digests a configuration by its JSON encoding; ok is false
-// for one that does not encode.
-func configSum(v any) (sum [sha256.Size]byte, ok bool) {
+// configSum digests a configuration by its JSON encoding. Every config
+// here is plain data, so one that does not encode is a programming
+// error, and it panics: the pool turns that into the cell's failure.
+func configSum(v any) [sha256.Size]byte {
 	data, err := json.Marshal(v)
 	if err != nil {
-		return sum, false
+		panic(fmt.Errorf("experiments: config does not encode: %w", err))
 	}
-	return sha256.Sum256(data), true
+	return sha256.Sum256(data)
 }
 
-// seedKey is the DeriveSeed cell key of a subject on a machine. A machine
-// that does not encode keys to 0, a seed like any other.
+// seedKey is the DeriveSeed cell key of a subject on a machine.
 func seedKey(subject string, machine any) int {
-	sum, _ := configSum(struct {
+	sum := configSum(struct {
 		Subject string
 		Machine any
 	}{subject, machine})
 	return int(binary.LittleEndian.Uint64(sum[:8]))
 }
 
+// workstationMachine is the one rule for which workstation fields are
+// the machine: w without its seed, its measurement-time overrides and
+// the harness options (hardening, observability, run-time chaos state),
+// and without a core override that restates the scheme's default core.
+func workstationMachine(w workstation.Config) workstation.Config {
+	w.Core = defaultCore(w.Core, w.Scheme, w.Contexts)
+	w.Seed = 0
+	w.Measure = workstation.MeasureOverrides{}
+	w.Guard = guard.Options{}
+	w.Obs = metrics.Options{}
+	w.Cache.Chaos = nil
+	return w
+}
+
+// mpMachine is workstationMachine's rule for a multiprocessor: c without
+// its seed, its cycle budget and the harness options (hardening,
+// observability, switch trace, retirement hashes, run-time chaos state).
+func mpMachine(c mp.Config) mp.Config {
+	c.Core = defaultCore(c.Core, c.Scheme, c.Contexts)
+	c.Coherence.Seed = 0
+	c.Coherence.Chaos = nil
+	c.Guard = guard.Options{}
+	c.Obs = metrics.Options{}
+	c.LimitCycles = 0
+	c.SwitchTrace, c.Retire = false, nil
+	return c
+}
+
+// defaultCore is a core override, or nil for one that is the scheme's
+// default core.
+func defaultCore(c *core.Config, s core.Scheme, contexts int) *core.Config {
+	if c != nil && *c == core.DefaultConfig(s, contexts) {
+		return nil
+	}
+	return c
+}
+
 // seedWorkstation seeds a workstation cell of workload under the base
 // seed: the machine's seed and, under -chaos, its private perturbation
-// stream both derive from the cell's key.
+// stream both derive from the cell's key. The cell takes its machine's
+// form of the core override, so equal machines are equal configs.
 func seedWorkstation(base int64, workload string, w workstation.Config) workstation.Config {
-	m := w
-	m.Seed = 0
-	m.Measure = workstation.MeasureOverrides{}
-	m.Guard = guard.Options{}
-	m.Obs = metrics.Options{}
-	m.Cache.Chaos = nil
+	m := workstationMachine(w)
 	k := seedKey(workload, m)
+	w.Core = m.Core
 	w.Seed = DeriveSeed(base, k)
 	w.Guard = cellGuard(w.Guard, k)
 	return w
@@ -68,17 +103,12 @@ func seedWorkstation(base int64, workload string, w workstation.Config) workstat
 // seedMP seeds a multiprocessor cell of app, linked with opts, under the
 // base seed, as seedWorkstation does a workstation cell.
 func seedMP(base int64, app string, opts splash.Options, c mp.Config) mp.Config {
-	m := c
-	m.Coherence.Seed = 0
-	m.Coherence.Chaos = nil
-	m.Guard = guard.Options{}
-	m.Obs = metrics.Options{}
-	m.LimitCycles = 0
-	m.SwitchTrace, m.Retire = false, nil
+	m := mpMachine(c)
 	k := seedKey(app, struct {
 		Program splash.Options
 		Config  mp.Config
 	}{opts, m})
+	c.Core = m.Core
 	c.Coherence.Seed = DeriveSeed(base, k)
 	c.Guard = cellGuard(c.Guard, k)
 	return c
@@ -110,13 +140,15 @@ func (c CellCounts) String() string {
 
 // A Run is one evaluation run: every section of one cmd/experiments
 // invocation. It is one queue and one memo. Every cell task a pool
-// dispatches under the run's context takes one of its -j slots, so the
-// sections share one bound on concurrent simulations; and each distinct
-// cell — keyed by its seeded configuration, Measure included — is
-// simulated once, however many sections ask for it, single-flight. A
-// cell that fails is not stored: the next caller simulates it again.
-// Outside a run (a service worker, RunUniCell, a study called on its
-// own) every call simulates every cell it names.
+// dispatches under the run's context holds one of its -j slots while it
+// runs, so the sections share one bound on concurrent simulations; and
+// each distinct cell — keyed by its seeded configuration, Measure
+// included — is simulated once, however many sections ask for it,
+// single-flight. A task that asks for a cell another is simulating keeps
+// its slot while it waits: the leader holds a slot of its own, so the
+// wait always ends. A cell that fails is not stored: the next caller
+// simulates it again. Outside a run (a service worker, RunUniCell, a
+// study called on its own) every call simulates every cell it names.
 type Run struct {
 	slots chan struct{}
 	mu    sync.Mutex
@@ -153,31 +185,6 @@ func runOf(ctx context.Context) *Run {
 	return r
 }
 
-// slot is one of a run's -j slots as one cell task holds it.
-type slot struct {
-	r    *Run
-	held bool
-}
-
-type slotKey struct{}
-
-func (s *slot) acquire(ctx context.Context) error {
-	select {
-	case s.r.slots <- struct{}{}:
-		s.held = true
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *slot) release() {
-	if s.held {
-		<-s.r.slots
-		s.held = false
-	}
-}
-
 // inSlot runs task under one of ctx's run's slots, waiting for one
 // first; outside a run it runs task at once. A drain while the task
 // waits returns the cancellation.
@@ -186,27 +193,26 @@ func inSlot(ctx context.Context, task func(ctx context.Context) error) error {
 	if r == nil {
 		return task(ctx)
 	}
-	s := &slot{r: r}
-	if err := s.acquire(ctx); err != nil {
-		return err
+	select {
+	case r.slots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	defer s.release()
-	return task(context.WithValue(ctx, slotKey{}, s))
+	defer func() { <-r.slots }()
+	return task(ctx)
 }
 
 // memo returns the result of sim, the simulation of the cell key names,
 // once per run: the first caller simulates it and the callers that ask
-// while it runs wait for that result, giving their slot back meanwhile.
-// Outside a run, or for a key that does not encode, it calls sim.
-func memo[T any](ctx context.Context, key any, sim func() (T, error)) (T, error) {
+// while it runs wait for that result. Outside a run it calls sim. The
+// simulation runs under its caller's wall-clock budget (budgeted); a
+// wait spends none of it.
+func memo[T any](ctx context.Context, key any, sim func(ctx context.Context) (T, error)) (T, error) {
 	r := runOf(ctx)
 	if r == nil {
-		return sim()
+		return budgeted(ctx, sim)
 	}
-	k, ok := configSum(key)
-	if !ok {
-		return sim()
-	}
+	k := configSum(key)
 	for {
 		r.mu.Lock()
 		f := r.memo[k]
@@ -224,16 +230,18 @@ func memo[T any](ctx context.Context, key any, sim func() (T, error)) (T, error)
 				r.mu.Unlock()
 				close(f.done)
 			}()
-			v, err := sim()
+			v, err := budgeted(ctx, sim)
 			if err == nil {
 				f.val, f.ok = v, true
 			}
 			return v, err
 		}
 		r.mu.Unlock()
-		if err := await(ctx, f); err != nil {
+		select {
+		case <-f.done:
+		case <-ctx.Done():
 			var zero T
-			return zero, err
+			return zero, ctx.Err()
 		}
 		if f.ok {
 			cellCounts.shared.Add(1)
@@ -241,29 +249,6 @@ func memo[T any](ctx context.Context, key any, sim func() (T, error)) (T, error)
 		}
 		// The leader failed and its cell is not stored: ask again.
 	}
-}
-
-// await waits for flight f to settle. The caller's slot goes back for the
-// wait, so a cell waiting on another never idles one.
-func await(ctx context.Context, f *flight) error {
-	select {
-	case <-f.done:
-		return nil
-	default:
-	}
-	s, _ := ctx.Value(slotKey{}).(*slot)
-	if s != nil {
-		s.release()
-	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	if s != nil {
-		return s.acquire(ctx)
-	}
-	return nil
 }
 
 // workstationCell is the memo key of a seeded workstation cell.
@@ -282,13 +267,11 @@ func runWorkstation(ctx context.Context, kernels []apps.Kernel, w workstation.Co
 // opts, under c, once per run (memo). A run that does not complete within
 // c's cycle limit is a budget failure carrying the limit-time dump.
 func runMP(ctx context.Context, app splash.App, opts splash.Options, c mp.Config) (*MPCellRecord, error) {
-	key := c
-	key.Coherence.Chaos = nil
 	return memo(ctx, struct {
 		App     string
 		Program splash.Options
 		Config  mp.Config
-	}{app.Name, opts, key}, func() (*MPCellRecord, error) {
+	}{app.Name, opts, c}, func(ctx context.Context) (*MPCellRecord, error) {
 		cellCounts.simulated.Add(1)
 		r, err := mp.RunCtx(ctx, app.Program(opts), c)
 		if err != nil {

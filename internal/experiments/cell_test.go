@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 
@@ -184,4 +185,42 @@ func TestMemoBelongsToARun(t *testing.T) {
 			t.Errorf("a concurrent sweep prints\n%s\nwant\n%s", out, FormatSweep(first))
 		}
 	}
+}
+
+// A seed follows the machine, not the way its config is written: a core
+// override that restates the scheme's default seeds as no override, and
+// a config that does not encode is refused, not keyed.
+func TestSeedFollowsTheMachine(t *testing.T) {
+	ws := DefaultUniConfig().cellConfig(core.Interleaved, 4)
+	restated := ws
+	cc := core.DefaultConfig(core.Interleaved, 4)
+	restated.Core = &cc
+	a, b := seedWorkstation(1, "DC", ws), seedWorkstation(1, "DC", restated)
+	if a.Seed != b.Seed || b.Core != nil {
+		t.Errorf("a restated default core seeds %d (core %v), want %d and no override", b.Seed, b.Core, a.Seed)
+	}
+	if prefixKey("DC", ws) != prefixKey("DC", restated) {
+		t.Error("a restated default override changes the prefix key")
+	}
+	cc.BTBEntries = 0
+	if seedWorkstation(1, "DC", restated).Seed == a.Seed {
+		t.Error("a real core override keeps the default machine's seed")
+	}
+
+	mcfg := DefaultMPConfig()
+	m := mcfg.cellConfig(core.Blocked, 2)
+	opts := mcfg.programOptions(core.Blocked, 2)
+	mrestated := m
+	mc := core.DefaultConfig(core.Blocked, 2)
+	mrestated.Core = &mc
+	if x, y := seedMP(1, "ocean", opts, m), seedMP(1, "ocean", opts, mrestated); x.Coherence.Seed != y.Coherence.Seed || y.Core != nil {
+		t.Errorf("a restated default core seeds %d (core %v), want %d and no override", y.Coherence.Seed, y.Core, x.Coherence.Seed)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a config that does not encode was keyed")
+		}
+	}()
+	seedKey("DC", math.NaN())
 }

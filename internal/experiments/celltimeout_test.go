@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/workstation"
 )
 
 // A cell that cannot finish inside its wall-clock budget must fail as a
@@ -57,6 +60,63 @@ func TestCellTimeoutFailsMPCell(t *testing.T) {
 	}
 	if !strings.Contains(rec.Failure, "wall-clock budget") {
 		t.Errorf("failure %q does not name the wall-clock budget", rec.Failure)
+	}
+}
+
+// A cell's wall-clock budget bounds its own simulation, never a wait.
+// In a run, a grid cell that asks the memo for a cell another section is
+// simulating waits for as long as that takes, keeps its -j slot, and
+// gets the leader's result, even when the wait outlasts both of its
+// attempts' budgets.
+func TestCellTimeoutSpendsNothingWaiting(t *testing.T) {
+	cfg := QuickUniConfig()
+	cfg.Workloads = []string{"DC"}
+	cfg.Schemes = []core.Scheme{core.Interleaved}
+	cfg.ContextCounts = []int{2}
+	cfg.CellTimeout = 50 * time.Millisecond
+
+	// The grid's interleaved/2 cell, as uniAttempt seeds it.
+	w := cfg.cellConfig(core.Interleaved, 2)
+	w.Guard, w.Obs = cfg.Guard, cfg.Obs
+	w = seedWorkstation(cfg.Seed, "DC", w)
+	kernels, err := ResolveWorkload("DC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := workstation.RunCtx(context.Background(), kernels, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Another section leads the cell and holds it for four budgets: past
+	// the first attempt's and the doubled retry's.
+	ctx := NewRun(2).Context(context.Background())
+	led, release := make(chan struct{}), make(chan struct{})
+	go memo(ctx, workstationCell{"DC", w}, func(context.Context) (*workstation.Result, error) {
+		close(led)
+		<-release
+		return want, nil
+	})
+	<-led
+	time.AfterFunc(4*cfg.CellTimeout, func() { close(release) })
+
+	before := Cells()
+	res, err := RunUniprocessorCtx(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared := Cells().Sub(before).Shared; shared != 1 {
+		t.Fatalf("the grid shared %d cells with the leader, want 1", shared)
+	}
+	c, ok := res.Cell("DC", core.Interleaved, 2)
+	if !ok {
+		t.Fatal("no DC interleaved/2 cell")
+	}
+	if c.Failed {
+		t.Fatalf("the waiting cell failed: %s", c.Failure)
+	}
+	if c.Busy != want.Throughput {
+		t.Errorf("the waiting cell has busy %v, the leader's result %v", c.Busy, want.Throughput)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/apps"
-	"repro/internal/metrics"
 	"repro/internal/snapshot"
 	"repro/internal/workstation"
 )
@@ -50,23 +49,19 @@ type CheckpointOptions struct {
 }
 
 // prefixKey fingerprints the part of a cell's configuration that shapes
-// its warm-up: the full workstation config with the measurement-time
-// overrides and observability options zeroed, plus the workload and the
-// snapshot codec version. Cells with equal keys have byte-identical
-// warm-up prefixes; a codec bump changes every key, so stale on-disk
-// checkpoints are never even opened under their old names.
+// its warm-up: the cell's machine (workstationMachine) with its seed and
+// hardening options, plus the workload and the snapshot codec version.
+// Cells with equal keys have byte-identical warm-up prefixes; a codec
+// bump changes every key, so stale on-disk checkpoints are never even
+// opened under their old names.
 func prefixKey(workload string, w workstation.Config) string {
-	w.Measure = workstation.MeasureOverrides{}
-	w.Obs = metrics.Options{}
-	w.Cache.Chaos = nil // run-time state, derived from Guard when nil
-	sum, ok := configSum(struct {
+	m := workstationMachine(w)
+	m.Seed, m.Guard = w.Seed, w.Guard
+	sum := configSum(struct {
 		Codec    int
 		Workload string
 		Config   workstation.Config
-	}{snapshot.Version, workload, w})
-	if !ok {
-		return "" // unkeyable config: disables sharing for this cell
-	}
+	}{snapshot.Version, workload, m})
 	return hex.EncodeToString(sum[:12])
 }
 
@@ -153,7 +148,7 @@ type studyCell struct {
 // results in cell order. Cells whose
 // prefix keys collide are forked from one shared warm-up checkpoint
 // instead of each simulating its own; cells that cannot fork — forking
-// disabled, observability enabled, singleton groups, unkeyable configs —
+// disabled, observability enabled, singleton groups —
 // run from scratch. Results are byte-identical either way.
 func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*workstation.Result, error) {
 	kernels := make([][]apps.Kernel, len(cells))
@@ -170,13 +165,12 @@ func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*wo
 		if cfg.Checkpoint.Disabled || c.cfg.Obs.Enabled() {
 			continue // forking is off, or an instrumented cell cannot be checkpointed
 		}
-		if k := prefixKey(c.workload, c.cfg); k != "" {
-			keys[i] = k
-			if groups[k] == nil {
-				groups[k] = &prefixGroup{}
-			}
-			groups[k].cells = append(groups[k].cells, i)
+		k := prefixKey(c.workload, c.cfg)
+		keys[i] = k
+		if groups[k] == nil {
+			groups[k] = &prefixGroup{}
 		}
+		groups[k].cells = append(groups[k].cells, i)
 	}
 	var shared []string
 	for k, g := range groups {
@@ -259,7 +253,7 @@ func runStudyCells(ctx context.Context, cfg UniConfig, cells []studyCell) ([]*wo
 	// Stage 2: every cell, forked when it can be, and once per run.
 	runs := make([]*workstation.Result, len(cells))
 	err = runCells(ctx, cfg.Parallelism, len(cells), func(ctx context.Context, i int) error {
-		r, err := memo(ctx, workstationCell{cells[i].workload, cells[i].cfg}, func() (*workstation.Result, error) {
+		r, err := memo(ctx, workstationCell{cells[i].workload, cells[i].cfg}, func(ctx context.Context) (*workstation.Result, error) {
 			r, err := forked(ctx, i)
 			if r == nil && err == nil {
 				r, err = runWorkstation(ctx, kernels[i], cells[i].cfg)

@@ -289,10 +289,7 @@ func (g *grid[C, R, T, Res]) runCell(ctx context.Context, i int) (*R, error) {
 		return nil, fmt.Errorf("experiments: %s cell %d outside grid [0,%d)", g.name, i, len(g.cells))
 	}
 	attempt := func(n int) (*R, error) {
-		cellCtx, cancel, budget := withCellDeadline(ctx, g.d.timeout, n)
-		defer cancel()
-		rec, err := g.attempt(cellCtx, g.cfg, g.attemptOf(i, n))
-		return rec, classifyDeadline(ctx, cellCtx, budget, err)
+		return g.attempt(withCellBudget(ctx, g.d.timeout, n), g.cfg, g.attemptOf(i, n))
 	}
 	policy := guard.GridRetry()
 	n := 1

@@ -19,37 +19,44 @@ func cellGuard(o guard.Options, cell int) guard.Options {
 	return o
 }
 
-// withCellDeadline applies the per-cell wall-clock budget (-cell-timeout)
-// for the given 1-based attempt: the budget doubles per retry, the same
-// escalation discipline as the watchdog window. A non-positive timeout
-// returns ctx unchanged.
-func withCellDeadline(ctx context.Context, timeout time.Duration, attempt int) (context.Context, context.CancelFunc, time.Duration) {
+type budgetKey struct{}
+
+// withCellBudget gives the cell attempt ctx runs its wall-clock budget
+// (-cell-timeout) for the given 1-based attempt: the budget doubles per
+// retry, the same escalation discipline as the watchdog window. A
+// non-positive timeout returns ctx unchanged.
+func withCellBudget(ctx context.Context, timeout time.Duration, attempt int) context.Context {
 	if timeout <= 0 {
-		return ctx, func() {}, 0
+		return ctx
 	}
-	d := time.Duration(guard.Escalate(int64(timeout), attempt-1))
-	cctx, cancel := context.WithTimeout(ctx, d)
-	return cctx, cancel, d
+	return context.WithValue(ctx, budgetKey{}, time.Duration(guard.Escalate(int64(timeout), attempt-1)))
 }
 
-// classifyDeadline reinterprets a cancellation artifact from a cell run:
-// if the *cell's* deadline fired while the caller's context was still
-// live, the error becomes a typed guard.OpDeadline failure — a diagnosed
-// cell FAIL, retried once at a doubled budget and then counted against
-// the exit code — rather than a SKIP. A genuine caller cancellation
-// (SIGINT drain, first-error cancel) passes through untouched.
-func classifyDeadline(parent, cell context.Context, d time.Duration, err error) error {
-	if err == nil || d <= 0 || !guard.IsCancellation(err) {
-		return err
+// budgeted runs sim, one simulation of a cell, under the wall-clock
+// budget ctx carries, if any. The budget bounds the simulation alone: a
+// cell that waits on a run's memo for another's simulation spends none
+// of it, and a cell the memo serves simulated nothing. If the budget
+// runs out while ctx is still live, the cancellation becomes a typed
+// guard.OpDeadline failure — a diagnosed cell FAIL, retried once at a
+// doubled budget and then counted against the exit code — rather than a
+// SKIP. A genuine cancellation of ctx (SIGINT drain, first-error cancel)
+// passes through untouched.
+func budgeted[T any](ctx context.Context, sim func(ctx context.Context) (T, error)) (T, error) {
+	d, _ := ctx.Value(budgetKey{}).(time.Duration)
+	if d <= 0 {
+		return sim(ctx)
 	}
-	if parent.Err() != nil || cell.Err() != context.DeadlineExceeded {
-		return err
+	sctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	v, err := sim(sctx)
+	if err == nil || !guard.IsCancellation(err) || ctx.Err() != nil || sctx.Err() != context.DeadlineExceeded {
+		return v, err
 	}
 	de := guard.NewSimError(guard.OpDeadline, fmt.Errorf("cell exceeded its %v wall-clock budget", d))
 	if se := guard.AsSimError(err); se != nil {
 		de = de.At(se.Cycle)
 	}
-	return de
+	return v, de
 }
 
 // failureStrings renders a cell failure: the one-line error, plus the

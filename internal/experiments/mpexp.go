@@ -31,7 +31,8 @@ type MPConfig struct {
 	// path. Results are byte-identical at every setting.
 	Parallelism int
 
-	// CellTimeout bounds each cell's wall-clock time (-cell-timeout). A
+	// CellTimeout bounds the wall-clock time of each simulation a cell
+	// runs (-cell-timeout); waiting on a run's memo is not simulating. A
 	// cell that exceeds it fails with a typed guard.OpDeadline error —
 	// after one retry at a doubled budget, the watchdog discipline applied
 	// to wall time — and counts against the exit code like any other cell

@@ -34,7 +34,8 @@ type UniConfig struct {
 	// path. Results are byte-identical at every setting.
 	Parallelism int
 
-	// CellTimeout bounds each cell's wall-clock time (-cell-timeout). A
+	// CellTimeout bounds the wall-clock time of each simulation a cell
+	// runs (-cell-timeout); waiting on a run's memo is not simulating. A
 	// cell that exceeds it fails with a typed guard.OpDeadline error —
 	// after one retry at a doubled budget, the watchdog discipline applied
 	// to wall time — and counts against the exit code like any other cell
@@ -219,7 +220,7 @@ func uniAttempt(ctx context.Context, cfg UniConfig, kernels []apps.Kernel, a cel
 	wcfg.Guard = a.guard
 	wcfg.Obs = cfg.Obs
 	wcfg = seedWorkstation(cfg.Seed, a.subject, wcfg)
-	r, err := memo(ctx, workstationCell{a.subject, wcfg}, func() (*workstation.Result, error) {
+	r, err := memo(ctx, workstationCell{a.subject, wcfg}, func(ctx context.Context) (*workstation.Result, error) {
 		return runWorkstation(ctx, kernels, wcfg)
 	})
 	if err != nil {
