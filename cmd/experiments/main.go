@@ -5,15 +5,15 @@
 //	experiments [-quick] [-j N] [-only table7,table10,...]
 //	experiments [-quick] [-j N] -subjects DC,ocean [-schemes interleaved] [-contexts 2,4]
 //
-// With no -only flag every experiment runs (a few minutes at full scale;
-// seconds with -quick); -h lists the names -only takes, and any other
-// name is a usage error. Every section starts at once and submits its
-// simulation cells to one queue of -j slots (default: all CPUs; -j 1
-// simulates one cell at a time), and the sections print in their fixed
-// order. Each distinct cell is simulated once per run, however many
-// sections report it. Output is byte-identical at every -j. The run ends
-// with its cell counts on stderr: [cells: N simulated, F forked, S
-// shared].
+// With no -only flag every experiment runs (about 11 s at -j 2 on a
+// 2-vCPU Xeon; seconds with -quick); -h lists the names -only takes,
+// and any other name is a usage error. Every section starts at once and
+// submits its simulation cells to one queue of -j slots (default: all
+// CPUs; -j 1 simulates one cell at a time), and the sections print in
+// their fixed order. Each distinct cell is simulated once per run,
+// however many sections report it. Output is byte-identical at every -j.
+// The run ends with its cell counts on stderr: [cells: N simulated, F
+// forked, S shared].
 //
 // -subjects, -schemes and -contexts narrow the Table 7 / Table 10 grids
 // to a subset grid: the named workload mixes and applications, each
@@ -29,8 +29,9 @@
 // Sensitivity sweeps whose swept parameter takes effect at the
 // warm-up/measure boundary (switch cost, MSHRs) simulate their shared
 // warm-up once and fork every cell from the checkpoint — byte-identical
-// to, and faster than, simulating each warm-up. -no-checkpoint disables
-// the sharing; -checkpoint-dir persists the checkpoints across runs.
+// to, and faster than, simulating each warm-up. A checkpoint lives in
+// memory for the sweep that made it. -no-checkpoint disables the
+// sharing.
 //
 // Crash safety: -journal records every completed grid cell durably
 // (fsync per cell); -resume replays a journal's cells and simulates only
@@ -84,7 +85,6 @@ func run(args []string) (code int) {
 	resumePath := fs.String("resume", "", "resume from this journal: replay its cells, run only the remainder, keep appending")
 	allowBinaryMismatch := fs.Bool("allow-binary-mismatch", false, "resume a journal written by a different binary when the configuration is identical")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell wall-clock budget; a cell exceeding it is retried once at a doubled budget, then fails (0 = off)")
-	checkpointDir := fs.String("checkpoint-dir", "", "persist sweep warm-up checkpoints in this directory and reuse them across runs (default: in-memory only)")
 	noCheckpoint := fs.Bool("no-checkpoint", false, "disable warm-up sharing: every sweep cell simulates its own warm-up")
 	interruptAfter := fs.Int("interrupt-after", 0, "testing: raise SIGINT after this many journal appends")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -174,12 +174,7 @@ func run(args []string) (code int) {
 	mcfg.Guard = *gopts
 	ucfg.Obs = obs.Options()
 	mcfg.Obs = obs.Options()
-	ucfg.Checkpoint = experiments.CheckpointOptions{Disabled: *noCheckpoint, Dir: *checkpointDir}
-	if *checkpointDir != "" && !*noCheckpoint {
-		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-			return fail(err)
-		}
-	}
+	ucfg.Checkpoint = experiments.CheckpointOptions{Disabled: *noCheckpoint}
 
 	// The grids the selection runs, and the fingerprint of that run: it
 	// covers everything that determines cell results — the resolved grid

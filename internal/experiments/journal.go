@@ -3,7 +3,6 @@ package experiments
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -64,18 +63,17 @@ type Fingerprint struct {
 	Only    []string   `json:"only,omitempty"`
 	Uni     *UniConfig `json:"uni,omitempty"`
 	MP      *MPConfig  `json:"mp,omitempty"`
-	// Checkpoint stamps runs with warm-up forking enabled: a resumed run
-	// must agree on both the decision to fork and the snapshot codec
-	// speaking for any reused on-disk checkpoints. Forked and
+	// Checkpoint stamps runs with warm-up forking enabled, so a resumed
+	// run agrees with the journal on the decision to fork. Forked and
 	// from-scratch cells are byte-identical, so this is provenance
 	// hygiene, not a correctness requirement — but it keeps one journal
-	// from silently mixing the two regimes. The stamped version is the
-	// payload's (snapshot.PayloadVersion): a change of container framing
-	// alone leaves every forked cell as it was.
+	// from silently mixing the two regimes.
 	Checkpoint *CheckpointStamp `json:"checkpoint,omitempty"`
 }
 
-// CheckpointStamp records how a run's checkpoints were produced.
+// CheckpointStamp records the payload codec (snapshot.PayloadVersion) a
+// forking run restored its cells through. A change of container framing
+// alone leaves every forked cell as it was, so it does not move.
 type CheckpointStamp struct {
 	CodecVersion int `json:"codec_version"`
 }
@@ -111,19 +109,13 @@ func NewFingerprint(uni *UniConfig, mp *MPConfig, only []string) Fingerprint {
 	return fp
 }
 
-// Hash digests the fingerprint's *config identity*: its canonical JSON
-// encoding with the binary identity blanked. Two runs of the same
-// configuration hash identically even across binaries — the binary
-// comparison is a separate, softer check (see OpenJournalAllow).
+// Hash digests the fingerprint's *config identity*: configSum with the
+// binary identity blanked. Two runs of the same configuration hash
+// identically even across binaries — the binary comparison is a
+// separate, softer check (see OpenJournalAllow).
 func (fp Fingerprint) Hash() string {
 	fp.Binary = ""
-	data, err := json.Marshal(fp)
-	if err != nil {
-		// Fingerprint contents are plain config structs; Marshal cannot
-		// fail on them. Degrade to a never-matching hash just in case.
-		return "unhashable:" + err.Error()
-	}
-	sum := sha256.Sum256(data)
+	sum := configSum(fp)
 	return hex.EncodeToString(sum[:12])
 }
 

@@ -62,8 +62,8 @@ type UniConfig struct {
 	// sweeps whose swept parameter is a measurement-time override
 	// simulate their shared warm-up prefix once and fork every cell from
 	// it. Excluded from JSON because forked and from-scratch runs are
-	// byte-identical; the one observable consequence — which codec wrote
-	// any on-disk checkpoints — is recorded in Fingerprint.Checkpoint.
+	// byte-identical; whether a run forked, and under which payload
+	// codec, is recorded in Fingerprint.Checkpoint instead.
 	Checkpoint CheckpointOptions `json:"-"`
 }
 

@@ -1,10 +1,10 @@
 // Package faultfs is the seeded disk-fault layer under the repository's
 // durability claims. Every component that promises crash safety — the
-// fsync'd cell journal (internal/experiments), the atomic artifact
-// writer (metrics.WriteFileAtomic), the checkpoint codec's SaveFile
-// (internal/snapshot) — performs its file I/O through the small FS
-// interface here, so a torture harness can interpose deterministic
-// failures exactly where production code claims to survive them:
+// fsync'd cell journal (internal/experiments) and the atomic artifact
+// writer (metrics.WriteFileAtomic) — performs its file I/O through the
+// small FS interface here, so a torture harness can interpose
+// deterministic failures exactly where production code claims to
+// survive them:
 //
 //   - torn writes (a Write persists only its first k bytes and errors),
 //   - failed Sync (fsync returns EIO; data written since the last
@@ -19,8 +19,8 @@
 // of the os package — zero behavior change — except SyncDir, the
 // parent-directory fsync that makes renames themselves durable. The
 // package is a leaf: it imports only the standard library and seeded
-// (the schedule an Injector executes), so the other leaf packages
-// (snapshot, metrics) can depend on it without cycles.
+// (the schedule an Injector executes), so the leaf package metrics can
+// depend on it without cycles.
 package faultfs
 
 import (
@@ -47,8 +47,8 @@ type File interface {
 }
 
 // FS is the filesystem surface the durability layers run on: exactly
-// the operations the journal append path, snapshot.SaveFile and
-// metrics.WriteFileAtomic perform, no more.
+// the operations the journal append path and metrics.WriteFileAtomic
+// perform, no more.
 type FS interface {
 	// OpenFile opens path with os.OpenFile semantics for the flag
 	// combinations the callers use (O_RDONLY; O_CREATE|O_TRUNC|O_WRONLY;

@@ -232,7 +232,9 @@ var specFileRe = regexp.MustCompile(`^job-(\d+)\.spec\.json$`)
 // NewCoordinator creates a coordinator over cfg.Dir, recovering every
 // job whose spec file survives: its journal is reopened (binary drift is
 // tolerated — results are a function of the config), intact cells replay
-// with zero re-simulation, and only the remainder is redispatched.
+// with zero re-simulation, and only the remainder is redispatched. A
+// journal of another format version or configuration fingerprint is
+// started afresh, and all of that job's cells re-run.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -311,12 +313,14 @@ func (c *Coordinator) recoverJob(id int) error {
 		// A spec without a journal, or with one whose header never landed,
 		// means the crash or a failed write hit between the two writes at
 		// submission; start the journal fresh. So does a journal of
-		// another format version: its cells were simulated under another
-		// version's rules, and the job re-runs them.
+		// another format version or another configuration fingerprint (a
+		// binary whose config structs gained a field): its cells were
+		// simulated under other rules, and the job re-runs them.
 		var unwritten *experiments.HeaderNotWrittenError
 		var version *experiments.JournalVersionError
+		var fingerprint *experiments.FingerprintError
 		switch {
-		case errors.As(err, &version):
+		case errors.As(err, &version), errors.As(err, &fingerprint):
 			c.cfg.Logf("job %d: %v; re-running its cells", id, err)
 		case !errors.Is(err, fs.ErrNotExist) && !errors.As(err, &unwritten):
 			return err

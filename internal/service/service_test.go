@@ -776,3 +776,66 @@ func TestRecoverJournalOfAnotherVersion(t *testing.T) {
 		t.Errorf("the recreated journal does not open with a version-%d header:\n%s", experiments.JournalVersion, data)
 	}
 }
+
+// A journal of the current format version recorded under another
+// configuration fingerprint — what a restart over an old state
+// directory finds once a fingerprinted config struct gains a field —
+// holds cells of another grid. The restarted coordinator neither refuses
+// to start over it nor replays it: it starts that job's journal afresh
+// and runs every cell again, to the bytes a single-process run prints.
+func TestRecoverJournalOfAnotherFingerprint(t *testing.T) {
+	spec := JobSpec{Uni: tinyUniSpec()}
+	wantText, wantJSON := reference(t, spec)
+	dir := t.TempDir()
+	coord, err := NewCoordinator(Config{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	id, cells, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
+	srv.Close()
+	coord.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Replace the job's journal with every cell of the same grid under
+	// another seed: same version, same grid names and indices, other
+	// results.
+	other := *spec.Uni
+	other.Seed++
+	grids, fp, err := JobSpec{Uni: &other}.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, want, _ := spec.resolve(); fp.Hash() == want.Hash() {
+		t.Fatal("the other grid has the job's fingerprint")
+	}
+	path := filepath.Join(dir, fmt.Sprintf("job-%d.journal", id))
+	j, err := experiments.CreateJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range grids {
+		if _, err := g.Run(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := NewCoordinator(Config{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("restart over a journal of another fingerprint: %v", err)
+	}
+	defer restarted.Close()
+	srv = httptest.NewServer(restarted.Handler())
+	defer srv.Close()
+	st, err := (&Client{Base: srv.URL}).Status(context.Background(), id)
+	if err != nil || st.Done != 0 || st.Cells != cells {
+		t.Fatalf("restarted job: %+v, %v; want %d cells and none replayed", st, err, cells)
+	}
+	startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
+	assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
+}

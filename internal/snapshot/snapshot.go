@@ -9,7 +9,7 @@
 // magic number, a codec version, a kind string (which machine shape the
 // snapshot holds), a caller fingerprint (the prefix-configuration hash),
 // and a trailing CRC-32C over the payload, so a corrupt, truncated, or
-// mismatched file is rejected with a typed error instead of
+// mismatched container is rejected with a typed error instead of
 // deserializing garbage.
 //
 // The encoding is fixed-width little-endian with explicit section tags
@@ -20,10 +20,8 @@
 // cadence), which is what makes a forked run position-identical to an
 // uninterrupted one by construction.
 //
-// The package is a near-leaf: it imports only the standard library plus
-// internal/faultfs (itself a stdlib-only leaf, threading fault-injected
-// filesystems under SaveFile), so every simulation layer can depend on
-// it without cycles.
+// The package is a leaf: it imports only the standard library, so every
+// simulation layer can depend on it without cycles.
 package snapshot
 
 import (
@@ -31,17 +29,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sync"
-
-	"repro/internal/faultfs"
 )
 
 // Version is the container version. Any change to the container's
 // framing, or to the bytes a layer's walk produces, must bump it; Open
-// rejects other versions with ErrVersion so stale checkpoint files fall
-// back to from-scratch simulation rather than restoring skewed state.
+// rejects other versions with ErrVersion rather than restoring skewed
+// state.
 // Version 2 changed only the trailing checksum (FNV-1a → CRC-32C).
 const Version = 2
 
@@ -49,14 +43,15 @@ const Version = 2
 // layers' walks produce. It moves with every walk change and not with a
 // change of framing; version 2 containers carry version 1 payloads.
 // Cell journals stamp it, since a forked cell's result depends on the
-// machine state it restored, never on how the file around it was framed.
+// machine state it restored, never on how the container around it was
+// framed.
 const PayloadVersion = 1
 
 // magic identifies a snapshot container ("RPSN", little-endian).
 const magic uint32 = 0x4e535052
 
-// Typed failures. Callers distinguish "this file is not a usable
-// checkpoint" (fall back to scratch simulation) from real I/O errors.
+// Typed failures: "these bytes are not a usable checkpoint", as opposed
+// to a failure of the simulation itself.
 var (
 	// ErrCorrupt marks a container that is structurally broken:
 	// bad magic, truncated data, checksum mismatch, or a payload that
@@ -228,9 +223,10 @@ func (r *Reader) str() string {
 // and a length placeholder, the payload is appended behind it, and seal
 // back-patches the length and appends the checksum. The checksum is
 // CRC-32C (Castagnoli), which the hash/crc32 package computes with the
-// CPU's CRC instructions on amd64 and arm64: it guards against a torn or
-// flipped file, not an adversary, and runs at memory speed where the
-// byte-serial StateHash would cost a millisecond per megabyte.
+// CPU's CRC instructions on amd64 and arm64: it guards against flipped
+// or truncated bytes (a codec bug, a fuzzed payload), not an adversary,
+// and runs at memory speed where the byte-serial StateHash would cost a
+// millisecond per megabyte.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -329,7 +325,7 @@ func Open(data []byte, kind, fingerprint string) (*Image, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if got := r.u32(); r.err != nil || got != Version {
-		return nil, fmt.Errorf("%w: file has codec version %d, this binary speaks %d", ErrVersion, got, Version)
+		return nil, fmt.Errorf("%w: container has codec version %d, this binary speaks %d", ErrVersion, got, Version)
 	}
 	gotKind := r.str()
 	gotFP := r.str()
@@ -382,45 +378,3 @@ func Finish(r *Reader) error {
 	}
 	return nil
 }
-
-// SaveFile writes a container to path atomically (temp file in the
-// same directory + rename + parent-directory fsync), so a crash
-// mid-write never leaves a half-written checkpoint where a later run
-// would trip over it.
-func SaveFile(path string, data []byte) error {
-	return SaveFileFS(nil, path, data)
-}
-
-// SaveFileFS is SaveFile over an explicit filesystem; a nil fsys means
-// the real one. Fault-injection harnesses pass a faultfs injector to
-// exercise the crash-safety claim.
-func SaveFileFS(fsys faultfs.FS, path string, data []byte) error {
-	fsys = faultfs.OrOS(fsys)
-	dir := filepath.Dir(path)
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := fsys.CreateTemp(dir, ".snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer fsys.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
-}
-
-// LoadFile reads a container written by SaveFile.
-func LoadFile(path string) ([]byte, error) { return os.ReadFile(path) }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -343,27 +342,5 @@ func TestStateHashDeterministic(t *testing.T) {
 	}
 	if StateHash(nil) != FNVOffset {
 		t.Error("StateHash(nil) must be the FNV offset basis")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sub", "ckpt.snap")
-	w := NewWriter()
-	w.u64(99)
-	data := Encode("k", "f", w.Bytes())
-	if err := SaveFile(path, data); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	r, err := Decode(got, "k", "f")
-	if err != nil {
-		t.Fatalf("Decode after load: %v", err)
-	}
-	if r.u64() != 99 {
-		t.Error("payload changed across save/load")
 	}
 }
