@@ -36,11 +36,14 @@
 // Crash safety: -journal records every completed grid cell durably
 // (fsync per cell); -resume replays a journal's cells and simulates only
 // the remainder, producing byte-identical output to an uninterrupted
-// run. SIGINT/SIGTERM drain the run gracefully — queued cells are
+// run. It replays only a journal of this format version, written under
+// the same configuration by the same binary; any other exits 4.
+// SIGINT/SIGTERM drain the run gracefully — queued cells are
 // skipped, running cells stop within a bounded number of simulated
 // cycles, completed work is flushed — and the command exits with code 3.
 // Exit codes: 0 success, 1 cell failure or other error, 2 usage,
-// 3 interrupted, 4 journal fingerprint or format-version mismatch.
+// 3 interrupted, 4 journal of another format version, configuration or
+// binary.
 package main
 
 import (
@@ -83,7 +86,6 @@ func run(args []string) (code int) {
 	jsonOut := fs.String("json", "", "also write raw results as JSON to this file")
 	journalPath := fs.String("journal", "", "record completed grid cells to this journal file (crash-safe; overwrites)")
 	resumePath := fs.String("resume", "", "resume from this journal: replay its cells, run only the remainder, keep appending")
-	allowBinaryMismatch := fs.Bool("allow-binary-mismatch", false, "resume a journal written by a different binary when the configuration is identical")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell wall-clock budget; a cell exceeding it is retried once at a doubled budget, then fails (0 = off)")
 	noCheckpoint := fs.Bool("no-checkpoint", false, "disable warm-up sharing: every sweep cell simulates its own warm-up")
 	interruptAfter := fs.Int("interrupt-after", 0, "testing: raise SIGINT after this many journal appends")
@@ -105,11 +107,9 @@ func run(args []string) (code int) {
 	}
 
 	fail := func(err error) int {
-		var fpErr *experiments.FingerprintError
-		var binErr *experiments.BinaryMismatchError
-		var verErr *experiments.JournalVersionError
+		var stale *experiments.FingerprintError
 		switch {
-		case errors.As(err, &fpErr), errors.As(err, &binErr), errors.As(err, &verErr):
+		case errors.As(err, &stale):
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return experiments.ExitFingerprintMismatch
 		case guard.IsCancellation(err):
@@ -179,9 +179,9 @@ func run(args []string) (code int) {
 	// The grids the selection runs, and the fingerprint of that run: it
 	// covers everything that determines cell results — the resolved grid
 	// configs (shapes, seeds, guard/chaos flags), the experiment
-	// selection, and the binary. Resuming under any drift is a hard error —
-	// replayed cells would silently disagree with what this run would
-	// simulate.
+	// selection, and the binary. Resuming under any drift, the binary's
+	// included, is a hard error — replayed cells might silently disagree
+	// with what this run would simulate.
 	grids, fp, err := experiments.Grids(onlyList, &ucfg, &mcfg)
 	if err != nil {
 		return fail(err)
@@ -189,9 +189,7 @@ func run(args []string) (code int) {
 	var journal *experiments.Journal
 	if *journalPath != "" || *resumePath != "" {
 		if *resumePath != "" {
-			journal, err = experiments.OpenJournalAllow(*resumePath, fp, *allowBinaryMismatch, func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "experiments: warning: "+format+"\n", args...)
-			})
+			journal, err = experiments.OpenJournal(*resumePath, fp)
 			if err == nil {
 				fmt.Fprintf(os.Stderr, "[resuming from %s: %d completed cells to replay]\n", *resumePath, journal.Cells())
 			}

@@ -318,9 +318,11 @@ func (g *grid[C, R, T, Res]) run(ctx context.Context, j *Journal) (tally[T], err
 	recs := make([]*R, len(g.cells))
 	panics := runCellsAll(ctx, g.d.parallelism, len(recs), func(ctx context.Context, i int) error {
 		// A journaled record that is no outcome re-runs, like a torn one.
-		if rec := new(R); j.Replay(g.name, i, rec) && g.valid(rec) {
-			recs[i] = rec
-			return nil
+		if raw, ok := j.Replay(g.name, i); ok {
+			if rec, err := g.decode(raw); err == nil {
+				recs[i] = rec
+				return nil
+			}
 		}
 		rec, err := g.runCell(ctx, i)
 		if err != nil {
@@ -514,14 +516,25 @@ func (g *grid[C, R, T, Res]) RunCell(ctx context.Context, i int) (json.RawMessag
 }
 
 func (g *grid[C, R, T, Res]) Validate(raw json.RawMessage) (failed bool, err error) {
-	rec := new(R)
-	if err := json.Unmarshal(raw, rec); err != nil {
+	rec, err := g.decode(raw)
+	if err != nil {
 		return false, err
 	}
-	if !g.valid(rec) {
-		return false, fmt.Errorf("experiments: %s record carries neither result nor failure", g.name)
-	}
 	return g.outcome(rec).Failed, nil
+}
+
+// decode is the grid's one rule for a journaled record: it must decode
+// into the grid's record and be a cell's outcome. Both drivers replay
+// through it, the local one (run) and the coordinator (Validate).
+func (g *grid[C, R, T, Res]) decode(raw json.RawMessage) (*R, error) {
+	rec := new(R)
+	if err := json.Unmarshal(raw, rec); err != nil {
+		return nil, err
+	}
+	if !g.valid(rec) {
+		return nil, fmt.Errorf("experiments: %s record carries neither result nor failure", g.name)
+	}
+	return rec, nil
 }
 
 func (g *grid[C, R, T, Res]) FailedRecord(reason string) json.RawMessage {

@@ -2,14 +2,14 @@ package experiments
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"os"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/faultfs"
@@ -30,33 +30,33 @@ const (
 	// cells were flushed (journal, partial tables, -json) and the rest
 	// rendered as SKIP.
 	ExitInterrupted = 3
-	// ExitFingerprintMismatch: -resume was given a journal recorded under
-	// a different configuration or binary, or in another format version.
+	// ExitFingerprintMismatch: -resume was given a journal recorded in
+	// another format version, under another configuration or by another
+	// binary (*FingerprintError).
 	ExitFingerprintMismatch = 4
 )
 
 // JournalVersion is the journal file-format version; OpenJournal refuses
-// files written by a different version (*JournalVersionError). Version 2
-// split the fingerprint into config identity (hashed, hard error on
-// mismatch) and binary identity (recorded in the header, checked
-// separately, overridable). Version 3 seeds every cell from its
-// configuration rather than its index in the grid, so a version-2
-// journal holds cells this binary would simulate differently.
+// files written by a different version (*FingerprintError). Version 2
+// split the fingerprint into config identity (hashed) and binary
+// identity (recorded in the header beside the hash). Version 3 seeds
+// every cell from its configuration rather than its index in the grid,
+// so a version-2 journal holds cells this binary would simulate
+// differently.
 const JournalVersion = 3
 
 // Fingerprint identifies what a journal was recorded under, in two
-// parts with different severities:
+// parts:
 //
-//   - Config identity (Version, Only, Uni, MP — everything that
-//     determines cell results): Hash() covers exactly this. Resuming
-//     replays simulation results verbatim, so any config drift is a
-//     hard error (*FingerprintError).
+//   - Config identity (Version, Only, Uni, MP — everything a cell's
+//     inputs are made of): Hash() covers exactly this.
 //   - Binary identity (Binary): recorded in the header and compared
-//     separately. Results are a function of the config, not of which
-//     binary ran it — cmd/experiments, expserve work and a rebuilt tree
-//     all simulate identically — so a mismatch is refusable-by-default
-//     (*BinaryMismatchError) but explicitly overridable
-//     (-allow-binary-mismatch; the service coordinator always allows it).
+//     beside the hash, not inside it. A rebuilt simulator may compute
+//     other results for the same configuration, and the format version
+//     does not always move with it.
+//
+// Resuming replays simulation results verbatim, so drift in either part
+// is as hard an error as another format version (*FingerprintError).
 type Fingerprint struct {
 	Version int        `json:"version"`
 	Binary  string     `json:"binary"`
@@ -111,8 +111,8 @@ func NewFingerprint(uni *UniConfig, mp *MPConfig, only []string) Fingerprint {
 
 // Hash digests the fingerprint's *config identity*: configSum with the
 // binary identity blanked. Two runs of the same configuration hash
-// identically even across binaries — the binary comparison is a
-// separate, softer check (see OpenJournalAllow).
+// identically even across binaries; OpenJournal compares the binary
+// beside the hash.
 func (fp Fingerprint) Hash() string {
 	fp.Binary = ""
 	sum := configSum(fp)
@@ -121,8 +121,8 @@ func (fp Fingerprint) Hash() string {
 
 // binaryVersion identifies the running binary for the fingerprint: the
 // main module version plus the VCS revision when the build recorded one.
-// Test binaries and `go run` builds without VCS stamping all report
-// "(devel)", which is correct — they are rebuilt from the same tree.
+// `go run` and test builds carry no VCS stamp and all read "(devel)", so
+// the binary check tells apart only VCS-stamped builds.
 // Read once: a worker resolves a spec, fingerprint included, per lease.
 var binaryVersion = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
@@ -141,35 +141,22 @@ var binaryVersion = sync.OnceValue(func() string {
 	return v
 })
 
-// FingerprintError is the hard, diagnosable error OpenJournal returns
-// when a journal was recorded under a different configuration or binary;
-// cmd/experiments maps it to ExitFingerprintMismatch.
+// FingerprintError is the one error OpenJournal returns when a journal
+// may not replay: it was written in another format version, under
+// another configuration or by another binary, and none of its cells is
+// known to be what this run would compute. cmd/experiments maps it to
+// ExitFingerprintMismatch; the service coordinator starts that job's
+// journal afresh and re-runs its cells.
 type FingerprintError struct {
 	Path string
-	Want string // hash of the current run's configuration
-	Got  string // hash recorded in the journal header
+	What string // what differed: "format version", "configuration" or "binary"
+	Want string // this run's value
+	Got  string // the value recorded in the journal header
 }
 
 func (e *FingerprintError) Error() string {
-	return fmt.Sprintf("journal %s was recorded under a different configuration: header fingerprint %s, this run's %s — resume with the exact flags of the original run, or start a fresh journal with -journal",
-		e.Path, e.Got, e.Want)
-}
-
-// BinaryMismatchError is returned by OpenJournal when a journal's config
-// identity matches but it was written by a different binary (e.g. a
-// service worker's journal resumed under cmd/experiments, or a rebuilt
-// tree). Results depend only on the configuration, so the caller may
-// deliberately proceed with OpenJournalAllow / -allow-binary-mismatch;
-// refusing is merely the conservative default.
-type BinaryMismatchError struct {
-	Path string
-	Want string // binary identity of the current run
-	Got  string // binary identity recorded in the journal header
-}
-
-func (e *BinaryMismatchError) Error() string {
-	return fmt.Sprintf("journal %s was written by a different binary (%s; this is %s) under an identical configuration — results replay verbatim; pass -allow-binary-mismatch to resume anyway",
-		e.Path, e.Got, e.Want)
+	return fmt.Sprintf("journal %s was recorded under %s %s, this run's is %s — resume with the flags and build of the original run, or start a fresh journal with -journal",
+		e.Path, e.What, e.Got, e.Want)
 }
 
 // HeaderNotWrittenError is returned by OpenJournal when the file holds
@@ -185,20 +172,6 @@ type HeaderNotWrittenError struct {
 
 func (e *HeaderNotWrittenError) Error() string {
 	return fmt.Sprintf("experiments: journal %s has no intact header (its first line never landed); cannot resume from it", e.Path)
-}
-
-// JournalVersionError is returned by OpenJournal when the journal was
-// written in another format version. Its cells were simulated under
-// another version's rules, so none may replay; cmd/experiments maps it
-// to ExitFingerprintMismatch, and the service coordinator starts that
-// job's journal afresh and re-runs its cells.
-type JournalVersionError struct {
-	Path      string
-	Got, Want int
-}
-
-func (e *JournalVersionError) Error() string {
-	return fmt.Sprintf("experiments: journal %s has format version %d, this binary writes %d — start a fresh journal with -journal", e.Path, e.Got, e.Want)
 }
 
 // journalLine is one JSONL record: a header (first line) or a completed
@@ -226,11 +199,8 @@ type journalKey struct {
 type Journal struct {
 	mu       sync.Mutex
 	f        faultfs.File
-	fs       faultfs.FS
-	path     string
 	cells    map[journalKey]json.RawMessage
 	appended int
-	replayed int
 	writeErr error
 	onAppend func(appended int)
 }
@@ -268,23 +238,22 @@ func CreateJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, er
 	if err != nil {
 		return nil, fmt.Errorf("experiments: create journal: %w", err)
 	}
-	j := &Journal{f: f, fs: fsys, path: path, cells: map[journalKey]json.RawMessage{}}
+	j := &Journal{f: f, cells: map[journalKey]json.RawMessage{}}
 	fpData, err := json.Marshal(fp)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("experiments: journal fingerprint: %w", err)
 	}
 	header := journalLine{Type: "header", Version: JournalVersion, Hash: fp.Hash(), Data: fpData}
-	if err := j.writeLine(header); err != nil {
+	if err := j.writeLineLocked(header); err != nil { // j is not shared yet
 		f.Close()
 		return nil, fmt.Errorf("experiments: journal header: %w", err)
 	}
 	return j, nil
 }
 
-// OpenJournal opens an existing journal for resuming: it validates the
-// header against fp — a config mismatch is a *FingerprintError, a
-// binary mismatch a *BinaryMismatchError — loads every intact cell
+// OpenJournal opens an existing journal for resuming: it holds the
+// header to the one replay rule (replayable), loads every intact cell
 // record for replay, and positions the file for appending.
 //
 // Corruption tolerance: a crash mid-append leaves at most one torn tail
@@ -292,27 +261,18 @@ func CreateJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, er
 // does not match. Reading stops at the first such record; the cells
 // before it replay, the torn cell simply re-runs, and the file is
 // truncated back to its last intact record so new appends start on a
-// clean line. A line counts only once its newline has landed. A missing
-// or corrupt *header* is not tolerated: there is nothing safe to resume
-// (*HeaderNotWrittenError when no first line landed at all). Nor is a
-// header of another format version (*JournalVersionError).
+// clean line. A line counts only once its newline has landed, and no
+// length is too long for one. A missing or corrupt *header* is not
+// tolerated: there is nothing safe to resume (*HeaderNotWrittenError
+// when no first line landed at all). A read error is returned as it is,
+// and the file is left untouched.
 func OpenJournal(path string, fp Fingerprint) (*Journal, error) {
-	return OpenJournalAllow(path, fp, false, nil)
+	return OpenJournalFS(nil, path, fp)
 }
 
-// OpenJournalAllow is OpenJournal with an explicit binary-identity
-// policy: with allowBinaryMismatch set, a journal written by a different
-// binary under an identical configuration resumes anyway, reporting the
-// drift through warnf (when non-nil) instead of failing. Config
-// mismatches remain hard errors in every mode — replayed cells would
-// silently disagree with what this run would simulate.
-func OpenJournalAllow(path string, fp Fingerprint, allowBinaryMismatch bool, warnf func(format string, args ...any)) (*Journal, error) {
-	return OpenJournalAllowFS(nil, path, fp, allowBinaryMismatch, warnf)
-}
-
-// OpenJournalAllowFS is OpenJournalAllow over an explicit filesystem; a
-// nil fsys means the real one.
-func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinaryMismatch bool, warnf func(format string, args ...any)) (*Journal, error) {
+// OpenJournalFS is OpenJournal over an explicit filesystem; a nil fsys
+// means the real one.
+func OpenJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, error) {
 	fsys = faultfs.OrOS(fsys)
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -322,60 +282,33 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 
 	cells := map[journalKey]json.RawMessage{}
 	var validOff int64
-	sawHeader := false
-	lines := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	sc.Split(scanCompleteLines)
-	for sc.Scan() {
-		lines++
-		raw := sc.Bytes()
+	r := bufio.NewReaderSize(f, 1<<16)
+	for lines := 0; ; lines++ {
+		raw, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			if lines == 0 {
+				return nil, &HeaderNotWrittenError{Path: path}
+			}
+			break // an unterminated last line is torn, even if it parses
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: read journal %s: %w", path, err)
+		}
 		var line journalLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			break // torn or garbage line: everything from here on is lost
-		}
-		if !sawHeader {
-			if line.Type != "header" {
-				return nil, fmt.Errorf("experiments: %s is not a journal (first line is %q, want header)", path, line.Type)
-			}
-			if line.Version != JournalVersion {
-				return nil, &JournalVersionError{Path: path, Got: line.Version, Want: JournalVersion}
-			}
-			if want := fp.Hash(); line.Hash != want {
-				return nil, &FingerprintError{Path: path, Want: want, Got: line.Hash}
-			}
-			// Config identity matches; check binary identity separately.
-			// The header Data carries the full recorded fingerprint, so
-			// the writer's binary is recoverable even though the hash
-			// deliberately excludes it.
-			var hdr Fingerprint
-			if err := json.Unmarshal(line.Data, &hdr); err != nil {
-				return nil, fmt.Errorf("experiments: journal %s header fingerprint does not decode: %w", path, err)
-			}
-			if hdr.Binary != fp.Binary {
-				if !allowBinaryMismatch {
-					return nil, &BinaryMismatchError{Path: path, Want: fp.Binary, Got: hdr.Binary}
-				}
-				if warnf != nil {
-					warnf("journal %s was written by binary %s (this is %s); configuration is identical, results replay verbatim",
-						path, hdr.Binary, fp.Binary)
-				}
-			}
-			sawHeader = true
-			validOff += int64(len(raw)) + 1
-			continue
-		}
-		if line.Type != "cell" || line.Index < 0 || DataHash(line.Data) != line.Hash {
-			break // unknown type or torn payload: treat as incomplete
-		}
-		cells[journalKey{line.Grid, line.Index}] = line.Data
-		validOff += int64(len(raw)) + 1
-	}
-	if !sawHeader {
+		parsed := json.Unmarshal(raw, &line) == nil
 		if lines == 0 {
-			return nil, &HeaderNotWrittenError{Path: path}
+			if !parsed {
+				return nil, fmt.Errorf("experiments: journal %s has no intact header; cannot resume from it", path)
+			}
+			if err := replayable(path, line, fp); err != nil {
+				return nil, err
+			}
+		} else if !parsed || line.Type != "cell" || line.Index < 0 || DataHash(line.Data) != line.Hash {
+			break // torn, garbage or unknown: everything from here on is lost
+		} else {
+			cells[journalKey{line.Grid, line.Index}] = line.Data
 		}
-		return nil, fmt.Errorf("experiments: journal %s has no intact header; cannot resume from it", path)
+		validOff += int64(len(raw))
 	}
 
 	// Drop the torn tail (if any) so appends start on a record boundary,
@@ -387,36 +320,41 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 	if err != nil {
 		return nil, fmt.Errorf("experiments: reopen journal: %w", err)
 	}
-	return &Journal{f: af, fs: fsys, path: path, cells: cells}, nil
+	return &Journal{f: af, cells: cells}, nil
 }
 
-// scanCompleteLines splits a journal into its newline-terminated lines
-// and drops an unterminated last one: a record cut short before its
-// newline is torn even if its bytes happen to parse.
-func scanCompleteLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		return i + 1, data[:i], nil
+// replayable is the one rule that decides whether a journal replays:
+// only under the format version, configuration fingerprint and binary
+// identity that wrote it. Anything else is a *FingerprintError.
+func replayable(path string, header journalLine, fp Fingerprint) error {
+	if header.Type != "header" {
+		return fmt.Errorf("experiments: %s is not a journal (first line is %q, want header)", path, header.Type)
 	}
-	return 0, nil, nil
+	if header.Version != JournalVersion {
+		return &FingerprintError{Path: path, What: "format version", Want: strconv.Itoa(JournalVersion), Got: strconv.Itoa(header.Version)}
+	}
+	if want := fp.Hash(); header.Hash != want {
+		return &FingerprintError{Path: path, What: "configuration", Want: want, Got: header.Hash}
+	}
+	// The header's data carries the whole recorded fingerprint, so the
+	// writer's binary is recoverable even though the hash excludes it.
+	var rec Fingerprint
+	if err := json.Unmarshal(header.Data, &rec); err != nil {
+		return fmt.Errorf("experiments: journal %s header fingerprint does not decode: %w", path, err)
+	}
+	if rec.Binary != fp.Binary {
+		return &FingerprintError{Path: path, What: "binary", Want: fp.Binary, Got: rec.Binary}
+	}
+	return nil
 }
 
-// DataHash digests a cell record's payload (FNV-1a, hex) so a torn
-// append — payload truncated but the line still parsing as JSON — is
-// detected and treated as "cell incomplete". Exported because the
+// DataHash digests a cell record's payload (snapshot.StateHash, hex) so
+// a torn append — payload truncated but the line still parsing as JSON —
+// is detected and treated as "cell incomplete". Exported because the
 // distributed coordinator dedups duplicate cell completions by the same
 // hash, so a journaled record and a late re-delivery compare directly.
 func DataHash(data []byte) string {
-	h := fnv.New64a()
-	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
+	return fmt.Sprintf("%016x", snapshot.StateHash(data))
 }
 
 // Cells returns how many intact cell records were loaded for replay.
@@ -427,17 +365,6 @@ func (j *Journal) Cells() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.cells)
-}
-
-// Replayed returns how many cells were served from the journal instead
-// of being re-simulated.
-func (j *Journal) Replayed() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.replayed
 }
 
 // Appended returns how many cell records this process added.
@@ -493,11 +420,10 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// ReplayRaw returns the raw journaled payload for (grid, index), if an
-// intact record was loaded. The service coordinator uses it to rebuild
-// its dedup hashes and completion stream across a restart without a
-// decode/re-encode round trip.
-func (j *Journal) ReplayRaw(grid string, index int) (json.RawMessage, bool) {
+// Replay returns the raw journaled payload for (grid, index), if an
+// intact record was loaded or appended. Whether it is a cell's outcome
+// is the grid's to judge (Grid.Validate).
+func (j *Journal) Replay(grid string, index int) (json.RawMessage, bool) {
 	if j == nil {
 		return nil, false
 	}
@@ -507,28 +433,8 @@ func (j *Journal) ReplayRaw(grid string, index int) (json.RawMessage, bool) {
 	return raw, ok
 }
 
-// Replay looks up (grid, index) and decodes it into rec, counting a hit.
-func (j *Journal) Replay(grid string, index int, rec any) bool {
-	if j == nil {
-		return false
-	}
-	j.mu.Lock()
-	raw, ok := j.cells[journalKey{grid, index}]
-	j.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if err := json.Unmarshal(raw, rec); err != nil {
-		return false // undecodable record: re-run the cell
-	}
-	j.mu.Lock()
-	j.replayed++
-	j.mu.Unlock()
-	return true
-}
-
 // Record appends (grid, index, payload) as one fsynced line and keeps
-// the in-memory cell map current, so ReplayRaw sees records appended in
+// the in-memory cell map current, so Replay sees records appended in
 // this process as well as ones replayed at open — the service
 // coordinator assembles final results from that map. Errors are sticky
 // and typed: after the first failed append (a short write OR a failed
@@ -567,12 +473,6 @@ func (j *Journal) Record(grid string, index int, payload any) {
 	if hook != nil {
 		hook(n)
 	}
-}
-
-func (j *Journal) writeLine(line journalLine) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.writeLineLocked(line)
 }
 
 // writeLineLocked appends one record and fsyncs — the fsync-per-record

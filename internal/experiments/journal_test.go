@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -86,12 +89,13 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	}
 	rcfg := journalTestConfig()
 	rcfg.Journal = j2
+	before := Cells()
 	resumed, err := RunUniprocessorCtx(context.Background(), rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Replayed() != k {
-		t.Errorf("replayed %d cells, want %d (journaled cells must not re-simulate)", j2.Replayed(), k)
+	if sim := Cells().Sub(before); sim != (CellCounts{Simulated: int64(total - k)}) {
+		t.Errorf("resume ran %v, want %d simulated (journaled cells must not re-simulate)", sim, total-k)
 	}
 	if j2.Appended() != total-k {
 		t.Errorf("appended %d cells on resume, want %d", j2.Appended(), total-k)
@@ -125,12 +129,13 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	}
 	rcfg2 := journalTestConfig()
 	rcfg2.Journal = j3
+	before = Cells()
 	again, err := RunUniprocessorCtx(context.Background(), rcfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j3.Replayed() != total || j3.Appended() != 0 {
-		t.Errorf("complete journal: replayed %d appended %d, want %d/0", j3.Replayed(), j3.Appended(), total)
+	if sim := Cells().Sub(before); sim != (CellCounts{}) || j3.Appended() != 0 {
+		t.Errorf("complete journal: ran %v and appended %d, want nothing", sim, j3.Appended())
 	}
 	j3.Close()
 	if FormatTable7(again) != FormatTable7(ref) {
@@ -157,14 +162,14 @@ func TestJournalReplaysFailedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	var rec UniCellRecord
-	if !j2.Replay(GridWorkstation, 3, &rec) {
+	rec, ok := replayRecord(t, j2, 3)
+	if !ok {
 		t.Fatal("journaled failed cell did not replay")
 	}
 	if !rec.Failed || rec.Failure != "watchdog: wedged" || !rec.Retried {
 		t.Errorf("failure round trip lost fields: %+v", rec)
 	}
-	if j2.Replay(GridWorkstation, 0, &rec) {
+	if _, ok := j2.Replay(GridWorkstation, 0); ok {
 		t.Error("replay invented a cell that was never journaled")
 	}
 }
@@ -382,7 +387,7 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Fatalf("got %v, want *FingerprintError", err)
 	}
-	if fe.Path != path || fe.Got != fp.Hash() {
+	if fe.Path != path || fe.What != "configuration" || fe.Got != fp.Hash() {
 		t.Errorf("FingerprintError fields: %+v", fe)
 	}
 
@@ -397,11 +402,10 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	j2.Close()
 }
 
-// The fingerprint splits into config identity (hard error) and binary
-// identity (refusable by default, overridable): a journal written by a
-// different binary under the identical configuration resumes with
-// -allow-binary-mismatch and replays verbatim, while a config mismatch
-// stays hard even with the override.
+// The fingerprint's binary identity is compared beside its config hash,
+// and drift in it is as hard an error as config drift: a journal written
+// by another binary under the identical configuration is refused with
+// the same *FingerprintError, naming the binary.
 func TestJournalBinaryMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.journal")
 	cfg := journalTestConfig()
@@ -418,52 +422,29 @@ func TestJournalBinaryMismatch(t *testing.T) {
 
 	readerFP := NewFingerprint(&cfg, nil, nil)
 	readerFP.Binary = "reader-binary"
-
-	// Config identity matches — the hash ignores the binary — so the
-	// default-mode failure is the typed, overridable binary error.
 	if writerFP.Hash() != readerFP.Hash() {
 		t.Fatal("binary identity leaked into the config hash")
 	}
 	_, err = OpenJournal(path, readerFP)
-	var be *BinaryMismatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("got %v, want *BinaryMismatchError", err)
-	}
-	if be.Got != "writer-binary" || be.Want != "reader-binary" {
-		t.Errorf("BinaryMismatchError fields: %+v", be)
-	}
-
-	// Allowed: the journal opens, warns, and replays the writer's cells.
-	var warned []string
-	j2, err := OpenJournalAllow(path, readerFP, true, func(format string, args ...any) {
-		warned = append(warned, fmt.Sprintf(format, args...))
-	})
-	if err != nil {
-		t.Fatalf("OpenJournalAllow: %v", err)
-	}
-	defer j2.Close()
-	if len(warned) != 1 || !strings.Contains(warned[0], "writer-binary") {
-		t.Errorf("warnings = %q, want one naming the writer binary", warned)
-	}
-	var rec UniCellRecord
-	if !j2.Replay(GridWorkstation, 2, &rec) || rec.Failure != "recorded by writer" {
-		t.Errorf("cross-binary replay lost the record: %+v", rec)
-	}
-
-	// Same binary: no error, no warning.
-	if _, err := OpenJournal(path, writerFP); err != nil {
-		t.Errorf("same-binary open failed: %v", err)
-	}
-
-	// Config drift stays a hard *FingerprintError even with the override.
-	other := journalTestConfig()
-	other.Seed++
-	otherFP := NewFingerprint(&other, nil, nil)
-	otherFP.Binary = "writer-binary"
-	_, err = OpenJournalAllow(path, otherFP, true, nil)
 	var fe *FingerprintError
 	if !errors.As(err, &fe) {
-		t.Fatalf("config mismatch with override: got %v, want *FingerprintError", err)
+		t.Fatalf("got %v, want *FingerprintError", err)
+	}
+	if fe.What != "binary" || fe.Got != "writer-binary" || fe.Want != "reader-binary" {
+		t.Errorf("FingerprintError fields: %+v", fe)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "binary writer-binary") || !strings.Contains(msg, "reader-binary") {
+		t.Errorf("error %q does not name both binaries", msg)
+	}
+
+	// Same binary: the journal opens and replays the writer's cell.
+	j2, err := OpenJournal(path, writerFP)
+	if err != nil {
+		t.Fatalf("same-binary open failed: %v", err)
+	}
+	defer j2.Close()
+	if rec, ok := replayRecord(t, j2, 2); !ok || rec.Failure != "recorded by writer" {
+		t.Errorf("same-binary replay lost the record: %+v", rec)
 	}
 }
 
@@ -471,11 +452,10 @@ func TestJournalBinaryMismatch(t *testing.T) {
 // grid driver goes through these calls.
 func TestNilJournalIsInert(t *testing.T) {
 	var j *Journal
-	if j.Path() != "" || j.Cells() != 0 || j.Replayed() != 0 || j.Appended() != 0 {
+	if j.Cells() != 0 || j.Appended() != 0 {
 		t.Error("nil journal reports state")
 	}
-	var rec UniCellRecord
-	if j.Replay(GridWorkstation, 0, &rec) {
+	if _, ok := j.Replay(GridWorkstation, 0); ok {
 		t.Error("nil journal replayed a cell")
 	}
 	j.Record(GridWorkstation, 0, UniCellRecord{})
@@ -523,19 +503,19 @@ func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 	if !errors.Is(ae, syscall.EIO) {
 		t.Errorf("AppendError does not unwrap to the injected EIO: %v", ae)
 	}
-	if _, ok := j.ReplayRaw(GridWorkstation, 2); ok {
+	if _, ok := j.Replay(GridWorkstation, 2); ok {
 		t.Error("un-durable cell entered the replay map")
 	}
 	// Sticky: later appends are refused outright.
 	j.Record(GridWorkstation, 3, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: "cell 3"}})
-	if _, ok := j.ReplayRaw(GridWorkstation, 3); ok {
+	if _, ok := j.Replay(GridWorkstation, 3); ok {
 		t.Error("append after sticky error was accepted")
 	}
 
 	// Crash now. The record's bytes may be sitting volatile in the file;
 	// the durable image must not contain them.
 	img := mem.CrashImage()
-	j2, err := OpenJournalAllowFS(img, path, fp, false, nil)
+	j2, err := OpenJournalFS(img, path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,12 +524,11 @@ func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 		t.Fatalf("recovered %d cells, want the 2 durable ones", got)
 	}
 	for i := 0; i < 2; i++ {
-		var rec UniCellRecord
-		if !j2.Replay(GridWorkstation, i, &rec) || rec.Failure != fmt.Sprintf("cell %d", i) {
+		if rec, ok := replayRecord(t, j2, i); !ok || rec.Failure != fmt.Sprintf("cell %d", i) {
 			t.Errorf("cell %d did not replay intact: %+v", i, rec)
 		}
 	}
-	if _, ok := j2.ReplayRaw(GridWorkstation, 2); ok {
+	if _, ok := j2.Replay(GridWorkstation, 2); ok {
 		t.Error("cell with failed sync survived the crash")
 	}
 	// And the recovered journal appends cleanly where it left off.
@@ -581,7 +560,7 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 		t.Fatalf("Err() = %v, want *AppendError for cell 1", err)
 	}
 
-	j2, err := OpenJournalAllowFS(mem, path, fp, false, nil)
+	j2, err := OpenJournalFS(mem, path, fp)
 	if err != nil {
 		t.Fatalf("reopen over the torn tail: %v", err)
 	}
@@ -593,15 +572,15 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	if err := j2.Err(); err != nil {
 		t.Fatalf("append after torn-tail truncation: %v", err)
 	}
-	var rec UniCellRecord
-	if !j2.Replay(GridWorkstation, 1, &rec) || rec.Failure != "cell 1 rerun" {
+	if rec, ok := replayRecord(t, j2, 1); !ok || rec.Failure != "cell 1 rerun" {
 		t.Errorf("re-recorded cell = %+v", rec)
 	}
 }
 
-// A journal of another format version is refused with a typed error, so
-// that a caller can tell it from a damaged one: cmd/experiments exits
-// ExitFingerprintMismatch, the service coordinator starts it afresh.
+// A journal of another format version is refused with the typed
+// *FingerprintError, so that a caller can tell it from a damaged one:
+// cmd/experiments exits ExitFingerprintMismatch, the service coordinator
+// starts it afresh.
 func TestJournalOfAnotherVersionIsTyped(t *testing.T) {
 	fp := Fingerprint{Version: JournalVersion, Binary: "test"}
 	path := filepath.Join(t.TempDir(), "old.journal")
@@ -626,8 +605,92 @@ func TestJournalOfAnotherVersionIsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = OpenJournal(path, fp)
-	var version *JournalVersionError
-	if !errors.As(err, &version) || version.Got != JournalVersion-1 || version.Want != JournalVersion {
-		t.Fatalf("OpenJournal over a version-%d journal: %v; want a *JournalVersionError", JournalVersion-1, err)
+	var fe *FingerprintError
+	if !errors.As(err, &fe) || fe.What != "format version" || fe.Got != strconv.Itoa(JournalVersion-1) || fe.Want != strconv.Itoa(JournalVersion) {
+		t.Fatalf("OpenJournal over a version-%d journal: %v; want a *FingerprintError naming the format version", JournalVersion-1, err)
 	}
+}
+
+// A read error is no torn tail: OpenJournalFS returns it and leaves every
+// byte of the file where it was, however many records follow. A record
+// longer than the read buffer is read whole.
+func TestJournalReadErrorKeepsTheFile(t *testing.T) {
+	fp := Fingerprint{Version: JournalVersion, Binary: "test"}
+	mem := faultfs.NewMem()
+	const path = "/grid.journal"
+	j, err := CreateJournalFS(mem, path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", 1<<18)
+	for i := 0; i < 4; i++ {
+		j.Record(GridWorkstation, i, UniCellRecord{CellOutcome: CellOutcome{Failed: true, Failure: fmt.Sprintf("cell %d %s", i, long)}})
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := mem.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = OpenJournalFS(failingReads{FS: mem, after: len(want) / 2}, path, fp)
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("OpenJournalFS over a failing read: %v; want the read error", err)
+	}
+	if got, err := mem.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("a failed read changed the journal: %d bytes, want %d (%v)", len(got), len(want), err)
+	}
+
+	j2, err := OpenJournalFS(mem, path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	for i := 0; i < 4; i++ {
+		if rec, ok := replayRecord(t, j2, i); !ok || rec.Failure != fmt.Sprintf("cell %d %s", i, long) {
+			t.Errorf("long cell %d did not replay", i)
+		}
+	}
+}
+
+// failingReads is a filesystem whose read-only opens fail with EIO once
+// after bytes have been read.
+type failingReads struct {
+	faultfs.FS
+	after int
+}
+
+func (f failingReads) OpenFile(path string, flag int, perm iofs.FileMode) (faultfs.File, error) {
+	file, err := f.FS.OpenFile(path, flag, perm)
+	if err != nil || flag != os.O_RDONLY {
+		return file, err
+	}
+	return &failingFile{File: file, left: f.after}, nil
+}
+
+type failingFile struct {
+	faultfs.File
+	left int
+}
+
+func (f *failingFile) Read(p []byte) (int, error) {
+	if f.left <= 0 {
+		return 0, syscall.EIO
+	}
+	n, err := f.File.Read(p[:min(len(p), f.left)])
+	f.left -= n
+	return n, err
+}
+
+// replayRecord decodes the journaled record of workstation cell i.
+func replayRecord(t *testing.T, j *Journal, i int) (rec UniCellRecord, ok bool) {
+	t.Helper()
+	raw, ok := j.Replay(GridWorkstation, i)
+	if ok {
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+	}
+	return rec, ok
 }

@@ -1,11 +1,11 @@
 package prog
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
+
+	"repro/internal/snapshot"
 )
 
 // Shared programs. A linked Program is immutable: core.NewThread aliases
@@ -97,12 +97,8 @@ func ResetShared() {
 // label table. Tests take it before and after a run to hold the
 // simulator to the immutability the memo relies on.
 func (p *Program) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+	h := uint64(snapshot.FNVOffset)
+	put := func(v uint64) { h = snapshot.Fold(h, v) }
 	put(uint64(p.Base))
 	put(uint64(len(p.Insts)))
 	for i := range p.Insts {
@@ -128,8 +124,8 @@ func (p *Program) Fingerprint() uint64 {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		h.Write([]byte(name))
+		h = snapshot.FoldBytes(h, []byte(name))
 		put(uint64(p.Labels[name]))
 	}
-	return h.Sum64()
+	return h
 }

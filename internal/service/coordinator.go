@@ -3,8 +3,9 @@
 // leases, and the worker that simulates them. The correctness bar is
 // byte-identity — a distributed run's tables and JSON must match a
 // single-process cmd/experiments run of the same grids, under worker
-// crashes, heartbeat stalls and coordinator restarts — and the PR-5 cell
-// journal is the single durability layer that makes it hold:
+// crashes, heartbeat stalls and coordinator restarts — and the cell
+// journal (experiments.Journal) is the single durability layer that
+// makes it hold:
 //
 //   - Every completed cell is journaled (fsync per record, payload
 //     hashed) BEFORE the worker's report is acknowledged, so an ack
@@ -14,10 +15,12 @@
 //     (grid, index) + payload hash, so at-least-once dispatch still
 //     yields exactly-once results.
 //   - A coordinator restart rebuilds every job from its spec file and
-//     journal with zero re-simulation of completed cells.
+//     journal with zero re-simulation of completed cells. A journal of
+//     another format version, configuration or binary replays nothing:
+//     the job's journal starts afresh and its cells run again.
 //
-// Determinism does the rest: cells derive their seeds from their grid
-// index (experiments.Grid.RunCell), so *which* worker runs a
+// Determinism does the rest: a cell derives its seed from its
+// configuration (experiments.Grid.RunCell), so *which* worker runs a
 // cell, how often it is retried, and in what order results arrive are
 // all invisible in the output.
 package service
@@ -46,8 +49,8 @@ import (
 // JobSpec is what a client submits: the same resolved grid configs
 // cmd/experiments runs, plus the -only style section selection. The
 // configs determine every cell result; the coordinator fingerprints them
-// exactly as cmd/experiments does, so service journals and single-process
-// journals are interchangeable.
+// exactly as cmd/experiments does, so a service journal and a
+// single-process journal written by the same binary are interchangeable.
 type JobSpec struct {
 	Only []string               `json:"only,omitempty"`
 	Uni  *experiments.UniConfig `json:"uni,omitempty"`
@@ -230,11 +233,10 @@ type Coordinator struct {
 var specFileRe = regexp.MustCompile(`^job-(\d+)\.spec\.json$`)
 
 // NewCoordinator creates a coordinator over cfg.Dir, recovering every
-// job whose spec file survives: its journal is reopened (binary drift is
-// tolerated — results are a function of the config), intact cells replay
-// with zero re-simulation, and only the remainder is redispatched. A
-// journal of another format version or configuration fingerprint is
-// started afresh, and all of that job's cells re-run.
+// job whose spec file survives: its journal is reopened, intact cells
+// replay with zero re-simulation, and only the remainder is redispatched.
+// A journal of another format version, configuration fingerprint or
+// binary is started afresh, and all of that job's cells re-run.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -303,24 +305,18 @@ func (c *Coordinator) recoverJob(id int) error {
 	if err != nil {
 		return err
 	}
-	// The coordinator that wrote the journal may have been a different
-	// binary (a rebuild, or cmd/experiments handing a journal over); the
-	// config identity is the hard check, binary drift only warns.
-	journal, err := experiments.OpenJournalAllowFS(c.cfg.FS, c.journalPath(id), fp, true, func(format string, args ...any) {
-		c.cfg.Logf("job %d: "+format, append([]any{id}, args...)...)
-	})
+	journal, err := experiments.OpenJournalFS(c.cfg.FS, c.journalPath(id), fp)
 	if err != nil {
 		// A spec without a journal, or with one whose header never landed,
 		// means the crash or a failed write hit between the two writes at
-		// submission; start the journal fresh. So does a journal of
-		// another format version or another configuration fingerprint (a
-		// binary whose config structs gained a field): its cells were
-		// simulated under other rules, and the job re-runs them.
+		// submission; start the journal fresh. So does a journal that may
+		// not replay — another format version, configuration fingerprint
+		// or binary: its cells are not known to be this simulator's, and
+		// the job re-runs them.
 		var unwritten *experiments.HeaderNotWrittenError
-		var version *experiments.JournalVersionError
-		var fingerprint *experiments.FingerprintError
+		var stale *experiments.FingerprintError
 		switch {
-		case errors.As(err, &version), errors.As(err, &fingerprint):
+		case errors.As(err, &stale):
 			c.cfg.Logf("job %d: %v; re-running its cells", id, err)
 		case !errors.Is(err, fs.ErrNotExist) && !errors.As(err, &unwritten):
 			return err
@@ -331,7 +327,7 @@ func (c *Coordinator) recoverJob(id int) error {
 	}
 	j := newJob(id, spec, grids, journal)
 	for _, cl := range j.cells {
-		raw, ok := journal.ReplayRaw(cl.grid.Name(), cl.index)
+		raw, ok := journal.Replay(cl.grid.Name(), cl.index)
 		if !ok {
 			continue
 		}
@@ -469,7 +465,7 @@ func (c *Coordinator) assembleLocked(j *job) {
 		recs := make([]json.RawMessage, g.Size())
 		for i := range recs {
 			var ok bool
-			if recs[i], ok = j.journal.ReplayRaw(g.Name(), i); !ok {
+			if recs[i], ok = j.journal.Replay(g.Name(), i); !ok {
 				j.resultErr = fmt.Errorf("service: job %d: %s cell %d missing from journal at assembly", j.id, g.Name(), i)
 				return
 			}

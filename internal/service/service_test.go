@@ -839,3 +839,63 @@ func TestRecoverJournalOfAnotherFingerprint(t *testing.T) {
 	startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
 	assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
 }
+
+// A journal of the current format version and configuration written by
+// another binary may hold cells another simulator computed, under the
+// same fingerprint hash. The restarted coordinator treats it as it does
+// another version or fingerprint: it starts that job's journal afresh
+// and runs every cell again, to the bytes a single-process run prints.
+func TestRecoverJournalOfAnotherBinary(t *testing.T) {
+	spec := JobSpec{Uni: tinyUniSpec()}
+	wantText, wantJSON := reference(t, spec)
+	dir := t.TempDir()
+	coord, err := NewCoordinator(Config{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	id, cells, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
+	srv.Close()
+	coord.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Journal every cell of the job's own grid under a header that names
+	// another binary.
+	grids, fp, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.Binary = "another-binary"
+	path := filepath.Join(dir, fmt.Sprintf("job-%d.journal", id))
+	j, err := experiments.CreateJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range grids {
+		if _, err := g.Run(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j.Appended() != cells {
+		t.Fatalf("journaled %d cells, the job has %d", j.Appended(), cells)
+	}
+
+	restarted, err := NewCoordinator(Config{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("restart over a journal of another binary: %v", err)
+	}
+	defer restarted.Close()
+	srv = httptest.NewServer(restarted.Handler())
+	defer srv.Close()
+	st, err := (&Client{Base: srv.URL}).Status(context.Background(), id)
+	if err != nil || st.Done != 0 || st.Cells != cells {
+		t.Fatalf("restarted job: %+v, %v; want %d cells and none replayed", st, err, cells)
+	}
+	startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
+	assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
+}

@@ -65,9 +65,10 @@ var (
 )
 
 // FNV-1a is the repo-wide hash convention, and this package owns it:
-// StateHash folds bytes and Fold folds 64-bit words, each from FNVOffset.
-// mem.Memory.Hash, core.Thread.HashArchState, guard.MachineHash and
-// core.RetireHash are Folds.
+// FoldBytes folds bytes and Fold folds 64-bit words, each from FNVOffset.
+// mem.Memory.Hash, core.Thread.HashArchState, guard.MachineHash,
+// core.RetireHash and prog.Program.Fingerprint are Folds; StateHash and
+// the journal's experiments.DataHash are FoldBytes.
 const (
 	FNVOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -83,15 +84,19 @@ func Fold(h, v uint64) uint64 {
 	return h
 }
 
-// StateHash hashes a serialized snapshot (FNV-1a over every byte).
-// Because the encoding is deterministic, equal hashes mean equal
-// machine state for snapshots of the same kind.
-func StateHash(data []byte) uint64 {
-	h := uint64(FNVOffset)
+// FoldBytes folds every byte of data into the running FNV-1a digest h.
+func FoldBytes(h uint64, data []byte) uint64 {
 	for _, b := range data {
 		h = (h ^ uint64(b)) * fnvPrime
 	}
 	return h
+}
+
+// StateHash hashes a serialized snapshot (FNV-1a over every byte).
+// Because the encoding is deterministic, equal hashes mean equal
+// machine state for snapshots of the same kind.
+func StateHash(data []byte) uint64 {
+	return FoldBytes(FNVOffset, data)
 }
 
 // Writer is the buffer a save walk appends to. Fields are written

@@ -129,10 +129,11 @@ if grep -rnE '"(mtc1|fcmplt|sltu|fdivd)"' --include='*.go' --exclude='*_test.go'
     exit 1
 fi
 
-# One FNV-1a: internal/snapshot owns the constants, StateHash (bytes) and
-# Fold (64-bit words); memory, architectural-state, machine and fuzz
-# hashes are Folds. The prime anywhere else is a second copy.
-if grep -rn '1099511628211' --include='*.go' --exclude='*_test.go' . |
+# One FNV-1a: internal/snapshot owns the constants, FoldBytes (bytes) and
+# Fold (64-bit words); memory, architectural-state, machine, program and
+# fuzz hashes are Folds, StateHash and the journal's DataHash FoldBytes.
+# The prime or hash/fnv anywhere else is a second copy.
+if grep -rnE '1099511628211|"hash/fnv"' --include='*.go' --exclude='*_test.go' . |
     grep -v '^./internal/snapshot/snapshot.go:'; then
     echo "check.sh: a second FNV-1a; fold with snapshot.Fold" >&2
     exit 1
@@ -155,6 +156,16 @@ fi
 if grep -rnE 'checkpoint-dir|prefixCache|checkpointUnusable|SaveFileFS|snapshot\.(SaveFile|LoadFile)\(' \
     --include='*.go' --exclude='*_test.go' .; then
     echo "check.sh: checkpoints do not outlive their sweep; no on-disk cache" >&2
+    exit 1
+fi
+
+# One journal rule: a journal replays only under the format version,
+# configuration fingerprint and binary that wrote it, and anything else
+# is one *FingerprintError. There is no binary-drift override, no second
+# open or error type, no capped line scanner and no second FNV-1a.
+if grep -rnE 'allow-binary-mismatch|OpenJournalAllow|BinaryMismatchError|JournalVersionError|scanCompleteLines|"hash/fnv"' \
+    --include='*.go' --exclude='*_test.go' .; then
+    echo "check.sh: one journal rule and one FNV-1a; see internal/experiments/journal.go" >&2
     exit 1
 fi
 
