@@ -71,19 +71,24 @@ func (p Params) Validate() error {
 }
 
 // dirEntry is the directory state of one line: at most one dirty owner, or
-// any number of sharers.
+// any number of sharers. writes is derived state: the number of exclusive
+// requests the nodes' miss registers hold for the line, kept where an
+// exclusive entry is added or removed so a miss learns whether a write is
+// in flight without scanning every node. It is never walked; a restore
+// rebuilds it from the miss registers.
 type dirEntry struct {
-	owner   int    // exclusive dirty owner, -1 if none
+	owner   int32  // exclusive dirty owner, -1 if none
+	writes  int32  // exclusive requests in flight for the line
 	sharers uint64 // bitmask of nodes with (possibly in-flight) shared copies
 }
 
 // The directory is a two-level radix: a map of fixed-size pages, each
 // covering a contiguous run of lines, fronted by a last-page memo and a
-// small direct-mapped page cache (the same layout internal/mem uses for
-// data pages). Every data access consults the directory several times
-// (rights check, transition, victim bookkeeping); streaming workloads made
-// the per-line map lookups the hottest fabric operation, and replays land
-// on the just-missed line, so the memo absorbs most of them.
+// small direct-mapped page cache. Every data access consults the
+// directory several times (rights check, transition, victim bookkeeping);
+// streaming workloads made the per-line map lookups the hottest fabric
+// operation, and replays land on the just-missed line, so the memo
+// absorbs most of them.
 const (
 	dirPageShift = 11 // 2048 lines per page
 	dirPageLines = 1 << dirPageShift
@@ -119,10 +124,10 @@ type Node struct {
 	cache *cache.Cache
 	// pending holds this node's in-flight fills (its miss registers), in
 	// request order. It is a slice, not a map: it has at most a handful of
-	// entries, every access scans it (fill service, merge, and each miss
-	// probes every other node's set for transaction serialization), and a
-	// linear scan of a tiny slice beats map hashing while giving
-	// deterministic iteration for free.
+	// entries, every access scans it (fill service, merge), and a linear
+	// scan of a tiny slice beats map hashing while giving deterministic
+	// iteration for free. Every change to its exclusive entries is
+	// mirrored in the line's dirEntry.writes.
 	pending []pendingFill
 	Stats   Stats
 	obsSink *metrics.Sink
@@ -293,7 +298,7 @@ func (f *Fabric) evicted(n int, victimLine uint32) {
 	if e == nil || f.nodes[n].findPending(victimLine) >= 0 {
 		return
 	}
-	if e.owner == n {
+	if e.owner == int32(n) {
 		e.owner = -1 // writeback to home (contentionless: occupancy-free)
 	}
 	e.sharers &^= 1 << uint(n)
@@ -322,6 +327,25 @@ func (n *Node) removePending(i int) {
 	n.pending = append(n.pending[:i], n.pending[i+1:]...)
 }
 
+// otherWrite returns the fill cycle of the exclusive request a node other
+// than n has in flight for line, whose directory entry is e. The entry
+// counts the line's exclusive requests in flight, so only a line that has
+// one looks for whose it is.
+func (f *Fabric) otherWrite(e *dirEntry, line uint32, n int) (fill int64, ok bool) {
+	if e.writes == 0 {
+		return 0, false
+	}
+	for i, other := range f.nodes {
+		if i == n {
+			continue
+		}
+		if j := other.findPending(line); j >= 0 && other.pending[j].exclusive {
+			return other.pending[j].fill, true
+		}
+	}
+	return 0, false
+}
+
 // AccessData implements memsys.DataMemory with MSI directory coherence.
 func (n *Node) AccessData(addr uint32, write bool, pc uint32, now int64) memsys.DataResult {
 	n.Stats.Accesses++
@@ -342,6 +366,9 @@ func (n *Node) AccessData(addr uint32, write bool, pc uint32, now int64) memsys.
 			slices.Sort(expired)
 			for _, l := range expired {
 				i := n.findPending(l)
+				if n.pending[i].exclusive {
+					f.peekEntry(l).writes--
+				}
 				n.install(l, n.pending[i].exclusive)
 				n.removePending(i)
 			}
@@ -358,17 +385,21 @@ func (n *Node) AccessData(addr uint32, write bool, pc uint32, now int64) memsys.
 				Addr: n.fab.lineAddr(line), Arg: n.pending[i].fill,
 			})
 		}
+		e := f.peekEntry(line)
+		if exclusive {
+			e.writes--
+		}
 		n.removePending(i)
 		// The request may have been invalidated while in flight (another
 		// node wrote the line): if so, the replay must re-request.
-		if n.hasRight(line, write) {
+		if n.hasRight(e, write) {
 			n.install(line, exclusive)
 		}
 	}
 
 	if n.cache.Present(addr) {
 		if write {
-			if e := f.entry(line); e.owner != n.id {
+			if e := f.entry(line); e.owner != int32(n.id) {
 				// Upgrade: shared -> modified. Ownership transfers at
 				// request time; the invalidation-acknowledgement latency
 				// makes the context wait like a miss.
@@ -389,57 +420,50 @@ func (n *Node) AccessData(addr uint32, write bool, pc uint32, now int64) memsys.
 	return n.miss(line, addr, write, pc, now)
 }
 
-// hasRight reports whether node n's copy of line is good for the access:
-// reads need the line not to be dirty elsewhere; writes need ownership.
-func (n *Node) hasRight(line uint32, write bool) bool {
-	e := n.fab.peekEntry(line)
+// hasRight reports whether node n's copy of the line whose directory
+// entry is e (nil for a line never touched) is good for the access: reads
+// need the line not to be dirty elsewhere; writes need ownership.
+func (n *Node) hasRight(e *dirEntry, write bool) bool {
 	if e == nil {
 		return !write
 	}
 	if write {
-		return e.owner == n.id
+		return e.owner == int32(n.id)
 	}
-	return e.owner == n.id || e.owner == -1
+	return e.owner == int32(n.id) || e.owner == -1
 }
 
 // miss performs a directory transaction and returns the miss result.
 func (n *Node) miss(line, addr uint32, write bool, pc uint32, now int64) memsys.DataResult {
 	f := n.fab
+	e := f.entry(line)
 
 	// Transaction serialization: while another node has an exclusive
 	// request in flight for this line, the directory defers new requests
 	// (DASH NAKs and retries them). Without this, a contended lock's
 	// release could be stolen before its replay ever completes.
-	for i, other := range f.nodes {
-		if i == n.id {
-			continue
+	if fill, ok := f.otherWrite(e, line, n.id); ok {
+		// Retry well after the transaction should complete, with a
+		// per-node stagger: aggressive retries turn contended lines
+		// into a flush storm on blocked processors.
+		n.Stats.Deferred++
+		retry := fill + int64(32+5*n.id)
+		if min := now + int64(32+5*n.id); retry < min {
+			retry = min
 		}
-		if j := other.findPending(line); j >= 0 && other.pending[j].exclusive {
-			pf := other.pending[j]
-			// Retry well after the transaction should complete, with a
-			// per-node stagger: aggressive retries turn contended lines
-			// into a flush storm on blocked processors.
-			n.Stats.Deferred++
-			retry := pf.fill + int64(32+5*n.id)
-			if min := now + int64(32+5*n.id); retry < min {
-				retry = min
-			}
-			if n.obsSink != nil {
-				n.obsSink.Emit(metrics.Event{
-					Cycle: now, Kind: metrics.KindSyncRetry, Ctx: -1,
-					Addr: addr, PC: pc, Arg: retry,
-				})
-			}
-			return memsys.DataResult{FillAt: retry, Class: memsys.RemoteCache}
+		if n.obsSink != nil {
+			n.obsSink.Emit(metrics.Event{
+				Cycle: now, Kind: metrics.KindSyncRetry, Ctx: -1,
+				Addr: addr, PC: pc, Arg: retry,
+			})
 		}
+		return memsys.DataResult{FillAt: retry, Class: memsys.RemoteCache}
 	}
-
-	e := f.entry(line)
 
 	// Classify by where the data comes from.
 	var class memsys.MissClass
 	switch {
-	case e.owner >= 0 && e.owner != n.id:
+	case e.owner >= 0 && e.owner != int32(n.id):
 		class = memsys.RemoteCache // dirty in another cache
 	case f.home(line) == n.id:
 		class = memsys.LocalMem
@@ -454,9 +478,12 @@ func (n *Node) miss(line, addr uint32, write bool, pc uint32, now int64) memsys.
 			if i == n.id {
 				continue
 			}
-			if e.owner == i || e.sharers&(1<<uint(i)) != 0 {
+			if e.owner == int32(i) || e.sharers&(1<<uint(i)) != 0 {
 				other.cache.Invalidate(f.lineAddr(line))
 				if j := other.findPending(line); j >= 0 {
+					if other.pending[j].exclusive {
+						e.writes--
+					}
 					other.removePending(j)
 				}
 				other.Stats.Invalidations++
@@ -471,10 +498,10 @@ func (n *Node) miss(line, addr uint32, write bool, pc uint32, now int64) memsys.
 				}
 			}
 		}
-		e.owner = n.id
+		e.owner = int32(n.id)
 		e.sharers = 1 << uint(n.id)
 	} else {
-		if e.owner >= 0 && e.owner != n.id {
+		if e.owner >= 0 && e.owner != int32(n.id) {
 			// Downgrade the dirty owner to shared; data is written back.
 			e.sharers |= 1 << uint(e.owner)
 			e.owner = -1
@@ -486,9 +513,15 @@ func (n *Node) miss(line, addr uint32, write bool, pc uint32, now int64) memsys.
 	if j := n.findPending(line); j >= 0 {
 		// Upgrade issued while a request for the line was in flight:
 		// replace the miss-register entry rather than duplicating it.
+		if n.pending[j].exclusive {
+			e.writes--
+		}
 		n.pending[j] = pendingFill{line: line, fill: fill, exclusive: write}
 	} else {
 		n.pending = append(n.pending, pendingFill{line: line, fill: fill, exclusive: write})
+	}
+	if write {
+		e.writes++
 	}
 	n.Stats.ByClass[class]++
 	if n.obsSink != nil {
@@ -521,7 +554,7 @@ func (f *Fabric) DirectoryInvariants() string {
 			line := pageNo<<dirPageShift | uint32(idx)
 			owners := 0
 			for i := range f.nodes {
-				if e.owner == i {
+				if e.owner == int32(i) {
 					owners++
 				}
 			}
@@ -533,7 +566,7 @@ func (f *Fabric) DirectoryInvariants() string {
 			}
 			for i, node := range f.nodes {
 				if node.cache.Present(f.lineAddr(line)) {
-					if e.owner != i && e.sharers&(1<<uint(i)) == 0 {
+					if e.owner != int32(i) && e.sharers&(1<<uint(i)) == 0 {
 						return fmt.Sprintf("line %#x: node %d resident but not in directory", line, i)
 					}
 				}

@@ -1,9 +1,13 @@
 package coherence
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/memsys"
+	"repro/internal/snapshot"
 )
 
 func newFab(t *testing.T, nodes int) *Fabric {
@@ -223,5 +227,58 @@ func TestEvictionDuringUpgradeKeepsOwnership(t *testing.T) {
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Errorf("after the upgrade: %v", err)
+	}
+}
+
+// The directory entry's count of exclusive requests in flight follows the
+// miss registers — a write miss adds one, its fill's service or its
+// expiry takes it away, a restore rebuilds it — and the invariant check
+// holds it to them: a corrupted count is a typed violation.
+func TestWritesInFlightAreCounted(t *testing.T) {
+	f := newFab(t, 2)
+	n0, n1 := f.Node(0), f.Node(1)
+	a, b := uint32(0x100), uint32(0x2000)
+	count := func(what string, f *Fabric, addr uint32, want int32) {
+		t.Helper()
+		if got := f.peekEntry(addr / uint32(f.P.LineSize)).writes; got != want {
+			t.Errorf("%s: %d writes counted in flight for %#x, want %d", what, got, addr, want)
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	}
+
+	r := n0.AccessData(a, true, 0, 0)
+	count("write miss", f, a, 1)
+	if d := n1.AccessData(a, false, 0, 1); d.Hit || n1.Stats.Deferred != 1 {
+		t.Errorf("a read of a line with a write in flight = %+v, %d deferred; want it deferred", d, n1.Stats.Deferred)
+	}
+	count("deferred read", f, a, 1)
+
+	w := snapshot.NewWriter()
+	f.SaveState(w)
+	g := newFab(t, 2)
+	rd := snapshot.NewReader(w.Bytes())
+	g.RestoreState(rd)
+	if err := snapshot.Finish(rd); err != nil {
+		t.Fatal(err)
+	}
+	count("restored", g, a, 1)
+
+	if got := n0.AccessData(a, true, 0, r.FillAt); !got.Hit {
+		t.Fatalf("the write's replay at its fill = %+v, want a hit", got)
+	}
+	count("served", f, a, 0)
+
+	r = n0.AccessData(b, true, 0, r.FillAt+1)
+	count("second write miss", f, b, 1)
+	n0.AccessData(a, false, 0, r.FillAt+fillHoldCycles) // expires b's abandoned fill
+	count("expired", f, b, 0)
+
+	f.peekEntry(a/uint32(f.P.LineSize)).writes++
+	err := f.CheckInvariants()
+	var se *guard.SimError
+	if !errors.As(err, &se) || se.Op != "coherence.invariant" || !strings.Contains(err.Error(), "in flight") {
+		t.Fatalf("a corrupted count: CheckInvariants = %v, want a coherence.invariant violation", err)
 	}
 }

@@ -19,7 +19,9 @@ import (
 //     every resident copy is recorded in the directory;
 //   - at most one node has an exclusive request in flight per line
 //     (transaction serialization), and that node is the recorded owner —
-//     ownership transfers at request time.
+//     ownership transfers at request time;
+//   - every directory entry counts exactly the exclusive requests the
+//     miss registers hold for its line.
 //
 // Violations come back as *guard.SimError.
 func (f *Fabric) CheckInvariants() error {
@@ -40,13 +42,32 @@ func (f *Fabric) CheckInvariants() error {
 					WithAddr(f.lineAddr(line))
 			}
 			exclusive[line] = n.id
-			owner := -1
+			owner := int32(-1)
 			if e := f.peekEntry(line); e != nil {
 				owner = e.owner
 			}
-			if owner != n.id {
+			if owner != int32(n.id) {
 				return guard.NewSimError("coherence.invariant",
 					fmt.Errorf("line %#x: node %d fetching exclusive but directory owner is %d", line, n.id, owner)).
+					WithAddr(f.lineAddr(line))
+			}
+		}
+	}
+	pages := make([]uint32, 0, len(f.dir))
+	for no := range f.dir {
+		pages = append(pages, no)
+	}
+	slices.Sort(pages)
+	for _, no := range pages {
+		for i := range f.dir[no] {
+			line := no<<dirPageShift | uint32(i)
+			want := int32(0)
+			if _, ok := exclusive[line]; ok {
+				want = 1
+			}
+			if got := f.dir[no][i].writes; got != want {
+				return guard.NewSimError("coherence.invariant",
+					fmt.Errorf("line %#x: directory counts %d exclusive requests in flight, miss registers hold %d", line, got, want)).
 					WithAddr(f.lineAddr(line))
 			}
 		}
@@ -74,7 +95,7 @@ func (f *Fabric) HotLines(max int) []guard.LineState {
 	for _, line := range lines {
 		ls := guard.LineState{Line: line, Addr: f.lineAddr(line), Owner: -1}
 		if e := f.peekEntry(line); e != nil {
-			ls.Owner = e.owner
+			ls.Owner = int(e.owner)
 			ls.Sharers = e.sharers
 		}
 		out = append(out, ls)

@@ -45,8 +45,9 @@ func (f *Fabric) RestoreState(r *snapshot.Reader) { f.State(snapshot.Restoring(r
 
 // State visits the fabric: every node (cache, miss registers, stats),
 // the directory radix pages in ascending page order, the latency PRNG's
-// draw count, and the chaos stream position. The page-lookup memos are
-// derived state: never visited, dropped on restore.
+// draw count, and the chaos stream position. The page-lookup memos and
+// the entries' counts of writes in flight are derived state: never
+// visited, dropped on restore, the counts rebuilt from the miss registers.
 func (f *Fabric) State(c snapshot.Codec) {
 	c.Section(sectionFabric)
 	c.ShapeI64("node count", int64(len(f.nodes)))
@@ -68,12 +69,24 @@ func (f *Fabric) State(c snapshot.Codec) {
 		}
 		for i := range *pg {
 			e := &(*pg)[i]
-			owner := int32(e.owner)
-			c.I32(&owner)
-			e.owner = int(owner)
+			c.I32(&e.owner)
 			c.U64(&e.sharers)
 		}
 	})
+	if !c.Saving() {
+		// The restored pages are fresh: count the miss registers'
+		// exclusive entries into them.
+		for _, n := range f.nodes {
+			for _, pf := range n.pending {
+				if !pf.exclusive {
+					continue
+				}
+				if e := f.peekEntry(pf.line); e != nil {
+					e.writes++
+				}
+			}
+		}
+	}
 
 	f.rngSrc.State(c)
 	f.P.Chaos.State(c)

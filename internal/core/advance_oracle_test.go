@@ -227,8 +227,12 @@ func advancePath(p *Processor) string {
 	case ready == 0:
 		return "idle"
 	case scheme == Interleaved:
+		i := nextReady(ready, p.rr)
 		kind = "interleaved"
-		c = &p.ctxs[nextReady(ready, p.rr)]
+		if ready&(ready-1) == 0 && i == p.rr {
+			kind = "lone" // the only selectable context, and it holds rr
+		}
+		c = &p.ctxs[i]
 	case blocked:
 		return "fallback/blocked-pick"
 	default:
@@ -265,7 +269,7 @@ func advancePath(p *Processor) string {
 	// fakeMem's fetch never misses).
 	fetched := !p.idealIF && what != "shadow" && what != "redirect"
 	resident := fetched && p.countIF != nil && p.countIF.InstFetchHits(th.pcAddr(th.PC))
-	if kind == "mono" && what != "issue" && resident {
+	if kind != "interleaved" && what != "issue" && resident {
 		return "counted/region"
 	}
 	if p.Cfg.IssueWidth > 1 && (what == "issue" || kind == "interleaved" || fetched) {
@@ -289,12 +293,14 @@ func advancePath(p *Processor) string {
 
 // advancePaths is every way through Advance; each must be gone at least
 // once over the whole grid. A monopolist has no context miss shadow (only
-// the interleaved scheme sets one), so there is no "mono/shadow".
+// the interleaved scheme sets one), so there is no "mono/shadow"; a lone
+// interleaved context holding rr is a monopolist that has one.
 var advancePaths = []string{
 	"frontier/ifetch", "frontier/shadow", "frontier/stall", "idle",
 	"mono/redirect", "mono/dependency", "mono/fu-sync", "mono/fu-long", "mono/fu-short", "mono/issue",
 	"interleaved/shadow", "interleaved/redirect", "interleaved/dependency",
 	"interleaved/fu-sync", "interleaved/fu-long", "interleaved/fu-short", "interleaved/issue",
+	"lone/shadow", "lone/redirect", "lone/dependency", "lone/fu-sync", "lone/fu-long", "lone/fu-short", "lone/issue",
 	"counted/region", "fetched/issue", "fetched/stall-slot", "fetched/miss", "opaque/issue", "opaque/stall-slot",
 	"fallback/no-fast-forward", "fallback/forced-fetch",
 	"fallback/broken-monopoly", "fallback/blocked-pick", "fallback/fine-grained", "fallback/superscalar",
@@ -304,7 +310,8 @@ var advancePaths = []string{
 // leave the clock alone.
 func boringPath(path string) bool {
 	return path == "idle" || path == "counted/region" || strings.HasPrefix(path, "frontier/") ||
-		(strings.HasPrefix(path, "mono/") && path != "mono/issue")
+		(strings.HasPrefix(path, "mono/") && path != "mono/issue") ||
+		(strings.HasPrefix(path, "lone/") && path != "lone/issue")
 }
 
 // sameAfterCall compares what one call can change short of the memory
@@ -541,6 +548,43 @@ func TestStepReportsRetirement(t *testing.T) {
 		}
 		if yes == 0 || no == 0 {
 			t.Errorf("%s: %d retiring and %d non-retiring cycles; the scenario needs both", sc.name, yes, no)
+		}
+	}
+}
+
+// TestNextEventLoneShadowIsARegion: under the interleaved scheme a context
+// that is the only selectable one and already holds rr spends its miss
+// shadow as a monopolist would, so NextEvent reports the shadow as a
+// region — ending where any context's selectability next changes — and,
+// being the pure classifier, leaves the machine exactly as it found it.
+func TestNextEventLoneShadowIsARegion(t *testing.T) {
+	for _, nctx := range []int{1, 4} {
+		sc := oracleScenario{prog: advanceProg(Interleaved.YieldMode()), scheme: Interleaved, nctx: nctx, mem: "fabric"}
+		sc.name = fmt.Sprintf("interleaved/%dctx", nctx)
+		m := sc.build(t)
+		p := m.proc
+		found := false
+		for p.Now() < 20_000 && !p.AllHalted() {
+			now := p.Now()
+			ready := p.readyAt(now)
+			if lone := p.rr >= 0 && ready == 1<<uint(p.rr); lone && now < p.ctxs[p.rr].shadowUntil {
+				found = true
+				c := &p.ctxs[p.rr]
+				before, sel := m.checkpoint(), p.sel
+				cls, ctx, until := p.NextEvent()
+				if want := min(c.shadowUntil, p.sel.validUntil); cls != SlotSwitch || ctx != c.idx || until != want || until <= now {
+					t.Fatalf("%s @%d: NextEvent = (%v, %d, %d), want the shadow region (%v, %d, %d)",
+						sc.name, now, cls, ctx, until, SlotSwitch, c.idx, want)
+				}
+				if !bytes.Equal(m.checkpoint(), before) || p.sel != sel || p.Now() != now {
+					t.Fatalf("%s @%d: NextEvent mutated the machine", sc.name, now)
+				}
+				break
+			}
+			p.Step()
+		}
+		if !found {
+			t.Errorf("%s: no lone context in its miss shadow within %d cycles", sc.name, p.Now())
 		}
 	}
 }

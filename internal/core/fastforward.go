@@ -26,12 +26,15 @@ package core
 //   - A cycle in which a context is selectable is not boring in general:
 //     issueSlot then calls FetchInst and selectContext may move the
 //     round-robin pointer. The exception is a monopolist — the single
-//     context, or a blocked scheme's committed current context — whose
-//     selection mutates nothing: its interlock and functional-unit stalls
-//     are regions too, given what its re-fetches do. Over an ideal fetch
-//     (memsys.IdealInstFetch, the multiprocessor's) they do nothing. Over a
-//     counting one (memsys.CountedInstFetch, the workstation's I-cache) a
-//     fetch that hits is one count and a presence test, and residency
+//     context, a blocked scheme's committed current context, or an
+//     interleaved context that is the only selectable one and already
+//     holds the round-robin pointer — whose selection mutates nothing:
+//     its interlock and functional-unit stalls (and the lone interleaved
+//     context's miss shadow) are regions too, given what its re-fetches
+//     do. Over an ideal fetch (memsys.IdealInstFetch, the
+//     multiprocessor's) they do nothing. Over a counting one
+//     (memsys.CountedInstFetch, the workstation's I-cache) a fetch that
+//     hits is one count and a presence test, and residency
 //     changes only in a fetch that misses or between a driver's calls
 //     (SchedulerInterference), never inside a region — so while the stalled
 //     instruction's line is resident the region stands, and its n slots owe
@@ -144,7 +147,9 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64, fe
 	// selectContext. A monopolist's scoreboard and functional units are
 	// read-only while it keeps the pipeline, so its stalls are skippable
 	// regions — on the MP's dependency-bound kernels the majority of all
-	// slots, on the workstation every interlock.
+	// slots, on the workstation every interlock. A lone interleaved
+	// context keeps the pipeline only until another context becomes
+	// selectable, so its regions also end at the ready mask's validity.
 	ready := p.readyAt(now)
 	var c *hwContext
 	mono := true
@@ -162,7 +167,12 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64, fe
 		c = &p.ctxs[p.cur]
 	case scheme == Interleaved:
 		if ready != 0 {
-			c, mono = &p.ctxs[nextReady(ready, p.rr)], false
+			i := nextReady(ready, p.rr)
+			c = &p.ctxs[i]
+			// A lone selectable context that already holds rr is picked
+			// again without a write, so it is a monopolist until another
+			// context becomes selectable or it stops being so itself.
+			mono = ready&(ready-1) == 0 && i == p.rr
 		}
 	}
 	if c == nil {
@@ -193,6 +203,9 @@ func (p *Processor) advance(issue bool) (cls SlotClass, ctx int, until int64, fe
 	}
 	// A monopolist's stall is a region if its re-fetches are known to hit.
 	if mono && until > now && (!fetches || p.countIF != nil && p.countIF.InstFetchHits(th.pcAddr(th.PC))) {
+		if p.Cfg.Scheme == Interleaved {
+			until = min(until, p.sel.validUntil) // a lone context's
+		}
 		return cls, c.idx, until, fetches
 	}
 	if !issue || p.Cfg.IssueWidth > 1 {

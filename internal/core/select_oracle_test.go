@@ -97,11 +97,36 @@ func scanIdleCause(p *Processor) (SlotClass, int) {
 	return cls, ctx
 }
 
+// scanMonoRegion is a monopolist c's stall as the scan reference reads
+// it: its miss shadow, its fetch redirect, then — behind a fetch that is
+// ideal, or that hits a resident line of a counting I-cache — its
+// scoreboard and functional unit. ok is false when c's slot may do work.
+func scanMonoRegion(p *Processor, c *hwContext, now int64) (cls SlotClass, until int64, fetches, ok bool) {
+	cls, until = SlotSwitch, c.shadowUntil
+	if now >= until {
+		cls, until = SlotStallShort, c.redirectUntil
+	}
+	if now >= until {
+		th := c.thread
+		if !p.idealIF {
+			if p.countIF == nil || !p.countIF.InstFetchHits(th.pcAddr(th.PC)) {
+				return SlotIdle, now, false, false
+			}
+			fetches = true
+		}
+		cls, until = p.hazardRegion(th, &th.insts[th.PC], now)
+	}
+	return cls, until, fetches, until > now
+}
+
 // scanNextEvent is the pre-mask NextEvent: identical frontier, forced
 // fetch and monopoly handling — a monopolist's stall is a region over an
 // ideal fetch, and over a counting one while the stalled instruction's
 // line is resident, when its slots fetch — then a scan over the contexts
-// for "can anyone issue, and if not, who wakes first".
+// for "can anyone issue, and if not, who wakes first". Under the
+// interleaved scheme the scan also finds a lone selectable context that
+// already holds rr: a monopolist whose region ends where any context's
+// selectability next changes.
 func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64, fetches bool) {
 	now := p.cycle
 	if p.Cfg.NoFastForward {
@@ -125,21 +150,7 @@ func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64, fetches b
 			c = &p.ctxs[p.cur]
 		}
 		if scanRunnable(c) && c.availableAt <= now {
-			cls, until := SlotSwitch, c.shadowUntil
-			if now >= until {
-				cls, until = SlotStallShort, c.redirectUntil
-			}
-			if now >= until {
-				th := c.thread
-				if !p.idealIF {
-					if p.countIF == nil || !p.countIF.InstFetchHits(th.pcAddr(th.PC)) {
-						return SlotIdle, -1, now, false
-					}
-					fetches = true
-				}
-				cls, until = p.hazardRegion(th, &th.insts[th.PC], now)
-			}
-			if until > now {
+			if cls, until, fetches, ok := scanMonoRegion(p, c, now); ok {
 				return cls, c.idx, until, fetches
 			}
 			return SlotIdle, -1, now, false
@@ -150,6 +161,32 @@ func scanNextEvent(p *Processor) (cls SlotClass, ctx int, until int64, fetches b
 	}
 	shadowSelects := scheme == Interleaved || scheme == FineGrained
 	wake := int64(math.MaxInt64)
+	if scheme == Interleaved {
+		// selectable counts the contexts that can take the slot; changes
+		// is the first cycle at which the clock alone changes that set.
+		selectable, lone, changes := 0, -1, int64(math.MaxInt64)
+		for i := range p.ctxs {
+			c := &p.ctxs[i]
+			if !scanRunnable(c) {
+				continue
+			}
+			if c.availableAt > now {
+				changes = min(changes, c.availableAt)
+				if c.shadowUntil <= now {
+					continue
+				}
+				changes = min(changes, c.shadowUntil)
+			}
+			selectable++
+			lone = i
+		}
+		if selectable == 1 && lone == p.rr {
+			if cls, until, fetches, ok := scanMonoRegion(p, &p.ctxs[lone], now); ok {
+				return cls, lone, min(until, changes), fetches
+			}
+			return SlotIdle, -1, now, false
+		}
+	}
 	for i := range p.ctxs {
 		c := &p.ctxs[i]
 		if !scanRunnable(c) {

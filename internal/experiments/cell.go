@@ -263,15 +263,18 @@ func runWorkstation(ctx context.Context, kernels []apps.Kernel, w workstation.Co
 	return workstation.RunCtx(ctx, kernels, w)
 }
 
+// mpCell is the memo key of a seeded multiprocessor cell.
+type mpCell struct {
+	App     string
+	Program splash.Options
+	Config  mp.Config
+}
+
 // runMP simulates one seeded multiprocessor cell of app, linked with
 // opts, under c, once per run (memo). A run that does not complete within
 // c's cycle limit is a budget failure carrying the limit-time dump.
 func runMP(ctx context.Context, app splash.App, opts splash.Options, c mp.Config) (*MPCellRecord, error) {
-	return memo(ctx, struct {
-		App     string
-		Program splash.Options
-		Config  mp.Config
-	}{app.Name, opts, c}, func(ctx context.Context) (*MPCellRecord, error) {
+	return memo(ctx, mpCell{app.Name, opts, c}, func(ctx context.Context) (*MPCellRecord, error) {
 		cellCounts.simulated.Add(1)
 		r, err := mp.RunCtx(ctx, app.Program(opts), c)
 		if err != nil {

@@ -143,8 +143,11 @@ type machine[C, R any, T tableCell, Res any] struct {
 	design func(C) design
 	lookup func(subject string) error
 	// attempt configures and runs one attempt of a cell and returns the
-	// record of a successful one.
-	attempt func(ctx context.Context, cfg C, a cellAttempt) (*R, error)
+	// record of a successful one; replayed enters a successful record,
+	// read back from a journal, into the run's memo under the key attempt
+	// a would have simulated it under.
+	attempt  func(ctx context.Context, cfg C, a cellAttempt) (*R, error)
+	replayed func(ctx context.Context, cfg C, a cellAttempt, rec *R)
 	// outcome is the record's shared part; measured reports whether the
 	// record carries a result.
 	outcome  func(*R) *CellOutcome
@@ -318,9 +321,19 @@ func (g *grid[C, R, T, Res]) run(ctx context.Context, j *Journal) (tally[T], err
 	recs := make([]*R, len(g.cells))
 	panics := runCellsAll(ctx, g.d.parallelism, len(recs), func(ctx context.Context, i int) error {
 		// A journaled record that is no outcome re-runs, like a torn one.
+		// A measured one is the run's result for its cell, so a study of
+		// the same run shares it instead of simulating it again; a retried
+		// one came from the last attempt the retry policy allows.
 		if raw, ok := j.Replay(g.name, i); ok {
 			if rec, err := g.decode(raw); err == nil {
 				recs[i] = rec
+				if out := g.outcome(rec); !out.Failed {
+					n := 1
+					if out.Retried {
+						n = guard.GridRetry().Attempts
+					}
+					g.replayed(ctx, g.cfg, g.attemptOf(i, n), rec)
+				}
 				return nil
 			}
 		}

@@ -694,3 +694,87 @@ func replayRecord(t *testing.T, j *Journal, i int) (rec UniCellRecord, ok bool) 
 	}
 	return rec, ok
 }
+
+// A journal-replayed grid cell enters the run's memo: a study of the same
+// run that names the cell shares it instead of simulating it again, and
+// the resumed run prints what the fresh one printed. On the workstation
+// the ablations name Table 7's baseline and its interleaved and blocked
+// 4-context cells; on the multiprocessor the remote-latency sweep's 1.0x
+// points are Table 10's cells.
+func TestResumedGridCellsAreShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	uni := journalTestConfig()
+	mpc := QuickMPConfig()
+	mpc.Apps, mpc.ContextCounts = []string{"ocean"}, []int{4}
+	for _, tc := range []struct {
+		name string
+		fp   Fingerprint
+		// run runs the grid under journal j, then the study, and returns
+		// what they print.
+		run            func(ctx context.Context, j *Journal) (string, error)
+		fresh, resumed CellCounts
+	}{
+		{"workstation", NewFingerprint(&uni, nil, []string{"table7", "ablations"}),
+			func(ctx context.Context, j *Journal) (string, error) {
+				grid := uni
+				grid.Journal = j
+				r, err := RunUniprocessorCtx(ctx, grid)
+				if err != nil {
+					return "", err
+				}
+				_, study, err := RunSection(ctx, "ablations", uni, mpc)
+				return RenderUniSections(Selection([]string{"table7"}), r) + study, err
+			},
+			// The grid's 5 cells and the ablations' 4 variants of their own.
+			CellCounts{Simulated: 9, Shared: 3}, CellCounts{Simulated: 4, Shared: 3}},
+		{"multiprocessor", NewFingerprint(nil, &mpc, []string{"table10"}),
+			func(ctx context.Context, j *Journal) (string, error) {
+				grid := mpc
+				grid.Journal = j
+				r, err := RunMultiprocessorCtx(ctx, grid)
+				if err != nil {
+					return "", err
+				}
+				sweep, err := RemoteLatencySweepCtx(ctx, mpc, "ocean")
+				if err != nil {
+					return "", err
+				}
+				return RenderMPSections(Selection([]string{"table10"}), r) + FormatSweep(sweep), nil
+			},
+			// The grid's 3 cells and the sweep's 9 other points.
+			CellCounts{Simulated: 12, Shared: 3}, CellCounts{Simulated: 9, Shared: 3}},
+	} {
+		path := filepath.Join(t.TempDir(), tc.name+".journal")
+		run := func(resume bool) (string, CellCounts) {
+			t.Helper()
+			open := CreateJournal
+			if resume {
+				open = OpenJournal
+			}
+			j, err := open(path, tc.fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			before := Cells()
+			out, err := tc.run(NewRun(2).Context(context.Background()), j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out, Cells().Sub(before)
+		}
+		fresh, got := run(false)
+		if got != tc.fresh {
+			t.Errorf("%s, fresh run: %v, want %v", tc.name, got, tc.fresh)
+		}
+		resumed, got := run(true)
+		if got != tc.resumed {
+			t.Errorf("%s, resumed run: %v, want %v (the journaled cells shared, not simulated)", tc.name, got, tc.resumed)
+		}
+		if resumed != fresh {
+			t.Errorf("%s: the resumed run prints\n%s\nwant\n%s", tc.name, resumed, fresh)
+		}
+	}
+}

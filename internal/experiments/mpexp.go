@@ -189,6 +189,11 @@ var multiprocessorGrid = &machine[MPConfig, MPCellRecord, MPCell, MPResult]{
 		}
 		return mpAttempt(ctx, cfg, app, a)
 	},
+	replayed: func(ctx context.Context, cfg MPConfig, a cellAttempt, rec *MPCellRecord) {
+		r := *rec
+		r.CellOutcome = CellOutcome{} // what runMP's memo holds
+		memo(ctx, cfg.attemptCell(a), func(context.Context) (*MPCellRecord, error) { return &r, nil })
+	},
 	outcome:  func(rec *MPCellRecord) *CellOutcome { return &rec.CellOutcome },
 	measured: func(rec *MPCellRecord) bool { return rec.Completed },
 	cell: func(sp cellSpec, st CellStatus, rec, base *MPCellRecord) MPCell {
@@ -222,12 +227,8 @@ const OpChaosDivergence = "experiments.chaos"
 // LimitCycles/20 watchdog window); running into the limit itself is not
 // a budget trip and is not retried — the cell already ran that far.
 func mpAttempt(ctx context.Context, cfg MPConfig, app splash.App, a cellAttempt) (*MPCellRecord, error) {
-	mcfg := cfg.cellConfig(a.scheme, a.contexts)
-	mcfg.LimitCycles = guard.Escalate(cfg.LimitCycles, a.escalation)
-	mcfg.Guard = a.guard
-	mcfg.Obs = cfg.Obs
-	opts := cfg.programOptions(a.scheme, a.contexts)
-	mcfg = seedMP(cfg.Seed, a.subject, opts, mcfg)
+	cell := cfg.attemptCell(a)
+	opts, mcfg := cell.Program, cell.Config
 	r, err := runMP(ctx, app, opts, mcfg)
 	if err != nil {
 		return nil, err
@@ -251,6 +252,16 @@ func mpAttempt(ctx context.Context, cfg MPConfig, app splash.App, a cellAttempt)
 	}
 	rec := *r // the run's memo keeps r
 	return &rec, nil
+}
+
+// attemptCell is the seeded multiprocessor cell attempt a simulates.
+func (cfg MPConfig) attemptCell(a cellAttempt) mpCell {
+	mcfg := cfg.cellConfig(a.scheme, a.contexts)
+	mcfg.LimitCycles = guard.Escalate(cfg.LimitCycles, a.escalation)
+	mcfg.Guard = a.guard
+	mcfg.Obs = cfg.Obs
+	opts := cfg.programOptions(a.scheme, a.contexts)
+	return mpCell{a.subject, opts, seedMP(cfg.Seed, a.subject, opts, mcfg)}
 }
 
 // MPGridSize returns the number of cells in cfg's multiprocessor grid —

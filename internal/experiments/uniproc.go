@@ -190,6 +190,9 @@ var workstationGrid = &machine[UniConfig, UniCellRecord, UniCell, UniResult]{
 		}
 		return uniAttempt(ctx, cfg, kernels, a)
 	},
+	replayed: func(ctx context.Context, cfg UniConfig, a cellAttempt, rec *UniCellRecord) {
+		memo(ctx, cfg.attemptCell(a), func(context.Context) (*workstation.Result, error) { return rec.Result, nil })
+	},
 	outcome:  func(rec *UniCellRecord) *CellOutcome { return &rec.CellOutcome },
 	measured: func(rec *UniCellRecord) bool { return rec.Result != nil },
 	cell: func(sp cellSpec, st CellStatus, rec, base *UniCellRecord) UniCell {
@@ -213,15 +216,20 @@ var workstationGrid = &machine[UniConfig, UniCellRecord, UniCell, UniResult]{
 	},
 }
 
-// uniAttempt runs one attempt of a workstation cell on the given
-// kernels — its workload's, except in tests that substitute their own.
-func uniAttempt(ctx context.Context, cfg UniConfig, kernels []apps.Kernel, a cellAttempt) (*UniCellRecord, error) {
+// attemptCell is the seeded workstation cell attempt a simulates.
+func (cfg UniConfig) attemptCell(a cellAttempt) workstationCell {
 	wcfg := cfg.cellConfig(a.scheme, a.contexts)
 	wcfg.Guard = a.guard
 	wcfg.Obs = cfg.Obs
-	wcfg = seedWorkstation(cfg.Seed, a.subject, wcfg)
-	r, err := memo(ctx, workstationCell{a.subject, wcfg}, func(ctx context.Context) (*workstation.Result, error) {
-		return runWorkstation(ctx, kernels, wcfg)
+	return workstationCell{a.subject, seedWorkstation(cfg.Seed, a.subject, wcfg)}
+}
+
+// uniAttempt runs one attempt of a workstation cell on the given
+// kernels — its workload's, except in tests that substitute their own.
+func uniAttempt(ctx context.Context, cfg UniConfig, kernels []apps.Kernel, a cellAttempt) (*UniCellRecord, error) {
+	cell := cfg.attemptCell(a)
+	r, err := memo(ctx, cell, func(ctx context.Context) (*workstation.Result, error) {
+		return runWorkstation(ctx, kernels, cell.Config)
 	})
 	if err != nil {
 		return nil, err

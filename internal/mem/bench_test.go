@@ -3,9 +3,9 @@ package mem
 import "testing"
 
 // BenchmarkMemAccess measures the functional memory's load path across
-// the three locality regimes the page-lookup caches distinguish: a single
-// hot page (memo hit), a working set inside the direct-mapped cache, and
-// a working set wide enough to fall through to the page map.
+// three locality regimes: a single hot page (memo hit), a small working
+// set, and one as wide as a streaming multiprocessor cell's (both served
+// by the page table).
 func BenchmarkMemAccess(b *testing.B) {
 	const word = 4
 

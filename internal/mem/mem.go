@@ -9,7 +9,6 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/snapshot"
 )
@@ -25,60 +24,79 @@ const (
 
 type page [pageCells]uint64
 
-// pageCacheSize is the direct-mapped page-translation cache: simulated
-// working sets touch a handful of pages per inner loop, so a small
-// power-of-two cache absorbs almost every map lookup.
+// The page table has two levels keyed by page number: a fixed root of
+// leaves, each leaf a run of page pointers. A lookup is two indexed loads
+// however many pages are touched, and a walk in index order visits pages
+// in ascending page-number order, which Hash and State need.
 const (
-	pageCacheSize = 64
-	pageCacheMask = pageCacheSize - 1
+	pageNumberBits = 32 - PageShift
+	leafBits       = pageNumberBits / 2
+	leafSize       = 1 << leafBits
+	leafMask       = leafSize - 1
+	rootSize       = 1 << (pageNumberBits - leafBits)
 )
 
-type pageCacheEntry struct {
-	pn uint32
-	p  *page
-}
+type leaf [leafSize]*page
 
 // Memory is a sparse functional memory. The zero value is an empty memory
 // ready to use; all bytes read as zero until written. A Memory is not safe
-// for concurrent use: even loads update the internal page-lookup caches.
+// for concurrent use: even loads update the last-page memo.
 type Memory struct {
-	pages map[uint32]*page
+	root   [rootSize]*leaf
+	npages int // non-nil page pointers under root
 
 	// lastPN/lastPage memoize the most recently touched page (valid when
-	// lastPage != nil) and cache backs it up direct-mapped; both skip the
-	// map on the sequential and small-working-set accesses that dominate
-	// simulated memory traffic.
+	// lastPage != nil): sequential accesses skip the table.
 	lastPN   uint32
 	lastPage *page
-	cache    [pageCacheSize]pageCacheEntry
 }
 
 // New returns an empty memory.
-func New() *Memory { return &Memory{pages: make(map[uint32]*page)} }
+func New() *Memory { return new(Memory) }
 
 func (m *Memory) page(addr uint32, create bool) *page {
 	pn := addr >> PageShift
 	if m.lastPage != nil && m.lastPN == pn {
 		return m.lastPage
 	}
-	if e := &m.cache[pn&pageCacheMask]; e.p != nil && e.pn == pn {
-		m.lastPN, m.lastPage = pn, e.p
-		return e.p
+	var p *page
+	if l := m.root[pn>>leafBits]; l != nil {
+		p = l[pn&leafMask]
 	}
-	p := m.pages[pn]
 	if p == nil {
 		if !create {
 			return nil
 		}
-		if m.pages == nil {
-			m.pages = make(map[uint32]*page)
-		}
 		p = new(page)
-		m.pages[pn] = p
+		m.install(pn, p)
 	}
 	m.lastPN, m.lastPage = pn, p
-	m.cache[pn&pageCacheMask] = pageCacheEntry{pn: pn, p: p}
 	return p
+}
+
+// install puts p in the table as page pn, which must be empty.
+func (m *Memory) install(pn uint32, p *page) {
+	l := m.root[pn>>leafBits]
+	if l == nil {
+		l = new(leaf)
+		m.root[pn>>leafBits] = l
+	}
+	l[pn&leafMask] = p
+	m.npages++
+}
+
+// walk calls f on every page in ascending page-number order.
+func (m *Memory) walk(f func(pn uint32, p *page)) {
+	for hi, l := range &m.root {
+		if l == nil {
+			continue
+		}
+		for lo, p := range l {
+			if p != nil {
+				f(uint32(hi)<<leafBits|uint32(lo), p)
+			}
+		}
+	}
 }
 
 func checkAlign(addr uint32, align uint32, op string) {
@@ -149,7 +167,7 @@ func (m *Memory) TestAndSet(addr uint32) (old uint32) {
 
 // PageCount reports how many 4 KiB pages have been touched; used by tests
 // and by memory-footprint reporting.
-func (m *Memory) PageCount() int { return len(m.pages) }
+func (m *Memory) PageCount() int { return m.npages }
 
 // Hash returns a deterministic FNV-1a digest of the memory *contents*:
 // only nonzero cells contribute, keyed by address, so two memories that
@@ -157,36 +175,31 @@ func (m *Memory) PageCount() int { return len(m.pages) }
 // pages the other never allocated. Chaos-mode tests compare these digests
 // to assert that timing perturbation never changes architectural state.
 //
-// Hash allocates its page-number scratch locally so it is safe to call
-// concurrently with other Hash calls on the same Memory — cells forked
-// from one checkpoint hash their (logically distinct, physically
-// restored-from-shared-bytes) memories from pool goroutines.
+// Hash only reads the table, so it is safe to call concurrently with
+// other Hash calls on the same Memory — cells forked from one checkpoint
+// hash their (logically distinct, physically restored-from-shared-bytes)
+// memories from pool goroutines.
 func (m *Memory) Hash() uint64 {
-	pns := make([]uint32, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	h := uint64(snapshot.FNVOffset)
-	for _, pn := range pns {
-		p := m.pages[pn]
+	m.walk(func(pn uint32, p *page) {
 		for i, cell := range p {
 			if cell == 0 {
 				continue
 			}
 			h = snapshot.Fold(snapshot.Fold(h, uint64(pn)<<16|uint64(i)), cell)
 		}
-	}
+	})
 	return h
 }
 
-// Reset drops all pages, returning the memory to all-zeroes. The page
-// map keeps its capacity for whatever is stored next.
+// Reset drops all pages, returning the memory to all-zeroes. The table's
+// leaves stay allocated for whatever is stored next.
 func (m *Memory) Reset() {
-	if m.pages == nil {
-		m.pages = make(map[uint32]*page)
+	for _, l := range &m.root {
+		if l != nil {
+			clear(l[:])
+		}
 	}
-	clear(m.pages)
+	m.npages = 0
 	m.lastPage = nil
-	m.cache = [pageCacheSize]pageCacheEntry{}
 }

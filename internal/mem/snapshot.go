@@ -17,8 +17,9 @@ func (m *Memory) SaveState(w *snapshot.Writer) { m.State(snapshot.Saving(w)) }
 func (m *Memory) RestoreState(r *snapshot.Reader) { m.State(snapshot.Restoring(r)) }
 
 // State visits every touched page, in ascending page-number order so
-// identical contents always produce identical bytes. The page-lookup
-// memos are derived state: never visited, dropped on restore.
+// identical contents always produce identical bytes: a page count, then
+// each page's number and cells. The last-page memo is derived state:
+// never visited, dropped on restore.
 //
 // A restore drops the old contents but keeps the old pages' storage:
 // U64s overwrites a page in full, so a decoded page takes any spare one
@@ -29,22 +30,39 @@ func (m *Memory) RestoreState(r *snapshot.Reader) { m.State(snapshot.Restoring(r
 // needs.
 func (m *Memory) State(c snapshot.Codec) {
 	c.Section(sectionMemory)
-	var spare []*page
-	if !c.Saving() {
-		spare = make([]*page, 0, len(m.pages))
-		for _, p := range m.pages {
-			spare = append(spare, p)
-		}
-		m.Reset()
+	if c.Saving() {
+		n := uint32(m.npages)
+		c.U32(&n)
+		m.walk(func(pn uint32, p *page) {
+			c.U32(&pn)
+			c.U64s(p[:])
+		})
+		return
 	}
-	snapshot.Map(c, m.pages, func(p **page) {
-		if *p == nil { // restoring: Map hands over a zero value to fill
-			if n := len(spare); n > 0 {
-				*p, spare = spare[n-1], spare[:n-1]
-			} else {
-				*p = new(page)
-			}
+	spare := make([]*page, 0, m.npages)
+	m.walk(func(_ uint32, p *page) { spare = append(spare, p) })
+	m.Reset()
+	var n uint32
+	c.U32(&n)
+	for i := uint32(0); i < n && c.Err() == nil; i++ {
+		var pn uint32
+		c.U32(&pn)
+		c.Expect("page number high bits", int64(pn>>pageNumberBits), 0)
+		if c.Err() != nil {
+			break
 		}
-		c.U64s((*p)[:])
-	})
+		if p := m.page(pn<<PageShift, false); p != nil {
+			c.U64s(p[:]) // a repeated page number: the last copy wins
+			continue
+		}
+		var p *page
+		if k := len(spare); k > 0 {
+			p, spare = spare[k-1], spare[:k-1]
+		} else {
+			p = new(page)
+		}
+		if c.U64s(p[:]); c.Err() == nil {
+			m.install(pn, p)
+		}
+	}
 }

@@ -426,7 +426,6 @@ func TestStateWalkCoversEveryField(t *testing.T) {
 		}, "", map[string]string{
 			"lastPN":   "page-lookup memo",
 			"lastPage": "page-lookup memo",
-			"cache":    "page-lookup memo",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -169,6 +169,15 @@ if grep -rnE 'allow-binary-mismatch|OpenJournalAllow|BinaryMismatchError|Journal
     exit 1
 fi
 
+# Functional memory keeps its pages in a two-level table keyed by page
+# number (internal/mem): a lookup is two indexed loads, and Hash and the
+# state walk read pages in ascending order without sorting. A page map is
+# the lookup the table replaced.
+if grep -rn 'map\[uint32\]\*page' --include='*.go' --exclude='*_test.go' internal/mem; then
+    echo "check.sh: functional memory's pages live in its page table, not a map" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
@@ -359,12 +368,13 @@ go run ./cmd/torture -first 1 -n 20 -require-all-classes
 
 # Optional performance pass: BENCH=1 scripts/check.sh additionally runs
 # the Go benchmarks: the serial-vs-parallel experiment grids, simulator
-# throughput, the fast-forward engine A/B, and the functional-memory fast
-# path. End-to-end numbers and before/after comparisons are the
+# throughput, the fast-forward engine A/B, the functional-memory fast
+# path, and the multiprocessor's lockstep driver and miss path. End-to-end numbers and before/after comparisons are the
 # repository benchmark's: go run ./benchmark -workload <w> -out a.jsonl,
 # then -compare a.jsonl b.jsonl (benchmark/README.md).
 if [ -n "${BENCH:-}" ]; then
     go test -run='^$' -bench='Table7|Table10|SimulatorThroughput|MPSimulatorThroughput' -benchtime=1x .
     go test -run='^$' -bench='BenchmarkStepFastForward|BenchmarkAdvanceCountedFetch' -benchtime=2s ./internal/core/
     go test -run='^$' -bench='BenchmarkMemAccess' -benchtime=1s ./internal/mem/
+    go test -run='^$' -bench='BenchmarkAdvanceMP|BenchmarkStallMiss' -benchtime=5x ./internal/mp/
 fi
