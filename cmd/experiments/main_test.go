@@ -355,6 +355,40 @@ func TestResumeFingerprintMismatchExitCode(t *testing.T) {
 	}
 }
 
+// Forking is no part of the journal fingerprint: a run journaled with
+// its sweeps forked resumes under -no-checkpoint, prints the bytes the
+// journaled run printed and simulates no grid cell again (it appends
+// nothing to the journal).
+func TestResumeWithoutCheckpointReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	journal := filepath.Join(t.TempDir(), "grid.journal")
+	base := []string{"-quick", "-only", "table7,sweeps", "-j", "2"}
+	code, want, errOut := capture(t, append(base, "-journal", journal)...)
+	if code != 0 {
+		t.Fatalf("journaled run: exit code %d; stderr:\n%s", code, errOut)
+	}
+	journaled, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, got, errOut := capture(t, append(base, "-no-checkpoint", "-resume", journal)...)
+	if code != 0 {
+		t.Fatalf("resume under -no-checkpoint: exit code %d; stderr:\n%s", code, errOut)
+	}
+	if got != want {
+		t.Errorf("the resumed run printed other bytes:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, journaled) {
+		t.Errorf("the resume appended %d bytes to the journal; every grid cell was journaled", len(after)-len(journaled))
+	}
+}
+
 // A journaled record that decodes but is neither a result nor a failure
 // — here cell 1 of each grid, overwritten in place with a valid line
 // hash — is not replayed on either grid: -resume runs those cells again

@@ -219,9 +219,8 @@ func runSeed(spec service.JobSpec, baseText string, baseJSON []byte, sched sched
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// The coordinator's "disk": journals take faults, spec files do not
-	// (their writer is proved separately; keeping them clean keeps the
-	// journal fault ordinals stable).
+	// The coordinator's "disk": a job is its journal, and journals take
+	// the faults.
 	mem := faultfs.NewMem()
 	if err := mem.MkdirAll("/state", 0o755); err != nil {
 		return nil, err

@@ -74,21 +74,14 @@ func TestPrefixKeyGrouping(t *testing.T) {
 	}
 }
 
-// TestFingerprintCheckpointStamp: enabling/disabling forking is part of
-// the journal fingerprint, so -resume cannot mix the two regimes.
-func TestFingerprintCheckpointStamp(t *testing.T) {
+// Forking is no part of the journal fingerprint: forked and from-scratch
+// cells are byte-identical, so a journal written with forking on resumes
+// under -no-checkpoint, and the other way round.
+func TestFingerprintIgnoresForking(t *testing.T) {
 	on := QuickUniConfig()
 	off := QuickUniConfig()
 	off.Checkpoint.Disabled = true
-	fpOn := NewFingerprint(&on, nil, nil)
-	fpOff := NewFingerprint(&off, nil, nil)
-	if fpOn.Checkpoint == nil {
-		t.Fatal("forking-enabled fingerprint missing the checkpoint stamp")
-	}
-	if fpOff.Checkpoint != nil {
-		t.Fatal("forking-disabled fingerprint carries a checkpoint stamp")
-	}
-	if fpOn.Hash() == fpOff.Hash() {
-		t.Error("checkpoint stamp does not change the fingerprint hash")
+	if NewFingerprint(&on, nil, nil).Hash() != NewFingerprint(&off, nil, nil).Hash() {
+		t.Error("disabling forking changes the fingerprint hash")
 	}
 }

@@ -42,14 +42,16 @@ const (
 // identity (recorded in the header beside the hash). Version 3 seeds
 // every cell from its configuration rather than its index in the grid,
 // so a version-2 journal holds cells this binary would simulate
-// differently.
-const JournalVersion = 3
+// differently. Version 4 drops the checkpoint stamp and records
+// Parallelism, so the header alone restates the run.
+const JournalVersion = 4
 
-// Fingerprint identifies what a journal was recorded under, in two
-// parts:
+// Fingerprint is what a journal's header records about the run that
+// wrote it, in two parts:
 //
 //   - Config identity (Version, Only, Uni, MP — everything a cell's
-//     inputs are made of): Hash() covers exactly this.
+//     inputs are made of): Hash() covers exactly this. Parallelism is
+//     recorded, as a grid's -json shows it, but not hashed.
 //   - Binary identity (Binary): recorded in the header and compared
 //     beside the hash, not inside it. A rebuilt simulator may compute
 //     other results for the same configuration, and the format version
@@ -63,58 +65,37 @@ type Fingerprint struct {
 	Only    []string   `json:"only,omitempty"`
 	Uni     *UniConfig `json:"uni,omitempty"`
 	MP      *MPConfig  `json:"mp,omitempty"`
-	// Checkpoint stamps runs with warm-up forking enabled, so a resumed
-	// run agrees with the journal on the decision to fork. Forked and
-	// from-scratch cells are byte-identical, so this is provenance
-	// hygiene, not a correctness requirement — but it keeps one journal
-	// from silently mixing the two regimes.
-	Checkpoint *CheckpointStamp `json:"checkpoint,omitempty"`
-}
-
-// CheckpointStamp records the payload codec (snapshot.PayloadVersion) a
-// forking run restored its cells through. A change of container framing
-// alone leaves every forked cell as it was, so it does not move.
-type CheckpointStamp struct {
-	CodecVersion int `json:"codec_version"`
 }
 
 // NewFingerprint builds the fingerprint for a cmd/experiments run over
-// the given configs (either may be nil) and -only selection (sorted into
-// a canonical order here, so callers need not agree on one). Parallelism
-// is zeroed in the copies: results are byte-identical at every -j, so a
-// resume at a different worker count is legitimate.
+// the given configs (either may be nil; the fingerprint refers to them,
+// so they must not change while it is in use) and -only selection
+// (sorted into a canonical order here, so callers need not agree on one).
 func NewFingerprint(uni *UniConfig, mp *MPConfig, only []string) Fingerprint {
 	sortedOnly := append([]string(nil), only...)
 	sort.Strings(sortedOnly)
 	if len(sortedOnly) == 0 {
 		sortedOnly = nil
 	}
-	fp := Fingerprint{Version: JournalVersion, Binary: binaryVersion(), Only: sortedOnly}
-	if uni != nil {
-		u := *uni
-		u.Parallelism = 0
-		u.Journal = nil
-		if !u.Checkpoint.Disabled {
-			fp.Checkpoint = &CheckpointStamp{CodecVersion: snapshot.PayloadVersion}
-		}
-		u.Checkpoint = CheckpointOptions{}
-		fp.Uni = &u
-	}
-	if mp != nil {
-		m := *mp
-		m.Parallelism = 0
-		m.Journal = nil
-		fp.MP = &m
-	}
-	return fp
+	return Fingerprint{Version: JournalVersion, Binary: binaryVersion(), Only: sortedOnly, Uni: uni, MP: mp}
 }
 
 // Hash digests the fingerprint's *config identity*: configSum with the
-// binary identity blanked. Two runs of the same configuration hash
-// identically even across binaries; OpenJournal compares the binary
-// beside the hash.
+// binary identity and the parallelism blanked. Two runs of the same
+// configuration hash identically at every -j and across binaries;
+// OpenJournal compares the binary beside the hash.
 func (fp Fingerprint) Hash() string {
 	fp.Binary = ""
+	if fp.Uni != nil {
+		u := *fp.Uni
+		u.Parallelism = 0
+		fp.Uni = &u
+	}
+	if fp.MP != nil {
+		m := *fp.MP
+		m.Parallelism = 0
+		fp.MP = &m
+	}
 	sum := configSum(fp)
 	return hex.EncodeToString(sum[:12])
 }
@@ -159,13 +140,12 @@ func (e *FingerprintError) Error() string {
 		e.Path, e.What, e.Got, e.Want)
 }
 
-// HeaderNotWrittenError is returned by OpenJournal when the file holds
-// no complete first line: it is empty, or its header was cut short
-// before the newline. That is what a failed header write in
-// CreateJournal leaves behind. No cell can have been recorded after such
-// a header, so a caller may start the journal afresh, as it would for a
-// missing file. A complete first line that is no valid header stays a
-// plain hard error.
+// HeaderNotWrittenError is returned by OpenJournal and ReadFingerprint
+// when the file holds no complete first line: it is empty, or its header
+// was cut short before the newline, as a failed header write in
+// CreateJournal leaves it. No cell was recorded after such a header and
+// no job was acknowledged with it, so the service coordinator removes
+// the file. A complete first line that is no header stays a hard error.
 type HeaderNotWrittenError struct {
 	Path string
 }
@@ -280,34 +260,28 @@ func OpenJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, erro
 	}
 	defer f.Close()
 
-	cells := map[journalKey]json.RawMessage{}
-	var validOff int64
 	r := bufio.NewReaderSize(f, 1<<16)
-	for lines := 0; ; lines++ {
+	header, validOff, err := readHeader(r, path)
+	if err != nil {
+		return nil, err
+	}
+	if err := replayable(path, header, fp); err != nil {
+		return nil, err
+	}
+	cells := map[journalKey]json.RawMessage{}
+	for {
 		raw, err := r.ReadBytes('\n')
 		if err == io.EOF {
-			if lines == 0 {
-				return nil, &HeaderNotWrittenError{Path: path}
-			}
 			break // an unterminated last line is torn, even if it parses
 		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: read journal %s: %w", path, err)
 		}
 		var line journalLine
-		parsed := json.Unmarshal(raw, &line) == nil
-		if lines == 0 {
-			if !parsed {
-				return nil, fmt.Errorf("experiments: journal %s has no intact header; cannot resume from it", path)
-			}
-			if err := replayable(path, line, fp); err != nil {
-				return nil, err
-			}
-		} else if !parsed || line.Type != "cell" || line.Index < 0 || DataHash(line.Data) != line.Hash {
+		if json.Unmarshal(raw, &line) != nil || line.Type != "cell" || line.Index < 0 || DataHash(line.Data) != line.Hash {
 			break // torn, garbage or unknown: everything from here on is lost
-		} else {
-			cells[journalKey{line.Grid, line.Index}] = line.Data
 		}
+		cells[journalKey{line.Grid, line.Index}] = line.Data
 		validOff += int64(len(raw))
 	}
 
@@ -323,24 +297,63 @@ func OpenJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, erro
 	return &Journal{f: af, cells: cells}, nil
 }
 
+// ReadFingerprint returns the fingerprint a journal's header records, of
+// any format version and without the replay rule: the service
+// coordinator rebuilds a job from it. An unreadable header fails as in
+// OpenJournal.
+func ReadFingerprint(fsys faultfs.FS, path string) (Fingerprint, error) {
+	f, err := faultfs.OrOS(fsys).OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return Fingerprint{}, fmt.Errorf("experiments: open journal: %w", err)
+	}
+	defer f.Close()
+	header, _, err := readHeader(bufio.NewReader(f), path)
+	if err != nil {
+		return Fingerprint{}, err
+	}
+	return header.fingerprint(path)
+}
+
+// readHeader reads a journal's first line, which must be its header: a
+// *HeaderNotWrittenError when no first line landed, a plain error when
+// the line is no header. n is the line's length.
+func readHeader(r *bufio.Reader, path string) (header journalLine, n int64, err error) {
+	raw, err := r.ReadBytes('\n')
+	switch {
+	case err == io.EOF:
+		err = &HeaderNotWrittenError{Path: path}
+	case err != nil:
+		err = fmt.Errorf("experiments: read journal %s: %w", path, err)
+	case json.Unmarshal(raw, &header) != nil:
+		err = fmt.Errorf("experiments: journal %s has no intact header; cannot resume from it", path)
+	case header.Type != "header":
+		err = fmt.Errorf("experiments: %s is not a journal (first line is %q, want header)", path, header.Type)
+	}
+	return header, int64(len(raw)), err
+}
+
+// fingerprint decodes the whole fingerprint a header records; its hash
+// covers only the config identity.
+func (h journalLine) fingerprint(path string) (rec Fingerprint, err error) {
+	if err = json.Unmarshal(h.Data, &rec); err != nil {
+		err = fmt.Errorf("experiments: journal %s header fingerprint does not decode: %w", path, err)
+	}
+	return rec, err
+}
+
 // replayable is the one rule that decides whether a journal replays:
 // only under the format version, configuration fingerprint and binary
 // identity that wrote it. Anything else is a *FingerprintError.
 func replayable(path string, header journalLine, fp Fingerprint) error {
-	if header.Type != "header" {
-		return fmt.Errorf("experiments: %s is not a journal (first line is %q, want header)", path, header.Type)
-	}
 	if header.Version != JournalVersion {
 		return &FingerprintError{Path: path, What: "format version", Want: strconv.Itoa(JournalVersion), Got: strconv.Itoa(header.Version)}
 	}
 	if want := fp.Hash(); header.Hash != want {
 		return &FingerprintError{Path: path, What: "configuration", Want: want, Got: header.Hash}
 	}
-	// The header's data carries the whole recorded fingerprint, so the
-	// writer's binary is recoverable even though the hash excludes it.
-	var rec Fingerprint
-	if err := json.Unmarshal(header.Data, &rec); err != nil {
-		return fmt.Errorf("experiments: journal %s header fingerprint does not decode: %w", path, err)
+	rec, err := header.fingerprint(path)
+	if err != nil {
+		return err
 	}
 	if rec.Binary != fp.Binary {
 		return &FingerprintError{Path: path, What: "binary", Want: fp.Binary, Got: rec.Binary}

@@ -61,9 +61,9 @@ type UniConfig struct {
 	// Checkpoint configures warm-up sharing for the sensitivity sweeps:
 	// sweeps whose swept parameter is a measurement-time override
 	// simulate their shared warm-up prefix once and fork every cell from
-	// it. Excluded from JSON because forked and from-scratch runs are
-	// byte-identical; whether a run forked, and under which payload
-	// codec, is recorded in Fingerprint.Checkpoint instead.
+	// it. Excluded from JSON, and so from the journal fingerprint,
+	// because forked and from-scratch runs are byte-identical: a run
+	// journaled with forking resumes without it, and the other way round.
 	Checkpoint CheckpointOptions `json:"-"`
 }
 

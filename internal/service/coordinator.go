@@ -14,10 +14,12 @@
 //     redispatched; a late duplicate report is deduplicated by
 //     (grid, index) + payload hash, so at-least-once dispatch still
 //     yields exactly-once results.
-//   - A coordinator restart rebuilds every job from its spec file and
-//     journal with zero re-simulation of completed cells. A journal of
-//     another format version, configuration or binary replays nothing:
-//     the job's journal starts afresh and its cells run again.
+//   - A job is its journal: it exists once the journal's header, which
+//     records the job's configs and selection, is durable, and a
+//     coordinator restart rebuilds every job from its journal alone
+//     with zero re-simulation of completed cells. A journal of another
+//     format version, configuration or binary replays nothing: the
+//     job's journal starts afresh and its cells run again.
 //
 // Determinism does the rest: a cell derives its seed from its
 // configuration (experiments.Grid.RunCell), so *which* worker runs a
@@ -31,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"path/filepath"
 	"regexp"
@@ -43,7 +44,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultfs"
 	"repro/internal/guard"
-	"repro/internal/metrics"
 )
 
 // JobSpec is what a client submits: the same resolved grid configs
@@ -51,6 +51,7 @@ import (
 // configs determine every cell result; the coordinator fingerprints them
 // exactly as cmd/experiments does, so a service journal and a
 // single-process journal written by the same binary are interchangeable.
+// A job's spec is read back from its journal's fingerprint (specOf).
 type JobSpec struct {
 	Only []string               `json:"only,omitempty"`
 	Uni  *experiments.UniConfig `json:"uni,omitempty"`
@@ -76,10 +77,16 @@ func (s JobSpec) resolve() ([]experiments.Grid, experiments.Fingerprint, error) 
 	return grids, fp, err
 }
 
+// specOf is the spec a journal header's fingerprint records: the one a
+// job runs under, before and after a restart.
+func specOf(fp experiments.Fingerprint) JobSpec {
+	return JobSpec{Only: fp.Only, Uni: fp.Uni, MP: fp.MP}
+}
+
 // Config parameterizes the coordinator.
 type Config struct {
-	// Dir holds the per-job spec files and cell journals — the state a
-	// restarted coordinator resumes from.
+	// Dir holds the per-job cell journals — the state a restarted
+	// coordinator resumes from.
 	Dir string
 	// LeaseTTL bounds how long a dispatched cell may go without a
 	// heartbeat before it is redispatched.
@@ -99,9 +106,8 @@ type Config struct {
 	// Logf, when non-nil, receives coordinator events (leases expiring,
 	// workers quarantined, jobs completing).
 	Logf func(format string, args ...any)
-	// FS is the filesystem the coordinator's durability layer (spec
-	// files, journals) runs on; nil means the real one. The torture
-	// harness passes a faultfs injector here.
+	// FS is the filesystem the coordinator's journals live on; nil means
+	// the real one. The torture harness passes a faultfs injector here.
 	FS faultfs.FS
 }
 
@@ -230,13 +236,14 @@ type Coordinator struct {
 	nextLease int64
 }
 
-var specFileRe = regexp.MustCompile(`^job-(\d+)\.spec\.json$`)
+var journalFileRe = regexp.MustCompile(`^job-(\d+)\.journal$`)
 
 // NewCoordinator creates a coordinator over cfg.Dir, recovering every
-// job whose spec file survives: its journal is reopened, intact cells
-// replay with zero re-simulation, and only the remainder is redispatched.
-// A journal of another format version, configuration fingerprint or
-// binary is started afresh, and all of that job's cells re-run.
+// job whose journal header survives: the job is rebuilt from the header,
+// intact cells replay with zero re-simulation, and only the remainder is
+// redispatched. A journal of another format version, configuration
+// fingerprint or binary is started afresh, and all of that job's cells
+// re-run.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -252,7 +259,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("service: scan state directory: %w", err)
 	}
 	for _, e := range entries {
-		m := specFileRe.FindStringSubmatch(e.Name())
+		m := journalFileRe.FindStringSubmatch(e.Name())
 		if m == nil {
 			continue
 		}
@@ -260,15 +267,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		if err := c.recoverJob(id); err != nil {
 			return nil, fmt.Errorf("service: recover job %d: %w", id, err)
 		}
-		if id >= c.nextJob {
-			c.nextJob = id + 1
-		}
+		c.nextJob = max(c.nextJob, id+1)
 	}
 	return c, nil
-}
-
-func (c *Coordinator) specPath(id int) string {
-	return filepath.Join(c.cfg.Dir, fmt.Sprintf("job-%d.spec.json", id))
 }
 
 func (c *Coordinator) journalPath(id int) string {
@@ -288,42 +289,37 @@ func newJob(id int, spec JobSpec, grids []experiments.Grid, journal *experiments
 	return j
 }
 
-// recoverJob rebuilds one job from its spec file and journal. Cells with
-// an intact journal record are done on arrival — the "zero
-// re-simulation" restart guarantee; everything else redispatches with a
-// fresh attempt budget.
+// recoverJob rebuilds one job from its journal. Cells with an intact
+// record are done on arrival — the "zero re-simulation" restart
+// guarantee; everything else redispatches with a fresh attempt budget. A
+// journal whose header never landed is no job — its submit was never
+// answered 201 — and is removed.
 func (c *Coordinator) recoverJob(id int) error {
-	data, err := c.cfg.FS.ReadFile(c.specPath(id))
+	path := c.journalPath(id)
+	recorded, err := experiments.ReadFingerprint(c.cfg.FS, path)
+	var unwritten *experiments.HeaderNotWrittenError
+	var stale *experiments.FingerprintError
+	if errors.As(err, &unwritten) {
+		c.cfg.Logf("job %d: %v; no job, removing the file", id, err)
+		return c.cfg.FS.Remove(path)
+	}
 	if err != nil {
 		return err
 	}
-	var spec JobSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return fmt.Errorf("spec file: %w", err)
-	}
+	spec := specOf(recorded)
 	grids, fp, err := spec.resolve()
 	if err != nil {
 		return err
 	}
-	journal, err := experiments.OpenJournalFS(c.cfg.FS, c.journalPath(id), fp)
+	journal, err := experiments.OpenJournalFS(c.cfg.FS, path, fp)
+	if errors.As(err, &stale) {
+		// Another format version, configuration hash or binary: its cells
+		// are not known to be this simulator's, and the job re-runs them.
+		c.cfg.Logf("job %d: %v; re-running its cells", id, err)
+		journal, err = experiments.CreateJournalFS(c.cfg.FS, path, fp)
+	}
 	if err != nil {
-		// A spec without a journal, or with one whose header never landed,
-		// means the crash or a failed write hit between the two writes at
-		// submission; start the journal fresh. So does a journal that may
-		// not replay — another format version, configuration fingerprint
-		// or binary: its cells are not known to be this simulator's, and
-		// the job re-runs them.
-		var unwritten *experiments.HeaderNotWrittenError
-		var stale *experiments.FingerprintError
-		switch {
-		case errors.As(err, &stale):
-			c.cfg.Logf("job %d: %v; re-running its cells", id, err)
-		case !errors.Is(err, fs.ErrNotExist) && !errors.As(err, &unwritten):
-			return err
-		}
-		if journal, err = experiments.CreateJournalFS(c.cfg.FS, c.journalPath(id), fp); err != nil {
-			return err
-		}
+		return err
 	}
 	j := newJob(id, spec, grids, journal)
 	for _, cl := range j.cells {
@@ -517,28 +513,25 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A job exists once its journal header is durable, directory entry
+	// included; only then is it answered 201. A failed submit removes the
+	// file, and recovery removes a header a crash cut short, so no restart
+	// finds a job no client was told of.
 	id := c.nextJob
-	specData, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "encode spec: %v", err)
-		return
+	path := c.journalPath(id)
+	journal, err := experiments.CreateJournalFS(c.cfg.FS, path, fp)
+	if err == nil {
+		if err = c.cfg.FS.SyncDir(c.cfg.Dir); err != nil {
+			journal.Close()
+		}
 	}
-	// Spec before journal: a crash between the two leaves a spec whose
-	// journal recovery recreates, never a journal no restart can interpret.
-	if err := metrics.WriteFileAtomicFS(c.cfg.FS, c.specPath(id), func(w io.Writer) error {
-		_, werr := w.Write(specData)
-		return werr
-	}); err != nil {
-		httpError(w, http.StatusInternalServerError, "persist spec: %v", err)
-		return
-	}
-	journal, err := experiments.CreateJournalFS(c.cfg.FS, c.journalPath(id), fp)
 	if err != nil {
+		c.cfg.FS.Remove(path)
 		httpError(w, http.StatusInternalServerError, "create journal: %v", err)
 		return
 	}
 	c.nextJob++
-	j := newJob(id, spec, grids, journal)
+	j := newJob(id, specOf(fp), grids, journal)
 	c.jobs[id] = j
 	c.cfg.Logf("job %d submitted: %d cells in %d grid(s)", id, len(j.cells), len(grids))
 	writeJSON(w, http.StatusCreated, submitResponse{ID: id, Cells: len(j.cells)})

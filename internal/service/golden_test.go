@@ -24,14 +24,15 @@ import (
 // later one, is judged against fixed digests rather than against itself.
 // A digest moves only when simulated behaviour, the record format or the
 // rendering changes, and such a change says so by updating this table.
-// The last two such changes seeded every cell from its configuration
-// instead of its grid index, bumping the journal to version 3, and kept
-// an in-flight upgrade's ownership when its line's shared copy is
-// evicted.
+// The last three such changes seeded every cell from its configuration
+// instead of its grid index, bumping the journal to version 3; kept an
+// in-flight upgrade's ownership when its line's shared copy is evicted;
+// and dropped the header's checkpoint stamp, bumping the journal to
+// version 4 (the fingerprints moved, no cell line did).
 var gridGolden = map[string]string{
-	"fingerprint":         "a6a0e79bb8f289af9c6169a3",
-	"fingerprint.default": "268d3d80bc0cce1733d4a591",
-	"fingerprint.quick":   "0d9b9f43f8260cddac077796",
+	"fingerprint":         "165d453cf966c7930302430a",
+	"fingerprint.default": "b2ceb99f47704198f2935912",
+	"fingerprint.quick":   "d5350f5d83075e1d09912f72",
 	"local.text":          "6f74b8ecb1d5510a6158517fdd2f27cec612974547cc4932058bf622957a966f",
 	"local.json":          "65d2a7d4ee2c6bf70cc30bb4fc9ba365ad71d1fafb0cef46f2c19b7e9bc4c66c",
 	"local.cells":         "ba65a9d94cb64ba7b6271118a5003992f32858ed385a55411d3483509a22140a",
@@ -212,22 +213,13 @@ func TestGridGoldenCoordinatorFailedCells(t *testing.T) {
 	})
 }
 
-// A state directory written by the coordinator of the ownership fix
-// above (the job above, copied out after it completed) is recovered as
-// it stands:
-// every cell replays, none is dispatched, and the result is the pinned
-// one.
+// A state directory written by the coordinator of the version-4 journal
+// (the job above, copied out after it completed) is recovered as it
+// stands: every cell replays, none is dispatched, and the result is the
+// pinned one.
 func TestRecoverParentStateDirectory(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"job-1.spec.json", "job-1.journal"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "parent-state", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	copyState(t, "parent-state", dir)
 	coord := newTestCoordinator(t, Config{Dir: dir})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
@@ -255,4 +247,64 @@ func TestRecoverParentStateDirectory(t *testing.T) {
 		"failed.text": digest([]byte(res.Text)),
 		"failed.json": digest(res.JSON),
 	})
+}
+
+// A state directory the version-3 coordinator wrote (a spec file beside
+// a journal whose header records the job with its parallelism zeroed and
+// a checkpoint stamp) is upgraded, not refused: the coordinator ignores
+// the spec file, rebuilds the job from the journal header, starts the
+// journal afresh and re-runs every cell to the single-process bytes of
+// the configs that header records. A spec file with no journal is no
+// job.
+func TestRecoverVersion3StateDirectory(t *testing.T) {
+	dir := t.TempDir()
+	copyState(t, "v3-state", dir)
+	spec, err := os.ReadFile(filepath.Join(dir, "job-1.spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-2.spec.json"), spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := experiments.ReadFingerprint(nil, filepath.Join(dir, "job-1.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recorded.Version != 3 {
+		t.Fatalf("the fixture's journal is version %d, want 3", recorded.Version)
+	}
+	wantText, wantJSON := reference(t, specOf(recorded))
+
+	coord := newTestCoordinator(t, Config{Dir: dir})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	client := &Client{Base: srv.URL}
+	ctx := context.Background()
+	st, err := client.Status(ctx, 1)
+	if err != nil || st.Done != 0 || st.Cells == 0 {
+		t.Fatalf("upgraded job: %+v, %v; want its cells and none replayed", st, err)
+	}
+	if st, err := client.Status(ctx, 2); !isStatus(err, http.StatusNotFound) {
+		t.Errorf("a spec file with no journal became job 2: %+v, %v", st, err)
+	}
+	startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
+	assertIdentical(t, waitResult(t, srv.URL, 1), wantText, wantJSON)
+}
+
+// copyState copies the files of testdata/<name> into dir.
+func copyState(t *testing.T, name, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join("testdata", name, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

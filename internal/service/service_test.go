@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faultfs"
 	"repro/internal/guard"
 	"repro/internal/seeded"
 )
@@ -417,13 +418,12 @@ func TestDuplicateAndMismatchedReports(t *testing.T) {
 	}
 }
 
-// A submit whose journal header write failed leaves a durable spec
-// beside an empty or newline-less journal. A restart recreates that
-// journal, as it does a missing one, and runs the job; a complete first
-// line that is no header still stops the coordinator.
+// A journal whose header never landed — an empty file, or a header cut
+// short before its newline — belongs to a submit that was never answered
+// 201, so it is no job: a restart removes the file and shows no job. A
+// complete first line that is no header still stops the coordinator.
 func TestRecoverJournalWithoutHeader(t *testing.T) {
 	spec := JobSpec{Uni: tinyUniSpec()}
-	wantText, wantJSON := reference(t, spec)
 	for _, c := range []struct {
 		name    string
 		journal func(header string) string
@@ -469,23 +469,73 @@ func TestRecoverJournalWithoutHeader(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restart: %v", err)
 			}
+			defer restarted.Close()
 			srv = httptest.NewServer(restarted.Handler())
-			startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
-			assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
-			srv.Close()
-			restarted.Close()
-
-			// The recreated journal is a working one: the next restart
-			// replays every cell.
-			again := newTestCoordinator(t, Config{Dir: dir})
-			srv = httptest.NewServer(again.Handler())
 			defer srv.Close()
-			st, err := (&Client{Base: srv.URL}).Status(context.Background(), id)
-			if err != nil || !st.Complete || st.Done != st.Cells {
-				t.Errorf("second restart: %+v, %v; want every cell replayed", st, err)
+			if st, err := (&Client{Base: srv.URL}).Status(context.Background(), id); !isStatus(err, http.StatusNotFound) {
+				t.Errorf("restart shows job %d: %+v, %v; want a 404", id, st, err)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("the header-less journal was not removed: %v", err)
 			}
 		})
 	}
+}
+
+// A submit whose journal header cannot be made durable is answered 500,
+// and no restart finds the job it did not create: neither one over the
+// same disk nor one over the disk a crash at that point leaves. A job
+// answered 201 is on disk: a crash right after the answer keeps it.
+func TestFailedSubmitLeavesNoJob(t *testing.T) {
+	spec := JobSpec{Uni: tinyUniSpec()}
+	wantText, wantJSON := reference(t, spec)
+	ctx := context.Background()
+	serve := func(t *testing.T, fsys faultfs.FS) string {
+		coord := newTestCoordinator(t, Config{Dir: "/state", FS: fsys})
+		srv := httptest.NewServer(coord.Handler())
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+
+	mem := faultfs.NewMem()
+	if err := mem.MkdirAll("/state", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	inj := faultfs.NewInjector(mem, seeded.Plan[faultfs.FaultKind]{{Kind: faultfs.FaultFailedSync, At: 1}},
+		func(path string) bool { return strings.HasSuffix(path, ".journal") }, nil)
+	_, _, err := (&Client{Base: serve(t, inj)}).Submit(ctx, spec)
+	if !isStatus(err, http.StatusInternalServerError) {
+		t.Fatalf("submit whose journal header sync failed: %v, want a 500", err)
+	}
+	if n := inj.Fired()[faultfs.FaultFailedSync]; n != 1 {
+		t.Fatalf("the header sync fault fired %d times, want once", n)
+	}
+
+	for name, disk := range map[string]*faultfs.Mem{"same disk": mem, "crash image": mem.CrashImage()} {
+		t.Run(name, func(t *testing.T) {
+			client := &Client{Base: serve(t, disk)}
+			if st, err := client.Status(ctx, 1); !isStatus(err, http.StatusNotFound) {
+				t.Fatalf("restart shows the failed submit as job 1: %+v, %v; want a 404", st, err)
+			}
+			id, cells, err := client.Submit(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recovered := &Client{Base: serve(t, disk.CrashImage())}
+			if st, err := recovered.Status(ctx, id); err != nil || st.Cells != cells || st.Done != 0 {
+				t.Errorf("job %d after a crash right after its 201: %+v, %v; want %d cells, none done", id, st, err, cells)
+			}
+			for _, base := range []string{client.Base, recovered.Base} {
+				startWorker(t, base, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
+				assertIdentical(t, waitResult(t, base, id), wantText, wantJSON)
+			}
+		})
+	}
+}
+
+func isStatus(err error, status int) bool {
+	ae, ok := err.(*apiError)
+	return ok && ae.Status == status
 }
 
 // Kill the coordinator mid-job and restart it on the same state
@@ -777,12 +827,13 @@ func TestRecoverJournalOfAnotherVersion(t *testing.T) {
 	}
 }
 
-// A journal of the current format version recorded under another
-// configuration fingerprint — what a restart over an old state
+// A journal of the current format version whose header's hash is not
+// the hash of the configs it records — what a restart over an old state
 // directory finds once a fingerprinted config struct gains a field —
-// holds cells of another grid. The restarted coordinator neither refuses
-// to start over it nor replays it: it starts that job's journal afresh
-// and runs every cell again, to the bytes a single-process run prints.
+// may hold cells of another grid. The restarted coordinator neither
+// refuses to start over it nor replays it: it starts that job's journal
+// afresh and runs every cell again, to the bytes a single-process run
+// prints.
 func TestRecoverJournalOfAnotherFingerprint(t *testing.T) {
 	spec := JobSpec{Uni: tinyUniSpec()}
 	wantText, wantJSON := reference(t, spec)
@@ -799,17 +850,11 @@ func TestRecoverJournalOfAnotherFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replace the job's journal with every cell of the same grid under
-	// another seed: same version, same grid names and indices, other
-	// results.
-	other := *spec.Uni
-	other.Seed++
-	grids, fp, err := JobSpec{Uni: &other}.resolve()
+	// Journal every cell of the job's own grid, then restamp the header
+	// with a hash its recorded configs do not have.
+	grids, fp, err := spec.resolve()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, want, _ := spec.resolve(); fp.Hash() == want.Hash() {
-		t.Fatal("the other grid has the job's fingerprint")
 	}
 	path := filepath.Join(dir, fmt.Sprintf("job-%d.journal", id))
 	j, err := experiments.CreateJournal(path, fp)
@@ -822,6 +867,18 @@ func TestRecoverJournalOfAnotherFingerprint(t *testing.T) {
 		}
 	}
 	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := `"hash":"` + fp.Hash() + `"`
+	if !strings.Contains(string(data), stamp) {
+		t.Fatalf("journal header carries no %s", stamp)
+	}
+	forged := strings.Replace(string(data), stamp, `"hash":"`+strings.Repeat("0", len(fp.Hash()))+`"`, 1)
+	if err := os.WriteFile(path, []byte(forged), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -96,13 +95,6 @@ func TestRecordThatIsNoOutcomeIsNeverAccepted(t *testing.T) {
 
 	t.Run("recovery", func(t *testing.T) {
 		dir := t.TempDir()
-		specData, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "job-1.spec.json"), specData, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		forgedJournal(t, filepath.Join(dir, "job-1.journal"), spec)
 		coord := newTestCoordinator(t, Config{Dir: dir})
 		srv := httptest.NewServer(coord.Handler())

@@ -39,14 +39,6 @@ import (
 // Version 2 changed only the trailing checksum (FNV-1a → CRC-32C).
 const Version = 2
 
-// PayloadVersion is the version of the payload alone: the bytes the
-// layers' walks produce. It moves with every walk change and not with a
-// change of framing; version 2 containers carry version 1 payloads.
-// Cell journals stamp it, since a forked cell's result depends on the
-// machine state it restored, never on how the container around it was
-// framed.
-const PayloadVersion = 1
-
 // magic identifies a snapshot container ("RPSN", little-endian).
 const magic uint32 = 0x4e535052
 

@@ -14,9 +14,9 @@ import (
 
 // TestCheckpointGolden pins whole-machine checkpoint bytes: the
 // container's length and StateHash, and the StateHash of the payload
-// inside it. A journal stamps snapshot.PayloadVersion on every forked
-// run, so while it does not move any rewrite of the state walks has to
-// reproduce these bytes exactly. The payload hashes are the values
+// inside it. A forked sweep cell must equal the same cell run from
+// scratch, so any rewrite of the state walks has to reproduce these
+// bytes exactly. The payload hashes are the values
 // the hand-mirrored per-layer codecs wrote at codec version 1; version 2
 // changed only the container's trailer, and they did not move. Chaos is
 // on and the watchdog is armed so both optional blocks are in the
