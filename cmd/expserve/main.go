@@ -102,13 +102,8 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("expserve serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7711", "listen address (port 0 picks a free port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file (for port 0)")
-	dir := fs.String("dir", "", "state directory for job specs and cell journals (required)")
+	dir := fs.String("dir", "", "state directory for the jobs' cell journals (required)")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "cell lease duration; a worker silent this long forfeits its cells")
-	maxJobs := fs.Int("max-jobs", 4, "active-job bound; submits beyond it get 429 + Retry-After")
-	retryAttempts := fs.Int("retry-attempts", 3, "lease attempts per cell before it is recorded as failed")
-	retryBase := fs.Duration("retry-base", 50*time.Millisecond, "base redispatch backoff (doubles per attempt, jittered)")
-	breakerK := fs.Int("breaker", 3, "quarantine a worker after this many consecutive lease expiries")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "worker quarantine duration (0 = 10 lease TTLs)")
 	if err := fs.Parse(args); err != nil {
 		return experiments.ExitUsage
 	}
@@ -120,16 +115,7 @@ func runServe(args []string) int {
 	logf := func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, "expserve: "+format+"\n", a...)
 	}
-	coord, err := service.NewCoordinator(service.Config{
-		Dir:      *dir,
-		LeaseTTL: *leaseTTL,
-		MaxJobs:  *maxJobs,
-		Retry: guard.Retry{Attempts: *retryAttempts, Base: *retryBase,
-			Cap: 2 * time.Second, Seed: 1},
-		BreakerThreshold: *breakerK,
-		BreakerCooldown:  *breakerCooldown,
-		Logf:             logf,
-	})
+	coord, err := service.NewCoordinator(service.Config{Dir: *dir, LeaseTTL: *leaseTTL, Logf: logf})
 	if err != nil {
 		return die(err)
 	}
