@@ -57,8 +57,6 @@ type FS interface {
 	// CreateTemp creates a new unique file in dir with os.CreateTemp
 	// naming semantics.
 	CreateTemp(dir, pattern string) (File, error)
-	// ReadFile reads the whole file.
-	ReadFile(path string) ([]byte, error)
 	// Rename atomically replaces newpath with oldpath. Durability of the
 	// rename itself requires SyncDir on the parent directory.
 	Rename(oldpath, newpath string) error
@@ -107,7 +105,6 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(path string) ([]byte, error)   { return os.ReadFile(path) }
 func (osFS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(path string) error               { return os.Remove(path) }
 func (osFS) Truncate(path string, size int64) error { return os.Truncate(path, size) }

@@ -208,7 +208,6 @@ func (in *Injector) wrap(f File) File {
 	return &injectedFile{inner: f, in: in}
 }
 
-func (in *Injector) ReadFile(path string) ([]byte, error)   { return in.inner.ReadFile(path) }
 func (in *Injector) Rename(oldpath, newpath string) error   { return in.inner.Rename(oldpath, newpath) }
 func (in *Injector) Remove(path string) error               { return in.inner.Remove(path) }
 func (in *Injector) Truncate(path string, size int64) error { return in.inner.Truncate(path, size) }

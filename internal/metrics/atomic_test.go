@@ -154,7 +154,7 @@ func TestWriteFileAtomicFailedSyncAborts(t *testing.T) {
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("err = %v, want injected EIO", err)
 	}
-	for name, fsys := range map[string]faultfs.FS{"live": m, "crash image": m.CrashImage()} {
+	for name, fsys := range map[string]*faultfs.Mem{"live": m, "crash image": m.CrashImage()} {
 		data, err := fsys.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

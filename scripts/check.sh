@@ -169,6 +169,16 @@ if grep -rnE 'allow-binary-mismatch|OpenJournalAllow|BinaryMismatchError|Journal
     exit 1
 fi
 
+# A job is its journal: the coordinator rebuilds a job from its journal
+# header's fingerprint alone, so there is no spec file beside it, and the
+# header carries no checkpoint stamp (forked and from-scratch cells are
+# byte-identical; snapshot has one version number).
+if grep -rnE 'spec\.json|specPath|CheckpointStamp|PayloadVersion' \
+    --include='*.go' --exclude='*_test.go' .; then
+    echo "check.sh: a job is its journal; no spec files, no checkpoint stamp" >&2
+    exit 1
+fi
+
 # Functional memory keeps its pages in a two-level table keyed by page
 # number (internal/mem): a lookup is two indexed loads, and Hash and the
 # state walk read pages in ascending order without sorting. A page map is
