@@ -526,7 +526,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		c.cfg.FS.Remove(path)
+		_ = c.cfg.FS.Remove(path) // best effort: recovery also removes a header that never landed
 		httpError(w, http.StatusInternalServerError, "create journal: %v", err)
 		return
 	}
