@@ -220,14 +220,14 @@ func runSeed(spec service.JobSpec, baseText string, baseJSON []byte, sched sched
 	defer cancel()
 
 	// The coordinator's "disk": a job is its journal, and journals take
-	// the faults.
+	// the faults, as does the side file each header is first written to.
 	mem := faultfs.NewMem()
 	if err := mem.MkdirAll("/state", 0o755); err != nil {
 		return nil, err
 	}
 	crashCh := make(chan faultfs.Fault, 8)
 	inj := faultfs.NewInjector(mem, sched.Disk,
-		func(path string) bool { return strings.HasSuffix(path, ".journal") },
+		func(path string) bool { return strings.Contains(path, ".journal") },
 		func(f faultfs.Fault) {
 			select {
 			case crashCh <- f:

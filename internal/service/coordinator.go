@@ -316,7 +316,7 @@ func (c *Coordinator) recoverJob(id int) error {
 		// Another format version, configuration hash or binary: its cells
 		// are not known to be this simulator's, and the job re-runs them.
 		c.cfg.Logf("job %d: %v; re-running its cells", id, err)
-		journal, err = experiments.CreateJournalFS(c.cfg.FS, path, fp)
+		journal, err = c.createJournal(id, fp)
 	}
 	if err != nil {
 		return err
@@ -346,6 +346,28 @@ func (c *Coordinator) recoverJob(id int) error {
 	}
 	c.jobs[id] = j
 	return nil
+}
+
+// createJournal writes a job's journal header to a side file, renames it
+// over job-N.journal and syncs the directory, so that name never holds a
+// header that has not landed: a submit's journal appears whole or not at
+// all, and a stale journal started afresh leaves, whatever fails or
+// crashes, the old header or the new one, never a file recovery takes
+// for no job.
+func (c *Coordinator) createJournal(id int, fp experiments.Fingerprint) (*experiments.Journal, error) {
+	path := c.journalPath(id)
+	journal, err := experiments.CreateJournalFS(c.cfg.FS, path+".new", fp)
+	if err != nil {
+		return nil, err
+	}
+	if err = c.cfg.FS.Rename(path+".new", path); err == nil {
+		err = c.cfg.FS.SyncDir(c.cfg.Dir)
+	}
+	if err != nil {
+		journal.Close()
+		return nil, err
+	}
+	return journal, nil
 }
 
 // Handler returns the coordinator's HTTP API.
@@ -514,19 +536,15 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// A job exists once its journal header is durable, directory entry
-	// included; only then is it answered 201. A failed submit removes the
-	// file, and recovery removes a header a crash cut short, so no restart
-	// finds a job no client was told of.
+	// included; only then is it answered 201, so every 201 is one job on
+	// disk. A failed submit removes the file a failed directory sync left.
+	// Yet a restart can still find a job no client was told of: after a
+	// crash between the directory sync and the reply, or after a failed
+	// directory sync whose removal never landed.
 	id := c.nextJob
-	path := c.journalPath(id)
-	journal, err := experiments.CreateJournalFS(c.cfg.FS, path, fp)
-	if err == nil {
-		if err = c.cfg.FS.SyncDir(c.cfg.Dir); err != nil {
-			journal.Close()
-		}
-	}
+	journal, err := c.createJournal(id, fp)
 	if err != nil {
-		_ = c.cfg.FS.Remove(path) // best effort: recovery also removes a header that never landed
+		_ = c.cfg.FS.Remove(c.journalPath(id)) // best effort: a durable header that outlives it is a job
 		httpError(w, http.StatusInternalServerError, "create journal: %v", err)
 		return
 	}

@@ -254,16 +254,21 @@ func TestRecoverParentStateDirectory(t *testing.T) {
 // a checkpoint stamp) is upgraded, not refused: the coordinator ignores
 // the spec file, rebuilds the job from the journal header, starts the
 // journal afresh and re-runs every cell to the single-process bytes of
-// the configs that header records. A spec file with no journal is no
-// job.
+// the spec the client submitted. The one deviation is pinned: the header
+// did not record parallelism, so the -json shows 0 where the submitted
+// spec had 2. A spec file with no journal is no job.
 func TestRecoverVersion3StateDirectory(t *testing.T) {
 	dir := t.TempDir()
 	copyState(t, "v3-state", dir)
-	spec, err := os.ReadFile(filepath.Join(dir, "job-1.spec.json"))
+	data, err := os.ReadFile(filepath.Join(dir, "job-1.spec.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "job-2.spec.json"), spec, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "job-2.spec.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var submitted JobSpec
+	if err := json.Unmarshal(data, &submitted); err != nil {
 		t.Fatal(err)
 	}
 	recorded, err := experiments.ReadFingerprint(nil, filepath.Join(dir, "job-1.journal"))
@@ -273,7 +278,11 @@ func TestRecoverVersion3StateDirectory(t *testing.T) {
 	if recorded.Version != 3 {
 		t.Fatalf("the fixture's journal is version %d, want 3", recorded.Version)
 	}
-	wantText, wantJSON := reference(t, specOf(recorded))
+	wantText, wantJSON := reference(t, submitted)
+	upgradedJSON := strings.ReplaceAll(string(wantJSON), `"Parallelism": 2`, `"Parallelism": 0`)
+	if upgradedJSON == string(wantJSON) {
+		t.Fatal("the submitted spec's -json shows no parallelism of 2")
+	}
 
 	coord := newTestCoordinator(t, Config{Dir: dir})
 	srv := httptest.NewServer(coord.Handler())
@@ -288,7 +297,7 @@ func TestRecoverVersion3StateDirectory(t *testing.T) {
 		t.Errorf("a spec file with no journal became job 2: %+v, %v", st, err)
 	}
 	startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
-	assertIdentical(t, waitResult(t, srv.URL, 1), wantText, wantJSON)
+	assertIdentical(t, waitResult(t, srv.URL, 1), wantText, []byte(upgradedJSON))
 }
 
 // copyState copies the files of testdata/<name> into dir.

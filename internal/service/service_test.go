@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -482,10 +485,18 @@ func TestRecoverJournalWithoutHeader(t *testing.T) {
 	}
 }
 
+// failDirSync is an FS whose directory syncs fail with EIO.
+type failDirSync struct{ faultfs.FS }
+
+func (failDirSync) SyncDir(string) error { return syscall.EIO }
+
 // A submit whose journal header cannot be made durable is answered 500,
 // and no restart finds the job it did not create: neither one over the
 // same disk nor one over the disk a crash at that point leaves. A job
-// answered 201 is on disk: a crash right after the answer keeps it.
+// answered 201 is on disk: a crash right after the answer keeps it. A
+// submit whose directory sync fails is answered 500 and its file removed;
+// its header was durable, so only a crash before that removal lands can
+// bring the job back.
 func TestFailedSubmitLeavesNoJob(t *testing.T) {
 	spec := JobSpec{Uni: tinyUniSpec()}
 	wantText, wantJSON := reference(t, spec)
@@ -502,7 +513,7 @@ func TestFailedSubmitLeavesNoJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faultfs.NewInjector(mem, seeded.Plan[faultfs.FaultKind]{{Kind: faultfs.FaultFailedSync, At: 1}},
-		func(path string) bool { return strings.HasSuffix(path, ".journal") }, nil)
+		func(path string) bool { return strings.Contains(path, ".journal") }, nil)
 	_, _, err := (&Client{Base: serve(t, inj)}).Submit(ctx, spec)
 	if !isStatus(err, http.StatusInternalServerError) {
 		t.Fatalf("submit whose journal header sync failed: %v, want a 500", err)
@@ -528,6 +539,86 @@ func TestFailedSubmitLeavesNoJob(t *testing.T) {
 			for _, base := range []string{client.Base, recovered.Base} {
 				startWorker(t, base, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
 				assertIdentical(t, waitResult(t, base, id), wantText, wantJSON)
+			}
+		})
+	}
+
+	t.Run("directory sync", func(t *testing.T) {
+		disk := faultfs.NewMem()
+		if err := disk.MkdirAll("/state", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := (&Client{Base: serve(t, failDirSync{disk})}).Submit(ctx, spec); !isStatus(err, http.StatusInternalServerError) {
+			t.Fatalf("submit whose directory sync failed: %v, want a 500", err)
+		}
+		if _, err := disk.ReadFile("/state/job-1.journal"); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("the failed submit's journal was not removed: %v", err)
+		}
+		if st, err := (&Client{Base: serve(t, disk)}).Status(ctx, 1); !isStatus(err, http.StatusNotFound) {
+			t.Errorf("restart shows the failed submit as job 1: %+v, %v; want a 404", st, err)
+		}
+	})
+}
+
+// A journal a restart starts afresh (here one another binary wrote) is
+// the only record of a job already answered 201, so it is replaced, never
+// truncated in place: a fresh header that fails to sync or tears stops
+// that restart, and the next one, over the same disk or over the disk a
+// crash at that point leaves, still has the job and runs it to the
+// single-process bytes.
+func TestStaleJournalRestartKeepsJob(t *testing.T) {
+	spec := JobSpec{Uni: tinyUniSpec()}
+	wantText, wantJSON := reference(t, spec)
+	_, fp, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.Binary = "another-binary"
+	ctx := context.Background()
+	for _, fault := range []seeded.Event[faultfs.FaultKind]{
+		{Kind: faultfs.FaultFailedSync, At: 1},
+		{Kind: faultfs.FaultTornWrite, At: 1, Arg: 40},
+	} {
+		t.Run(fault.Kind.String(), func(t *testing.T) {
+			mem := faultfs.NewMem()
+			coord, err := NewCoordinator(Config{Dir: "/state", FS: mem, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(coord.Handler())
+			id, cells, err := (&Client{Base: srv.URL}).Submit(ctx, spec)
+			srv.Close()
+			coord.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale, err := experiments.CreateJournalFS(mem, fmt.Sprintf("/state/job-%d.journal", id), fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale.Close()
+
+			inj := faultfs.NewInjector(mem, seeded.Plan[faultfs.FaultKind]{fault},
+				func(path string) bool { return strings.Contains(path, ".journal") }, nil)
+			if c, err := NewCoordinator(Config{Dir: "/state", FS: inj, Logf: t.Logf}); err == nil {
+				c.Close()
+				t.Fatalf("a restart whose fresh header hit a %v started", fault.Kind)
+			}
+			if n := inj.Fired()[fault.Kind]; n != 1 {
+				t.Fatalf("the %v fired %d times, want once", fault.Kind, n)
+			}
+
+			for name, disk := range map[string]*faultfs.Mem{"same disk": mem, "crash image": mem.CrashImage()} {
+				t.Run(name, func(t *testing.T) {
+					coord := newTestCoordinator(t, Config{Dir: "/state", FS: disk})
+					srv := httptest.NewServer(coord.Handler())
+					t.Cleanup(srv.Close)
+					if st, err := (&Client{Base: srv.URL}).Status(ctx, id); err != nil || st.Cells != cells || st.Done != 0 {
+						t.Fatalf("job %d after the failed restart: %+v, %v; want %d cells, none done", id, st, err, cells)
+					}
+					startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
+					assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
+				})
 			}
 		})
 	}
