@@ -208,30 +208,23 @@ func runWork(args []string) int {
 // buildSpec resolves submit's grid flags to the job spec through the
 // binding cmd/experiments resolves them with, so the submitted configs —
 // and therefore the journal fingerprints and output bytes — agree with a
-// local reference run.
+// local reference run. The spec is the one the run's fingerprint
+// records (service.SpecOf): the configs of the grids that run and no
+// other.
 func buildSpec(gf *experiments.GridFlags) (service.JobSpec, error) {
 	only, ucfg, mcfg, err := gf.Resolve()
 	if err != nil {
 		return service.JobSpec{}, err
 	}
-	spec := service.JobSpec{Only: only, Uni: &ucfg, MP: &mcfg}
-	grids, fp, err := experiments.Grids(spec.Only, spec.Uni, spec.MP)
+	grids, fp, err := experiments.Grids(only, &ucfg, &mcfg)
 	if err != nil {
-		return spec, err
+		return service.JobSpec{}, err
 	}
 	if len(grids) == 0 {
-		return spec, fmt.Errorf("selection %q needs no grid; pick from %s",
+		return service.JobSpec{}, fmt.Errorf("selection %q needs no grid; pick from %s",
 			gf.Only, strings.Join(experiments.GridSections, " "))
 	}
-	// Submit the configs of the grids that run and no other: the ones the
-	// run's fingerprint carries.
-	if fp.Uni == nil {
-		spec.Uni = nil
-	}
-	if fp.MP == nil {
-		spec.MP = nil
-	}
-	return spec, nil
+	return service.SpecOf(fp), nil
 }
 
 func runSubmit(args []string) int {

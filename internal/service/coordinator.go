@@ -33,9 +33,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,7 +53,7 @@ import (
 // configs determine every cell result; the coordinator fingerprints them
 // exactly as cmd/experiments does, so a service journal and a
 // single-process journal written by the same binary are interchangeable.
-// A job's spec is read back from its journal's fingerprint (specOf).
+// A job's spec is read back from its journal's fingerprint (SpecOf).
 type JobSpec struct {
 	Only []string               `json:"only,omitempty"`
 	Uni  *experiments.UniConfig `json:"uni,omitempty"`
@@ -77,9 +79,10 @@ func (s JobSpec) resolve() ([]experiments.Grid, experiments.Fingerprint, error) 
 	return grids, fp, err
 }
 
-// specOf is the spec a journal header's fingerprint records: the one a
-// job runs under, before and after a restart.
-func specOf(fp experiments.Fingerprint) JobSpec {
+// SpecOf is the spec a journal header's fingerprint records: the one a
+// job runs under, before and after a restart, and the one a client
+// submits — the configs of the grids the selection runs and no other.
+func SpecOf(fp experiments.Fingerprint) JobSpec {
 	return JobSpec{Only: fp.Only, Uni: fp.Uni, MP: fp.MP}
 }
 
@@ -236,14 +239,15 @@ type Coordinator struct {
 	nextLease int64
 }
 
-var journalFileRe = regexp.MustCompile(`^job-(\d+)\.journal$`)
+var journalFileRe = regexp.MustCompile(`^job-(\d+)\.journal(\.new)?$`)
 
 // NewCoordinator creates a coordinator over cfg.Dir, recovering every
 // job whose journal header survives: the job is rebuilt from the header,
 // intact cells replay with zero re-simulation, and only the remainder is
 // redispatched. A journal of another format version, configuration
 // fingerprint or binary is started afresh, and all of that job's cells
-// re-run.
+// re-run. A side file a header write left (job-N.journal.new) is
+// removed.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -264,6 +268,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			continue
 		}
 		id, _ := strconv.Atoi(m[1])
+		if m[2] != "" {
+			// A side file createJournal never renamed into place is no
+			// job. Recovering job id may have renamed it already.
+			if err := cfg.FS.Remove(filepath.Join(cfg.Dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return nil, fmt.Errorf("service: remove job %d side file: %w", id, err)
+			}
+			continue
+		}
 		if err := c.recoverJob(id); err != nil {
 			return nil, fmt.Errorf("service: recover job %d: %w", id, err)
 		}
@@ -306,7 +318,7 @@ func (c *Coordinator) recoverJob(id int) error {
 	if err != nil {
 		return err
 	}
-	spec := specOf(recorded)
+	spec := SpecOf(recorded)
 	grids, fp, err := spec.resolve()
 	if err != nil {
 		return err
@@ -353,17 +365,22 @@ func (c *Coordinator) recoverJob(id int) error {
 // header that has not landed: a submit's journal appears whole or not at
 // all, and a stale journal started afresh leaves, whatever fails or
 // crashes, the old header or the new one, never a file recovery takes
-// for no job.
+// for no job. A failed header write, sync or rename removes the side
+// file; one a crash leaves, the next restart's scan removes.
 func (c *Coordinator) createJournal(id int, fp experiments.Fingerprint) (*experiments.Journal, error) {
 	path := c.journalPath(id)
-	journal, err := experiments.CreateJournalFS(c.cfg.FS, path+".new", fp)
+	side := path + ".new"
+	journal, err := experiments.CreateJournalFS(c.cfg.FS, side, fp)
+	if err == nil {
+		if err = c.cfg.FS.Rename(side, path); err != nil {
+			journal.Close()
+		}
+	}
 	if err != nil {
+		_ = c.cfg.FS.Remove(side) // best effort: the next restart's scan removes what is left
 		return nil, err
 	}
-	if err = c.cfg.FS.Rename(path+".new", path); err == nil {
-		err = c.cfg.FS.SyncDir(c.cfg.Dir)
-	}
-	if err != nil {
+	if err = c.cfg.FS.SyncDir(c.cfg.Dir); err != nil {
 		journal.Close()
 		return nil, err
 	}
@@ -414,7 +431,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 				continue
 			}
 			c.cfg.Logf("job %d: lease %d on %s/%d held by %q expired (attempt %d)",
-				j.id, cl.leaseID, cl.grid, cl.index, cl.worker, cl.attempts)
+				j.id, cl.leaseID, cl.grid.Name(), cl.index, cl.worker, cl.attempts)
 			if w := c.workers[cl.worker]; w != nil {
 				w.consecExpiries++
 				if w.consecExpiries >= c.cfg.BreakerThreshold && now.After(w.quarantinedUntil) {
@@ -549,7 +566,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.nextJob++
-	j := newJob(id, specOf(fp), grids, journal)
+	j := newJob(id, SpecOf(fp), grids, journal)
 	c.jobs[id] = j
 	c.cfg.Logf("job %d submitted: %d cells in %d grid(s)", id, len(j.cells), len(grids))
 	writeJSON(w, http.StatusCreated, submitResponse{ID: id, Cells: len(j.cells)})
@@ -791,11 +808,7 @@ func (c *Coordinator) jobIDsLocked() []int {
 	for id := range c.jobs {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort; the map is small
-		for k := i; k > 0 && ids[k] < ids[k-1]; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 

@@ -490,13 +490,28 @@ type failDirSync struct{ faultfs.FS }
 
 func (failDirSync) SyncDir(string) error { return syscall.EIO }
 
+// noSideFile fails t if the state directory on disk holds a journal side
+// file: one is never a job, and nothing is left to read it.
+func noSideFile(t *testing.T, disk faultfs.FS) {
+	t.Helper()
+	entries, err := disk.ReadDir("/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".journal.new") {
+			t.Errorf("%s is left in the state directory", e.Name())
+		}
+	}
+}
+
 // A submit whose journal header cannot be made durable is answered 500,
 // and no restart finds the job it did not create: neither one over the
 // same disk nor one over the disk a crash at that point leaves. A job
 // answered 201 is on disk: a crash right after the answer keeps it. A
 // submit whose directory sync fails is answered 500 and its file removed;
 // its header was durable, so only a crash before that removal lands can
-// bring the job back.
+// bring the job back. No restart leaves a journal side file behind.
 func TestFailedSubmitLeavesNoJob(t *testing.T) {
 	spec := JobSpec{Uni: tinyUniSpec()}
 	wantText, wantJSON := reference(t, spec)
@@ -521,6 +536,7 @@ func TestFailedSubmitLeavesNoJob(t *testing.T) {
 	if n := inj.Fired()[faultfs.FaultFailedSync]; n != 1 {
 		t.Fatalf("the header sync fault fired %d times, want once", n)
 	}
+	noSideFile(t, mem)
 
 	for name, disk := range map[string]*faultfs.Mem{"same disk": mem, "crash image": mem.CrashImage()} {
 		t.Run(name, func(t *testing.T) {
@@ -528,6 +544,7 @@ func TestFailedSubmitLeavesNoJob(t *testing.T) {
 			if st, err := client.Status(ctx, 1); !isStatus(err, http.StatusNotFound) {
 				t.Fatalf("restart shows the failed submit as job 1: %+v, %v; want a 404", st, err)
 			}
+			noSideFile(t, disk)
 			id, cells, err := client.Submit(ctx, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -557,6 +574,30 @@ func TestFailedSubmitLeavesNoJob(t *testing.T) {
 		if st, err := (&Client{Base: serve(t, disk)}).Status(ctx, 1); !isStatus(err, http.StatusNotFound) {
 			t.Errorf("restart shows the failed submit as job 1: %+v, %v; want a 404", st, err)
 		}
+		noSideFile(t, disk)
+	})
+
+	// A crash after the header landed in the side file, before the
+	// rename, leaves a whole header under the side name: still no job.
+	t.Run("crash before the rename", func(t *testing.T) {
+		disk := faultfs.NewMem()
+		if err := disk.MkdirAll("/state", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, fp, err := spec.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		side, err := experiments.CreateJournalFS(disk, "/state/job-1.journal.new", fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		side.Close()
+		disk = disk.CrashImage()
+		if st, err := (&Client{Base: serve(t, disk)}).Status(ctx, 1); !isStatus(err, http.StatusNotFound) {
+			t.Errorf("restart shows the side file as job 1: %+v, %v; want a 404", st, err)
+		}
+		noSideFile(t, disk)
 	})
 }
 
@@ -565,7 +606,7 @@ func TestFailedSubmitLeavesNoJob(t *testing.T) {
 // truncated in place: a fresh header that fails to sync or tears stops
 // that restart, and the next one, over the same disk or over the disk a
 // crash at that point leaves, still has the job and runs it to the
-// single-process bytes.
+// single-process bytes, and leaves no journal side file behind.
 func TestStaleJournalRestartKeepsJob(t *testing.T) {
 	spec := JobSpec{Uni: tinyUniSpec()}
 	wantText, wantJSON := reference(t, spec)
@@ -607,6 +648,7 @@ func TestStaleJournalRestartKeepsJob(t *testing.T) {
 			if n := inj.Fired()[fault.Kind]; n != 1 {
 				t.Fatalf("the %v fired %d times, want once", fault.Kind, n)
 			}
+			noSideFile(t, mem)
 
 			for name, disk := range map[string]*faultfs.Mem{"same disk": mem, "crash image": mem.CrashImage()} {
 				t.Run(name, func(t *testing.T) {
@@ -616,6 +658,7 @@ func TestStaleJournalRestartKeepsJob(t *testing.T) {
 					if st, err := (&Client{Base: srv.URL}).Status(ctx, id); err != nil || st.Cells != cells || st.Done != 0 {
 						t.Fatalf("job %d after the failed restart: %+v, %v; want %d cells, none done", id, st, err, cells)
 					}
+					noSideFile(t, disk)
 					startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
 					assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
 				})
