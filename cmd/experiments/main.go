@@ -11,7 +11,8 @@
 // submits its simulation cells to one queue of -j slots (default: all
 // CPUs; -j 1 simulates one cell at a time), and the sections print in
 // their fixed order. Each distinct cell is simulated once per run,
-// however many sections report it. Output is byte-identical at every -j.
+// however many sections report it. Output, -json included, is
+// byte-identical at every -j: -j is no part of a result or a journal.
 // The run ends with its cell counts on stderr: [cells: N simulated, F
 // forked, S shared].
 //
@@ -83,6 +84,7 @@ var interruptSignal os.Signal = os.Interrupt
 func run(args []string) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	gridFlags := experiments.BindGridFlags(fs)
+	jobs := fs.Int("j", runtime.NumCPU(), "concurrent simulation cells (1 = serial)")
 	jsonOut := fs.String("json", "", "also write raw results as JSON to this file")
 	journalPath := fs.String("journal", "", "record completed grid cells to this journal file (crash-safe; overwrites)")
 	resumePath := fs.String("resume", "", "resume from this journal: replay its cells, run only the remainder, keep appending")
@@ -132,7 +134,7 @@ func run(args []string) (code int) {
 	// and the sections share the -j bound.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ctx = experiments.NewRun(gridFlags.Jobs).Context(ctx)
+	ctx = experiments.NewRun(*jobs).Context(ctx)
 
 	stopProf, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -168,6 +170,8 @@ func run(args []string) (code int) {
 	}()
 
 	sel := experiments.Selection(onlyList)
+	ucfg.Parallelism = *jobs
+	mcfg.Parallelism = *jobs
 	ucfg.CellTimeout = *cellTimeout
 	mcfg.CellTimeout = *cellTimeout
 	ucfg.Guard = *gopts

@@ -262,24 +262,37 @@ func TestBadSubsetExitsUsage(t *testing.T) {
 	}
 }
 
-// A subset grid's output does not depend on -j, and a subset is part of
-// the journal fingerprint: resuming a -subjects DC journal as -subjects
-// IC is the documented mismatch.
+// A subset grid's output, -json included, does not depend on -j, and a
+// subset is part of the journal fingerprint: resuming a -subjects DC
+// journal as -subjects IC is the documented mismatch.
 func TestSubsetGridIsAnOrdinaryGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	journal := filepath.Join(t.TempDir(), "grid.journal")
-	code, serial, _ := capture(t, append(subsetDC, "-j", "1", "-journal", journal)...)
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "grid.journal")
+	serialJSON, parallelJSON := filepath.Join(dir, "j1.json"), filepath.Join(dir, "j4.json")
+	code, serial, _ := capture(t, append(subsetDC, "-j", "1", "-journal", journal, "-json", serialJSON)...)
 	if code != 0 {
 		t.Fatalf("-j 1 exit code %d", code)
 	}
-	code, parallel, _ := capture(t, append(subsetDC, "-j", "4")...)
+	code, parallel, _ := capture(t, append(subsetDC, "-j", "4", "-json", parallelJSON)...)
 	if code != 0 {
 		t.Fatalf("-j 4 exit code %d", code)
 	}
 	if serial != parallel {
 		t.Errorf("-j 1 and -j 4 print different bytes:\n%s\n---\n%s", serial, parallel)
+	}
+	sj, err := os.ReadFile(serialJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj, err := os.ReadFile(parallelJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sj, pj) {
+		t.Errorf("-j 1 and -j 4 write different -json:\n%s\n---\n%s", sj, pj)
 	}
 	if strings.Contains(serial, "Table 10") || !strings.Contains(serial, "Table 7") {
 		t.Errorf("-subjects DC ran other than the workstation grid:\n%s", serial)

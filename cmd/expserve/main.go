@@ -3,7 +3,7 @@
 //
 //	expserve serve -dir STATE [-addr 127.0.0.1:7711] [-addr-file F]
 //	expserve work -coordinator URL [-name N] [-slots K] [-poll D] [-fault PLAN]
-//	expserve submit -coordinator URL [-quick] [-only table7,...] [-j N] [-subjects ...] [-schemes ...] [-contexts ...]
+//	expserve submit -coordinator URL [-quick] [-only table7,...] [-subjects ...] [-schemes ...] [-contexts ...]
 //	expserve progress -coordinator URL -job N
 //	expserve wait -coordinator URL -job N [-out F] [-json-out F]
 //
@@ -30,9 +30,9 @@
 // submit resolves its grid flags through the binding cmd/experiments
 // uses (experiments.BindGridFlags), posts the configurations, and prints
 // the job id. For byte-identical output to a local run, pass the
-// reference run's grid flags, -j included (parallelism appears in the
-// result's Cfg JSON). A 429 (coordinator at its job bound) is retried
-// after the coordinator's Retry-After.
+// reference run's grid flags; the local run's -j decides no byte. A 429
+// (coordinator at its job bound) is retried after the coordinator's
+// Retry-After.
 //
 // wait long-polls until the job completes — riding out coordinator restarts —
 // then writes the job's stdout text (byte-identical to cmd/experiments)

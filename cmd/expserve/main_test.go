@@ -44,7 +44,7 @@ func TestBuildSpecSubmitsOnlyWhatTheSelectionRuns(t *testing.T) {
 		{[]string{"-subjects", "DC,ocean", "-only", "table10"}, false, true, "table10"},
 		{[]string{"-subjects", "ocean", "-contexts", "2"}, false, true, "fig8 fig9 table10"},
 	} {
-		args := append([]string{"-quick", "-j", "2"}, c.args...)
+		args := append([]string{"-quick"}, c.args...)
 		spec, err := buildSpec(gridFlags(t, args...))
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
@@ -77,11 +77,12 @@ func TestBuildSpecSubmitsOnlyWhatTheSelectionRuns(t *testing.T) {
 }
 
 // A selection submit cannot resolve is a usage error, reported before the
-// coordinator is contacted.
+// coordinator is contacted. So is -j: how many cells a local run
+// simulates at once is no part of a job.
 func TestSubmitBadSelectionExitsUsage(t *testing.T) {
-	for _, only := range []string{"tabel7", "table4"} {
-		if code := run([]string{"submit", "-coordinator", "http://127.0.0.1:1", "-only", only}); code != experiments.ExitUsage {
-			t.Errorf("submit -only %s returned %d, want %d", only, code, experiments.ExitUsage)
+	for _, args := range [][]string{{"-only", "tabel7"}, {"-only", "table4"}, {"-quick", "-j", "2"}} {
+		if code := run(append([]string{"submit", "-coordinator", "http://127.0.0.1:1"}, args...)); code != experiments.ExitUsage {
+			t.Errorf("submit %v returned %d, want %d", args, code, experiments.ExitUsage)
 		}
 	}
 }
@@ -110,7 +111,7 @@ func TestWaitWritesAtomically(t *testing.T) {
 		<-worked
 	}()
 
-	spec, err := buildSpec(gridFlags(t, "-quick", "-j", "2", "-only", "table7", "-subjects", "DC"))
+	spec, err := buildSpec(gridFlags(t, "-quick", "-only", "table7", "-subjects", "DC"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,13 +145,13 @@ func run() int {
 }
 
 // tortureSpec is the grid under torture: the quick workstation config
-// (one workload, 5 cells), as `experiments -quick -j 2 -subjects DC`
+// (one workload, 5 cells), as `experiments -quick -subjects DC`
 // resolves it — small enough that 20 seeds finish in CI, real enough
 // that every service path (lease, heartbeat, complete, journal,
 // assembly) runs. Only stays nil (every section of the one grid) so the
 // journal the fault schedules cut into keeps its bytes.
 func tortureSpec() service.JobSpec {
-	gf := experiments.GridFlags{Quick: true, Jobs: 2, Subjects: "DC"}
+	gf := experiments.GridFlags{Quick: true, Subjects: "DC"}
 	_, uni, _, err := gf.Resolve()
 	if err != nil {
 		panic(err)

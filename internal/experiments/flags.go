@@ -3,7 +3,6 @@ package experiments
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -13,11 +12,12 @@ import (
 
 // GridFlags is the grid-selection surface cmd/experiments and expserve
 // submit share, so that the two resolve the same arguments to the same
-// configs — and so to the same journal fingerprint and output bytes:
+// configs — and so to the same journal fingerprint and output bytes.
+// How many cells run at once (cmd/experiments' -j) decides no byte and
+// is no grid flag.
 //
 //	-quick       reduced problem sizes
 //	-only LIST   the experiments (sections) to run
-//	-j N         concurrent simulation cells
 //	-subjects    a subset grid: these workload mixes and applications
 //	-schemes     a subset grid: these schemes beside the baseline
 //	-contexts    a subset grid: these context counts
@@ -27,7 +27,6 @@ import (
 type GridFlags struct {
 	Quick                       bool
 	Only                        string
-	Jobs                        int
 	Subjects, Schemes, Contexts string
 }
 
@@ -36,7 +35,6 @@ func BindGridFlags(fs *flag.FlagSet) *GridFlags {
 	f := &GridFlags{}
 	fs.BoolVar(&f.Quick, "quick", false, "reduced problem sizes (seconds instead of minutes)")
 	fs.StringVar(&f.Only, "only", "", "comma-separated subset of experiments to run ("+strings.Join(Sections, " ")+")")
-	fs.IntVar(&f.Jobs, "j", runtime.NumCPU(), "concurrent simulation cells (1 = serial)")
 	fs.StringVar(&f.Subjects, "subjects", "", "subset grid: comma-separated workload mixes ("+
 		strings.Join(WorkloadOrder, " ")+") and applications ("+strings.Join(MPAppOrder, " ")+")")
 	fs.StringVar(&f.Schemes, "schemes", "", "subset grid: comma-separated schemes beside the single-context baseline (blocked, interleaved)")
@@ -57,7 +55,6 @@ func (f *GridFlags) Resolve() (only []string, uni UniConfig, mp MPConfig, err er
 	if f.Quick {
 		uni, mp = QuickUniConfig(), QuickMPConfig()
 	}
-	uni.Parallelism, mp.Parallelism = f.Jobs, f.Jobs
 	only = ParseOnly(f.Only)
 	for _, name := range only {
 		if !slices.Contains(Sections, name) {

@@ -24,13 +24,12 @@ func resolveArgs(args ...string) ([]string, UniConfig, MPConfig, error) {
 // output, journal fingerprints and job specs.
 func TestGridFlagsUnsetResolveToDefaultConfigs(t *testing.T) {
 	for _, quick := range []bool{false, true} {
-		args := []string{"-j", "3", "-only", "table7,fig9"}
+		args := []string{"-only", "table7,fig9"}
 		wantUni, wantMP := DefaultUniConfig(), DefaultMPConfig()
 		if quick {
 			args = append(args, "-quick")
 			wantUni, wantMP = QuickUniConfig(), QuickMPConfig()
 		}
-		wantUni.Parallelism, wantMP.Parallelism = 3, 3
 		only, uni, mp, err := resolveArgs(args...)
 		if err != nil {
 			t.Fatal(err)

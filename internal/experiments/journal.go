@@ -42,16 +42,17 @@ const (
 // identity (recorded in the header beside the hash). Version 3 seeds
 // every cell from its configuration rather than its index in the grid,
 // so a version-2 journal holds cells this binary would simulate
-// differently. Version 4 drops the checkpoint stamp and records
-// Parallelism, so the header alone restates the run.
-const JournalVersion = 4
+// differently. Version 4 drops the checkpoint stamp. Version 5 records
+// no parallelism and no version inside the fingerprint, so the header
+// records only what decides a cell, and all of it is hashed.
+const JournalVersion = 5
 
 // Fingerprint is what a journal's header records about the run that
 // wrote it, in two parts:
 //
-//   - Config identity (Version, Only, Uni, MP — everything a cell's
-//     inputs are made of): Hash() covers exactly this. Parallelism is
-//     recorded, as a grid's -json shows it, but not hashed.
+//   - Config identity (Only, Uni, MP — everything a cell's inputs are
+//     made of): Hash() covers exactly this. The header line carries the
+//     format version beside it.
 //   - Binary identity (Binary): recorded in the header and compared
 //     beside the hash, not inside it. A rebuilt simulator may compute
 //     other results for the same configuration, and the format version
@@ -60,11 +61,10 @@ const JournalVersion = 4
 // Resuming replays simulation results verbatim, so drift in either part
 // is as hard an error as another format version (*FingerprintError).
 type Fingerprint struct {
-	Version int        `json:"version"`
-	Binary  string     `json:"binary"`
-	Only    []string   `json:"only,omitempty"`
-	Uni     *UniConfig `json:"uni,omitempty"`
-	MP      *MPConfig  `json:"mp,omitempty"`
+	Binary string     `json:"binary"`
+	Only   []string   `json:"only,omitempty"`
+	Uni    *UniConfig `json:"uni,omitempty"`
+	MP     *MPConfig  `json:"mp,omitempty"`
 }
 
 // NewFingerprint builds the fingerprint for a cmd/experiments run over
@@ -77,25 +77,15 @@ func NewFingerprint(uni *UniConfig, mp *MPConfig, only []string) Fingerprint {
 	if len(sortedOnly) == 0 {
 		sortedOnly = nil
 	}
-	return Fingerprint{Version: JournalVersion, Binary: binaryVersion(), Only: sortedOnly, Uni: uni, MP: mp}
+	return Fingerprint{Binary: binaryVersion(), Only: sortedOnly, Uni: uni, MP: mp}
 }
 
 // Hash digests the fingerprint's *config identity*: configSum with the
-// binary identity and the parallelism blanked. Two runs of the same
-// configuration hash identically at every -j and across binaries;
-// OpenJournal compares the binary beside the hash.
+// binary identity blanked. Two runs of the same configuration hash
+// identically at every -j and across binaries; OpenJournal compares the
+// binary beside the hash.
 func (fp Fingerprint) Hash() string {
 	fp.Binary = ""
-	if fp.Uni != nil {
-		u := *fp.Uni
-		u.Parallelism = 0
-		fp.Uni = &u
-	}
-	if fp.MP != nil {
-		m := *fp.MP
-		m.Parallelism = 0
-		fp.MP = &m
-	}
 	sum := configSum(fp)
 	return hex.EncodeToString(sum[:12])
 }

@@ -147,7 +147,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 // deterministic failure, and the failure must survive the round trip.
 func TestJournalReplaysFailedCells(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.journal")
-	fp := Fingerprint{Version: JournalVersion, Binary: "test"}
+	fp := Fingerprint{Binary: "test"}
 	j, err := CreateJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestJournalReplaysFailedCells(t *testing.T) {
 // may start afresh; a complete first line that is no header is not.
 func TestJournalCorruptionTolerance(t *testing.T) {
 	// A known-good journal: header + 3 intact cell records.
-	fp := Fingerprint{Version: JournalVersion, Binary: "test"}
+	fp := Fingerprint{Binary: "test"}
 	mkLines := func(t *testing.T) []string {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "good.journal")
@@ -582,7 +582,7 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 // cmd/experiments exits ExitFingerprintMismatch, the service coordinator
 // starts it afresh.
 func TestJournalOfAnotherVersionIsTyped(t *testing.T) {
-	fp := Fingerprint{Version: JournalVersion, Binary: "test"}
+	fp := Fingerprint{Binary: "test"}
 	path := filepath.Join(t.TempDir(), "old.journal")
 	j, err := CreateJournal(path, fp)
 	if err != nil {
@@ -615,7 +615,7 @@ func TestJournalOfAnotherVersionIsTyped(t *testing.T) {
 // byte of the file where it was, however many records follow. A record
 // longer than the read buffer is read whole.
 func TestJournalReadErrorKeepsTheFile(t *testing.T) {
-	fp := Fingerprint{Version: JournalVersion, Binary: "test"}
+	fp := Fingerprint{Binary: "test"}
 	mem := faultfs.NewMem()
 	const path = "/grid.journal"
 	j, err := CreateJournalFS(mem, path, fp)

@@ -94,7 +94,6 @@ func TestAllExperimentKindsUnderRace(t *testing.T) {
 
 	rcfg := DefaultResponseConfig()
 	rcfg.Bursts = 6
-	rcfg.Parallelism = 3
 
 	// The kinds themselves also run concurrently with each other, so the
 	// race detector sees pool workers from different experiments

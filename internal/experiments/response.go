@@ -43,10 +43,6 @@ type ResponseConfig struct {
 	Bursts int
 	// Background names the batch kernel.
 	Background string
-	// Parallelism bounds how many designs run concurrently: 0 selects
-	// DefaultParallelism (GOMAXPROCS), 1 forces the serial path. Excluded
-	// from JSON: results are byte-identical at every setting.
-	Parallelism int `json:"-"`
 }
 
 // DefaultResponseConfig returns a foreground job that wakes every 6000
@@ -124,10 +120,11 @@ func RunResponseCtx(ctx context.Context, cfg ResponseConfig) (*ResponseResult, e
 		{"interleaved, 2 contexts", core.Interleaved, 2},
 	}
 	// Each design is a self-contained simulation (own memory, hierarchy,
-	// processor), so the three run concurrently; cells[i] keeps the
-	// design order stable regardless of completion order.
+	// processor), so the three run concurrently, within a run's -j
+	// slots; cells[i] keeps the design order stable regardless of
+	// completion order.
 	cells := make([]ResponseCell, len(designs))
-	err = runCells(ctx, cfg.Parallelism, len(designs), func(ctx context.Context, i int) error {
+	err = runCells(ctx, len(designs), len(designs), func(ctx context.Context, i int) error {
 		d := designs[i]
 		fg := foregroundProgram(cfg)
 		bgProg := bg.Program(apps.Options{

@@ -59,10 +59,8 @@ var studies = []study{
 		}
 		return r, FormatAblations(r) + "\n", nil
 	}},
-	{"response", func(ctx context.Context, uni UniConfig, _ MPConfig) (any, string, error) {
-		cfg := DefaultResponseConfig()
-		cfg.Parallelism = uni.Parallelism
-		r, err := RunResponseCtx(ctx, cfg)
+	{"response", func(ctx context.Context, _ UniConfig, _ MPConfig) (any, string, error) {
+		r, err := RunResponseCtx(ctx, DefaultResponseConfig())
 		if err != nil {
 			return nil, "", err
 		}

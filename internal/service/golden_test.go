@@ -24,20 +24,21 @@ import (
 // later one, is judged against fixed digests rather than against itself.
 // A digest moves only when simulated behaviour, the record format or the
 // rendering changes, and such a change says so by updating this table.
-// The last three such changes seeded every cell from its configuration
-// instead of its grid index, bumping the journal to version 3; kept an
-// in-flight upgrade's ownership when its line's shared copy is evicted;
-// and dropped the header's checkpoint stamp, bumping the journal to
-// version 4 (the fingerprints moved, no cell line did).
+// The last three such changes kept an in-flight upgrade's ownership
+// when its line's shared copy is evicted; dropped the header's
+// checkpoint stamp, bumping the journal to version 4 (the fingerprints
+// moved, no cell line did); and took parallelism out of every record,
+// bumping the journal to version 5 (the fingerprints and the -json
+// moved, no text or cell line did).
 var gridGolden = map[string]string{
-	"fingerprint":         "165d453cf966c7930302430a",
-	"fingerprint.default": "b2ceb99f47704198f2935912",
-	"fingerprint.quick":   "d5350f5d83075e1d09912f72",
+	"fingerprint":         "50ff0bbeb610f4b982a82bd3",
+	"fingerprint.default": "67e7501fef7cbf6801ecda67",
+	"fingerprint.quick":   "fdf573befbc3b9ed7cbf4ef1",
 	"local.text":          "6f74b8ecb1d5510a6158517fdd2f27cec612974547cc4932058bf622957a966f",
-	"local.json":          "65d2a7d4ee2c6bf70cc30bb4fc9ba365ad71d1fafb0cef46f2c19b7e9bc4c66c",
+	"local.json":          "7f55d1d79617516aae0d3139a6d21c0ba8ca0a9dff7298c3b079af6da054f27d",
 	"local.cells":         "ba65a9d94cb64ba7b6271118a5003992f32858ed385a55411d3483509a22140a",
 	"failed.text":         "acd25f3761ceafe0b7f6903183c05b47e5351d352872fd91fc72c218f8920e13",
-	"failed.json":         "b5cb8686d42c8388a904dde0d88a808689743def2e3e4046b2d2b940d87d2a95",
+	"failed.json":         "1c329eac02f3b8b6a7ff8d7a7ffba31c2387b8acced7ed634004d2da2743b5df",
 	"failed.cells":        "acb41e0d2eb5c6f35b592b904fdf1052d826d1c6c579bfcd87abb03902d3241c",
 }
 
@@ -213,7 +214,7 @@ func TestGridGoldenCoordinatorFailedCells(t *testing.T) {
 	})
 }
 
-// A state directory written by the coordinator of the version-4 journal
+// A state directory written by the coordinator of the version-5 journal
 // (the job above, copied out after it completed) is recovered as it
 // stands: every cell replays, none is dispatched, and the result is the
 // pinned one.
@@ -254,9 +255,9 @@ func TestRecoverParentStateDirectory(t *testing.T) {
 // a checkpoint stamp) is upgraded, not refused: the coordinator ignores
 // the spec file, rebuilds the job from the journal header, starts the
 // journal afresh and re-runs every cell to the single-process bytes of
-// the spec the client submitted. The one deviation is pinned: the header
-// did not record parallelism, so the -json shows 0 where the submitted
-// spec had 2. A spec file with no journal is no job.
+// the spec the client submitted. Parallelism enters no result, so the
+// upgraded job prints exactly those bytes. A spec file with no journal
+// is no job.
 func TestRecoverVersion3StateDirectory(t *testing.T) {
 	dir := t.TempDir()
 	copyState(t, "v3-state", dir)
@@ -271,18 +272,16 @@ func TestRecoverVersion3StateDirectory(t *testing.T) {
 	if err := json.Unmarshal(data, &submitted); err != nil {
 		t.Fatal(err)
 	}
-	recorded, err := experiments.ReadFingerprint(nil, filepath.Join(dir, "job-1.journal"))
+	journal, err := os.ReadFile(filepath.Join(dir, "job-1.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recorded.Version != 3 {
-		t.Fatalf("the fixture's journal is version %d, want 3", recorded.Version)
+	var header struct{ Version int }
+	first, _, _ := strings.Cut(string(journal), "\n")
+	if err := json.Unmarshal([]byte(first), &header); err != nil || header.Version != 3 {
+		t.Fatalf("the fixture's journal header is version %d (%v), want 3", header.Version, err)
 	}
 	wantText, wantJSON := reference(t, submitted)
-	upgradedJSON := strings.ReplaceAll(string(wantJSON), `"Parallelism": 2`, `"Parallelism": 0`)
-	if upgradedJSON == string(wantJSON) {
-		t.Fatal("the submitted spec's -json shows no parallelism of 2")
-	}
 
 	coord := newTestCoordinator(t, Config{Dir: dir})
 	srv := httptest.NewServer(coord.Handler())
@@ -297,7 +296,7 @@ func TestRecoverVersion3StateDirectory(t *testing.T) {
 		t.Errorf("a spec file with no journal became job 2: %+v, %v", st, err)
 	}
 	startWorker(t, srv.URL, WorkerConfig{Name: "w", PollInterval: 10 * time.Millisecond})
-	assertIdentical(t, waitResult(t, srv.URL, 1), wantText, []byte(upgradedJSON))
+	assertIdentical(t, waitResult(t, srv.URL, 1), wantText, wantJSON)
 }
 
 // copyState copies the files of testdata/<name> into dir.

@@ -24,19 +24,16 @@ import (
 )
 
 // quickUniSpec is the small workstation grid the integration tests run:
-// one workload, 5 cells. Parallelism enters the result's Cfg JSON, so
-// the reference run below uses the same value.
+// one workload, 5 cells.
 func quickUniSpec() *experiments.UniConfig {
 	cfg := experiments.QuickUniConfig()
 	cfg.Workloads = []string{"DC"}
-	cfg.Parallelism = 2
 	return &cfg
 }
 
 func quickMPSpec() *experiments.MPConfig {
 	cfg := experiments.QuickMPConfig()
 	cfg.Apps = []string{"ocean"}
-	cfg.Parallelism = 2
 	return &cfg
 }
 
