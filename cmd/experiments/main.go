@@ -170,8 +170,7 @@ func run(args []string) (code int) {
 	}()
 
 	sel := experiments.Selection(onlyList)
-	ucfg.Parallelism = *jobs
-	mcfg.Parallelism = *jobs
+	ucfg.Parallelism, mcfg.Parallelism = *jobs, *jobs
 	ucfg.CellTimeout = *cellTimeout
 	mcfg.CellTimeout = *cellTimeout
 	ucfg.Guard = *gopts

@@ -208,9 +208,7 @@ func runWork(args []string) int {
 // buildSpec resolves submit's grid flags to the job spec through the
 // binding cmd/experiments resolves them with, so the submitted configs —
 // and therefore the journal fingerprints and output bytes — agree with a
-// local reference run. The spec is the one the run's fingerprint
-// records (service.SpecOf): the configs of the grids that run and no
-// other.
+// local reference run. It is the spec of the run's fingerprint (SpecOf).
 func buildSpec(gf *experiments.GridFlags) (service.JobSpec, error) {
 	only, ucfg, mcfg, err := gf.Resolve()
 	if err != nil {

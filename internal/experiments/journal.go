@@ -42,9 +42,9 @@ const (
 // identity (recorded in the header beside the hash). Version 3 seeds
 // every cell from its configuration rather than its index in the grid,
 // so a version-2 journal holds cells this binary would simulate
-// differently. Version 4 drops the checkpoint stamp. Version 5 records
-// no parallelism and no version inside the fingerprint, so the header
-// records only what decides a cell, and all of it is hashed.
+// differently. Version 4 drops the checkpoint stamp. Version 5 drops
+// parallelism and the fingerprint's copy of the version: the header
+// records only what decides a cell.
 const JournalVersion = 5
 
 // Fingerprint is what a journal's header records about the run that

@@ -28,8 +28,7 @@ type MPConfig struct {
 
 	// Parallelism bounds how many simulation cells run concurrently:
 	// 0 selects DefaultParallelism (GOMAXPROCS), 1 forces the serial
-	// path. Excluded from JSON: results are byte-identical at every
-	// setting, so it enters no result, journal header or job spec.
+	// path. Excluded from JSON: results are byte-identical at every setting.
 	Parallelism int `json:"-"`
 
 	// CellTimeout bounds the wall-clock time of each simulation a cell

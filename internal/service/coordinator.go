@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"path/filepath"
 	"regexp"
@@ -267,15 +266,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		if m == nil {
 			continue
 		}
-		id, _ := strconv.Atoi(m[1])
-		if m[2] != "" {
-			// A side file createJournal never renamed into place is no
-			// job. Recovering job id may have renamed it already.
-			if err := cfg.FS.Remove(filepath.Join(cfg.Dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("service: remove job %d side file: %w", id, err)
-			}
+		if m[2] != "" { // a side file createJournal never renamed into place is no job
+			_ = cfg.FS.Remove(filepath.Join(cfg.Dir, e.Name())) // best effort; recovering its job may have renamed it
 			continue
 		}
+		id, _ := strconv.Atoi(m[1])
 		if err := c.recoverJob(id); err != nil {
 			return nil, fmt.Errorf("service: recover job %d: %w", id, err)
 		}
@@ -369,19 +364,17 @@ func (c *Coordinator) recoverJob(id int) error {
 // file; one a crash leaves, the next restart's scan removes.
 func (c *Coordinator) createJournal(id int, fp experiments.Fingerprint) (*experiments.Journal, error) {
 	path := c.journalPath(id)
-	side := path + ".new"
-	journal, err := experiments.CreateJournalFS(c.cfg.FS, side, fp)
-	if err == nil {
-		if err = c.cfg.FS.Rename(side, path); err != nil {
-			journal.Close()
-		}
-	}
+	journal, err := experiments.CreateJournalFS(c.cfg.FS, path+".new", fp)
 	if err != nil {
-		_ = c.cfg.FS.Remove(side) // best effort: the next restart's scan removes what is left
+		_ = c.cfg.FS.Remove(path + ".new") // best effort, as below
 		return nil, err
 	}
-	if err = c.cfg.FS.SyncDir(c.cfg.Dir); err != nil {
+	if err = c.cfg.FS.Rename(path+".new", path); err == nil {
+		err = c.cfg.FS.SyncDir(c.cfg.Dir)
+	}
+	if err != nil {
 		journal.Close()
+		_ = c.cfg.FS.Remove(path + ".new") // gone if renamed; a restart's scan removes what is left
 		return nil, err
 	}
 	return journal, nil
