@@ -43,9 +43,9 @@ if [ -e cmd/expworker ] || [ -e internal/osmodel ] ||
 fi
 
 # One command runs every grid: cmd/experiments and expserve submit
-# resolve -quick/-only/-j and the subset flags through
-# experiments.BindGridFlags. A command that builds a grid config by hand
-# is a second copy of that resolution.
+# resolve -quick, -only and the subset flags (-subjects, -schemes,
+# -contexts) through experiments.BindGridFlags. A command that builds a
+# grid config by hand is a second copy of that resolution.
 if grep -rnE 'DefaultUniConfig|QuickUniConfig|DefaultMPConfig|QuickMPConfig' \
     --include='*.go' --exclude='*_test.go' cmd; then
     echo "check.sh: a command builds a grid config by hand; resolve it with experiments.BindGridFlags" >&2
@@ -244,7 +244,9 @@ go run ./cmd/obscheck "$OBS_DIR"/*.jsonl "$OBS_DIR"/*.json
 # again but raise a real SIGINT after 3 journaled cells (-interrupt-after
 # exercises the same signal path an operator's Ctrl-C does; expected exit
 # code 3), then resume the partial journal and require the resumed table
-# and -json output to be byte-identical to the uninterrupted run.
+# and -json output to be byte-identical to the uninterrupted run. A -j 1
+# run of the same grid must print and dump the same bytes: -j decides
+# no byte.
 RES_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR" "$RES_DIR"' EXIT
 # A real binary, not `go run`: go run collapses any non-zero child exit
@@ -261,6 +263,10 @@ code=0
     -json "$RES_DIR/resumed.json" -resume "$RES_DIR/part.journal" > "$RES_DIR/resumed.txt"
 diff "$RES_DIR/full.txt" "$RES_DIR/resumed.txt"
 diff "$RES_DIR/full.json" "$RES_DIR/resumed.json"
+"$RES_DIR/experiments" -quick -only table7 -j 1 \
+    -json "$RES_DIR/serial.json" > "$RES_DIR/serial.txt"
+diff "$RES_DIR/full.txt" "$RES_DIR/serial.txt"
+diff "$RES_DIR/full.json" "$RES_DIR/serial.json"
 
 # Checkpoint pass (two quick sweep runs of about half a second each): a
 # forked sweep run (the default) must be byte-identical to
@@ -323,7 +329,7 @@ SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr" ] && break; sleep 0.1; done
 ADDR="http://$(cat "$SVC_DIR/addr")"
 
-JOB=$("$SVC_DIR/expserve" submit -coordinator "$ADDR" -quick -only table7 -j 2)
+JOB=$("$SVC_DIR/expserve" submit -coordinator "$ADDR" -quick -only table7)
 
 # One worker dies abruptly on its first cell: documented exit 7. It
 # releases nothing (an injected death is a kill -9), so its lease
