@@ -6,10 +6,13 @@
 //
 //	asmrun -scheme interleaved -contexts 2 -copies 2 prog.s
 //
-// With -copies N the program is loaded into N contexts (each copy gets
-// its own thread; they share the program's data). -trace prints one
-// "cycle  ctxN  disassembly" line per issued instruction, read from the
-// processor's event trace after the run. That trace holds at most
+// With -copies N (1 ≤ N ≤ -contexts) the program is loaded into N
+// contexts: each copy gets its own thread, with its index in mp.TidReg
+// and N in mp.NThreadsReg (the SPMD convention), and they share the
+// program's data. Any other -copies, an unknown -scheme or a missing file
+// argument is a usage error (exit 2). -trace prints one "cycle  ctxN
+// disassembly" line per issued instruction, read from the processor's
+// event trace after the run. That trace holds at most
 // metrics.DefaultEventCap events (issues and stall spans together), so a
 // long run's trace stops early; the dropped count is reported on stderr.
 package main
@@ -22,10 +25,11 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/mp"
 	"repro/internal/prog"
 	"repro/internal/stats"
+	"repro/internal/workstation"
 )
 
 func main() {
@@ -37,19 +41,23 @@ func main() {
 	list := flag.Bool("list", false, "print the assembled listing and exit")
 	flag.Parse()
 
-	die := func(err error) {
+	exit := func(code int, err error) {
 		fmt.Fprintln(os.Stderr, "asmrun:", err)
-		os.Exit(1)
+		os.Exit(code)
 	}
+	die := func(err error) { exit(1, err) }
 
 	if flag.NArg() != 1 {
-		die(fmt.Errorf("usage: asmrun [flags] file.s"))
+		exit(2, fmt.Errorf("usage: asmrun [flags] file.s"))
 	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		die(err)
+	if *copies < 1 || *copies > *contexts {
+		exit(2, fmt.Errorf("-copies %d outside 1..%d (-contexts)", *copies, *contexts))
 	}
 	sc, err := core.ParseScheme(*scheme)
+	if err != nil {
+		exit(2, err)
+	}
+	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		die(err)
 	}
@@ -62,32 +70,26 @@ func main() {
 		return
 	}
 
-	fm := mem.New()
-	p.LoadInit(fm)
-	h, err := cache.NewHierarchy(cache.DefaultParams())
+	m, err := workstation.NewMachine(core.DefaultConfig(sc, *contexts), cache.DefaultParams())
 	if err != nil {
 		die(err)
 	}
-	proc, err := core.NewProcessor(core.DefaultConfig(sc, *contexts), h, fm)
-	if err != nil {
-		die(err)
-	}
+	p.LoadInit(m.Memory)
 	var col *metrics.Collector
 	if *trace {
 		col = metrics.NewCollector(metrics.Options{Events: true}, 1)
-		proc.AttachMetrics(col.Proc(0))
+		m.Proc.AttachMetrics(col.Proc(0))
 	}
 
-	var threads []*core.Thread
-	for c := 0; c < *copies && c < *contexts; c++ {
-		th := core.NewThread(fmt.Sprintf("t%d", c), p)
-		th.SetIntReg(isa.R4, uint32(c))       // tid convention
-		th.SetIntReg(isa.R5, uint32(*copies)) // nthreads convention
-		proc.BindThread(c, th)
-		threads = append(threads, th)
+	threads := make([]*core.Thread, *copies)
+	for c := range threads {
+		threads[c] = core.NewThread(fmt.Sprintf("t%d", c), p)
+		threads[c].SetIntReg(mp.TidReg, uint32(c))
+		threads[c].SetIntReg(mp.NThreadsReg, uint32(*copies))
+		m.Proc.BindThread(c, threads[c])
 	}
 
-	cycles, done := proc.RunUntilHalted(*limit)
+	cycles, done := m.RunUntilHalted(*limit)
 	if col != nil {
 		tr := col.Result()
 		for _, ev := range tr.Events {
@@ -105,8 +107,8 @@ func main() {
 	}
 
 	fmt.Printf("%s: %d thread(s) on %v/%d — %d cycles, %d instructions (IPC %.3f)\n\n",
-		p.Name, len(threads), sc, *contexts, cycles, proc.Stats.Retired, proc.Stats.IPC())
-	bd := proc.Stats.Breakdown()
+		p.Name, len(threads), sc, *contexts, cycles, m.Stats().Retired, m.Stats().IPC())
+	bd := m.Stats().Breakdown()
 	t := stats.NewTable("category", "fraction")
 	t.AddRow("busy", stats.Pct(bd.Busy+bd.Sync))
 	t.AddRow("instruction stall", stats.Pct(bd.InstrShort+bd.InstrLong))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -28,8 +29,19 @@ func TestMain(m *testing.M) {
 }
 
 // asmrun runs the command with args from the repository root and returns
-// its stdout and stderr.
+// its stdout and stderr; it fails the test unless the command exits 0.
 func asmrun(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	stdout, stderr, code := asmrunExit(t, args...)
+	if code != 0 {
+		t.Fatalf("asmrun %s: exit %d\nstderr: %s", strings.Join(args, " "), code, stderr)
+	}
+	return stdout, stderr
+}
+
+// asmrunExit is asmrun for a run that may fail: it also returns the exit
+// code.
+func asmrunExit(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
@@ -41,9 +53,13 @@ func asmrun(t *testing.T, args ...string) (stdout, stderr string) {
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("asmrun %s: %v\nstderr: %s", strings.Join(args, " "), err, errb.String())
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("asmrun %s: %v", strings.Join(args, " "), err)
+		}
+		code = exit.ExitCode()
 	}
-	return out.String(), errb.String()
+	return out.String(), errb.String(), code
 }
 
 const saxpy = "examples/asm/saxpy.s"
@@ -70,6 +86,28 @@ func TestSummary(t *testing.T) {
 	out, stderr := asmrun(t, append(saxpyRun, saxpy)...)
 	if want := golden(t, "saxpy.run"); out != want || stderr != "" {
 		t.Errorf("run output changed\ngot:\n%s\nwant:\n%s\nstderr: %q", out, want, stderr)
+	}
+}
+
+// TestUsageErrors: a run asmrun cannot make sense of exits 2 before it
+// assembles anything. Every copy needs a context of its own, and a copy
+// count other than the number of threads loaded would hand each thread
+// a wrong thread count in mp.NThreadsReg.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-contexts", "1", "-copies", "3", saxpy}, "-copies 3 outside 1..1"},
+		{[]string{"-copies", "0", saxpy}, "-copies 0 outside 1..1"},
+		{[]string{"-scheme", "nosuch", saxpy}, "unknown scheme"},
+		{[]string{"-copies", "2"}, "usage"},
+	} {
+		out, stderr, code := asmrunExit(t, tc.args...)
+		if code != 2 || out != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("asmrun %s: exit %d, stdout %q, stderr %q; want exit 2, no output and %q",
+				strings.Join(tc.args, " "), code, out, stderr, tc.want)
+		}
 	}
 }
 

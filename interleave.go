@@ -35,7 +35,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mem"
 	"repro/internal/mp"
 	"repro/internal/prog"
 	"repro/internal/splash"
@@ -121,12 +120,10 @@ type CacheParams = cache.Params
 func DefaultCacheParams() CacheParams { return cache.DefaultParams() }
 
 // Machine is a single multiple-context processor over the workstation
-// cache hierarchy — the simplest way to run programs.
-type Machine struct {
-	Proc      *core.Processor
-	Hierarchy *cache.Hierarchy
-	Memory    *mem.Memory
-}
+// cache hierarchy — the simplest way to run programs. Load binds a
+// program to a context, Run and RunUntilHalted advance it, Stats reads
+// its issue-slot accounting.
+type Machine = workstation.Machine
 
 // NewMachine builds a machine with the paper's default hierarchy.
 func NewMachine(cfg Config) (*Machine, error) {
@@ -136,38 +133,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 // NewMachineWithCaches builds a machine with an explicit hierarchy
 // configuration.
 func NewMachineWithCaches(cfg Config, cp CacheParams) (*Machine, error) {
-	fm := mem.New()
-	h, err := cache.NewHierarchy(cp)
-	if err != nil {
-		return nil, err
-	}
-	proc, err := core.NewProcessor(cfg, h, fm)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{Proc: proc, Hierarchy: h, Memory: fm}, nil
+	return workstation.NewMachine(cfg, cp)
 }
-
-// Load binds program p to hardware context ctx (loading its initial data)
-// and returns the created thread.
-func (m *Machine) Load(ctx int, p *Program) *Thread {
-	p.LoadInit(m.Memory)
-	th := core.NewThread(p.Name, p)
-	m.Proc.BindThread(ctx, th)
-	return th
-}
-
-// Run advances the machine n cycles.
-func (m *Machine) Run(n int64) { m.Proc.Run(n) }
-
-// RunUntilHalted runs until every loaded thread halts or limit cycles
-// elapse; it reports the cycles executed and whether everything halted.
-func (m *Machine) RunUntilHalted(limit int64) (int64, bool) {
-	return m.Proc.RunUntilHalted(limit)
-}
-
-// Stats returns the machine's issue-slot accounting.
-func (m *Machine) Stats() *Stats { return &m.Proc.Stats }
 
 // Workstation multiprogramming (paper §4-5.1).
 type (

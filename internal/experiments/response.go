@@ -11,9 +11,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/prog"
 	"repro/internal/stats"
+	"repro/internal/workstation"
 )
 
 // The paper's §5.1 closing argument: "many workstations run with one large
@@ -119,10 +119,9 @@ func RunResponseCtx(ctx context.Context, cfg ResponseConfig) (*ResponseResult, e
 		{"blocked, 2 contexts", core.Blocked, 2},
 		{"interleaved, 2 contexts", core.Interleaved, 2},
 	}
-	// Each design is a self-contained simulation (own memory, hierarchy,
-	// processor), so the three run concurrently, within a run's -j
-	// slots; cells[i] keeps the design order stable regardless of
-	// completion order.
+	// Each design is a self-contained simulation on its own machine, so
+	// the three run concurrently, within a run's -j slots; cells[i] keeps
+	// the design order stable regardless of completion order.
 	cells := make([]ResponseCell, len(designs))
 	err = runCells(ctx, len(designs), len(designs), func(ctx context.Context, i int) error {
 		d := designs[i]
@@ -133,17 +132,13 @@ func RunResponseCtx(ctx context.Context, cfg ResponseConfig) (*ResponseResult, e
 			Yield:    d.scheme.YieldMode(),
 		})
 
-		fm := mem.New()
-		fg.LoadInit(fm)
-		bgProg.LoadInit(fm)
-		h, err := cache.NewHierarchy(cache.DefaultParams())
+		m, err := workstation.NewMachine(core.DefaultConfig(d.scheme, d.contexts), cache.DefaultParams())
 		if err != nil {
 			return err
 		}
-		proc, err := core.NewProcessor(core.DefaultConfig(d.scheme, d.contexts), h, fm)
-		if err != nil {
-			return err
-		}
+		fg.LoadInit(m.Memory)
+		bgProg.LoadInit(m.Memory)
+		proc := m.Proc
 
 		var stamps []int64
 		proc.MemWatch = func(op isa.Op, addr, v uint32, ctx int, now int64) {
@@ -158,33 +153,23 @@ func RunResponseCtx(ctx context.Context, cfg ResponseConfig) (*ResponseResult, e
 		if d.contexts >= 2 {
 			proc.BindThread(0, bgThread)
 			proc.BindThread(1, fgThread)
-			for len(stamps) < cfg.Bursts+2 {
-				if cerr := ctx.Err(); cerr != nil {
-					return guard.NewSimError(guard.OpCanceled, cerr).At(proc.Now())
-				}
-				proc.Run(cfg.SliceCycles)
-				if proc.Now() > 1_000_000_000 {
-					return fmt.Errorf("experiments: response run did not converge")
-				}
+		}
+		for turn := 0; len(stamps) < cfg.Bursts+2; turn++ {
+			if cerr := ctx.Err(); cerr != nil {
+				return guard.NewSimError(guard.OpCanceled, cerr).At(proc.Now())
 			}
-		} else {
-			// OS timesharing: the foreground gets one slice, the batch
-			// job two (its affinity share of a busy machine).
-			turn := 0
-			for len(stamps) < cfg.Bursts+2 {
-				if cerr := ctx.Err(); cerr != nil {
-					return guard.NewSimError(guard.OpCanceled, cerr).At(proc.Now())
-				}
+			if d.contexts == 1 {
+				// OS timesharing: the foreground gets one slice, the
+				// batch job two (its affinity share of a busy machine).
+				th := bgThread
 				if turn%3 == 0 {
-					proc.BindThread(0, fgThread)
-				} else {
-					proc.BindThread(0, bgThread)
+					th = fgThread
 				}
-				proc.Run(cfg.SliceCycles)
-				turn++
-				if proc.Now() > 1_000_000_000 {
-					return fmt.Errorf("experiments: response run did not converge")
-				}
+				proc.BindThread(0, th)
+			}
+			proc.Run(cfg.SliceCycles)
+			if proc.Now() > 1_000_000_000 {
+				return fmt.Errorf("experiments: response run did not converge")
 			}
 		}
 

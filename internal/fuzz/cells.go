@@ -350,41 +350,37 @@ func runUni(ctx context.Context, p *prog.Program, s *Spec, c Cell, lim Limits, r
 	// hashes, so the trace and the hashes span the fork.
 	trace := metrics.NewSink(0, metrics.SwitchTraceCap)
 	retire := make([]core.RetireHash, c.Contexts)
-	build := func() (*cache.Hierarchy, *mem.Memory, *core.Processor, []*core.Thread, error) {
+	build := func() (*workstation.Machine, []*core.Thread, error) {
 		ccfg := core.DefaultConfig(c.Scheme, c.Contexts)
 		ccfg.NoFastForward = !c.FF
 		params := cache.DefaultParams()
 		params.Chaos = guard.Options{ChaosSeed: c.Chaos}.NewChaos()
-		h, err := cache.NewHierarchy(params)
+		m, err := workstation.NewMachine(ccfg, params)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, err
 		}
-		fm := mem.New()
-		p.LoadInit(fm)
-		proc, err := core.NewProcessor(ccfg, h, fm)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
+		p.LoadInit(m.Memory)
 		ths := make([]*core.Thread, c.Contexts)
 		for i := range ths {
 			ths[i] = core.NewThread(fmt.Sprintf("%s.t%d", p.Name, i), p)
 			ths[i].SetIntReg(mp.TidReg, uint32(i))
 			ths[i].SetIntReg(mp.NThreadsReg, uint32(c.Contexts))
 			ths[i].HashRetirement(&retire[i])
-			proc.BindThread(i, ths[i])
+			m.Proc.BindThread(i, ths[i])
 		}
-		proc.TraceSwitches(trace)
-		return h, fm, proc, ths, nil
+		m.Proc.TraceSwitches(trace)
+		return m, ths, nil
 	}
-	h, fm, proc, ths, err := build()
+	m, ths, err := build()
 	if err != nil {
 		return nil, nil, err
 	}
 	if c.Restore {
-		if h, fm, proc, ths, err = forkUni(ctx, s.Seed, lim, build, h, fm, proc, ths); err != nil {
+		if m, ths, err = forkUni(ctx, s.Seed, lim, build, m, ths); err != nil {
 			return nil, nil, err
 		}
 	}
+	proc, h := m.Proc, m.Hierarchy
 	if c.Machine == "ws" {
 		// OS-scheduler interference at fixed cycle boundaries. The slice
 		// is much shorter than the real scheduler's so short generated
@@ -417,60 +413,48 @@ func runUni(ctx context.Context, p *prog.Program, s *Spec, c Cell, lim Limits, r
 	res.Switches = switchCount(proc.Stats)
 	res.Trace = trace.Events()
 	res.Retire = retire
-	return fm, ths, nil
+	return m.Memory, ths, nil
 }
 
 // forkUni is runUni's snapshot fork: run the source machine to a block
-// boundary derived from the program seed, seal every machine layer into
-// a checkpoint container (snapshot.Seal), open it (snapshot.Open) and
-// restore into a freshly built twin, which it returns for runUni to
-// finish. This is the drivers' checkpoint path, trailer check included.
-// The cell's digest — cycles, switch trace, retirement hashes, arch hash
-// — must be indistinguishable from its unforked sibling's; any codec bug
-// surfaces as a strict-group divergence in the oracle.
+// boundary derived from the program seed, seal it with the workstation
+// checkpoint's machine walk (workstation.Machine.State) into a container
+// (snapshot.Seal), open it (snapshot.Open) and restore into a freshly
+// built twin, which it returns for runUni to finish. This is the
+// drivers' checkpoint path, trailer check included. The cell's digest —
+// cycles, switch trace, retirement hashes, arch hash — must be
+// indistinguishable from its unforked sibling's; any codec bug surfaces
+// as a strict-group divergence in the oracle.
 func forkUni(ctx context.Context, seed int64, lim Limits,
-	build func() (*cache.Hierarchy, *mem.Memory, *core.Processor, []*core.Thread, error),
-	h *cache.Hierarchy, fm *mem.Memory, proc *core.Processor, ths []*core.Thread,
-) (*cache.Hierarchy, *mem.Memory, *core.Processor, []*core.Thread, error) {
+	build func() (*workstation.Machine, []*core.Thread, error),
+	m *workstation.Machine, ths []*core.Thread,
+) (*workstation.Machine, []*core.Thread, error) {
 	at := forkCycle(seed, lim)
 	// Run the source machine to the boundary. Halting earlier is fine —
 	// the codec then round-trips a finished machine.
-	if _, _, err := proc.RunGuardedCtx(ctx, at, guard.Options{}); err != nil {
-		return nil, nil, nil, nil, err
+	if _, _, err := m.Proc.RunGuardedCtx(ctx, at, guard.Options{}); err != nil {
+		return nil, nil, err
 	}
-	walk := func(h *cache.Hierarchy, fm *mem.Memory, proc *core.Processor, ths []*core.Thread) func(snapshot.Codec) {
-		return func(c snapshot.Codec) {
-			for _, th := range ths {
-				th.State(c)
-			}
-			proc.State(c)
-			h.State(c)
-			fm.State(c)
-		}
-	}
-	img, err := snapshot.Open(snapshot.Seal(forkKind, "", walk(h, fm, proc, ths)), forkKind, "")
+	data := snapshot.Seal(workstation.Kind, "", func(c snapshot.Codec) { m.State(c, ths) })
+	img, err := snapshot.Open(data, workstation.Kind, "")
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("checkpoint at cycle %d: %w", at, err)
+		return nil, nil, fmt.Errorf("checkpoint at cycle %d: %w", at, err)
 	}
 
-	h2, fm2, proc2, ths2, err := build()
+	m2, ths2, err := build()
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	r := img.Reader()
-	walk(h2, fm2, proc2, ths2)(snapshot.Restoring(r))
+	m2.State(snapshot.Restoring(r), ths2)
 	if err := snapshot.Finish(r); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("restore at cycle %d: %w", at, err)
+		return nil, nil, fmt.Errorf("restore at cycle %d: %w", at, err)
 	}
-	if got, want := proc2.MachineHash(), proc.MachineHash(); got != want {
-		return nil, nil, nil, nil, fmt.Errorf("restored machine hash %#x != source %#x at cycle %d", got, want, at)
+	if got, want := m2.Proc.MachineHash(), m.Proc.MachineHash(); got != want {
+		return nil, nil, fmt.Errorf("restored machine hash %#x != source %#x at cycle %d", got, want, at)
 	}
-	return h2, fm2, proc2, ths2, nil
+	return m2, ths2, nil
 }
-
-// forkKind names the container forkUni seals: a uniprocessor machine's
-// threads, processor, hierarchy and memory.
-const forkKind = "fuzz-uni"
 
 // forkCycle is the block boundary a Restore cell forks at: one of the
 // first 16, drawn from the program seed. Generated programs run for a

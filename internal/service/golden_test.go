@@ -136,10 +136,27 @@ func TestGridGoldenLocal(t *testing.T) {
 // each grid, whose lease is left to expire. With one attempt per cell
 // the coordinator gives up on those two and journals its own failed
 // record for each. It returns the state directory and the job's result.
+// Every record is simulated from the submitted spec before the job
+// exists, so no lease is held across a simulation, which under -race
+// can outlast the one-second lease.
 func runFailedJob(t *testing.T) (dir string, res JobResult) {
 	t.Helper()
 	spec := goldenSpec()
 	ctx := context.Background()
+	grids, _, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := map[string][]json.RawMessage{}
+	for _, g := range grids {
+		recs := make([]json.RawMessage, g.Size())
+		for i := range recs {
+			if recs[i], err = g.RunCell(ctx, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		records[g.Name()] = recs
+	}
 	dir = t.TempDir()
 	coord := newTestCoordinator(t, Config{Dir: dir, LeaseTTL: time.Second,
 		Retry: guard.Retry{Attempts: 1}})
@@ -162,23 +179,11 @@ func runFailedJob(t *testing.T) (dir string, res JobResult) {
 		if l.Index == 2 {
 			continue
 		}
-		var payload []byte
-		switch l.Grid {
-		case "workstation":
-			rec, err := experiments.RunUniCell(ctx, *l.Spec.Uni, l.Index)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, _ = json.Marshal(rec)
-		case "multiprocessor":
-			rec, err := experiments.RunMPCell(ctx, *l.Spec.MP, l.Index)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, _ = json.Marshal(rec)
-		default:
-			t.Fatalf("lease names grid %q", l.Grid)
+		recs, ok := records[l.Grid]
+		if !ok || l.Index >= len(recs) {
+			t.Fatalf("lease names cell %s/%d, which the spec does not run", l.Grid, l.Index)
 		}
+		payload := recs[l.Index]
 		var ack completeResponse
 		if err := client.call(ctx, http.MethodPost, "/api/complete", completeRequest{Worker: "golden",
 			Job: l.Job, Grid: l.Grid, Index: l.Index, LeaseID: l.LeaseID, Record: payload}, &ack); err != nil {

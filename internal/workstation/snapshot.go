@@ -4,12 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/apps"
-	"repro/internal/cache"
-	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/snapshot"
 )
 
@@ -23,7 +19,10 @@ import (
 // scheduler-interference PRNG position, watchdog progress, context
 // bindings, and the measure-window baselines.
 
-// Kind names the workstation snapshot shape in the codec container.
+// Kind names the workstation snapshot shape in the codec container: a
+// run's checkpoint (the driver's section, then Machine.State), or a bare
+// Machine.State where a driver forks the machine alone (the fuzzer's
+// Restore cells).
 const Kind = "workstation"
 
 // sectionRun tags the driver-level block ("WSR1").
@@ -101,10 +100,13 @@ func ResumeCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, data []by
 // The machine is built fresh except for its largest storage: a fork
 // takes the memory pages and cache arrays an earlier fork of img left
 // (img.Spare), and leaves its own when it finishes, so a sweep group
-// allocates them once per concurrent fork, not once per cell.
+// allocates them once per concurrent fork, not once per cell. The
+// restore walk overwrites every byte of that storage, so no state
+// crosses from one fork to the next, and a Result copies what it
+// reports, so none aliases it.
 func ResumeImageCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, img *snapshot.Image) (*Result, error) {
-	sp, _ := img.Spare().(*spare)
-	r, err := newRunner(kernels, cfg, sp)
+	spare, _ := img.Spare().(*Machine)
+	r, err := newRunner(kernels, cfg, spare)
 	if err != nil {
 		return nil, err
 	}
@@ -125,26 +127,13 @@ func ResumeImageCtx(ctx context.Context, kernels []apps.Kernel, cfg Config, img 
 		return nil, err
 	}
 	res := r.result()
-	img.PutSpare(&spare{fm: r.fm, h: r.h})
+	img.PutSpare(&Machine{Hierarchy: r.m.Hierarchy, Memory: r.m.Memory})
 	return res, nil
 }
 
-// spare is the storage of a finished fork that the next fork of the same
-// image takes: the functional memory, whose pages a restore reuses
-// (mem.Memory.State), and the hierarchy, whose three caches' tag, valid
-// and dirty arrays it reuses (cache.NewHierarchyReusing). A restore walk
-// overwrites every byte of both, so no state crosses from one fork to the
-// next, and a Result copies what it reports, so none aliases them.
-type spare struct {
-	fm *mem.Memory
-	h  *cache.Hierarchy
-}
-
 // state visits the full run state as of the top of slice *atSlice
-// (before that slice's scheduler invocation). Order matters for restore:
-// threads first, then bindings (BindThread resets per-context
-// availability), then the processor (which overwrites exactly those
-// fields).
+// (before that slice's scheduler invocation): the driver's bookkeeping,
+// then the machine with its threads (Machine.State).
 func (r *runner) state(c snapshot.Codec, atSlice *int) {
 	c.Section(sectionRun)
 	c.Int(atSlice)
@@ -165,29 +154,5 @@ func (r *runner) state(c snapshot.Codec, atSlice *int) {
 		c.I64(&r.measureStart[i])
 		c.I64(&r.devotedStart[i])
 	}
-	for _, th := range r.threads {
-		th.State(c)
-	}
-	// Context bindings as thread indices (-1 = empty slot). The binding
-	// is state, not config: with one scheduling group the loop binds only
-	// at slice 0, so a resumed run cannot rebuild it from the slice index.
-	for ctx := 0; ctx < r.cfg.Contexts; ctx++ {
-		idx := slices.Index(r.threads, r.proc.ThreadAt(ctx))
-		c.Int(&idx)
-		if c.Saving() || c.Err() != nil {
-			continue
-		}
-		if idx < -1 || idx >= len(r.threads) {
-			c.Expect("bound thread index", int64(idx), -1)
-			continue
-		}
-		var th *core.Thread
-		if idx >= 0 {
-			th = r.threads[idx]
-		}
-		r.proc.BindThread(ctx, th)
-	}
-	r.proc.State(c)
-	r.h.State(c)
-	r.fm.State(c)
+	r.m.State(c, r.threads)
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/guard"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/prog"
 	"repro/internal/snapshot"
@@ -172,12 +171,8 @@ func RunCtx(ctx context.Context, kernels []apps.Kernel, cfg Config) (*Result, er
 // halves, pausing at a slice boundary to serialize or restore, so a
 // forked run replays the measure phase through the identical code path.
 type runner struct {
-	cfg  Config
-	ccfg core.Config
-
-	fm   *mem.Memory
-	h    *cache.Hierarchy
-	proc *core.Processor
+	cfg Config
+	m   *Machine
 
 	col          *metrics.Collector
 	eng          *engine.Engine
@@ -196,9 +191,9 @@ type runner struct {
 // newRunner builds the machine for cfg with empty memory: slice 0 of
 // runSlices loads the programs' initial data, so a fork, which enters
 // at the measure boundary, never writes data its restore would discard.
-// A non-nil spare is a finished fork's storage (see spare) for a machine
-// that a restore walk will overwrite before it runs.
-func newRunner(kernels []apps.Kernel, cfg Config, sp *spare) (*runner, error) {
+// A non-nil spare is a finished fork's machine, whose storage the new
+// one reuses (see newMachine).
+func newRunner(kernels []apps.Kernel, cfg Config, spare *Machine) (*runner, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("workstation: empty workload")
 	}
@@ -216,23 +211,12 @@ func newRunner(kernels []apps.Kernel, cfg Config, sp *spare) (*runner, error) {
 	if cfg.Cache.Chaos == nil {
 		cfg.Cache.Chaos = cfg.Guard.NewChaos()
 	}
-	var fm *mem.Memory
-	var old *cache.Hierarchy
-	if sp != nil {
-		fm, old = sp.fm, sp.h
-	} else {
-		fm = mem.New()
-	}
-	h, err := cache.NewHierarchyReusing(cfg.Cache, old)
+	m, err := newMachine(ccfg, cfg.Cache, spare)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := core.NewProcessor(ccfg, h, fm)
-	if err != nil {
-		return nil, err
-	}
-
-	r := &runner{cfg: cfg, ccfg: ccfg, fm: fm, h: h, proc: proc}
+	proc, h := m.Proc, m.Hierarchy
+	r := &runner{cfg: cfg, m: m}
 
 	// The block-stepping engine drives every slice: proc.Run over the
 	// coalesced span (a single call per slice when detached and
@@ -332,9 +316,9 @@ func newRunner(kernels []apps.Kernel, cfg Config, sp *spare) (*runner, error) {
 func (r *runner) bind(g []*core.Thread) {
 	for c := 0; c < r.cfg.Contexts; c++ {
 		if c < len(g) {
-			r.proc.BindThread(c, g[c])
+			r.m.Proc.BindThread(c, g[c])
 		} else {
-			r.proc.BindThread(c, nil)
+			r.m.Proc.BindThread(c, nil)
 		}
 	}
 }
@@ -345,7 +329,7 @@ func (r *runner) bind(g []*core.Thread) {
 // uninterrupted run would.
 func (r *runner) runSlices(ctx context.Context, from, to int) error {
 	cfg := r.cfg
-	proc, h := r.proc, r.h
+	proc, h := r.m.Proc, r.m.Hierarchy
 
 	// Each slice is one engine span: proc.Run over coalesced chunks (a
 	// single call when detached and unguarded — the exact
@@ -364,7 +348,7 @@ func (r *runner) runSlices(ctx context.Context, from, to int) error {
 		if slice == 0 {
 			// Only a run from scratch loads its programs' initial data.
 			for _, th := range r.threads {
-				th.Prog.LoadInit(r.fm)
+				th.Prog.LoadInit(r.m.Memory)
 			}
 		}
 		// Scheduler invocation at every slice boundary; process switches
@@ -409,13 +393,13 @@ func (r *runner) runSlices(ctx context.Context, from, to int) error {
 
 // result assembles the Result after the final slice.
 func (r *runner) result() *Result {
-	res := &Result{Stats: r.proc.Stats}
-	res.Throughput = r.proc.Stats.BusyFraction()
+	res := &Result{Stats: r.m.Proc.Stats}
+	res.Throughput = r.m.Proc.Stats.BusyFraction()
 	// Devoted counts issue slots; convert per-slot efficiency back to
 	// instructions per cycle for superscalar configurations.
 	width := 1.0
-	if r.ccfg.IssueWidth > 1 {
-		width = float64(r.ccfg.IssueWidth)
+	if w := r.m.Proc.Cfg.IssueWidth; w > 1 {
+		width = float64(w)
 	}
 	var effSum float64
 	for i, th := range r.threads {

@@ -188,6 +188,19 @@ if grep -rn 'map\[uint32\]\*page' --include='*.go' --exclude='*_test.go' interna
     exit 1
 fi
 
+# One uniprocessor machine: workstation.NewMachine builds a processor over
+# the cache hierarchy, and workstation.Machine.State walks it, for every
+# driver (the workstation run, the fuzzer, the response study, asmrun, the
+# root API). A hierarchy built anywhere else is a hand copy of that
+# machine, and a fuzzer container kind of its own is a second walk.
+# benchmark/ builds its own probe machines.
+if grep -rnE 'cache\.NewHierarchy\(|NewHierarchyReusing\(' --include='*.go' --exclude='*_test.go' . |
+    grep -v -e '^./internal/cache/' -e '^./internal/workstation/' -e '^./benchmark/' ||
+    grep -rnE 'fuzz-uni|forkKind' --include='*.go' .; then
+    echo "check.sh: build the uniprocessor machine with workstation.NewMachine and walk it with Machine.State" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
