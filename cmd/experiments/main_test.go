@@ -252,6 +252,10 @@ func TestBadSubsetExitsUsage(t *testing.T) {
 	for _, args := range [][]string{
 		{"-subjects", "nosuch"},
 		{"-contexts", "0"},
+		{"-quick", "-subjects", "DC", "-contexts", "65"},
+		{"-quick", "-subjects", "DC", "-contexts", "2,2"},
+		{"-quick", "-subjects", "DC,DC"},
+		{"-quick", "-subjects", "DC", "-schemes", "blocked,blocked"},
 		{"-schemes", "single"},
 		{"-subjects", "DC", "-only", "table10"},
 		{"-quick", "-only", "tabel7"},

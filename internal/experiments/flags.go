@@ -49,7 +49,8 @@ func BindGridFlags(fs *flag.FlagSet) *GridFlags {
 // kept a subject, so a grid none of whose subjects is named is left
 // out. A subset run is a grid run only: -only may then name grid
 // sections alone, of grids that kept a subject. -only may name nothing
-// outside Sections. Every error is a usage error.
+// outside Sections. A subset flag names each value once, and a context
+// count the core can build. Every error is a usage error.
 func (f *GridFlags) Resolve() (only []string, uni UniConfig, mp MPConfig, err error) {
 	uni, mp = DefaultUniConfig(), DefaultMPConfig()
 	if f.Quick {
@@ -74,6 +75,9 @@ func (f *GridFlags) Resolve() (only []string, uni UniConfig, mp MPConfig, err er
 				return nil, uni, mp, fmt.Errorf("-subjects: unknown subject %q (workload mixes %s; applications %s)",
 					name, strings.Join(WorkloadOrder, " "), strings.Join(MPAppOrder, " "))
 			}
+			if slices.Contains(uni.Workloads, name) || slices.Contains(mp.Apps, name) {
+				return nil, uni, mp, fmt.Errorf("-subjects: %q named twice", name)
+			}
 			if uniErr == nil {
 				uni.Workloads = append(uni.Workloads, name)
 			}
@@ -89,6 +93,9 @@ func (f *GridFlags) Resolve() (only []string, uni UniConfig, mp MPConfig, err er
 			if err != nil || (s != core.Blocked && s != core.Interleaved) {
 				return nil, uni, mp, fmt.Errorf("-schemes: %q is not a scheme the tables report (blocked, interleaved)", name)
 			}
+			if slices.Contains(schemes, s) {
+				return nil, uni, mp, fmt.Errorf("-schemes: %v named twice", s)
+			}
 			schemes = append(schemes, s)
 		}
 		uni.Schemes, mp.Schemes = schemes, slices.Clone(schemes)
@@ -97,8 +104,14 @@ func (f *GridFlags) Resolve() (only []string, uni UniConfig, mp MPConfig, err er
 		var counts []int
 		for _, c := range strings.Split(f.Contexts, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(c))
-			if err != nil || n < 1 {
+			if err != nil {
 				return nil, uni, mp, fmt.Errorf("-contexts: bad value %q", c)
+			}
+			if err := core.DefaultConfig(core.Interleaved, n).Validate(); err != nil {
+				return nil, uni, mp, fmt.Errorf("-contexts: %d: %w", n, err)
+			}
+			if slices.Contains(counts, n) {
+				return nil, uni, mp, fmt.Errorf("-contexts: %d named twice", n)
 			}
 			counts = append(counts, n)
 		}

@@ -121,6 +121,11 @@ func TestGridFlagsRejectBadSubsets(t *testing.T) {
 		{[]string{"-contexts", "0"}, "-contexts"},
 		{[]string{"-contexts", "2,"}, "-contexts"},
 		{[]string{"-contexts", "two"}, "-contexts"},
+		{[]string{"-contexts", "65"}, "maximum"},
+		{[]string{"-contexts", "2,2"}, "2 named twice"},
+		{[]string{"-subjects", "DC,DC"}, `"DC" named twice`},
+		{[]string{"-subjects", "water, water"}, `"water" named twice`},
+		{[]string{"-schemes", "blocked,blocked"}, "blocked named twice"},
 		{[]string{"-schemes", "single"}, "-schemes"},
 		{[]string{"-schemes", "fine-grained"}, "-schemes"},
 		{[]string{"-subjects", "DC", "-only", "table10"}, "names no application"},

@@ -113,7 +113,7 @@ func BenchmarkStallMiss(b *testing.B) {
 					b.Fatal(err)
 				}
 				start := time.Now()
-				if done, err := m.runBlocks(context.Background(), 0, cfg.LimitCycles); err != nil || !done {
+				if done, err := m.eng.Run(context.Background(), 0, cfg.LimitCycles); err != nil || !done {
 					b.Fatalf("stall-miss sweep: completed=%v err=%v", done, err)
 				}
 				best = min(best, time.Since(start))

@@ -56,8 +56,7 @@ type Config struct {
 
 	// Retire, if non-nil, holds one retirement hash per thread in tid
 	// order: thread i folds every instruction it retires into Retire[i]
-	// (core.Thread.HashRetirement). A checkpoint does not carry the
-	// hashes.
+	// (core.Thread.HashRetirement).
 	Retire []core.RetireHash
 }
 
@@ -127,7 +126,7 @@ func RunCtx(ctx context.Context, p *prog.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	completed, err := m.runBlocks(ctx, 0, cfg.LimitCycles)
+	completed, err := m.eng.Run(ctx, 0, cfg.LimitCycles)
 	if err != nil {
 		return nil, err
 	}
@@ -136,10 +135,7 @@ func RunCtx(ctx context.Context, p *prog.Program, cfg Config) (*Result, error) {
 
 // procRunner is the per-processor driver state: until is the horizon the
 // last Advance reported (zero forces a first call), (cls, ctx) the charge
-// for the processor's current boring region. The caches are
-// derived state — at a block boundary every processor is settled to the
-// boundary cycle and a recompute yields the identical classification —
-// so checkpoints drop them.
+// for the processor's current boring region.
 type procRunner struct {
 	proc  *core.Processor
 	until int64
@@ -148,9 +144,7 @@ type procRunner struct {
 }
 
 // machine is one fully constructed multiprocessor plus the lockstep
-// driver's bookkeeping. RunCtx drives it from cycle 0 to completion; the
-// checkpoint entry points (snapshot.go) drive the same block loop in two
-// halves.
+// driver's bookkeeping. RunCtx drives it from cycle 0 to completion.
 type machine struct {
 	cfg  Config
 	ccfg core.Config
@@ -435,20 +429,6 @@ func (m *machine) progress() int64 {
 		p += proc.UsefulProgress()
 	}
 	return p
-}
-
-// runBlocks drives lockstep blocks from cycle start (a block boundary)
-// until the machine halts or cycle limit is reached, returning whether
-// every thread halted. Cycle indices are absolute, so a run resumed from
-// a checkpoint observes the watchdog, samples cells and polls
-// cancellation at the exact cycles the uninterrupted run would.
-//
-// The loop itself is the shared engine: cancellation is observed between
-// blocks — one nil test per 64 simulated cycles when detached, never
-// inside the advancers — so the hot loop stays branch-free per cycle and
-// a canceled cell stops within one block of the cancellation.
-func (m *machine) runBlocks(ctx context.Context, start, limit int64) (bool, error) {
-	return m.eng.Run(ctx, start, limit)
 }
 
 // result assembles the Result after the final block.

@@ -201,6 +201,15 @@ if grep -rnE 'cache\.NewHierarchy\(|NewHierarchyReusing\(' --include='*.go' --ex
     exit 1
 fi
 
+# One machine forks: the workstation. A multiprocessor cell runs from
+# cycle zero to completion (mp.RunCtx), so internal/mp seals no
+# checkpoint and has no resume entry point.
+if grep -rnE 'snapshot\.(Seal|Open)\(|func (CheckpointAtCtx|ResumeCtx|ResumeImageCtx)\(' \
+    --include='*.go' --exclude='*_test.go' internal/mp; then
+    echo "check.sh: the multiprocessor does not fork; only the workstation checkpoints" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
