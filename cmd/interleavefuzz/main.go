@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fuzz"
 	"repro/internal/guard"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -59,14 +61,6 @@ func run(args []string) int {
 		return experiments.ExitUsage
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	lim := fuzz.Limits{MaxCycles: *maxCycles}
-	if *replay != "" {
-		return runReplay(ctx, *replay, *quick, *jobs, lim, *jsonOut)
-	}
-
 	cfg := fuzz.SweepConfig{
 		Programs:    *n,
 		BaseSeed:    *seed,
@@ -74,8 +68,19 @@ func run(args []string) int {
 		Parallelism: *jobs,
 		Quick:       *quick,
 		CorpusDir:   *corpus,
-		Limits:      lim,
+		Limits:      fuzz.Limits{MaxCycles: *maxCycles},
 		Mut:         *mut,
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "interleavefuzz:", err)
+		return experiments.ExitUsage
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	if *replay != "" {
+		return runReplay(ctx, *replay, *quick, *jobs, cfg.Limits, *jsonOut)
 	}
 	rep, err := fuzz.Sweep(ctx, cfg)
 	rep.Render(os.Stdout)
@@ -156,9 +161,9 @@ func runReplay(ctx context.Context, path string, quick bool, jobs int, lim fuzz.
 }
 
 func writeJSON(path string, v any) error {
-	blob, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return metrics.WriteFileAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }

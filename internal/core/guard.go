@@ -30,6 +30,15 @@ func (t *Thread) HashArchState(h uint64) uint64 {
 	return h
 }
 
+// ArchHash is the full architectural digest of a run: each thread's
+// HashArchState folded, in order, onto the memory digest memHash.
+func ArchHash(memHash uint64, ths []*Thread) uint64 {
+	for _, th := range ths {
+		memHash = th.HashArchState(memHash)
+	}
+	return memHash
+}
+
 // MachineHash digests every machine layer reachable from the processor
 // into one diagnostic hash: functional memory, the memory system when it
 // can hash itself (cache.Hierarchy implements guard.StateHasher; a

@@ -802,39 +802,16 @@ func (p *Processor) execute(c *hwContext, th *Thread, in *isa.Inst, now int64) (
 	case isa.ADD, isa.ADDI, isa.SUB, isa.AND, isa.ANDI, isa.OR, isa.ORI,
 		isa.XOR, isa.XORI, isa.SLT, isa.SLTI, isa.SLTU, isa.LUI,
 		isa.SLL, isa.SRL, isa.SRA, isa.SLLV, isa.SRLV,
-		isa.MUL, isa.DIV, isa.REM, isa.DIVU:
+		isa.MUL, isa.DIV, isa.REM, isa.DIVU,
+		isa.FCMPLT, isa.FCMPLE, isa.MFC1:
 		v := evalInt(in, th)
 		th.writeInt(in.Rd, v)
 		th.setReady(in.Rd, now+int64(tm.Latency), producerClass(in))
 
 	case isa.FADD, isa.FSUB, isa.FMUL, isa.FNEG, isa.FABS, isa.FCVTIW,
-		isa.FDIVS, isa.FDIVD, isa.FSQRT:
+		isa.FDIVS, isa.FDIVD, isa.FSQRT, isa.MTC1:
 		v := evalFP(in, th)
 		th.writeFP(in.Rd, v)
-		th.setReady(in.Rd, now+int64(tm.Latency), producerClass(in))
-
-	case isa.FCMPLT:
-		v := uint32(0)
-		if th.readFP(in.Rs) < th.readFP(in.Rt) {
-			v = 1
-		}
-		th.writeInt(in.Rd, v)
-		th.setReady(in.Rd, now+int64(tm.Latency), producerClass(in))
-
-	case isa.FCMPLE:
-		v := uint32(0)
-		if th.readFP(in.Rs) <= th.readFP(in.Rt) {
-			v = 1
-		}
-		th.writeInt(in.Rd, v)
-		th.setReady(in.Rd, now+int64(tm.Latency), producerClass(in))
-
-	case isa.MTC1:
-		th.writeFP(in.Rd, float64(int32(th.readInt(in.Rs))))
-		th.setReady(in.Rd, now+int64(tm.Latency), producerClass(in))
-
-	case isa.MFC1:
-		th.writeInt(in.Rd, uint32(int32(th.readFP(in.Rs))))
 		th.setReady(in.Rd, now+int64(tm.Latency), producerClass(in))
 
 	case isa.LW, isa.SW, isa.FLD, isa.FSD, isa.TAS:
@@ -1070,58 +1047,43 @@ func (p *Processor) executeMem(c *hwContext, th *Thread, in *isa.Inst, now int64
 }
 
 // memFunctional applies the functional semantics of a memory instruction
-// to the effective address executeMem computed.
+// to the effective address executeMem computed, and shows a word-width
+// access to MemWatch.
 func (p *Processor) memFunctional(th *Thread, in *isa.Inst, addr uint32, ctx int, now int64) {
+	v := memOp(th, in, addr, p.FMem)
+	if p.MemWatch != nil && in.Op != isa.FLD && in.Op != isa.FSD {
+		p.MemWatch(in.Op, addr, v, ctx, now)
+	}
+}
+
+// memOp applies memory instruction in of thread th to fm at effective
+// address addr. It returns the word a LW or TAS read or a SW wrote.
+func memOp(th *Thread, in *isa.Inst, addr uint32, fm *mem.Memory) (v uint32) {
 	switch in.Op {
 	case isa.LW:
-		v := p.FMem.LoadW(addr)
+		v = fm.LoadW(addr)
 		th.writeInt(in.Rd, v)
-		if p.MemWatch != nil {
-			p.MemWatch(in.Op, addr, v, ctx, now)
-		}
 	case isa.SW:
-		v := th.readInt(in.Rt)
-		p.FMem.StoreW(addr, v)
-		if p.MemWatch != nil {
-			p.MemWatch(in.Op, addr, v, ctx, now)
-		}
+		v = th.readInt(in.Rt)
+		fm.StoreW(addr, v)
 	case isa.FLD:
-		th.Regs[in.Rd] = p.FMem.LoadD(addr)
+		th.Regs[in.Rd] = fm.LoadD(addr)
 	case isa.FSD:
-		p.FMem.StoreD(addr, th.Regs[in.Rt])
+		fm.StoreD(addr, th.Regs[in.Rt])
 	case isa.TAS:
-		v := p.FMem.TestAndSet(addr)
+		v = fm.TestAndSet(addr)
 		th.writeInt(in.Rd, v)
-		if p.MemWatch != nil {
-			p.MemWatch(in.Op, addr, v, ctx, now)
-		}
 	}
+	return v
 }
 
 // executeBranch resolves a control transfer, consults the BTB, and charges
 // the fetch redirect on a misprediction.
 func (p *Processor) executeBranch(c *hwContext, th *Thread, in *isa.Inst, now int64) {
 	p.Stats.Branches++
-	taken := true
-	next := int(in.Target)
-	switch in.Op {
-	case isa.BEQ:
-		taken = th.readInt(in.Rs) == th.readInt(in.Rt)
-	case isa.BNE:
-		taken = th.readInt(in.Rs) != th.readInt(in.Rt)
-	case isa.BLEZ:
-		taken = int32(th.readInt(in.Rs)) <= 0
-	case isa.BGTZ:
-		taken = int32(th.readInt(in.Rs)) > 0
-	case isa.J:
-	case isa.JAL:
-		th.writeInt(in.Rd, uint32(th.PC+1))
+	next, taken := branchNext(in, th)
+	if in.Op == isa.JAL {
 		th.setReady(in.Rd, now+1, SlotStallShort)
-	case isa.JR:
-		next = int(th.readInt(in.Rs))
-	}
-	if !taken {
-		next = th.PC + 1
 	}
 
 	pcAddr := th.pcAddr(th.PC)
@@ -1146,6 +1108,72 @@ func (p *Processor) executeBranch(c *hwContext, th *Thread, in *isa.Inst, now in
 		p.btb.Record(pcAddr, taken || in.Op == isa.J || in.Op == isa.JAL || in.Op == isa.JR, int32(next))
 	}
 	th.PC = next
+}
+
+// branchNext resolves control transfer in of thread th: the index of the
+// next instruction and whether a conditional branch was taken (jumps
+// always are). JAL writes its link register.
+func branchNext(in *isa.Inst, th *Thread) (next int, taken bool) {
+	taken = true
+	next = int(in.Target)
+	switch in.Op {
+	case isa.BEQ:
+		taken = th.readInt(in.Rs) == th.readInt(in.Rt)
+	case isa.BNE:
+		taken = th.readInt(in.Rs) != th.readInt(in.Rt)
+	case isa.BLEZ:
+		taken = int32(th.readInt(in.Rs)) <= 0
+	case isa.BGTZ:
+		taken = int32(th.readInt(in.Rs)) > 0
+	case isa.J:
+	case isa.JAL:
+		th.writeInt(in.Rd, uint32(th.PC+1))
+	case isa.JR:
+		next = int(th.readInt(in.Rs))
+	}
+	if !taken {
+		next = th.PC + 1
+	}
+	return next, taken
+}
+
+// Exec executes the thread's next instruction against functional memory
+// fm with the pipeline's semantics and no timing model: it moves no
+// scoreboard, clock, Retired or HaltedAt, so the caller alone decides
+// when each thread runs. yield reports an explicit BACKOFF or SWITCH, the
+// program's declared switch point. TRAP and ERET are errors: no program
+// the functional machine runs uses them, and the reference interpreter
+// does not model them.
+func (t *Thread) Exec(fm *mem.Memory) (yield bool, err error) {
+	if t.PC < 0 || t.PC >= len(t.insts) {
+		return false, fmt.Errorf("pc %d out of range", t.PC)
+	}
+	in := &t.insts[t.PC]
+	next := t.PC + 1
+	switch in.Op {
+	case isa.NOP:
+	case isa.BACKOFF, isa.SWITCH:
+		yield = true
+	case isa.LW, isa.SW, isa.FLD, isa.FSD, isa.TAS:
+		memOp(t, in, uint32(int64(t.readInt(in.Rs))+int64(in.Imm)), fm)
+	case isa.BEQ, isa.BNE, isa.BLEZ, isa.BGTZ, isa.J, isa.JAL, isa.JR:
+		next, _ = branchNext(in, t)
+	case isa.HALT:
+		t.Halted = true
+		return false, nil
+	case isa.TRAP, isa.ERET:
+		return false, fmt.Errorf("unhandled op %v at pc %d", in.Op, t.PC)
+	default:
+		// Register to register: the destination's class picks the
+		// evaluator (FCMPLT and MFC1 write an integer, MTC1 an FP value).
+		if in.Rd.IsFP() {
+			t.writeFP(in.Rd, evalFP(in, t))
+		} else {
+			t.writeInt(in.Rd, evalInt(in, t))
+		}
+	}
+	t.PC = next
+	return yield, nil
 }
 
 func evalInt(in *isa.Inst, th *Thread) uint32 {
@@ -1215,6 +1243,18 @@ func evalInt(in *isa.Inst, th *Thread) uint32 {
 			return 0
 		}
 		return s / t
+	case isa.FCMPLT:
+		if th.readFP(in.Rs) < th.readFP(in.Rt) {
+			return 1
+		}
+		return 0
+	case isa.FCMPLE:
+		if th.readFP(in.Rs) <= th.readFP(in.Rt) {
+			return 1
+		}
+		return 0
+	case isa.MFC1:
+		return uint32(int32(th.readFP(in.Rs)))
 	}
 	panic("core: evalInt on non-integer op")
 }
@@ -1239,6 +1279,8 @@ func evalFP(in *isa.Inst, th *Thread) float64 {
 		return s / t
 	case isa.FSQRT:
 		return math.Sqrt(s)
+	case isa.MTC1:
+		return float64(int32(th.readInt(in.Rs)))
 	}
 	panic("core: evalFP on non-FP op")
 }

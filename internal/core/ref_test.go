@@ -8,6 +8,7 @@ package core
 // squash, switch, backoff, redirect) may ever change program semantics.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -252,8 +253,10 @@ func (c *chaosMem) AccessData(addr uint32, write bool, pc uint32, now int64) mem
 }
 
 // randomProgram builds a halting program with random arithmetic, memory
-// traffic within a private arena, data-dependent branches and short
-// loops.
+// traffic within a private arena, data-dependent branches, calls to a
+// leaf subroutine, yields and short loops. Over a set of trials it emits
+// every opcode the reference interprets (TestTimingMatchesReference
+// checks that it does).
 func randomProgram(rng *rand.Rand, name string, codeBase, dataBase uint32) *prog.Program {
 	b := prog.NewBuilder(name, codeBase, dataBase, 1<<20)
 	arena := b.Alloc(4096, 64)
@@ -266,10 +269,16 @@ func randomProgram(rng *rand.Rand, name string, codeBase, dataBase uint32) *prog
 	b.La(isa.R20, arena)                 // word arena
 	b.Addi(isa.R21, isa.R20, 2048)       // double arena
 	b.Li(isa.R18, uint32(2+rng.Intn(4))) // outer loop counter
+	// The leaf subroutine the body calls (JAL/JR through R31), stepped
+	// over on entry.
+	b.J("top")
+	b.Label("sub")
+	b.Xor(ir(), ir(), ir())
+	b.Jr(isa.R31)
 	b.Label("top")
 	n := 10 + rng.Intn(40)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(28) {
+		switch rng.Intn(45) {
 		case 0:
 			b.Add(ir(), ir(), ir())
 		case 1:
@@ -334,6 +343,48 @@ func randomProgram(rng *rand.Rand, name string, codeBase, dataBase uint32) *prog
 			// the comparison would still match bit-for-bit, but keep the
 			// stream numerically tame.
 			b.FDivS(fr(), fr(), fr())
+		case 28:
+			b.Lui(ir(), int32(rng.Intn(1<<15)))
+		case 29:
+			b.Andi(ir(), ir(), int32(rng.Intn(1<<15)))
+		case 30:
+			b.Ori(ir(), ir(), int32(rng.Intn(1<<15)))
+		case 31:
+			b.Xori(ir(), ir(), int32(rng.Intn(1<<15)))
+		case 32:
+			b.Slti(ir(), ir(), int32(rng.Intn(2000)-1000))
+		case 33:
+			b.Srlv(ir(), ir(), ir())
+		case 34:
+			b.Tas(ir(), isa.R20, int32(4*rng.Intn(64)))
+		case 35:
+			lbl := labelName(rng)
+			b.Bne(ir(), ir(), lbl)
+			b.Addi(ir(), ir(), 1)
+			b.Label(lbl)
+		case 36:
+			lbl := labelName(rng)
+			b.Blez(ir(), lbl)
+			b.Addi(ir(), ir(), 1)
+			b.Label(lbl)
+		case 37:
+			b.Jal("sub")
+		case 38:
+			b.FCvt(fr(), fr())
+		case 39:
+			b.FCmpLt(ir(), fr(), fr())
+		case 40:
+			b.FDivD(fr(), fr(), fr())
+		case 41:
+			b.FSqrt(fr(), fr())
+		case 42:
+			b.Nop()
+		case 43:
+			b.SetYield(prog.YieldBackoff)
+			b.Yield(int32(1 + rng.Intn(20)))
+		case 44:
+			b.SetYield(prog.YieldSwitch)
+			b.Yield(int32(1 + rng.Intn(20)))
 		}
 	}
 	b.Fsd(isa.F8+isa.Reg(rng.Intn(8)), isa.R21, int32(8*rng.Intn(16)))
@@ -362,18 +413,20 @@ func TestTimingMatchesReference(t *testing.T) {
 		{Single, 1}, {Blocked, 2}, {Blocked, 4}, {BlockedFast, 2},
 		{Interleaved, 2}, {Interleaved, 4}, {FineGrained, 4},
 	}
+	var emitted [isa.NumOps]bool
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		nProgs := 1 + rng.Intn(4)
 		var progs []*prog.Program
 		for i := 0; i < nProgs; i++ {
-			progs = append(progs, randomProgram(rng,
-				"rnd", uint32(0x1000+i*0x40000), uint32(0x4000_0000+i*0x100000)))
+			p := randomProgram(rng, "rnd", uint32(0x1000+i*0x40000), uint32(0x4000_0000+i*0x100000))
+			for _, in := range p.Insts {
+				emitted[in.Op] = true
+			}
+			progs = append(progs, p)
 		}
-
 		// Reference run of every program.
 		refs := make([]*refState, len(progs))
-		refMems := make([]map[uint32]uint64, len(progs))
 		for i, p := range progs {
 			r := newRefState()
 			for _, d := range p.Init {
@@ -385,7 +438,23 @@ func TestTimingMatchesReference(t *testing.T) {
 			}
 			r.run(t, p, 1_000_000)
 			refs[i] = r
-			refMems[i] = r.mem
+		}
+		// check compares thread th of program i, and the memory it ran
+		// on, with the reference run of that program.
+		check := func(row string, i int, th *Thread, fm *mem.Memory) {
+			t.Helper()
+			for r := isa.Reg(0); r < isa.NumRegs; r++ {
+				if th.Regs[r] != refs[i].regs[r] {
+					t.Fatalf("trial %d %s prog %d: %v = %#x, reference %#x",
+						trial, row, i, r, th.Regs[r], refs[i].regs[r])
+				}
+			}
+			for addr, want := range refs[i].mem {
+				if got := fm.LoadD(addr); got != want {
+					t.Fatalf("trial %d %s prog %d: mem[%#x] = %#x, reference %#x",
+						trial, row, i, addr, got, want)
+				}
+			}
 		}
 
 		for _, sc := range schemes {
@@ -406,19 +475,30 @@ func TestTimingMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d %v/%d: did not halt", trial, sc.s, sc.n)
 			}
 			for i, th := range ths {
-				for r := isa.Reg(0); r < isa.NumRegs; r++ {
-					if th.Regs[r] != refs[i].regs[r] {
-						t.Fatalf("trial %d %v/%d prog %d: %v = %#x, reference %#x",
-							trial, sc.s, sc.n, i, r, th.Regs[r], refs[i].regs[r])
-					}
+				check(fmt.Sprintf("%v/%d", sc.s, sc.n), i, th, fm)
+			}
+		}
+
+		// The functional machine: each program alone, run to HALT by
+		// Thread.Exec with no timing model.
+		for i, p := range progs {
+			fm := mem.New()
+			p.LoadInit(fm)
+			th := NewThread("t", p)
+			for steps := 0; !th.Halted; steps++ {
+				if steps == 1_000_000 {
+					t.Fatalf("trial %d exec prog %d: did not halt", trial, i)
 				}
-				for addr, want := range refMems[i] {
-					if got := fm.LoadD(addr); got != want {
-						t.Fatalf("trial %d %v/%d prog %d: mem[%#x] = %#x, reference %#x",
-							trial, sc.s, sc.n, i, addr, got, want)
-					}
+				if _, err := th.Exec(fm); err != nil {
+					t.Fatalf("trial %d exec prog %d: %v", trial, i, err)
 				}
 			}
+			check("exec", i, th, fm)
+		}
+	}
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		if op != isa.TRAP && op != isa.ERET && !emitted[op] {
+			t.Errorf("no trial emitted %v: the reference and the engines never compare it", op)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package fuzz
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -25,6 +26,7 @@ import (
 	"strings"
 
 	"repro/internal/isa"
+	"repro/internal/metrics"
 	"repro/internal/prog"
 )
 
@@ -42,23 +44,28 @@ type Reproducer struct {
 // WriteReproducer persists a minimized failing spec under dir (one
 // subdirectory per program name) and returns the subdirectory path.
 func WriteReproducer(dir string, s *Spec, divs []Divergence, cellErrs []string) (string, error) {
+	// Render before creating anything: a spec that does not build leaves
+	// no half reproducer.
+	src, err := RenderAsm(s, prog.YieldBackoff)
+	if err != nil {
+		return "", err
+	}
 	sub := filepath.Join(dir, s.Name())
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		return "", err
 	}
 	rep := &Reproducer{Version: ReproVersion, Spec: s, Divergences: divs, CellErrors: cellErrs}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := metrics.WriteFileAtomic(filepath.Join(sub, "repro.json"), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
+	}); err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(filepath.Join(sub, "repro.json"), append(blob, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	src, err := RenderAsm(s, prog.YieldBackoff)
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(filepath.Join(sub, "repro.s"), []byte(src), 0o644); err != nil {
+	if err := metrics.WriteFileAtomic(filepath.Join(sub, "repro.s"), func(w io.Writer) error {
+		_, err := io.WriteString(w, src)
+		return err
+	}); err != nil {
 		return "", err
 	}
 	return sub, nil

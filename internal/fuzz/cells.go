@@ -168,14 +168,6 @@ func cleanHash(ths []*core.Thread) uint64 {
 	return h
 }
 
-func archHash(memHash uint64, ths []*core.Thread) uint64 {
-	h := memHash
-	for _, th := range ths {
-		h = th.HashArchState(h)
-	}
-	return h
-}
-
 // PlanCells lays out the cell grid for one spec. The first cell is
 // always func/rr — the oracle's reference. quick selects a ~10-cell
 // subset for smoke tests, native fuzz targets, and shrinking.
@@ -334,7 +326,7 @@ func RunCell(ctx context.Context, s *Spec, c Cell, lim Limits) (*CellResult, err
 	}
 	res.MemHash = m.Hash()
 	res.CleanHash = cleanHash(ths)
-	res.ArchHash = archHash(res.MemHash, ths)
+	res.ArchHash = core.ArchHash(res.MemHash, ths)
 	return res, nil
 }
 

@@ -1,20 +1,21 @@
 package fuzz
 
-// The functional executor: exact ISA semantics with zero timing model,
-// multiplexed across threads by an explicit ordering policy. It is the
-// fuzzer's semantic reference — every timing simulation of the same
-// program must reach the same final memory. The instruction semantics
-// mirror internal/core's functional evaluator (golden-tested against the
-// independent reference interpreter in core/ref_test.go).
+// The functional machine: threads multiplexed by an explicit ordering
+// policy and stepped one instruction at a time by core.Thread.Exec, the
+// pipeline's own semantics with no timing model. Every timing cell of a
+// program must reach the final memory these orderings reach; since both
+// run one copy of the ISA, a divergence can come only from when an
+// instruction ran. What an instruction computes is checked apart from
+// the fuzzer, against the independent reference interpreter in
+// internal/core/ref_test.go.
 
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/mp"
 	"repro/internal/prog"
 )
 
@@ -45,8 +46,8 @@ func funcRun(ctx context.Context, p *prog.Program, threads int, ord Ordering, ma
 	ths := make([]*core.Thread, threads)
 	for i := range ths {
 		ths[i] = core.NewThread(fmt.Sprintf("%s.t%d", p.Name, i), p)
-		ths[i].SetIntReg(isa.R4, uint32(i))
-		ths[i].SetIntReg(isa.R5, uint32(threads))
+		ths[i].SetIntReg(mp.TidReg, uint32(i))
+		ths[i].SetIntReg(mp.NThreadsReg, uint32(threads))
 	}
 
 	var xs uint64 = uint64(ord.Seed)*2685821657736338717 + 0x9E3779B97F4A7C15
@@ -69,7 +70,7 @@ func funcRun(ctx context.Context, p *prog.Program, threads int, ord Ordering, ma
 			return nil, nil, 0, ctx.Err()
 		}
 		th := ths[cur]
-		forced, err := funcStep(th, m)
+		forced, err := th.Exec(m)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("fuzz: ordering %s thread %d: %w", ord, cur, err)
 		}
@@ -141,164 +142,4 @@ func funcRun(ctx context.Context, p *prog.Program, threads int, ord Ordering, ma
 			run = 0
 		}
 	}
-}
-
-// funcStep executes one instruction on th. The bool result reports
-// whether the instruction was an explicit yield (BACKOFF/SWITCH), which
-// every ordering treats as a switch opportunity.
-func funcStep(th *core.Thread, m *mem.Memory) (bool, error) {
-	p := th.Prog
-	if th.PC < 0 || th.PC >= len(p.Insts) {
-		return false, fmt.Errorf("pc %d out of range", th.PC)
-	}
-	in := &p.Insts[th.PC]
-	next := th.PC + 1
-	ri := func(r isa.Reg) uint32 { return uint32(th.Regs[r]) }
-	wi := func(r isa.Reg, v uint32) {
-		if r != isa.R0 {
-			th.Regs[r] = uint64(v)
-		}
-	}
-	rf := func(r isa.Reg) float64 { return math.Float64frombits(th.Regs[r]) }
-	wf := func(r isa.Reg, v float64) { th.Regs[r] = math.Float64bits(v) }
-	var s, t uint32
-	if in.Rs.Valid() && !in.Rs.IsFP() {
-		s = ri(in.Rs)
-	}
-	if in.Rt.Valid() && !in.Rt.IsFP() {
-		t = ri(in.Rt)
-	}
-	b2u := func(b bool) uint32 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-
-	switch in.Op {
-	case isa.NOP:
-	case isa.BACKOFF, isa.SWITCH:
-		th.PC = next
-		return true, nil
-	case isa.ADD:
-		wi(in.Rd, s+t)
-	case isa.ADDI:
-		wi(in.Rd, s+uint32(in.Imm))
-	case isa.SUB:
-		wi(in.Rd, s-t)
-	case isa.AND:
-		wi(in.Rd, s&t)
-	case isa.ANDI:
-		wi(in.Rd, s&uint32(in.Imm)&0xFFFF)
-	case isa.OR:
-		wi(in.Rd, s|t)
-	case isa.ORI:
-		wi(in.Rd, s|uint32(in.Imm)&0xFFFF)
-	case isa.XOR:
-		wi(in.Rd, s^t)
-	case isa.XORI:
-		wi(in.Rd, s^uint32(in.Imm)&0xFFFF)
-	case isa.SLT:
-		wi(in.Rd, b2u(int32(s) < int32(t)))
-	case isa.SLTI:
-		wi(in.Rd, b2u(int32(s) < in.Imm))
-	case isa.SLTU:
-		wi(in.Rd, b2u(s < t))
-	case isa.LUI:
-		wi(in.Rd, uint32(in.Imm)<<16)
-	case isa.SLL:
-		wi(in.Rd, s<<(uint32(in.Imm)&31))
-	case isa.SRL:
-		wi(in.Rd, s>>(uint32(in.Imm)&31))
-	case isa.SRA:
-		wi(in.Rd, uint32(int32(s)>>(uint32(in.Imm)&31)))
-	case isa.SLLV:
-		wi(in.Rd, s<<(t&31))
-	case isa.SRLV:
-		wi(in.Rd, s>>(t&31))
-	case isa.MUL:
-		wi(in.Rd, s*t)
-	case isa.DIV:
-		if t == 0 {
-			wi(in.Rd, 0)
-		} else {
-			wi(in.Rd, uint32(int32(s)/int32(t)))
-		}
-	case isa.REM:
-		if t == 0 {
-			wi(in.Rd, 0)
-		} else {
-			wi(in.Rd, uint32(int32(s)%int32(t)))
-		}
-	case isa.DIVU:
-		if t == 0 {
-			wi(in.Rd, 0)
-		} else {
-			wi(in.Rd, s/t)
-		}
-	case isa.LW:
-		wi(in.Rd, m.LoadW(s+uint32(in.Imm)))
-	case isa.SW:
-		m.StoreW(s+uint32(in.Imm), t)
-	case isa.FLD:
-		th.Regs[in.Rd] = m.LoadD((s + uint32(in.Imm)) &^ 7)
-	case isa.FSD:
-		m.StoreD((s+uint32(in.Imm))&^7, th.Regs[in.Rt])
-	case isa.TAS:
-		wi(in.Rd, m.TestAndSet(s+uint32(in.Imm)))
-	case isa.BEQ:
-		if s == t {
-			next = int(in.Target)
-		}
-	case isa.BNE:
-		if s != t {
-			next = int(in.Target)
-		}
-	case isa.BLEZ:
-		if int32(s) <= 0 {
-			next = int(in.Target)
-		}
-	case isa.BGTZ:
-		if int32(s) > 0 {
-			next = int(in.Target)
-		}
-	case isa.J:
-		next = int(in.Target)
-	case isa.JAL:
-		wi(in.Rd, uint32(th.PC+1))
-		next = int(in.Target)
-	case isa.JR:
-		next = int(s)
-	case isa.FADD:
-		wf(in.Rd, rf(in.Rs)+rf(in.Rt))
-	case isa.FSUB:
-		wf(in.Rd, rf(in.Rs)-rf(in.Rt))
-	case isa.FMUL:
-		wf(in.Rd, rf(in.Rs)*rf(in.Rt))
-	case isa.FNEG:
-		wf(in.Rd, -rf(in.Rs))
-	case isa.FABS:
-		wf(in.Rd, math.Abs(rf(in.Rs)))
-	case isa.FCVTIW:
-		wf(in.Rd, math.Trunc(rf(in.Rs)))
-	case isa.FCMPLT:
-		wi(in.Rd, b2u(rf(in.Rs) < rf(in.Rt)))
-	case isa.FCMPLE:
-		wi(in.Rd, b2u(rf(in.Rs) <= rf(in.Rt)))
-	case isa.FDIVS, isa.FDIVD:
-		wf(in.Rd, rf(in.Rs)/rf(in.Rt))
-	case isa.FSQRT:
-		wf(in.Rd, math.Sqrt(rf(in.Rs)))
-	case isa.MTC1:
-		wf(in.Rd, float64(int32(s)))
-	case isa.MFC1:
-		wi(in.Rd, uint32(int32(rf(in.Rs))))
-	case isa.HALT:
-		th.Halted = true
-		return false, nil
-	default:
-		return false, fmt.Errorf("unhandled op %v at pc %d", in.Op, th.PC)
-	}
-	th.PC = next
-	return false, nil
 }

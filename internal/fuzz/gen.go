@@ -283,8 +283,8 @@ func (s *Spec) genItem(r *sm, phase int, writable, readable []int) Item {
 // generator artifact rather than a simulator bug). Replay and the
 // native fuzz targets run this before building.
 func (s *Spec) Validate() error {
-	if s.Threads < 1 || s.Threads > 8 {
-		return fmt.Errorf("fuzz: threads %d out of range [1,8]", s.Threads)
+	if err := checkKnobs(s.Threads, s.Mut); err != nil {
+		return err
 	}
 	if s.NAccs < 1 || s.NAccs > 16 {
 		return fmt.Errorf("fuzz: naccs %d out of range [1,16]", s.NAccs)
@@ -314,9 +314,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("fuzz: acc_lock[%d] = %d out of range [0,%d)", i, l, s.NLocks)
 		}
 	}
-	if s.Mut != "" && s.Mut != MutTASPlain {
-		return fmt.Errorf("fuzz: unknown mutation %q", s.Mut)
-	}
 	if len(s.Phases) < 1 || len(s.Phases) > 8 {
 		return fmt.Errorf("fuzz: %d phases out of range [1,8]", len(s.Phases))
 	}
@@ -335,6 +332,18 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("fuzz: phase %d item %d: %w", pi, ii, err)
 			}
 		}
+	}
+	return nil
+}
+
+// checkKnobs checks the two Spec fields a SweepConfig sets for every
+// program it generates: the thread count and the mutation name.
+func checkKnobs(threads int, mut string) error {
+	if threads < 1 || threads > 8 {
+		return fmt.Errorf("fuzz: threads %d out of range [1,8]", threads)
+	}
+	if mut != "" && mut != MutTASPlain {
+		return fmt.Errorf("fuzz: unknown mutation %q", mut)
 	}
 	return nil
 }

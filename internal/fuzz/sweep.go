@@ -60,10 +60,23 @@ type SweepReport struct {
 // Clean reports whether the sweep found nothing.
 func (r *SweepReport) Clean() bool { return r.Divergences == 0 && r.CellErrors == 0 }
 
+// Validate reports a configuration no sweep should start: no programs,
+// a thread count or a mutation every generated Spec would fail, or a
+// negative budget.
+func (c SweepConfig) Validate() error {
+	if c.Programs < 1 {
+		return fmt.Errorf("fuzz: %d programs, want at least 1", c.Programs)
+	}
+	if c.Limits.MaxCycles < 0 || c.Limits.MaxSteps < 0 {
+		return fmt.Errorf("fuzz: negative cell budget (cycles %d, steps %d)", c.Limits.MaxCycles, c.Limits.MaxSteps)
+	}
+	return checkKnobs(c.threadsFor(0), c.Mut)
+}
+
 // threadsFor picks the thread count of program i: fixed when configured,
 // else cycling 2, 3, 4 so every sweep covers odd and even splits.
 func (c SweepConfig) threadsFor(i int) int {
-	if c.Threads > 0 {
+	if c.Threads != 0 {
 		return c.Threads
 	}
 	return 2 + i%3

@@ -443,10 +443,7 @@ func (m *machine) result(completed bool) *Result {
 		res.Diag = m.budgetDiagnostic()
 	}
 	res.MemHash = m.fm.Hash()
-	res.ArchHash = res.MemHash
-	for _, th := range m.threads {
-		res.ArchHash = th.HashArchState(res.ArchHash)
-	}
+	res.ArchHash = core.ArchHash(res.MemHash, m.threads)
 	for _, th := range m.threads {
 		if th.HaltedAt+1 > res.Cycles {
 			res.Cycles = th.HaltedAt + 1

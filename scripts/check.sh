@@ -129,6 +129,16 @@ if grep -rnE '"(mtc1|fcmplt|sltu|fdivd)"' --include='*.go' --exclude='*_test.go'
     exit 1
 fi
 
+# One ISA semantics: internal/core evaluates every opcode, for the
+# pipeline (execute) and for the fuzzer's functional machine
+# (Thread.Exec). A switch arm on ADDI or FSQRT anywhere else is a second
+# evaluator; the independent reference lives in core's tests.
+if grep -rnE 'case .*isa\.(ADDI|FSQRT)\b' --include='*.go' --exclude='*_test.go' . |
+    grep -v '^./internal/core/'; then
+    echo "check.sh: an opcode is evaluated outside internal/core; call core.Thread.Exec" >&2
+    exit 1
+fi
+
 # One FNV-1a: internal/snapshot owns the constants, FoldBytes (bytes) and
 # Fold (64-bit words); memory, architectural-state, machine, program and
 # fuzz hashes are Folds, StateHash and the journal's DataHash FoldBytes.
