@@ -98,6 +98,10 @@ func run(args []string) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return experiments.ExitUsage
 	}
+	if *jobs < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -j %d: need at least one concurrent cell\n", *jobs)
+		return experiments.ExitUsage
+	}
 	if *journalPath != "" && *resumePath != "" {
 		fmt.Fprintln(os.Stderr, "experiments: -journal and -resume are mutually exclusive (resume keeps appending to the resumed journal)")
 		return experiments.ExitUsage

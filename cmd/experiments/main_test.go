@@ -248,6 +248,8 @@ func TestMultiprocessorSubsetCompletesWithoutSignal(t *testing.T) {
 	}
 }
 
+// A selection no grid can run, or a -j below one, exits 2 before
+// anything runs.
 func TestBadSubsetExitsUsage(t *testing.T) {
 	for _, args := range [][]string{
 		{"-subjects", "nosuch"},
@@ -259,6 +261,8 @@ func TestBadSubsetExitsUsage(t *testing.T) {
 		{"-schemes", "single"},
 		{"-subjects", "DC", "-only", "table10"},
 		{"-quick", "-only", "tabel7"},
+		{"-j", "0", "-only", "table4"},
+		{"-j", "-3", "-only", "table4"},
 	} {
 		if code, _, _ := capture(t, args...); code != experiments.ExitUsage {
 			t.Errorf("%v: exit code %d, want %d", args, code, experiments.ExitUsage)

@@ -111,6 +111,10 @@ func runServe(args []string) int {
 		fmt.Fprintln(os.Stderr, "expserve serve: -dir is required")
 		return experiments.ExitUsage
 	}
+	if *leaseTTL <= 0 {
+		fmt.Fprintf(os.Stderr, "expserve serve: -lease-ttl %v: must be positive\n", *leaseTTL)
+		return experiments.ExitUsage
+	}
 
 	logf := func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, "expserve: "+format+"\n", a...)
@@ -164,6 +168,14 @@ func runWork(args []string) int {
 	}
 	if *coordinator == "" {
 		fmt.Fprintln(os.Stderr, "expserve work: -coordinator is required")
+		return experiments.ExitUsage
+	}
+	if *slots < 1 {
+		fmt.Fprintf(os.Stderr, "expserve work: -slots %d: need at least one slot\n", *slots)
+		return experiments.ExitUsage
+	}
+	if *poll <= 0 {
+		fmt.Fprintf(os.Stderr, "expserve work: -poll %v: must be positive\n", *poll)
 		return experiments.ExitUsage
 	}
 	plan, err := guard.ProcessFaults.Parse(*fault)

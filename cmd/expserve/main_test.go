@@ -151,6 +151,33 @@ func TestWaitWritesAtomically(t *testing.T) {
 	}
 }
 
+// A count or duration below its minimum is a usage error, reported before
+// the worker dials or the coordinator listens. A command that does start
+// would block until signalled, so each row runs under a deadline.
+func TestBadCountsAreUsageErrors(t *testing.T) {
+	work := []string{"work", "-coordinator", "http://127.0.0.1:1"}
+	serve := []string{"serve", "-addr", "127.0.0.1:0", "-dir", t.TempDir()}
+	for _, args := range [][]string{
+		append(work[:3:3], "-slots", "0"),
+		append(work[:3:3], "-slots", "-2"),
+		append(work[:3:3], "-poll", "0"),
+		append(work[:3:3], "-poll", "-1s"),
+		append(serve[:5:5], "-lease-ttl", "0"),
+		append(serve[:5:5], "-lease-ttl", "-1s"),
+	} {
+		code := make(chan int, 1)
+		go func() { code <- run(args) }()
+		select {
+		case c := <-code:
+			if c != experiments.ExitUsage {
+				t.Errorf("%s: exit %d, want %d", strings.Join(args, " "), c, experiments.ExitUsage)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: still running after 5s, want exit %d before starting", strings.Join(args, " "), experiments.ExitUsage)
+		}
+	}
+}
+
 // A fault plan that cannot fire as written is a usage error, reported
 // before the worker contacts anything: the coordinator URL here is never
 // dialled.

@@ -60,6 +60,10 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "interleavefuzz: unexpected arguments: %v\n", fs.Args())
 		return experiments.ExitUsage
 	}
+	if *jobs < 1 {
+		fmt.Fprintf(os.Stderr, "interleavefuzz: -j %d: need at least one concurrent cell\n", *jobs)
+		return experiments.ExitUsage
+	}
 
 	cfg := fuzz.SweepConfig{
 		Programs:    *n,

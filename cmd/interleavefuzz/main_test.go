@@ -34,6 +34,8 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{"-n", "0"},
 		{"-n", "-1"},
 		{"-limit", "-5", "-n", "1", "-quick"},
+		{"-j", "0", "-n", "1", "-quick"},
+		{"-j", "-5", "-n", "1", "-quick"},
 	} {
 		cmd := exec.Command(self, args...)
 		cmd.Env = append(os.Environ(), runAsMain+"=1")

@@ -543,37 +543,4 @@ func (n *Node) install(line uint32, exclusive bool) {
 	}
 }
 
-// DirectoryInvariants checks protocol invariants for tests: a line with a
-// dirty owner has that owner as its only possible resident writer, and
-// every resident cache copy is recorded in the directory. It returns an
-// error description or "" if clean.
-func (f *Fabric) DirectoryInvariants() string {
-	for pageNo, pg := range f.dir {
-		for idx := range pg {
-			e := &pg[idx]
-			line := pageNo<<dirPageShift | uint32(idx)
-			owners := 0
-			for i := range f.nodes {
-				if e.owner == int32(i) {
-					owners++
-				}
-			}
-			if e.owner >= 0 && owners != 1 {
-				return fmt.Sprintf("line %#x: owner %d not a node", line, e.owner)
-			}
-			if e.owner >= 0 && e.sharers&^(1<<uint(e.owner)) != 0 {
-				return fmt.Sprintf("line %#x: dirty owner %d with sharers %b", line, e.owner, e.sharers)
-			}
-			for i, node := range f.nodes {
-				if node.cache.Present(f.lineAddr(line)) {
-					if e.owner != int32(i) && e.sharers&(1<<uint(i)) == 0 {
-						return fmt.Sprintf("line %#x: node %d resident but not in directory", line, i)
-					}
-				}
-			}
-		}
-	}
-	return ""
-}
-
 var _ memsys.System = (*Node)(nil)

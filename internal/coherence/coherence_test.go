@@ -90,8 +90,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 			t.Errorf("node %d did not record its invalidation", i)
 		}
 	}
-	if msg := f.DirectoryInvariants(); msg != "" {
-		t.Error(msg)
+	if err := f.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -119,8 +119,8 @@ func TestOwnershipPingPong(t *testing.T) {
 	now := int64(0)
 	for round := 0; round < 10; round++ {
 		now = settle(f.Node(round%2), 0x400, true, now)
-		if msg := f.DirectoryInvariants(); msg != "" {
-			t.Fatalf("round %d: %s", round, msg)
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %s", round, err)
 		}
 	}
 	a := f.Node(0).Stats.ByClass[memsys.RemoteCache] + f.Node(1).Stats.ByClass[memsys.RemoteCache]
@@ -164,8 +164,8 @@ func TestEvictionUpdatesDirectory(t *testing.T) {
 	if r.Class == memsys.RemoteCache {
 		t.Error("directory still records evicted owner")
 	}
-	if msg := f.DirectoryInvariants(); msg != "" {
-		t.Error(msg)
+	if err := f.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -280,5 +280,31 @@ func TestWritesInFlightAreCounted(t *testing.T) {
 	var se *guard.SimError
 	if !errors.As(err, &se) || se.Op != "coherence.invariant" || !strings.Contains(err.Error(), "in flight") {
 		t.Fatalf("a corrupted count: CheckInvariants = %v, want a coherence.invariant violation", err)
+	}
+}
+
+// The invariant check holds the directory to the caches: each corrupted
+// entry of a line two nodes share is a typed violation naming the fault.
+func TestCheckInvariantsCatchesDirectoryCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		want    string
+		corrupt func(e *dirEntry)
+	}{
+		{"not a node", func(e *dirEntry) { e.owner = 5 }},
+		{"dirty owner 0 with sharers", func(e *dirEntry) { e.owner = 0 }},
+		{"node 1 resident but not in directory", func(e *dirEntry) { e.sharers &^= 1 << 1 }},
+	} {
+		f := newFab(t, 2)
+		a := uint32(0x100)
+		settle(f.Node(1), a, false, settle(f.Node(0), a, false, 0))
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatalf("before corrupting: %v", err)
+		}
+		tc.corrupt(f.peekEntry(a / uint32(f.P.LineSize)))
+		err := f.CheckInvariants()
+		var se *guard.SimError
+		if !errors.As(err, &se) || se.Op != "coherence.invariant" || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CheckInvariants = %v, want a coherence.invariant violation containing %q", err, tc.want)
+		}
 	}
 }

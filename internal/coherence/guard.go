@@ -1,7 +1,6 @@
 package coherence
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -15,7 +14,7 @@ import (
 
 // CheckInvariants verifies the directory protocol:
 //
-//   - DirectoryInvariants: a dirty owner excludes other sharers, and
+//   - a line's dirty owner is a node and excludes other sharers, and
 //     every resident copy is recorded in the directory;
 //   - at most one node has an exclusive request in flight per line
 //     (transaction serialization), and that node is the recorded owner —
@@ -25,9 +24,6 @@ import (
 //
 // Violations come back as *guard.SimError.
 func (f *Fabric) CheckInvariants() error {
-	if s := f.DirectoryInvariants(); s != "" {
-		return guard.NewSimError("coherence.invariant", errors.New(s))
-	}
 	exclusive := make(map[uint32]int)
 	for _, n := range f.nodes {
 		for i := range n.pending {
@@ -65,12 +61,32 @@ func (f *Fabric) CheckInvariants() error {
 			if _, ok := exclusive[line]; ok {
 				want = 1
 			}
-			if got := f.dir[no][i].writes; got != want {
-				return guard.NewSimError("coherence.invariant",
-					fmt.Errorf("line %#x: directory counts %d exclusive requests in flight, miss registers hold %d", line, got, want)).
-					WithAddr(f.lineAddr(line))
+			if err := f.entryFault(line, &f.dir[no][i], want); err != nil {
+				return guard.NewSimError("coherence.invariant", err).WithAddr(f.lineAddr(line))
 			}
 		}
+	}
+	return nil
+}
+
+// entryFault reports how line's directory entry breaks the protocol
+// against the caches and the writes miss registers hold in flight for it,
+// or nil.
+func (f *Fabric) entryFault(line uint32, e *dirEntry, writes int32) error {
+	if e.owner >= int32(len(f.nodes)) {
+		return fmt.Errorf("line %#x: owner %d not a node", line, e.owner)
+	}
+	if e.owner >= 0 && e.sharers&^(1<<uint(e.owner)) != 0 {
+		return fmt.Errorf("line %#x: dirty owner %d with sharers %b", line, e.owner, e.sharers)
+	}
+	addr := f.lineAddr(line)
+	for n, node := range f.nodes {
+		if node.cache.Present(addr) && e.owner != int32(n) && e.sharers&(1<<uint(n)) == 0 {
+			return fmt.Errorf("line %#x: node %d resident but not in directory", line, n)
+		}
+	}
+	if e.writes != writes {
+		return fmt.Errorf("line %#x: directory counts %d exclusive requests in flight, miss registers hold %d", line, e.writes, writes)
 	}
 	return nil
 }

@@ -22,13 +22,13 @@ func TestQuickRandomTraffic(t *testing.T) {
 			write := rng.Intn(3) == 0
 			now = settle(n, addr, write, now)
 			if op%100 == 0 {
-				if msg := f.DirectoryInvariants(); msg != "" {
-					t.Fatalf("trial %d op %d: %s", trial, op, msg)
+				if err := f.CheckInvariants(); err != nil {
+					t.Fatalf("trial %d op %d: %s", trial, op, err)
 				}
 			}
 		}
-		if msg := f.DirectoryInvariants(); msg != "" {
-			t.Fatalf("trial %d final: %s", trial, msg)
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatalf("trial %d final: %s", trial, err)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func TestCellIsItsConfiguration(t *testing.T) {
 	}
 
 	uni := QuickUniConfig()
-	full, err := RunUniprocessorCtx(ctx, uni)
+	full, err := workstationGrid.run(ctx, uni, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCellIsItsConfiguration(t *testing.T) {
 	} {
 		cfg := uni
 		narrow(&cfg)
-		sub, err := RunUniprocessorCtx(ctx, cfg)
+		sub, err := workstationGrid.run(ctx, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,13 +73,13 @@ func TestCellIsItsConfiguration(t *testing.T) {
 	}
 
 	mpc := QuickMPConfig()
-	table10, err := RunMultiprocessorCtx(ctx, mpc)
+	table10, err := multiprocessorGrid.run(ctx, mpc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub := mpc
 	sub.Apps, sub.ContextCounts = []string{"ocean"}, []int{4}
-	narrow, err := RunMultiprocessorCtx(ctx, sub)
+	narrow, err := multiprocessorGrid.run(ctx, sub, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,9 @@ func TestCellTimeoutFailsCell(t *testing.T) {
 	}
 
 	// The whole grid degrades gracefully: failures counted, run completes.
-	res, err := RunUniprocessorCtx(context.Background(), cfg)
+	res, err := RunUniprocessor(cfg)
 	if err != nil {
-		t.Fatalf("RunUniprocessorCtx: %v", err)
+		t.Fatalf("RunUniprocessor: %v", err)
 	}
 	if res.Failures != len(res.Cells) {
 		t.Errorf("%d of %d cells failed; a 1ns budget should fail all", res.Failures, len(res.Cells))
@@ -101,7 +101,7 @@ func TestCellTimeoutSpendsNothingWaiting(t *testing.T) {
 	time.AfterFunc(4*cfg.CellTimeout, func() { close(release) })
 
 	before := Cells()
-	res, err := RunUniprocessorCtx(ctx, cfg)
+	res, err := workstationGrid.run(ctx, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCellTimeoutGenerousBudgetIsInvisible(t *testing.T) {
 // single-process run rests on this equivalence.
 func TestCellHelpersMatchGridRunner(t *testing.T) {
 	cfg := journalTestConfig()
-	ref, err := RunUniprocessorCtx(context.Background(), cfg)
+	ref, err := RunUniprocessor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Journal = j
-	if _, err := RunUniprocessorCtx(context.Background(), cfg); err != nil {
+	if _, err := workstationGrid.run(context.Background(), cfg, j); err != nil {
 		t.Fatal(err)
 	}
 	total := j.Appended()
@@ -87,10 +86,8 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	if j2.Cells() != k {
 		t.Fatalf("opened journal holds %d cells, want %d", j2.Cells(), k)
 	}
-	rcfg := journalTestConfig()
-	rcfg.Journal = j2
 	before := Cells()
-	resumed, err := RunUniprocessorCtx(context.Background(), rcfg)
+	resumed, err := workstationGrid.run(context.Background(), journalTestConfig(), j2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +124,8 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg2 := journalTestConfig()
-	rcfg2.Journal = j3
 	before = Cells()
-	again, err := RunUniprocessorCtx(context.Background(), rcfg2)
+	again, err := workstationGrid.run(context.Background(), journalTestConfig(), j3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,9 +713,7 @@ func TestResumedGridCellsAreShared(t *testing.T) {
 	}{
 		{"workstation", NewFingerprint(&uni, nil, []string{"table7", "ablations"}),
 			func(ctx context.Context, j *Journal) (string, error) {
-				grid := uni
-				grid.Journal = j
-				r, err := RunUniprocessorCtx(ctx, grid)
+				r, err := workstationGrid.run(ctx, uni, j)
 				if err != nil {
 					return "", err
 				}
@@ -731,9 +724,7 @@ func TestResumedGridCellsAreShared(t *testing.T) {
 			CellCounts{Simulated: 9, Shared: 3}, CellCounts{Simulated: 4, Shared: 3}},
 		{"multiprocessor", NewFingerprint(nil, &mpc, []string{"table10"}),
 			func(ctx context.Context, j *Journal) (string, error) {
-				grid := mpc
-				grid.Journal = j
-				r, err := RunMultiprocessorCtx(ctx, grid)
+				r, err := multiprocessorGrid.run(ctx, mpc, j)
 				if err != nil {
 					return "", err
 				}

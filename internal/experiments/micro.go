@@ -41,41 +41,43 @@ func (f *demoMem) AccessData(addr uint32, write bool, pc uint32, now int64) mems
 	return memsys.DataResult{FillAt: now + f.lat, Class: memsys.Memory}
 }
 
-// Figure3Threads builds the paper's four example threads: A is two
+// microThread builds a thread running f's code and then HALT.
+func microThread(name string, f func(b *prog.Builder)) *core.Thread {
+	b := prog.NewBuilder(name, 0x1000, 0x100000, 1<<20)
+	f(b)
+	b.Halt()
+	return core.NewThread(name, b.MustBuild())
+}
+
+// figure3Threads builds the paper's four example threads: A is two
 // instructions, B is three with a two-cycle dependency between the first
 // two, C is four and D is six; each ends with a load that misses.
-func Figure3Threads(dm *demoMem) []*prog.Program {
+func figure3Threads(dm *demoMem) []*core.Thread {
 	hitAddr := uint32(0x200000)
 	dm.preload(hitAddr)
-	build := func(name string, f func(b *prog.Builder)) *prog.Program {
-		b := prog.NewBuilder(name, 0x1000, 0x100000, 1<<20)
-		f(b)
-		b.Halt()
-		return b.MustBuild()
-	}
-	a := build("A", func(b *prog.Builder) {
+	a := microThread("A", func(b *prog.Builder) {
 		b.Add(isa.R2, isa.R3, isa.R4)
 		b.Lw(isa.R5, isa.R1, 0)
 	})
-	bb := build("B", func(b *prog.Builder) {
+	bb := microThread("B", func(b *prog.Builder) {
 		b.La(isa.R6, hitAddr)
 		b.Lw(isa.R2, isa.R6, 0)
 		b.Add(isa.R3, isa.R2, isa.R2)
 		b.Lw(isa.R5, isa.R1, 64)
 	})
-	c := build("C", func(b *prog.Builder) {
+	c := microThread("C", func(b *prog.Builder) {
 		for i := 0; i < 3; i++ {
 			b.Add(isa.R2, isa.R3, isa.R4)
 		}
 		b.Lw(isa.R5, isa.R1, 128)
 	})
-	d := build("D", func(b *prog.Builder) {
+	d := microThread("D", func(b *prog.Builder) {
 		for i := 0; i < 5; i++ {
 			b.Add(isa.R2, isa.R3, isa.R4)
 		}
 		b.Lw(isa.R5, isa.R1, 192)
 	})
-	return []*prog.Program{a, bb, c, d}
+	return []*core.Thread{a, bb, c, d}
 }
 
 // TimelineResult is a recorded micro-experiment run. Trace is the
@@ -88,48 +90,28 @@ type TimelineResult struct {
 	Stats  core.Stats
 }
 
-// Figure2 runs the miss-cost microbenchmark (one context takes a miss
-// while three others run independent work) under both schemes, recording
-// the timelines whose switch overhead is 7 vs 2 cycles in the paper's
-// Figure 2.
-func Figure2() (blocked, interleaved *TimelineResult, err error) {
+// timelines runs a micro experiment under the blocked and then the
+// interleaved scheme: the threads that threads builds, on a 4-context
+// processor over a demoMem of miss latency lat, with the event trace
+// recorded.
+func timelines(what string, lat int64, threads func(dm *demoMem) []*core.Thread) (blocked, interleaved *TimelineResult, err error) {
 	run := func(s core.Scheme) (*TimelineResult, error) {
-		dm := newDemoMem(40)
-		fm := mem.New()
-		p, err := core.NewProcessor(core.DefaultConfig(s, 4), dm, fm)
+		dm := newDemoMem(lat)
+		ths := threads(dm)
+		p, err := core.NewProcessor(core.DefaultConfig(s, 4), dm, mem.New())
 		if err != nil {
 			return nil, err
 		}
-		res := &TimelineResult{Scheme: s}
 		col := metrics.NewCollector(metrics.Options{Events: true}, 1)
 		p.AttachMetrics(col.Proc(0))
-		mk := func(name string, f func(b *prog.Builder)) *core.Thread {
-			b := prog.NewBuilder(name, 0x1000, 0x100000, 1<<20)
-			f(b)
-			b.Halt()
-			return core.NewThread(name, b.MustBuild())
-		}
-		p.BindThread(0, mk("A", func(b *prog.Builder) {
-			b.Lw(isa.R2, isa.R1, 0)
-			for i := 0; i < 20; i++ {
-				b.Add(isa.R3, isa.R4, isa.R5)
-			}
-		}))
-		for i := 1; i < 4; i++ {
-			p.BindThread(i, mk(string(rune('A'+i)), func(b *prog.Builder) {
-				for j := 0; j < 60; j++ {
-					b.Add(isa.R3, isa.R4, isa.R5)
-				}
-			}))
+		for i, th := range ths {
+			p.BindThread(i, th)
 		}
 		cycles, done := p.RunUntilHalted(10_000)
 		if !done {
-			return nil, fmt.Errorf("experiments: figure 2 run did not complete")
+			return nil, fmt.Errorf("experiments: %s run did not complete", what)
 		}
-		res.Cycles = cycles
-		res.Stats = p.Stats
-		res.Trace = col.Result()
-		return res, nil
+		return &TimelineResult{Scheme: s, Cycles: cycles, Stats: p.Stats, Trace: col.Result()}, nil
 	}
 	if blocked, err = run(core.Blocked); err != nil {
 		return nil, nil, err
@@ -140,38 +122,32 @@ func Figure2() (blocked, interleaved *TimelineResult, err error) {
 	return blocked, interleaved, nil
 }
 
+// Figure2 runs the miss-cost microbenchmark (one context takes a miss
+// while three others run independent work) under both schemes, recording
+// the timelines whose switch overhead is 7 vs 2 cycles in the paper's
+// Figure 2.
+func Figure2() (blocked, interleaved *TimelineResult, err error) {
+	return timelines("figure 2", 40, func(*demoMem) []*core.Thread {
+		ths := []*core.Thread{microThread("A", func(b *prog.Builder) {
+			b.Lw(isa.R2, isa.R1, 0)
+			for i := 0; i < 20; i++ {
+				b.Add(isa.R3, isa.R4, isa.R5)
+			}
+		})}
+		for i := 1; i < 4; i++ {
+			ths = append(ths, microThread(string(rune('A'+i)), func(b *prog.Builder) {
+				for j := 0; j < 60; j++ {
+					b.Add(isa.R3, isa.R4, isa.R5)
+				}
+			}))
+		}
+		return ths
+	})
+}
+
 // Figure3 runs the four example threads under both schemes.
 func Figure3() (blocked, interleaved *TimelineResult, err error) {
-	run := func(s core.Scheme) (*TimelineResult, error) {
-		dm := newDemoMem(20)
-		progs := Figure3Threads(dm)
-		fm := mem.New()
-		p, err := core.NewProcessor(core.DefaultConfig(s, 4), dm, fm)
-		if err != nil {
-			return nil, err
-		}
-		res := &TimelineResult{Scheme: s}
-		col := metrics.NewCollector(metrics.Options{Events: true}, 1)
-		p.AttachMetrics(col.Proc(0))
-		for i, pr := range progs {
-			p.BindThread(i, core.NewThread(pr.Name, pr))
-		}
-		cycles, done := p.RunUntilHalted(10_000)
-		if !done {
-			return nil, fmt.Errorf("experiments: figure 3 run did not complete")
-		}
-		res.Cycles = cycles
-		res.Stats = p.Stats
-		res.Trace = col.Result()
-		return res, nil
-	}
-	if blocked, err = run(core.Blocked); err != nil {
-		return nil, nil, err
-	}
-	if interleaved, err = run(core.Interleaved); err != nil {
-		return nil, nil, err
-	}
-	return blocked, interleaved, nil
+	return timelines("figure 3", 20, figure3Threads)
 }
 
 // timelineChar maps a charged slot class (by its metrics name) to the
@@ -250,20 +226,14 @@ func Table4() (*Table4Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		mk := func(name string, f func(b *prog.Builder)) *core.Thread {
-			b := prog.NewBuilder(name, 0x1000, 0x100000, 1<<20)
-			f(b)
-			b.Halt()
-			return core.NewThread(name, b.MustBuild())
-		}
-		p.BindThread(0, mk("misser", func(b *prog.Builder) {
+		p.BindThread(0, microThread("misser", func(b *prog.Builder) {
 			b.Lw(isa.R2, isa.R1, 0)
 			for i := 0; i < 50; i++ {
 				b.Add(isa.R3, isa.R4, isa.R5)
 			}
 		}))
 		for i := 1; i < 4; i++ {
-			p.BindThread(i, mk("adder", func(b *prog.Builder) {
+			p.BindThread(i, microThread("adder", func(b *prog.Builder) {
 				for j := 0; j < 200; j++ {
 					b.Add(isa.R3, isa.R4, isa.R5)
 				}

@@ -49,11 +49,6 @@ type MPConfig struct {
 	// Obs configures per-cell observability; enabled, every cell carries
 	// its sampled counter series and event trace in MPCell.Metrics.
 	Obs metrics.Options
-
-	// Journal, when non-nil, records every completed cell durably and
-	// replays cells already present (crash-safe resume). Excluded from
-	// JSON so results and fingerprints do not depend on journaling.
-	Journal *Journal `json:"-"`
 }
 
 // DefaultMPConfig reproduces the paper's multiprocessor setup on 8 nodes.
@@ -291,15 +286,7 @@ func RenderMPSections(sel func(string) bool, mpr *MPResult) string {
 
 // RunMultiprocessor runs the full multiprocessor evaluation.
 func RunMultiprocessor(cfg MPConfig) (*MPResult, error) {
-	return RunMultiprocessorCtx(context.Background(), cfg)
-}
-
-// RunMultiprocessorCtx is RunMultiprocessor with cancellation and
-// journaling (grid.run): cancelling ctx drains the grid — running cells
-// stop within one lockstep block — and a cfg.Journal replays completed
-// cells from a previous run and records new ones durably.
-func RunMultiprocessorCtx(ctx context.Context, cfg MPConfig) (*MPResult, error) {
-	return multiprocessorGrid.run(ctx, cfg, cfg.Journal)
+	return multiprocessorGrid.run(context.Background(), cfg, nil)
 }
 
 // FormatTable10 renders the paper's Table 10: application speedup due to

@@ -53,11 +53,6 @@ type UniConfig struct {
 	// its sampled counter series and event trace in UniCell.Metrics.
 	Obs metrics.Options
 
-	// Journal, when non-nil, records every completed cell durably and
-	// replays cells already present (crash-safe resume). Excluded from
-	// JSON so results and fingerprints do not depend on journaling.
-	Journal *Journal `json:"-"`
-
 	// Checkpoint configures warm-up sharing for the sensitivity sweeps:
 	// sweeps whose swept parameter is a measurement-time override
 	// simulate their shared warm-up prefix once and fork every cell from
@@ -264,16 +259,7 @@ func RenderUniSections(sel func(string) bool, uni *UniResult) string {
 
 // RunUniprocessor runs the full workstation evaluation.
 func RunUniprocessor(cfg UniConfig) (*UniResult, error) {
-	return RunUniprocessorCtx(context.Background(), cfg)
-}
-
-// RunUniprocessorCtx is RunUniprocessor with cancellation and journaling
-// (grid.run): cancelling ctx drains the grid — queued cells never start,
-// running cells stop within engine.BlockCycles cycles, both render as
-// SKIP — and a cfg.Journal replays completed cells from a previous run
-// and records new ones durably.
-func RunUniprocessorCtx(ctx context.Context, cfg UniConfig) (*UniResult, error) {
-	return workstationGrid.run(ctx, cfg, cfg.Journal)
+	return workstationGrid.run(context.Background(), cfg, nil)
 }
 
 // FormatTable7 renders the paper's Table 7: throughput increase with

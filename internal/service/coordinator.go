@@ -161,18 +161,6 @@ type cell struct {
 	failed     bool
 }
 
-// CellEvent is one line of the job's completion stream
-// (GET /api/jobs/{id}/cells): cell (grid, index) completed, in arrival
-// order. Replayed marks cells restored from the journal at restart.
-type CellEvent struct {
-	Seq      int    `json:"seq"`
-	Grid     string `json:"grid"`
-	Index    int    `json:"index"`
-	Worker   string `json:"worker,omitempty"`
-	Failed   bool   `json:"failed,omitempty"`
-	Replayed bool   `json:"replayed,omitempty"`
-}
-
 // JobStatus is the GET /api/jobs/{id} response.
 type JobStatus struct {
 	ID         int    `json:"id"`
@@ -206,7 +194,6 @@ type job struct {
 	failed     int
 	dupes      int
 	mismatches int
-	events     []CellEvent
 	notify     chan struct{} // closed and replaced on every completion
 	result     *JobResult
 	resultErr  error
@@ -345,7 +332,6 @@ func (c *Coordinator) recoverJob(id int) error {
 		if failed {
 			j.failed++
 		}
-		j.events = append(j.events, CellEvent{Seq: len(j.events), Grid: cl.grid.Name(), Index: cl.index, Failed: failed, Replayed: true})
 	}
 	c.cfg.Logf("job %d recovered: %d/%d cells replayed from journal", id, j.done, len(j.cells))
 	if j.complete() {
@@ -386,7 +372,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /api/jobs", c.handleSubmit)
 	mux.HandleFunc("GET /api/jobs/{id}", c.handleStatus)
 	mux.HandleFunc("GET /api/jobs/{id}/result", c.handleResult)
-	mux.HandleFunc("GET /api/jobs/{id}/cells", c.handleCells)
 	mux.HandleFunc("POST /api/lease", c.handleLease)
 	mux.HandleFunc("POST /api/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /api/release", c.handleRelease)
@@ -449,7 +434,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // worker report takes, so the job still completes (degraded, like a
 // failed in-process cell) and a restart replays the decision.
 func (c *Coordinator) failCellLocked(j *job, cl *cell, reason string) {
-	if err := c.markDoneLocked(j, cl, cl.grid.FailedRecord(reason), true, ""); err != nil {
+	if err := c.markDoneLocked(j, cl, cl.grid.FailedRecord(reason), true); err != nil {
 		c.cfg.Logf("job %d: %s/%d: journaling dispatch failure: %v", j.id, cl.grid.Name(), cl.index, err)
 	}
 }
@@ -457,7 +442,7 @@ func (c *Coordinator) failCellLocked(j *job, cl *cell, reason string) {
 // markDoneLocked journals the record and transitions the cell to done —
 // in that order; a record that did not reach disk is never acked and
 // never counted. The final cell of a job triggers assembly.
-func (c *Coordinator) markDoneLocked(j *job, cl *cell, raw json.RawMessage, failed bool, worker string) error {
+func (c *Coordinator) markDoneLocked(j *job, cl *cell, raw json.RawMessage, failed bool) error {
 	j.journal.Record(cl.grid.Name(), cl.index, raw)
 	if err := j.journal.Err(); err != nil {
 		return err
@@ -470,7 +455,6 @@ func (c *Coordinator) markDoneLocked(j *job, cl *cell, raw json.RawMessage, fail
 	if failed {
 		j.failed++
 	}
-	j.events = append(j.events, CellEvent{Seq: len(j.events), Grid: cl.grid.Name(), Index: cl.index, Worker: worker, Failed: failed})
 	if j.complete() {
 		c.assembleLocked(j)
 		c.cfg.Logf("job %d complete: %d cells, %d failed, %d duplicate reports, %d mismatched reports",
@@ -640,9 +624,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusAccepted, running)
 			return
 		}
-		// Like handleCells, wake at least once a lease TTL to sweep: expiry
-		// of the last outstanding lease is itself a completion path, and it
-		// only runs inside requests.
+		// Wake at least once a lease TTL to sweep: expiry of the last
+		// outstanding lease is itself a completion path, and it only runs
+		// inside requests.
 		timer := time.NewTimer(min(left, c.cfg.LeaseTTL))
 		select {
 		case <-r.Context().Done():
@@ -652,76 +636,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		case <-timer.C:
 		}
 		timer.Stop()
-	}
-}
-
-// handleCells streams the job's completion events as JSON lines,
-// starting at ?since=N, then follows live completions until the job is
-// done or the client hangs up. A client that reconnects after a
-// coordinator restart passes its last seq and sees replayed cells again
-// (marked Replayed) — the stream is at-least-once, like dispatch.
-func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
-	since := 0
-	if s := r.URL.Query().Get("since"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad since %q", s)
-			return
-		}
-		since = n
-	}
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	headerSent := false
-	for {
-		c.mu.Lock()
-		c.expireLocked(time.Now())
-		var j *job
-		if !headerSent {
-			var ok bool
-			j, ok = c.jobFromPath(w, r)
-			if !ok {
-				c.mu.Unlock()
-				return
-			}
-			headerSent = true
-		} else {
-			id, _ := strconv.Atoi(r.PathValue("id"))
-			j = c.jobs[id]
-			if j == nil {
-				c.mu.Unlock()
-				return
-			}
-		}
-		var evs []CellEvent
-		if since < len(j.events) {
-			evs = append(evs, j.events[since:]...)
-		}
-		complete := j.complete()
-		notify := j.notify
-		c.mu.Unlock()
-
-		for _, e := range evs {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
-		since += len(evs)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if complete {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-notify:
-		case <-time.After(c.cfg.LeaseTTL):
-			// Re-sweep even if nothing completes: expiry of the last
-			// outstanding lease is itself a completion path (synthetic
-			// failure records), and it only runs inside requests.
-		}
 	}
 }
 
@@ -980,7 +894,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	// Journal-then-ack: a 200 means the record is on disk. A journal
 	// write failure leaves the cell un-acked; the worker retries or the
 	// lease expires and redispatches.
-	if err := c.markDoneLocked(j, cl, raw, failed, req.Worker); err != nil {
+	if err := c.markDoneLocked(j, cl, raw, failed); err != nil {
 		httpError(w, http.StatusInternalServerError, "journal: %v", err)
 		return
 	}

@@ -94,28 +94,31 @@ func checkGolden(t *testing.T, got map[string]string) {
 // sections and -json rendered the way cmd/experiments prints them.
 func TestGridGoldenLocal(t *testing.T) {
 	spec := goldenSpec()
-	fp := experiments.NewFingerprint(spec.Uni, spec.MP, nil)
+	grids, fp, err := experiments.Grids(nil, spec.Uni, spec.MP)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "grid.journal")
 	j, err := experiments.CreateJournal(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, mpc := *spec.Uni, *spec.MP
-	uni.Journal, mpc.Journal = j, j
-	ur, err := experiments.RunUniprocessorCtx(context.Background(), uni)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := experiments.RunMultiprocessorCtx(context.Background(), mpc)
-	if err != nil {
-		t.Fatal(err)
+	var reps []*experiments.GridReport
+	for _, g := range grids {
+		rep, err := g.Run(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sel := experiments.Selection(nil)
-	text := experiments.RenderUniSections(sel, ur) + experiments.RenderMPSections(sel, mr)
-	blob, err := json.MarshalIndent(map[string]any{"workstation": ur, "multiprocessor": mr}, "", "  ")
+	if len(reps) != 2 {
+		t.Fatalf("golden spec runs %d grids, want 2", len(reps))
+	}
+	text := reps[0].Text + reps[1].Text
+	blob, err := json.MarshalIndent(map[string]any{"workstation": reps[0].Value, "multiprocessor": reps[1].Value}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func reference(t *testing.T, spec JobSpec) (text string, jsonBytes []byte) {
 	blob := map[string]any{}
 	var b strings.Builder
 	if spec.Uni != nil {
-		uni, err := experiments.RunUniprocessorCtx(context.Background(), *spec.Uni)
+		uni, err := experiments.RunUniprocessor(*spec.Uni)
 		if err != nil {
 			t.Fatalf("reference uni run: %v", err)
 		}
@@ -55,7 +55,7 @@ func reference(t *testing.T, spec JobSpec) (text string, jsonBytes []byte) {
 		blob["workstation"] = uni
 	}
 	if spec.MP != nil {
-		mpr, err := experiments.RunMultiprocessorCtx(context.Background(), *spec.MP)
+		mpr, err := experiments.RunMultiprocessor(*spec.MP)
 		if err != nil {
 			t.Fatalf("reference mp run: %v", err)
 		}
@@ -168,8 +168,8 @@ func assertIdentical(t *testing.T, res JobResult, wantText string, wantJSON []by
 }
 
 // The service's core contract: a job fanned out to workers produces
-// byte-identical text and JSON to a single-process run, and the cell
-// stream reports every completion.
+// byte-identical text and JSON to a single-process run, and the job's
+// status counts every completion.
 func TestServiceMatchesSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -192,37 +192,15 @@ func TestServiceMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("job has %d cells, want %d", cells, wantCells)
 	}
 
-	// Follow the completion stream concurrently with the run.
-	streamed := make(chan int, 1)
-	go func() {
-		resp, err := http.Get(fmt.Sprintf("%s/api/jobs/%d/cells?since=0", srv.URL, id))
-		if err != nil {
-			streamed <- -1
-			return
-		}
-		defer resp.Body.Close()
-		n := 0
-		dec := json.NewDecoder(resp.Body)
-		for {
-			var ev CellEvent
-			if err := dec.Decode(&ev); err != nil {
-				break
-			}
-			n++
-		}
-		streamed <- n
-	}()
-
 	res := waitResult(t, srv.URL, id)
 	assertIdentical(t, res, wantText, wantJSON)
 	counter.assertMax(t, 1) // healthy run: every cell simulates exactly once
-	select {
-	case n := <-streamed:
-		if n != cells {
-			t.Errorf("completion stream delivered %d events, want %d", n, cells)
-		}
-	case <-time.After(10 * time.Second):
-		t.Error("completion stream never finished")
+	st, err := client.Status(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != cells || st.Failed != 0 || !st.Complete {
+		t.Errorf("status after result: done %d, failed %d, complete %v; want %d, 0, true", st.Done, st.Failed, st.Complete, cells)
 	}
 }
 

@@ -220,6 +220,16 @@ if grep -rnE 'snapshot\.(Seal|Open)\(|func (CheckpointAtCtx|ResumeCtx|ResumeImag
     exit 1
 fi
 
+# A job records a completion twice: in its journal (durable) and in its
+# cell table (dispatch state). No third in-memory stream, and no endpoint
+# serving one. The fabric has one invariant checker (CheckInvariants), and
+# a grid takes a journal only through Grid.Run.
+if grep -rnE 'CellEvent|handleCells|/cells"' --include='*.go' --exclude='*_test.go' . ||
+    grep -rnE 'DirectoryInvariants|RunUniprocessorCtx|RunMultiprocessorCtx' --include='*.go' .; then
+    echo "check.sh: one record of a completion, one directory checker, one way to journal a grid" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
