@@ -9,10 +9,11 @@
 // With -copies N (1 ≤ N ≤ -contexts) the program is loaded into N
 // contexts: each copy gets its own thread, with its index in mp.TidReg
 // and N in mp.NThreadsReg (the SPMD convention), and they share the
-// program's data. Any other -copies, an unknown -scheme or a missing file
-// argument is a usage error (exit 2). -trace prints one "cycle  ctxN
-// disassembly" line per issued instruction, read from the processor's
-// event trace after the run. That trace holds at most
+// program's data. Any other -copies, an unknown -scheme, a -contexts the
+// scheme cannot run (core.Config.Validate), a -limit below one cycle or a
+// missing file argument is a usage error (exit 2). -trace prints one
+// "cycle  ctxN  disassembly" line per issued instruction, read from the
+// processor's event trace after the run. That trace holds at most
 // metrics.DefaultEventCap events (issues and stall spans together), so a
 // long run's trace stops early; the dropped count is reported on stderr.
 package main
@@ -57,6 +58,13 @@ func main() {
 	if err != nil {
 		exit(2, err)
 	}
+	cfg := core.DefaultConfig(sc, *contexts)
+	if err := cfg.Validate(); err != nil {
+		exit(2, fmt.Errorf("-scheme %v -contexts %d: %w", sc, *contexts, err))
+	}
+	if *limit < 1 {
+		exit(2, fmt.Errorf("-limit %d: need at least one cycle", *limit))
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		die(err)
@@ -70,7 +78,7 @@ func main() {
 		return
 	}
 
-	m, err := workstation.NewMachine(core.DefaultConfig(sc, *contexts), cache.DefaultParams())
+	m, err := workstation.NewMachine(cfg, cache.DefaultParams())
 	if err != nil {
 		die(err)
 	}

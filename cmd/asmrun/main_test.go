@@ -102,6 +102,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-copies", "0", saxpy}, "-copies 0 outside 1..1"},
 		{[]string{"-scheme", "nosuch", saxpy}, "unknown scheme"},
 		{[]string{"-copies", "2"}, "usage"},
+		{[]string{"-limit", "-5", saxpy}, "-limit -5"},
+		{[]string{"-limit", "0", saxpy}, "-limit 0"},
+		{[]string{"-scheme", "interleaved", "-contexts", "65", saxpy}, "-contexts 65"},
+		{[]string{"-scheme", "single", "-contexts", "4", saxpy}, "-contexts 4"},
 	} {
 		out, stderr, code := asmrunExit(t, tc.args...)
 		if code != 2 || out != "" || !strings.Contains(stderr, tc.want) {

@@ -102,6 +102,10 @@ func run(args []string) (code int) {
 		fmt.Fprintf(os.Stderr, "experiments: -j %d: need at least one concurrent cell\n", *jobs)
 		return experiments.ExitUsage
 	}
+	if *cellTimeout < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -cell-timeout %v: must be positive, or 0 for none\n", *cellTimeout)
+		return experiments.ExitUsage
+	}
 	if *journalPath != "" && *resumePath != "" {
 		fmt.Fprintln(os.Stderr, "experiments: -journal and -resume are mutually exclusive (resume keeps appending to the resumed journal)")
 		return experiments.ExitUsage

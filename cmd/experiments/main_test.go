@@ -248,8 +248,8 @@ func TestMultiprocessorSubsetCompletesWithoutSignal(t *testing.T) {
 	}
 }
 
-// A selection no grid can run, or a -j below one, exits 2 before
-// anything runs.
+// A selection no grid can run, a -j below one or a negative
+// -cell-timeout exits 2 before anything runs.
 func TestBadSubsetExitsUsage(t *testing.T) {
 	for _, args := range [][]string{
 		{"-subjects", "nosuch"},
@@ -263,6 +263,7 @@ func TestBadSubsetExitsUsage(t *testing.T) {
 		{"-quick", "-only", "tabel7"},
 		{"-j", "0", "-only", "table4"},
 		{"-j", "-3", "-only", "table4"},
+		{"-quick", "-only", "table7", "-cell-timeout", "-1s"},
 	} {
 		if code, _, _ := capture(t, args...); code != experiments.ExitUsage {
 			t.Errorf("%v: exit code %d, want %d", args, code, experiments.ExitUsage)

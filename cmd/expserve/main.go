@@ -2,7 +2,7 @@
 // worker and client in one binary.
 //
 //	expserve serve -dir STATE [-addr 127.0.0.1:7711] [-addr-file F]
-//	expserve work -coordinator URL [-name N] [-slots K] [-poll D] [-fault PLAN]
+//	expserve work -coordinator URL [-name N] [-slots K] [-poll D]
 //	expserve submit -coordinator URL [-quick] [-only table7,...] [-subjects ...] [-schemes ...] [-contexts ...]
 //	expserve progress -coordinator URL -job N
 //	expserve wait -coordinator URL -job N [-out F] [-json-out F]
@@ -19,13 +19,10 @@
 // budget retry), and reports the records back under heartbeat-renewed
 // leases. A worker's first lease request makes it known to the
 // coordinator; started before its coordinator, it retries every -poll
-// until one answers. -fault scripts deterministic process-level failures
-// for the chaos harness ("die-mid-cell@3",
-// "die-before-ack@1,heartbeat-stall@4"): the worker executes the fault
-// on that cell-execution ordinal and, for the dying kinds, stops
-// abruptly — no completion, no heartbeat — exactly as a crash would, but
-// with its own exit code, 7. A worker runs until stopped: SIGINT/SIGTERM
-// hand its leases back and exit 3.
+// until one answers. A worker runs until stopped: SIGINT/SIGTERM hand its
+// leases back and exit 3. A worker that dies without that drain (kill -9)
+// leaves its leases to expire, and the coordinator redispatches their
+// cells.
 //
 // submit resolves its grid flags through the binding cmd/experiments
 // uses (experiments.BindGridFlags), posts the configurations, and prints
@@ -38,7 +35,7 @@
 // then writes the job's stdout text (byte-identical to cmd/experiments)
 // to -out or stdout, and the raw results JSON to -json-out. Exit codes
 // follow cmd/experiments: 0 success, 1 any cell failed, 2 usage,
-// 3 interrupted; work adds 7, an injected fault executed.
+// 3 interrupted.
 package main
 
 import (
@@ -56,14 +53,9 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/guard"
 	"repro/internal/metrics"
 	"repro/internal/service"
 )
-
-// ExitFaultInjected distinguishes a scripted chaos death of a worker
-// from a real failure; the crash harness asserts on it.
-const ExitFaultInjected = 7
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -162,7 +154,6 @@ func runWork(args []string) int {
 	name := fs.String("name", "", "worker name (default: host.pid)")
 	slots := fs.Int("slots", 1, "concurrently simulated cells")
 	poll := fs.Duration("poll", 250*time.Millisecond, "idle lease re-poll interval")
-	fault := fs.String("fault", "", "chaos fault plan, e.g. die-mid-cell@3 (kinds: die-mid-cell, die-before-ack, heartbeat-stall)")
 	if err := fs.Parse(args); err != nil {
 		return experiments.ExitUsage
 	}
@@ -176,11 +167,6 @@ func runWork(args []string) int {
 	}
 	if *poll <= 0 {
 		fmt.Fprintf(os.Stderr, "expserve work: -poll %v: must be positive\n", *poll)
-		return experiments.ExitUsage
-	}
-	plan, err := guard.ProcessFaults.Parse(*fault)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "expserve work:", err)
 		return experiments.ExitUsage
 	}
 	if *name == "" {
@@ -198,16 +184,12 @@ func runWork(args []string) int {
 		Name:         *name,
 		Slots:        *slots,
 		PollInterval: *poll,
-		Plan:         plan,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "expserve: "+format+"\n", a...)
 		},
 	})
-	err = w.Run(ctx)
+	err := w.Run(ctx)
 	switch {
-	case errors.Is(err, service.ErrFaultInjected):
-		fmt.Fprintln(os.Stderr, "expserve:", err)
-		return ExitFaultInjected
 	case ctx.Err() != nil:
 		fmt.Fprintln(os.Stderr, "expserve: interrupted; drained")
 		return experiments.ExitInterrupted
@@ -247,6 +229,10 @@ func runSubmit(args []string) int {
 	}
 	if *coordinator == "" {
 		fmt.Fprintln(os.Stderr, "expserve submit: -coordinator is required")
+		return experiments.ExitUsage
+	}
+	if *timeout <= 0 {
+		fmt.Fprintf(os.Stderr, "expserve submit: -timeout %v: must be positive\n", *timeout)
 		return experiments.ExitUsage
 	}
 	spec, err := buildSpec(gf)
@@ -321,6 +307,10 @@ func runWait(args []string) int {
 	}
 	if *coordinator == "" || *job <= 0 {
 		fmt.Fprintln(os.Stderr, "expserve wait: -coordinator and -job are required")
+		return experiments.ExitUsage
+	}
+	if *poll <= 0 {
+		fmt.Fprintf(os.Stderr, "expserve wait: -poll %v: must be positive\n", *poll)
 		return experiments.ExitUsage
 	}
 

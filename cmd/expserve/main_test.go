@@ -152,11 +152,14 @@ func TestWaitWritesAtomically(t *testing.T) {
 }
 
 // A count or duration below its minimum is a usage error, reported before
-// the worker dials or the coordinator listens. A command that does start
-// would block until signalled, so each row runs under a deadline.
+// the worker dials, the coordinator listens or a client calls it. A
+// command that does start would block until signalled (wait retries an
+// absent coordinator forever), so each row runs under a deadline.
 func TestBadCountsAreUsageErrors(t *testing.T) {
 	work := []string{"work", "-coordinator", "http://127.0.0.1:1"}
 	serve := []string{"serve", "-addr", "127.0.0.1:0", "-dir", t.TempDir()}
+	submit := []string{"submit", "-coordinator", "http://127.0.0.1:1", "-quick", "-only", "table7"}
+	wait := []string{"wait", "-coordinator", "http://127.0.0.1:1", "-job", "1"}
 	for _, args := range [][]string{
 		append(work[:3:3], "-slots", "0"),
 		append(work[:3:3], "-slots", "-2"),
@@ -164,6 +167,10 @@ func TestBadCountsAreUsageErrors(t *testing.T) {
 		append(work[:3:3], "-poll", "-1s"),
 		append(serve[:5:5], "-lease-ttl", "0"),
 		append(serve[:5:5], "-lease-ttl", "-1s"),
+		append(submit[:6:6], "-timeout", "0"),
+		append(submit[:6:6], "-timeout", "-1s"),
+		append(wait[:5:5], "-poll", "0"),
+		append(wait[:5:5], "-poll", "-5s"),
 	} {
 		code := make(chan int, 1)
 		go func() { code <- run(args) }()
@@ -174,22 +181,6 @@ func TestBadCountsAreUsageErrors(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Errorf("%s: still running after 5s, want exit %d before starting", strings.Join(args, " "), experiments.ExitUsage)
-		}
-	}
-}
-
-// A fault plan that cannot fire as written is a usage error, reported
-// before the worker contacts anything: the coordinator URL here is never
-// dialled.
-func TestUnfireablePlanIsAUsageError(t *testing.T) {
-	for _, fault := range []string{
-		"die-mid-cell@3,heartbeat-stall@3", // one execution, two faults
-		"die-mid-cell@1,die-mid-cell@4",    // a dead worker does not die again
-		"die-mid-cell",
-		"explode@2",
-	} {
-		if code := run([]string{"work", "-coordinator", "http://127.0.0.1:1", "-fault", fault}); code != experiments.ExitUsage {
-			t.Errorf("work -fault %s: exit %d, want %d", fault, code, experiments.ExitUsage)
 		}
 	}
 }

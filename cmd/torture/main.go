@@ -27,7 +27,8 @@
 //	        [-shrink] [-run-timeout D] [-v]
 //
 // Exit code 0: every seed byte-identical. 1: divergence, timeout, or
-// (when required) missing class coverage. 2: usage.
+// (when required) missing class coverage. 2: usage, which includes an -n
+// below one without -seed and a -run-timeout that is not positive.
 package main
 
 import (
@@ -51,11 +52,11 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	fs := flag.NewFlagSet("torture", flag.ExitOnError)
+func run(args []string) int {
+	fs := flag.NewFlagSet("torture", flag.ContinueOnError)
 	first := fs.Int64("first", 1, "first seed of the range")
 	n := fs.Int64("n", 20, "how many consecutive seeds to run")
 	seed := fs.Int64("seed", 0, "run exactly this one seed (overrides -first/-n)")
@@ -64,17 +65,29 @@ func run() int {
 	shrink := fs.Bool("shrink", true, "shrink a failing seed to a minimal schedule")
 	runTimeout := fs.Duration("run-timeout", 60*time.Second, "per-seed wall-clock bound")
 	verbose := fs.Bool("v", false, "log coordinator/worker events")
-	fs.Parse(os.Args[1:])
-
-	seeds := make([]int64, 0, *n)
-	for s := *first; s < *first+*n; s++ {
-		seeds = append(seeds, s)
+	if err := fs.Parse(args); err != nil {
+		return experiments.ExitUsage
 	}
+
+	var seeds []int64
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" { // set, to any value: -seed 0 is seed 0
 			seeds = []int64{*seed}
 		}
 	})
+	if seeds == nil {
+		if *n < 1 {
+			fmt.Fprintf(os.Stderr, "torture: -n %d: need at least one seed\n", *n)
+			return experiments.ExitUsage
+		}
+		for s := *first; s < *first+*n; s++ {
+			seeds = append(seeds, s)
+		}
+	}
+	if *runTimeout <= 0 {
+		fmt.Fprintf(os.Stderr, "torture: -run-timeout %v: must be positive\n", *runTimeout)
+		return experiments.ExitUsage
+	}
 
 	spec := tortureSpec()
 	baseText, baseJSON, err := baseline(spec)

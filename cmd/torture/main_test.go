@@ -2,9 +2,11 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/faultfs"
 	"repro/internal/faultnet"
 )
@@ -85,5 +87,29 @@ func TestShrinkSchedule(t *testing.T) {
 	// per event (16) plus a confirming pass over the two that stay.
 	if runs >= 18 {
 		t.Errorf("shrink took %d runs for 16 events; the one-at-a-time loop took 18", runs)
+	}
+}
+
+// A seed count below one (without -seed) or a per-seed bound that is not
+// positive is a usage error, reported before the baseline runs. A row that
+// did start would run seeds for minutes, so each runs under a deadline.
+func TestBadFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "-1"},
+		{"-n", "0"},
+		{"-first", "7", "-n", "0"},
+		{"-seed", "1", "-run-timeout", "0"},
+		{"-seed", "1", "-run-timeout", "-1s"},
+	} {
+		code := make(chan int, 1)
+		go func() { code <- run(args) }()
+		select {
+		case c := <-code:
+			if c != experiments.ExitUsage {
+				t.Errorf("torture %s: exit %d, want %d", strings.Join(args, " "), c, experiments.ExitUsage)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("torture %s: still running after 5s, want exit %d before the baseline", strings.Join(args, " "), experiments.ExitUsage)
+		}
 	}
 }

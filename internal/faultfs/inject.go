@@ -46,10 +46,6 @@ func (k FaultKind) String() string {
 // accounting.
 var DiskFaultKinds = []FaultKind{FaultTornWrite, FaultFailedSync, FaultENOSPC}
 
-// Layer is the disk-fault vocabulary: each kind has its own counter
-// (writes, syncs, bytes written), so ordinals never collide.
-var Layer = seeded.Layer[FaultKind]{Kinds: DiskFaultKinds}
-
 // Fault describes one injected failure, delivered to the OnFault hook.
 type Fault struct {
 	Kind    FaultKind

@@ -76,7 +76,7 @@ var NetFaultKinds = []FaultKind{FaultDrop, FaultDelay, FaultDup, FaultReset, Fau
 
 // Layer is the network-fault vocabulary: every kind counts the requests
 // through one transport, so a plan names an ordinal at most once.
-var Layer = seeded.Layer[FaultKind]{Kinds: NetFaultKinds, OneCounter: true}
+var Layer = seeded.Layer[FaultKind]{OneCounter: true}
 
 // Fault describes one injected failure, delivered to the OnFault hook.
 type Fault struct {

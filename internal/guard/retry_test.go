@@ -99,33 +99,3 @@ func TestEscalate(t *testing.T) {
 		}
 	}
 }
-
-func TestFaultPlanParseAndAt(t *testing.T) {
-	p, err := ProcessFaults.Parse("die-mid-cell@3,heartbeat-stall@5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int64]FaultKind{1: FaultNone, 3: FaultDieMidCell, 5: FaultHeartbeatStall, 6: FaultNone}
-	for n, k := range want {
-		if got, ok := p.At(n); got.Kind != k || ok != (k != FaultNone) {
-			t.Errorf("At(%d) = %v, %v, want %v", n, got, ok, k)
-		}
-	}
-
-	empty, err := ProcessFaults.Parse("")
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty plan: %v, %v", empty, err)
-	}
-	if _, ok := empty.At(1); ok {
-		t.Error("nil plan must be inert")
-	}
-
-	for _, bad := range []string{"die-mid-cell", "nope@2", "none@2", "die-mid-cell@0", "die-mid-cell@x",
-		// Neither can fire as written: one execution runs one fault, and a
-		// dead worker does not die again.
-		"die-mid-cell@3,heartbeat-stall@3", "die-mid-cell@1,die-mid-cell@4"} {
-		if _, err := ProcessFaults.Parse(bad); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", bad)
-		}
-	}
-}

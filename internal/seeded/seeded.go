@@ -1,15 +1,15 @@
 // Package seeded is the repository's one answer to "how is a seeded
-// schedule represented, derived, printed, parsed and shrunk". The fault
-// layers (faultfs under the journals, faultnet under the service's HTTP
-// clients, guard's process faults in a worker, cmd/torture over all of
-// them) each own a FaultKind enum and the mechanics of delivering a
-// fault; what they share lives here:
+// schedule represented, derived, printed and shrunk". The fault layers
+// (faultfs under the journals, faultnet under the service's HTTP clients,
+// cmd/torture over both) each own a FaultKind enum and the mechanics of
+// delivering a fault; what they share lives here:
 //
 //   - Stream and Mix: the splitmix64 step and its finalizer, the only
 //     PRNG the simulator, the fuzzer and the harnesses draw from, so a
 //     seed means the same stream everywhere and on every Go release;
 //   - Plan: an ordered list of "this kind fires when its counter reaches
-//     N" events, with one text form (String, Layer.Parse);
+//     N" events, printed as kind@N[:arg] (String) and checked for events
+//     that could never fire (Layer.Check);
 //   - Minimize: the one shrinker, for a failing plan or a failing
 //     fuzz program alike.
 //
@@ -20,7 +20,6 @@ package seeded
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 )
 
@@ -50,7 +49,7 @@ type Kind interface {
 }
 
 // Event schedules one fault: Kind fires when the counter its layer keeps
-// for it (writes, syncs, bytes written, requests, cell executions) reaches
+// for it (writes, syncs, bytes written, requests) reaches
 // At, counting from 1. Arg is the kind's parameter, if it has one: bytes a
 // torn write keeps, milliseconds a delay lasts, bytes a truncated body
 // lets through.
@@ -94,8 +93,8 @@ func (p Plan[K]) At(n int64) (Event[K], bool) {
 	return Event[K]{}, false
 }
 
-// String renders the plan as kind@N[:arg] events joined by commas, the
-// form Layer.Parse reads back; the empty plan is the empty string.
+// String renders the plan as kind@N[:arg] events joined by commas; the
+// empty plan is the empty string.
 func (p Plan[K]) String() string {
 	parts := make([]string, len(p))
 	for i, e := range p {
@@ -104,47 +103,11 @@ func (p Plan[K]) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Layer is one fault vocabulary as Parse and Check need to know it.
+// Layer is one fault vocabulary as Check needs to know it.
 type Layer[K Kind] struct {
-	// Kinds are the injectable kinds.
-	Kinds []K
 	// OneCounter says every kind counts the same operations (a
-	// transport's requests, a worker's cell executions), so an ordinal
-	// delivers at most one fault.
+	// transport's requests), so an ordinal delivers at most one fault.
 	OneCounter bool
-}
-
-// Parse is the inverse of Plan.String over the layer's kinds, and accepts
-// only a plan that passes Check.
-func (l Layer[K]) Parse(s string) (Plan[K], error) {
-	var p Plan[K]
-	if strings.TrimSpace(s) == "" {
-		return p, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		name, rest, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("seeded: fault %q: want kind@N[:arg]", part)
-		}
-		k := slices.IndexFunc(l.Kinds, func(k K) bool { return k.String() == name })
-		if k < 0 {
-			return nil, fmt.Errorf("seeded: unknown fault kind %q (one of %v)", name, l.Kinds)
-		}
-		e := Event[K]{Kind: l.Kinds[k]}
-		at, arg, hasArg := strings.Cut(rest, ":")
-		var err error
-		if e.At, err = strconv.ParseInt(at, 10, 64); err != nil || e.At < 1 {
-			return nil, fmt.Errorf("seeded: fault %q: bad ordinal %q", part, at)
-		}
-		if hasArg {
-			if e.Arg, err = strconv.ParseInt(arg, 10, 64); err != nil || e.Arg < 0 {
-				return nil, fmt.Errorf("seeded: fault %q: bad argument %q", part, arg)
-			}
-		}
-		p = append(p, e)
-	}
-	return p, l.Check(p)
 }
 
 // Check reports a plan that cannot fire as written: a kind is one-shot, so

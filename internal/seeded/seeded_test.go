@@ -1,13 +1,13 @@
 package seeded_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
 	"repro/internal/faultnet"
-	"repro/internal/guard"
 	"repro/internal/seeded"
 )
 
@@ -25,76 +25,78 @@ func TestStreamIsSplitmix64(t *testing.T) {
 	}
 }
 
-// roundTrip checks Parse and String are inverses on one layer: text parses
-// to the plan, the plan prints as the text.
-func roundTrip[K seeded.Kind](t *testing.T, l seeded.Layer[K], text string, plan seeded.Plan[K]) {
-	t.Helper()
-	got, err := l.Parse(text)
-	if err != nil {
-		t.Errorf("Parse(%q): %v", text, err)
-		return
-	}
-	if !slices.Equal(got, plan) {
-		t.Errorf("Parse(%q) = %v, want %v", text, got, plan)
-	}
-	if plan.String() != text {
-		t.Errorf("%v prints as %q, want %q", []seeded.Event[K](plan), plan.String(), text)
-	}
-}
-
-func TestParseIsTheInverseOfString(t *testing.T) {
-	roundTrip(t, faultfs.Layer, "", nil)
-	roundTrip(t, faultfs.Layer, "torn-write@3:17", seeded.Plan[faultfs.FaultKind]{
-		{Kind: faultfs.FaultTornWrite, At: 3, Arg: 17}})
-	// Disk kinds count separately: write 2 and sync 2 are different events.
-	roundTrip(t, faultfs.Layer, "enospc@1205,failed-sync@2,torn-write@2", seeded.Plan[faultfs.FaultKind]{
-		{Kind: faultfs.FaultENOSPC, At: 1205}, {Kind: faultfs.FaultFailedSync, At: 2}, {Kind: faultfs.FaultTornWrite, At: 2}})
-	roundTrip(t, faultnet.Layer, "", nil)
-	roundTrip(t, faultnet.Layer, "drop@2,delay@20:11,duplicate@5,reset@8,truncation@17:49", faultnet.PlanFromSeed(5))
-	roundTrip(t, guard.ProcessFaults, "", nil)
-	roundTrip(t, guard.ProcessFaults, "heartbeat-stall@2,die-before-ack@5", seeded.Plan[guard.FaultKind]{
-		{Kind: guard.FaultHeartbeatStall, At: 2}, {Kind: guard.FaultDieBeforeAck, At: 5}})
-	for seed := int64(-20); seed <= 20; seed++ {
-		p := faultnet.PlanFromSeed(seed)
-		roundTrip(t, faultnet.Layer, p.String(), p)
-	}
-
-	// Spaces around an event and an explicit zero argument are accepted.
-	if p, err := faultnet.Layer.Parse(" drop@4 , delay@2:0 "); err != nil || p.String() != "drop@4,delay@2" {
-		t.Errorf("lenient forms: %q, %v", p, err)
-	}
-}
-
-func TestParseRejects(t *testing.T) {
-	for text, wants := range map[string][]string{
-		"drop":             {`"drop"`, "kind@N"},
-		"tear@2":           {`"tear"`, "drop", "truncation"},
-		"torn-write@2":     {`"torn-write"`}, // another layer's kind
-		"drop@0":           {`"0"`},
-		"drop@x":           {`"x"`},
-		"drop@-3":          {`"-3"`},
-		"delay@2:":         {`""`},
-		"delay@2:-1":       {`"-1"`},
-		"delay@2:1:1":      {`"1:1"`},
-		"drop@2,,reset@3":  {`""`},
-		"drop@3,reset@3":   {"drop@3", "reset@3", "ordinal"},
-		"delay@2:5,drop@2": {"delay@2:5", "drop@2", "ordinal"},
-		"drop@3,drop@9":    {"drop@3", "drop@9", "once"},
+// A plan prints as kind@N[:arg] events joined by commas, and At finds the
+// event on an ordinal of a layer whose kinds share one counter.
+func TestPlanStringAndAt(t *testing.T) {
+	for _, c := range []struct {
+		plan fmt.Stringer
+		want string
+	}{
+		{seeded.Plan[faultnet.FaultKind](nil), ""},
+		{faultnet.PlanFromSeed(5), "drop@2,delay@20:11,duplicate@5,reset@8,truncation@17:49"},
+		// A zero argument is no argument.
+		{seeded.Plan[faultnet.FaultKind]{{Kind: faultnet.FaultDrop, At: 4}, {Kind: faultnet.FaultDelay, At: 2}}, "drop@4,delay@2"},
+		{seeded.Plan[faultfs.FaultKind]{{Kind: faultfs.FaultTornWrite, At: 3, Arg: 17}}, "torn-write@3:17"},
+		{seeded.Plan[faultfs.FaultKind]{{Kind: faultfs.FaultENOSPC, At: 1205}, {Kind: faultfs.FaultFailedSync, At: 2},
+			{Kind: faultfs.FaultTornWrite, At: 2}}, "enospc@1205,failed-sync@2,torn-write@2"},
 	} {
-		p, err := faultnet.Layer.Parse(text)
+		if got := c.plan.String(); got != c.want {
+			t.Errorf("plan prints as %q, want %q", got, c.want)
+		}
+	}
+
+	p := seeded.Plan[faultnet.FaultKind]{{Kind: faultnet.FaultDrop, At: 3}, {Kind: faultnet.FaultDelay, At: 5, Arg: 7}}
+	want := map[int64]seeded.Event[faultnet.FaultKind]{3: p[0], 5: p[1]}
+	for n := int64(0); n <= 6; n++ {
+		got, ok := p.At(n)
+		if w, scheduled := want[n]; got != w || ok != scheduled {
+			t.Errorf("At(%d) = %v, %v; want %v, %v", n, got, ok, w, scheduled)
+		}
+	}
+	var empty seeded.Plan[faultnet.FaultKind]
+	if _, ok := empty.At(1); ok {
+		t.Error("a nil plan must be inert")
+	}
+}
+
+// Check reports a plan with an event that could never fire: a kind's
+// second event (every kind is one-shot), and on a shared counter a second
+// event at one ordinal.
+func TestCheckRejectsUnfireablePlans(t *testing.T) {
+	type net = seeded.Event[faultnet.FaultKind]
+	drop3, reset3 := net{Kind: faultnet.FaultDrop, At: 3}, net{Kind: faultnet.FaultReset, At: 3}
+	for _, c := range []struct {
+		plan  seeded.Plan[faultnet.FaultKind]
+		wants []string
+	}{
+		{seeded.Plan[faultnet.FaultKind]{drop3, reset3}, []string{"drop@3", "reset@3", "ordinal"}},
+		{seeded.Plan[faultnet.FaultKind]{{Kind: faultnet.FaultDelay, At: 2, Arg: 5}, {Kind: faultnet.FaultDrop, At: 2}},
+			[]string{"delay@2:5", "drop@2", "ordinal"}},
+		{seeded.Plan[faultnet.FaultKind]{drop3, {Kind: faultnet.FaultDrop, At: 9}}, []string{"drop@3", "drop@9", "once"}},
+	} {
+		err := faultnet.Layer.Check(c.plan)
 		if err == nil {
-			t.Errorf("Parse(%q) = %v, want an error", text, p)
+			t.Errorf("Check(%v) passed, want an error", c.plan)
 			continue
 		}
-		for _, want := range wants {
+		for _, want := range c.wants {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("Parse(%q): error %q does not name %s", text, err, want)
+				t.Errorf("Check(%v): error %q does not name %s", c.plan, err, want)
 			}
 		}
 	}
+	if err := faultnet.Layer.Check(seeded.Plan[faultnet.FaultKind]{drop3, {Kind: faultnet.FaultReset, At: 4}}); err != nil {
+		t.Errorf("a plan that can fire was rejected: %v", err)
+	}
+
 	// Without a shared counter only the one-shot rule applies.
-	if _, err := faultfs.Layer.Parse("torn-write@2,torn-write@5"); err == nil {
-		t.Error("two torn writes parsed; the second could never fire")
+	var disk seeded.Layer[faultfs.FaultKind]
+	torn2 := seeded.Event[faultfs.FaultKind]{Kind: faultfs.FaultTornWrite, At: 2}
+	if disk.Check(seeded.Plan[faultfs.FaultKind]{torn2, {Kind: faultfs.FaultTornWrite, At: 5}}) == nil {
+		t.Error("two torn writes passed; the second could never fire")
+	}
+	if err := disk.Check(seeded.Plan[faultfs.FaultKind]{torn2, {Kind: faultfs.FaultFailedSync, At: 2}}); err != nil {
+		t.Errorf("write 2 and sync 2 are different operations, but: %v", err)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/guard"
-	"repro/internal/seeded"
 )
 
 // tinyUniSpec is quickUniSpec with short slices: five cells of a few
@@ -213,32 +212,24 @@ func TestWorkerStartedBeforeCoordinatorLeases(t *testing.T) {
 	}
 }
 
-// An injected death means kill -9: the worker hands nothing back and its
-// lease is left to expire.
-func TestInjectedDeathReleasesNothing(t *testing.T) {
-	spec := JobSpec{Uni: quickUniSpec()}
-	var granted atomic.Bool
+// A worker with no name fails before its first request: the coordinator
+// refuses every lease that names no worker, so retrying would never end.
+func TestWorkerWithoutNameFailsAtOnce(t *testing.T) {
+	var asked atomic.Int64
 	stub := &stubCoordinator{lease: func(w http.ResponseWriter, req leaseRequest) {
-		if granted.Swap(true) {
-			writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: 50})
-			return
-		}
-		writeJSON(w, http.StatusOK, leaseResponse{Leases: []Lease{stubLease(spec, 7)}})
+		asked.Add(1)
+		httpError(w, http.StatusBadRequest, "lease needs a worker name")
 	}}
 	srv := httptest.NewServer(stub.handler())
 	defer srv.Close()
-	done := startWorker(t, srv.URL, WorkerConfig{Name: "doomed", PollInterval: 20 * time.Millisecond,
-		Plan: seeded.Plan[guard.FaultKind]{{Kind: guard.FaultDieMidCell, At: 1}}})
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrFaultInjected) {
-			t.Fatalf("Run returned %v, want an injected fault", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("doomed worker never died")
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	err := NewWorker(WorkerConfig{Coordinator: srv.URL, PollInterval: 20 * time.Millisecond, Logf: t.Logf}).Run(ctx)
+	if err == nil || ctx.Err() != nil {
+		t.Fatalf("Run = %v after %d lease requests, want an error before the first", err, asked.Load())
 	}
-	if ids := stub.releasedIDs(); len(ids) != 0 {
-		t.Errorf("dead worker released leases %v, want none", ids)
+	if n := asked.Load(); n != 0 {
+		t.Errorf("a nameless worker sent %d lease requests, want none", n)
 	}
 }
 

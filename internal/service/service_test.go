@@ -213,10 +213,12 @@ func chaosConfig() Config {
 	}
 }
 
-// A worker that dies mid-cell (kill -9 semantics: no completion, no
-// further heartbeats) must not perturb the output: its lease expires,
-// the cell redispatches, and byte-identity holds.
-func TestWorkerDiesMidCell(t *testing.T) {
+// A worker that dies holding a lease — mid-cell, or with the result
+// computed but never reported — is the same event to the coordinator: a
+// lease nobody renews or completes. It expires, the cell redispatches, and
+// byte-identity holds. The dead worker here is a lease taken through the
+// API and abandoned.
+func TestAbandonedLeaseRedispatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -226,36 +228,26 @@ func TestWorkerDiesMidCell(t *testing.T) {
 	coord := newTestCoordinator(t, chaosConfig())
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	counter := newExecCounter()
-	// The fault fires on the doomed worker's FIRST execution: a later
-	// ordinal could race the steady worker finishing the whole grid.
-	doomed := startWorker(t, srv.URL, WorkerConfig{Name: "doomed", PollInterval: 20 * time.Millisecond,
-		Plan: seeded.Plan[guard.FaultKind]{{Kind: guard.FaultDieMidCell, At: 1}}, OnCell: counter.hook})
-
-	id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
+	id, cells, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The doomed worker is alone until it has died, so the first cell is
-	// its: started beside it, the steady worker can finish the whole grid
-	// between two of the doomed worker's polls and the fault never fires.
-	select {
-	case err := <-doomed:
-		if !strings.Contains(err.Error(), "die-mid-cell") {
-			t.Errorf("doomed worker exited with %v, want injected die-mid-cell fault", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("doomed worker never died")
-	}
+	leaseOne(t, srv.URL, "dead")
+
+	counter := newExecCounter()
 	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
-	res := waitResult(t, srv.URL, id)
-	assertIdentical(t, res, wantText, wantJSON)
-	counter.assertMax(t, 3) // never more than the lease-attempt budget
+	assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
+	// The survivor runs every cell exactly once, the abandoned one included.
+	if runs := len(counter.snapshot()); runs != cells {
+		t.Errorf("the survivor ran %d distinct cells, want all %d", runs, cells)
+	}
+	counter.assertMax(t, 1)
 }
 
-// A worker that computes a result but dies before reporting it loses the
-// compute; determinism makes the redispatched re-run indistinguishable.
-func TestWorkerDiesBeforeAck(t *testing.T) {
+// A report that arrives after its lease expired, for a cell another
+// worker has since completed, is deduplicated by payload hash: the job
+// counts one duplicate, no mismatch, and the output does not show it.
+func TestLateReportAfterExpiryDeduplicates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -265,68 +257,26 @@ func TestWorkerDiesBeforeAck(t *testing.T) {
 	coord := newTestCoordinator(t, chaosConfig())
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
-	counter := newExecCounter()
-	doomed := startWorker(t, srv.URL, WorkerConfig{Name: "doomed", PollInterval: 20 * time.Millisecond,
-		Plan: seeded.Plan[guard.FaultKind]{{Kind: guard.FaultDieBeforeAck, At: 1}}, OnCell: counter.hook})
-
-	id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
+	client := &Client{Base: srv.URL}
+	id, _, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The doomed worker is alone until it has died, so the first cell is
-	// its: started beside it, the steady worker can finish the whole grid
-	// between two of the doomed worker's polls and the fault never fires.
-	select {
-	case err := <-doomed:
-		if !strings.Contains(err.Error(), "die-before-ack") {
-			t.Errorf("doomed worker exited with %v, want injected die-before-ack fault", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("doomed worker never died")
+	stalled := leaseOne(t, srv.URL, "stalled")
+
+	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond})
+	assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
+
+	if status := completeCell(t, srv.URL, spec, stalled, "stalled"); status != "duplicate" {
+		t.Fatalf("late report = %q, want duplicate", status)
 	}
-	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
-	res := waitResult(t, srv.URL, id)
-	assertIdentical(t, res, wantText, wantJSON)
-	counter.assertMax(t, 3) // never more than the lease-attempt budget
-}
-
-// A heartbeat stall expires the worker's lease mid-flight; the cell
-// redispatches while the stalled worker still holds its (eventually
-// late-reported) result. Whichever report lands second is deduplicated
-// by payload hash, and the output must not show any of it.
-func TestHeartbeatStallDeduplicates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	spec := JobSpec{Only: []string{"table7"}, Uni: quickUniSpec()}
-	wantText, wantJSON := reference(t, spec)
-
-	coord := newTestCoordinator(t, chaosConfig())
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	counter := newExecCounter()
-	startWorker(t, srv.URL, WorkerConfig{Name: "staller", PollInterval: 20 * time.Millisecond,
-		Plan: seeded.Plan[guard.FaultKind]{{Kind: guard.FaultHeartbeatStall, At: 1}}, OnCell: counter.hook})
-	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
-
-	id, _, err := (&Client{Base: srv.URL}).Submit(context.Background(), spec)
+	assertIdentical(t, waitResult(t, srv.URL, id), wantText, wantJSON)
+	st, err := client.Status(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := waitResult(t, srv.URL, id)
-	assertIdentical(t, res, wantText, wantJSON)
-	counter.assertMax(t, 3)
-	// The duplicate is timing-dependent (the steady worker must finish
-	// the redispatched cell before the stall window closes for the late
-	// report to be the duplicate, or after for the redispatch to be);
-	// either way the output held. Log what happened for the record.
-	st, err := (&Client{Base: srv.URL}).Status(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("heartbeat stall absorbed: %d duplicate, %d mismatched reports", st.Dupes, st.Mismatches)
-	if st.Mismatches != 0 {
-		t.Errorf("%d mismatched reports — workers disagreed on a cell result, determinism broke", st.Mismatches)
+	if st.Dupes != 1 || st.Mismatches != 0 {
+		t.Errorf("status after the late report: %d duplicate, %d mismatched reports; want 1, 0", st.Dupes, st.Mismatches)
 	}
 }
 

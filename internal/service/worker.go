@@ -3,41 +3,29 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/guard"
-	"repro/internal/seeded"
 )
-
-// ErrFaultInjected is what Worker.Run returns after executing a
-// scripted fault from its Plan — the process-level analogue of a
-// chaos perturbation. expserve work maps it to its own exit code so the
-// crash harness can tell an injected death from a real failure.
-var ErrFaultInjected = errors.New("service: worker died by injected fault")
 
 // WorkerConfig parameterizes a worker.
 type WorkerConfig struct {
 	// Coordinator is the job API base URL.
 	Coordinator string
 	// Name identifies the worker to the coordinator (lease ownership,
-	// circuit breaker). Required.
+	// circuit breaker). Required: Run fails at once without it.
 	Name string
 	// Slots bounds concurrently simulated cells; <= 0 means 1.
 	Slots int
 	// PollInterval is the idle re-poll spacing when the coordinator has
 	// nothing to lease and no hint; <= 0 means 250ms.
 	PollInterval time.Duration
-	// Plan scripts process-level faults by execution ordinal (nil: none).
-	// The fault kinds are guard.FaultDieMidCell, FaultDieBeforeAck and
-	// FaultHeartbeatStall.
-	Plan seeded.Plan[guard.FaultKind]
 	// OnCell, when non-nil, is called at the start of every cell
-	// execution (the chaos tests count executions per cell with it).
+	// execution (the service tests count executions per cell with it, and
+	// the drain tests block inside it).
 	OnCell func(job int, grid string, index int, attempt int)
 	// Logf, when non-nil, receives worker events.
 	Logf func(format string, args ...any)
@@ -53,15 +41,8 @@ type Worker struct {
 	cfg    WorkerConfig
 	client *Client
 
-	execCount  atomic.Int64
-	running    atomic.Int64
-	ttlNanos   atomic.Int64 // last-seen lease TTL; paces heartbeats
-	stallUntil atomic.Int64 // unix nanos; heartbeat-stall fault window
-
-	killOnce sync.Once
-	killed   chan struct{}
-	faultMu  sync.Mutex
-	fault    error
+	running  atomic.Int64
+	ttlNanos atomic.Int64 // last-seen lease TTL; paces heartbeats
 
 	// slotFree wakes Run when a lease goroutine frees a slot. One pending
 	// wake-up is enough: Run re-counts the free slots after every one.
@@ -89,7 +70,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:      cfg,
 		client:   &Client{Base: cfg.Coordinator, HTTP: cfg.HTTPClient},
-		killed:   make(chan struct{}),
 		slotFree: make(chan struct{}, 1),
 		leases:   map[int64]bool{},
 	}
@@ -120,49 +100,19 @@ func (w *Worker) activeLeases() []int64 {
 	return ids
 }
 
-// die executes an injected fault: the worker stops abruptly — no
-// completion, no goodbye, heartbeats cease — exactly like a kill -9,
-// except the test harness gets a typed error instead of a corpse.
-func (w *Worker) die(reason string) {
-	w.killOnce.Do(func() {
-		w.faultMu.Lock()
-		w.fault = fmt.Errorf("%w: %s", ErrFaultInjected, reason)
-		w.faultMu.Unlock()
-		w.cfg.Logf("worker %q dying: %s", w.cfg.Name, reason)
-		close(w.killed)
-	})
-}
-
-func (w *Worker) faultErr() error {
-	w.faultMu.Lock()
-	defer w.faultMu.Unlock()
-	return w.fault
-}
-
-// stalled reports whether the heartbeat-stall fault window is open.
-func (w *Worker) stalled() bool {
-	return time.Now().UnixNano() < w.stallUntil.Load()
-}
-
-// Run leases and simulates cells until ctx is cancelled (returns
-// ctx.Err()) or an injected fault kills the worker (returns
-// ErrFaultInjected). Its first lease request makes it known to the
-// coordinator. Transport errors never kill it: a worker started before
-// its coordinator, or outliving a coordinator restart, just keeps
-// retrying every PollInterval. A cancelled ctx is a drain: simulations
-// stop, and every lease the worker still holds is handed back to the
-// coordinator before Run returns.
+// Run leases and simulates cells until ctx is cancelled, and returns
+// ctx.Err(). Its first lease request makes it known to the coordinator.
+// Transport errors never kill it: a worker started before its
+// coordinator, or outliving a coordinator restart, just keeps retrying
+// every PollInterval. A cancelled ctx is a drain: simulations stop, and
+// every lease the worker still holds is handed back to the coordinator
+// before Run returns. A worker with no Name fails before its first
+// request.
 func (w *Worker) Run(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		select {
-		case <-w.killed:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
+	if w.cfg.Name == "" {
+		// The coordinator refuses every lease that names no worker.
+		return errors.New("service: worker needs a name")
+	}
 	go w.heartbeatLoop(ctx)
 
 	var wg sync.WaitGroup
@@ -227,20 +177,16 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	wg.Wait()
 	w.releaseHeld(ctx)
-	if err := w.faultErr(); err != nil {
-		return err
-	}
 	return ctx.Err()
 }
 
 // releaseHeld hands back the leases a drain left the worker holding —
 // granted as it drained, or their simulation or report cut short — so
-// the cells redispatch at once instead of after a lease TTL. An injected
-// death releases nothing: it means kill -9, and the leases must expire.
-// A coordinator without the endpoint answers 404 and they expire too.
+// the cells redispatch at once instead of after a lease TTL. A
+// coordinator without the endpoint answers 404 and they expire instead.
 func (w *Worker) releaseHeld(ctx context.Context) {
 	ids := w.activeLeases()
-	if len(ids) == 0 || w.faultErr() != nil {
+	if len(ids) == 0 {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedCallTimeout)
@@ -264,8 +210,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // heartbeatLoop renews the worker's leases at a third of the lease TTL,
 // fenced to the lease IDs it is actually working — a renewal can never
 // resurrect a lease the coordinator already swept or re-granted.
-// During an injected heartbeat stall it deliberately skips renewals —
-// the leases must expire for the fault to mean anything.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
 	for {
 		ttl := time.Duration(w.ttlNanos.Load())
@@ -278,9 +222,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		}
 		if !sleepCtx(ctx, every) {
 			return
-		}
-		if w.stalled() {
-			continue
 		}
 		ids := w.activeLeases()
 		if len(ids) == 0 {
@@ -301,27 +242,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// runLease simulates one leased cell and reports the record, weaving in
-// the scripted fault for this execution ordinal, if any. It returns
+// runLease simulates one leased cell and reports the record. It returns
 // whether the coordinator answered the report.
 func (w *Worker) runLease(ctx context.Context, l Lease) bool {
-	n := w.execCount.Add(1)
-	ev, _ := w.cfg.Plan.At(n) // no event: the zero Kind, FaultNone
-	kind := ev.Kind
 	if w.cfg.OnCell != nil {
 		w.cfg.OnCell(l.Job, l.Grid, l.Index, l.Attempt)
-	}
-	if kind == guard.FaultDieMidCell {
-		// Die "while simulating": no result is ever produced and the
-		// lease expires on its own.
-		w.die(fmt.Sprintf("%v on execution %d (%s/%d attempt %d)", kind, n, l.Grid, l.Index, l.Attempt))
-		return false
-	}
-	if kind == guard.FaultHeartbeatStall {
-		ttl := time.Duration(l.TTLMillis) * time.Millisecond
-		w.stallUntil.Store(time.Now().Add(3 * ttl).UnixNano())
-		w.cfg.Logf("worker %q: injecting %v on execution %d: heartbeats suppressed for %v",
-			w.cfg.Name, kind, n, 3*ttl)
 	}
 
 	grids, _, err := l.Spec.resolve()
@@ -342,24 +267,6 @@ func (w *Worker) runLease(ctx context.Context, l Lease) bool {
 	payload, err := grid.RunCell(ctx, l.Index)
 	if err != nil {
 		return false // drained: Run hands the lease back; bad index: it expires
-	}
-
-	switch kind {
-	case guard.FaultDieBeforeAck:
-		// The compute happened; the report never will. The lease expires
-		// and the cell re-runs elsewhere — determinism makes the loss
-		// invisible in the output.
-		w.die(fmt.Sprintf("%v on execution %d (%s/%d attempt %d)", kind, n, l.Grid, l.Index, l.Attempt))
-		return false
-	case guard.FaultHeartbeatStall:
-		// Hold the result until the stall window closes — well past lease
-		// expiry, so the cell has been redispatched — then report it late,
-		// exercising the coordinator's dedup.
-		for w.stalled() && ctx.Err() == nil {
-			if !sleepCtx(ctx, 5*time.Millisecond) {
-				return false
-			}
-		}
 	}
 	return w.complete(ctx, l, payload)
 }

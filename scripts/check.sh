@@ -230,6 +230,18 @@ if grep -rnE 'CellEvent|handleCells|/cells"' --include='*.go' --exclude='*_test.
     exit 1
 fi
 
+# A worker's crash is a lease nobody renews or completes, and a stalled
+# worker's report is a completion after its lease expired: the service
+# tests and the pass below make both through the coordinator's API. No
+# process faults scripted into the worker, and no text form of a fault
+# plan to feed them (the brackets keep the pattern from matching itself).
+FAULTS='guard\.FaultKin[d]|ProcessFault[s]|ErrFaultInjecte[d]|ExitFaultInjecte[d]|die-mid-cel[l]|die-before-ac[k]|heartbeat-stal[l]'
+if grep -rnE "$FAULTS" --include='*.go' . || grep -rnE "$FAULTS" scripts ||
+    grep -rnE 'Layer\.Pars[e]\(|Layer\[K\]\) Pars[e]\(' --include='*.go' .; then
+    echo "check.sh: scripted worker faults or the plan parser are back; abandon a lease through the API instead" >&2
+    exit 1
+fi
+
 go test -race ./...
 # The service's slot wake-up, drain release and held /result handlers are
 # timing-dependent: repeat that package so a rare interleaving shows.
@@ -347,17 +359,16 @@ if [ -n "${FUZZ:-}" ]; then
 fi
 
 # Distributed-service pass: the same quick table7 grid under the expserve
-# coordinator with two chaos events — one worker killed by an injected
-# fault on its first cell (documented exit 7) and the coordinator kill
-# -9'd and restarted once on the same state dir and address — then the
-# service's tables and -json output must be byte-identical to the
-# single-process run above.
+# coordinator with two chaos events — an abandoned lease (a worker that
+# dies holding a cell) and the coordinator kill -9'd and restarted once
+# on the same state dir and address — then the service's tables and -json
+# output must be byte-identical to the single-process run above.
 # The order is what makes both events land whatever the machine's speed
 # (the grid takes a fraction of a second now that dispatch is
-# event-driven): the doomed worker starts alone, so the first cell is
-# its; its lease then pins the job open for a lease TTL, and the
-# coordinator is killed inside that window, with the rest of the grid
-# journaled by the survivor.
+# event-driven): the dead worker's lease is taken before the survivor
+# starts, so the first cell is its; the lease then pins the job open for
+# a lease TTL, and the coordinator is killed inside that window, with the
+# rest of the grid journaled by the survivor.
 SVC_DIR="$(mktemp -d)"
 SERVE_PID= STEADY_PID=
 # A failing step must not leave the coordinator or the worker running.
@@ -373,13 +384,16 @@ ADDR="http://$(cat "$SVC_DIR/addr")"
 
 JOB=$("$SVC_DIR/expserve" submit -coordinator "$ADDR" -quick -only table7)
 
-# One worker dies abruptly on its first cell: documented exit 7. It
-# releases nothing (an injected death is a kill -9), so its lease
-# must expire before that cell can redispatch.
-wcode=0
-"$SVC_DIR/expserve" work -coordinator "$ADDR" -name doomed -poll 100ms \
-    -fault die-mid-cell@1 2> "$SVC_DIR/doomed.log" || wcode=$?
-[ "$wcode" -eq 7 ]
+# The dead worker: one raw lease request, sent as HTTP/1.0 over bash's
+# /dev/tcp (so the coordinator closes the connection after its reply),
+# and never renewed, completed or released — what a worker killed mid-cell
+# leaves behind. Its cell redispatches once the lease expires.
+BODY='{"worker":"dead","max":1}'
+printf 'POST /api/lease HTTP/1.0\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s' \
+    "${#BODY}" "$BODY" > "$SVC_DIR/lease.req"
+bash -c 'exec 3<>"/dev/tcp/${1%:*}/${1##*:}" && cat "$2" >&3 && cat <&3' \
+    lease "$(cat "$SVC_DIR/addr")" "$SVC_DIR/lease.req" > "$SVC_DIR/dead.lease"
+grep -q '"leaseId"' "$SVC_DIR/dead.lease"
 
 # The survivor does the real work.
 "$SVC_DIR/expserve" work -coordinator "$ADDR" -name steady -slots 2 -poll 100ms \
