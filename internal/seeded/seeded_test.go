@@ -63,8 +63,8 @@ func TestPlanStringAndAt(t *testing.T) {
 // second event (every kind is one-shot), and on a shared counter a second
 // event at one ordinal.
 func TestCheckRejectsUnfireablePlans(t *testing.T) {
-	type net = seeded.Event[faultnet.FaultKind]
-	drop3, reset3 := net{Kind: faultnet.FaultDrop, At: 3}, net{Kind: faultnet.FaultReset, At: 3}
+	type ev = seeded.Event[faultnet.FaultKind]
+	drop3, reset3 := ev{Kind: faultnet.FaultDrop, At: 3}, ev{Kind: faultnet.FaultReset, At: 3}
 	for _, c := range []struct {
 		plan  seeded.Plan[faultnet.FaultKind]
 		wants []string
