@@ -213,15 +213,12 @@ func chaosConfig() Config {
 	}
 }
 
-// A worker that dies holding a lease — mid-cell, or with the result
-// computed but never reported — is the same event to the coordinator: a
-// lease nobody renews or completes. It expires, the cell redispatches, and
+// A worker that dies holding a lease is, to the coordinator, a lease
+// nobody renews or completes. It expires, the cell redispatches, and
 // byte-identity holds. The dead worker here is a lease taken through the
-// API and abandoned.
-func TestAbandonedLeaseRedispatches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
+// API and abandoned; renew says whether it heartbeat once before dying.
+func assertAbandonedLeaseRedispatches(t *testing.T, renew bool) {
+	t.Helper()
 	spec := JobSpec{Only: []string{"table7"}, Uni: quickUniSpec()}
 	wantText, wantJSON := reference(t, spec)
 
@@ -232,7 +229,12 @@ func TestAbandonedLeaseRedispatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaseOne(t, srv.URL, "dead")
+	dead := leaseOne(t, srv.URL, "dead")
+	if renew {
+		if hb := heartbeat(t, srv.URL, heartbeatRequest{Worker: "dead", LeaseIDs: []int64{dead.LeaseID}}); hb.Renewed != 1 {
+			t.Fatalf("renewal before the death = %+v, want 1 renewed", hb)
+		}
+	}
 
 	counter := newExecCounter()
 	startWorker(t, srv.URL, WorkerConfig{Name: "steady", Slots: 2, PollInterval: 20 * time.Millisecond, OnCell: counter.hook})
@@ -242,6 +244,23 @@ func TestAbandonedLeaseRedispatches(t *testing.T) {
 		t.Errorf("the survivor ran %d distinct cells, want all %d", runs, cells)
 	}
 	counter.assertMax(t, 1)
+}
+
+// A worker that dies mid-cell never renews its lease.
+func TestWorkerDiesMidCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	assertAbandonedLeaseRedispatches(t, false)
+}
+
+// A worker that dies with the result computed but never reported had
+// renewed its lease while it ran: the renewed lease expires just the same.
+func TestWorkerDiesBeforeAck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	assertAbandonedLeaseRedispatches(t, true)
 }
 
 // A report that arrives after its lease expired, for a cell another
