@@ -27,9 +27,8 @@
 // submit resolves its grid flags through the binding cmd/experiments
 // uses (experiments.BindGridFlags), posts the configurations, and prints
 // the job id. For byte-identical output to a local run, pass the
-// reference run's grid flags; the local run's -j decides no byte. A 429
-// (coordinator at its job bound) is retried after the coordinator's
-// Retry-After.
+// reference run's grid flags; the local run's -j decides no byte. A
+// transport error or a 5xx is retried every half second until -timeout.
 //
 // wait long-polls until the job completes — riding out coordinator restarts —
 // then writes the job's stdout text (byte-identical to cmd/experiments)
@@ -246,7 +245,7 @@ func runSubmit(args []string) int {
 	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
 	client := &service.Client{Base: *coordinator}
-	// Backpressure contract: a 429 names its Retry-After; honor it.
+	const retryEvery = 500 * time.Millisecond
 	for {
 		id, cells, err := client.Submit(ctx, spec)
 		if err == nil {
@@ -254,15 +253,14 @@ func runSubmit(args []string) int {
 			fmt.Println(id)
 			return 0
 		}
-		wait, retry := service.RetryAfter(err)
-		if !retry {
+		if !service.Retryable(err) {
 			return die(err)
 		}
-		fmt.Fprintf(os.Stderr, "expserve: submit: %v (retrying in %v)\n", err, wait)
+		fmt.Fprintf(os.Stderr, "expserve: submit: %v (retrying in %v)\n", err, retryEvery)
 		select {
 		case <-ctx.Done():
 			return die(ctx.Err())
-		case <-time.After(wait):
+		case <-time.After(retryEvery):
 		}
 	}
 }

@@ -252,11 +252,8 @@ func runSeed(spec service.JobSpec, baseText string, baseJSON []byte, sched sched
 		Dir:      "/state",
 		FS:       inj,
 		LeaseTTL: 250 * time.Millisecond,
-		Retry:    guard.Retry{Attempts: 1000, Base: 10 * time.Millisecond, Cap: 100 * time.Millisecond, Seed: 1},
-		// The breaker is effectively off: quarantine under injected chaos
-		// would only slow the run, and the breaker has its own test.
-		BreakerThreshold: 1000,
-		Logf:             logf,
+		Retry:    guard.Retry{Attempts: 1000},
+		Logf:     logf,
 	}
 	coord, err := service.NewCoordinator(coordCfg)
 	if err != nil {
@@ -310,8 +307,7 @@ func runSeed(spec service.JobSpec, baseText string, baseJSON []byte, sched sched
 		if job, _, serr = client.Submit(ctx, spec); serr == nil {
 			break
 		}
-		wait, retry := service.RetryAfter(serr)
-		if !retry || time.Now().After(deadline) {
+		if !service.Retryable(serr) || time.Now().After(deadline) {
 			return tally(), fmt.Errorf("submit: %v", serr)
 		}
 		select {
@@ -319,7 +315,7 @@ func runSeed(spec service.JobSpec, baseText string, baseJSON []byte, sched sched
 			if srv, coord, err = crashRestart(srv, coord, &mem, inj, coordCfg, addr, f, logf); err != nil {
 				return tally(), err
 			}
-		case <-time.After(wait):
+		case <-time.After(500 * time.Millisecond):
 		}
 	}
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/faultnet"
@@ -18,15 +17,11 @@ import (
 
 // TestSeededStreamsPinned holds every seeded derivation in the repository
 // to the bytes it yields today: the torture schedules, a network plan, the
-// chaos jitter stream, the per-cell seed derivation, the redispatch
-// jitter, a generated fuzz program and a shrink. A change to how seeded
-// schedules are represented, derived or shrunk must leave every row as it
-// is; a row moves only in a commit that means to move it and says so.
+// chaos jitter stream, the per-cell seed derivation, a generated fuzz
+// program and a shrink. A change to how seeded schedules are represented,
+// derived or shrunk must leave every row as it is; a row moves only in a
+// commit that means to move it and says so.
 func TestSeededStreamsPinned(t *testing.T) {
-	retry := guard.Retry{Seed: 1, Base: 10 * time.Millisecond, Cap: 100 * time.Millisecond}
-	delays := func(key uint64) string {
-		return fmt.Sprint(retry.Delay(key, 2), retry.Delay(key, 3), retry.Delay(key, 4))
-	}
 	type row struct {
 		name string
 		got  func() string
@@ -47,8 +42,6 @@ func TestSeededStreamsPinned(t *testing.T) {
 			return fmt.Sprint(experiments.DeriveSeed(1, 0), experiments.DeriveSeed(1, 1),
 				experiments.DeriveSeed(1, 2), experiments.DeriveSeed(1, 3))
 		}, "-7995527694508729151 -4689498862643123097 -534904783426661026 8196980753821780235"},
-		{"retry delay key 0", func() string { return delays(0) }, "10.995261ms 23.191494ms 57.95839ms"},
-		{"retry delay key 0xfeed", func() string { return delays(0xfeed) }, "13.500035ms 23.726798ms 43.867579ms"},
 		{"fuzz program", func() string {
 			src, err := fuzz.RenderAsm(fuzz.Generate(experiments.DeriveSeed(20260808, 0), 2), prog.YieldBackoff)
 			if err != nil {

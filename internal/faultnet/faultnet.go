@@ -5,8 +5,8 @@
 // duplicated deliveries, connection resets after the server processed
 // the request, and truncated response bodies — which stresses exactly
 // the machinery the coordinator claims makes the service safe under a
-// lossy network: at-least-once dispatch, payload-hash dedup, lease
-// expiry and redispatch, and the per-worker circuit breaker.
+// lossy network: at-least-once dispatch, payload-hash dedup, and lease
+// expiry and redispatch.
 //
 // Schedules are ordinal-based, not probabilistic: PlanFromSeed derives
 // which request ordinal each fault class fires on as a pure function of

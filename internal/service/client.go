@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -42,9 +41,6 @@ type leaseRequest struct {
 
 type leaseResponse struct {
 	Leases []Lease `json:"leases,omitempty"`
-	// RetryMillis, on an empty grant, is how long the worker should wait
-	// before asking again (longer while quarantined).
-	RetryMillis int64 `json:"retryMillis,omitempty"`
 }
 
 type heartbeatRequest struct {
@@ -106,39 +102,24 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // apiError is a non-2xx response; Status lets callers distinguish
-// terminal rejections (4xx) from retryable conditions (429, 5xx).
+// terminal rejections (4xx) from retryable failures (5xx).
 type apiError struct {
-	Status     int
-	RetryAfter time.Duration
-	Body       string
+	Status int
+	Body   string
 }
 
 func (e *apiError) Error() string {
 	return fmt.Sprintf("coordinator returned %d: %s", e.Status, e.Body)
 }
 
-// retryable reports whether err is worth retrying: network errors and
-// 429/5xx are, other API rejections are terminal.
-func retryable(err error) bool {
+// Retryable reports whether a failed call is worth repeating: a
+// transport error (coordinator down or restarting) or a 5xx is, any
+// other API rejection is terminal.
+func Retryable(err error) bool {
 	if ae, ok := err.(*apiError); ok {
-		return ae.Status == http.StatusTooManyRequests || ae.Status >= 500
+		return ae.Status >= 500
 	}
-	return true // transport error: coordinator down or restarting
-}
-
-// RetryAfter classifies err for submit-style callers: retry reports
-// whether the call is worth repeating, wait how long to back off first —
-// the server's Retry-After when the rejection carried one (429
-// backpressure), a transport-level default otherwise.
-func RetryAfter(err error) (wait time.Duration, retry bool) {
-	if !retryable(err) {
-		return 0, false
-	}
-	wait = 500 * time.Millisecond
-	if ae, ok := err.(*apiError); ok && ae.RetryAfter > 0 {
-		wait = ae.RetryAfter
-	}
-	return wait, true
+	return true
 }
 
 // call POSTs in (or GETs when in is nil) and decodes the JSON response
@@ -171,13 +152,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 	// 202 ("still running", from /result) is deliberately an error here:
 	// its body is a JobStatus, not the caller's out type.
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		ae := &apiError{Status: resp.StatusCode, Body: string(bytes.TrimSpace(data))}
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil {
-				ae.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return ae
+		return &apiError{Status: resp.StatusCode, Body: string(bytes.TrimSpace(data))}
 	}
 	if out == nil {
 		return nil
@@ -240,11 +215,11 @@ const resultWait = 10 * time.Second
 // It rides out coordinator restarts: transport errors retry (the job's
 // journal survives the process, and a restarting coordinator presents
 // as a refused connection, not a status code). Any API status other
-// than 202 ("still running") and 429 is terminal — in particular a 500
-// from /result carries the job's assembly error and retrying it would
-// loop forever. poll spaces the retries after a transport error, a 429,
-// or a 202 that came back before the wait lapsed (a coordinator that
-// ignores ?wait=); poll <= 0 defaults to 200ms.
+// than 202 ("still running") is terminal — in particular a 500 from
+// /result carries the job's assembly error and retrying it would loop
+// forever. poll spaces the retries after a transport error or a 202 that
+// came back before the wait lapsed (a coordinator that ignores ?wait=);
+// poll <= 0 defaults to 200ms.
 func (c *Client) WaitResult(ctx context.Context, job int, poll time.Duration) (JobResult, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
@@ -256,10 +231,10 @@ func (c *Client) WaitResult(ctx context.Context, job int, poll time.Duration) (J
 			return res, nil
 		}
 		if ae, ok := err.(*apiError); ok {
-			if ae.Status != http.StatusAccepted && ae.Status != http.StatusTooManyRequests {
+			if ae.Status != http.StatusAccepted {
 				return JobResult{}, err
 			}
-			if ae.Status == http.StatusAccepted && time.Since(asked) >= resultWait {
+			if time.Since(asked) >= resultWait {
 				continue // the coordinator held the request: ask again at once
 			}
 		}

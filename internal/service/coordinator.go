@@ -93,20 +93,12 @@ type Config struct {
 	// LeaseTTL bounds how long a dispatched cell may go without a
 	// heartbeat before it is redispatched.
 	LeaseTTL time.Duration
-	// MaxJobs bounds concurrently active (incomplete) jobs; submits over
-	// the bound get 429 + Retry-After.
-	MaxJobs int
 	// Retry is the per-cell redispatch policy: Attempts bounds how many
-	// leases a cell may consume before it is recorded as failed, and the
-	// capped exponential backoff with seeded jitter spaces redispatches.
+	// leases a cell may consume before it is recorded as failed. An
+	// expired cell is pending again at once.
 	Retry guard.Retry
-	// BreakerThreshold quarantines a worker after this many consecutive
-	// lease expiries (a crash-looping or wedged worker stops being fed);
-	// BreakerCooldown is how long the quarantine lasts.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Logf, when non-nil, receives coordinator events (leases expiring,
-	// workers quarantined, jobs completing).
+	// jobs completing).
 	Logf func(format string, args ...any)
 	// FS is the filesystem the coordinator's journals live on; nil means
 	// the real one. The torture harness passes a faultfs injector here.
@@ -117,17 +109,8 @@ func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 10 * time.Second
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 4
-	}
 	if c.Retry.Attempts <= 0 {
-		c.Retry = guard.Retry{Attempts: 3, Base: 50 * time.Millisecond, Cap: 2 * time.Second, Seed: 1}
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * c.LeaseTTL
+		c.Retry = guard.Retry{Attempts: 3}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -148,17 +131,15 @@ const (
 // record is reconstructed (conservatively: fresh attempt counts) after a
 // coordinator restart.
 type cell struct {
-	grid       experiments.Grid
-	index      int
-	jitter     uint64 // this cell's redispatch-backoff stream
-	state      int
-	attempts   int
-	eligibleAt time.Time
-	leaseID    int64
-	worker     string
-	expiry     time.Time
-	hash       string // DataHash of the accepted record; the dedup identity
-	failed     bool
+	grid     experiments.Grid
+	index    int
+	state    int
+	attempts int
+	leaseID  int64
+	worker   string
+	expiry   time.Time
+	hash     string // DataHash of the accepted record; the dedup identity
+	failed   bool
 }
 
 // JobStatus is the GET /api/jobs/{id} response.
@@ -201,14 +182,6 @@ type job struct {
 
 func (j *job) complete() bool { return j.done == len(j.cells) }
 
-// workerState is the per-worker circuit breaker: consecutive lease
-// expiries trip it, a successful (or duplicate) completion resets it.
-type workerState struct {
-	name             string
-	consecExpiries   int
-	quarantinedUntil time.Time
-}
-
 // Coordinator owns the job queue, the lease table and the journals. All
 // state transitions happen under one mutex, and expired leases are swept
 // synchronously at the top of every API request — there is no background
@@ -220,7 +193,6 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	jobs      map[int]*job
-	workers   map[string]*workerState
 	nextJob   int
 	nextLease int64
 }
@@ -242,7 +214,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: state directory: %w", err)
 	}
-	c := &Coordinator{cfg: cfg, jobs: map[int]*job{}, workers: map[string]*workerState{}, nextJob: 1}
+	c := &Coordinator{cfg: cfg, jobs: map[int]*job{}, nextJob: 1}
 
 	entries, err := cfg.FS.ReadDir(cfg.Dir)
 	if err != nil {
@@ -270,14 +242,12 @@ func (c *Coordinator) journalPath(id int) string {
 	return filepath.Join(c.cfg.Dir, fmt.Sprintf("job-%d.journal", id))
 }
 
-// newJob builds the in-memory cell table for a validated spec. Each
-// cell's backoff jitter is decorrelated per (job, grid, index), the way
-// cell seeds are decorrelated per index.
+// newJob builds the in-memory cell table for a validated spec.
 func newJob(id int, spec JobSpec, grids []experiments.Grid, journal *experiments.Journal) *job {
 	j := &job{id: id, spec: spec, journal: journal, grids: grids, notify: make(chan struct{})}
-	for n, g := range grids {
+	for _, g := range grids {
 		for i := 0; i < g.Size(); i++ {
-			j.cells = append(j.cells, &cell{grid: g, index: i, jitter: uint64(id)<<24 ^ uint64(i)<<1 ^ uint64(n)})
+			j.cells = append(j.cells, &cell{grid: g, index: i})
 		}
 	}
 	return j
@@ -399,32 +369,25 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// expireLocked sweeps expired leases: the cell goes back to pending with
-// a backoff-delayed eligibility (or, attempts exhausted, is recorded as
-// failed so the job can complete), and the worker's breaker advances.
+// expireLocked sweeps expired leases: the cell goes back to pending, or,
+// attempts exhausted, is recorded as failed so the job can complete. A
+// complete job holds no lease and is skipped.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for _, j := range c.jobs {
+		if j.complete() {
+			continue
+		}
 		for _, cl := range j.cells {
 			if cl.state != cellLeased || now.Before(cl.expiry) {
 				continue
 			}
 			c.cfg.Logf("job %d: lease %d on %s/%d held by %q expired (attempt %d)",
 				j.id, cl.leaseID, cl.grid.Name(), cl.index, cl.worker, cl.attempts)
-			if w := c.workers[cl.worker]; w != nil {
-				w.consecExpiries++
-				if w.consecExpiries >= c.cfg.BreakerThreshold && now.After(w.quarantinedUntil) {
-					w.quarantinedUntil = now.Add(c.cfg.BreakerCooldown)
-					c.cfg.Logf("worker %q quarantined for %v after %d consecutive lease expiries",
-						w.name, c.cfg.BreakerCooldown, w.consecExpiries)
-				}
-			}
 			cl.state = cellPending
 			cl.worker = ""
 			if cl.attempts >= c.cfg.Retry.Attempts {
 				c.failCellLocked(j, cl, fmt.Sprintf("dispatch: %d lease attempts expired without a result", cl.attempts))
-				continue
 			}
-			cl.eligibleAt = now.Add(c.cfg.Retry.Delay(cl.jitter, cl.attempts+1))
 		}
 	}
 }
@@ -515,19 +478,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(time.Now())
-	active := 0
-	for _, j := range c.jobs {
-		if !j.complete() {
-			active++
-		}
-	}
-	if active >= c.cfg.MaxJobs {
-		// Bounded queue: the client backs off and resubmits. Retry-After
-		// is a floor, not a completion estimate.
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "coordinator at its %d-job bound; retry later", c.cfg.MaxJobs)
-		return
-	}
 
 	// A job exists once its journal header is durable, directory entry
 	// included; only then is it answered 201, so every 201 is one job on
@@ -639,18 +589,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ensureWorkerLocked returns the named worker's breaker state, creating
-// it on the worker's first request: there is no separate registration.
-func (c *Coordinator) ensureWorkerLocked(name string) *workerState {
-	w := c.workers[name]
-	if w == nil {
-		w = &workerState{name: name}
-		c.workers[name] = w
-		c.cfg.Logf("worker %q: first request", name)
-	}
-	return w
-}
-
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
@@ -665,27 +603,17 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	ws := c.ensureWorkerLocked(req.Worker)
-	if now.Before(ws.quarantinedUntil) {
-		// Tripped breaker: starve the worker until the cooldown passes.
-		writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: clampMillis(ws.quarantinedUntil.Sub(now))})
-		return
-	}
 	var resp leaseResponse
-	// retry is the empty-grant hint: a quarter TTL, or sooner when a
-	// pending cell's redispatch backoff ends before that.
-	retry := c.cfg.LeaseTTL / 4
 	for _, id := range c.jobIDsLocked() {
 		j := c.jobs[id]
+		if j.complete() {
+			continue
+		}
 		for _, cl := range j.cells {
 			if len(resp.Leases) >= max {
 				break
 			}
 			if cl.state != cellPending {
-				continue
-			}
-			if backoff := cl.eligibleAt.Sub(now); backoff > 0 {
-				retry = min(retry, backoff)
 				continue
 			}
 			c.nextLease++
@@ -701,10 +629,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	if len(resp.Leases) == 0 {
-		// Rounded up, so the worker's next ask finds the cell eligible.
-		resp.RetryMillis = clampMillis(retry + time.Millisecond - 1)
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -717,17 +641,6 @@ func (c *Coordinator) jobIDsLocked() []int {
 	}
 	slices.Sort(ids)
 	return ids
-}
-
-func clampMillis(d time.Duration) int64 {
-	ms := d.Milliseconds()
-	if ms < 10 {
-		ms = 10
-	}
-	if ms > 2000 {
-		ms = 2000
-	}
-	return ms
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -744,7 +657,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	// redispatched the cell, and renewing here would leave two workers
 	// believing they hold it.
 	c.expireLocked(now)
-	c.ensureWorkerLocked(req.Worker)
 	resp := heartbeatResponse{}
 	// Fenced renewal: each ID renews only if that exact lease is still
 	// live and still belongs to this worker.
@@ -787,22 +699,20 @@ func (c *Coordinator) cellsByLeaseLocked(ids []int64) map[int64]*cell {
 
 // handleRelease takes leases back from a draining worker: each named
 // lease that is still live and still held by that worker returns its
-// cell to pending, eligible at once. A release is not an expiry — the
-// attempt is refunded and the breaker does not advance — and nothing is
-// journaled. Unknown, foreign, expired or completed IDs are ignored, so
-// a repeated release is harmless.
+// cell to pending. A release is not an expiry: the attempt is refunded
+// and nothing is journaled. Unknown, foreign, expired or completed IDs
+// are ignored, so a repeated release is harmless.
 func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
 		httpError(w, http.StatusBadRequest, "release needs a worker name")
 		return
 	}
-	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Sweep first, as the heartbeat does: a lease past its TTL is an
 	// expiry, not a release.
-	c.expireLocked(now)
+	c.expireLocked(time.Now())
 	resp := releaseResponse{}
 	granted := c.cellsByLeaseLocked(req.LeaseIDs)
 	for _, id := range req.LeaseIDs {
@@ -813,7 +723,6 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 		cl.state = cellPending
 		cl.worker = ""
 		cl.attempts--
-		cl.eligibleAt = now
 		resp.Released++
 		c.cfg.Logf("lease %d on %s/%d released by %q", id, cl.grid.Name(), cl.index, req.Worker)
 	}
@@ -863,14 +772,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked(now)
-	ws := c.ensureWorkerLocked(req.Worker)
-	// A worker that delivers results is alive, whatever its lease
-	// bookkeeping looked like; reset its breaker.
-	ws.consecExpiries = 0
+	c.expireLocked(time.Now())
 
 	if cl.state == cellDone {
 		// At-least-once dispatch means late duplicates are expected

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/guard"
 )
 
 // tinyUniSpec is quickUniSpec with short slices: five cells of a few
@@ -94,7 +93,7 @@ func TestWorkerLeasesNextCellWithoutDelay(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			if granted == cells {
-				writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: 50})
+				writeJSON(w, http.StatusOK, leaseResponse{})
 				return
 			}
 			if !answered.IsZero() {
@@ -139,7 +138,7 @@ func TestWorkerFirstRequestIsALease(t *testing.T) {
 	var requests []string
 	first := make(chan struct{})
 	stub := &stubCoordinator{lease: func(w http.ResponseWriter, req leaseRequest) {
-		writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: 10})
+		writeJSON(w, http.StatusOK, leaseResponse{})
 	}}
 	h := stub.handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -194,7 +193,7 @@ func TestWorkerStartedBeforeCoordinatorLeases(t *testing.T) {
 	var once sync.Once
 	stub := &stubCoordinator{lease: func(w http.ResponseWriter, req leaseRequest) {
 		once.Do(func() { close(leasing) })
-		writeJSON(w, http.StatusOK, leaseResponse{RetryMillis: 10})
+		writeJSON(w, http.StatusOK, leaseResponse{})
 	}}
 	ln, err = net.Listen("tcp", addr)
 	if err != nil {
@@ -346,7 +345,7 @@ func TestWorkerPerJobNeverStrandsALease(t *testing.T) {
 
 // A drain mid-cell hands the lease back: with a one-minute TTL the job
 // can only finish promptly if the cell redispatches at once, and the
-// release must cost neither an attempt nor a breaker strike.
+// release must not cost an attempt.
 func TestDrainMidCellReleasesLease(t *testing.T) {
 	log := &expiryLog{t: t}
 	coord := newTestCoordinator(t, Config{LeaseTTL: time.Minute, Logf: log.logf})
@@ -414,69 +413,63 @@ func TestDrainMidCellReleasesLease(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	coord.mu.Lock()
-	expiries := coord.workers["drained"].consecExpiries
-	coord.mu.Unlock()
-	if expiries != 0 {
-		t.Errorf("drained worker's breaker count is %d, want 0", expiries)
-	}
 	if n := log.count(); n != 0 {
 		t.Errorf("coordinator logged %d lease expiries, want none", n)
 	}
 }
 
-// The empty-grant hint follows the nearest redispatch backoff when that
-// ends before the quarter-TTL default, so a cell backed off by
-// guard.Retry is picked up when the policy says, not up to 2 s later.
-func TestLeaseRetryHint(t *testing.T) {
-	retry := guard.Retry{Attempts: 5, Base: 50 * time.Millisecond, Cap: 2 * time.Second, Seed: 1}
-	for _, tc := range []struct {
-		name    string
-		ttl     time.Duration
-		prepare func(now time.Time, cells []*cell)
-		lo, hi  int64 // bounds on RetryMillis
-	}{
-		{"nothing pending", 10 * time.Second, func(time.Time, []*cell) {}, 2000, 2000},
-		{"expiry backoff", 10 * time.Second, func(now time.Time, cells []*cell) {
-			cells[2].expiry = now.Add(-time.Millisecond) // swept by the next request
-		}, 50, 76}, // Retry.Delay(attempt 2) is Base plus up to half of it
-		{"nearest of two", 10 * time.Second, func(now time.Time, cells []*cell) {
-			cells[1].state, cells[1].eligibleAt = cellPending, now.Add(900*time.Millisecond)
-			cells[3].state, cells[3].eligibleAt = cellPending, now.Add(300*time.Millisecond)
-		}, 200, 300},
-		{"backoff beyond the default", 2 * time.Second, func(now time.Time, cells []*cell) {
-			cells[0].state, cells[0].eligibleAt = cellPending, now.Add(10*time.Second)
-		}, 500, 500},
-		{"clamp floor", 20 * time.Millisecond, func(time.Time, []*cell) {}, 10, 10},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newTestCoordinator(t, Config{LeaseTTL: tc.ttl, Retry: retry})
-			srv := httptest.NewServer(c.Handler())
-			defer srv.Close()
-			client := &Client{Base: srv.URL}
-			id, n, err := client.Submit(context.Background(), JobSpec{Uni: quickUniSpec()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var all leaseResponse
-			if err := client.call(context.Background(), http.MethodPost, "/api/lease", leaseRequest{Worker: "holder", Max: n}, &all); err != nil || len(all.Leases) != n {
-				t.Fatalf("leasing the whole grid: %d leases, %v", len(all.Leases), err)
-			}
-			c.mu.Lock()
-			tc.prepare(time.Now(), c.jobs[id].cells)
-			c.mu.Unlock()
-
-			var resp leaseResponse
-			if err := client.call(context.Background(), http.MethodPost, "/api/lease", leaseRequest{Worker: "asker", Max: 1}, &resp); err != nil {
-				t.Fatal(err)
-			}
-			if len(resp.Leases) != 0 {
-				t.Fatalf("got %d leases, want an empty grant", len(resp.Leases))
-			}
-			if resp.RetryMillis < tc.lo || resp.RetryMillis > tc.hi {
-				t.Errorf("RetryMillis = %d, want within [%d, %d]", resp.RetryMillis, tc.lo, tc.hi)
-			}
-		})
+// An expired lease's cell is pending again at once: the same worker's
+// next lease request gets it straight back as the next attempt, with no
+// backoff between and no quarantine of the worker, until the attempt
+// bound records the cell as failed and the job completes degraded.
+func TestExpiredLeaseRegrantsAtOnce(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	coord := newTestCoordinator(t, Config{LeaseTTL: ttl}) // the default three attempts
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	client := &Client{Base: srv.URL}
+	ctx := context.Background()
+	id, cells, err := client.Submit(ctx, JobSpec{Uni: tinyUniSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := func() []Lease {
+		var resp leaseResponse
+		if err := client.call(ctx, http.MethodPost, "/api/lease", leaseRequest{Worker: "flaky", Max: 1}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Leases
+	}
+	got := lease()
+	if len(got) != 1 {
+		t.Fatalf("first lease granted %d cells, want 1", len(got))
+	}
+	held := got[0]
+	for attempt := 2; attempt <= 3; attempt++ {
+		time.Sleep(ttl + ttl/2) // the next request's sweep expires the lease
+		got := lease()
+		if len(got) != 1 {
+			t.Fatalf("lease after expiry %d granted %d cells, want the expired one back at once", attempt-1, len(got))
+		}
+		l := got[0]
+		if l.Grid != held.Grid || l.Index != held.Index || l.Attempt != attempt || l.LeaseID == held.LeaseID {
+			t.Fatalf("lease after expiry %d = %s/%d attempt %d (lease %d), want %s/%d attempt %d under a new lease",
+				attempt-1, l.Grid, l.Index, l.Attempt, l.LeaseID, held.Grid, held.Index, attempt)
+		}
+		held = l
+	}
+	time.Sleep(ttl + ttl/2)
+	// The third expiry exhausts the attempts: the status request's sweep
+	// records the cell as failed.
+	if st, err := client.Status(ctx, id); err != nil || st.Done != 1 || st.Failed != 1 {
+		t.Fatalf("status after the third expiry = %+v, %v; want 1 done, 1 failed", st, err)
+	}
+	startWorker(t, srv.URL, WorkerConfig{Name: "steady", PollInterval: 20 * time.Millisecond})
+	if res := waitResult(t, srv.URL, id); res.Failures != 1 {
+		t.Errorf("result has %d failed cells, want 1", res.Failures)
+	}
+	if st, err := client.Status(ctx, id); err != nil || !st.Complete || st.Done != cells || st.Failed != 1 {
+		t.Errorf("final status = %+v, %v; want complete, %d done, 1 failed", st, err, cells)
 	}
 }
 

@@ -209,7 +209,7 @@ func TestServiceMatchesSingleProcess(t *testing.T) {
 func chaosConfig() Config {
 	return Config{
 		LeaseTTL: 300 * time.Millisecond,
-		Retry:    guard.Retry{Attempts: 3, Base: 10 * time.Millisecond, Cap: 100 * time.Millisecond, Seed: 1},
+		Retry:    guard.Retry{Attempts: 3},
 	}
 }
 
@@ -726,32 +726,28 @@ func TestCoordinatorRestartMidJob(t *testing.T) {
 	}
 }
 
-// The bounded queue: submits beyond MaxJobs get 429 + Retry-After, and
-// the client helper classifies that as retryable backpressure.
-func TestSubmitBackpressure(t *testing.T) {
-	spec := JobSpec{Only: []string{"table7"}, Uni: quickUniSpec()}
-	coord := newTestCoordinator(t, Config{MaxJobs: 1})
+// The coordinator bounds no job count: five jobs submitted with no
+// worker running are all accepted, and one worker then completes them.
+func TestSubmitHasNoJobBound(t *testing.T) {
+	coord := newTestCoordinator(t, Config{})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	client := &Client{Base: srv.URL}
 	ctx := context.Background()
-
-	if _, _, err := client.Submit(ctx, spec); err != nil {
-		t.Fatal(err)
+	var ids []int
+	for i := 0; i < 5; i++ {
+		id, _, err := client.Submit(ctx, JobSpec{Uni: tinyUniSpec()})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i+1, err)
+		}
+		ids = append(ids, id)
 	}
-	_, _, err := client.Submit(ctx, spec)
-	if err == nil {
-		t.Fatal("second submit beyond MaxJobs succeeded, want 429")
-	}
-	ae, ok := err.(*apiError)
-	if !ok || ae.Status != http.StatusTooManyRequests {
-		t.Fatalf("got %v, want a 429 apiError", err)
-	}
-	if ae.RetryAfter <= 0 {
-		t.Error("429 carried no Retry-After")
-	}
-	if wait, retry := RetryAfter(err); !retry || wait <= 0 {
-		t.Errorf("RetryAfter(429) = (%v, %v), want positive retryable backoff", wait, retry)
+	startWorker(t, srv.URL, WorkerConfig{Name: "steady", PollInterval: 20 * time.Millisecond})
+	for _, id := range ids {
+		waitResult(t, srv.URL, id)
+		if st, err := client.Status(ctx, id); err != nil || !st.Complete || st.Failed != 0 {
+			t.Errorf("job %d: status %+v, %v; want complete with no failed cell", id, st, err)
+		}
 	}
 }
 
@@ -774,61 +770,9 @@ func TestSubmitValidation(t *testing.T) {
 		if !ok || ae.Status != http.StatusBadRequest {
 			t.Errorf("spec %+v: got %v, want 400", spec, err)
 		}
-		if err != nil {
-			if _, retry := RetryAfter(err); retry {
-				t.Errorf("spec %+v: 400 classified as retryable", spec)
-			}
+		if err != nil && Retryable(err) {
+			t.Errorf("spec %+v: 400 classified as retryable", spec)
 		}
-	}
-}
-
-// The circuit breaker: a worker whose leases keep expiring is
-// quarantined and starved of new leases until the cooldown passes.
-func TestCircuitBreakerQuarantinesWorker(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	coord := newTestCoordinator(t, Config{
-		LeaseTTL:         40 * time.Millisecond,
-		Retry:            guard.Retry{Attempts: 20, Base: 0, Seed: 1},
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // quarantine must outlast the test
-	})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	client := &Client{Base: srv.URL}
-	ctx := context.Background()
-
-	spec := JobSpec{Only: []string{"table7"}, Uni: quickUniSpec()}
-	if _, _, err := client.Submit(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-
-	// "flaky" leases cells and never completes them; after
-	// BreakerThreshold consecutive expiries it must stop being fed.
-	lease := func(worker string) leaseResponse {
-		var resp leaseResponse
-		if err := client.call(ctx, http.MethodPost, "/api/lease", leaseRequest{Worker: worker, Max: 1}, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	for i := 0; i < 2; i++ {
-		if got := lease("flaky"); len(got.Leases) != 1 {
-			t.Fatalf("expiry round %d: flaky got %d leases, want 1", i, len(got.Leases))
-		}
-		time.Sleep(60 * time.Millisecond) // let the lease expire; next request sweeps it
-	}
-	got := lease("flaky")
-	if len(got.Leases) != 0 {
-		t.Fatalf("quarantined worker still got %d leases", len(got.Leases))
-	}
-	if got.RetryMillis <= 0 {
-		t.Error("quarantined lease response carries no retry hint")
-	}
-	// A different worker is unaffected.
-	if got := lease("steady"); len(got.Leases) != 1 {
-		t.Errorf("healthy worker got %d leases while flaky is quarantined, want 1", len(got.Leases))
 	}
 }
 

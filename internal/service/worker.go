@@ -15,13 +15,13 @@ import (
 type WorkerConfig struct {
 	// Coordinator is the job API base URL.
 	Coordinator string
-	// Name identifies the worker to the coordinator (lease ownership,
-	// circuit breaker). Required: Run fails at once without it.
+	// Name identifies the worker to the coordinator (lease ownership and
+	// fencing). Required: Run fails at once without it.
 	Name string
 	// Slots bounds concurrently simulated cells; <= 0 means 1.
 	Slots int
 	// PollInterval is the idle re-poll spacing when the coordinator has
-	// nothing to lease and no hint; <= 0 means 250ms.
+	// nothing to lease; <= 0 means 250ms.
 	PollInterval time.Duration
 	// OnCell, when non-nil, is called at the start of every cell
 	// execution (the service tests count executions per cell with it, and
@@ -144,11 +144,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if len(resp.Leases) == 0 {
-			wait := w.cfg.PollInterval
-			if resp.RetryMillis > 0 {
-				wait = time.Duration(resp.RetryMillis) * time.Millisecond
-			}
-			if !sleepCtx(ctx, wait) {
+			if !sleepCtx(ctx, w.cfg.PollInterval) {
 				break
 			}
 			continue
@@ -288,7 +284,7 @@ func (w *Worker) complete(ctx context.Context, l Lease, payload []byte) bool {
 			}
 			return true
 		}
-		if ctx.Err() != nil || !retryable(err) {
+		if ctx.Err() != nil || !Retryable(err) {
 			if ctx.Err() == nil {
 				w.cfg.Logf("worker %q: %s/%d report rejected: %v", w.cfg.Name, l.Grid, l.Index, err)
 			}

@@ -110,8 +110,8 @@ fi
 
 # One splitmix64: the step and its finalizer are seeded.Stream and
 # seeded.Mix, and every seeded consumer (chaos jitter, fault plans, the
-# fuzzer's generator, per-cell seeds, retry jitter) draws from them. The
-# finalizer's multiplier anywhere else is a second copy.
+# fuzzer's generator, per-cell seeds) draws from them. The finalizer's
+# multiplier anywhere else is a second copy.
 if grep -rn '0xBF58476D1CE4E5B9' --include='*.go' --exclude='*_test.go' . |
     grep -v '^./internal/seeded/'; then
     echo "check.sh: a second splitmix64; draw from seeded.Stream or seeded.Mix" >&2
@@ -239,6 +239,17 @@ FAULTS='guard\.FaultKin[d]|ProcessFault[s]|ErrFaultInjecte[d]|ExitFaultInjecte[d
 if grep -rnE "$FAULTS" --include='*.go' . || grep -rnE "$FAULTS" scripts ||
     grep -rnE 'Layer\.Pars[e]\(|Layer\[K\]\) Pars[e]\(' --include='*.go' .; then
     echo "check.sh: scripted worker faults or the plan parser are back; abandon a lease through the API instead" >&2
+    exit 1
+fi
+
+# A coordinator for one user: an expired cell is pending again at once,
+# every submit is a job, and a worker is fed until its leases run out of
+# attempts. No circuit breaker, job bound or redispatch backoff, and no
+# wire field or header that carried them (the brackets keep the pattern
+# from matching itself).
+TRAFFIC='BreakerThreshol[d]|BreakerCooldow[n]|quarantinedUnti[l]|consecExpirie[s]|MaxJob[s]|RetryMilli[s]|retryMilli[s]|eligibleA[t]|StatusTooManyRequest[s]|RetryAfte[r]'
+if grep -rnE "$TRAFFIC" --include='*.go' .; then
+    echo "check.sh: service traffic control is back; the coordinator has no breaker, job bound or backoff" >&2
     exit 1
 fi
 
