@@ -429,8 +429,8 @@ func (sc *oracleScenario) advanceOracle(t *testing.T, rng *rand.Rand, tally map[
 		tally[path]++
 		// advance itself, for its fourth result: Advance and NextEvent are it
 		// with issue true and false.
-		cls, ctx, until, fetches := adv.proc.advance(true)
-		wcls, wctx, wuntil, wfetches := ref.proc.advance(false)
+		cls, ctx, until, fetches := adv.proc.advance(true, oneCycle)
+		wcls, wctx, wuntil, wfetches := ref.proc.advance(false, oneCycle)
 		if wuntil <= now {
 			ref.proc.Step()
 			wcls, wctx, wuntil = SlotIdle, -1, now

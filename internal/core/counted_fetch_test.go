@@ -15,12 +15,15 @@ import (
 
 // The workstation's I-cache counts its fetches, and the fast-forward
 // engine skips a stalled monopolist's re-fetches of a resident line as a
-// count (fastforward.go, memsys.CountedInstFetch). These tests hold that to
-// the stepped machine on the kernel that is nothing but such stalls — a
-// serial divide chain over a real cache.Hierarchy — through each thing that
-// can happen to a region: a Run boundary in the middle of it, a sample
-// point inside it, the line displaced under it between two Run calls, and
-// chaos armed throughout, whose stream position is part of the checkpoint.
+// count (fastforward.go, memsys.CountedInstFetch), and Run issues busy
+// cycles in place between the regions it skips. These tests hold both to
+// the stepped machine over a real cache.Hierarchy, on two kernels: one that
+// is nothing but such stalls (a serial divide chain) and one that is nearly
+// nothing but in-place issue (busyProg). Each goes through everything that
+// can happen to a region or an issue run: a Run boundary in the middle of
+// it, a sample point inside it, the I-lines displaced under it between two
+// Run calls, and chaos armed throughout, whose stream position is part of
+// the checkpoint.
 
 // divideChainProg is two dependent 61-cycle divides, a store, a load and a
 // multiply per iteration, per thread on a line of its own (R4 is the thread
@@ -54,8 +57,44 @@ func divideChainProg(t testing.TB) *prog.Program {
 	return p
 }
 
-// countedMachine is a uniMachine (snapshot_machine_test.go) on the divide
-// chain with chaos armed, optionally superscalar and observed, and with the
+// busyProg is the busy-bound kernel: per iteration eight independent ALU
+// ops, two loads and a store of words the thread touched before (hits after
+// the first pass), and a branch over a flag that flips every iteration.
+// Taken, the branch installs its BTB entry; not taken, it evicts it; so the
+// BTB mispredicts it every time and each iteration opens a redirect region
+// between runs of issue.
+func busyProg(t testing.TB) *prog.Program {
+	t.Helper()
+	b := prog.NewBuilder("busy", 0x1000, 0x10_0000, 1<<16)
+	vals := b.Alloc(8*64, 64)
+	b.La(isa.R1, vals)
+	b.Sll(isa.R11, isa.R4, 6)
+	b.Add(isa.R1, isa.R1, isa.R11)
+	b.Li(isa.R2, 150)
+	b.Label("loop")
+	for r := isa.R5; r <= isa.R10; r++ {
+		b.Addi(r, r, int32(r))
+	}
+	b.Lw(isa.R12, isa.R1, 0)
+	b.Xor(isa.R13, isa.R13, isa.R2)
+	b.Lw(isa.R14, isa.R1, 4)
+	b.Xori(isa.R3, isa.R3, 1)
+	b.Bgtz(isa.R3, "skip")
+	b.Add(isa.R15, isa.R12, isa.R14)
+	b.Label("skip")
+	b.Sw(isa.R5, isa.R1, 8)
+	b.Addi(isa.R2, isa.R2, -1)
+	b.Bgtz(isa.R2, "loop")
+	b.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// countedMachine is a uniMachine (snapshot_machine_test.go) on a kernel
+// with chaos armed, optionally superscalar and observed, and with the
 // scheduler's random source for SchedulerInterference.
 type countedMachine struct {
 	*uniMachine
@@ -63,10 +102,10 @@ type countedMachine struct {
 	osRng *rand.Rand
 }
 
-func buildCountedMachine(t *testing.T, scheme Scheme, nctx, width int, noFF bool, sample int64) *countedMachine {
+func buildCountedMachine(t *testing.T, kernel func(testing.TB) *prog.Program, scheme Scheme, nctx, width int, noFF bool, sample int64) *countedMachine {
 	t.Helper()
 	m := &countedMachine{
-		uniMachine: buildMachine(t, divideChainProg(t), scheme, nctx, noFF, 20261003),
+		uniMachine: buildMachine(t, kernel(t), scheme, nctx, noFF, 20261003),
 		osRng:      rand.New(rand.NewSource(24)),
 	}
 	m.proc.Cfg.IssueWidth = width
@@ -98,14 +137,24 @@ type countedTally struct {
 	regions    int // Run calls that began inside a counted region
 	cut        int // ... which the call's end cut short
 	straddled  int // ... which held a sample point
+	issuing    int // Run calls that began (so the one before ended) on a cycle issued in place
 	displaced  int // cycles that missed the I-cache right after the scheduler displaced it
 	underStall int // ... where a counted region stood before the displacement
+	underIssue int // ... where the cycle would have issued in place
 }
 
-func runCountedScenario(t *testing.T, label string, scheme Scheme, nctx, width int, sample int64) countedTally {
+// inPlace reports whether advance settles p's current cycle by fetching
+// and then issuing or charging the slot itself (advancePath's fetched
+// paths that hit).
+func inPlace(p *Processor) bool {
+	path := advancePath(p)
+	return path == "fetched/issue" || path == "fetched/stall-slot"
+}
+
+func runCountedScenario(t *testing.T, label string, kernel func(testing.TB) *prog.Program, scheme Scheme, nctx, width int, sample int64) countedTally {
 	t.Helper()
-	ff := buildCountedMachine(t, scheme, nctx, width, false, sample)
-	off := buildCountedMachine(t, scheme, nctx, width, true, sample)
+	ff := buildCountedMachine(t, kernel, scheme, nctx, width, false, sample)
+	off := buildCountedMachine(t, kernel, scheme, nctx, width, true, sample)
 	both := []*countedMachine{ff, off}
 	var tl countedTally
 
@@ -139,7 +188,8 @@ func runCountedScenario(t *testing.T, label string, scheme Scheme, nctx, width i
 		if k%8 == 7 {
 			// A scheduler invocation heavy enough to displace every I-line:
 			// whatever fetches next must miss, stalled instruction or not.
-			_, _, _, stalled := ff.proc.advance(false)
+			_, _, _, stalled := ff.proc.advance(false, oneCycle)
+			issuing := inPlace(ff.proc)
 			for _, m := range both {
 				m.h.SchedulerInterference(8*m.h.L1I.Sets(), 0, 0, m.osRng)
 			}
@@ -159,11 +209,14 @@ func runCountedScenario(t *testing.T, label string, scheme Scheme, nctx, width i
 				if stalled {
 					tl.underStall++
 				}
+				if issuing {
+					tl.underIssue++
+				}
 			}
 			compare("after a displacement", true)
 			now = ff.proc.Now()
 		}
-		if _, _, until, fetches := ff.proc.advance(false); fetches {
+		if _, _, until, fetches := ff.proc.advance(false, oneCycle); fetches {
 			tl.regions++
 			end := min(until, now+chunk)
 			if end < until {
@@ -172,6 +225,9 @@ func runCountedScenario(t *testing.T, label string, scheme Scheme, nctx, width i
 			if sample > 0 && (end-1)/sample != (now-1)/sample {
 				tl.straddled++
 			}
+		}
+		if inPlace(ff.proc) {
+			tl.issuing++
 		}
 		for _, m := range both {
 			m.proc.Run(chunk)
@@ -205,31 +261,51 @@ func runCountedScenario(t *testing.T, label string, scheme Scheme, nctx, width i
 // MachineHash, sealed checkpoint bytes and — sampled every 16 cycles — the
 // whole exported series, for the monopolizing schemes (whose stalls are
 // counted regions), the interleaved one (whose stall slots are counted one
-// by one) and both issue widths.
+// by one) and both issue widths, on the divide chain and on the busy
+// kernel. Every 37-cycle Run call holds sample points at 16, so on the busy
+// kernel they land inside runs of in-place issue, as the calls' ends and the
+// displacements do (the busy rows count those at single issue, the only
+// width that issues in place).
 func TestCountedFetchFastForwardEquivalence(t *testing.T) {
-	for _, cell := range []struct {
-		scheme Scheme
-		nctx   int
-	}{{Single, 1}, {Blocked, 4}, {Interleaved, 4}} {
-		for _, width := range []int{1, 2} {
-			for _, sample := range []int64{0, 16} {
-				label := fmt.Sprintf("%v/%d/width=%d/sample=%d", cell.scheme, cell.nctx, width, sample)
-				tl := runCountedScenario(t, label, cell.scheme, cell.nctx, width, sample)
-				if tl.displaced == 0 {
-					t.Errorf("%s: no cycle missed the I-cache after a displacement", label)
+	for _, kernel := range []struct {
+		name string
+		prog func(testing.TB) *prog.Program
+	}{{"divide-chain", divideChainProg}, {"busy", busyProg}} {
+		for _, cell := range []struct {
+			scheme Scheme
+			nctx   int
+		}{{Single, 1}, {Blocked, 4}, {Interleaved, 4}} {
+			for _, width := range []int{1, 2} {
+				for _, sample := range []int64{0, 16} {
+					label := fmt.Sprintf("%s/%v/%d/width=%d/sample=%d", kernel.name, cell.scheme, cell.nctx, width, sample)
+					tl := runCountedScenario(t, label, kernel.prog, cell.scheme, cell.nctx, width, sample)
+					checkCountedTally(t, label, kernel.name, cell.scheme, width, sample, tl)
 				}
-				if cell.scheme != Interleaved {
-					switch {
-					case tl.cut == 0:
-						t.Errorf("%s: no Run call cut a counted region (%+v)", label, tl)
-					case tl.underStall == 0:
-						t.Errorf("%s: no displacement landed under a counted region (%+v)", label, tl)
-					case sample > 0 && tl.straddled == 0:
-						t.Errorf("%s: no counted region held a sample point (%+v)", label, tl)
-					}
-				}
-				t.Logf("%-32s %+v", label, tl)
 			}
 		}
 	}
+}
+
+// checkCountedTally fails a scenario that did not reach what its row is
+// there for.
+func checkCountedTally(t *testing.T, label, kernel string, scheme Scheme, width int, sample int64, tl countedTally) {
+	t.Helper()
+	if tl.displaced == 0 {
+		t.Errorf("%s: no cycle missed the I-cache after a displacement", label)
+	}
+	if kernel == "busy" {
+		if width == 1 && (tl.issuing == 0 || tl.underIssue == 0) {
+			t.Errorf("%s: no Run call ended, or no displacement landed, inside in-place issue (%+v)", label, tl)
+		}
+	} else if scheme != Interleaved {
+		switch {
+		case tl.cut == 0:
+			t.Errorf("%s: no Run call cut a counted region (%+v)", label, tl)
+		case tl.underStall == 0:
+			t.Errorf("%s: no displacement landed under a counted region (%+v)", label, tl)
+		case sample > 0 && tl.straddled == 0:
+			t.Errorf("%s: no counted region held a sample point (%+v)", label, tl)
+		}
+	}
+	t.Logf("%-45s %+v", label, tl)
 }

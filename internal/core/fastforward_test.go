@@ -153,15 +153,16 @@ func TestFastForwardEquivalenceUni(t *testing.T) {
 }
 
 // TestFastForwardRunChunks asserts that Run in arbitrary chunk sizes —
-// which cut skip regions at awkward boundaries — accumulates exactly the
-// same stats fast-forwarded as stepped cycle by cycle. (The final chunk
-// runs past the halt and charges idle either way, so the comparison is
-// chunked-vs-chunked, not chunked-vs-RunUntilHalted.)
+// which cut skip regions and runs of in-place issue at awkward boundaries —
+// accumulates exactly the same stats fast-forwarded as stepped cycle by
+// cycle, on the stall-heavy kernel and on the busy one (busyProg). (The
+// final chunk runs past the halt and charges idle either way, so the
+// comparison is chunked-vs-chunked, not chunked-vs-RunUntilHalted.)
 func TestFastForwardRunChunks(t *testing.T) {
-	run := func(noFF bool) (Stats, uint64) {
+	run := func(kernel func(testing.TB) *prog.Program, noFF bool) (Stats, uint64) {
 		h := cache.MustNewHierarchy(cache.DefaultParams())
 		fm := mem.New()
-		pr := stallProg(t)
+		pr := kernel(t)
 		pr.LoadInit(fm)
 		cfg := DefaultConfig(Interleaved, 4)
 		cfg.NoFastForward = noFF
@@ -176,13 +177,18 @@ func TestFastForwardRunChunks(t *testing.T) {
 		}
 		return p.Stats, fm.Hash()
 	}
-	ffStats, ffHash := run(false)
-	offStats, offHash := run(true)
-	if ffStats != offStats {
-		t.Errorf("chunked Run stats diverge\n fast-forwarded: %+v\n stepped:        %+v", ffStats, offStats)
-	}
-	if ffHash != offHash {
-		t.Errorf("chunked Run memory hash %#x fast-forwarded, %#x stepped", ffHash, offHash)
+	for _, kernel := range []struct {
+		name string
+		prog func(testing.TB) *prog.Program
+	}{{"stall", stallProg}, {"busy", busyProg}} {
+		ffStats, ffHash := run(kernel.prog, false)
+		offStats, offHash := run(kernel.prog, true)
+		if ffStats != offStats {
+			t.Errorf("%s: chunked Run stats diverge\n fast-forwarded: %+v\n stepped:        %+v", kernel.name, ffStats, offStats)
+		}
+		if ffHash != offHash {
+			t.Errorf("%s: chunked Run memory hash %#x fast-forwarded, %#x stepped", kernel.name, ffHash, offHash)
+		}
 	}
 }
 

@@ -472,15 +472,13 @@ func (p *Processor) count(now int64, cls SlotClass, ctx int) {
 	}
 }
 
-// Run advances the processor n cycles, fast-forwarding through stall
-// regions (fastforward.go) unless Cfg.NoFastForward forces cycle-by-cycle
-// stepping.
+// Run advances the processor n cycles, issuing in place and
+// fast-forwarding through stall regions (fastforward.go) unless
+// Cfg.NoFastForward forces cycle-by-cycle stepping.
 func (p *Processor) Run(n int64) {
 	end := p.cycle + n
 	for p.cycle < end {
-		if cls, ctx, until, fetches := p.advance(true); until > p.cycle {
-			p.skipTo(min(until, end), cls, ctx, fetches)
-		}
+		p.advance(true, end)
 	}
 }
 
@@ -500,10 +498,12 @@ func (p *Processor) skipTo(target int64, cls SlotClass, ctx int, fetches bool) {
 }
 
 // RunUntilHalted advances until all bound threads halt, up to limit
-// cycles, fast-forwarding through stall regions. It returns the cycles
-// executed and whether everything halted. Halt status cannot change
-// inside a skipped region (nothing retires there), so checking it per
-// region is equivalent to the per-cycle check.
+// cycles, issuing in place and fast-forwarding through stall regions. It
+// returns the cycles executed and whether everything halted. Halt status
+// changes only when an instruction executes, and advance returns after
+// every cycle it hands to Step and every in-place instruction that halts
+// its thread, so checking it per call is equivalent to the per-cycle
+// check.
 func (p *Processor) RunUntilHalted(limit int64) (int64, bool) {
 	start := p.cycle
 	end := start + limit
@@ -511,9 +511,7 @@ func (p *Processor) RunUntilHalted(limit int64) (int64, bool) {
 		if p.AllHalted() {
 			return p.cycle - start, true
 		}
-		if cls, ctx, until, fetches := p.advance(true); until > p.cycle {
-			p.skipTo(min(until, end), cls, ctx, fetches)
-		}
+		p.advance(true, end)
 	}
 	return p.cycle - start, p.AllHalted()
 }

@@ -218,7 +218,7 @@ func checkedRun(t *testing.T, label string, p *Processor, end int64, tally *orac
 		now := p.cycle
 		ref := *p
 		wcls, wctx, wuntil, wfetches := scanNextEvent(&ref)
-		cls, ctx, until, fetches := p.advance(false) // NextEvent, with the result it drops
+		cls, ctx, until, fetches := p.advance(false, oneCycle) // NextEvent, with the result it drops
 		if cls != wcls || ctx != wctx || until != wuntil || fetches != wfetches {
 			t.Fatalf("%s @%d: NextEvent = (%v, %d, %d, %v), scan reference (%v, %d, %d, %v)",
 				label, now, cls, ctx, until, fetches, wcls, wctx, wuntil, wfetches)

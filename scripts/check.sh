@@ -86,6 +86,15 @@ if grep -rn 'busyStreak' --include='*.go' .; then
     echo "check.sh: busyStreak is back; Run classifies and issues every cycle in one pass" >&2
     exit 1
 fi
+# Run and RunUntilHalted hand the cascade their end cycle, and it issues in
+# place and skips regions until then. Its one-cycle issuing entry is
+# Advance's, for the lockstep multiprocessor driver; a loop in the core
+# around that entry is the per-cycle round trip again.
+if awk '/^func /{fn=$0} /\.adv[a]nce\(true(, oneCycle)?\)/ && fn !~ /\) Advance\(\)/ {print FILENAME ":" FNR ": " $0; bad=1} END{exit !bad}' \
+    $(find internal/core -name '*.go' ! -name '*_test.go'); then
+    echo "check.sh: only Advance may call the cascade's one-cycle issuing entry; pass Run's end to advance" >&2
+    exit 1
+fi
 
 # One way to watch a cycle: the metrics event trace, which runs with
 # fast-forward on. The per-cycle Trace hook, the skip cap for a
