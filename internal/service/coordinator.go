@@ -191,8 +191,15 @@ func (j *job) complete() bool { return j.done == len(j.cells) }
 type Coordinator struct {
 	cfg Config
 
-	mu        sync.Mutex
-	jobs      map[int]*job
+	mu   sync.Mutex
+	jobs map[int]*job
+	// queue holds the jobs in submission order, so earlier jobs drain
+	// first; every request's expiry sweep drops the complete ones.
+	queue []*job
+	// leases maps a lease ID to the cell last granted under it. A cell
+	// leased again drops its old ID; a done cell keeps its last one, so a
+	// heartbeat that raced its completion still finds it.
+	leases    map[int64]*cell
 	nextJob   int
 	nextLease int64
 }
@@ -214,12 +221,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: state directory: %w", err)
 	}
-	c := &Coordinator{cfg: cfg, jobs: map[int]*job{}, nextJob: 1}
+	c := &Coordinator{cfg: cfg, jobs: map[int]*job{}, leases: map[int64]*cell{}, nextJob: 1}
 
 	entries, err := cfg.FS.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("service: scan state directory: %w", err)
 	}
+	var ids []int
 	for _, e := range entries {
 		m := journalFileRe.FindStringSubmatch(e.Name())
 		if m == nil {
@@ -230,6 +238,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			continue
 		}
 		id, _ := strconv.Atoi(m[1])
+		ids = append(ids, id)
+	}
+	slices.Sort(ids) // the queue's submission order
+	for _, id := range ids {
 		if err := c.recoverJob(id); err != nil {
 			return nil, fmt.Errorf("service: recover job %d: %w", id, err)
 		}
@@ -306,6 +318,8 @@ func (c *Coordinator) recoverJob(id int) error {
 	c.cfg.Logf("job %d recovered: %d/%d cells replayed from journal", id, j.done, len(j.cells))
 	if j.complete() {
 		c.assembleLocked(j)
+	} else {
+		c.queue = append(c.queue, j)
 	}
 	c.jobs[id] = j
 	return nil
@@ -370,13 +384,11 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // expireLocked sweeps expired leases: the cell goes back to pending, or,
-// attempts exhausted, is recorded as failed so the job can complete. A
-// complete job holds no lease and is skipped.
+// attempts exhausted, is recorded as failed so the job can complete. It
+// first drops complete jobs from the queue: they hold no lease.
 func (c *Coordinator) expireLocked(now time.Time) {
-	for _, j := range c.jobs {
-		if j.complete() {
-			continue
-		}
+	c.queue = slices.DeleteFunc(c.queue, (*job).complete)
+	for _, j := range c.queue {
 		for _, cl := range j.cells {
 			if cl.state != cellLeased || now.Before(cl.expiry) {
 				continue
@@ -495,6 +507,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.nextJob++
 	j := newJob(id, SpecOf(fp), grids, journal)
 	c.jobs[id] = j
+	c.queue = append(c.queue, j)
 	c.cfg.Logf("job %d submitted: %d cells in %d grid(s)", id, len(j.cells), len(grids))
 	writeJSON(w, http.StatusCreated, submitResponse{ID: id, Cells: len(j.cells)})
 }
@@ -604,11 +617,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	defer c.mu.Unlock()
 	c.expireLocked(now)
 	var resp leaseResponse
-	for _, id := range c.jobIDsLocked() {
-		j := c.jobs[id]
-		if j.complete() {
-			continue
-		}
+	for _, j := range c.queue {
 		for _, cl := range j.cells {
 			if len(resp.Leases) >= max {
 				break
@@ -619,7 +628,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			c.nextLease++
 			cl.state = cellLeased
 			cl.attempts++
+			delete(c.leases, cl.leaseID)
 			cl.leaseID = c.nextLease
+			c.leases[cl.leaseID] = cl
 			cl.worker = req.Worker
 			cl.expiry = now.Add(c.cfg.LeaseTTL)
 			resp.Leases = append(resp.Leases, Lease{
@@ -630,17 +641,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// jobIDsLocked returns job ids in submission order so earlier jobs
-// drain first.
-func (c *Coordinator) jobIDsLocked() []int {
-	ids := make([]int, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -660,9 +660,8 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	resp := heartbeatResponse{}
 	// Fenced renewal: each ID renews only if that exact lease is still
 	// live and still belongs to this worker.
-	granted := c.cellsByLeaseLocked(req.LeaseIDs)
 	for _, id := range req.LeaseIDs {
-		cl := granted[id]
+		cl := c.leases[id]
 		switch {
 		case cl != nil && cl.state == cellLeased && cl.worker == req.Worker:
 			cl.expiry = now.Add(c.cfg.LeaseTTL)
@@ -676,25 +675,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// cellsByLeaseLocked finds, for each of ids, the cell whose latest lease
-// it is (nil if none). IDs are never reused within a process, so a cell
-// found under an ID was last leased under exactly that lease; whether
-// the lease is still live is the cell's state.
-func (c *Coordinator) cellsByLeaseLocked(ids []int64) map[int64]*cell {
-	granted := make(map[int64]*cell, len(ids))
-	for _, id := range ids {
-		granted[id] = nil
-	}
-	for _, j := range c.jobs {
-		for _, cl := range j.cells {
-			if _, asked := granted[cl.leaseID]; asked && cl.leaseID != 0 {
-				granted[cl.leaseID] = cl
-			}
-		}
-	}
-	return granted
 }
 
 // handleRelease takes leases back from a draining worker: each named
@@ -714,9 +694,8 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	// expiry, not a release.
 	c.expireLocked(time.Now())
 	resp := releaseResponse{}
-	granted := c.cellsByLeaseLocked(req.LeaseIDs)
 	for _, id := range req.LeaseIDs {
-		cl := granted[id]
+		cl := c.leases[id]
 		if cl == nil || cl.state != cellLeased || cl.worker != req.Worker {
 			continue
 		}

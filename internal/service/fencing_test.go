@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faultfs"
 	"repro/internal/guard"
 )
 
@@ -321,5 +324,65 @@ func TestReleaseFencing(t *testing.T) {
 	}
 	if again.LeaseID == held.LeaseID || again.Attempt != 1 {
 		t.Fatalf("re-grant = lease %d attempt %d, want a new ID and attempt 1", again.LeaseID, again.Attempt)
+	}
+}
+
+// BenchmarkHeartbeatWithFinishedJobs times one heartbeat renewing one
+// live lease, with 0 and 500 finished jobs (five cells each, completed as
+// failed records) behind it: what a long-lived coordinator's per-request
+// cost does as its job table grows. The requests go to the handler
+// directly, so the time is the coordinator's, not the loopback's.
+func BenchmarkHeartbeatWithFinishedJobs(b *testing.B) {
+	for _, finished := range []int{0, 500} {
+		b.Run(fmt.Sprintf("finished=%d", finished), func(b *testing.B) {
+			c, err := NewCoordinator(Config{Dir: "/state", FS: faultfs.NewMem(), LeaseTTL: time.Hour})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			h := c.Handler()
+			post := func(path string, req, resp any) {
+				body, _ := json.Marshal(req)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				if rec.Code >= 300 {
+					b.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+				}
+				if resp != nil {
+					if err := json.Unmarshal(rec.Body.Bytes(), resp); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			spec := JobSpec{Uni: tinyUniSpec()}
+			grids, _, err := spec.resolve()
+			if err != nil {
+				b.Fatal(err)
+			}
+			failed := grids[0].FailedRecord("benchmark")
+			var live Lease
+			for k := 0; k <= finished; k++ {
+				post("/api/jobs", spec, nil)
+				var got leaseResponse
+				post("/api/lease", leaseRequest{Worker: "w", Max: 5}, &got)
+				if k == finished {
+					live = got.Leases[0] // the last job stays running
+					break
+				}
+				for _, l := range got.Leases {
+					post("/api/complete", completeRequest{Worker: "w", Job: l.Job, Grid: l.Grid,
+						Index: l.Index, LeaseID: l.LeaseID, Record: failed}, nil)
+				}
+			}
+			req := heartbeatRequest{Worker: "w", LeaseIDs: []int64{live.LeaseID}}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var resp heartbeatResponse
+				post("/api/heartbeat", req, &resp)
+				if resp.Renewed != 1 {
+					b.Fatalf("heartbeat = %+v, want the live lease renewed", resp)
+				}
+			}
+		})
 	}
 }
