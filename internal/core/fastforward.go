@@ -274,7 +274,7 @@ func (p *Processor) advance(issue bool, end int64) (cls SlotClass, ctx int, unti
 }
 
 // stepped is advance's answer for a cycle that may do work and that only
-// Step can decide: NextEvent reports it, Advance steps it.
+// Step can decide: NextEvent reports it, Advance and the run loop step it.
 func (p *Processor) stepped(issue bool) (cls SlotClass, ctx int, until int64, fetches bool) {
 	now := p.cycle
 	if issue {

@@ -14,7 +14,8 @@
 # end-to-end metric (ties count for neither).
 #
 # The checkouts are removed on exit. Set TMPDIR to choose where they and
-# the results go. PAIRS defaults to 10 and SEED to 1.
+# the results go. PAIRS defaults to 10 and SEED to 1. Run it inside the
+# repository; it needs git, go and python3.
 #
 #   scripts/benchpairs.sh HEAD~1 HEAD ws-table7 10 2
 set -euo pipefail
